@@ -22,7 +22,7 @@ from .ainf import StructureError, check_functor, check_relations, check_unitalit
 from .docio import DocumentError
 from .field import FieldError, QQ
 from .hochschild import (HochschildChainWindow, HochschildError, connes_B,
-                         hh0_dimension, hochschild_b, windowed_homology)
+                         hochschild_b, windowed_homology)
 from .localmodel import (LocalModelError, check_hn_type, euler_compare,
                          ext_quiver_halve, hn_enumerate, mc_presentation,
                          monic_equations, poly_str, verify_sigma)
@@ -34,6 +34,8 @@ from .quiver import DGQuiverAlgebra, derived_preprojective
 from .transfer import minimal_model
 
 EXIT = {"pass": 0, "fail": 1, "error": 2, "truncated": 3}
+# batch exits with the gravest per-file code: error > fail > truncated > pass
+SEVERITY = {EXIT["pass"]: 0, EXIT["truncated"]: 1, EXIT["fail"]: 2, EXIT["error"]: 3}
 
 
 class CliError(Exception):
@@ -235,7 +237,7 @@ def cmd_hochschild(args):
                 if anti:
                     witnesses.append({"identity": "bB+Bb", "chain": list(tup)})
     hom = windowed_homology(window, length_margin=1)
-    payload = {"hh0": hh0_dimension(window),
+    payload = {"hh0": hom.by_degree.get(0, 0),  # what hh0_dimension(window) returns
                "window": args.window,
                "homology": [[list(key), dim] for key, dim in sorted(hom.dims.items())]}
     truncation = {"stable": bool(hom.stable)}
@@ -567,7 +569,7 @@ def run_batch(args):
             continue
         code, report = run_one(args.target, args, str(path))
         emit(report, args, out_path=out_dir / (path.stem + ".report.json"))
-        worst = max(worst, code)
+        worst = max(worst, code, key=SEVERITY.__getitem__)
     return worst
 
 

@@ -1,35 +1,19 @@
 """Sparse exact linear algebra: dict-backed matrices and row reduction.
 
 Rows and vectors are dicts mapping column index to a nonzero scalar.
-Row reduction always chooses the leftmost available pivot, so every rank,
-kernel and image computation is deterministic for a fixed input order.
+Row reduction (`rref`) takes pivot columns left to right and, for each,
+the lowest input row that has an entry there.  That tie-break fixes every
+rank, kernel and image computation, down to the key order of the returned
+dicts, so reports built from them stay byte-stable for a fixed input.
+`rref` keeps a column -> rows index, so its cost is the size of the row
+updates it performs plus O(ncols), not a scan of every row per column;
+`rank_kernel_image` reads its kernel and image off in one pass each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from .field import FieldCtx, QQ
-
-
-def vec_add(field: FieldCtx, u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, val in v.items():
-        s = field.add(out.get(k, field.zero()), val)
-        if field.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def vec_scale(field: FieldCtx, c, v: dict) -> dict:
-    if field.is_zero(c):
-        return {}
-    return {k: field.mul(c, val) for k, val in v.items()}
-
-
-def vec_sub(field: FieldCtx, u: dict, v: dict) -> dict:
-    return vec_add(field, u, vec_scale(field, field.neg(field.one()), v))
 
 
 def vec_addmul(field: FieldCtx, u: dict, c, v: dict) -> dict:
@@ -97,9 +81,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    def col(self, c: int) -> dict:
-        return {r: v for (r, j), v in self.entries.items() if j == c}
 
     def transpose(self) -> "SparseMatrix":
         t = SparseMatrix(self.ncols, self.nrows, self.field)
@@ -191,37 +172,63 @@ def rref(rows, ncols: int, field: FieldCtx):
     """Reduced row echelon form of a list of sparse rows.
 
     Returns (pivot_cols, reduced_rows); reduced_rows[i] has pivot 1 at
-    pivot_cols[i].  Pivots are chosen leftmost-first, scanning rows in
-    input order.
+    pivot_cols[i].  The caller's row dicts are not modified.
+
+    Pivot rule: columns are taken left to right, and the pivot row of a
+    column is the lowest-numbered input row, among those not yet used as
+    pivots, that has a nonzero there.  Each row receives its updates in
+    pivot-column order, so the reduced rows, down to their dict key order,
+    are a function of the input alone; byte-stable reports rely on this.
+
+    Cost: a column -> rows index over pending and reduced rows finds the
+    pivot candidates and the rows to clear without scanning, so the work
+    is O(ncols) plus the size of the row updates themselves.
     """
-    work = [dict(r) for r in rows if r]
+    work = {}                    # input row index -> row, pending or reduced
+    where = {}                   # column -> indices of rows with a nonzero there
+    for i, r in enumerate(rows):
+        if r:
+            work[i] = dict(r)
+            for k in r:
+                where.setdefault(k, set()).add(i)
+    pending = set(work)
     pivots = []
     reduced = []
     for col in range(ncols):
-        pividx = None
-        for i, r in enumerate(work):
-            if col in r:
-                pividx = i
-                break
-        if pividx is None:
+        if not pending:
+            break
+        holders = where.get(col)
+        if not holders:
             continue
-        prow = work.pop(pividx)
-        c = field.inv(prow[col])
-        prow = {k: field.mul(c, v) for k, v in prow.items()}
-        for j, r in enumerate(reduced):
-            if col in r:
-                reduced[j] = vec_addmul(field, r, field.neg(r[col]), prow)
-        nxt = []
-        for r in work:
-            if col in r:
-                r = vec_addmul(field, r, field.neg(r[col]), prow)
-            if r:
-                nxt.append(r)
-        work = nxt
+        cands = holders & pending
+        if not cands:
+            continue
+        p = min(cands)
+        pending.discard(p)
+        c = field.inv(work[p][col])
+        prow = work[p] = {k: field.mul(c, v) for k, v in work[p].items()}
+        # after this pivot only prow keeps column col, and keeps it for good
+        del where[col]
+        holders.discard(p)
+        for i in holders:
+            r = work[i]
+            a = field.neg(r[col])
+            for k, v in prow.items():
+                s = field.add(r.get(k, field.zero()), field.mul(a, v))
+                if field.is_zero(s):
+                    r.pop(k, None)
+                    if k != col:
+                        where[k].discard(i)
+                elif k not in r:
+                    r[k] = s
+                    where.setdefault(k, set()).add(i)
+                else:
+                    r[k] = s
+            if not r:
+                pending.discard(i)
+                del work[i]
         pivots.append(col)
         reduced.append(prow)
-        if not work:
-            break
     return pivots, reduced
 
 
@@ -230,26 +237,26 @@ def rank_kernel_image(mat: SparseMatrix):
 
     kernel: column vectors {col: scalar} spanning ker(mat), one per free
     column, ordered by free column index, each normalized with a 1 in its
-    free slot.  image: the original pivot columns of mat, as {row: scalar}
-    vectors.  Both deterministic.
+    free slot followed by the pivot entries in pivot order.  image: the
+    original pivot columns of mat, as {row: scalar} vectors.  Both come
+    from one pass each (over the reduced rows, over mat.entries) and are
+    deterministic.
     """
     field = mat.field
     pivots, reduced = rref(mat.rows(), mat.ncols, field)
-    rank = len(pivots)
     pivset = set(pivots)
-    kernel = []
     one = field.one()
-    for free in range(mat.ncols):
-        if free in pivset:
-            continue
-        v = {free: one}
-        for prow, pcol in zip(reduced, pivots):
-            a = prow.get(free)
-            if a is not None:
-                v[pcol] = field.neg(a)
-        kernel.append(v)
-    image = [mat.col(c) for c in pivots]
-    return rank, kernel, image, pivots
+    by_free = {free: {free: one} for free in range(mat.ncols) if free not in pivset}
+    for prow, pcol in zip(reduced, pivots):
+        for k, a in prow.items():
+            if k != pcol:
+                by_free[k][pcol] = field.neg(a)
+    by_pivot = {c: {} for c in pivots}
+    for (r, c), v in mat.entries.items():
+        col = by_pivot.get(c)
+        if col is not None:
+            col[r] = v
+    return len(pivots), list(by_free.values()), list(by_pivot.values()), pivots
 
 
 def solve(mat: SparseMatrix, rhs: dict):

@@ -82,11 +82,9 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
                 m.set(pos[z][1], c, cz)
         mats[(deg, w)] = m
 
-    kern, pivots = {}, {}
+    kern, images, pivots = {}, {}, {}
     for key, m in mats.items():
-        _, k, _, piv = rank_kernel_image(m)
-        kern[key] = k
-        pivots[key] = piv
+        _, kern[key], images[key], pivots[key] = rank_kernel_image(m)
 
     inc, proj, htp = {}, {}, {}
     min_basis, min_weights = [], {}
@@ -98,9 +96,8 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
         if n == 0:
             continue
         below = (deg - 1, w)
-        m_in = mats.get(below)
         piv_in = pivots.get(below, [])
-        bvecs = [m_in.col(c) for c in piv_in] if m_in is not None else []
+        bvecs = images.get(below, [])
         lvecs_cols = list(pivots[key])
 
         candidates = list(kern[key])

@@ -1,0 +1,56 @@
+"""CLI reports and exit codes, checked against the library calls they wrap."""
+
+import json
+
+import pytest
+
+from ainfty import cli, docio
+from ainfty.cli import EXIT, main
+from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
+                               windowed_homology)
+from ainfty.presentations import truncated_path_category
+from ainfty.quiver import DGQuiverAlgebra, a2_quiver, jordan_quiver
+
+
+def write_quiver(path, q):
+    path.write_text(docio.dumps_document(docio.to_document("quiver", q)),
+                    encoding="utf-8")
+
+
+def test_batch_exit_code_ranks_error_above_truncated(tmp_path):
+    write_quiver(tmp_path / "a_valid.json", a2_quiver())
+    (tmp_path / "b_broken.json").write_text(json.dumps({"kind": "quiver"}),
+                                            encoding="utf-8")
+    code = main(["batch", "hochschild", str(tmp_path), "--window", "2"])
+    verdicts = {}
+    for stem in ("a_valid", "b_broken"):
+        report = json.loads((tmp_path / (stem + ".report.json")).read_text())
+        verdicts[stem] = report["payload"]["verdict"]
+    assert verdicts == {"a_valid": "truncated", "b_broken": "error"}
+    assert code == EXIT["error"]
+
+
+def test_batch_exit_code_ranks_fail_above_truncated(tmp_path, monkeypatch):
+    write_quiver(tmp_path / "a.json", a2_quiver())
+    write_quiver(tmp_path / "b.json", a2_quiver())
+    verdicts = iter(["fail", "truncated"])
+    monkeypatch.setitem(cli.HANDLERS, "hochschild",
+                        lambda args: (next(verdicts), [], {}, {}))
+    assert main(["batch", "hochschild", str(tmp_path)]) == EXIT["fail"]
+
+
+@pytest.mark.parametrize("quiver", [a2_quiver, jordan_quiver])
+def test_hochschild_report_matches_library(tmp_path, quiver):
+    q = quiver()
+    doc, out = tmp_path / "q.json", tmp_path / "q.report.json"
+    write_quiver(doc, q)
+    code = main(["hochschild", str(doc), "--window", "3", "--report", str(out)])
+    payload = json.loads(out.read_text())["payload"]
+    assert code == EXIT[payload["verdict"]]
+
+    cat = truncated_path_category(DGQuiverAlgebra(q, (), ()), weight_cap=2)
+    hom = windowed_homology(HochschildChainWindow(cat, 3), length_margin=1)
+    assert payload["result"]["hh0"] == hh0_dimension(HochschildChainWindow(cat, 3))
+    assert payload["result"]["homology"] == [[list(key), dim]
+                                             for key, dim in sorted(hom.dims.items())]
+    assert payload["truncation"] == {"stable": hom.stable}

@@ -77,6 +77,72 @@ def test_solve_consistent_systems(m, data):
     assert m.matvec(sol) == rhs
 
 
+def dense_rref(rows, ncols, f):
+    """Textbook Gauss-Jordan on a dense copy: the independent oracle."""
+    a = [[r.get(c, f.zero()) for c in range(ncols)] for r in rows]
+    pivots, top = [], 0
+    for col in range(ncols):
+        hit = next((i for i in range(top, len(a)) if not f.is_zero(a[i][col])), None)
+        if hit is None:
+            continue
+        a[top], a[hit] = a[hit], a[top]
+        inv = f.inv(a[top][col])
+        a[top] = [f.mul(inv, x) for x in a[top]]
+        for i in range(len(a)):
+            if i != top and not f.is_zero(a[i][col]):
+                c = a[i][col]
+                a[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[i], a[top])]
+        pivots.append(col)
+        top += 1
+    reduced = [{c: x for c, x in enumerate(row) if not f.is_zero(x)} for row in a[:top]]
+    return pivots, reduced
+
+
+@st.composite
+def row_lists(draw, max_n=12):
+    """Sparse rows over QQ or GF(7), with empty rows, repeated rows and
+    columns that no row uses."""
+    f = draw(st.sampled_from([QQ, GF(7)]))
+    ncols = draw(st.integers(0, max_n))
+    used = sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))) if ncols else []
+    values = scalars if f.p == 0 else st.integers(0, 6)
+    rows = []
+    for _ in range(draw(st.integers(0, max_n))):
+        kind = draw(st.sampled_from(["new", "new", "new", "empty", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "empty" or not used:
+            rows.append({})
+        else:
+            row = draw(st.dictionaries(st.sampled_from(used), values, max_size=len(used)))
+            rows.append({c: f.of_fraction(v) if f.p == 0 else f.of_int(v)
+                         for c, v in row.items() if v != 0})
+    return f, rows, ncols
+
+
+@given(row_lists())
+@settings(max_examples=200, deadline=None)
+def test_rref_kernel_image_match_dense_oracle(case):
+    f, rows, ncols = case
+    before = [list(r.items()) for r in rows]
+    pivots, reduced = rref(rows, ncols, f)
+    assert (pivots, reduced) == dense_rref(rows, ncols, f)  # RREF is unique
+    assert [list(r.items()) for r in rows] == before
+
+    m = SparseMatrix.from_rows(rows, ncols, f)
+    rank, kernel, image, piv = rank_kernel_image(m)
+    assert piv == pivots and rank == len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(kernel) == len(free)
+    for c, v in zip(free, kernel):
+        assert v[c] == f.one()
+        assert set(v) - {c} <= set(pivots)
+        assert not m.matvec(v)
+    for i, vec in enumerate(image):
+        assert vec == {r: m.get(r, pivots[i]) for r in range(len(rows))
+                       if not f.is_zero(m.get(r, pivots[i]))}
+
+
 def test_solve_inconsistent():
     m = SparseMatrix(2, 1, QQ)
     m.set(0, 0, Fraction(1))
