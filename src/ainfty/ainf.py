@@ -291,7 +291,7 @@ def check_unitality(cat: AInfCategory) -> UnitReport:
 
 
 def _weak_unit_check(cat: AInfCategory):
-    from .sparse import SparseMatrix, rank_kernel_image
+    from .sparse import Echelon, SparseMatrix, rank_kernel_image
     f = cat.field
     fails = []
     for i, e in cat.units.items():
@@ -314,7 +314,7 @@ def _weak_unit_check(cat: AInfCategory):
             for c, v in row.items():
                 dmat.set(c, k, v)  # dmat[z, x] = coeff of z in b1(x)
         _, cycles, images, _ = rank_kernel_image(dmat)
-        img_rows = [{k: v for k, v in im.items()} for im in images]
+        boundaries = Echelon(f, images)
         for cyc in cycles:
             for side in ("right", "left"):
                 acc = {}
@@ -330,25 +330,9 @@ def _weak_unit_check(cat: AInfCategory):
                         vec_add_into(f, acc, pos[z], f.mul(c, cz))
                     unit_part = f.mul(c, f.of_int(sgn))
                     vec_add_into(f, acc, lab_idx, f.neg(unit_part))
-                if acc and not _in_span(f, acc, img_rows):
+                if boundaries.reduce(acc):
                     fails.append(("unit fails on cohomology", (i, j), side))
     return fails
-
-
-def _in_span(field: FieldCtx, vec: dict, spanning):
-    from .sparse import rref
-    rows = [dict(v) for v in spanning if v]
-    keys = sorted({k for r in rows for k in r} | set(vec))
-    remap = {k: n for n, k in enumerate(keys)}
-    rows_idx = [{remap[k]: v for k, v in r.items()} for r in rows]
-    pivots, reduced = rref(rows_idx, len(keys), field)
-    target = {remap[k]: v for k, v in vec.items()}
-    for prow, pcol in zip(reduced, pivots):
-        c = target.get(pcol)
-        if c is not None:
-            from .sparse import vec_addmul
-            target = vec_addmul(field, target, field.neg(c), prow)
-    return not target
 
 
 def suspension_sign(degrees) -> int:

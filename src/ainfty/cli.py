@@ -174,7 +174,10 @@ def cmd_formality(args):
     if args.field != "QQ":
         raise CliError("formality runs over the rationals; --field %s unsupported"
                        % args.field)
-    cat = _minimal_category_from(kind, obj, args)
+    try:
+        cat = _minimal_category_from(kind, obj, args)
+    except StructureError as e:
+        raise CliError(str(e))
     try:
         pairing = _pairing_for(args, cat)
     except NCError as e:

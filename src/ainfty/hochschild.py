@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .ainf import AInfCategory, check_relations
 from .ncword import NCContext, canonical_cyclic
-from .sparse import SparseMatrix, rank_kernel_image
+from .sparse import SparseMatrix, rank_kernel_image, rref
 
 
 class HochschildError(Exception):
@@ -359,23 +359,14 @@ def _graded_dims(window, length_margin):
                 for pos, c in kv.items():
                     vec[cols[pos]] = c
                 cycle_vecs.append(vec)
-            dim_fn = _span_dim_mod(f, cycle_vecs, boundary_cols, len(idx))
+            # boundary_cols are independent image columns, so their rank is
+            # their count
+            dim_fn = (len(rref(boundary_cols + cycle_vecs, len(idx), f)[0])
+                      - len(boundary_cols))
             if dim_fn - last:
                 dims[(cap, deg)] = dim_fn - last
             last = dim_fn
     return dims
-
-
-def _span_dim_mod(f, vecs, modulus_vecs, dim):
-    """dim of span(vecs + modulus) - dim span(modulus)."""
-    if not vecs and not modulus_vecs:
-        return 0
-    rows = [dict(v) for v in modulus_vecs]
-    base = SparseMatrix.from_rows(rows, dim, f)
-    base_rank = rank_kernel_image(base)[0] if rows else 0
-    allrows = rows + [dict(v) for v in vecs]
-    full = SparseMatrix.from_rows(allrows, dim, f)
-    return rank_kernel_image(full)[0] - base_rank
 
 
 def hh0_dimension(window: HochschildChainWindow) -> int:

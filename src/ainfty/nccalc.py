@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .field import FieldCtx, QQ
-from .sparse import SparseMatrix, rank_kernel_image, solve as sparse_solve
+from .sparse import SparseMatrix, invert, rank_kernel_image, solve as sparse_solve
 from .ainf import AInfCategory, AInfMorphism
 from .ncword import (
     NCContext,
@@ -257,21 +257,16 @@ def pairing_inverse(ctx: NCContext, pairing: CyclicPairing) -> dict:
         n = len(rows)
         if len(cols) != n:
             raise NCError("pairing blocks of unequal size at %s" % ((i, j, d),))
-        aug = SparseMatrix(n, 2 * n, f)
+        gram = SparseMatrix(n, n, f)
         for r, x in enumerate(rows):
             for c, y in enumerate(cols):
-                aug.set(r, c, pairing.value(x, y))
-            aug.set(r, n + r, f.of_int(1))
-        from .sparse import rref
-        pivots, reduced = rref([aug.row(r) for r in range(n)], 2 * n, f)
-        if pivots != list(range(n)):
+                gram.set(r, c, pairing.value(x, y))
+        ginv = invert(gram)
+        if ginv is None:
             raise NCError("pairing degenerate on block %s" % ((i, j, d),))
-        for r in range(n):
-            for c in range(n):
-                v = reduced[r].get(n + c, f.of_int(0))
-                if not f.is_zero(v):
-                    # row r of the inverse acts on cols index: G^{-1}[y][x]
-                    inv[(cols[r], rows[c])] = v
+        for (r, c), v in sorted(ginv.entries.items()):
+            # row r of the inverse acts on cols index: G^{-1}[y][x]
+            inv[(cols[r], rows[c])] = v
     return inv
 
 

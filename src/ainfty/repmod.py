@@ -24,7 +24,7 @@ from .field import FieldCtx, QQ
 from .quiver import (DGQuiverAlgebra, PresentedAlgebra, Quiver,
                      degree_zero_truncation, dimension_vector, star_name)
 from .ratpoly import RatPolynomial, factor_rational_poly
-from .sparse import SparseMatrix, rank_kernel_image, solve
+from .sparse import Echelon, SparseMatrix, invert, rank_kernel_image, solve
 
 
 class RepError(Exception):
@@ -100,61 +100,12 @@ def random_rep(q: Quiver, seed: int, d=None, field: FieldCtx = QQ,
     return MatrixRep(q, d, mats, field)
 
 
-def _eye(n: int, f: FieldCtx) -> SparseMatrix:
-    m = SparseMatrix(n, n, f)
-    for i in range(n):
-        m.set(i, i, f.one())
-    return m
-
-
-def invert_matrix(m: SparseMatrix):
-    """Exact inverse, or None when singular."""
-    if m.nrows != m.ncols:
-        return None
-    f = m.field
-    n = m.nrows
-    rows = m.rows()
-    inv = [{i: f.one()} for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not f.is_zero(rows[r].get(col, f.zero())):
-                piv = r
-                break
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = f.inv(rows[col][col])
-        rows[col] = {c: f.mul(scale, v) for c, v in rows[col].items()}
-        inv[col] = {c: f.mul(scale, v) for c, v in inv[col].items()}
-        for r in range(n):
-            if r == col:
-                continue
-            c0 = rows[r].get(col)
-            if c0 is None or f.is_zero(c0):
-                continue
-            for c, v in rows[col].items():
-                s = f.sub(rows[r].get(c, f.zero()), f.mul(c0, v))
-                if f.is_zero(s):
-                    rows[r].pop(c, None)
-                else:
-                    rows[r][c] = s
-            for c, v in inv[col].items():
-                s = f.sub(inv[r].get(c, f.zero()), f.mul(c0, v))
-                if f.is_zero(s):
-                    inv[r].pop(c, None)
-                else:
-                    inv[r][c] = s
-    return SparseMatrix.from_rows(inv, n, f)
-
-
 def path_matrix(rep: MatrixRep, path, vertex=None) -> SparseMatrix:
     """Matrix of a path (operator order: path[0] applied last)."""
     if not path:
         if vertex is None:
             raise RepError("trivial path needs a vertex")
-        return _eye(rep.d[vertex], rep.field)
+        return SparseMatrix.identity(rep.d[vertex], rep.field)
     out = rep.mats[path[0]]
     for name in path[1:]:
         out = out.mul(rep.mats[name])
@@ -167,8 +118,8 @@ def conjugate(rep: MatrixRep, g: dict) -> MatrixRep:
     for v in rep.quiver.vertices:
         gv = g.get(v)
         if gv is None:
-            gv = _eye(rep.d[v], rep.field)
-        inv = invert_matrix(gv)
+            gv = SparseMatrix.identity(rep.d[v], rep.field)
+        inv = invert(gv)
         if inv is None:
             raise RepError("change of basis at %r is singular" % (v,))
         gmap[v] = gv
@@ -228,17 +179,18 @@ def _eval_multiplicative(rep: MatrixRep, q) -> RelationReport:
             for v in rep.quiver.vertices}
     residuals = []
     for v in rep.quiver.vertices:
-        prod = _eye(rep.d[v], f)
+        eye = SparseMatrix.identity(rep.d[v], f)
+        prod = eye
         for a in sorted(rep.quiver.arrows, key=lambda a: a.name):
             if a.tgt != v:
                 continue
-            factor = _eye(rep.d[v], f).add(
+            factor = eye.add(
                 rep.mats[a.name].mul(rep.mats[star_name(a.name)]))
-            inv = invert_matrix(factor)
+            inv = invert(factor)
             if inv is None:
                 raise RepError("1 + A A* is singular at arrow %r" % (a.name,))
             prod = prod.mul(factor if not a.name.endswith("*") else inv)
-        residuals.append((v, prod.add(_eye(rep.d[v], f).scale(qmap[v]).neg())))
+        residuals.append((v, prod.add(eye.scale(qmap[v]).neg())))
     ok = all(m.is_zero() for _, m in residuals)
     return RelationReport(ok, "multiplicative", tuple(residuals))
 
@@ -255,76 +207,6 @@ def moment_map(rep: MatrixRep) -> dict:
         out[a.tgt] = out[a.tgt].add(rep.mats[a.name].mul(rep.mats[st]))
         out[a.src] = out[a.src].add(rep.mats[st].mul(rep.mats[a.name]).neg())
     return out
-
-
-# ---------------------------------------------------------------------------
-# echelon spans of sparse vectors
-
-class Echelon:
-    """Reduced echelon span of sparse vectors keyed by orderable indices.
-
-    The stored basis is canonical for the span (reduced, pivots normalized
-    to 1, sorted by pivot), independent of insertion order.
-    """
-
-    def __init__(self, f: FieldCtx):
-        self.f = f
-        self.rows = {}           # pivot key -> vector dict
-
-    def _reduce(self, vec, record=None):
-        # stored rows are zero at every pivot but their own, so one pass
-        # over the pivot keys present in vec cannot reintroduce a pivot
-        f = self.f
-        vec = {k: v for k, v in vec.items() if not f.is_zero(v)}
-        for piv in sorted(set(vec) & set(self.rows)):
-            c = vec.get(piv)
-            if c is None or f.is_zero(c):
-                continue
-            if record is not None:
-                record[piv] = f.add(record.get(piv, f.zero()), c)
-            for k, v in self.rows[piv].items():
-                s = f.sub(vec.get(k, f.zero()), f.mul(c, v))
-                if f.is_zero(s):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = s
-        return vec, (min(vec) if vec else None)
-
-    def reduce(self, vec) -> dict:
-        red, _ = self._reduce(dict(vec))
-        return red
-
-    def coefficients(self, vec):
-        """Pivot -> coefficient expressing vec over the basis, or None."""
-        record = {}
-        red, _ = self._reduce(dict(vec), record)
-        return None if red else record
-
-    def add(self, vec) -> bool:
-        f = self.f
-        red, piv = self._reduce(dict(vec))
-        if not red:
-            return False
-        inv = f.inv(red[piv])
-        red = {k: f.mul(inv, v) for k, v in red.items()}
-        for p, row in self.rows.items():
-            c = row.get(piv)
-            if c is None or f.is_zero(c):
-                continue
-            for k, v in red.items():
-                s = f.sub(row.get(k, f.zero()), f.mul(c, v))
-                if f.is_zero(s):
-                    row.pop(k, None)
-                else:
-                    row[k] = s
-        self.rows[piv] = red
-        return True
-
-    def basis(self):
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
-
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def _flat_mul(f: FieldCtx, a: dict, b: dict) -> dict:
@@ -378,9 +260,7 @@ def acting_algebra(rep: MatrixRep) -> ActingAlgebra:
         m = rep.mats[a.name]
         gens.append({(off[a.tgt] + r, off[a.src] + c): val
                      for (r, c), val in m.entries.items()})
-    ech = Echelon(f)
-    for g in gens:
-        ech.add(g)
+    ech = Echelon(f, gens)
     while True:
         grew = False
         for x in list(ech.basis()):
@@ -515,9 +395,7 @@ def semisimplify(rep: MatrixRep) -> MatrixRep:
             # reduce layer k only against layer k+1 (and residuals already
             # taken in this layer): each residual then still lies in F_k,
             # and vectors from distinct layers are independent anyway
-            below = Echelon(f)
-            for vec in filt.layers[k + 1][v]:
-                below.add(vec)
+            below = Echelon(f, filt.layers[k + 1][v])
             group = []
             for vec in filt.layers[k][v]:
                 red = below.reduce(vec)
@@ -534,7 +412,7 @@ def semisimplify(rep: MatrixRep) -> MatrixRep:
                 g.set(r, col, x)
         gmats[v] = g
         groups[v] = sizes
-    ginv = {v: invert_matrix(gmats[v]) for v in rep.quiver.vertices}
+    ginv = {v: invert(gmats[v]) for v in rep.quiver.vertices}
 
     def layer_of(sizes, idx):
         for k, s in enumerate(sizes):
@@ -557,17 +435,10 @@ def semisimplify(rep: MatrixRep) -> MatrixRep:
 # ---------------------------------------------------------------------------
 # subrepresentations, restrictions, quotients
 
-def _echelon_rows(f: FieldCtx, vectors):
-    ech = Echelon(f)
-    for vec in vectors:
-        ech.add(vec)
-    return ech
-
-
 def restrict_rep(rep: MatrixRep, spaces: dict) -> MatrixRep:
     """Subrepresentation on invariant subspaces (echelon bases per vertex)."""
     f = rep.field
-    echs = {v: _echelon_rows(f, spaces.get(v, [])) for v in rep.quiver.vertices}
+    echs = {v: Echelon(f, spaces.get(v, [])) for v in rep.quiver.vertices}
     d = {v: echs[v].dim() for v in rep.quiver.vertices}
     order = {v: sorted(echs[v].rows) for v in rep.quiver.vertices}
     mats = {}
@@ -588,7 +459,7 @@ def restrict_rep(rep: MatrixRep, spaces: dict) -> MatrixRep:
 def quotient_rep(rep: MatrixRep, spaces: dict) -> MatrixRep:
     """Quotient by invariant subspaces, on the non-pivot coordinates."""
     f = rep.field
-    echs = {v: _echelon_rows(f, spaces.get(v, [])) for v in rep.quiver.vertices}
+    echs = {v: Echelon(f, spaces.get(v, [])) for v in rep.quiver.vertices}
     coords = {v: [i for i in range(rep.d[v]) if i not in echs[v].rows]
               for v in rep.quiver.vertices}
     d = {v: len(coords[v]) for v in rep.quiver.vertices}
@@ -607,17 +478,13 @@ def quotient_rep(rep: MatrixRep, spaces: dict) -> MatrixRep:
     return MatrixRep(rep.quiver, d, mats, f)
 
 
-def _in_span(ech: Echelon, vec) -> bool:
-    return not ech.reduce(vec)
-
-
 def invariant(rep: MatrixRep, spaces: dict) -> bool:
     f = rep.field
-    echs = {v: _echelon_rows(f, spaces.get(v, [])) for v in rep.quiver.vertices}
+    echs = {v: Echelon(f, spaces.get(v, [])) for v in rep.quiver.vertices}
     for a in rep.quiver.arrows:
         for vec in spaces.get(a.src, []):
             img = rep.mats[a.name].matvec(vec)
-            if not _in_span(echs[a.tgt], img):
+            if echs[a.tgt].reduce(img):
                 return False
     return True
 
@@ -817,7 +684,7 @@ def _apply_poly(rep: MatrixRep, blocks: dict, poly: RatPolynomial) -> dict:
         for k in range(poly.degree, -1, -1):
             acc = acc.mul(m) if k < poly.degree else acc
             c = f.of_fraction(poly.coeff(k))
-            acc = acc.add(_eye(n, f).scale(c))
+            acc = acc.add(SparseMatrix.identity(n, f).scale(c))
         out[v] = acc
     return out
 

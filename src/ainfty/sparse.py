@@ -1,13 +1,16 @@
-"""Sparse exact linear algebra: dict-backed matrices and row reduction.
+"""Sparse exact linear algebra: dict-backed matrices and one elimination kernel.
 
-Rows and vectors are dicts mapping column index to a nonzero scalar.
-Row reduction (`rref`) takes pivot columns left to right and, for each,
-the lowest input row that has an entry there.  That tie-break fixes every
-rank, kernel and image computation, down to the key order of the returned
-dicts, so reports built from them stay byte-stable for a fixed input.
-`rref` keeps a column -> rows index, so its cost is the size of the row
-updates it performs plus O(ncols), not a scan of every row per column;
-`rank_kernel_image` reads its kernel and image off in one pass each.
+Rows and vectors are dicts mapping an orderable key (a column index, or
+any sortable label) to a nonzero scalar.  Every rank, kernel, span test
+and inverse in the package is computed by `Echelon`, which holds the
+reduced row echelon form of the span of the vectors added so far: each
+row's least key is its pivot, the row is 1 there, and every row is zero
+at every other pivot.  That form is unique for the span, so pivots and
+values do not depend on the order in which vectors are added; only the
+key order inside the row dicts may.  A key -> rows index finds the rows
+to clear when a pivot is added, so the cost of elimination is the size
+of the row updates it performs.  `rref`, `rank_kernel_image`, `solve`
+and `invert` are batch uses of the same kernel.
 """
 
 from __future__ import annotations
@@ -16,18 +19,87 @@ from dataclasses import dataclass, field as dfield
 from .field import FieldCtx, QQ
 
 
-def vec_addmul(field: FieldCtx, u: dict, c, v: dict) -> dict:
-    """u + c*v, in place on a copy."""
-    if field.is_zero(c):
-        return dict(u)
-    out = dict(u)
-    for k, val in v.items():
-        s = field.add(out.get(k, field.zero()), field.mul(c, val))
-        if field.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+class Echelon:
+    """Reduced row echelon basis of the span of sparse vectors.
+
+    rows maps each pivot to its row; the basis is the unique RREF of the
+    span, whatever the insertion order.
+    """
+
+    def __init__(self, field: FieldCtx, vectors=()):
+        self.field = field
+        self.rows = {}           # pivot -> row
+        self._holders = {}       # non-pivot key -> pivots of the rows holding it
+        for vec in vectors:
+            self.add(vec)
+
+    def _reduce(self, vec, record=None):
+        """A new dict: vec minus its part in the span.  With record, the
+        coefficient of each pivot row subtracted is stored under its pivot."""
+        f = self.field
+        out = {k: v for k, v in vec.items() if not f.is_zero(v)}
+        rows = self.rows
+        # a stored row is zero at every pivot but its own, so subtracting it
+        # leaves vec's other pivot entries alone: the pivots to clear are
+        # exactly those present in vec now
+        for piv in [k for k in out if k in rows]:
+            c = out[piv]
+            if record is not None:
+                record[piv] = c
+            for k, v in rows[piv].items():
+                s = f.sub(out.get(k, f.zero()), f.mul(c, v))
+                if f.is_zero(s):
+                    out.pop(k, None)
+                else:
+                    out[k] = s
+        return out
+
+    def reduce(self, vec) -> dict:
+        """vec modulo the span; empty exactly when vec lies in it."""
+        return self._reduce(vec)
+
+    def coefficients(self, vec):
+        """Pivot -> coefficient expressing vec over the basis, or None."""
+        record = {}
+        return None if self._reduce(vec, record) else record
+
+    def add(self, vec) -> bool:
+        """Extend the span by vec; False when vec already lies in it."""
+        f = self.field
+        red = self._reduce(vec)
+        if not red:
+            return False
+        piv = min(red)
+        inv = f.inv(red[piv])
+        red = {k: f.mul(inv, v) for k, v in red.items()}
+        holders = self._holders
+        # red is zero at every old pivot, so clearing column piv from the
+        # rows that hold it adds no entry at any pivot
+        for p in holders.pop(piv, ()):
+            row = self.rows[p]
+            c = row.pop(piv)
+            for k, v in red.items():
+                if k == piv:
+                    continue
+                s = f.sub(row.get(k, f.zero()), f.mul(c, v))
+                if not f.is_zero(s):
+                    if k not in row:
+                        holders.setdefault(k, set()).add(p)
+                    row[k] = s
+                elif k in row:
+                    del row[k]
+                    holders[k].discard(p)
+        for k in red:
+            if k != piv:
+                holders.setdefault(k, set()).add(piv)
+        self.rows[piv] = red
+        return True
+
+    def basis(self):
+        return [dict(self.rows[p]) for p in sorted(self.rows)]
+
+    def dim(self) -> int:
+        return len(self.rows)
 
 
 @dataclass
@@ -171,65 +243,19 @@ class SparseMatrix:
 def rref(rows, ncols: int, field: FieldCtx):
     """Reduced row echelon form of a list of sparse rows.
 
-    Returns (pivot_cols, reduced_rows); reduced_rows[i] has pivot 1 at
-    pivot_cols[i].  The caller's row dicts are not modified.
+    Returns (pivot_cols, reduced_rows), sorted by pivot; reduced_rows[i]
+    has its 1 at pivot_cols[i], its least key, and is zero at every other
+    pivot.  The form is unique for the row space, so it does not depend
+    on the order of the rows.  The caller's row dicts are not modified.
+    The elimination does not need ncols; callers pass it as the width of
+    the rows.
 
-    Pivot rule: columns are taken left to right, and the pivot row of a
-    column is the lowest-numbered input row, among those not yet used as
-    pivots, that has a nonzero there.  Each row receives its updates in
-    pivot-column order, so the reduced rows, down to their dict key order,
-    are a function of the input alone; byte-stable reports rely on this.
-
-    Cost: a column -> rows index over pending and reduced rows finds the
-    pivot candidates and the rows to clear without scanning, so the work
-    is O(ncols) plus the size of the row updates themselves.
+    Cost: the rows are added to one `Echelon` in input order, so the work
+    is the size of the row updates it performs.
     """
-    work = {}                    # input row index -> row, pending or reduced
-    where = {}                   # column -> indices of rows with a nonzero there
-    for i, r in enumerate(rows):
-        if r:
-            work[i] = dict(r)
-            for k in r:
-                where.setdefault(k, set()).add(i)
-    pending = set(work)
-    pivots = []
-    reduced = []
-    for col in range(ncols):
-        if not pending:
-            break
-        holders = where.get(col)
-        if not holders:
-            continue
-        cands = holders & pending
-        if not cands:
-            continue
-        p = min(cands)
-        pending.discard(p)
-        c = field.inv(work[p][col])
-        prow = work[p] = {k: field.mul(c, v) for k, v in work[p].items()}
-        # after this pivot only prow keeps column col, and keeps it for good
-        del where[col]
-        holders.discard(p)
-        for i in holders:
-            r = work[i]
-            a = field.neg(r[col])
-            for k, v in prow.items():
-                s = field.add(r.get(k, field.zero()), field.mul(a, v))
-                if field.is_zero(s):
-                    r.pop(k, None)
-                    if k != col:
-                        where[k].discard(i)
-                elif k not in r:
-                    r[k] = s
-                    where.setdefault(k, set()).add(i)
-                else:
-                    r[k] = s
-            if not r:
-                pending.discard(i)
-                del work[i]
-        pivots.append(col)
-        reduced.append(prow)
-    return pivots, reduced
+    ech = Echelon(field, rows)
+    pivots = sorted(ech.rows)
+    return pivots, [ech.rows[p] for p in pivots]
 
 
 def rank_kernel_image(mat: SparseMatrix):
@@ -278,3 +304,24 @@ def solve(mat: SparseMatrix, rhs: dict):
         if v is not None:
             x[pcol] = v
     return x
+
+
+def invert(mat: SparseMatrix):
+    """Exact inverse of mat, or None when it is singular or not square:
+    the right half of the reduced row echelon form of [mat | I]."""
+    n = mat.nrows
+    if n != mat.ncols:
+        return None
+    f = mat.field
+    aug = mat.rows()
+    for i, row in enumerate(aug):
+        row[n + i] = f.one()
+    pivots, reduced = rref(aug, 2 * n, f)
+    if pivots != list(range(n)):
+        return None
+    out = SparseMatrix(n, n, f)
+    for i, row in enumerate(reduced):
+        for k, v in row.items():
+            if k >= n:
+                out.entries[(i, k - n)] = v
+    return out

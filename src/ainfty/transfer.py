@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .ainf import (AInfCategory, AInfMorphism, StructureError, vec_add_into)
 from .field import FieldCtx
-from .sparse import SparseMatrix, rank_kernel_image, rref
+from .sparse import Echelon, SparseMatrix, invert, rank_kernel_image
 
 
 @dataclass
@@ -103,24 +103,19 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
         candidates = list(kern[key])
         if unit_label is not None and pos.get(unit_label, (None,))[0] == key:
             candidates = [{pos[unit_label][1]: f.one()}] + candidates
-        hreps = _complete(f, bvecs, candidates, n)
+        hreps = _complete(f, bvecs, candidates)
 
         cols = bvecs + hreps + [{c: f.one()} for c in lvecs_cols]
         if len(cols) != n:
             raise StructureError("splitting dimension mismatch at %r" % (key,))
-        rows = []
-        for t in range(n):
-            row = {}
-            for j, v in enumerate(cols):
-                c = v.get(t)
-                if c is not None:
-                    row[j] = c
-            row[n + t] = f.one()
-            rows.append(row)
-        piv_cols, reduced = rref(rows, 2 * n, f)
-        if list(piv_cols) != list(range(n)):
+        basis = SparseMatrix(n, n, f)
+        for j, v in enumerate(cols):
+            for t, c in v.items():
+                basis.set(t, j, c)
+        inv = invert(basis)
+        if inv is None:
             raise StructureError("basis matrix is singular at %r" % (key,))
-        inv_rows = {piv_cols[i]: reduced[i] for i in range(n)}
+        inv_rows = inv.rows()
 
         nb = len(bvecs)
         nh = len(hreps)
@@ -138,11 +133,11 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
         for t, lab in enumerate(labs):
             pvec, hvec = {}, {}
             for j in range(nb):
-                c = inv_rows[j].get(n + t)
+                c = inv_rows[j].get(t)
                 if c is not None:
                     hvec[below_labs[piv_in[j]]] = c
             for j2 in range(nh):
-                c = inv_rows[nb + j2].get(n + t)
+                c = inv_rows[nb + j2].get(t)
                 if c is not None:
                     pvec[mlabels[j2]] = c
             if pvec:
@@ -152,30 +147,10 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
     return Contraction(pair, tuple(min_basis), inc, proj, htp, min_weights)
 
 
-def _complete(field, base_rows, candidates, ncols):
+def _complete(field, base_rows, candidates):
     """Candidates that enlarge the span of base_rows, in input order."""
-    rows = [dict(r) for r in base_rows]
-    _, reduced = rref(rows, ncols, field)
-    reduced = [dict(r) for r in reduced]
-    chosen = []
-    for cand in candidates:
-        v = dict(cand)
-        for r in reduced:
-            p = min(r)
-            c = v.get(p)
-            if c is not None:
-                lead = r[p]
-                scale = field.div(c, lead)
-                for k, rv in r.items():
-                    vec_add_into(field, v, k, field.neg(field.mul(scale, rv)))
-        if v:
-            chosen.append(dict(cand))
-            p = min(v)
-            lead = v[p]
-            v = {k: field.div(c, lead) for k, c in v.items()}
-            reduced.append(v)
-            reduced.sort(key=min)
-    return chosen
+    ech = Echelon(field, base_rows)
+    return [dict(c) for c in candidates if ech.add(c)]
 
 
 def check_contraction(cat: AInfCategory, con: Contraction):

@@ -8,8 +8,9 @@ from ainfty import cli, docio
 from ainfty.cli import EXIT, main
 from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
                                windowed_homology)
-from ainfty.presentations import truncated_path_category
-from ainfty.quiver import DGQuiverAlgebra, a2_quiver, jordan_quiver
+from ainfty.presentations import bar_ext_category, truncated_path_category
+from ainfty.quiver import (DGQuiverAlgebra, a2_quiver, derived_preprojective,
+                           jordan_quiver)
 
 
 def write_quiver(path, q):
@@ -54,3 +55,21 @@ def test_hochschild_report_matches_library(tmp_path, quiver):
     assert payload["result"]["homology"] == [[list(key), dim]
                                              for key, dim in sorted(hom.dims.items())]
     assert payload["truncation"] == {"stable": hom.stable}
+
+
+@pytest.mark.parametrize("subcommand", ["formality", "minimal-model"])
+def test_category_with_b1_and_b3_is_an_input_error(tmp_path, capsys, subcommand):
+    # transfer needs a dg category: b_3 next to b_1 is an input error (exit
+    # 2), not a traceback and not a "fail"
+    cat = bar_ext_category(derived_preprojective(a2_quiver()), weight_cap=2,
+                           arity_cap=4)
+    doc = docio.to_document("ainf_category", cat)
+    doc["payload"]["ops"].append({"arity": 3, "table": [
+        {"inputs": ["<a>", "<a*>", "<a>"], "output": [["<a>", "1"]]}]})
+    path = tmp_path / "b1_b3.json"
+    path.write_text(docio.dumps_document(doc), encoding="utf-8")
+    assert main([subcommand, str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "transfer input must be a dg category" in out.out
+

@@ -9,7 +9,8 @@ from ainfty.field import QQ, GF, FieldError
 from ainfty.ratpoly import (RatPolynomial, factor_kronecker,
                             factor_rational_poly, poly_gcd, poly_xgcd)
 from ainfty.signs import koszul_sign, prefix_sign, rotation_sign
-from ainfty.sparse import SparseMatrix, rank_kernel_image, rref, solve
+from ainfty.sparse import (Echelon, SparseMatrix, invert, rank_kernel_image, rref,
+                           solve)
 
 
 def test_field_rational_ops():
@@ -141,6 +142,92 @@ def test_rref_kernel_image_match_dense_oracle(case):
     for i, vec in enumerate(image):
         assert vec == {r: m.get(r, pivots[i]) for r in range(len(rows))
                        if not f.is_zero(m.get(r, pivots[i]))}
+
+
+def rank(rows, ncols, f):
+    return len(dense_rref(rows, ncols, f)[0])
+
+
+@given(row_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_echelon_basis_is_dense_rref_in_any_insertion_order(case, rnd):
+    f, rows, ncols = case
+    shuffled = [dict(r) for r in rows]
+    rnd.shuffle(shuffled)
+    ech = Echelon(f, shuffled)
+    pivots, reduced = dense_rref(rows, ncols, f)
+    assert sorted(ech.rows) == pivots and ech.dim() == len(pivots)
+    assert ech.basis() == reduced
+
+
+def draw_vector(data, f, ncols):
+    values = scalars if f.p == 0 else st.integers(0, 6)
+    if not ncols:
+        return {}
+    vec = data.draw(st.dictionaries(st.integers(0, ncols - 1), values))
+    return {c: f.of_fraction(v) if f.p == 0 else f.of_int(v)
+            for c, v in vec.items() if v != 0}
+
+
+@given(row_lists(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_reduce_and_coefficients_decide_the_span(case, data):
+    f, rows, ncols = case
+    ech = Echelon(f, rows)
+    combo = {}
+    for r in rows:
+        c = f.of_int(data.draw(st.integers(-3, 3)))
+        for k, v in r.items():
+            combo[k] = f.add(combo.get(k, f.zero()), f.mul(c, v))
+    combo = {k: v for k, v in combo.items() if not f.is_zero(v)}
+    for vec in (combo, draw_vector(data, f, ncols)):
+        in_span = rank(rows + [vec], ncols, f) == rank(rows, ncols, f)
+        red = ech.reduce(vec)
+        assert (not red) == in_span
+        assert not set(red) & set(ech.rows)
+        coeffs = ech.coefficients(vec)
+        assert (coeffs is not None) == in_span
+        if coeffs is not None:
+            rebuilt = {}
+            for p, c in coeffs.items():
+                for k, v in ech.rows[p].items():
+                    rebuilt[k] = f.add(rebuilt.get(k, f.zero()), f.mul(c, v))
+            assert {k: v for k, v in rebuilt.items() if not f.is_zero(v)} == vec
+    assert ech.add(combo) is False
+
+
+def dense_product(a, b, f):
+    return [[sum_f(f, (f.mul(x, b[k][j]) for k, x in enumerate(row)))
+             for j in range(len(b[0]) if b else 0)] for row in a]
+
+
+def sum_f(f, items):
+    out = f.zero()
+    for x in items:
+        out = f.add(out, x)
+    return out
+
+
+@given(row_lists(max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_invert_matches_dense_oracle(case):
+    f, rows, ncols = case
+    if len(rows) != ncols:
+        assert invert(SparseMatrix.from_rows(rows, ncols, f)) is None
+    n = ncols
+    square = (rows + [{}] * n)[:n]
+    # upper unitriangular, so invertible whatever rows holds
+    unitri = [{**{c: v for c, v in r.items() if c > i}, i: f.one()}
+              for i, r in enumerate(square)]
+    eye = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
+    for mat_rows in (square, unitri):
+        m = SparseMatrix.from_rows(mat_rows, n, f)
+        inv = invert(m)
+        assert (inv is None) == (rank(mat_rows, n, f) < n)
+        if inv is not None:
+            assert (inv.nrows, inv.ncols) == (n, n)
+            assert dense_product(m.to_dense(), inv.to_dense(), f) == eye
+            assert dense_product(inv.to_dense(), m.to_dense(), f) == eye
 
 
 def test_solve_inconsistent():

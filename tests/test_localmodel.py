@@ -26,7 +26,7 @@ from ainfty.localmodel import (HNType, LocalModelError, SigmaCertificate,
                                poly_str, reduced_polynomial, verify_sigma)
 from ainfty.quiver import double, star_name
 from ainfty.ratpoly import RatPolynomial
-from ainfty.sparse import SparseMatrix
+from ainfty.sparse import SparseMatrix, invert
 from ainfty.transfer import minimal_model
 
 from hn_oracle import brute_force_types, type_key
@@ -314,7 +314,7 @@ def rand_invertible(n, f, rng):
         for r in range(n):
             for c in range(n):
                 m.set(r, c, f.of_int(rng.randrange(7)))
-        if repmod.invert_matrix(m) is not None:
+        if invert(m) is not None:
             return m
 
 

@@ -17,7 +17,7 @@ from ainfty.field import GF, QQ, FieldCtx
 from ainfty.quiver import (Quiver, a2_quiver, double, jordan_quiver,
                            preprojective, derived_preprojective,
                            random_quiver, two_loop_quiver)
-from ainfty.sparse import SparseMatrix
+from ainfty.sparse import Echelon, SparseMatrix, invert
 from ainfty import repmod as R
 from ainfty.repmod import MatrixRep, RepError, StabilityParam
 
@@ -176,7 +176,7 @@ def test_moment_map_equivariance():
     mu0 = R.moment_map(rep)
     mu1 = R.moment_map(R.conjugate(rep, g))
     for v in DA2.vertices:
-        ginv = R.invert_matrix(g[v])
+        ginv = invert(g[v])
         assert mu1[v].add(g[v].mul(mu0[v]).mul(ginv).neg()).is_zero()
 
 
@@ -193,7 +193,7 @@ def test_acting_algebra_closed_and_bounded():
     for seed in range(8):
         rep = R.random_rep(DA2, seed, max_total=4)
         alg = R.acting_algebra(rep)
-        ech = R.Echelon(rep.field)
+        ech = Echelon(rep.field)
         for b in alg.basis:
             ech.add(dict(b))
         for b1 in alg.basis:
@@ -231,7 +231,7 @@ def test_radical_is_nilpotent_two_sided_ideal():
         rep = R.random_rep(DA2, 100 + seed, max_total=4)
         alg = R.acting_algebra(rep)
         rad = R.radical_char0(alg)
-        span = R.Echelon(rep.field)
+        span = Echelon(rep.field)
         for j in rad:
             span.add(dict(j))
         for j in rad:
