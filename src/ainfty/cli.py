@@ -267,7 +267,7 @@ def cmd_semisimplify(args):
     rep, note = _reduce_if_requested(rep, args)
     try:
         filt = repmod.radical_filtration(rep)
-        ss = repmod.semisimplify(rep)
+        ss = filt.associated_graded()
         again = repmod.semisimplify(ss)
     except repmod.RepError as e:
         raise CliError(str(e))

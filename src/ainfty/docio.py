@@ -255,12 +255,15 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
     weights = {}
     for k, ent in enumerate(payload.get("weights", [])):
         wpath = "%s.weights[%d]" % (path, k)
-        weights[str(ent[0])] = int(ent[1])
+        if not (isinstance(ent, list) and len(ent) == 2
+                and type(ent[1]) is int):
+            raise DocumentError("want [label, weight]", wpath)
+        weights[str(ent[0])] = ent[1]
     kwargs = {}
     if weights:
         kwargs["weights"] = weights
     if payload.get("weight_cap") is not None:
-        kwargs["weight_cap"] = int(payload["weight_cap"])
+        kwargs["weight_cap"] = _need(payload, "weight_cap", path, int)
     try:
         return AInfCategory(objects=objects, hom=hom, ops=ops, field=f,
                             arity_cap=int(_need(payload, "arity_cap", path, int)),

@@ -26,10 +26,9 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldCtx, QQ

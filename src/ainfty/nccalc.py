@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
-from .field import FieldCtx, QQ
+from .field import FieldCtx
 from .sparse import SparseMatrix, invert, rank_kernel_image, solve as sparse_solve
 from .ainf import AInfCategory, AInfMorphism
 from .ncword import (
@@ -26,8 +26,6 @@ from .ncword import (
     add_cyclic_term,
     add_open_term,
     apply_letterwise,
-    canonical_cyclic,
-    cfg_composable,
     enumerate_cyclic_words,
     rotate_mark_last,
     word_composable,

@@ -8,7 +8,7 @@ linear combinations [(coeff, path), ...] with integer or Fraction coeffs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
 
 

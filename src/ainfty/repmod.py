@@ -5,11 +5,13 @@ everything downstream is exact linear algebra.  The module evaluates
 presented relations (additive preprojective relations, and the ordered
 multiplicative relation when q-data is supplied), computes moment maps for
 doubled quivers, and realizes semisimplification as the associated graded
-of the radical filtration of the acting algebra.  Over the rationals the
-radical comes from the trace form of the defining module; over a prime
-field the same endpoint is reached by an exhaustive Jordan-Hoelder
-computation, which doubles as an independent oracle for the
-characteristic-zero path.  King (semi)stability is decided exactly over
+of the radical filtration of the acting algebra A, the image of the path
+algebra.  A path from v to w maps V_v to V_w and is zero elsewhere, so A
+is the direct sum of its blocks e_w A e_v and is spanned block by block.
+Over the rationals the radical comes from the trace form of the defining
+module; over a prime field the same endpoint is reached by an exhaustive
+Jordan-Hoelder computation, which doubles as an independent oracle for
+the characteristic-zero path.  King (semi)stability is decided exactly over
 prime fields by enumerating all invariant subspace tuples.
 """
 
@@ -17,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldCtx, QQ
-from .quiver import (DGQuiverAlgebra, PresentedAlgebra, Quiver,
-                     degree_zero_truncation, dimension_vector, star_name)
+from .quiver import (DGQuiverAlgebra, Quiver, degree_zero_truncation,
+                     dimension_vector, star_name)
 from .ratpoly import RatPolynomial, factor_rational_poly
 from .sparse import Echelon, SparseMatrix, invert, rank_kernel_image, solve
 
@@ -247,31 +249,32 @@ class ActingAlgebra:
 
 
 def acting_algebra(rep: MatrixRep) -> ActingAlgebra:
-    """Image of the path algebra in End of the total space: the span of
-    the vertex idempotents and all arrow products, closed under
-    multiplication."""
+    """Image of the path algebra in End of the total space.
+
+    The algebra is the direct sum of its blocks e_w A e_v, each spanned by
+    the matrices of the paths from v to w, and each block is spanned on
+    its own: from the vertex identities and the arrows, every element that
+    grows its block is multiplied on the left by each arrow leaving w,
+    which reaches every path.  The basis is the reduced echelon form of
+    the whole algebra in flat (row, col) keys of the total space.
+    """
     f = rep.field
     off = rep.offsets()
-    gens = []
-    for v in rep.quiver.vertices:
-        gens.append({(off[v] + i, off[v] + i): f.one()
-                     for i in range(rep.d[v])})
-    for a in rep.quiver.arrows:
-        m = rep.mats[a.name]
-        gens.append({(off[a.tgt] + r, off[a.src] + c): val
-                     for (r, c), val in m.entries.items()})
-    ech = Echelon(f, gens)
-    while True:
-        grew = False
-        for x in list(ech.basis()):
-            for g in gens:
-                if ech.add(_flat_mul(f, g, x)):
-                    grew = True
-                if ech.add(_flat_mul(f, x, g)):
-                    grew = True
-        if not grew:
-            break
-    return ActingAlgebra(rep, tuple(ech.basis()))
+    # (v, w) -> the block e_w A e_v, in local (row, col) keys
+    blocks = {(v, w): Echelon(f) for v in rep.quiver.vertices
+              for w in rep.quiver.vertices}
+    todo = [(v, v, SparseMatrix.identity(rep.d[v], f))
+            for v in rep.quiver.vertices]
+    todo += [(a.src, a.tgt, rep.mats[a.name]) for a in rep.quiver.arrows]
+    while todo:
+        v, w, m = todo.pop()
+        if blocks[v, w].add(m.entries):
+            todo += [(v, a.tgt, rep.mats[a.name].mul(m))
+                     for a in rep.quiver.arrows_from(w)]
+    basis = [{(off[w] + r, off[v] + c): x for (r, c), x in row.items()}
+             for (v, w), ech in blocks.items() for row in ech.rows.values()]
+    basis.sort(key=min)
+    return ActingAlgebra(rep, tuple(basis))
 
 
 def radical_char0(acting: ActingAlgebra) -> tuple:
@@ -315,6 +318,45 @@ class RadicalFiltration:
     def layer_dims(self):
         return tuple({v: len(bs) for v, bs in layer.items()}
                      for layer in self.layers)
+
+    def associated_graded(self) -> MatrixRep:
+        """The associated graded representation, in a deterministic adapted
+        basis (layer by layer, echelon order inside each layer)."""
+        rep = self.rep
+        f = rep.field
+        gmats = {}
+        depth = {}               # vertex -> layer of each adapted basis vector
+        for v in rep.quiver.vertices:
+            chosen = []
+            depth[v] = []
+            for k in range(len(self.layers) - 1):
+                # reduce layer k only against layer k+1 (and residuals already
+                # taken in this layer): each residual then still lies in F_k,
+                # and vectors from distinct layers are independent anyway
+                below = Echelon(f, self.layers[k + 1][v])
+                for vec in self.layers[k][v]:
+                    red = below.reduce(vec)
+                    if red:
+                        below.add(red)
+                        chosen.append(red)
+                        depth[v].append(k)
+            if len(chosen) != rep.d[v]:
+                raise RepError("adapted basis does not span vertex %r" % (v,))
+            g = SparseMatrix(rep.d[v], rep.d[v], f)
+            for col, vec in enumerate(chosen):
+                for r, x in vec.items():
+                    g.set(r, col, x)
+            gmats[v] = g
+        ginv = {v: invert(gmats[v]) for v in rep.quiver.vertices}
+        mats = {}
+        for a in rep.quiver.arrows:
+            m = ginv[a.tgt].mul(rep.mats[a.name]).mul(gmats[a.src])
+            keep = SparseMatrix(m.nrows, m.ncols, f)
+            for (r, c), val in m.entries.items():
+                if depth[a.tgt][r] == depth[a.src][c]:
+                    keep.set(r, c, val)
+            mats[a.name] = keep
+        return MatrixRep(rep.quiver, dict(rep.d), mats, f)
 
 
 def _flat_apply(f: FieldCtx, flat: dict, vec: dict) -> dict:
@@ -373,8 +415,7 @@ def radical_filtration(rep: MatrixRep) -> RadicalFiltration:
 # semisimplification
 
 def semisimplify(rep: MatrixRep) -> MatrixRep:
-    """Associated graded of the radical filtration, in a deterministic
-    adapted basis (layer by layer, echelon order inside each layer).
+    """Associated graded of the radical filtration.
 
     Preserves the dimension vector and the Jordan-Hoelder multiset; the
     output's acting algebra has zero radical and a second run returns the
@@ -383,53 +424,7 @@ def semisimplify(rep: MatrixRep) -> MatrixRep:
     """
     if rep.field.p != 0:
         return ss_bruteforce(rep)
-    filt = radical_filtration(rep)
-    f = rep.field
-    gmats = {}
-    groups = {}
-    for v in rep.quiver.vertices:
-        chosen = []
-        sizes = []
-        depth = len(filt.layers)
-        for k in range(depth - 1):
-            # reduce layer k only against layer k+1 (and residuals already
-            # taken in this layer): each residual then still lies in F_k,
-            # and vectors from distinct layers are independent anyway
-            below = Echelon(f, filt.layers[k + 1][v])
-            group = []
-            for vec in filt.layers[k][v]:
-                red = below.reduce(vec)
-                if red:
-                    below.add(red)
-                    group.append(red)
-            chosen.extend(group)
-            sizes.append(len(group))
-        if sum(sizes) != rep.d[v]:
-            raise RepError("adapted basis does not span vertex %r" % (v,))
-        g = SparseMatrix(rep.d[v], rep.d[v], f)
-        for col, vec in enumerate(chosen):
-            for r, x in vec.items():
-                g.set(r, col, x)
-        gmats[v] = g
-        groups[v] = sizes
-    ginv = {v: invert(gmats[v]) for v in rep.quiver.vertices}
-
-    def layer_of(sizes, idx):
-        for k, s in enumerate(sizes):
-            if idx < s:
-                return k
-            idx -= s
-        raise RepError("index outside adapted basis")
-
-    mats = {}
-    for a in rep.quiver.arrows:
-        m = ginv[a.tgt].mul(rep.mats[a.name]).mul(gmats[a.src])
-        keep = SparseMatrix(m.nrows, m.ncols, f)
-        for (r, c), val in m.entries.items():
-            if layer_of(groups[a.tgt], r) == layer_of(groups[a.src], c):
-                keep.set(r, c, val)
-        mats[a.name] = keep
-    return MatrixRep(rep.quiver, dict(rep.d), mats, f)
+    return radical_filtration(rep).associated_graded()
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from ainfty import cli, docio
+from ainfty import cli, docio, repmod
 from ainfty.cli import EXIT, main
 from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
                                windowed_homology)
 from ainfty.presentations import bar_ext_category, truncated_path_category
 from ainfty.quiver import (DGQuiverAlgebra, a2_quiver, derived_preprojective,
-                           jordan_quiver)
+                           double, jordan_quiver)
 
 
 def write_quiver(path, q):
@@ -73,3 +73,47 @@ def test_category_with_b1_and_b3_is_an_input_error(tmp_path, capsys, subcommand)
     assert "Traceback" not in out.out + out.err
     assert "transfer input must be a dg category" in out.out
 
+
+WEIGHT_ERROR = "payload.weights[0]: want [label, weight]"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("weights", [["e"]], WEIGHT_ERROR),
+    ("weights", [["e", "2"]], WEIGHT_ERROR),
+    ("weights", [["e", 1, 2]], WEIGHT_ERROR),
+    ("weights", ["e"], WEIGHT_ERROR),
+    ("weight_cap", "x", "payload.weight_cap: field 'weight_cap' has type str"),
+])
+def test_malformed_weights_are_an_input_error(tmp_path, capsys, key, value,
+                                              message):
+    cat = bar_ext_category(derived_preprojective(a2_quiver()), weight_cap=2,
+                           arity_cap=4)
+    doc = docio.to_document("ainf_category", cat)
+    doc["payload"][key] = value
+    path = tmp_path / "weights.json"
+    path.write_text(docio.dumps_document(doc), encoding="utf-8")
+    assert main(["check-ainf", str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert message in out.out
+
+
+def test_semisimplify_computes_the_radical_filtration_once(tmp_path, monkeypatch):
+    rep = repmod.random_rep(double(a2_quiver()), 22, d={"1": 2, "2": 1})
+    doc, out = tmp_path / "rep.json", tmp_path / "rep.report.json"
+    doc.write_text(docio.dumps_document(docio.to_document("matrix_rep", rep)),
+                   encoding="utf-8")
+    acting, calls = repmod.acting_algebra, []
+    monkeypatch.setattr(repmod, "acting_algebra",
+                        lambda r: calls.append(r) or acting(r))
+    code = main(["semisimplify", str(doc), "--report", str(out)])
+    # once for the input, once for the idempotence recheck of its output
+    assert len(calls) == 2
+    monkeypatch.undo()
+    result = json.loads(out.read_text())["payload"]["result"]
+    assert code == EXIT["pass"]
+    ss = docio.to_document("matrix_rep", repmod.semisimplify(rep))
+    assert result["rep"] == json.loads(docio.dumps_document(ss))
+    dims = repmod.radical_filtration(rep).layer_dims()
+    assert result["layer_dims"] == [dict(sorted(layer.items())) for layer in dims]
+    assert len(dims) == 4

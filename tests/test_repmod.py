@@ -8,6 +8,7 @@ matrices, the quaternion regular representation) pin the endpoint
 behaviour, including the honest refusals.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ JQ = jordan_quiver()
 A2 = a2_quiver()
 TL = two_loop_quiver()
 DA2 = double(A2)
+DA3 = double(Quiver.make(("1", "2", "3"), [("a", "1", "2"), ("b", "2", "3")]))
 PI_A2 = preprojective(A2)
 PI_J = preprojective(JQ)
 
@@ -189,13 +191,53 @@ def test_conjugate_rejects_singular():
 # ---------------------------------------------------------------------------
 # acting algebra and radical
 
+def acting_algebra_oracle(rep):
+    """Echelon basis of the span of the vertex idempotents and the arrows,
+    closed under products by them on both sides, round after round, until
+    a round adds nothing."""
+    f = rep.field
+    off = rep.offsets()
+    gens = [{(off[v] + i, off[v] + i): f.one() for i in range(rep.d[v])}
+            for v in rep.quiver.vertices]
+    for a in rep.quiver.arrows:
+        gens.append({(off[a.tgt] + r, off[a.src] + c): val
+                     for (r, c), val in rep.mats[a.name].entries.items()})
+    ech = Echelon(f, gens)
+    while True:
+        grew = False
+        for x in ech.basis():
+            for g in gens:
+                grew |= ech.add(R._flat_mul(f, g, x))
+                grew |= ech.add(R._flat_mul(f, x, g))
+        if not grew:
+            return ech.basis()
+
+
+def oracle_reps():
+    """Seeded representations of doubled A2, doubled Jordan, the two-loop
+    quiver and doubled A3, over QQ and GF(5); dimensions 0 to 3 per vertex,
+    so some vertices are zero-dimensional."""
+    for qi, q in enumerate((DA2, double(JQ), TL, DA3)):
+        for field in (QQ, F5):
+            for seed in range(8):
+                rng = random.Random(300 * qi + seed)
+                d = {v: rng.randint(0, 3) for v in q.vertices}
+                yield R.random_rep(q, 300 * qi + seed, d=d, field=field)
+
+
+def test_acting_algebra_matches_two_sided_closure():
+    zero_dim = 0
+    for rep in oracle_reps():
+        got = [sorted(b.items()) for b in R.acting_algebra(rep).basis]
+        assert got == [sorted(b.items()) for b in acting_algebra_oracle(rep)]
+        zero_dim += 0 in rep.d.values()
+    assert zero_dim >= 5
+
+
 def test_acting_algebra_closed_and_bounded():
-    for seed in range(8):
-        rep = R.random_rep(DA2, seed, max_total=4)
+    for rep in oracle_reps():
         alg = R.acting_algebra(rep)
-        ech = Echelon(rep.field)
-        for b in alg.basis:
-            ech.add(dict(b))
+        ech = Echelon(rep.field, alg.basis)
         for b1 in alg.basis:
             for b2 in alg.basis:
                 assert not ech.reduce(R._flat_mul(rep.field, b1, b2))
