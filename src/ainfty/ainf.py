@@ -24,9 +24,10 @@ truncated instead of silently passing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield
 
 from .field import FieldCtx, QQ
+from .sparse import add_into
 
 
 class StructureError(ValueError):
@@ -161,16 +162,6 @@ def validate_category(cat: AInfCategory):
     return bad
 
 
-def vec_add_into(field: FieldCtx, acc: dict, key, c) -> None:
-    if field.is_zero(c):
-        return
-    s = field.add(acc.get(key, field.zero()), c)
-    if field.is_zero(s):
-        acc.pop(key, None)
-    else:
-        acc[key] = s
-
-
 @dataclass
 class RelationReport:
     ok: bool
@@ -229,7 +220,7 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
                                 c = f.mul(cz, cw)
                                 if sgn < 0:
                                     c = f.neg(c)
-                                vec_add_into(f, residual, (full, w), c)
+                                add_into(f, residual, (full, w), c)
         checked.append(n)
         for (full, w), c in sorted(residual.items()):
             witnesses.append((n, full, w, c))
@@ -327,9 +318,9 @@ def _weak_unit_check(cat: AInfCategory):
                         val = cat.b_value((cat.units[j], lab))
                         sgn = 1
                     for z, cz in val.items():
-                        vec_add_into(f, acc, pos[z], f.mul(c, cz))
+                        add_into(f, acc, pos[z], f.mul(c, cz))
                     unit_part = f.mul(c, f.of_int(sgn))
-                    vec_add_into(f, acc, lab_idx, f.neg(unit_part))
+                    add_into(f, acc, lab_idx, f.neg(unit_part))
                 if boundaries.reduce(acc):
                     fails.append(("unit fails on cohomology", (i, j), side))
     return fails
@@ -394,48 +385,6 @@ class AInfMorphism:
             raise StructureError("f_%d unknown at cap %d" % (len(tup), self.arity_cap))
         return table.get(tuple(tup), {})
 
-    def apply_vecs(self, vecs):
-        """Multilinear extension of f_n to a tuple of {label: coeff} vectors."""
-        f = self.source.field
-        acc = {(): f.one()}
-        for v in vecs:
-            nxt = {}
-            for tup, c in acc.items():
-                for lab, cl in v.items():
-                    vec_add_into(f, nxt, tup + (lab,), f.mul(c, cl))
-            acc = nxt
-        out = {}
-        for tup, c in acc.items():
-            for z, cz in self.f_value(tup).items():
-                vec_add_into(f, out, z, f.mul(c, cz))
-        return out
-
-
-def compose(f: AInfMorphism, g: AInfMorphism) -> AInfMorphism:
-    """Composite functor (f o g)_n = sum over compositions i_1+...+i_l = n
-    of b-free juxtaposition f_l(g_{i_1} (x) ... (x) g_{i_l}); all component
-    maps have shifted degree 0, so no Koszul signs appear."""
-    if g.target is not f.source:
-        raise StructureError("composition endpoint mismatch")
-    fld = g.source.field
-    cap = min(f.arity_cap, g.arity_cap)
-    comps = {}
-    for n in range(1, cap + 1):
-        table = {}
-        for parts in _compositions(n):
-            ftab = f.component(len(parts))
-            if ftab is None:
-                continue
-            gtabs = [g.component(i) for i in parts]
-            if any(t is None for t in gtabs):
-                continue
-            _accumulate_composite(fld, table, ftab, gtabs, parts)
-        comps[n] = {k: v for k, v in table.items() if v}
-    return AInfMorphism(g.source, f.target,
-                        {o: f.object_map[g.object_map[o]] for o in g.object_map},
-                        comps, arity_cap=cap,
-                        complete=f.complete and g.complete)
-
 
 def _compositions(n: int):
     """Ordered compositions of n into positive parts."""
@@ -462,7 +411,7 @@ def _accumulate_composite(fld, table, outer_tab, inner_tabs, parts):
         if k == len(choices):
             for z, cz in outer_tab.get(tuple(outs_acc), {}).items():
                 vec = table.setdefault(tuple(tup_acc), {})
-                vec_add_into(fld, vec, z, fld.mul(coeff, cz))
+                add_into(fld, vec, z, fld.mul(coeff, cz))
                 if not vec:
                     table.pop(tuple(tup_acc), None)
             return
@@ -527,7 +476,7 @@ def check_functor(fm: AInfMorphism, max_arity: int | None = None,
                                 c = fld.mul(cz, cw)
                                 if sgn < 0:
                                     c = fld.neg(c)
-                                vec_add_into(fld, residual, (full, w), c)
+                                add_into(fld, residual, (full, w), c)
         for parts, bl, ftabs in rhs_specs:
             if any(not t for t in ftabs) or not bl:
                 continue
@@ -535,7 +484,7 @@ def check_functor(fm: AInfMorphism, max_arity: int | None = None,
             _accumulate_composite(fld, neg_table, bl, ftabs, parts)
             for tup, out in neg_table.items():
                 for z, c in out.items():
-                    vec_add_into(fld, residual, (tup, z), fld.neg(c))
+                    add_into(fld, residual, (tup, z), fld.neg(c))
         checked.append(n)
         for (tup, z), c in sorted(residual.items()):
             witnesses.append((n, tup, z, c))
@@ -585,9 +534,3 @@ def degree_support_bound(cat: AInfCategory, arities, use_strict_units: bool = Tr
         rec(0, [], 0)
         out[n] = tuple(tuples)
     return out
-
-
-def restrict_arity(cat: AInfCategory, cap: int) -> AInfCategory:
-    ops = {n: t for n, t in cat.ops.items() if n <= cap}
-    return replace(cat, ops=ops, arity_cap=cap, complete=cat.complete and
-                   all(not t for n, t in cat.ops.items() if n > cap))

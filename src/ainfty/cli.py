@@ -31,6 +31,7 @@ from .nccalc import (NCError, certify_sigma_formality, solve_cyclic_pairing,
 from .nccalc import CyclicPairing
 from .presentations import bar_ext_category, truncated_path_category
 from .quiver import DGQuiverAlgebra, derived_preprojective
+from .sparse import add_into
 from .transfer import minimal_model
 
 EXIT = {"pass": 0, "fail": 1, "error": 2, "truncated": 3}
@@ -218,12 +219,11 @@ def cmd_hochschild(args):
         raise CliError(str(e))
     f = cat.field
     witnesses = []
-    from .hochschild import _add as _hadd  # chain addition with cancellation
 
     def addc(a, b):
         out = dict(a)
         for k, c in b.items():
-            _hadd(f, out, k, c)
+            add_into(f, out, k, c)
         return out
 
     for n in range(1, args.window + 1):

@@ -19,7 +19,7 @@ from .ainf import AInfCategory
 from .field import FieldCtx, FieldError, GF, QQ
 from .quiver import Arrow, DGQuiverAlgebra, Quiver
 from .ratpoly import RatPolynomial
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, add_into
 
 
 SCHEMA_VERSION = 1
@@ -52,6 +52,13 @@ def _need(obj, key, path, types=None):
     if types is not None and not isinstance(val, types):
         raise DocumentError("field %r has type %s" % (key, type(val).__name__),
                             "%s.%s" % (path, key))
+    return val
+
+
+def _int(val, what, path):
+    """val when it is an integer (bools excluded), else a DocumentError."""
+    if type(val) is not int:
+        raise DocumentError("%s %r is not an integer" % (what, val), path)
     return val
 
 
@@ -222,7 +229,7 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
             bpath = "%s.basis[%d]" % (hpath, m)
             if not (isinstance(ent, list) and len(ent) == 2):
                 raise DocumentError("want [label, degree]", bpath)
-            basis.append((str(ent[0]), int(ent[1])))
+            basis.append((str(ent[0]), _int(ent[1], "degree", bpath)))
         hom[(i, j)] = tuple(basis)
     ops = {}
     for k, rec in enumerate(_need(payload, "ops", path, list)):
@@ -350,12 +357,7 @@ def potential_from_payload(payload, path="payload"):
         if canon is None:
             continue
         ccfg, sign = canon
-        cur = terms.get(ccfg, f.zero())
-        cur = f.add(cur, f.mul(f.of_int(sign), coeff))
-        if f.is_zero(cur):
-            terms.pop(ccfg, None)
-        else:
-            terms[ccfg] = cur
+        add_into(f, terms, ccfg, f.mul(f.of_int(sign), coeff))
     func = NCFunction(ctx, terms, int(_need(payload, "order_cap", path, int)),
                       bool(payload.get("truncated", False)))
     func.source_category = cat
@@ -389,20 +391,24 @@ def rep_from_payload(payload, path="payload"):
         dpath = "%s.dims[%d]" % (path, k)
         if not (isinstance(ent, list) and len(ent) == 2):
             raise DocumentError("want [vertex, dim]", dpath)
-        d[str(ent[0])] = int(ent[1])
+        dim = _int(ent[1], "dim", dpath)
+        if dim < 0:
+            raise DocumentError("dim %d is negative" % dim, dpath)
+        d[str(ent[0])] = dim
     mats = {}
     for k, rec in enumerate(_need(payload, "mats", path, list)):
         mpath = "%s.mats[%d]" % (path, k)
         name = _need(rec, "arrow", mpath, str)
-        arrow = q.arrow(name)
-        if arrow is None:
+        try:
+            arrow = q.arrow(name)
+        except KeyError:
             raise DocumentError("unknown arrow %r" % name, mpath + ".arrow")
         m = SparseMatrix(d.get(arrow.tgt, 0), d.get(arrow.src, 0), field=f)
         for w, ent in enumerate(_need(rec, "entries", mpath, list)):
             epath = "%s.entries[%d]" % (mpath, w)
             if not (isinstance(ent, list) and len(ent) == 3):
                 raise DocumentError("want [row, col, scalar]", epath)
-            r, c = int(ent[0]), int(ent[1])
+            r, c = _int(ent[0], "row", epath), _int(ent[1], "column", epath)
             if not (0 <= r < m.nrows and 0 <= c < m.ncols):
                 raise DocumentError("entry (%d, %d) outside a %dx%d block"
                                     % (r, c, m.nrows, m.ncols), epath)
@@ -466,7 +472,8 @@ def hn_query_to_payload(query: HNQuery) -> dict:
 def hn_query_from_payload(payload, path="payload") -> HNQuery:
     total = _poly_from_json(_need(payload, "total", path), path + ".total")
     bound = _poly_from_json(_need(payload, "bound", path), path + ".bound")
-    lattice = tuple(int(x) for x in _need(payload, "lattice", path, list))
+    lattice = tuple(_int(x, "lattice entry", "%s.lattice[%d]" % (path, k))
+                    for k, x in enumerate(_need(payload, "lattice", path, list)))
     bog = payload.get("bogomolov")
     if bog is not None:
         bpath = path + ".bogomolov"
@@ -528,8 +535,3 @@ def load_document(path):
     except json.JSONDecodeError as e:
         raise DocumentError("invalid JSON: %s" % e, str(path))
     return parse_document(data)
-
-
-def save_document(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_document(doc))

@@ -36,10 +36,6 @@ class FieldCtx:
         if self.p != 0 and not _is_prime(self.p):
             raise FieldError("modulus must be prime, got %r" % (self.p,))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p == 0
-
     def zero(self):
         return Fraction(0) if self.p == 0 else 0
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .ainf import AInfCategory, check_relations
 from .ncword import NCContext, canonical_cyclic
-from .sparse import SparseMatrix, rank_kernel_image, rref
+from .sparse import SparseMatrix, add_into, rank_kernel_image, rref
 
 
 class HochschildError(Exception):
@@ -101,16 +101,6 @@ class HochschildChainWindow:
                                       % (tup,))
 
 
-def _add(field, acc, key, coeff):
-    if field.is_zero(coeff):
-        return
-    new = field.add(acc.get(key, field.of_int(0)), coeff)
-    if field.is_zero(new):
-        acc.pop(key, None)
-    else:
-        acc[key] = new
-
-
 def cyclic_permute(window: HochschildChainWindow, tup):
     """F_n: move the last tensor factor to the front, with its Koszul sign."""
     cat = window.cat
@@ -139,7 +129,7 @@ def hochschild_b(window: HochschildChainWindow, chain: dict) -> dict:
                 sgn = f.of_int(-1 if pre % 2 else 1)
                 for z, c in out.items():
                     new = tup[:k] + (z,) + tup[k + 1:]
-                    _add(f, acc, new, f.mul(coeff, f.mul(sgn, c)))
+                    add_into(f, acc, new, f.mul(coeff, f.mul(sgn, c)))
             pre += sdeg[k]
         if n == 1:
             continue
@@ -151,7 +141,7 @@ def hochschild_b(window: HochschildChainWindow, chain: dict) -> dict:
                 sgn = f.of_int(-1 if pre % 2 else 1)
                 for z, c in out.items():
                     new = tup[:r] + (z,) + tup[r + 2:]
-                    _add(f, acc, new, f.mul(coeff, f.mul(sgn, c)))
+                    add_into(f, acc, new, f.mul(coeff, f.mul(sgn, c)))
             pre += sdeg[r]
         # wraparound through the cyclic permutation
         rot, rsign = cyclic_permute(window, tup)
@@ -160,7 +150,7 @@ def hochschild_b(window: HochschildChainWindow, chain: dict) -> dict:
             sgn = f.of_int(rsign)
             for z, c in out.items():
                 new = (z,) + rot[2:]
-                _add(f, acc, new, f.mul(coeff, f.mul(sgn, c)))
+                add_into(f, acc, new, f.mul(coeff, f.mul(sgn, c)))
     return acc
 
 
@@ -189,9 +179,9 @@ def connes_B(window: HochschildChainWindow, chain: dict) -> dict:
             rot, rsign = nxt, rsign * s
             unit = cat.units[cat.tgt(rot[0])]
             widened = (unit,) + rot
-            _add(f, acc, widened, f.mul(coeff, f.of_int(rsign)))
+            add_into(f, acc, widened, f.mul(coeff, f.of_int(rsign)))
             rot2, s2 = cyclic_permute(window, widened)
-            _add(f, acc, rot2, f.mul(coeff, f.of_int(-rsign * s2)))
+            add_into(f, acc, rot2, f.mul(coeff, f.of_int(-rsign * s2)))
     return acc
 
 
@@ -238,7 +228,7 @@ class CyclicQuotient:
             if got is None:
                 continue
             key, sign = got
-            _add(f, acc, key, f.mul(coeff, f.of_int(sign)))
+            add_into(f, acc, key, f.mul(coeff, f.of_int(sign)))
         return acc
 
     def basis(self, n: int):

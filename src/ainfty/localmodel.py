@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldCtx, QQ
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, add_into
 from .quiver import Quiver, Arrow, euler_form
 from .ratpoly import RatPolynomial
 from .ainf import AInfCategory
@@ -152,11 +152,7 @@ def ext_quiver_halve(cert: SigmaCertificate) -> Quiver:
 def poly_add(a, b, f: FieldCtx):
     out = dict(a)
     for mono, c in b.items():
-        s = f.add(out.get(mono, f.zero()), c)
-        if f.is_zero(s):
-            out.pop(mono, None)
-        else:
-            out[mono] = s
+        add_into(f, out, mono, c)
     return out
 
 
@@ -170,12 +166,7 @@ def poly_mul(a, b, f: FieldCtx):
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mono = tuple(sorted(m1 + m2))
-            s = f.add(out.get(mono, f.zero()), f.mul(c1, c2))
-            if f.is_zero(s):
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            add_into(f, out, tuple(sorted(m1 + m2)), f.mul(c1, c2))
     return out
 
 

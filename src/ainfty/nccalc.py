@@ -18,13 +18,13 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .field import FieldCtx
-from .sparse import SparseMatrix, invert, rank_kernel_image, solve as sparse_solve
+from .sparse import (SparseMatrix, add_into, invert, rank_kernel_image,
+                     solve as sparse_solve)
 from .ainf import AInfCategory, AInfMorphism
 from .ncword import (
     NCContext,
     NCError,
     add_cyclic_term,
-    add_open_term,
     apply_letterwise,
     enumerate_cyclic_words,
     rotate_mark_last,
@@ -66,10 +66,6 @@ class NCFunction:
         t = {cfg: c for cfg, c in self.terms.items() if len(cfg) == n}
         return NCFunction(self.ctx, t, self.order_cap, self.truncated)
 
-    def is_reduced(self) -> bool:
-        units = self.ctx.unit_labels()
-        return all(all(lab not in units for lab, _ in cfg) for cfg in self.terms)
-
     def nonreduced_part(self) -> "NCFunction":
         units = self.ctx.unit_labels()
         t = {cfg: c for cfg, c in self.terms.items()
@@ -84,14 +80,9 @@ class NCFunction:
                           self.order_cap, self.truncated)
 
     def add(self, other: "NCFunction") -> "NCFunction":
-        f = self.field
         t = dict(self.terms)
         for k, v in other.terms.items():
-            s = f.add(t.get(k, f.of_int(0)), v)
-            if f.is_zero(s):
-                t.pop(k, None)
-            else:
-                t[k] = s
+            add_into(self.field, t, k, v)
         return NCFunction(self.ctx, t, min(self.order_cap, other.order_cap),
                           self.truncated or other.truncated)
 
@@ -112,21 +103,13 @@ class NCForm:
     def field(self) -> FieldCtx:
         return self.ctx.field
 
-    def form_degrees(self):
-        return sorted({sum(m for _, m in cfg) for cfg in self.terms})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def add(self, other: "NCForm") -> "NCForm":
-        f = self.field
         t = dict(self.terms)
         for k, v in other.terms.items():
-            s = f.add(t.get(k, f.of_int(0)), v)
-            if f.is_zero(s):
-                t.pop(k, None)
-            else:
-                t[k] = s
+            add_into(self.field, t, k, v)
         return NCForm(self.ctx, t, min(self.order_cap, other.order_cap),
                       self.truncated or other.truncated)
 
@@ -362,7 +345,7 @@ def vf_apply_open(vf: VectorField, cfg, field: FieldCtx, ctx: NCContext):
 
     acc = {}
     for c2, new in apply_letterwise(ctx, cfg, action, parity=vf.degree % 2):
-        add_open_term(field, acc, new, c2)
+        add_into(field, acc, new, c2)
     return acc
 
 
@@ -374,7 +357,7 @@ def vf_compose_on_letters(outer: VectorField, inner: VectorField) -> dict:
         acc = {}
         for cfg, c in vec.items():
             for new, c2 in vf_apply_open(outer, cfg, f, ctx).items():
-                add_open_term(f, acc, new, f.mul(c, c2))
+                add_into(f, acc, new, f.mul(c, c2))
         if acc:
             out[lab] = acc
     return out
@@ -412,7 +395,7 @@ def category_to_vectorfield(cat: AInfCategory) -> VectorField:
             for z, c in out.items():
                 coeff = f.mul(c, f.of_int(sgn))
                 vec = images.setdefault(z, {})
-                add_open_term(f, vec, word, coeff)
+                add_into(f, vec, word, coeff)
     vf = VectorField(ctx, {k: v for k, v in images.items() if v},
                      degree=1, order_cap=cat.arity_cap)
     errs = vf.validate()
@@ -432,12 +415,7 @@ def vectorfield_to_tables(vf: VectorField) -> dict:
             sgn = dual_sign(sdegs)
             coeff = f.mul(c, f.of_int(sgn))
             table = ops.setdefault(len(tup), {})
-            out = table.setdefault(tup, {})
-            cur = f.add(out.get(z, f.of_int(0)), coeff)
-            if f.is_zero(cur):
-                out.pop(z, None)
-            else:
-                out[z] = cur
+            add_into(f, table.setdefault(tup, {}), z, coeff)
     for n in list(ops):
         ops[n] = {t: o for t, o in ops[n].items() if o}
         if not ops[n]:
@@ -536,7 +514,7 @@ def contraction_solve(ctx: NCContext, omega: NCForm, rhs: NCForm) -> VectorField
     for cidx, c in sol.items():
         y, u = variables[cidx]
         vec = images.setdefault(y, {})
-        add_open_term(f, vec, u, c)
+        add_into(f, vec, u, c)
     images = {k: v for k, v in images.items() if v}
     return VectorField(ctx, images, degree=deg_x, order_cap=rhs.order_cap,
                        truncated=rhs.truncated)
@@ -554,9 +532,6 @@ class Potential:
     func: NCFunction
     order_cap: int = 7
     truncated: bool = False
-
-    def order_coefficients(self):
-        return {n: self.func.order_part(n) for n in self.func.orders()}
 
 
 def potential_from_category(cat: AInfCategory, pairing: CyclicPairing) -> Potential:
@@ -682,12 +657,7 @@ def poisson_bracket(f: NCFunction, g: NCFunction, pairing_or_omega) -> NCFunctio
                     coeff = k.mul(base, k.mul(piv, k.of_int(s1 * s2 * s3)))
                     word = u + z
                     if not word:
-                        obj = ctx.xi_src(x)
-                        cur = k.add(const.get(obj, k.of_int(0)), coeff)
-                        if k.is_zero(cur):
-                            const.pop(obj, None)
-                        else:
-                            const[obj] = cur
+                        add_into(k, const, ctx.xi_src(x), coeff)
                         continue
                     if len(word) > cap:
                         continue
@@ -798,7 +768,7 @@ def auto_compose(second: FormalAutomorphism, first: FormalAutomorphism) -> Forma
             for c2, new in _subst_cfg(second, w, second.images):
                 if len(new) > second.order_cap:
                     continue
-                add_open_term(f, acc, new, f.mul(c, c2))
+                add_into(f, acc, new, f.mul(c, c2))
         images[lab] = acc
     inv = None
     if second.inverse_images is not None and first.inverse_images is not None:
@@ -811,11 +781,37 @@ def auto_compose(second: FormalAutomorphism, first: FormalAutomorphism) -> Forma
                 for c2, new in _subst_cfg(inv_first, w, inv_first.images):
                     if len(new) > first.order_cap:
                         continue
-                    add_open_term(f, acc, new, f.mul(c, c2))
+                    add_into(f, acc, new, f.mul(c, c2))
             inv_acc[lab] = acc
         inv = inv_acc
     return FormalAutomorphism(ctx, images, min(first.order_cap, second.order_cap),
                               first.truncated or second.truncated, inv)
+
+
+def _exp_images(ctx: NCContext, vf: VectorField, order_cap: int) -> dict:
+    """exp(X) on generators: lab -> sum_k X^k(lab) / k!, dropping words
+    longer than order_cap; the sum stops at the first X^k(lab) with no
+    word left."""
+    f = ctx.field
+    images = {}
+    for lab in ctx.letters:
+        acc = {((lab, 0),): f.of_int(1)}
+        cur = {((lab, 0),): f.of_int(1)}
+        k = 0
+        while cur:
+            k += 1
+            nxt = {}
+            for cfg, c in cur.items():
+                for new, c2 in vf_apply_open(vf, cfg, f, ctx).items():
+                    if len(new) > order_cap:
+                        continue
+                    add_into(f, nxt, new, f.mul(c, c2))
+            cur = nxt
+            fact = f.of_fraction(Fraction(1, math.factorial(k)))
+            for cfg, c in cur.items():
+                add_into(f, acc, cfg, f.mul(c, fact))
+        images[lab] = acc
+    return images
 
 
 def hamiltonian_exp(s: NCFunction, omega: NCForm, order_cap: int) -> FormalAutomorphism:
@@ -829,34 +825,11 @@ def hamiltonian_exp(s: NCFunction, omega: NCForm, order_cap: int) -> FormalAutom
     if min(s.orders()) < 3:
         raise NCError("generator must have order >= 3 for formal convergence")
     h = hamiltonian_field(s, omega)
-
-    def exp_images(field_vf):
-        images = {}
-        for lab in ctx.letters:
-            acc = {}
-            cur = {((lab, 0),): f.of_int(1)}
-            add_open_term(f, acc, ((lab, 0),), f.of_int(1))
-            k = 0
-            while cur:
-                k += 1
-                nxt = {}
-                for cfg, c in cur.items():
-                    for new, c2 in vf_apply_open(field_vf, cfg, f, ctx).items():
-                        if len(new) > order_cap:
-                            continue
-                        add_open_term(f, nxt, new, f.mul(c, c2))
-                cur = nxt
-                fact = f.of_fraction(Fraction(1, math.factorial(k)))
-                for cfg, c in cur.items():
-                    add_open_term(f, acc, cfg, f.mul(c, fact))
-            images[lab] = acc
-        return images
-
     minus = VectorField(ctx, {lab: {w: f.neg(c) for w, c in vec.items()}
                               for lab, vec in h.images.items()},
                         degree=h.degree, order_cap=h.order_cap)
-    return FormalAutomorphism(ctx, exp_images(h), order_cap,
-                              inverse_images=exp_images(minus))
+    return FormalAutomorphism(ctx, _exp_images(ctx, h, order_cap), order_cap,
+                              inverse_images=_exp_images(ctx, minus, order_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -882,12 +855,7 @@ def _functor_from_automorphism(auto: FormalAutomorphism, source: AInfCategory,
             sdegs = [-ctx.degree(l) for l in tup]
             sgn = dual_sign(sdegs)
             table = comps.setdefault(len(tup), {})
-            out = table.setdefault(tup, {})
-            cur = f.add(out.get(lab, f.of_int(0)), f.mul(c, f.of_int(sgn)))
-            if f.is_zero(cur):
-                out.pop(lab, None)
-            else:
-                out[lab] = cur
+            add_into(f, table.setdefault(tup, {}), lab, f.mul(c, f.of_int(sgn)))
     comps = {n: {t: o for t, o in tab.items() if o} for n, tab in comps.items()}
     comps = {n: tab for n, tab in comps.items() if tab}
     return AInfMorphism(
@@ -1014,25 +982,7 @@ def darboux_normalize(omega: NCForm, order_cap: int):
                              if len(cfg) == n}, order_cap)
         alpha = contraction(e, piece).scale(f.of_fraction(Fraction(1, n)))
         x = contraction_solve(ctx, omega0, alpha.scale(f.of_int(-1)))
-        step_images = {}
-        for lab in ctx.letters:
-            acc = {((lab, 0),): f.of_int(1)}
-            cur_words = {((lab, 0),): f.of_int(1)}
-            k = 0
-            while cur_words:
-                k += 1
-                nxt = {}
-                for cfg, c in cur_words.items():
-                    for new, c2 in vf_apply_open(x, cfg, f, ctx).items():
-                        if len(new) > order_cap:
-                            continue
-                        add_open_term(f, nxt, new, f.mul(c, c2))
-                cur_words = nxt
-                fact = f.of_fraction(Fraction(1, math.factorial(k)))
-                for cfg, c in cur_words.items():
-                    add_open_term(f, acc, cfg, f.mul(c, fact))
-            step_images[lab] = acc
-        step = FormalAutomorphism(ctx, step_images, order_cap)
+        step = FormalAutomorphism(ctx, _exp_images(ctx, x, order_cap), order_cap)
         cur = auto_apply_form(step, cur)
         auto = auto_compose(step, auto)
         still = [m for m in {len(cfg) for cfg in cur.terms} if 2 < m <= n]
@@ -1183,11 +1133,7 @@ def solve_cyclic_pairing(cat: AInfCategory, max_combinations: int = 256) -> Cycl
         for bit in range(n):
             if mask >> bit & 1:
                 for cidx, c in kernel[bit].items():
-                    cur = f.add(combo.get(cidx, f.of_int(0)), c)
-                    if f.is_zero(cur):
-                        combo.pop(cidx, None)
-                    else:
-                        combo[cidx] = cur
+                    add_into(f, combo, cidx, c)
         combos.append(combo)
     for combo in combos:
         entries = {unknowns[cidx]: c for cidx, c in combo.items()}

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .field import FieldCtx, QQ
+from .sparse import add_into
 
 
 class NCError(Exception):
@@ -136,22 +137,7 @@ def add_cyclic_term(ctx: NCContext, field: FieldCtx, acc: dict, cfg, coeff) -> N
     if canon is None:
         return
     key, sign = canon
-    c = field.mul(coeff, field.of_int(sign))
-    new = field.add(acc.get(key, field.of_int(0)), c)
-    if field.is_zero(new):
-        acc.pop(key, None)
-    else:
-        acc[key] = new
-
-
-def add_open_term(field: FieldCtx, acc: dict, cfg, coeff) -> None:
-    if field.is_zero(coeff):
-        return
-    new = field.add(acc.get(cfg, field.of_int(0)), coeff)
-    if field.is_zero(new):
-        acc.pop(cfg, None)
-    else:
-        acc[cfg] = new
+    add_into(field, acc, key, field.mul(coeff, field.of_int(sign)))
 
 
 def apply_letterwise(ctx: NCContext, cfg, action, parity: int):

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ainf import AInfCategory, vec_add_into
+from .ainf import AInfCategory
 from .field import FieldCtx, QQ
 from .quiver import DGQuiverAlgebra, d_path, path_degree
+from .sparse import add_into
 
 
 def path_label(path, vertex=None) -> str:
@@ -157,20 +158,11 @@ def bar_differential(alg: DGQuiverAlgebra, word):
     for k, p in enumerate(word):
         for new, coeff in d_path(alg, p).items():
             w2 = word[:k] + (new,) + word[k + 1:]
-            c = Fraction(coeff) * pre
-            acc = out.get(w2, Fraction(0)) + c
-            if acc == 0:
-                out.pop(w2, None)
-            else:
-                out[w2] = acc
+            add_into(QQ, out, w2, Fraction(coeff) * pre)
         if k + 1 < len(word):
             merged = word[:k] + (p + word[k + 1],) + word[k + 2:]
             sgn = pre * (-1 if path_degree(q, p) % 2 else 1)
-            acc = out.get(merged, Fraction(0)) + sgn
-            if acc == 0:
-                out.pop(merged, None)
-            else:
-                out[merged] = acc
+            add_into(QQ, out, merged, Fraction(sgn))
         if sdegs[k] % 2:
             pre = -pre
     return out
@@ -214,7 +206,7 @@ def bar_ext_category(alg: DGQuiverAlgebra, weight_cap: int,
             if field.is_zero(c):
                 continue
             entry = ops1.setdefault((lab1,), {})
-            vec_add_into(field, entry, lab2, c)
+            add_into(field, entry, lab2, c)
     ops1 = {k: v for k, v in ops1.items() if v}
 
     ops2 = {}
@@ -256,13 +248,10 @@ def perturbed(cat: AInfCategory, which: int, delta=None) -> tuple:
     ops = {m: {t: dict(v) for t, v in tab.items()}
            for m, tab in cat.ops.items()}
     old = ops[n][tup][z]
-    new = f.add(old, delta)
-    if f.is_zero(new):
-        ops[n][tup].pop(z)
-        if not ops[n][tup]:
-            ops[n].pop(tup)
-    else:
-        ops[n][tup][z] = new
+    add_into(f, ops[n][tup], z, delta)
+    new = ops[n][tup].get(z, f.zero())
+    if not ops[n][tup]:
+        ops[n].pop(tup)
     return (replace(cat, ops=ops),
             {"arity": n, "inputs": tup, "output": z,
              "old": old, "new": new})

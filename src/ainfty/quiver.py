@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .field import QQ
+from .sparse import add_into
+
 
 @dataclass(frozen=True)
 class Arrow:
@@ -61,9 +64,6 @@ class Quiver:
 
     def arrows_from(self, v: str):
         return [a for a in self.arrows if a.src == v]
-
-    def arrows_into(self, v: str):
-        return [a for a in self.arrows if a.tgt == v]
 
 
 def jordan_quiver() -> Quiver:
@@ -256,12 +256,7 @@ def d_path(alg: DGQuiverAlgebra, path):
                 sgn = -sgn
         for coeff, rep in terms:
             new = path[:k] + tuple(rep) + path[k + 1:]
-            c = Fraction(coeff) * sgn
-            acc = out.get(new, Fraction(0)) + c
-            if acc == 0:
-                out.pop(new, None)
-            else:
-                out[new] = acc
+            add_into(QQ, out, new, Fraction(coeff) * sgn)
     return out
 
 
@@ -286,11 +281,7 @@ def check_dg(alg: DGQuiverAlgebra):
         dd = {}
         for coeff, path in terms:
             for p2, c2 in d_path(alg, tuple(path)).items():
-                acc = dd.get(p2, Fraction(0)) + Fraction(coeff) * c2
-                if acc == 0:
-                    dd.pop(p2, None)
-                else:
-                    dd[p2] = acc
+                add_into(QQ, dd, p2, Fraction(coeff) * c2)
         if dd:
             failures.append(("d*d nonzero", name, tuple(sorted(dd))))
     return (not failures), failures

@@ -26,7 +26,8 @@ from .field import FieldCtx, QQ
 from .quiver import (DGQuiverAlgebra, Quiver, degree_zero_truncation,
                      dimension_vector, star_name)
 from .ratpoly import RatPolynomial, factor_rational_poly
-from .sparse import Echelon, SparseMatrix, invert, rank_kernel_image, solve
+from .sparse import (Echelon, SparseMatrix, add_into, invert, rank_kernel_image,
+                     solve)
 
 
 class RepError(Exception):
@@ -211,22 +212,6 @@ def moment_map(rep: MatrixRep) -> dict:
     return out
 
 
-def _flat_mul(f: FieldCtx, a: dict, b: dict) -> dict:
-    by_row = {}
-    for (r, c), v in b.items():
-        by_row.setdefault(r, []).append((c, v))
-    out = {}
-    for (r, k), x in a.items():
-        for c, y in by_row.get(k, ()):
-            key = (r, c)
-            s = f.add(out.get(key, f.zero()), f.mul(x, y))
-            if f.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
 def _flat_trace_product(f: FieldCtx, a: dict, b: dict):
     tot = f.zero()
     for (r, c), v in a.items():
@@ -301,11 +286,7 @@ def radical_char0(acting: ActingAlgebra) -> tuple:
         vec = {}
         for j, c in kv.items():
             for key, v in basis[j].items():
-                s = f.add(vec.get(key, f.zero()), f.mul(c, v))
-                if f.is_zero(s):
-                    vec.pop(key, None)
-                else:
-                    vec[key] = s
+                add_into(f, vec, key, f.mul(c, v))
         ech.add(vec)
     return tuple(ech.basis())
 
@@ -359,25 +340,12 @@ class RadicalFiltration:
         return MatrixRep(rep.quiver, dict(rep.d), mats, f)
 
 
-def _flat_apply(f: FieldCtx, flat: dict, vec: dict) -> dict:
-    out = {}
-    for (r, c), a in flat.items():
-        x = vec.get(c)
-        if x is None:
-            continue
-        s = f.add(out.get(r, f.zero()), f.mul(a, x))
-        if f.is_zero(s):
-            out.pop(r, None)
-        else:
-            out[r] = s
-    return out
-
-
 def radical_filtration(rep: MatrixRep) -> RadicalFiltration:
     """M >= JM >= J^2 M >= ... for J the radical of the acting algebra."""
     f = rep.field
     off = rep.offsets()
-    rad = radical_char0(acting_algebra(rep))
+    n = rep.total_dim()
+    rad = [SparseMatrix(n, n, f, j) for j in radical_char0(acting_algebra(rep))]
     layers = [{v: [{i: f.one()} for i in range(rep.d[v])]
                for v in rep.quiver.vertices}]
     while True:
@@ -392,7 +360,7 @@ def radical_filtration(rep: MatrixRep) -> RadicalFiltration:
                 for vec in cur[w]:
                     gvec = {off[w] + i: x for i, x in vec.items()}
                     for j in rad:
-                        img = _flat_apply(f, j, gvec)
+                        img = j.matvec(gvec)
                         loc = {r - off[v]: x for r, x in img.items()
                                if off[v] <= r < off[v] + rep.d[v]}
                         if loc:
@@ -616,13 +584,10 @@ def hom_space(r1: MatrixRep, r2: MatrixRep) -> list:
                 row = {}
                 for (i, j), val in r1.mats[a.name].entries.items():
                     if j == c:
-                        key = cols[(a.tgt, r, i)]
-                        row[key] = f.add(row.get(key, f.zero()), val)
+                        add_into(f, row, cols[(a.tgt, r, i)], val)
                 for (i, j), val in r2.mats[a.name].entries.items():
                     if i == r:
-                        key = cols[(a.src, j, c)]
-                        row[key] = f.sub(row.get(key, f.zero()), val)
-                row = {k: v for k, v in row.items() if not f.is_zero(v)}
+                        add_into(f, row, cols[(a.src, j, c)], f.neg(val))
                 if row:
                     rows.append(row)
     if not rows:
@@ -648,21 +613,20 @@ def _block_minpoly(rep: MatrixRep, blocks: dict) -> RatPolynomial:
     if f.p != 0:
         raise RepError("minimal polynomials are computed over the rationals")
     off = rep.offsets()
-    flat = {}
+    n = rep.total_dim()
+    gen = SparseMatrix(n, n, f)
     for v, m in blocks.items():
         for (r, c), val in m.entries.items():
-            flat[(off[v] + r, off[v] + c)] = val
-    n = rep.total_dim()
-    power = {(i, i): f.one() for i in range(n)}
-    powers = [power]
+            gen.entries[(off[v] + r, off[v] + c)] = val
+    powers = [SparseMatrix.identity(n, f)]
     while True:
-        power = _flat_mul(f, powers[-1], flat)
+        power = powers[-1].mul(gen)
         m = len(powers)
         cols = SparseMatrix(n * n, m, f)
         for k, pw in enumerate(powers):
-            for (r, c), val in pw.items():
+            for (r, c), val in pw.entries.items():
                 cols.set(r * n + c, k, val)
-        rhs = {r * n + c: val for (r, c), val in power.items()}
+        rhs = {r * n + c: val for (r, c), val in power.entries.items()}
         sol = solve(cols, rhs)
         if sol is not None:
             coeffs = [-sol.get(k, f.zero()) for k in range(m)] + [Fraction(1)]

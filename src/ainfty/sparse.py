@@ -1,11 +1,15 @@
 """Sparse exact linear algebra: dict-backed matrices and one elimination kernel.
 
 Rows and vectors are dicts mapping an orderable key (a column index, or
-any sortable label) to a nonzero scalar.  Every rank, kernel, span test
-and inverse in the package is computed by `Echelon`, which holds the
-reduced row echelon form of the span of the vectors added so far: each
-row's least key is its pivot, the row is 1 there, and every row is zero
-at every other pivot.  That form is unique for the span, so pivots and
+any sortable label) to a nonzero scalar: no zero value is stored, and a
+key whose value cancels is removed.  `add_into` (acc[key] += c) is the
+only code in the package that accumulates into such a dict; the one
+other writer is `Echelon`'s elimination loop, which keeps the same rule.
+
+Every rank, kernel, span test and inverse in the package is computed by
+`Echelon`, which holds the reduced row echelon form of the span of the
+vectors added so far: each row's least key is its pivot, the row is 1
+there, and every row is zero at every other pivot.  That form is unique for the span, so pivots and
 values do not depend on the order in which vectors are added; only the
 key order inside the row dicts may.  A key -> rows index finds the rows
 to clear when a pivot is added, so the cost of elimination is the size
@@ -17,6 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from .field import FieldCtx, QQ
+
+
+def add_into(field: FieldCtx, acc: dict, key, c) -> None:
+    """acc[key] += c, keeping no zero value in acc."""
+    if field.is_zero(c):
+        return
+    s = field.add(acc.get(key, field.zero()), c)
+    if field.is_zero(s):
+        acc.pop(key, None)
+    else:
+        acc[key] = s
 
 
 class Echelon:
@@ -176,13 +191,8 @@ class SparseMatrix:
         out = {}
         for (r, c), a in self.entries.items():
             x = v.get(c)
-            if x is None:
-                continue
-            s = f.add(out.get(r, f.zero()), f.mul(a, x))
-            if f.is_zero(s):
-                out.pop(r, None)
-            else:
-                out[r] = s
+            if x is not None:
+                add_into(f, out, r, f.mul(a, x))
         return out
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -196,12 +206,7 @@ class SparseMatrix:
         acc = {}
         for (r, k), a in self.entries.items():
             for c, b in by_row.get(k, ()):
-                key = (r, c)
-                s = f.add(acc.get(key, f.zero()), f.mul(a, b))
-                if f.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                add_into(f, acc, (r, c), f.mul(a, b))
         out.entries = acc
         return out
 
@@ -210,11 +215,7 @@ class SparseMatrix:
         out = SparseMatrix(self.nrows, self.ncols, f)
         acc = dict(self.entries)
         for key, v in other.entries.items():
-            s = f.add(acc.get(key, f.zero()), v)
-            if f.is_zero(s):
-                acc.pop(key, None)
-            else:
-                acc[key] = s
+            add_into(f, acc, key, v)
         out.entries = acc
         return out
 

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ainf import (AInfCategory, AInfMorphism, StructureError, vec_add_into)
+from .ainf import AInfCategory, AInfMorphism, StructureError
 from .field import FieldCtx
-from .sparse import Echelon, SparseMatrix, invert, rank_kernel_image
+from .sparse import (Echelon, SparseMatrix, add_into, invert,
+                     rank_kernel_image)
 
 
 @dataclass
@@ -45,7 +46,7 @@ def apply_linear(field: FieldCtx, mapping: dict, vec: dict) -> dict:
     out = {}
     for x, c in vec.items():
         for y, cy in mapping.get(x, {}).items():
-            vec_add_into(field, out, y, field.mul(c, cy))
+            add_into(field, out, y, field.mul(c, cy))
     return out
 
 
@@ -176,12 +177,12 @@ def check_contraction(cat: AInfCategory, con: Contraction):
             bad.append(("proj.htp != 0", lab))
         acc = {lab: f.one()}
         for z, c in apply_linear(f, d, con.htp.get(lab, {})).items():
-            vec_add_into(f, acc, z, f.neg(c))
+            add_into(f, acc, z, f.neg(c))
         for z, c in apply_linear(f, con.htp, d.get(lab, {})).items():
-            vec_add_into(f, acc, z, f.neg(c))
+            add_into(f, acc, z, f.neg(c))
         ip = apply_linear(f, con.inc, con.proj.get(lab, {}))
         for z, c in ip.items():
-            vec_add_into(f, acc, z, f.neg(c))
+            add_into(f, acc, z, f.neg(c))
         if acc:
             bad.append(("homotopy identity fails", lab))
     return bad
@@ -251,7 +252,7 @@ def minimal_model(cat: AInfCategory, arity_cap: int | None = None):
                         continue
                     c = f.mul(cx, cy)
                     for z, cz in val.items():
-                        vec_add_into(f, acc, z, f.mul(c, cz))
+                        add_into(f, acc, z, f.mul(c, cz))
         tree_memo[tup] = acc
         return acc
 

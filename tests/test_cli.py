@@ -11,11 +11,18 @@ from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
 from ainfty.presentations import bar_ext_category, truncated_path_category
 from ainfty.quiver import (DGQuiverAlgebra, a2_quiver, derived_preprojective,
                            double, jordan_quiver)
+from ainfty.ratpoly import RatPolynomial
 
 
 def write_quiver(path, q):
     path.write_text(docio.dumps_document(docio.to_document("quiver", q)),
                     encoding="utf-8")
+
+
+def a2_bar_document():
+    cat = bar_ext_category(derived_preprojective(a2_quiver()), weight_cap=2,
+                           arity_cap=4)
+    return docio.to_document("ainf_category", cat)
 
 
 def test_batch_exit_code_ranks_error_above_truncated(tmp_path):
@@ -61,9 +68,7 @@ def test_hochschild_report_matches_library(tmp_path, quiver):
 def test_category_with_b1_and_b3_is_an_input_error(tmp_path, capsys, subcommand):
     # transfer needs a dg category: b_3 next to b_1 is an input error (exit
     # 2), not a traceback and not a "fail"
-    cat = bar_ext_category(derived_preprojective(a2_quiver()), weight_cap=2,
-                           arity_cap=4)
-    doc = docio.to_document("ainf_category", cat)
+    doc = a2_bar_document()
     doc["payload"]["ops"].append({"arity": 3, "table": [
         {"inputs": ["<a>", "<a*>", "<a>"], "output": [["<a>", "1"]]}]})
     path = tmp_path / "b1_b3.json"
@@ -86,13 +91,54 @@ WEIGHT_ERROR = "payload.weights[0]: want [label, weight]"
 ])
 def test_malformed_weights_are_an_input_error(tmp_path, capsys, key, value,
                                               message):
-    cat = bar_ext_category(derived_preprojective(a2_quiver()), weight_cap=2,
-                           arity_cap=4)
-    doc = docio.to_document("ainf_category", cat)
+    doc = a2_bar_document()
     doc["payload"][key] = value
     path = tmp_path / "weights.json"
     path.write_text(docio.dumps_document(doc), encoding="utf-8")
     assert main(["check-ainf", str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert message in out.out
+
+
+def a2_rep_document():
+    rep = repmod.random_rep(double(a2_quiver()), 22, d={"1": 2, "2": 1})
+    return docio.to_document("matrix_rep", rep)
+
+
+def hn_query_document():
+    query = docio.HNQuery(total=RatPolynomial.of([0, 2]),
+                          bound=RatPolynomial.of([-1, 1]), lattice=(1, 1))
+    return docio.to_document("hn_query", query)
+
+
+@pytest.mark.parametrize("subcommand, document, where, value, message", [
+    ("semisimplify", a2_rep_document, ("mats", 0, "arrow"), "zz",
+     "payload.mats[0].arrow: unknown arrow 'zz'"),
+    ("semisimplify", a2_rep_document, ("dims", 0), ["1", "x"],
+     "payload.dims[0]: dim 'x' is not an integer"),
+    ("semisimplify", a2_rep_document, ("dims", 1), ["2", -1],
+     "payload.dims[1]: dim -1 is negative"),
+    ("semisimplify", a2_rep_document, ("mats", 0, "entries", 0, 0), "x",
+     "payload.mats[0].entries[0]: row 'x' is not an integer"),
+    ("semisimplify", a2_rep_document, ("mats", 0, "entries", 0, 1), "x",
+     "payload.mats[0].entries[0]: column 'x' is not an integer"),
+    ("check-ainf", a2_bar_document, ("hom", 0, "basis", 0, 1), "x",
+     "payload.hom[0].basis[0]: degree 'x' is not an integer"),
+    ("hn-enum", hn_query_document, ("lattice", 1), "x",
+     "payload.lattice[1]: lattice entry 'x' is not an integer"),
+], ids=["arrow", "dim", "negative-dim", "row", "column", "degree",
+        "lattice"])
+def test_malformed_document_is_an_input_error(tmp_path, capsys, subcommand,
+                                              document, where, value, message):
+    doc = document()
+    node = doc["payload"]
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([subcommand, str(path)]) == EXIT["error"] == 2
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
     assert message in out.out

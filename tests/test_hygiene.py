@@ -35,6 +35,37 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def hand_accumulates(source: str) -> list:
+    """Lines of every call x.add(y.get(...), ...) or x.sub(y.get(...), ...):
+    an accumulate into a sparse dict written out by hand, where
+    sparse.add_into keeps the no-stored-zero rule."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("add", "sub") and node.args
+                and isinstance(node.args[0], ast.Call)
+                and isinstance(node.args[0].func, ast.Attribute)
+                and node.args[0].func.attr == "get"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "sparse.py"],
+                         ids=lambda p: p.name)
+def test_no_hand_written_sparse_accumulate(path):
+    assert hand_accumulates(path.read_text(encoding="utf-8")) == []
+
+
+def test_accumulate_scan_sees_add_and_sub_of_a_get():
+    source = ("s = f.add(acc.get(k, f.zero()), c)\n"
+              "row[k] = fld.sub(row.get(k, z), fld.mul(c, v))\n"
+              "t = f.add(c, acc.get(k))\n"
+              "u = f.mul(acc.get(k, z), c)\n"
+              "v = add(acc.get(k), c)\n")
+    assert hand_accumulates(source) == [1, 2]
+
+
 def test_scan_sees_names_attributes_and_all():
     source = ("from __future__ import annotations\n"
               "import os, sys as system\n"

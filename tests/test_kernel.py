@@ -9,8 +9,8 @@ from ainfty.field import QQ, GF, FieldError
 from ainfty.ratpoly import (RatPolynomial, factor_kronecker,
                             factor_rational_poly, poly_gcd, poly_xgcd)
 from ainfty.signs import koszul_sign, prefix_sign, rotation_sign
-from ainfty.sparse import (Echelon, SparseMatrix, invert, rank_kernel_image, rref,
-                           solve)
+from ainfty.sparse import (Echelon, SparseMatrix, add_into, invert,
+                           rank_kernel_image, rref, solve)
 
 
 def test_field_rational_ops():
@@ -76,6 +76,34 @@ def test_solve_consistent_systems(m, data):
     sol = solve(m, rhs)
     assert sol is not None
     assert m.matvec(sol) == rhs
+
+
+@st.composite
+def accumulations(draw):
+    """A field and (key, coefficient) terms over five keys, so keys repeat;
+    zero coefficients occur, and a "clear" step adds the negative of the
+    key's running sum, so sums cancel exactly."""
+    f = draw(st.sampled_from([QQ, GF(7)]))
+    values = scalars if f.p == 0 else st.integers(0, 6)
+    sums, terms = [f.zero()] * 5, []
+    for key, v, clear in draw(st.lists(
+            st.tuples(st.integers(0, 4), values, st.booleans()), max_size=30)):
+        c = f.neg(sums[key]) if clear else (
+            f.of_fraction(v) if f.p == 0 else f.of_int(v))
+        sums[key] = f.add(sums[key], c)
+        terms.append((key, c))
+    return f, terms, sums
+
+
+@given(accumulations())
+@settings(max_examples=200, deadline=None)
+def test_add_into_is_the_dense_sum_without_zeros(case):
+    f, terms, sums = case
+    acc = {}
+    for key, c in terms:
+        add_into(f, acc, key, c)
+        assert not any(f.is_zero(v) for v in acc.values())
+    assert acc == {k: v for k, v in enumerate(sums) if not f.is_zero(v)}
 
 
 def dense_rref(rows, ncols, f):

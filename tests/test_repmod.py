@@ -191,6 +191,13 @@ def test_conjugate_rejects_singular():
 # ---------------------------------------------------------------------------
 # acting algebra and radical
 
+def flat_mul(rep, a, b):
+    """Product of two {(row, col): scalar} matrices on the total space."""
+    n = rep.total_dim()
+    return SparseMatrix(n, n, rep.field, a).mul(
+        SparseMatrix(n, n, rep.field, b)).entries
+
+
 def acting_algebra_oracle(rep):
     """Echelon basis of the span of the vertex idempotents and the arrows,
     closed under products by them on both sides, round after round, until
@@ -207,8 +214,8 @@ def acting_algebra_oracle(rep):
         grew = False
         for x in ech.basis():
             for g in gens:
-                grew |= ech.add(R._flat_mul(f, g, x))
-                grew |= ech.add(R._flat_mul(f, x, g))
+                grew |= ech.add(flat_mul(rep, g, x))
+                grew |= ech.add(flat_mul(rep, x, g))
         if not grew:
             return ech.basis()
 
@@ -240,7 +247,7 @@ def test_acting_algebra_closed_and_bounded():
         ech = Echelon(rep.field, alg.basis)
         for b1 in alg.basis:
             for b2 in alg.basis:
-                assert not ech.reduce(R._flat_mul(rep.field, b1, b2))
+                assert not ech.reduce(flat_mul(rep, b1, b2))
         assert alg.dim() <= rep.total_dim() ** 2
 
 
@@ -278,11 +285,11 @@ def test_radical_is_nilpotent_two_sided_ideal():
             span.add(dict(j))
         for j in rad:
             for b in alg.basis:
-                assert not span.reduce(R._flat_mul(rep.field, j, b))
-                assert not span.reduce(R._flat_mul(rep.field, b, j))
+                assert not span.reduce(flat_mul(rep, j, b))
+                assert not span.reduce(flat_mul(rep, b, j))
             power = dict(j)
             for _ in range(rep.total_dim()):
-                power = R._flat_mul(rep.field, power, j)
+                power = flat_mul(rep, power, j)
             assert not power
     with pytest.raises(RepError, match="brute-force"):
         R.radical_char0(R.acting_algebra(j2_block(F5)))
