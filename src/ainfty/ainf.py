@@ -8,11 +8,10 @@ Conventions, fixed once for the whole package:
 * The structure operations are the shifted b_n of degree +1 with respect to
   shifted degree |x|' = deg(x) - 1.  The defining relations are
       sum_{r+s+t=n} b_{r+1+t} (1^r (x) b_s (x) 1^t) = 0,
-  where evaluating 1^r (x) b_s (x) 1^t on (x_1,...,x_n) carries the Koszul
-  sign (-1)^(|x_1|' + ... + |x_r|').
-* Unshifted operations m_n exist only at the API boundary:
-      b_n = (-1)^(sum_i (n-i) deg(x_i)) m_n   on (x_1, ..., x_n),
-  so m_1 = b_1 under the shift and b_2 picks up (-1)^deg(x_1).
+  where evaluating 1^r (x) b_s (x) 1^t on (x_1,...,x_n) carries the prefix
+  sign of signs.py on the shifted degrees of x_1, ..., x_r.
+* Unshifted operations m_n exist only at the API boundary; b_n and m_n
+  differ by the suspension sign of signs.py, so m_1 = b_1.
 * A strict unit 1_i has degree 0 and satisfies b_1(1_i) = 0,
   b_2(x, 1_i) = (-1)^deg(x) x, b_2(1_j, x) = x, and b_n vanishes on every
   tuple containing a unit for n >= 3.
@@ -27,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .field import FieldCtx, QQ
+from .signs import parity_sign, prefix_parities, suspension_sign
 from .sparse import add_into
 
 
@@ -114,10 +114,6 @@ class AInfCategory:
         return all(self.src(tup[k]) == self.tgt(tup[k + 1])
                    for k in range(len(tup) - 1))
 
-    def prefix_sign(self, tup, r: int) -> int:
-        s = sum(self.sdeg(x) for x in tup[:r])
-        return -1 if s % 2 else 1
-
 
 def validate_category(cat: AInfCategory):
     """Structural sanity: composability, degree +1, endpoint matching,
@@ -173,13 +169,67 @@ class RelationReport:
         return self.witnesses[0] if self.witnesses else None
 
 
-def _slot_index(table, u: int):
-    """Index the arity-u table by (slot position, label at that slot)."""
+def _slot_index(table, u: int, sdeg):
+    """Index the arity-u table by slot: idx[r][label at slot r] lists
+    (tuple, output, prefix parity of tuple[:r]) for each entry."""
     idx = [dict() for _ in range(u)]
     for tup, out in table.items():
+        pre = prefix_parities([sdeg(x) for x in tup])
         for r in range(u):
-            idx[r].setdefault(tup[r], []).append((tup, out))
+            idx[r].setdefault(tup[r], []).append((tup, out, pre[r]))
     return idx
+
+
+def _insert_into(f, residual, inner, idx):
+    """residual[(tuple, out)] += sum_r outer(1^r (x) inner (x) 1^t), the
+    outer table given by its _slot_index."""
+    for tup_s, out_s in inner.items():
+        for z, cz in out_s.items():
+            neg_z = f.neg(cz)
+            for r, slot in enumerate(idx):
+                for tup_u, out_u, odd in slot.get(z, ()):
+                    full = tup_u[:r] + tup_s + tup_u[r + 1:]
+                    c = neg_z if odd else cz
+                    for w, cw in out_u.items():
+                        add_into(f, residual, (full, w), f.mul(c, cw))
+
+
+def _check_arities(f, cap, max_witnesses, sdeg, terms_at):
+    """The arity loop shared by check_relations and check_functor.
+
+    terms_at(n) returns the arity-n relation as (insertions, composites):
+    insertions (inner, outer, u) add sum_r outer(1^r (x) inner (x) 1^t) for
+    the arity-u outer table, composites (outer, inners) subtract
+    outer(inner_1 (x) ... (x) inner_l).  An arity that needs an unknown
+    table is truncated; the residual of a checked arity lists its
+    violations, sorted and cut at max_witnesses overall.
+    """
+    indexes = {}
+    checked, truncated, witnesses = [], [], []
+    for n in range(1, cap + 1):
+        insertions, composites = terms_at(n)
+        needed = [t for inner, outer, _ in insertions for t in (inner, outer)]
+        needed += [t for outer, inners in composites for t in (outer, *inners)]
+        if any(t is None for t in needed):
+            truncated.append(n)
+            continue
+        residual = {}
+        for inner, outer, u in insertions:
+            if inner and outer:
+                if u not in indexes:
+                    indexes[u] = _slot_index(outer, u, sdeg)
+                _insert_into(f, residual, inner, indexes[u])
+        for outer, inners in composites:
+            _accumulate_composite(f, residual, outer, inners, f.neg(f.one()))
+        checked.append(n)
+        for (tup, z), c in sorted(residual.items()):
+            witnesses.append((n, tup, z, c))
+            if len(witnesses) >= max_witnesses:
+                break
+        if len(witnesses) >= max_witnesses:
+            break
+    return RelationReport(not witnesses, tuple(checked), tuple(truncated),
+                          tuple(witnesses))
 
 
 def check_relations(cat: AInfCategory, max_arity: int | None = None,
@@ -190,46 +240,12 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
     arities where some required operation is unknown are reported as
     truncated, not checked.
     """
-    f = cat.field
     cap = max_arity if max_arity is not None else cat.arity_cap
-    checked, truncated, witnesses = [], [], []
-    tables = {}
-    for n in range(1, 2 * cap):
-        tables[n] = cat.op_table(n)
-    indexes = {}
-    for n in range(1, cap + 1):
-        needed = [(s, n + 1 - s) for s in range(1, n + 1)]
-        if any(tables.get(s) is None or tables.get(u) is None for s, u in needed):
-            truncated.append(n)
-            continue
-        residual = {}
-        for s, u in needed:
-            ts, tu = tables[s], tables[u]
-            if not ts or not tu:
-                continue
-            if (u, id(tu)) not in indexes:
-                indexes[(u, id(tu))] = _slot_index(tu, u)
-            idx = indexes[(u, id(tu))]
-            for tup_s, out_s in ts.items():
-                for z, cz in out_s.items():
-                    for r in range(u):
-                        for tup_u, out_u in idx[r].get(z, ()):
-                            full = tup_u[:r] + tup_s + tup_u[r + 1:]
-                            sgn = cat.prefix_sign(full, r)
-                            for w, cw in out_u.items():
-                                c = f.mul(cz, cw)
-                                if sgn < 0:
-                                    c = f.neg(c)
-                                add_into(f, residual, (full, w), c)
-        checked.append(n)
-        for (full, w), c in sorted(residual.items()):
-            witnesses.append((n, full, w, c))
-            if len(witnesses) >= max_witnesses:
-                break
-        if len(witnesses) >= max_witnesses:
-            break
-    return RelationReport(not witnesses, tuple(checked), tuple(truncated),
-                          tuple(witnesses))
+
+    def terms_at(n):
+        return [(cat.op_table(s), cat.op_table(n + 1 - s), n + 1 - s)
+                for s in range(1, n + 1)], []
+    return _check_arities(cat.field, cap, max_witnesses, cat.sdeg, terms_at)
 
 
 @dataclass
@@ -259,7 +275,7 @@ def check_unitality(cat: AInfCategory) -> UnitReport:
     for (i, j), basis in cat.hom.items():
         ej, ei = cat.units[j], cat.units[i]
         for lab, deg in basis:
-            want = f.of_int(-1 if deg % 2 else 1)
+            want = f.of_int(parity_sign(deg))
             got = cat.b_value((lab, ei))
             if got != {lab: want}:
                 strict_fail.append(("right unit law", lab, ei))
@@ -313,7 +329,7 @@ def _weak_unit_check(cat: AInfCategory):
                     lab = labs[lab_idx]
                     if side == "right":
                         val = cat.b_value((lab, cat.units[i]))
-                        sgn = -1 if cat.deg(lab) % 2 else 1
+                        sgn = parity_sign(cat.deg(lab))
                     else:
                         val = cat.b_value((cat.units[j], lab))
                         sgn = 1
@@ -324,14 +340,6 @@ def _weak_unit_check(cat: AInfCategory):
                 if boundaries.reduce(acc):
                     fails.append(("unit fails on cohomology", (i, j), side))
     return fails
-
-
-def suspension_sign(degrees) -> int:
-    """(-1)^(sum_i (n-i) deg_i) relating m_n and b_n on a tuple with the
-    given unshifted degrees (1-based slots, leftmost is outermost)."""
-    n = len(degrees)
-    s = sum((n - i) * d for i, d in enumerate(degrees, start=1))
-    return -1 if s % 2 else 1
 
 
 def b_from_m(cat_degrees, m_ops, field: FieldCtx):
@@ -402,98 +410,38 @@ def _compositions(n: int):
     rec(n, [])
     return out
 
-def _accumulate_composite(fld, table, outer_tab, inner_tabs, parts):
-    """table += outer(inner_1 (x) ... (x) inner_l) as sparse tables."""
-    choices = [sorted(t.items()) for t in inner_tabs]
-    if any(not c for c in choices):
+def _accumulate_composite(f, residual, outer, inners, coeff):
+    """residual[(tuple, out)] += coeff * outer(inner_1 (x) ... (x) inner_l)."""
+    choices = [sorted(t.items()) for t in inners]
+    if not outer or any(not c for c in choices):
         return
-    def rec(k, tup_acc, outs_acc, coeff):
+    def rec(k, tup_acc, outs_acc, c):
         if k == len(choices):
-            for z, cz in outer_tab.get(tuple(outs_acc), {}).items():
-                vec = table.setdefault(tuple(tup_acc), {})
-                add_into(fld, vec, z, fld.mul(coeff, cz))
-                if not vec:
-                    table.pop(tuple(tup_acc), None)
+            for z, cz in outer.get(tuple(outs_acc), {}).items():
+                add_into(f, residual, (tuple(tup_acc), z), f.mul(c, cz))
             return
         for tup, out in choices[k]:
             for z, cz in out.items():
-                rec(k + 1, tup_acc + list(tup), outs_acc + [z], fld.mul(coeff, cz))
-    rec(0, [], [], fld.one())
-
-
-@dataclass
-class FunctorReport:
-    ok: bool
-    checked: tuple
-    truncated: tuple
-    witnesses: tuple
+                rec(k + 1, tup_acc + list(tup), outs_acc + [z], f.mul(c, cz))
+    rec(0, [], [], coeff)
 
 
 def check_functor(fm: AInfMorphism, max_arity: int | None = None,
-                  max_witnesses: int = 10) -> FunctorReport:
+                  max_witnesses: int = 10) -> RelationReport:
     """Exact check of the A-infinity functor relations
     sum f_{r+1+t}(1^r (x) b_s (x) 1^t) = sum b_l(f_{i_1} (x) ... (x) f_{i_l})
     with the same prefix signs as the structure relations on the left and
     no signs on the right (components have shifted degree 0)."""
-    src, tgt, fld = fm.source, fm.target, fm.source.field
+    src, tgt = fm.source, fm.target
     cap = max_arity if max_arity is not None else fm.arity_cap
-    checked, truncated, witnesses = [], [], []
-    for n in range(1, cap + 1):
-        ok_data = True
-        lhs_terms = []
-        for s in range(1, n + 1):
-            u = n - s + 1
-            bs = src.op_table(s)
-            fu = fm.component(u)
-            if bs is None or fu is None:
-                ok_data = False
-                break
-            lhs_terms.append((s, u, bs, fu))
-        rhs_specs = []
-        if ok_data:
-            for parts in _compositions(n):
-                bl = tgt.op_table(len(parts))
-                ftabs = [fm.component(i) for i in parts]
-                if bl is None or any(t is None for t in ftabs):
-                    ok_data = False
-                    break
-                rhs_specs.append((parts, bl, ftabs))
-        if not ok_data:
-            truncated.append(n)
-            continue
-        residual = {}
-        for s, u, bs, fu in lhs_terms:
-            if not bs or not fu:
-                continue
-            idx = _slot_index(fu, u)
-            for tup_s, out_s in bs.items():
-                for z, cz in out_s.items():
-                    for r in range(u):
-                        for tup_u, out_u in idx[r].get(z, ()):
-                            full = tup_u[:r] + tup_s + tup_u[r + 1:]
-                            sgn = src.prefix_sign(full, r)
-                            for w, cw in out_u.items():
-                                c = fld.mul(cz, cw)
-                                if sgn < 0:
-                                    c = fld.neg(c)
-                                add_into(fld, residual, (full, w), c)
-        for parts, bl, ftabs in rhs_specs:
-            if any(not t for t in ftabs) or not bl:
-                continue
-            neg_table = {}
-            _accumulate_composite(fld, neg_table, bl, ftabs, parts)
-            for tup, out in neg_table.items():
-                for z, c in out.items():
-                    add_into(fld, residual, (tup, z), fld.neg(c))
-        checked.append(n)
-        for (tup, z), c in sorted(residual.items()):
-            witnesses.append((n, tup, z, c))
-            if len(witnesses) >= max_witnesses:
-                break
-        if len(witnesses) >= max_witnesses:
-            break
-    return FunctorReport(not witnesses, tuple(checked), tuple(truncated),
-                         tuple(witnesses))
+
+    def terms_at(n):
+        insertions = [(src.op_table(s), fm.component(n + 1 - s), n + 1 - s)
+                      for s in range(1, n + 1)]
+        composites = [(tgt.op_table(len(parts)), [fm.component(i) for i in parts])
+                      for parts in _compositions(n)]
+        return insertions, composites
+    return _check_arities(src.field, cap, max_witnesses, src.sdeg, terms_at)
 
 
 def degree_support_bound(cat: AInfCategory, arities, use_strict_units: bool = True):

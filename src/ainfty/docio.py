@@ -62,6 +62,11 @@ def _int(val, what, path):
     return val
 
 
+def _need_int(obj, key, path):
+    """The integer field key of obj (JSON true and false are not integers)."""
+    return _int(_need(obj, key, path, int), key, "%s.%s" % (path, key))
+
+
 def field_to_json(f: FieldCtx) -> str:
     return "QQ" if f.p == 0 else "fp:%d" % f.p
 
@@ -97,7 +102,7 @@ def _check_envelope(doc) -> str:
     kind = _need(doc, "kind", "document", str)
     if kind not in KINDS:
         raise DocumentError("unknown kind %r" % kind, "document.kind")
-    version = _need(doc, "version", "document", int)
+    version = _need_int(doc, "version", "document")
     if version != SCHEMA_VERSION:
         raise DocumentError("unsupported version %d" % version, "document.version")
     conv = _need(doc, "conventions", "document", dict)
@@ -130,7 +135,7 @@ def quiver_from_payload(payload, path="payload") -> Quiver:
         arrows.append(Arrow(name=_need(rec, "name", apath, str),
                             src=_need(rec, "src", apath, str),
                             tgt=_need(rec, "tgt", apath, str),
-                            degree=int(_need(rec, "degree", apath, int))))
+                            degree=_need_int(rec, "degree", apath)))
     try:
         return Quiver(vertices=vertices, arrows=tuple(arrows))
     except ValueError as e:
@@ -171,7 +176,7 @@ def dg_algebra_from_payload(payload, path="payload") -> DGQuiverAlgebra:
     for k, rec in enumerate(payload.get("weights", [])):
         wpath = "%s.weights[%d]" % (path, k)
         weights.append((_need(rec, "arrow", wpath, str),
-                        int(_need(rec, "weight", wpath, int))))
+                        _need_int(rec, "weight", wpath)))
     return DGQuiverAlgebra(quiver=q, differential=tuple(diff),
                            weights=tuple(weights))
 
@@ -234,7 +239,7 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
     ops = {}
     for k, rec in enumerate(_need(payload, "ops", path, list)):
         opath = "%s.ops[%d]" % (path, k)
-        n = int(_need(rec, "arity", opath, int))
+        n = _need_int(rec, "arity", opath)
         table = {}
         for m, row in enumerate(_need(rec, "table", opath, list)):
             rpath = "%s.table[%d]" % (opath, m)
@@ -270,10 +275,10 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
     if weights:
         kwargs["weights"] = weights
     if payload.get("weight_cap") is not None:
-        kwargs["weight_cap"] = _need(payload, "weight_cap", path, int)
+        kwargs["weight_cap"] = _need_int(payload, "weight_cap", path)
     try:
         return AInfCategory(objects=objects, hom=hom, ops=ops, field=f,
-                            arity_cap=int(_need(payload, "arity_cap", path, int)),
+                            arity_cap=_need_int(payload, "arity_cap", path),
                             units=units, pairing=pairing,
                             complete=bool(payload.get("complete", False)),
                             **kwargs)
@@ -358,7 +363,7 @@ def potential_from_payload(payload, path="payload"):
             continue
         ccfg, sign = canon
         add_into(f, terms, ccfg, f.mul(f.of_int(sign), coeff))
-    func = NCFunction(ctx, terms, int(_need(payload, "order_cap", path, int)),
+    func = NCFunction(ctx, terms, _need_int(payload, "order_cap", path),
                       bool(payload.get("truncated", False)))
     func.source_category = cat
     return func

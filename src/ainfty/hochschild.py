@@ -8,11 +8,12 @@ length-1 convention (plain endomorphism spaces) the n = 1 case of the same
 formula rather than a special seam.
 
 The differential is b = b_1 + d_Hoch where d_Hoch contracts adjacent pairs
-with b_2 plus one wraparound term through the cyclic permutation F_n; all
-signs are Koszul on the shifted factor degrees.  b never raises length, so
-a window of lengths 1..N is a subcomplex and the reported homology is exact
-for the window; the stability flag records whether growing the window moves
-the reported part.
+with b_2 plus one wraparound term through the cyclic permutation F_n (the
+last factor moved to the front); every sign is a rule of signs.py on the
+shifted factor degrees.  b never raises length, so a window of lengths
+1..N is a subcomplex and the reported homology is exact for the window;
+the stability flag records whether growing the window moves the reported
+part.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from dataclasses import dataclass, field as dc_field
 
 from .ainf import AInfCategory, check_relations
 from .ncword import NCContext, canonical_cyclic
+from .signs import block_sign, prefix_parities, rotations
 from .sparse import SparseMatrix, add_into, rank_kernel_image, rref
 
 
 class HochschildError(Exception):
     pass
-
-
-def shifted_degree(cat: AInfCategory, lab: str) -> int:
-    return cat.deg(lab) - 1
 
 
 def chain_degree(cat: AInfCategory, tup) -> int:
@@ -101,56 +99,35 @@ class HochschildChainWindow:
                                       % (tup,))
 
 
-def cyclic_permute(window: HochschildChainWindow, tup):
-    """F_n: move the last tensor factor to the front, with its Koszul sign."""
-    cat = window.cat
-    last = tup[-1]
-    rest = sum(shifted_degree(cat, lab) for lab in tup[:-1])
-    sign = -1 if (shifted_degree(cat, last) * rest) % 2 else 1
-    return (last,) + tup[:-1], sign
-
-
 def hochschild_b(window: HochschildChainWindow, chain: dict) -> dict:
     """b = b_1 + d_Hoch; lowers length by at most one."""
     window.check_chain(chain)
     cat = window.cat
     f = cat.field
-    b1 = cat.op_table(1) or {}
     b2 = cat.op_table(2) or {}
+    slots = ((1, cat.op_table(1) or {}), (2, b2))
     acc = {}
     for tup, coeff in chain.items():
         n = len(tup)
-        sdeg = [shifted_degree(cat, lab) for lab in tup]
-        # b_1 on every factor
-        pre = 0
-        for k in range(n):
-            out = b1.get((tup[k],))
-            if out:
-                sgn = f.of_int(-1 if pre % 2 else 1)
-                for z, c in out.items():
-                    new = tup[:k] + (z,) + tup[k + 1:]
-                    add_into(f, acc, new, f.mul(coeff, f.mul(sgn, c)))
-            pre += sdeg[k]
+        pre = prefix_parities([cat.deg(lab) - 1 for lab in tup])
+        neg = f.neg(coeff)
+        # b_s on the factors r..r+s-1, past the prefix tup[:r]
+        for s, bs in slots:
+            for r in range(n - s + 1):
+                out = bs.get(tup[r:r + s])
+                if out:
+                    c = neg if pre[r] else coeff
+                    for z, cz in out.items():
+                        add_into(f, acc, tup[:r] + (z,) + tup[r + s:], f.mul(c, cz))
         if n == 1:
             continue
-        # adjacent contractions
-        pre = 0
-        for r in range(n - 1):
-            out = b2.get((tup[r], tup[r + 1]))
-            if out:
-                sgn = f.of_int(-1 if pre % 2 else 1)
-                for z, c in out.items():
-                    new = tup[:r] + (z,) + tup[r + 2:]
-                    add_into(f, acc, new, f.mul(coeff, f.mul(sgn, c)))
-            pre += sdeg[r]
-        # wraparound through the cyclic permutation
-        rot, rsign = cyclic_permute(window, tup)
-        out = b2.get((rot[0], rot[1]))
+        # wraparound: b_2 on the first two factors of F_n(tup)
+        out = b2.get((tup[-1], tup[0]))
         if out:
-            sgn = f.of_int(rsign)
-            for z, c in out.items():
-                new = (z,) + rot[2:]
-                add_into(f, acc, new, f.mul(coeff, f.mul(sgn, c)))
+            last = (pre[n] - pre[n - 1]) % 2      # parity of tup[-1]
+            c = coeff if block_sign(last, pre[n - 1]) > 0 else neg
+            for z, cz in out.items():
+                add_into(f, acc, (z,) + tup[1:-1], f.mul(c, cz))
     return acc
 
 
@@ -173,15 +150,16 @@ def connes_B(window: HochschildChainWindow, chain: dict) -> dict:
             raise HochschildError(
                 "insufficient window: length %d chain needs max_length >= %d"
                 % (n, n + 1))
-        rot, rsign = tup, 1
-        for _ in range(n):
-            nxt, s = cyclic_permute(window, rot)
-            rot, rsign = nxt, rsign * s
+        degs = [cat.deg(lab) - 1 for lab in tup]
+        total = sum(degs)
+        for rot, rsign in rotations(tup, degs):
             unit = cat.units[cat.tgt(rot[0])]
-            widened = (unit,) + rot
-            add_into(f, acc, widened, f.mul(coeff, f.of_int(rsign)))
-            rot2, s2 = cyclic_permute(window, widened)
-            add_into(f, acc, rot2, f.mul(coeff, f.of_int(-rsign * s2)))
+            add_into(f, acc, (unit,) + rot, f.mul(coeff, f.of_int(rsign)))
+            # F on (unit,) + rot moves rot's last factor past the rest
+            last = cat.deg(rot[-1]) - 1
+            s2 = block_sign(last, total - last + cat.deg(unit) - 1)
+            add_into(f, acc, (rot[-1], unit) + rot[:-1],
+                     f.mul(coeff, f.of_int(-rsign * s2)))
     return acc
 
 

@@ -21,6 +21,8 @@ from .field import FieldCtx
 from .sparse import (SparseMatrix, add_into, invert, rank_kernel_image,
                      solve as sparse_solve)
 from .ainf import AInfCategory, AInfMorphism
+from .signs import (block_sign, parity_sign, prefix_parities, reversal_sign,
+                    rotations)
 from .ncword import (
     NCContext,
     NCError,
@@ -187,7 +189,7 @@ def make_pairing(ctx: NCContext, entries: dict, check_nondeg: bool = True) -> Cy
             raise NCError("pairing entry (%s,%s) violates degree two" % (x, y))
         if lx.src != ly.tgt or lx.tgt != ly.src:
             raise NCError("pairing entry (%s,%s) violates endpoints" % (x, y))
-        sym = -1 if (lx.primal_degree * ly.primal_degree) % 2 else 1
+        sym = block_sign(lx.primal_degree, ly.primal_degree)
         mirror = f.mul(c, f.of_int(sym))
         for key, val in (((x, y), c), ((y, x), mirror)):
             if key in full:
@@ -307,8 +309,7 @@ def lie_derivative(vf: VectorField, form: NCForm) -> NCForm:
     first = de_rham(contraction(vf, form))
     second = contraction(vf, de_rham(form))
     # [d, iota] = d iota - (-1)^{|iota|} iota d, |iota| = |vf| - 1
-    sgn = 1 if vf.degree % 2 == 0 else -1
-    return first.add(second.scale(form.field.of_int(sgn)))
+    return first.add(second.scale(form.field.of_int(parity_sign(vf.degree))))
 
 
 def vf_apply_function(vf: VectorField, fn: NCFunction) -> NCFunction:
@@ -371,16 +372,6 @@ def vf_square_obstruction(q: VectorField) -> dict:
 # ---------------------------------------------------------------------------
 # the dictionary between categories and vector fields
 
-def dual_sign(shifted_degrees) -> int:
-    """Koszul sign of reversing the dual letters of a tuple."""
-    e = 0
-    degs = [d % 2 for d in shifted_degrees]
-    for k in range(len(degs)):
-        for l in range(k + 1, len(degs)):
-            e += degs[k] * degs[l]
-    return -1 if e % 2 else 1
-
-
 def category_to_vectorfield(cat: AInfCategory) -> VectorField:
     """The derivation Q with Q(xi_z) the dual of the operations hitting z."""
     ctx = NCContext.from_category(cat)
@@ -389,8 +380,7 @@ def category_to_vectorfield(cat: AInfCategory) -> VectorField:
     for n in cat.known_arities():
         table = cat.op_table(n) or {}
         for tup, out in table.items():
-            sdegs = [cat.deg(lab) - 1 for lab in tup]
-            sgn = dual_sign(sdegs)
+            sgn = reversal_sign([cat.deg(lab) - 1 for lab in tup])
             word = tuple((lab, 0) for lab in reversed(tup))
             for z, c in out.items():
                 coeff = f.mul(c, f.of_int(sgn))
@@ -404,23 +394,25 @@ def category_to_vectorfield(cat: AInfCategory) -> VectorField:
     return vf
 
 
-def vectorfield_to_tables(vf: VectorField) -> dict:
-    """Inverse of category_to_vectorfield; returns {n: op table}."""
-    f = vf.ctx.field
+def _dual_tables(ctx: NCContext, images) -> dict:
+    """{n: table} dual to generator images {z: {word: c}}: the word
+    xi_{x_n} ... xi_{x_1} in the image of xi_z is the entry z of the tuple
+    (x_1, ..., x_n), with the reversal sign of the shifted degrees."""
+    f = ctx.field
     ops = {}
-    for z, vec in vf.images.items():
+    for z, vec in images.items():
         for cfg, c in vec.items():
             tup = tuple(lab for lab, _ in reversed(cfg))
-            sdegs = [-vf.ctx.degree(lab) for lab in tup]
-            sgn = dual_sign(sdegs)
-            coeff = f.mul(c, f.of_int(sgn))
+            sgn = reversal_sign([-ctx.degree(lab) for lab in tup])
             table = ops.setdefault(len(tup), {})
-            add_into(f, table.setdefault(tup, {}), z, coeff)
-    for n in list(ops):
-        ops[n] = {t: o for t, o in ops[n].items() if o}
-        if not ops[n]:
-            del ops[n]
-    return ops
+            add_into(f, table.setdefault(tup, {}), z, f.mul(c, f.of_int(sgn)))
+    ops = {n: {t: o for t, o in tab.items() if o} for n, tab in ops.items()}
+    return {n: tab for n, tab in ops.items() if tab}
+
+
+def vectorfield_to_tables(vf: VectorField) -> dict:
+    """Inverse of category_to_vectorfield; returns {n: op table}."""
+    return _dual_tables(vf.ctx, vf.images)
 
 
 # ---------------------------------------------------------------------------
@@ -605,27 +597,6 @@ def check_cyclicity(cat: AInfCategory, pairing: CyclicPairing, max_arity=None):
 # ---------------------------------------------------------------------------
 # Poisson bracket
 
-def _necklace_splice_sign(eff_u: int, eff_x: int, eff_y: int, eff_z: int) -> int:
-    # sign of contracting the adjacent pair xi_x xi_y between strands U, Z;
-    # pinned against the iota/omega route (letters coupled by the pairing
-    # have equal degree parity, which collapses the equivalent variants)
-    return -1 if eff_u % 2 else 1
-
-
-def _rotations_with_sign(ctx: NCContext, cfg):
-    """All rotations of cfg with the sign relating them to the input."""
-    out = []
-    total = sum(ctx.eff_degree(s) for s in cfg)
-    cur, sign = tuple(cfg), 1
-    for _ in range(len(cfg)):
-        out.append((cur, sign))
-        last = cur[-1]
-        e = ctx.eff_degree(last)
-        sign *= -1 if (e * (total - e)) % 2 else 1
-        cur = (last,) + cur[:-1]
-    return out
-
-
 def poisson_bracket(f: NCFunction, g: NCFunction, pairing_or_omega) -> NCFunction:
     """Necklace bracket via the inverse pairing (cut at f, cut at g, splice)."""
     ctx = f.ctx
@@ -636,24 +607,26 @@ def poisson_bracket(f: NCFunction, g: NCFunction, pairing_or_omega) -> NCFunctio
         pairing = pairing_or_omega
     pi = pairing_inverse(ctx, pairing)
     cap = min(f.order_cap, g.order_cap)
+    rots = {w: list(rotations(w, [ctx.eff_degree(s) for s in w]))
+            for w in list(f.terms) + list(g.terms)}
     acc = {}
     const = {}
     for wf, cf in f.terms.items():
         for wg, cg in g.terms.items():
             base = k.mul(cf, cg)
-            for rot_f, s1 in _rotations_with_sign(ctx, wf):
+            for rot_f, s1 in rots[wf]:
                 x = rot_f[-1][0]
                 u = rot_f[:-1]
-                for rot_g, s2 in _rotations_with_sign(ctx, wg):
+                for rot_g, s2 in rots[wg]:
                     y = rot_g[0][0]
                     z = rot_g[1:]
                     piv = pi.get((x, y))
                     if piv is None:
                         continue
-                    eff_u = sum(ctx.eff_degree(s) for s in u)
-                    eff_z = sum(ctx.eff_degree(s) for s in z)
-                    s3 = _necklace_splice_sign(eff_u, ctx.eff_degree(rot_f[-1]),
-                                               ctx.eff_degree(rot_g[0]), eff_z)
+                    # contracting the adjacent pair xi_x xi_y moves past the
+                    # strand U; pinned against the iota/omega route (letters
+                    # coupled by the pairing have equal degree parity)
+                    s3 = parity_sign(ctx.cfg_degree(u))
                     coeff = k.mul(base, k.mul(piv, k.of_int(s1 * s2 * s3)))
                     word = u + z
                     if not word:
@@ -715,11 +688,10 @@ def _subst_cfg(auto: FormalAutomorphism, cfg, images):
         if mark:
             for w, c in sorted(vec.items()):
                 # d on the replacement word: mark each slot with prefix signs
-                pre = 0
+                pre = prefix_parities([ctx.degree(l2) for l2, _ in w])
                 for i, (l2, _) in enumerate(w):
-                    choices.append((c if pre % 2 == 0 else f.neg(c),
+                    choices.append((f.neg(c) if pre[i] else c,
                                     w[:i] + ((l2, 1),) + w[i + 1:]))
-                    pre += ctx.eff_degree((l2, 0))
         else:
             choices = [(c, w) for w, c in sorted(vec.items())]
         nxt = []
@@ -846,18 +818,8 @@ class StrictifyReport:
 def _functor_from_automorphism(auto: FormalAutomorphism, source: AInfCategory,
                                target: AInfCategory) -> AInfMorphism:
     """Dualize a substitution into functor components."""
-    ctx = auto.ctx
-    f = ctx.field
-    comps = {}
-    for lab in ctx.letters:
-        for cfg, c in auto.image_of(lab).items():
-            tup = tuple(l for l, _ in reversed(cfg))
-            sdegs = [-ctx.degree(l) for l in tup]
-            sgn = dual_sign(sdegs)
-            table = comps.setdefault(len(tup), {})
-            add_into(f, table.setdefault(tup, {}), lab, f.mul(c, f.of_int(sgn)))
-    comps = {n: {t: o for t, o in tab.items() if o} for n, tab in comps.items()}
-    comps = {n: tab for n, tab in comps.items() if tab}
+    comps = _dual_tables(auto.ctx, {lab: auto.image_of(lab)
+                                    for lab in auto.ctx.letters})
     return AInfMorphism(
         source=source,
         target=target,

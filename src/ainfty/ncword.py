@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .field import FieldCtx, QQ
+from .signs import block_sign, prefix_parities, rotations
 from .sparse import add_into
 
 
@@ -105,28 +106,16 @@ def canonical_cyclic(ctx: NCContext, cfg):
     the configuration with sign -1).
     """
     cfg = tuple(cfg)
-    m = len(cfg)
-    if m == 0:
+    if not cfg:
         raise NCError("empty configuration")
-    effs = [ctx.eff_degree(s) for s in cfg]
-    total = sum(effs)
-    rotations = {}
-    cur, sign = cfg, 1
-    for _ in range(m):
-        prev = rotations.get(cur)
-        if prev is None:
-            rotations[cur] = sign
-        elif prev != sign:
+    seen = {}
+    for cur, sign in rotations(cfg, [ctx.eff_degree(s) for s in cfg]):
+        if seen.setdefault(cur, sign) != sign:
             return None
-        last = cur[-1]
-        step = ctx.eff_degree(last) * (total - ctx.eff_degree(last))
-        sign *= -1 if step % 2 else 1
-        cur = (last,) + cur[:-1]
-    best = min(rotations)
-    # sign relating the input representative to the canonical one:
-    # cfg = rotations[best] * best, so coefficient transport multiplies
-    # by rotations[best] when re-keying onto best.
-    return best, rotations[best]
+    best = min(seen)
+    # cfg = seen[best] * best, so coefficient transport multiplies by
+    # seen[best] when re-keying onto best.
+    return best, seen[best]
 
 
 def add_cyclic_term(ctx: NCContext, field: FieldCtx, acc: dict, cfg, coeff) -> None:
@@ -149,12 +138,11 @@ def apply_letterwise(ctx: NCContext, cfg, action, parity: int):
     list of (coeff, new_cfg); the caller canonicalizes.
     """
     out = []
-    prefix = 0
+    pre = prefix_parities([ctx.eff_degree(slot) for slot in cfg])
     for k, slot in enumerate(cfg):
         for coeff, repl in action(slot):
-            s = -1 if (parity * prefix) % 2 else 1
+            s = block_sign(parity, pre[k])
             out.append((coeff if s == 1 else -coeff, cfg[:k] + tuple(repl) + cfg[k + 1:]))
-        prefix += ctx.eff_degree(slot)
     return out
 
 
@@ -173,10 +161,7 @@ def rotate_mark_last(ctx: NCContext, cfg):
         return cfg, 1
     # rotate left by j+1: the block cfg[:j+1] moves behind cfg[j+1:]
     head, tail = cfg[: j + 1], cfg[j + 1:]
-    dh = sum(ctx.eff_degree(s) for s in head)
-    dt = sum(ctx.eff_degree(s) for s in tail)
-    sign = -1 if (dh * dt) % 2 else 1
-    return tail + head, sign
+    return tail + head, block_sign(ctx.cfg_degree(head), ctx.cfg_degree(tail))
 
 
 def enumerate_cyclic_words(ctx: NCContext, order: int, degree=None, avoid=()):

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .ainf import AInfCategory
 from .field import FieldCtx, QQ
 from .quiver import DGQuiverAlgebra, d_path, path_degree
+from .signs import block_sign, parity_sign, prefix_parities
 from .sparse import add_into
 
 
@@ -99,8 +100,7 @@ def truncated_path_category(alg: DGQuiverAlgebra, weight_cap: int,
                 continue
             prod = p1 + p2
             out = path_label(prod, s2)
-            c = field.of_int(-1 if d1 % 2 else 1)
-            ops2[(lab1, lab2)] = {out: c}
+            ops2[(lab1, lab2)] = {out: field.of_int(parity_sign(d1))}
     units = {v: path_label((), v) for v in q.vertices}
     weights = {lab: m[4] for lab, m in meta.items()}
     return AInfCategory(
@@ -148,23 +148,22 @@ def enumerate_words(alg: DGQuiverAlgebra, weight_cap: int):
 def bar_differential(alg: DGQuiverAlgebra, word):
     """Codifferential of the reduced bar coalgebra on one word: internal
     terms 1^r (x) b_1 (x) ... and merge terms 1^r (x) b_2 (x) ..., with the
-    prefix sign (-1)^(sum of shifted letter degrees left of the slot) and
-    the product sign (-1)^deg(first merged letter).  Degree +1, preserves
-    weight, never produces trivial letters.  Returns {word: Fraction}."""
+    prefix sign (signs.py) of the shifted letter degrees left of the slot
+    and the product sign (-1)^deg(first merged letter).  Degree +1,
+    preserves weight, never produces trivial letters.  Returns
+    {word: Fraction}."""
     q = alg.quiver
     out = {}
-    sdegs = [path_degree(q, p) - 1 for p in word]
-    pre = 1
+    degs = [path_degree(q, p) for p in word]
+    pre = prefix_parities([d - 1 for d in degs])
     for k, p in enumerate(word):
+        sgn = parity_sign(pre[k])
         for new, coeff in d_path(alg, p).items():
             w2 = word[:k] + (new,) + word[k + 1:]
-            add_into(QQ, out, w2, Fraction(coeff) * pre)
+            add_into(QQ, out, w2, Fraction(coeff) * sgn)
         if k + 1 < len(word):
             merged = word[:k] + (p + word[k + 1],) + word[k + 2:]
-            sgn = pre * (-1 if path_degree(q, p) % 2 else 1)
-            add_into(QQ, out, merged, Fraction(sgn))
-        if sdegs[k] % 2:
-            pre = -pre
+            add_into(QQ, out, merged, Fraction(sgn * parity_sign(degs[k])))
     return out
 
 
@@ -202,7 +201,7 @@ def bar_ext_category(alg: DGQuiverAlgebra, weight_cap: int,
         for w1, coeff in bar_differential(alg, w2).items():
             lab1 = label_of[(w1, src)]
             ddeg1 = meta[lab1][3]
-            c = field.of_fraction(-coeff if ddeg1 % 2 == 0 else coeff)
+            c = field.of_fraction(-parity_sign(ddeg1) * coeff)
             if field.is_zero(c):
                 continue
             entry = ops1.setdefault((lab1,), {})
@@ -220,8 +219,7 @@ def bar_ext_category(alg: DGQuiverAlgebra, weight_cap: int,
                 continue
             prod = w1 + w2
             out = label_of[(prod, s2)]
-            sgn = -1 if (d1 * (d2 + 1)) % 2 else 1
-            ops2[(lab1, lab2)] = {out: field.of_int(sgn)}
+            ops2[(lab1, lab2)] = {out: field.of_int(block_sign(d1, d2 + 1))}
     units = {v: word_label((), v) for v in q.vertices}
     weights = {lab: m[4] for lab, m in meta.items()}
     return AInfCategory(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import QQ
+from .signs import parity_sign, prefix_parities
 from .sparse import add_into
 
 
@@ -241,19 +242,19 @@ def path_weight(alg: DGQuiverAlgebra, path) -> int:
 def d_path(alg: DGQuiverAlgebra, path):
     """Differential of a path by the graded Leibniz rule.
 
-    Sign: replacing the arrow in slot k costs (-1)^(sum of degrees of the
-    slots left of k).  Returns a dict path -> Fraction.
+    Replacing the arrow in slot k costs the prefix sign (signs.py) of the
+    arrow degrees left of k.  Returns a dict path -> Fraction.
     """
     q = alg.quiver
     out = {}
+    pre = None
     for k, name in enumerate(path):
         terms = alg.d_of(name)
         if not terms:
             continue
-        sgn = 1
-        for j in range(k):
-            if q.arrow(path[j]).degree % 2:
-                sgn = -sgn
+        if pre is None:
+            pre = prefix_parities([q.arrow(a).degree for a in path])
+        sgn = parity_sign(pre[k])
         for coeff, rep in terms:
             new = path[:k] + tuple(rep) + path[k + 1:]
             add_into(QQ, out, new, Fraction(coeff) * sgn)

@@ -1,6 +1,35 @@
-"""Koszul sign bookkeeping for permutations of graded elements."""
+"""Koszul signs: every sign rule of the package, defined once.
+
+Convention.  A-infinity operations and Hochschild chains see each factor x
+through its shifted degree |x|' = deg x - 1 (see ainf and hochschild); the
+dual letters of ncword carry their own degree, 1 - deg y for xi_y and one
+more for a marked letter d(xi_y).  Only parities matter.  Every rule takes
+degrees or running parities, never the elements, so a caller reads each
+factor's degree once.
+
+Moving a graded element a past b costs (-1)^(|a| |b|); koszul_sign applies
+this to any permutation and is the reference for the rules below:
+
+* prefix: an odd operator applied at slot r of (x_0, ..., x_{n-1}) moves
+  past x_0 ... x_{r-1} and costs (-1)^(|x_0| + ... + |x_{r-1}|);
+  prefix_parities gives these parities for every r at once.
+* block: moving a block of total degree p past one of total degree q costs
+  (-1)^(p q) (block_sign); rotating a word by a block is one such move.
+* rotation: moving the last factor to the front is the block move of that
+  factor past the rest, (-1)^(|x_{n-1}| (|x_0| + ... + |x_{n-2}|));
+  rotations iterates it around a cyclic word.
+* reversal: reading x_0 ... x_{n-1} backwards costs
+  (-1)^(sum_{k<l} |x_k| |x_l|) (reversal_sign).
+* suspension: b_n = (-1)^(sum_i (n - i) deg x_i) m_n on (x_1, ..., x_n), in
+  unshifted degrees (suspension_sign).
+"""
 
 from __future__ import annotations
+
+
+def parity_sign(parity: int) -> int:
+    """(-1)^parity."""
+    return -1 if parity % 2 else 1
 
 
 def koszul_sign(degrees, perm) -> int:
@@ -25,21 +54,44 @@ def koszul_sign(degrees, perm) -> int:
     return sign
 
 
-def rotation_sign(degrees) -> int:
-    """Sign of the rotation moving the last of the graded elements to the
-    front: x_0...x_{n-1} -> x_{n-1} x_0...x_{n-2}."""
+def prefix_parities(degrees) -> list:
+    """[0, d_0, d_0 + d_1, ..., d_0 + ... + d_{n-1}] mod 2: entry r is the
+    parity of the prefix sign at slot r."""
+    out = [0]
+    for d in degrees:
+        out.append((out[-1] + d) % 2)
+    return out
+
+
+def block_sign(p: int, q: int) -> int:
+    """(-1)^(p q): moving a block of total degree p past one of degree q."""
+    return -1 if p % 2 and q % 2 else 1
+
+
+def rotations(items, degrees):
+    """The len(items) rotations of a cyclic word, starting with the word
+    itself, each the previous one with its last factor moved to the front.
+    Yields (rotation, sign) with items == sign * rotation; each step costs
+    O(1) beyond building the tuple."""
+    items = tuple(items)
+    n = len(items)
+    total = sum(degrees)
+    sign = 1
+    for k in range(n):
+        yield items[n - k:] + items[:n - k], sign
+        last = degrees[n - 1 - k]
+        sign *= block_sign(last, total - last)
+
+
+def reversal_sign(degrees) -> int:
+    """Sign of reading the elements in reverse order: one factor -1 per
+    pair of odd elements."""
+    odd = sum(d % 2 for d in degrees)
+    return parity_sign(odd * (odd - 1) // 2)
+
+
+def suspension_sign(degrees) -> int:
+    """(-1)^(sum_i (n-i) deg_i) relating m_n and b_n on a tuple with the
+    given unshifted degrees (1-based slots, leftmost is outermost)."""
     n = len(degrees)
-    if n <= 1:
-        return 1
-    last = degrees[-1] % 2
-    if not last:
-        return 1
-    crossed = sum(1 for d in degrees[:-1] if d % 2)
-    return -1 if crossed % 2 else 1
-
-
-def prefix_sign(degrees, upto: int) -> int:
-    """(-1)^(d_0 + ... + d_{upto-1}): sign of moving an odd operator past
-    the first upto elements."""
-    crossed = sum(1 for d in degrees[:upto] if d % 2)
-    return -1 if crossed % 2 else 1
+    return parity_sign(sum((n - i) * d for i, d in enumerate(degrees, start=1)))

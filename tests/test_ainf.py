@@ -1,19 +1,24 @@
 """Relation checking, units, suspension signs, perturbation detection."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty.ainf import (AInfCategory, b_from_m, check_relations,
-                         check_unitality, degree_support_bound, m_from_b,
-                         suspension_sign, validate_category)
+from ainfty.ainf import (AInfCategory, b_from_m, check_functor,
+                         check_relations, check_unitality,
+                         degree_support_bound, m_from_b, validate_category)
 from ainfty.field import GF, QQ
 from ainfty.presentations import (bar_ext_category, enumerate_paths,
                                   enumerate_words, perturbed,
                                   truncated_path_category)
 from ainfty.quiver import (a2_quiver, derived_preprojective, jordan_quiver,
                            two_loop_quiver)
+from ainfty.signs import prefix_parities, suspension_sign
+from ainfty.transfer import minimal_model
+
+from test_massey import exterior_fixture
 
 
 QUIVERS = {"jordan": jordan_quiver(), "a2": a2_quiver(),
@@ -137,3 +142,157 @@ def test_degree_support_bound_excludes_units():
     assert degs  # nonempty: degree-0 nonunit words exist at this cap
     support = degree_support_bound(cat, [2])
     assert all(sum(t) in (0, 1, 2, 3, 4) for t in support[2])
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for the relation and functor checks: every composable
+# tuple is evaluated on its own through b_value / f_value
+
+UNCAPPED = 10 ** 9
+
+
+def composable_tuples(cat, n):
+    tuples = [(lab,) for lab in cat.labels()]
+    for _ in range(n - 1):
+        tuples = [t + (lab,) for t in tuples for lab in cat.labels()
+                  if cat.src(t[-1]) == cat.tgt(lab)]
+    return tuples
+
+
+def compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def accumulate(f, acc, w, c):
+    acc[w] = f.add(acc.get(w, f.zero()), c)
+
+
+def insertions(cat, outer_value, tup):
+    """sum_{r+s+t=n} outer(1^r (x) b_s (x) 1^t) on tup, with the prefix
+    sign of tup[:r], as {out: coeff}."""
+    f = cat.field
+    n = len(tup)
+    pre = prefix_parities([cat.sdeg(x) for x in tup])
+    acc = {}
+    for s in range(1, n + 1):
+        for r in range(n - s + 1):
+            for z, cz in cat.b_value(tup[r:r + s]).items():
+                for w, cw in outer_value(tup[:r] + (z,) + tup[r + s:]).items():
+                    c = f.mul(cz, cw)
+                    accumulate(f, acc, w, f.neg(c) if pre[r] else c)
+    return acc
+
+
+def oracle_report(known, max_arity, residual_of, tuples_of):
+    checked, rows = [], []
+    for n in range(1, max_arity + 1):
+        if not known(n):
+            continue
+        checked.append(n)
+        for tup in tuples_of(n):
+            rows += [(n, tup, w, c) for w, c in residual_of(tup).items() if c != 0]
+    return tuple(checked), tuple(sorted(rows))
+
+
+def relation_oracle(cat, max_arity):
+    return oracle_report(
+        lambda n: all(cat.op_table(k) is not None for k in range(1, n + 1)),
+        max_arity, lambda tup: insertions(cat, cat.b_value, tup),
+        lambda n: composable_tuples(cat, n))
+
+
+def functor_oracle(fm, max_arity):
+    src, tgt = fm.source, fm.target
+    f = src.field
+
+    def residual_of(tup):
+        acc = insertions(src, fm.f_value, tup)
+        for parts in compositions(len(tup)):
+            terms, k = [((), f.one())], 0
+            for i in parts:
+                block = fm.f_value(tup[k:k + i])
+                terms = [(zs + (z,), f.mul(c, cz))
+                         for zs, c in terms for z, cz in block.items()]
+                k += i
+            for zs, c in terms:
+                for w, cw in tgt.b_value(zs).items():
+                    accumulate(f, acc, w, f.neg(f.mul(c, cw)))
+        return acc
+    return oracle_report(
+        lambda n: all(t is not None for k in range(1, n + 1)
+                      for t in (src.op_table(k), fm.component(k), tgt.op_table(k))),
+        max_arity, residual_of, lambda n: composable_tuples(src, n))
+
+
+def minimal_pair(name):
+    dg = bar_ext_category(derived_preprojective(QUIVERS[name]), weight_cap=2,
+                          arity_cap=6)
+    mini, incl, _ = minimal_model(dg)
+    return mini, incl
+
+
+def massey_pair():
+    mini, incl, _ = minimal_model(exterior_fixture(), arity_cap=6)
+    return mini, incl
+
+
+def planted_functor(fm, which):
+    """fm with one component constant shifted by 1 (which-th stored entry)."""
+    entries = [(n, tup, z) for n in sorted(fm.components)
+               for tup in sorted(fm.components[n])
+               for z in sorted(fm.components[n][tup])]
+    n, tup, z = entries[which % len(entries)]
+    comps = {m: {t: dict(v) for t, v in tab.items()}
+             for m, tab in fm.components.items()}
+    f = fm.source.field
+    comps[n][tup][z] = f.add(comps[n][tup][z], f.one())
+    comps[n][tup] = {w: c for w, c in comps[n][tup].items() if c != 0}
+    return replace(fm, components=comps)
+
+
+def relation_cases():
+    for name in sorted(QUIVERS):
+        mini, _ = minimal_pair(name)
+        yield "minimal-" + name, mini, 6
+        for which in (0, 8):
+            yield "minimal-%s-planted%d" % (name, which), perturbed(mini, which)[0], 4
+    mini = massey_pair()[0]
+    yield "massey", mini, 6
+    yield "massey-planted50", perturbed(mini, 50)[0], 4
+    for which in (0, 13, 31, 47):
+        yield "jordan-planted%d" % which, perturbed(tpc("jordan", cap=3), which)[0], 3
+    yield "a2-planted7", perturbed(tpc("a2", cap=2), 7)[0], 4
+    # b_3 unknown: arity 3 is truncated, not checked
+    bad = perturbed(tpc("jordan", cap=3), 31)[0]
+    yield "jordan-planted31-capped", replace(bad, arity_cap=2, complete=False), 3
+
+
+def functor_cases():
+    for name in sorted(QUIVERS):
+        _, incl = minimal_pair(name)
+        yield "minimal-" + name, incl, 5
+        for which in (0, 3):
+            yield "minimal-%s-planted%d" % (name, which), planted_functor(incl, which), 4
+    incl = massey_pair()[1]
+    yield "massey", incl, 4
+    yield "massey-planted2", planted_functor(incl, 2), 4
+
+
+@pytest.mark.parametrize("cat, max_arity", [pytest.param(*case[1:], id=case[0])
+                                            for case in relation_cases()])
+def test_check_relations_matches_brute_force(cat, max_arity):
+    rep = check_relations(cat, max_arity=max_arity, max_witnesses=UNCAPPED)
+    assert (rep.checked, rep.witnesses) == relation_oracle(cat, max_arity)
+    assert rep.ok == (not rep.witnesses)
+
+
+@pytest.mark.parametrize("fm, max_arity", [pytest.param(*case[1:], id=case[0])
+                                           for case in functor_cases()])
+def test_check_functor_matches_brute_force(fm, max_arity):
+    rep = check_functor(fm, max_arity=max_arity, max_witnesses=UNCAPPED)
+    assert (rep.checked, rep.witnesses) == functor_oracle(fm, max_arity)
+    assert rep.ok == (not rep.witnesses)

@@ -144,6 +144,54 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, subcommand,
     assert message in out.out
 
 
+def a2_quiver_document():
+    return docio.to_document("quiver", a2_quiver())
+
+
+def a2_dg_algebra_document():
+    return docio.to_document("dg_algebra", derived_preprojective(a2_quiver()))
+
+
+def a2_potential_document():
+    return docio.wrap("potential", {
+        "field": "QQ", "category": a2_bar_document()["payload"],
+        "order_cap": 3, "truncated": False, "terms": []})
+
+
+@pytest.mark.parametrize("subcommand, document, where, message", [
+    ("check-ainf", a2_bar_document, ("version",),
+     "document.version: version True is not an integer"),
+    ("hochschild", a2_quiver_document, ("payload", "arrows", 0, "degree"),
+     "payload.arrows[0].degree: degree True is not an integer"),
+    ("hochschild", a2_dg_algebra_document, ("payload", "weights", 0, "weight"),
+     "payload.weights[0].weight: weight True is not an integer"),
+    ("check-ainf", a2_bar_document, ("payload", "ops", 0, "arity"),
+     "payload.ops[0].arity: arity True is not an integer"),
+    ("check-ainf", a2_bar_document, ("payload", "weight_cap"),
+     "payload.weight_cap: weight_cap True is not an integer"),
+    ("check-ainf", a2_bar_document, ("payload", "arity_cap"),
+     "payload.arity_cap: arity_cap True is not an integer"),
+    ("check-ainf", a2_potential_document, ("payload", "order_cap"),
+     "payload.order_cap: order_cap True is not an integer"),
+], ids=["version", "degree", "weight", "arity", "weight_cap", "arity_cap",
+        "order_cap"])
+def test_boolean_integer_field_is_an_input_error(tmp_path, capsys, subcommand,
+                                                 document, where, message):
+    # JSON true would pass as the integer 1: "arity_cap": true checked
+    # arity 1 only and reported a pass
+    doc = document()
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = True
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([subcommand, str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert message in out.out
+
+
 def test_semisimplify_computes_the_radical_filtration_once(tmp_path, monkeypatch):
     rep = repmod.random_rep(double(a2_quiver()), 22, d={"1": 2, "2": 1})
     doc, out = tmp_path / "rep.json", tmp_path / "rep.report.json"

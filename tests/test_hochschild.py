@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty.hochschild import (HochschildChainWindow, HochschildError,
-                               chain_degree, connes_B, cyclic_permute,
-                               cyclic_quotient, hh0_dimension, hochschild_b,
-                               windowed_homology)
+                               chain_degree, connes_B, cyclic_quotient,
+                               hh0_dimension, hochschild_b, windowed_homology)
+from ainfty.signs import rotations
 from ainfty.ainf import check_relations
 from ainfty.presentations import perturbed, truncated_path_category
 from ainfty.quiver import (DGQuiverAlgebra, Quiver, a2_quiver,
@@ -67,6 +67,13 @@ def every_chain(window, max_len=None):
     for n in range(1, (max_len or window.max_length) + 1):
         for tup in window.basis(n):
             yield tup
+
+
+def cyclic_permute(window, tup):
+    """F_n on one chain: the second of its rotations, with the Koszul sign
+    of moving the last factor past the shifted degrees of the rest."""
+    degs = [window.cat.deg(lab) - 1 for lab in tup]
+    return list(rotations(tup, degs))[1 % len(tup)]
 
 
 # ---------------------------------------------------------------------------

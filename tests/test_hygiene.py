@@ -74,3 +74,32 @@ def test_scan_sees_names_attributes_and_all():
               "__all__ = ['Exported']\n"
               "print(os.sep, loads)\n")
     assert unused_imports(source) == [(2, "system"), (3, "dumps")]
+
+
+def sign_helpers(source: str) -> list:
+    """Functions and methods named *_sign (which covers *_with_sign): a
+    Koszul rule written outside signs.py, where each rule is defined once."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.endswith("_sign"))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "signs.py"],
+                         ids=lambda p: p.name)
+def test_sign_rules_live_in_signs(path):
+    assert sign_helpers(path.read_text(encoding="utf-8")) == []
+
+
+def test_sign_scan_sees_functions_and_methods():
+    source = ("def dual_sign(d):\n"
+              "    return 1\n"
+              "class C:\n"
+              "    def prefix_sign(self, t, r):\n"
+              "        def _rotations_with_sign(c):\n"
+              "            return c\n"
+              "def signature(x):\n"
+              "    sign = 1\n"
+              "    return sign\n")
+    assert sign_helpers(source) == [(1, "dual_sign"), (4, "prefix_sign"),
+                                    (5, "_rotations_with_sign")]

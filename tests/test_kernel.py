@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ainfty.field import QQ, GF, FieldError
 from ainfty.ratpoly import (RatPolynomial, factor_kronecker,
                             factor_rational_poly, poly_gcd, poly_xgcd)
-from ainfty.signs import koszul_sign, prefix_sign, rotation_sign
+from ainfty.signs import (block_sign, koszul_sign, parity_sign, prefix_parities,
+                          reversal_sign, rotations)
 from ainfty.sparse import (Echelon, SparseMatrix, add_into, invert,
                            rank_kernel_image, rref, solve)
 
@@ -273,6 +274,11 @@ def test_rref_idempotent_pivots():
         assert r[p] == Fraction(1)
 
 
+def rotation_sign(degrees):
+    """Sign of moving the last of the elements to the front."""
+    return list(rotations(range(len(degrees)), degrees))[1][1]
+
+
 def test_koszul_sign_frozen():
     # swapping two odd elements costs -1, odd past even costs +1 each
     assert koszul_sign([1, 1], [1, 0]) == -1
@@ -282,7 +288,7 @@ def test_koszul_sign_frozen():
     assert rotation_sign([1, 1, 2]) == 1
     assert rotation_sign([2, 1, 1]) == -1
     assert rotation_sign([3, 1, 1]) == 1
-    assert prefix_sign([1, 2, 1], 2) == -1
+    assert parity_sign(prefix_parities([1, 2, 1])[2]) == -1
 
 
 @given(st.lists(st.integers(-2, 3), min_size=2, max_size=5), st.data())
@@ -298,6 +304,29 @@ def test_koszul_sign_composition(degs, data):
     s1 = koszul_sign(degs, p1)
     s2 = koszul_sign(after_p1, p2)
     assert koszul_sign(degs, comp) == s1 * s2
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=7), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sign_rules_are_koszul_signs_of_their_permutations(degs, data):
+    n = len(degs)
+    # rotations: the k-th is the word with its last k factors moved to the front
+    for k, (rot, sign) in enumerate(rotations(range(n), degs)):
+        perm = [(n - k + i) % n for i in range(n)]
+        assert list(rot) == perm
+        assert sign == koszul_sign(degs, perm)
+    # block rotation: the first j elements move behind the others
+    j = data.draw(st.integers(0, n))
+    assert block_sign(sum(degs[:j]), sum(degs[j:])) == \
+        koszul_sign(degs, list(range(j, n)) + list(range(j)))
+    # reversal
+    assert reversal_sign(degs) == koszul_sign(degs, list(range(n))[::-1])
+    # prefix: an odd operator in front moves past the first r elements
+    pre = prefix_parities(degs)
+    assert len(pre) == n + 1
+    for r in range(n + 1):
+        perm = list(range(1, r + 1)) + [0] + list(range(r + 1, n + 1))
+        assert parity_sign(pre[r]) == koszul_sign([1] + degs, perm)
 
 
 def test_poly_basic():

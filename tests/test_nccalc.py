@@ -471,6 +471,14 @@ def test_planted_fixture_is_honestly_broken(planted):
     assert not pot.func.order_part(4).nonreduced_part().is_zero()
 
 
+def test_planted_flow_preserves_the_cubic_part(planted):
+    cat, bad_cat, pairing = planted
+    f = cat.field
+    w = nc.potential_from_category(cat, pairing).func
+    w_bad = nc.potential_from_category(bad_cat, pairing).func
+    assert w_bad.order_part(3).add(w.order_part(3).scale(f.of_int(-1))).is_zero()
+
+
 def test_strictify_clears_the_planted_terms(planted):
     cat, bad_cat, pairing = planted
     cat2, iso, report = nc.strictify_units(bad_cat, pairing)
@@ -494,6 +502,9 @@ def test_strictify_is_idempotent(planted):
     cat2, _, _ = nc.strictify_units(bad_cat, pairing)
     cat3, iso2, report2 = nc.strictify_units(cat2, pairing)
     assert report2.identity and not report2.processed_orders
+    f = cat.field
+    assert all(out == {tup[0]: f.of_int(1)}
+               for tup, out in iso2.components.get(1, {}).items())
     assert {n: cat3.op_table(n) for n in cat3.known_arities() if cat3.op_table(n)} \
         == {n: cat2.op_table(n) for n in cat2.known_arities() if cat2.op_table(n)}
 
