@@ -55,6 +55,14 @@ def _relation_witnesses(f, witnesses):
     return out
 
 
+def _relation_verdict(ok, truncated_arities):
+    """fail on any witness; truncated when every checked arity holds but
+    some arity was left unchecked; pass otherwise."""
+    if not ok:
+        return "fail"
+    return "truncated" if truncated_arities else "pass"
+
+
 def _ext_dims(cat):
     rows = []
     for (i, j) in sorted(cat.hom):
@@ -102,7 +110,8 @@ def cmd_check_ainf(args):
         unit_rep = check_unitality(cat)
         payload["units"] = unit_rep.verdict
     truncation = {"arities": list(rel.truncated)}
-    return ("pass" if rel.ok else "fail"), witnesses, truncation, payload
+    return (_relation_verdict(rel.ok, truncation["arities"]), witnesses,
+            truncation, payload)
 
 
 def cmd_minimal_model(args):
@@ -120,7 +129,7 @@ def cmd_minimal_model(args):
     payload = {"model": docio.to_document("ainf_category", model),
                "ext_dims": _ext_dims(model)}
     truncation = {"arities": sorted(set(rel.truncated) | set(fun.truncated))}
-    verdict = "pass" if rel.ok and fun.ok else "fail"
+    verdict = _relation_verdict(rel.ok and fun.ok, truncation["arities"])
     return verdict, witnesses, truncation, payload
 
 

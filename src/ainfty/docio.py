@@ -67,6 +67,16 @@ def _need_int(obj, key, path):
     return _int(_need(obj, key, path, int), key, "%s.%s" % (path, key))
 
 
+def _opt_bool(obj, key, path):
+    """The boolean field key of obj, False when absent (the string "false"
+    is not a boolean)."""
+    val = obj.get(key, False)
+    if type(val) is not bool:
+        raise DocumentError("%s %r is not a boolean" % (key, val),
+                            "%s.%s" % (path, key))
+    return val
+
+
 def field_to_json(f: FieldCtx) -> str:
     return "QQ" if f.p == 0 else "fp:%d" % f.p
 
@@ -276,11 +286,12 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
         kwargs["weights"] = weights
     if payload.get("weight_cap") is not None:
         kwargs["weight_cap"] = _need_int(payload, "weight_cap", path)
+    complete = _opt_bool(payload, "complete", path)
     try:
         return AInfCategory(objects=objects, hom=hom, ops=ops, field=f,
                             arity_cap=_need_int(payload, "arity_cap", path),
                             units=units, pairing=pairing,
-                            complete=bool(payload.get("complete", False)),
+                            complete=complete,
                             **kwargs)
     except Exception as e:
         raise DocumentError("category rejected: %s" % e, path)
@@ -314,9 +325,9 @@ def pairing_from_payload(payload, path="payload"):
 
 
 def potential_to_payload(func) -> dict:
-    """Serialize an NCFunction together with the category its alphabet
-    came from."""
-    from .nccalc import NCFunction
+    """Serialize a potential, a function (an nccalc.NCForm whose words
+    carry no marked letter), together with the category its alphabet came
+    from."""
     f = func.field
     terms = []
     for cfg in sorted(func.terms):
@@ -342,7 +353,7 @@ def _category_of(func):
 
 def potential_from_payload(payload, path="payload"):
     from .ncword import NCContext, canonical_cyclic
-    from .nccalc import NCFunction
+    from .nccalc import NCForm
     f = field_from_json(_need(payload, "field", path), path + ".field")
     cat = category_from_payload(_need(payload, "category", path, dict),
                                 path + ".category")
@@ -363,8 +374,8 @@ def potential_from_payload(payload, path="payload"):
             continue
         ccfg, sign = canon
         add_into(f, terms, ccfg, f.mul(f.of_int(sign), coeff))
-    func = NCFunction(ctx, terms, _need_int(payload, "order_cap", path),
-                      bool(payload.get("truncated", False)))
+    func = NCForm(ctx, terms, _need_int(payload, "order_cap", path),
+                  _opt_bool(payload, "truncated", path))
     func.source_category = cat
     return func
 

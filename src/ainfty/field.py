@@ -97,8 +97,6 @@ class FieldCtx:
 
     def scalar_from_json(self, obj):
         if isinstance(obj, str):
-            if self.p != 0:
-                return self.scalar_from_str(obj)
             return self.scalar_from_str(obj)
         if isinstance(obj, int):
             return self.of_int(obj)

@@ -1,7 +1,12 @@
 """Noncommutative differential calculus on the formal neighbourhood.
 
-Functions are cyclic words in the dual generators xi_y; forms additionally
-carry d-marked letters.  A capped category determines a degree one vector
+One container, NCForm, holds every element: a linear combination of cyclic
+words in the dual generators xi_y, where a letter may carry a d-mark.  A
+function is a form with no marked letter (as in Kontsevich's formal
+symplectic geometry, a function is a 0-form), so d, the contraction iota_X
+and the action of a vector field X on functions are one derivation loop
+with three slot actions, and one substitution pulls back functions and
+forms alike.  A capped category determines a degree one vector
 field Q with [Q,Q] = 0 iff the arity relations hold; a nondegenerate
 pairing determines a constant symplectic 2-form omega, the potential W
 solving dW = iota_Q omega, and the Poisson bracket.  Strictification of
@@ -41,15 +46,16 @@ class NotCyclicError(NCError):
 
 
 # ---------------------------------------------------------------------------
-# containers
+# the container
 
 
 @dataclass
-class NCFunction:
-    """Element of the cyclic function space, keyed by canonical words."""
+class NCForm:
+    """Linear combination of cyclic configurations, keyed by canonical
+    words; a function is a form with no marked letter."""
 
     ctx: NCContext
-    terms: dict = dc_field(default_factory=dict)   # cfg (all marks 0) -> coeff
+    terms: dict = dc_field(default_factory=dict)   # cfg -> coeff
     order_cap: int = 7
     truncated: bool = False
     constant: dict = dc_field(default_factory=dict)  # object -> coeff, bracket output only
@@ -58,62 +64,18 @@ class NCFunction:
     def field(self) -> FieldCtx:
         return self.ctx.field
 
-    def degrees(self):
-        return sorted({self.ctx.cfg_degree(cfg) for cfg in self.terms})
-
     def orders(self):
         return sorted({len(cfg) for cfg in self.terms})
 
-    def order_part(self, n: int) -> "NCFunction":
+    def order_part(self, n: int) -> "NCForm":
         t = {cfg: c for cfg, c in self.terms.items() if len(cfg) == n}
-        return NCFunction(self.ctx, t, self.order_cap, self.truncated)
+        return NCForm(self.ctx, t, self.order_cap, self.truncated)
 
-    def nonreduced_part(self) -> "NCFunction":
+    def nonreduced_part(self) -> "NCForm":
         units = self.ctx.unit_labels()
         t = {cfg: c for cfg, c in self.terms.items()
              if any(lab in units for lab, _ in cfg)}
-        return NCFunction(self.ctx, t, self.order_cap, self.truncated)
-
-    def scale(self, c) -> "NCFunction":
-        f = self.field
-        if f.is_zero(c):
-            return NCFunction(self.ctx, {}, self.order_cap, self.truncated)
-        return NCFunction(self.ctx, {k: f.mul(v, c) for k, v in self.terms.items()},
-                          self.order_cap, self.truncated)
-
-    def add(self, other: "NCFunction") -> "NCFunction":
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            add_into(self.field, t, k, v)
-        return NCFunction(self.ctx, t, min(self.order_cap, other.order_cap),
-                          self.truncated or other.truncated)
-
-    def is_zero(self) -> bool:
-        return not self.terms and not self.constant
-
-
-@dataclass
-class NCForm:
-    """Linear combination of cyclic configurations with d-marked letters."""
-
-    ctx: NCContext
-    terms: dict = dc_field(default_factory=dict)   # cfg -> coeff
-    order_cap: int = 7
-    truncated: bool = False
-
-    @property
-    def field(self) -> FieldCtx:
-        return self.ctx.field
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "NCForm") -> "NCForm":
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            add_into(self.field, t, k, v)
-        return NCForm(self.ctx, t, min(self.order_cap, other.order_cap),
-                      self.truncated or other.truncated)
+        return NCForm(self.ctx, t, self.order_cap, self.truncated)
 
     def scale(self, c) -> "NCForm":
         f = self.field
@@ -122,9 +84,15 @@ class NCForm:
         return NCForm(self.ctx, {k: f.mul(v, c) for k, v in self.terms.items()},
                       self.order_cap, self.truncated)
 
+    def add(self, other: "NCForm") -> "NCForm":
+        t = dict(self.terms)
+        for k, v in other.terms.items():
+            add_into(self.field, t, k, v)
+        return NCForm(self.ctx, t, min(self.order_cap, other.order_cap),
+                      self.truncated or other.truncated)
 
-def function_as_form(fn: NCFunction) -> NCForm:
-    return NCForm(fn.ctx, dict(fn.terms), fn.order_cap, fn.truncated)
+    def is_zero(self) -> bool:
+        return not self.terms and not self.constant
 
 
 @dataclass
@@ -199,9 +167,7 @@ def make_pairing(ctx: NCContext, entries: dict, check_nondeg: bool = True) -> Cy
                 full[key] = val
     pairing = CyclicPairing(f, full)
     if check_nondeg:
-        bad = degenerate_blocks(ctx, pairing)
-        if bad:
-            raise NCError("pairing degenerate on blocks %s" % (sorted(bad),))
+        _require_nondegenerate(ctx, pairing)
     return pairing
 
 
@@ -214,9 +180,10 @@ def _pairing_blocks(ctx: NCContext):
 
 def degenerate_blocks(ctx: NCContext, pairing: CyclicPairing):
     f = ctx.field
+    blocks = _pairing_blocks(ctx)
     bad = []
-    for (i, j, d), rows in _pairing_blocks(ctx).items():
-        cols = _pairing_blocks(ctx).get((j, i, 2 - d), [])
+    for (i, j, d), rows in blocks.items():
+        cols = blocks.get((j, i, 2 - d), [])
         if len(rows) != len(cols):
             bad.append((i, j, d))
             continue
@@ -226,6 +193,12 @@ def degenerate_blocks(ctx: NCContext, pairing: CyclicPairing):
         if rank != len(rows):
             bad.append((i, j, d))
     return bad
+
+
+def _require_nondegenerate(ctx: NCContext, pairing: CyclicPairing) -> None:
+    bad = degenerate_blocks(ctx, pairing)
+    if bad:
+        raise NCError("pairing degenerate on blocks %s" % (sorted(bad),))
 
 
 def pairing_inverse(ctx: NCContext, pairing: CyclicPairing) -> dict:
@@ -256,52 +229,49 @@ def pairing_inverse(ctx: NCContext, pairing: CyclicPairing) -> dict:
 # ---------------------------------------------------------------------------
 # derivation engines
 
-def _clip_form(form: NCForm) -> NCForm:
-    over = [cfg for cfg in form.terms if len(cfg) > form.order_cap]
-    if over:
-        for cfg in over:
-            del form.terms[cfg]
-        form.truncated = True
-    return form
-
-
-def de_rham(obj) -> NCForm:
-    """De Rham differential; accepts NCFunction or NCForm."""
-    form = function_as_form(obj) if isinstance(obj, NCFunction) else obj
-    ctx, f = form.ctx, form.field
-    one = f.of_int(1)
+def _slot_action(image_of, mark: int):
+    """A derivation on one slot: a letter carrying `mark` goes to its image
+    {word: coeff}, read in sorted order; every other letter goes to zero."""
 
     def action(slot):
-        lab, mark = slot
-        if mark:
+        lab, m = slot
+        if m != mark:
             return []
-        return [(one, ((lab, 1),))]
+        return [(c, w) for w, c in sorted(image_of(lab).items())]
 
+    return action
+
+
+def _derive(form: NCForm, image_of, mark: int, parity: int, vf=None) -> NCForm:
+    """The derivation loop behind d, iota_X and X acting on functions: the
+    slot action at every slot of every term, with its Koszul prefix sign,
+    accumulated onto canonical words.  Through a vector field vf words can
+    grow, so the result is clipped at the smaller cap and flagged truncated
+    when a word is dropped; d keeps word lengths and is never clipped."""
+    ctx, f = form.ctx, form.field
+    action = _slot_action(image_of, mark)
     acc = {}
     for cfg, coeff in form.terms.items():
-        for c2, new in apply_letterwise(ctx, cfg, action, parity=1):
+        for c2, new in apply_letterwise(ctx, cfg, action, parity):
             add_cyclic_term(ctx, f, acc, new, f.mul(coeff, c2))
-    return NCForm(ctx, acc, form.order_cap, form.truncated)
+    if vf is None:
+        return NCForm(ctx, acc, form.order_cap, form.truncated)
+    cap = min(form.order_cap, vf.order_cap)
+    kept = {cfg: c for cfg, c in acc.items() if len(cfg) <= cap}
+    return NCForm(ctx, kept, cap,
+                  form.truncated or vf.truncated or len(kept) < len(acc))
+
+
+def de_rham(form: NCForm) -> NCForm:
+    """De Rham differential: xi_y goes to the marked d(xi_y), marked letters
+    to zero."""
+    one = form.field.of_int(1)
+    return _derive(form, lambda lab: {((lab, 1),): one}, 0, 1)
 
 
 def contraction(vf: VectorField, form: NCForm) -> NCForm:
     """iota_vf: marked letters map to vf images, unmarked to zero."""
-    ctx, f = form.ctx, form.field
-    parity = (vf.degree + 1) % 2
-
-    def action(slot):
-        lab, mark = slot
-        if not mark:
-            return []
-        return [(c, cfg) for cfg, c in sorted(vf.image_of(lab).items())]
-
-    acc = {}
-    for cfg, coeff in form.terms.items():
-        for c2, new in apply_letterwise(ctx, cfg, action, parity=parity):
-            add_cyclic_term(ctx, f, acc, new, f.mul(coeff, c2))
-    out = NCForm(ctx, acc, min(form.order_cap, vf.order_cap),
-                 form.truncated or vf.truncated)
-    return _clip_form(out)
+    return _derive(form, vf.image_of, 1, vf.degree + 1, vf)
 
 
 def lie_derivative(vf: VectorField, form: NCForm) -> NCForm:
@@ -312,40 +282,16 @@ def lie_derivative(vf: VectorField, form: NCForm) -> NCForm:
     return first.add(second.scale(form.field.of_int(parity_sign(vf.degree))))
 
 
-def vf_apply_function(vf: VectorField, fn: NCFunction) -> NCFunction:
+def vf_apply_function(vf: VectorField, fn: NCForm) -> NCForm:
     """Derivation action on cyclic functions."""
-    ctx, f = fn.ctx, fn.field
-
-    def action(slot):
-        lab, mark = slot
-        if mark:
-            return []
-        return [(c, cfg) for cfg, c in sorted(vf.image_of(lab).items())]
-
-    acc = {}
-    for cfg, coeff in fn.terms.items():
-        for c2, new in apply_letterwise(ctx, cfg, action, parity=vf.degree % 2):
-            add_cyclic_term(ctx, f, acc, new, f.mul(coeff, c2))
-    out = NCFunction(ctx, acc, min(fn.order_cap, vf.order_cap),
-                     fn.truncated or vf.truncated)
-    over = [cfg for cfg in out.terms if len(cfg) > out.order_cap]
-    for cfg in over:
-        del out.terms[cfg]
-        out.truncated = True
-    return out
+    return _derive(fn, vf.image_of, 0, vf.degree, vf)
 
 
 def vf_apply_open(vf: VectorField, cfg, field: FieldCtx, ctx: NCContext):
     """Derivation action on one open word; returns {cfg: coeff}."""
-
-    def action(slot):
-        lab, mark = slot
-        if mark:
-            return []
-        return [(c, w) for w, c in sorted(vf.image_of(lab).items())]
-
     acc = {}
-    for c2, new in apply_letterwise(ctx, cfg, action, parity=vf.degree % 2):
+    for c2, new in apply_letterwise(ctx, cfg, _slot_action(vf.image_of, 0),
+                                    vf.degree):
         add_into(field, acc, new, c2)
     return acc
 
@@ -419,11 +365,14 @@ def vectorfield_to_tables(vf: VectorField) -> dict:
 # symplectic structure
 
 def omega_from_pairing(ctx: NCContext, pairing: CyclicPairing, order_cap: int = 7) -> NCForm:
-    """Constant cyclic 2-form of the pairing, one term per unordered pair."""
+    """Constant cyclic 2-form of a nondegenerate pairing."""
+    _require_nondegenerate(ctx, pairing)
+    return _pairing_form(ctx, pairing, order_cap)
+
+
+def _pairing_form(ctx: NCContext, pairing: CyclicPairing, order_cap: int) -> NCForm:
+    """Constant cyclic 2-form of any pairing, one term per unordered pair."""
     f = ctx.field
-    bad = degenerate_blocks(ctx, pairing)
-    if bad:
-        raise NCError("pairing degenerate on blocks %s" % (sorted(bad),))
     acc = {}
     for (x, y), c in pairing.entries.items():
         if x < y:
@@ -441,6 +390,24 @@ def omega_to_pairing(omega: NCForm) -> CyclicPairing:
         (x, _), (y, _) = cfg
         entries[(x, y)] = c
     return make_pairing(ctx, entries)
+
+
+def _word_system(f: FieldCtx, columns, rhs=None):
+    """Matrix with one column per {word: coeff} dict and one row per word,
+    rows numbered in order of first appearance in the columns, then in
+    rhs; returns (matrix, rhs as {row: coeff})."""
+    rhs = rhs or {}
+    rows = {}
+    for terms in columns:
+        for key in terms:
+            rows.setdefault(key, len(rows))
+    for key in rhs:
+        rows.setdefault(key, len(rows))
+    mat = SparseMatrix(max(len(rows), 1), len(columns), f)
+    for cidx, terms in enumerate(columns):
+        for key, c in terms.items():
+            mat.set(rows[key], cidx, c)
+    return mat, {rows[key]: c for key, c in rhs.items()}
 
 
 def contraction_solve(ctx: NCContext, omega: NCForm, rhs: NCForm) -> VectorField:
@@ -481,24 +448,10 @@ def contraction_solve(ctx: NCContext, omega: NCForm, rhs: NCForm) -> VectorField
     if not variables:
         raise NCError("contraction equation has no candidate images")
 
-    rows = {}
-    columns = []
-    for y, u in variables:
-        probe = VectorField(ctx, {y: {u: f.of_int(1)}}, degree=deg_x,
-                            order_cap=rhs.order_cap)
-        col = contraction(probe, omega)
-        columns.append(col.terms)
-        for cfg in col.terms:
-            rows.setdefault(cfg, len(rows))
-    for cfg in rhs.terms:
-        rows.setdefault(cfg, len(rows))
-
-    mat = SparseMatrix(len(rows), len(variables), f)
-    for cidx, terms in enumerate(columns):
-        for cfg, c in terms.items():
-            mat.set(rows[cfg], cidx, c)
-    rhs_vec = {rows[cfg]: c for cfg, c in rhs.terms.items()}
-    sol = sparse_solve(mat, rhs_vec)
+    columns = [contraction(VectorField(ctx, {y: {u: f.of_int(1)}}, degree=deg_x,
+                                       order_cap=rhs.order_cap), omega).terms
+               for y, u in variables]
+    sol = sparse_solve(*_word_system(f, columns, rhs.terms))
     if sol is None:
         raise NCError("contraction equation unsolvable; omega degenerate?")
 
@@ -512,22 +465,16 @@ def contraction_solve(ctx: NCContext, omega: NCForm, rhs: NCForm) -> VectorField
                        truncated=rhs.truncated)
 
 
-def hamiltonian_field(fn: NCFunction, omega: NCForm) -> VectorField:
+def hamiltonian_field(fn: NCForm, omega: NCForm) -> VectorField:
     return contraction_solve(fn.ctx, omega, de_rham(fn))
 
 
 # ---------------------------------------------------------------------------
 # potentials
 
-@dataclass
-class Potential:
-    func: NCFunction
-    order_cap: int = 7
-    truncated: bool = False
-
-
-def potential_from_category(cat: AInfCategory, pairing: CyclicPairing) -> Potential:
-    """Solve dW = iota_Q omega; error with witnesses when not cyclic."""
+def potential_from_category(cat: AInfCategory, pairing: CyclicPairing) -> NCForm:
+    """Solve dW = iota_Q omega for the function W, with order cap one more
+    than the arity cap; error with witnesses when not cyclic."""
     q = category_to_vectorfield(cat)
     ctx = q.ctx
     f = ctx.field
@@ -541,37 +488,33 @@ def potential_from_category(cat: AInfCategory, pairing: CyclicPairing) -> Potent
     # Euler homotopy: the order-n part of W is iota_E(alpha_n)/n
     e = euler_field(ctx, order_cap=cap)
     closed_up = contraction(e, alpha)
-    terms = {}
-    for cfg, c in closed_up.terms.items():
-        n = len(cfg)
-        terms[cfg] = f.div(c, f.of_int(n))
-    w = NCFunction(ctx, terms, order_cap=cap, truncated=alpha.truncated)
+    terms = {cfg: f.div(c, f.of_int(len(cfg)))
+             for cfg, c in closed_up.terms.items()}
+    w = NCForm(ctx, terms, order_cap=cap, truncated=alpha.truncated)
     check = de_rham(w).add(alpha.scale(f.of_int(-1)))
     if not check.is_zero():
         raise NCError("internal: dW does not reproduce iota_Q omega")
-    return Potential(w, order_cap=cap, truncated=w.truncated)
+    return w
 
 
-def category_from_potential(pot: Potential, pairing: CyclicPairing,
-                            skeleton: AInfCategory) -> AInfCategory:
-    """Rebuild operation tables from W via its Hamiltonian field."""
-    ctx = pot.func.ctx
-    omega = omega_from_pairing(ctx, pairing, order_cap=pot.order_cap)
-    q = hamiltonian_field(pot.func, omega)
+def category_from_potential(w: NCForm, pairing: CyclicPairing,
+                            skeleton: AInfCategory, order_cap: int) -> AInfCategory:
+    """Rebuild operation tables from W via its Hamiltonian field.  order_cap
+    caps omega and sets the arity cap order_cap - 1; it may be below W's own
+    cap (strictify_units passes the caller's cap)."""
+    omega = omega_from_pairing(w.ctx, pairing, order_cap=order_cap)
+    q = hamiltonian_field(w, omega)
     if q.degree != 1:
         raise NCError("potential has wrong degree")
     ops = vectorfield_to_tables(q)
-    pairing_dict = {}
-    for (x, y), c in pairing.entries.items():
-        pairing_dict[(x, y)] = c
     return AInfCategory(
         objects=skeleton.objects,
         hom=skeleton.hom,
         ops=ops,
         field=skeleton.field,
-        arity_cap=min(skeleton.arity_cap, pot.order_cap - 1),
+        arity_cap=min(skeleton.arity_cap, order_cap - 1),
         units=dict(skeleton.units),
-        pairing=pairing_dict,
+        pairing=dict(pairing.entries),
         complete=False,
         weights=dict(skeleton.weights),
         weight_cap=skeleton.weight_cap,
@@ -597,7 +540,7 @@ def check_cyclicity(cat: AInfCategory, pairing: CyclicPairing, max_arity=None):
 # ---------------------------------------------------------------------------
 # Poisson bracket
 
-def poisson_bracket(f: NCFunction, g: NCFunction, pairing_or_omega) -> NCFunction:
+def poisson_bracket(f: NCForm, g: NCForm, pairing_or_omega) -> NCForm:
     """Necklace bracket via the inverse pairing (cut at f, cut at g, splice)."""
     ctx = f.ctx
     k = ctx.field
@@ -637,12 +580,10 @@ def poisson_bracket(f: NCFunction, g: NCFunction, pairing_or_omega) -> NCFunctio
                     add_cyclic_term(ctx, k, acc, word, coeff)
     truncated = f.truncated or g.truncated or any(
         len(wf) + len(wg) - 2 > cap for wf in f.terms for wg in g.terms)
-    out = NCFunction(ctx, acc, cap, truncated)
-    out.constant = const
-    return out
+    return NCForm(ctx, acc, cap, truncated, const)
 
 
-def bracket_via_hamiltonian(f: NCFunction, g: NCFunction, omega: NCForm) -> NCFunction:
+def bracket_via_hamiltonian(f: NCForm, g: NCForm, omega: NCForm) -> NCForm:
     """Independent route: {f,g} = H_f(g); used to cross-check the necklace."""
     h = hamiltonian_field(f, omega)
     return vf_apply_function(h, g)
@@ -675,10 +616,9 @@ def identity_automorphism(ctx: NCContext, order_cap: int = 7) -> FormalAutomorph
     return FormalAutomorphism(ctx, {}, order_cap, inverse_images={})
 
 
-def _subst_cfg(auto: FormalAutomorphism, cfg, images):
+def _subst_cfg(ctx: NCContext, cfg, images):
     """Expand one configuration under a substitution; marked letters expand
     by the Leibniz rule.  Returns list of (coeff, cfg)."""
-    ctx = auto.ctx
     f = ctx.field
     one = f.of_int(1)
     partial = [(one, ())]
@@ -702,25 +642,14 @@ def _subst_cfg(auto: FormalAutomorphism, cfg, images):
     return partial
 
 
-def auto_apply_function(auto: FormalAutomorphism, fn: NCFunction) -> NCFunction:
-    ctx, f = fn.ctx, fn.field
-    acc = {}
-    truncated = fn.truncated or auto.truncated
-    for cfg, coeff in fn.terms.items():
-        for c, new in _subst_cfg(auto, cfg, auto.images):
-            if len(new) > fn.order_cap:
-                truncated = True
-                continue
-            add_cyclic_term(ctx, f, acc, new, f.mul(coeff, c))
-    return NCFunction(ctx, acc, fn.order_cap, truncated)
-
-
-def auto_apply_form(auto: FormalAutomorphism, form: NCForm) -> NCForm:
+def auto_apply(auto: FormalAutomorphism, form: NCForm) -> NCForm:
+    """Substitute the images of auto into a form (a function included);
+    words beyond the form's cap are dropped and flag truncation."""
     ctx, f = form.ctx, form.field
     acc = {}
     truncated = form.truncated or auto.truncated
     for cfg, coeff in form.terms.items():
-        for c, new in _subst_cfg(auto, cfg, auto.images):
+        for c, new in _subst_cfg(ctx, cfg, auto.images):
             if len(new) > form.order_cap:
                 truncated = True
                 continue
@@ -728,34 +657,35 @@ def auto_apply_form(auto: FormalAutomorphism, form: NCForm) -> NCForm:
     return NCForm(ctx, acc, form.order_cap, truncated)
 
 
-def auto_compose(second: FormalAutomorphism, first: FormalAutomorphism) -> FormalAutomorphism:
-    """Substitution doing first, then second on the result."""
-    ctx = second.ctx
+def _compose_images(ctx: NCContext, outer: dict, inner: dict, labels,
+                    order_cap: int) -> dict:
+    """Images of the substitution inner, then outer, on the given labels
+    (both as label -> {open cfg -> coeff}, the identity where absent),
+    dropping words longer than order_cap."""
     f = ctx.field
+    one = f.of_int(1)
     images = {}
-    labels = set(first.images) | set(second.images)
     for lab in labels:
         acc = {}
-        for w, c in first.image_of(lab).items():
-            for c2, new in _subst_cfg(second, w, second.images):
-                if len(new) > second.order_cap:
+        for w, c in inner.get(lab, {((lab, 0),): one}).items():
+            for c2, new in _subst_cfg(ctx, w, outer):
+                if len(new) > order_cap:
                     continue
                 add_into(f, acc, new, f.mul(c, c2))
         images[lab] = acc
+    return images
+
+
+def auto_compose(second: FormalAutomorphism, first: FormalAutomorphism) -> FormalAutomorphism:
+    """Substitution doing first, then second on the result."""
+    ctx = second.ctx
+    labels = set(first.images) | set(second.images)
+    images = _compose_images(ctx, second.images, first.images, labels,
+                             second.order_cap)
     inv = None
     if second.inverse_images is not None and first.inverse_images is not None:
-        inv_first = FormalAutomorphism(ctx, first.inverse_images, first.order_cap)
-        inv_acc = {}
-        for lab in labels:
-            acc = {}
-            for w, c in FormalAutomorphism(ctx, second.inverse_images,
-                                           second.order_cap).image_of(lab).items():
-                for c2, new in _subst_cfg(inv_first, w, inv_first.images):
-                    if len(new) > first.order_cap:
-                        continue
-                    add_into(f, acc, new, f.mul(c, c2))
-            inv_acc[lab] = acc
-        inv = inv_acc
+        inv = _compose_images(ctx, first.inverse_images, second.inverse_images,
+                              labels, first.order_cap)
     return FormalAutomorphism(ctx, images, min(first.order_cap, second.order_cap),
                               first.truncated or second.truncated, inv)
 
@@ -786,7 +716,7 @@ def _exp_images(ctx: NCContext, vf: VectorField, order_cap: int) -> dict:
     return images
 
 
-def hamiltonian_exp(s: NCFunction, omega: NCForm, order_cap: int) -> FormalAutomorphism:
+def hamiltonian_exp(s: NCForm, omega: NCForm, order_cap: int) -> FormalAutomorphism:
     """exp({S,-}) as a substitution on generators, with exact inverse."""
     ctx = s.ctx
     f = ctx.field
@@ -850,12 +780,11 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
     if not cyc.ok:
         raise NotCyclicError(cyc.witnesses)
 
-    pot = potential_from_category(cat, pairing)
-    cap = order_cap if order_cap is not None else pot.order_cap
-    ctx = pot.func.ctx
+    w = potential_from_category(cat, pairing)
+    cap = order_cap if order_cap is not None else w.order_cap
+    ctx = w.ctx
     f = ctx.field
     omega = omega_from_pairing(ctx, pairing, order_cap=cap)
-    w = pot.func
     auto = identity_automorphism(ctx, cap)
     w3 = w.order_part(3)
     processed = []
@@ -868,30 +797,19 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         candidates = enumerate_cyclic_words(ctx, n, degree=0)
         if not candidates:
             raise NCError("strictification obstructed at order %d" % (n + 1))
-        columns = []
-        rows = {}
-        for cfg in candidates:
-            basis_fn = NCFunction(ctx, {cfg: f.of_int(1)}, cap)
-            br = poisson_bracket(basis_fn, w3, pairing).nonreduced_part()
-            columns.append(br.terms)
-            for key in br.terms:
-                rows.setdefault(key, len(rows))
-        for key in bad.terms:
-            rows.setdefault(key, len(rows))
-        mat = SparseMatrix(len(rows), len(candidates), f)
-        for cidx, terms in enumerate(columns):
-            for key, c in terms.items():
-                mat.set(rows[key], cidx, c)
-        rhs = {rows[key]: f.neg(c) for key, c in bad.terms.items()}
-        sol = sparse_solve(mat, rhs)
+        columns = [poisson_bracket(NCForm(ctx, {cfg: f.of_int(1)}, cap), w3,
+                                   pairing).nonreduced_part().terms
+                   for cfg in candidates]
+        sol = sparse_solve(*_word_system(
+            f, columns, {key: f.neg(c) for key, c in bad.terms.items()}))
         if sol is None:
             raise NCError("strictification obstructed at order %d "
                           "(input not cyclic/minimal as claimed)" % (n + 1))
-        s_n = NCFunction(ctx, {candidates[i]: c for i, c in sol.items()}, cap)
+        s_n = NCForm(ctx, {candidates[i]: c for i, c in sol.items()}, cap)
         if s_n.is_zero():
             continue
         step = hamiltonian_exp(s_n, omega, cap)
-        w = auto_apply_function(step, w)
+        w = auto_apply(step, w)
         auto = auto_compose(step, auto)
         processed.append(n + 1)
         supports[n + 1] = len(s_n.terms)
@@ -900,10 +818,9 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         if not w.order_part(n).nonreduced_part().is_zero():
             raise NCError("internal: order %d still nonreduced" % n)
 
-    omega_back = auto_apply_form(auto, omega)
+    omega_back = auto_apply(auto, omega)
     omega_ok = omega_back.add(omega.scale(f.of_int(-1))).is_zero()
-    pot2 = Potential(w, order_cap=cap, truncated=w.truncated)
-    cat2 = category_from_potential(pot2, pairing, cat)
+    cat2 = category_from_potential(w, pairing, cat, cap)
     # the coordinate substitution w_new = auto(w_old) dualizes to a functor
     # out of the strictified category into the input one
     iso = _functor_from_automorphism(auto, cat2, cat)
@@ -945,7 +862,7 @@ def darboux_normalize(omega: NCForm, order_cap: int):
         alpha = contraction(e, piece).scale(f.of_fraction(Fraction(1, n)))
         x = contraction_solve(ctx, omega0, alpha.scale(f.of_int(-1)))
         step = FormalAutomorphism(ctx, _exp_images(ctx, x, order_cap), order_cap)
-        cur = auto_apply_form(step, cur)
+        cur = auto_apply(step, cur)
         auto = auto_compose(step, auto)
         still = [m for m in {len(cfg) for cfg in cur.terms} if 2 < m <= n]
         if still:
@@ -1064,40 +981,23 @@ def solve_cyclic_pairing(cat: AInfCategory, max_combinations: int = 256) -> Cycl
         raise NCError("no pairing slots available")
 
     q = category_to_vectorfield(cat)
-    rows = {}
     columns = []
     for (x, y) in unknowns:
-        pairing = make_pairing(ctx, {(x, y): f.of_int(1)}, check_nondeg=False)
-        acc = {}
-        for (a, b), c in pairing.entries.items():
-            if a < b:
-                add_cyclic_term(ctx, f, acc, ((a, 1), (b, 1)), c)
-        omega = NCForm(ctx, acc, cat.arity_cap + 1)
-        closed = de_rham(contraction(q, omega))
-        columns.append(closed.terms)
-        for key in closed.terms:
-            rows.setdefault(key, len(rows))
-    mat = SparseMatrix(max(len(rows), 1), len(unknowns), f)
-    for cidx, terms in enumerate(columns):
-        for key, c in terms.items():
-            mat.set(rows[key], cidx, c)
-    _, kernel, _, _ = rank_kernel_image(mat)
+        probe = make_pairing(ctx, {(x, y): f.of_int(1)}, check_nondeg=False)
+        omega = _pairing_form(ctx, probe, cat.arity_cap + 1)
+        columns.append(de_rham(contraction(q, omega)).terms)
+    _, kernel, _, _ = rank_kernel_image(_word_system(f, columns)[0])
     if not kernel:
         raise NCError("no cyclic pairing exists at this cap")
 
-    candidates = []
-    for vec in kernel:
-        candidates.append(vec)
+    # try the sums of kernel vectors in the order of their bit masks
     n = len(kernel)
-    combos = []
     for mask in range(1, min(2 ** n, max_combinations)):
         combo = {}
         for bit in range(n):
             if mask >> bit & 1:
                 for cidx, c in kernel[bit].items():
                     add_into(f, combo, cidx, c)
-        combos.append(combo)
-    for combo in combos:
         entries = {unknowns[cidx]: c for cidx, c in combo.items()}
         try:
             pairing = make_pairing(ctx, entries, check_nondeg=True)

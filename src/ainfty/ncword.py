@@ -94,10 +94,6 @@ def word_composable(ctx: NCContext, labels, closed: bool) -> bool:
     return True
 
 
-def cfg_composable(ctx: NCContext, cfg, closed: bool = True) -> bool:
-    return word_composable(ctx, tuple(lab for lab, _ in cfg), closed)
-
-
 def canonical_cyclic(ctx: NCContext, cfg):
     """Canonical representative of a cyclic configuration.
 

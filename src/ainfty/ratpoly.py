@@ -139,9 +139,6 @@ class RatPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "RatPolynomial":
-        return RatPolynomial.of([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def sort_key(self):
         return (self.degree, tuple((c.numerator, c.denominator) for c in self.coeffs))
 

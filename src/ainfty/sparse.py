@@ -160,20 +160,11 @@ class SparseMatrix:
             m.set(i, i, one)
         return m
 
-    def row(self, r: int) -> dict:
-        return {c: v for (i, c), v in self.entries.items() if i == r}
-
     def rows(self):
         out = [dict() for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    def transpose(self) -> "SparseMatrix":
-        t = SparseMatrix(self.ncols, self.nrows, self.field)
-        for (r, c), v in self.entries.items():
-            t.entries[(c, r)] = v
-        return t
 
     def take_columns(self, cols) -> "SparseMatrix":
         """Submatrix of the listed columns, reindexed in list order."""
@@ -233,7 +224,6 @@ class SparseMatrix:
         return not self.entries
 
     def to_dense(self):
-        z = self.field.zero()
         return [[self.get(r, c) for c in range(self.ncols)] for r in range(self.nrows)]
 
     def __eq__(self, other):

@@ -161,9 +161,6 @@ def check_contraction(cat: AInfCategory, con: Contraction):
     labs = [lab for lab, _ in cat.hom.get(con.pair, ())]
     d = {lab: dict(cat.b_value((lab,))) for lab in labs}
 
-    def compose2(m2, m1):  # m2 . m1 on label-keyed maps
-        return {x: apply_linear(f, m2, v) for x, v in m1.items() if v}
-
     for mlab, _ in con.min_basis:
         got = apply_linear(f, con.proj, con.inc[mlab])
         if got != {mlab: f.one()}:

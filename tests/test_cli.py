@@ -192,6 +192,44 @@ def test_boolean_integer_field_is_an_input_error(tmp_path, capsys, subcommand,
     assert message in out.out
 
 
+@pytest.mark.parametrize("document, key", [(a2_bar_document, "complete"),
+                                           (a2_potential_document, "truncated")])
+@pytest.mark.parametrize("value", ["false", "true", 0])
+def test_non_boolean_flag_is_an_input_error(tmp_path, capsys, document, key,
+                                            value):
+    # bool("false") is True: the string marked a category complete, so its
+    # unknown higher arities counted as zero and check-ainf passed
+    doc = document()
+    doc["payload"][key] = value
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check-ainf", str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "payload.%s: %s %r is not a boolean" % (key, key, value) in out.out
+
+
+@pytest.mark.parametrize("subcommand", ["check-ainf", "minimal-model"])
+@pytest.mark.parametrize("arity_cap, complete, verdict, arities", [
+    (4, True, "pass", []),
+    (2, False, "truncated", [3, 4, 5, 6]),
+])
+def test_relation_check_with_unchecked_arities_is_truncated(
+        tmp_path, subcommand, arity_cap, complete, verdict, arities):
+    # every checked arity holds; arities above the cap of an incomplete
+    # category are unknown, so the verdict is truncated (exit 3), not pass
+    doc = a2_bar_document()
+    doc["payload"]["arity_cap"] = arity_cap
+    doc["payload"]["complete"] = complete
+    path, out = tmp_path / "cat.json", tmp_path / "cat.report.json"
+    path.write_text(docio.dumps_document(doc), encoding="utf-8")
+    assert main([subcommand, str(path), "--report", str(out)]) == EXIT[verdict]
+    report = json.loads(out.read_text())["payload"]
+    assert report["verdict"] == verdict
+    assert report["witnesses"] == []
+    assert report["truncation"] == {"arities": arities}
+
+
 def test_semisimplify_computes_the_radical_filtration_once(tmp_path, monkeypatch):
     rep = repmod.random_rep(double(a2_quiver()), 22, d={"1": 2, "2": 1})
     doc, out = tmp_path / "rep.json", tmp_path / "rep.report.json"

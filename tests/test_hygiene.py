@@ -103,3 +103,67 @@ def test_sign_scan_sees_functions_and_methods():
               "    return sign\n")
     assert sign_helpers(source) == [(1, "dual_sign"), (4, "prefix_sign"),
                                     (5, "_rotations_with_sign")]
+
+
+
+def definitions(source: str) -> list:
+    """(line, name) of every non-dunder function, class and method."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def references(source: str) -> set:
+    """Every name the source reads: names, attributes, imported names and
+    the dotted components of string constants (the tracer names its
+    callables by module and attribute strings).  A def or class statement
+    binds its name without reading it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+    return found
+
+
+def unreferenced(defining: dict, reading: list) -> list:
+    """(file, line, name) of every definition in defining {file: source}
+    that no source in reading names."""
+    names = set().union(*(references(text) for text in reading))
+    return sorted((path, line, name) for path, text in defining.items()
+                  for line, name in definitions(text) if name not in names)
+
+
+def test_no_unreferenced_definitions():
+    root = SRC.parent.parent
+    files = [p for d in ("src", "tests", "perfbench")
+             for p in sorted((root / d).rglob("*.py"))]
+    reading = [p.read_text(encoding="utf-8") for p in files]
+    defining = {p.name: p.read_text(encoding="utf-8")
+                for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced(defining, reading) == []
+
+
+def test_definition_scan_sees_names_attributes_and_strings():
+    lib = ("class Used:\n"
+           "    def method(self):\n"
+           "        return helper()\n"
+           "    def orphan_method(self):\n"
+           "        return 1\n"
+           "def helper():\n"
+           "    return Used().method()\n"
+           "def traced():\n"
+           "    return 0\n"
+           "def dead():\n"
+           "    return 0\n"
+           "def __repr__():\n"
+           "    return ''\n")
+    user = 'SPANS = (("lib", "traced", "lib.traced"),)\n'
+    assert unreferenced({"lib.py": lib}, [lib, user]) == [
+        ("lib.py", 4, "orphan_method"), ("lib.py", 10, "dead")]

@@ -9,18 +9,22 @@ potential against the structure tables it came from, and the strictifier
 against direct unitality checks on its output.
 """
 
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty import presentations, quiver
 from ainfty.field import QQ, GF
+from ainfty.signs import koszul_sign
 from ainfty.sparse import SparseMatrix, rank_kernel_image
 from ainfty.transfer import minimal_model
 from ainfty.ainf import check_functor, check_relations, check_unitality
 from ainfty.ncword import (NCContext, canonical_cyclic, enumerate_cyclic_words,
                            enumerate_forms)
 from ainfty import nccalc as nc
-from ainfty.nccalc import NCError, NCForm, NCFunction, NotCyclicError
+from ainfty.nccalc import NCError, NCForm, NotCyclicError
 
 from test_massey import exterior_fixture
 
@@ -63,7 +67,7 @@ def homogeneous_samples(ctx, field, orders=(3, 4), per_degree=2):
             terms = {words[i]: field.of_int(2 + i)}
             if i + 1 < len(words):
                 terms[words[i + 1]] = field.of_int(-1 - i)
-            out.append((deg, NCFunction(ctx, terms, 7)))
+            out.append((deg, NCForm(ctx, terms, 7)))
     return out
 
 
@@ -136,7 +140,7 @@ def test_differential_squares_to_zero(pack):
     f = cat.field
     for n in (2, 3, 4):
         for w in enumerate_cyclic_words(ctx, n)[:10]:
-            fn = NCFunction(ctx, {w: f.of_int(3)}, 7)
+            fn = NCForm(ctx, {w: f.of_int(3)}, 7)
             dd = nc.de_rham(nc.de_rham(fn))
             assert dd.is_zero()
     for w in enumerate_forms(ctx, 3, 1)[:10]:
@@ -150,9 +154,9 @@ def test_euler_field_counts_order(pack):
     e = nc.euler_field(ctx, 7)
     for n in (1, 2, 3, 4):
         for w in enumerate_cyclic_words(ctx, n)[:8]:
-            fn = NCFunction(ctx, {w: f.of_int(1)}, 7)
-            lie = nc.lie_derivative(e, nc.function_as_form(fn))
-            want = nc.function_as_form(fn.scale(f.of_int(n)))
+            fn = NCForm(ctx, {w: f.of_int(1)}, 7)
+            lie = nc.lie_derivative(e, fn)
+            want = fn.scale(f.of_int(n))
             assert lie.add(want.scale(f.of_int(-1))).is_zero()
     for k in (1, 2):
         for w in enumerate_forms(ctx, 3, k)[:8]:
@@ -170,9 +174,9 @@ def test_contraction_of_exact_function_is_the_derivation_action(pack):
     for vf in (q, e):
         for n in (1, 2, 3):
             for w in enumerate_cyclic_words(ctx, n)[:8]:
-                fn = NCFunction(ctx, {w: f.of_int(1)}, 7)
+                fn = NCForm(ctx, {w: f.of_int(1)}, 7)
                 via_forms = nc.contraction(vf, nc.de_rham(fn))
-                direct = nc.function_as_form(nc.vf_apply_function(vf, fn))
+                direct = nc.vf_apply_function(vf, fn)
                 assert via_forms.add(direct.scale(f.of_int(-1))).is_zero()
 
 
@@ -189,6 +193,86 @@ def test_lie_derivative_is_the_graded_commutator(pack):
         byhand = first.add(second.scale(sgn))
         packaged = nc.lie_derivative(q, form)
         assert byhand.add(packaged.scale(f.of_int(-1))).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the derivation loop against a brute-force expansion
+
+def brute_derivation(form, image_of, mark, parity, cap=None):
+    """Expand a derivation of the given parity term by term: at slot k of a
+    word, a letter carrying `mark` is replaced by each word of its image,
+    with the Koszul sign of moving the operator from the front of the word
+    past the k letters before it (koszul_sign of that explicit move).
+    Words longer than cap are dropped."""
+    ctx, f = form.ctx, form.field
+    acc = {}
+    for cfg, coeff in form.terms.items():
+        degs = [ctx.eff_degree(slot) for slot in cfg]
+        for k, (lab, m) in enumerate(cfg):
+            if m != mark:
+                continue
+            # (D, x_0, ..., x_{k-1}) -> (x_0, ..., x_{k-1}, D)
+            sign = koszul_sign([parity] + degs[:k], list(range(1, k + 1)) + [0])
+            for w, c in image_of(lab).items():
+                nc.add_cyclic_term(ctx, f, acc, cfg[:k] + w + cfg[k + 1:],
+                                   f.mul(coeff, f.mul(c, f.of_int(sign))))
+    if cap is not None:
+        acc = {w: c for w, c in acc.items() if len(w) <= cap}
+    return acc
+
+
+def oracle_forms(kind):
+    """Forms on the alphabet of a minimal model: for jordan and a2 the
+    potential W, dW and omega; for every model, sums of seeded random words
+    with up to two marked letters."""
+    if kind == "massey":
+        cat, _, _ = minimal_model(exterior_fixture(), arity_cap=6)
+    else:
+        cat = minimal_fixture(kind)
+    ctx = NCContext.from_category(cat)
+    f = cat.field
+    forms = []
+    if kind != "massey":
+        pairing = nc.solve_cyclic_pairing(cat)
+        w = nc.potential_from_category(cat, pairing)
+        forms += [w, nc.de_rham(w), nc.omega_from_pairing(ctx, pairing, 7)]
+    rng = random.Random(11)
+    for order in (1, 2, 3, 4):
+        for marks in (0, 1, 2):
+            words = enumerate_forms(ctx, order, marks)
+            if not words:
+                continue
+            picked = rng.sample(words, min(len(words), 4))
+            forms.append(NCForm(ctx, {cfg: f.of_int(rng.choice([-3, -1, 1, 2]))
+                                      for cfg in picked}, 5))
+    return cat, ctx, forms
+
+
+@pytest.mark.parametrize("kind", ["jordan", "a2", "massey"])
+def test_derivation_loop_matches_brute_force(kind):
+    cat, ctx, forms = oracle_forms(kind)
+    one = cat.field.of_int(1)
+    q = nc.category_to_vectorfield(cat)
+    fields = [q, nc.euler_field(ctx, 7), replace(q, order_cap=4)]
+    checked = 0
+    for form in forms:
+        got = nc.de_rham(form)
+        want = brute_derivation(form, lambda lab: {((lab, 1),): one}, 0, 1)
+        assert got.terms == want
+        assert (got.order_cap, got.truncated) == (form.order_cap, form.truncated)
+        for vf in fields:
+            cap = min(form.order_cap, vf.order_cap)
+            for op, mark, parity in ((nc.contraction, 1, vf.degree + 1),
+                                     (nc.vf_apply_function, 0, vf.degree)):
+                got = op(vf, form)
+                assert got.terms == brute_derivation(form, vf.image_of, mark,
+                                                     parity, cap)
+                uncapped = brute_derivation(form, vf.image_of, mark, parity)
+                assert got.order_cap == cap
+                assert got.truncated == (form.truncated or vf.truncated
+                                         or len(uncapped) > len(got.terms))
+                checked += bool(got.terms)
+    assert checked
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +365,7 @@ def test_cyclicity_check_flags_perturbations(jordan_pack):
 def test_potential_terms_sit_in_a_single_degree(pack):
     _, cat, pairing, ctx = pack
     pot = nc.potential_from_category(cat, pairing)
-    assert {ctx.cfg_degree(w) for w in pot.func.terms} <= {1}
+    assert {ctx.cfg_degree(w) for w in pot.terms} <= {1}
 
 
 def test_cubic_part_contains_unit_letters(pack):
@@ -289,14 +373,14 @@ def test_cubic_part_contains_unit_letters(pack):
     # force unit letters into the cubic part; reducedness starts at order 4
     _, cat, pairing, ctx = pack
     pot = nc.potential_from_category(cat, pairing)
-    w3 = pot.func.order_part(3)
+    w3 = pot.order_part(3)
     assert not w3.nonreduced_part().is_zero()
 
 
 def test_potential_category_round_trip(pack):
     _, cat, pairing, _ = pack
     pot = nc.potential_from_category(cat, pairing)
-    back = nc.category_from_potential(pot, pairing, cat)
+    back = nc.category_from_potential(pot, pairing, cat, pot.order_cap)
     assert {n: back.op_table(n) for n in back.known_arities() if back.op_table(n)} \
         == {n: cat.op_table(n) for n in cat.known_arities() if cat.op_table(n)}
 
@@ -314,7 +398,7 @@ def test_potential_requires_cyclic_input(jordan_pack):
 def test_master_equation_on_the_nose(pack):
     _, cat, pairing, _ = pack
     pot = nc.potential_from_category(cat, pairing)
-    br = nc.poisson_bracket(pot.func, pot.func, pairing)
+    br = nc.poisson_bracket(pot, pot, pairing)
     assert br.is_zero() and not br.constant
 
 
@@ -322,7 +406,7 @@ def test_hamiltonian_field_of_potential_is_q(pack):
     _, cat, pairing, ctx = pack
     pot = nc.potential_from_category(cat, pairing)
     omega = nc.omega_from_pairing(ctx, pairing, pot.order_cap)
-    h = nc.hamiltonian_field(pot.func, omega)
+    h = nc.hamiltonian_field(pot, omega)
     q = nc.category_to_vectorfield(cat)
     assert h.images == q.images and h.degree == 1
 
@@ -334,11 +418,10 @@ def test_master_equation_detects_broken_potentials(jordan_pack):
     f = cat.field
     nonzero_failures = 0
     for word in enumerate_cyclic_words(ctx, 5, degree=1)[:8]:
-        bump = NCFunction(ctx, {word: f.of_int(1)}, pot.func.order_cap)
-        w2 = pot.func.add(bump)
+        bump = NCForm(ctx, {word: f.of_int(1)}, pot.order_cap)
+        w2 = pot.add(bump)
         br = nc.poisson_bracket(w2, w2, pairing)
-        cat_bad = nc.category_from_potential(
-            nc.Potential(w2, pot.order_cap), pairing, cat)
+        cat_bad = nc.category_from_potential(w2, pairing, cat, pot.order_cap)
         rel = check_relations(cat_bad)
         assert rel.ok == (br.is_zero() and not br.constant), word
         if not rel.ok:
@@ -355,8 +438,8 @@ def test_order_one_brackets_reproduce_the_inverse_pairing(pack):
     pi = nc.pairing_inverse(ctx, pairing)
     seen = 0
     for (x, y), val in pi.items():
-        fx = NCFunction(ctx, {((x, 0),): f.of_int(1)}, 7)
-        fy = NCFunction(ctx, {((y, 0),): f.of_int(1)}, 7)
+        fx = NCForm(ctx, {((x, 0),): f.of_int(1)}, 7)
+        fy = NCForm(ctx, {((y, 0),): f.of_int(1)}, 7)
         br = nc.poisson_bracket(fx, fy, pairing)
         assert not br.terms
         obj = ctx.xi_src(x)
@@ -416,13 +499,13 @@ def test_exposed_flow_is_invertible_and_symplectic(jordan_pack):
     back = nc.FormalAutomorphism(ctx, flow.inverse_images, 7)
     assert nc.auto_compose(back, flow).is_identity()
     assert nc.auto_compose(flow, back).is_identity()
-    pulled = nc.auto_apply_form(flow, omega)
+    pulled = nc.auto_apply(flow, omega)
     assert pulled.add(omega.scale(f.of_int(-1))).is_zero()
 
 
 def test_flow_of_zero_is_identity(jordan_pack):
     cat, pairing, ctx, _, omega = jordan_pack
-    flow = nc.hamiltonian_exp(NCFunction(ctx, {}, 7), omega, 7)
+    flow = nc.hamiltonian_exp(NCForm(ctx, {}, 7), omega, 7)
     assert flow.is_identity()
 
 
@@ -431,7 +514,7 @@ def test_flow_rejects_low_order_and_finite_characteristic(jordan_pack):
     f = cat.field
     word = enumerate_cyclic_words(ctx, 2)[0]
     with pytest.raises(NCError):
-        nc.hamiltonian_exp(NCFunction(ctx, {word: f.of_int(1)}, 7), omega, 7)
+        nc.hamiltonian_exp(NCForm(ctx, {word: f.of_int(1)}, 7), omega, 7)
 
 
 def pick_degree_zero_cubic(ctx, f, want_unit):
@@ -439,7 +522,7 @@ def pick_degree_zero_cubic(ctx, f, want_unit):
     for w in enumerate_cyclic_words(ctx, 3, degree=0):
         has_unit = any(l in units for l, _ in w)
         if has_unit == want_unit:
-            return NCFunction(ctx, {w: f.of_int(1)}, 7)
+            return NCForm(ctx, {w: f.of_int(1)}, 7)
     raise RuntimeError("no cubic generator with the requested support")
 
 
@@ -452,13 +535,12 @@ def planted():
     f = cat.field
     pairing = nc.solve_cyclic_pairing(cat)
     pot = nc.potential_from_category(cat, pairing)
-    ctx = pot.func.ctx
+    ctx = pot.ctx
     omega = nc.omega_from_pairing(ctx, pairing, pot.order_cap)
     s = pick_degree_zero_cubic(ctx, f, want_unit=True)
     flow = nc.hamiltonian_exp(s.scale(f.of_int(-1)), omega, pot.order_cap)
-    w = nc.auto_apply_function(flow, pot.func)
-    bad_cat = nc.category_from_potential(
-        nc.Potential(w, pot.order_cap, truncated=w.truncated), pairing, cat)
+    w = nc.auto_apply(flow, pot)
+    bad_cat = nc.category_from_potential(w, pairing, cat, pot.order_cap)
     return cat, bad_cat, pairing
 
 
@@ -468,14 +550,14 @@ def test_planted_fixture_is_honestly_broken(planted):
     assert nc.check_cyclicity(bad_cat, pairing).ok
     assert check_unitality(bad_cat).verdict != "strict"
     pot = nc.potential_from_category(bad_cat, pairing)
-    assert not pot.func.order_part(4).nonreduced_part().is_zero()
+    assert not pot.order_part(4).nonreduced_part().is_zero()
 
 
 def test_planted_flow_preserves_the_cubic_part(planted):
     cat, bad_cat, pairing = planted
     f = cat.field
-    w = nc.potential_from_category(cat, pairing).func
-    w_bad = nc.potential_from_category(bad_cat, pairing).func
+    w = nc.potential_from_category(cat, pairing)
+    w_bad = nc.potential_from_category(bad_cat, pairing)
     assert w_bad.order_part(3).add(w.order_part(3).scale(f.of_int(-1))).is_zero()
 
 
@@ -487,9 +569,9 @@ def test_strictify_clears_the_planted_terms(planted):
     assert check_unitality(cat2).verdict == "strict"
     assert check_relations(cat2).ok
     pot2 = nc.potential_from_category(cat2, pairing)
-    for n in pot2.func.orders():
+    for n in pot2.orders():
         if n >= 4:
-            assert pot2.func.order_part(n).nonreduced_part().is_zero()
+            assert pot2.order_part(n).nonreduced_part().is_zero()
     rep = check_functor(iso, max_arity=5)
     assert rep.ok, rep.witnesses[:2]
     lin = iso.components.get(1, {})
@@ -552,7 +634,7 @@ def test_darboux_removes_exact_corrections(jordan_pack):
     auto, out = nc.darboux_normalize(bent, 7)
     assert all(len(cfg) == 2 for cfg in out.terms)
     assert out.add(omega.scale(f.of_int(-1))).is_zero()
-    pull = nc.auto_apply_form(auto, bent)
+    pull = nc.auto_apply(auto, bent)
     assert pull.add(out.scale(f.of_int(-1))).is_zero()
 
 
@@ -607,7 +689,7 @@ def test_certified_potential_is_purely_cubic(pack):
     _, cat, pairing, _ = pack
     cat2, _, _ = nc.strictify_units(cat, pairing)
     pot = nc.potential_from_category(cat2, pairing)
-    assert set(pot.func.orders()) == {3}
+    assert set(pot.orders()) == {3}
 
 
 def test_wrong_declared_genus_is_rejected(jordan_pack):
