@@ -12,6 +12,10 @@ pairing determines a constant symplectic 2-form omega, the potential W
 solving dW = iota_Q omega, and the Poisson bracket.  Strictification of
 units runs the order-by-order automorphism loop on W.
 
+A pairing is validated once, when make_pairing builds it (degree two,
+endpoints, graded symmetry, nondegeneracy); everything downstream takes a
+CyclicPairing as given.
+
 All operations are exact.  Objects carry an order cap (maximal letter
 count); anything that could produce longer words sets a truncated flag.
 """
@@ -19,13 +23,15 @@ count); anything that could produce longer words sets a truncated flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .field import FieldCtx
 from .sparse import (SparseMatrix, add_into, invert, rank_kernel_image,
                      solve as sparse_solve)
-from .ainf import AInfCategory, AInfMorphism
+from .ainf import (AInfCategory, AInfMorphism, RelationReport, check_relations,
+                   check_unitality)
+from .localmodel import verify_sigma
 from .signs import (block_sign, parity_sign, prefix_parities, reversal_sign,
                     rotations)
 from .ncword import (
@@ -133,7 +139,7 @@ def euler_field(ctx: NCContext, order_cap: int = 7) -> VectorField:
 class CyclicPairing:
     """Nondegenerate pairing hom(i,j)^p x hom(j,i)^{2-p} -> k.
 
-    Stored on both orientations; construction enforces the graded symmetry
+    Stored on both orientations; make_pairing enforces the graded symmetry
     <x,y> = (-1)^{|x||y|} <y,x> in unshifted degrees, which is the unique
     convention making the associated cyclic 2-form well defined.
     """
@@ -145,8 +151,9 @@ class CyclicPairing:
         return self.entries.get((x, y), self.field.of_int(0))
 
 
-def make_pairing(ctx: NCContext, entries: dict, check_nondeg: bool = True) -> CyclicPairing:
-    """Build a pairing from entries given in either orientation."""
+def make_pairing(ctx: NCContext, entries: dict) -> CyclicPairing:
+    """Build a pairing from entries given in either orientation; the only
+    place a pairing is checked."""
     f = ctx.field
     full = {}
     for (x, y), c in entries.items():
@@ -166,8 +173,9 @@ def make_pairing(ctx: NCContext, entries: dict, check_nondeg: bool = True) -> Cy
             else:
                 full[key] = val
     pairing = CyclicPairing(f, full)
-    if check_nondeg:
-        _require_nondegenerate(ctx, pairing)
+    bad = degenerate_blocks(ctx, pairing)
+    if bad:
+        raise NCError("pairing degenerate on blocks %s" % (sorted(bad),))
     return pairing
 
 
@@ -193,12 +201,6 @@ def degenerate_blocks(ctx: NCContext, pairing: CyclicPairing):
         if rank != len(rows):
             bad.append((i, j, d))
     return bad
-
-
-def _require_nondegenerate(ctx: NCContext, pairing: CyclicPairing) -> None:
-    bad = degenerate_blocks(ctx, pairing)
-    if bad:
-        raise NCError("pairing degenerate on blocks %s" % (sorted(bad),))
 
 
 def pairing_inverse(ctx: NCContext, pairing: CyclicPairing) -> dict:
@@ -365,13 +367,7 @@ def vectorfield_to_tables(vf: VectorField) -> dict:
 # symplectic structure
 
 def omega_from_pairing(ctx: NCContext, pairing: CyclicPairing, order_cap: int = 7) -> NCForm:
-    """Constant cyclic 2-form of a nondegenerate pairing."""
-    _require_nondegenerate(ctx, pairing)
-    return _pairing_form(ctx, pairing, order_cap)
-
-
-def _pairing_form(ctx: NCContext, pairing: CyclicPairing, order_cap: int) -> NCForm:
-    """Constant cyclic 2-form of any pairing, one term per unordered pair."""
+    """Constant cyclic 2-form of a pairing, one term per unordered pair."""
     f = ctx.field
     acc = {}
     for (x, y), c in pairing.entries.items():
@@ -521,14 +517,11 @@ def category_from_potential(w: NCForm, pairing: CyclicPairing,
     )
 
 
-def check_cyclicity(cat: AInfCategory, pairing: CyclicPairing, max_arity=None):
+def check_cyclicity(cat: AInfCategory, pairing: CyclicPairing):
     """Cyclicity as exactness: d(iota_Q omega) = 0, reported with witnesses."""
-    from .ainf import RelationReport
-    cap = max_arity if max_arity is not None else cat.arity_cap
-    sub = cat if cap == cat.arity_cap else replace(cat, arity_cap=cap)
-    q = category_to_vectorfield(sub)
-    ctx = q.ctx
-    omega = omega_from_pairing(ctx, pairing, order_cap=cap + 1)
+    cap = cat.arity_cap
+    q = category_to_vectorfield(cat)
+    omega = omega_from_pairing(q.ctx, pairing, order_cap=cap + 1)
     closed = de_rham(contraction(q, omega))
     witnesses = [(len(cfg) - 1, cfg, "", c) for cfg, c in sorted(closed.terms.items())]
     checked = set(n for n in cat.known_arities() if n <= cap)
@@ -540,14 +533,10 @@ def check_cyclicity(cat: AInfCategory, pairing: CyclicPairing, max_arity=None):
 # ---------------------------------------------------------------------------
 # Poisson bracket
 
-def poisson_bracket(f: NCForm, g: NCForm, pairing_or_omega) -> NCForm:
+def poisson_bracket(f: NCForm, g: NCForm, pairing: CyclicPairing) -> NCForm:
     """Necklace bracket via the inverse pairing (cut at f, cut at g, splice)."""
     ctx = f.ctx
     k = ctx.field
-    if isinstance(pairing_or_omega, NCForm):
-        pairing = omega_to_pairing(pairing_or_omega)
-    else:
-        pairing = pairing_or_omega
     pi = pairing_inverse(ctx, pairing)
     cap = min(f.order_cap, g.order_cap)
     rots = {w: list(rotations(w, [ctx.eff_degree(s) for s in w]))
@@ -764,21 +753,16 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
     """Make W_{>=4} reduced by the order-by-order automorphism loop.
 
     Returns (cat2, iso, report).  Requires characteristic zero, minimality,
-    designated units, and a cyclic pairing.
+    designated units and a cyclic pairing; potential_from_category raises
+    NotCyclicError when the pairing is not cyclic.  The A-infinity
+    relations are the caller's to check (check_relations), once.
     """
-    from .ainf import check_relations
     if cat.field.p != 0:
         raise NCError("strictification needs characteristic zero")
     if cat.op_table(1):
         raise NCError("input not minimal: b_1 is nonzero")
     if set(cat.units) != set(cat.objects):
         raise NCError("weak units must be designated on every object")
-    rel = check_relations(cat)
-    if not rel.ok:
-        raise NCError("input fails check_relations")
-    cyc = check_cyclicity(cat, pairing)
-    if not cyc.ok:
-        raise NotCyclicError(cyc.witnesses)
 
     w = potential_from_category(cat, pairing)
     cap = order_cap if order_cap is not None else w.order_cap
@@ -879,33 +863,7 @@ class FormalityCertificate:
     profile: dict                # object -> g
     checks: list                 # (name, ok, detail)
     conclusion: str
-    strict_report: StrictifyReport | None = None
-
-
-def sigma_profile(cat: AInfCategory):
-    """Hom-space dimension checks for a Sigma-collection; returns
-    (ok, profile, failures)."""
-    failures = []
-    profile = {}
-    for i in cat.objects:
-        for j in cat.objects:
-            dims = {}
-            for lab, deg in cat.hom.get((i, j), ()):
-                dims[deg] = dims.get(deg, 0) + 1
-            if any(d < 0 for d in dims):
-                failures.append(("negative degree", i, j, dims))
-            if any(d > 2 for d in dims):
-                failures.append(("Ext^%d != 0" % max(dims), i, j, dims))
-            if i == j:
-                if dims.get(0, 0) != 1 or dims.get(2, 0) != 1:
-                    failures.append(("diagonal profile", i, j, dims))
-                if dims.get(1, 0) % 2:
-                    failures.append(("odd Ext^1 dimension", i, j, dims))
-                profile[i] = dims.get(1, 0) // 2
-            else:
-                if dims.get(0, 0) or dims.get(2, 0):
-                    failures.append(("cross term in degree 0 or 2", i, j, dims))
-    return (not failures), profile, failures
+    category: AInfCategory | None = None   # the strictified category
 
 
 def certify_sigma_formality(cat: AInfCategory, pairing: CyclicPairing,
@@ -918,16 +876,15 @@ def certify_sigma_formality(cat: AInfCategory, pairing: CyclicPairing,
     the underlying graded category.
     """
     checks = []
-    ok_profile, profile, failures = sigma_profile(cat)
-    checks.append(("sigma_profile", ok_profile,
-                   "" if ok_profile else "; ".join(str(x) for x in failures[:4])))
+    sigma = verify_sigma(cat)
+    checks.append(("sigma_profile", sigma.verdict, "; ".join(sigma.failures[:4])))
+    profile = sigma.genus
     if g_profile is not None:
         match = dict(g_profile) == profile
         checks.append(("declared_genus", match,
                        "" if match else "expected %s got %s" % (g_profile, profile)))
     minimal = not cat.op_table(1)
     checks.append(("minimal", minimal, "" if minimal else "b_1 nonzero"))
-    from .ainf import check_relations, check_unitality
     rel = check_relations(cat)
     checks.append(("relations", rel.ok,
                    "" if rel.ok else str(rel.witnesses[:2])))
@@ -938,7 +895,7 @@ def certify_sigma_formality(cat: AInfCategory, pairing: CyclicPairing,
         return FormalityCertificate(False, profile, checks,
                                     "hypotheses of the rigidity lemma fail")
 
-    cat2, iso, report = strictify_units(cat, pairing)
+    cat2, _, report = strictify_units(cat, pairing)
     checks.append(("strictify_omega", report.omega_preserved, ""))
     unit_rep = check_unitality(cat2)
     checks.append(("strict_units", unit_rep.verdict == "strict",
@@ -951,8 +908,7 @@ def certify_sigma_formality(cat: AInfCategory, pairing: CyclicPairing,
         "m_n = 0 for all n >= 3: reduced potential terms need total xi-degree "
         "one, but every non-unit letter has xi-degree <= 0"
         if ok else "certificate not issued")
-    return FormalityCertificate(ok, profile, checks, conclusion,
-                                strict_report=report)
+    return FormalityCertificate(ok, profile, checks, conclusion, category=cat2)
 
 
 # ---------------------------------------------------------------------------
@@ -983,8 +939,10 @@ def solve_cyclic_pairing(cat: AInfCategory, max_combinations: int = 256) -> Cycl
     q = category_to_vectorfield(cat)
     columns = []
     for (x, y) in unknowns:
-        probe = make_pairing(ctx, {(x, y): f.of_int(1)}, check_nondeg=False)
-        omega = _pairing_form(ctx, probe, cat.arity_cap + 1)
+        # omega of the pairing with <x, y> = 1, its graded mirror and nothing else
+        probe = {}
+        add_cyclic_term(ctx, f, probe, ((x, 1), (y, 1)), f.of_int(1))
+        omega = NCForm(ctx, probe, cat.arity_cap + 1)
         columns.append(de_rham(contraction(q, omega)).terms)
     _, kernel, _, _ = rank_kernel_image(_word_system(f, columns)[0])
     if not kernel:
@@ -1000,8 +958,7 @@ def solve_cyclic_pairing(cat: AInfCategory, max_combinations: int = 256) -> Cycl
                     add_into(f, combo, cidx, c)
         entries = {unknowns[cidx]: c for cidx, c in combo.items()}
         try:
-            pairing = make_pairing(ctx, entries, check_nondeg=True)
+            return make_pairing(ctx, entries)
         except NCError:
             continue
-        return pairing
     raise NCError("no nondegenerate cyclic pairing found")

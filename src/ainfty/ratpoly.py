@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd
 
-import sympy
-
 
 def _trim(cs):
     cs = list(cs)
@@ -191,7 +189,10 @@ def factor_rational_poly(p: RatPolynomial):
 
     Returns (content, [(monic irreducible, multiplicity), ...]) with
     content * prod(f^m) == p, factors sorted by (degree, coefficients).
+    sympy is imported here, its only use, so importing the package stays
+    cheap.
     """
+    import sympy
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     x = sympy.Symbol("x")

@@ -1,10 +1,15 @@
 """CLI reports and exit codes, checked against the library calls they wrap."""
 
+import functools
 import json
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from ainfty import cli, docio, repmod
+from ainfty import ainf, cli, docio, localmodel, nccalc, repmod
 from ainfty.cli import EXIT, main
 from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
                                windowed_homology)
@@ -12,6 +17,7 @@ from ainfty.presentations import bar_ext_category, truncated_path_category
 from ainfty.quiver import (DGQuiverAlgebra, a2_quiver, derived_preprojective,
                            double, jordan_quiver)
 from ainfty.ratpoly import RatPolynomial
+from ainfty.transfer import minimal_model
 
 
 def write_quiver(path, q):
@@ -249,3 +255,139 @@ def test_semisimplify_computes_the_radical_filtration_once(tmp_path, monkeypatch
     dims = repmod.radical_filtration(rep).layer_dims()
     assert result["layer_dims"] == [dict(sorted(layer.items())) for layer in dims]
     assert len(dims) == 4
+
+
+# ---------------------------------------------------------------------------
+# the formality path: each fact established once
+
+
+def count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) in every ainfty namespace that binds it and
+    return the Counter the wrappers fill."""
+    counts = Counter()
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("ainfty")]:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+FORMALITY_CALLS = ((ainf, "check_relations"), (nccalc, "check_cyclicity"),
+                   (nccalc, "strictify_units"), (nccalc, "degenerate_blocks"),
+                   (nccalc, "make_pairing"))
+
+
+@functools.lru_cache(maxsize=None)
+def jordan_min_text():
+    cat = bar_ext_category(derived_preprojective(jordan_quiver()), weight_cap=2)
+    model, _, _ = minimal_model(cat)
+    return docio.dumps_document(docio.to_document("ainf_category", model))
+
+
+def jordan_min_document():
+    return json.loads(jordan_min_text())
+
+
+@pytest.mark.parametrize("argv", [["formality"], ["local-model", "--dims=2"]],
+                         ids=["formality", "local-model"])
+def test_formality_path_establishes_each_fact_once(tmp_path, monkeypatch, argv):
+    path = tmp_path / "min.json"
+    path.write_text(jordan_min_text(), encoding="utf-8")
+    counts = count_calls(monkeypatch, *FORMALITY_CALLS)
+    assert main([argv[0], str(path), "--report", str(tmp_path / "r.json")]
+                + argv[1:]) == EXIT["pass"]
+    # one relation check, one cyclicity check and one strictification per
+    # job; a pairing's blocks are ranked once, when make_pairing builds it
+    assert counts["check_relations"] == 1
+    assert counts["check_cyclicity"] == 1
+    assert counts["strictify_units"] == 1
+    assert counts["degenerate_blocks"] == counts["make_pairing"] == 1
+
+
+def test_strictify_checks_the_pairing_once(tmp_path, monkeypatch):
+    path = tmp_path / "min.json"
+    path.write_text(jordan_min_text(), encoding="utf-8")
+    counts = count_calls(monkeypatch, *FORMALITY_CALLS)
+    assert main(["strictify", str(path), "--report",
+                 str(tmp_path / "r.json")]) == EXIT["pass"]
+    assert counts["check_cyclicity"] == 0
+    assert counts["degenerate_blocks"] == 1
+
+
+DEGENERATE_PAIRING = [["[1>1]0.0", "[1>1]2.0", 1], ["[1>1]2.0", "[1>1]0.0", 1]]
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("pairing", DEGENERATE_PAIRING,
+     "no cyclic pairing: pairing degenerate on blocks [('1', '1', 1)]"),
+    ("units", [], "weak units must be designated on every object"),
+], ids=["degenerate-pairing", "no-units"])
+def test_formality_failure_is_a_verdict(tmp_path, capsys, key, value, reason):
+    # a pairing that make_pairing rejects, and an obstruction raised inside
+    # the certificate, are "fail" verdicts with the reason, not tracebacks
+    doc = jordan_min_document()
+    doc["payload"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["formality", str(path)]) == EXIT["fail"]
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    report = json.loads(out.out)["payload"]
+    assert report["verdict"] == "fail"
+    assert report["witnesses"] == [{"reason": reason}]
+
+
+def test_formality_on_a_prime_field_document_is_an_input_error(tmp_path, capsys):
+    doc = jordan_min_document()
+    doc["payload"]["field"] = "fp:7"
+    path = tmp_path / "fp7.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["formality", str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "formality runs over the rationals" in out.out
+
+
+def test_stored_pairing_in_one_orientation(tmp_path):
+    # make_pairing fills in the graded mirror of each stored entry
+    doc = jordan_min_document()
+    cat = docio.parse_document(doc)[1]
+    pairing = nccalc.solve_cyclic_pairing(cat)
+    reports = []
+    for oriented in (lambda x, y: True, lambda x, y: x < y):
+        doc["payload"]["pairing"] = [
+            [x, y, docio.scalar_to_json(cat.field, c)]
+            for (x, y), c in sorted(pairing.entries.items()) if oriented(x, y)]
+        path, out = tmp_path / "min.json", tmp_path / "min.report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["strictify", str(path), "--report", str(out)]) == EXIT["pass"]
+        reports.append(out.read_text())
+    assert len(doc["payload"]["pairing"]) * 2 == len(pairing.entries)
+    assert reports[0] == reports[1]
+
+
+def test_hn_enum_checks_each_type_once(tmp_path, monkeypatch):
+    path, out = tmp_path / "hn.json", tmp_path / "hn.report.json"
+    path.write_text(docio.dumps_document(hn_query_document()), encoding="utf-8")
+    counts = count_calls(monkeypatch, (localmodel, "check_hn_type"))
+    assert main(["hn-enum", str(path), "--report", str(out)]) == EXIT["pass"]
+    result = json.loads(out.read_text())["payload"]["result"]
+    assert result["count"] > 0 and result["reverified"] is True
+    assert counts["check_hn_type"] == result["count"]
+
+
+def test_importing_the_cli_leaves_sympy_unloaded():
+    # only ratpoly.factor_rational_poly needs sympy, and no subcommand
+    # reaches it
+    code = "import sys, ainfty.cli; print('sympy' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -21,6 +21,7 @@ from ainfty.signs import koszul_sign
 from ainfty.sparse import SparseMatrix, rank_kernel_image
 from ainfty.transfer import minimal_model
 from ainfty.ainf import check_functor, check_relations, check_unitality
+from ainfty.localmodel import verify_sigma
 from ainfty.ncword import (NCContext, canonical_cyclic, enumerate_cyclic_words,
                            enumerate_forms)
 from ainfty import nccalc as nc
@@ -700,10 +701,10 @@ def test_wrong_declared_genus_is_rejected(jordan_pack):
 
 
 def test_profile_rejects_wide_hom_spaces():
-    ext = exterior_fixture()
-    ok, _, failures = nc.sigma_profile(ext)
-    assert not ok
-    assert any("Ext" in f[0] for f in failures)
+    # the certificate's sigma_profile check is localmodel.verify_sigma
+    cert = verify_sigma(exterior_fixture())
+    assert not cert.verdict
+    assert any("Ext" in f for f in cert.failures)
 
 
 # ---------------------------------------------------------------------------
