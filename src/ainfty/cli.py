@@ -11,6 +11,7 @@ fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -137,7 +138,12 @@ def _pairing_for(args, cat):
     """The --pairing document, else the category's stored pairing, each
     checked by make_pairing; else a solved one."""
     if getattr(args, "pairing", None):
-        entries = _load(args.pairing, "pairing")[1].entries
+        doc = _load(args.pairing, "pairing")[1]
+        if doc.field != cat.field:
+            raise CliError("pairing document is over %s, the category over %s"
+                           % (docio.field_to_json(doc.field),
+                              docio.field_to_json(cat.field)))
+        entries = doc.entries
     elif cat.pairing:
         entries = cat.pairing
     else:
@@ -365,7 +371,10 @@ def cmd_local_model(args):
     q = ext_quiver_halve(cert)
     try:
         fcert = certify_sigma_formality(cat, _pairing_for(args, cat))
-    except NCError:
+    except NCError as e:
+        # only a solved pairing may be missing; a supplied one must hold
+        if getattr(args, "pairing", None) or cat.pairing:
+            return "fail", [{"reason": str(e)}], {}, {}
         fcert = None
     if fcert is not None and not fcert.ok:
         fcert = None
@@ -587,8 +596,15 @@ def run_batch(args):
     return worst
 
 
+@functools.cache
+def _parser():
+    """make_parser's parser, built once per process: parsing reads it and
+    never changes it."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.subcommand == "batch":
         return run_batch(args)
     code, report = run_one(args.subcommand, args, args.input)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ainf import AInfCategory
 from .field import FieldCtx, FieldError, GF, QQ
@@ -161,7 +160,7 @@ def dg_algebra_to_payload(alg: DGQuiverAlgebra) -> dict:
     diff = []
     for name, terms in sorted(alg.differential):
         diff.append({"arrow": name,
-                     "value": [{"coeff": scalar_to_json(f, Fraction(c)),
+                     "value": [{"coeff": scalar_to_json(f, c),
                                 "path": list(p)} for c, p in terms]})
     return {
         "quiver": quiver_to_payload(alg.quiver),
@@ -459,7 +458,7 @@ class HNQuery:
 
 
 def _poly_to_json(p: RatPolynomial):
-    return [QQ.scalar_to_json(Fraction(c)) for c in p.coeffs]
+    return [QQ.scalar_to_json(c) for c in p.coeffs]
 
 
 def _poly_from_json(obj, path) -> RatPolynomial:

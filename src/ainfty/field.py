@@ -1,8 +1,13 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Every computation in this package runs over an explicit FieldCtx.  Rational
-scalars are fractions.Fraction, prime-field scalars are ints in [0, p).
-No floats anywhere; mixing scalars from different contexts is an error.
+Every computation in this package runs over an explicit FieldCtx: the one
+rational context QQ, or a prime field GF(p).  A rational scalar is held in
+canonical form: an int when it is integral, a fractions.Fraction only when
+its denominator is greater than 1.  Every QQ operation returns that form,
+and ints compare and hash equal to the Fractions they stand for, so dict
+keys, sorting and serialization do not see the difference.  Prime-field
+scalars are ints in [0, p).  No floats anywhere; mixing scalars from
+different contexts is an error.
 """
 
 from __future__ import annotations
@@ -26,51 +31,19 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldCtx:
-    """Arithmetic context: characteristic 0 (rationals) or a prime field."""
+    """Arithmetic context; `p` is the characteristic, 0 for the rationals.
 
-    p: int = 0  # 0 means the rationals
+    The subclasses define of_int, of_fraction, add, sub, mul, neg, inv,
+    scalar_to_json and the reading of a {"mod": p} scalar."""
 
-    def __post_init__(self):
-        if self.p != 0 and not _is_prime(self.p):
-            raise FieldError("modulus must be prime, got %r" % (self.p,))
+    p: int
 
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p == 0 else 1
-
-    def of_int(self, n: int):
-        return Fraction(n) if self.p == 0 else n % self.p
-
-    def of_fraction(self, q: Fraction):
-        if self.p == 0:
-            return Fraction(q)
-        den = q.denominator % self.p
-        if den == 0:
-            raise FieldError("denominator %d not invertible mod %d" % (q.denominator, self.p))
-        return (q.numerator * pow(den, self.p - 2, self.p)) % self.p
-
-    def add(self, a, b):
-        return a + b if self.p == 0 else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p == 0 else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p == 0 else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p == 0 else (-a) % self.p
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        if self.p == 0:
-            return 1 / a
-        return pow(a, self.p - 2, self.p)
+        return 1
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -83,34 +56,112 @@ class FieldCtx:
         s = s.strip()
         if "/" in s:
             num, den = s.split("/", 1)
-            q = Fraction(int(num), int(den))
-        else:
-            q = Fraction(int(s))
-        return self.of_fraction(q)
-
-    def scalar_to_json(self, a):
-        if self.p == 0:
-            if a.denominator == 1:
-                return str(a.numerator)
-            return "%d/%d" % (a.numerator, a.denominator)
-        return {"mod": self.p, "val": int(a)}
+            return self.of_fraction(Fraction(int(num), int(den)))
+        return self.of_int(int(s))
 
     def scalar_from_json(self, obj):
         if isinstance(obj, str):
             return self.scalar_from_str(obj)
         if isinstance(obj, int):
-            return self.of_int(obj)
+            return self.of_int(int(obj))
         if isinstance(obj, dict) and "mod" in obj:
-            if self.p == 0:
-                raise FieldError("prime-field scalar %r in a rational context" % (obj,))
-            if obj["mod"] != self.p:
-                raise FieldError("modulus mismatch: %r vs p=%d" % (obj, self.p))
-            return obj["val"] % self.p
+            return self._mod_scalar(obj)
         raise FieldError("cannot parse scalar %r" % (obj,))
 
 
-QQ = FieldCtx(0)
+def _canon(q):
+    """An int for an integral rational, else the Fraction itself."""
+    return q.numerator if q.denominator == 1 else q
 
 
-def GF(p: int) -> FieldCtx:
-    return FieldCtx(p)
+@dataclass(frozen=True)
+class Rationals(FieldCtx):
+    """The rationals, in canonical form; QQ is the only instance in use."""
+
+    p = 0
+
+    def of_int(self, n: int):
+        return n
+
+    def of_fraction(self, q):
+        return q if type(q) is int else _canon(Fraction(q))
+
+    def add(self, a, b):
+        c = a + b
+        return c if type(c) is int else _canon(c)
+
+    def sub(self, a, b):
+        c = a - b
+        return c if type(c) is int else _canon(c)
+
+    def mul(self, a, b):
+        c = a * b
+        return c if type(c) is int else _canon(c)
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return _canon(Fraction(1) / a)
+
+    def scalar_to_json(self, a):
+        if a.denominator == 1:
+            return str(a.numerator)
+        return "%d/%d" % (a.numerator, a.denominator)
+
+    def _mod_scalar(self, obj):
+        raise FieldError("prime-field scalar %r in a rational context" % (obj,))
+
+
+@dataclass(frozen=True)
+class PrimeField(FieldCtx):
+    """The field with p elements, scalars ints in [0, p); built by GF(p)."""
+
+    p: int
+
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise FieldError("modulus must be prime, got %r" % (self.p,))
+
+    def of_int(self, n: int):
+        return n % self.p
+
+    def of_fraction(self, q: Fraction):
+        den = q.denominator % self.p
+        if den == 0:
+            raise FieldError("denominator %d not invertible mod %d" % (q.denominator, self.p))
+        return (q.numerator * pow(den, self.p - 2, self.p)) % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def scalar_to_json(self, a):
+        return {"mod": self.p, "val": int(a)}
+
+    def _mod_scalar(self, obj):
+        if obj["mod"] != self.p:
+            raise FieldError("modulus mismatch: %r vs p=%d" % (obj, self.p))
+        return obj["val"] % self.p
+
+
+QQ = Rationals()
+
+
+def GF(p: int) -> PrimeField:
+    return PrimeField(p)

@@ -176,7 +176,7 @@ def poly_eval(a, values, f: FieldCtx, coeff_field: FieldCtx = QQ):
     total = f.zero()
     for mono, c in a.items():
         if coeff_field.p == 0 and f.p != 0:
-            c = f.of_fraction(Fraction(c))
+            c = f.of_fraction(c)
         term = c
         for var in mono:
             term = f.mul(term, values[var])

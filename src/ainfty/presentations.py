@@ -19,8 +19,6 @@ complete operation tables (no hidden higher operations).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ainf import AInfCategory
 from .field import FieldCtx, QQ
 from .quiver import DGQuiverAlgebra, d_path, path_degree
@@ -151,7 +149,7 @@ def bar_differential(alg: DGQuiverAlgebra, word):
     prefix sign (signs.py) of the shifted letter degrees left of the slot
     and the product sign (-1)^deg(first merged letter).  Degree +1,
     preserves weight, never produces trivial letters.  Returns
-    {word: Fraction}."""
+    {word: QQ scalar}."""
     q = alg.quiver
     out = {}
     degs = [path_degree(q, p) for p in word]
@@ -160,10 +158,10 @@ def bar_differential(alg: DGQuiverAlgebra, word):
         sgn = parity_sign(pre[k])
         for new, coeff in d_path(alg, p).items():
             w2 = word[:k] + (new,) + word[k + 1:]
-            add_into(QQ, out, w2, Fraction(coeff) * sgn)
+            add_into(QQ, out, w2, QQ.mul(coeff, sgn))
         if k + 1 < len(word):
             merged = word[:k] + (p + word[k + 1],) + word[k + 2:]
-            add_into(QQ, out, merged, Fraction(sgn * parity_sign(degs[k])))
+            add_into(QQ, out, merged, sgn * parity_sign(degs[k]))
     return out
 
 

@@ -3,13 +3,12 @@
 Paths are stored target-to-source: the tuple (a, b) is the composite a o b,
 defined when src(a) == tgt(b).  A path's source is the source of its last
 entry, its target the target of its first.  Relations and differentials are
-linear combinations [(coeff, path), ...] with integer or Fraction coeffs.
+linear combinations [(coeff, path), ...] with QQ scalar coeffs (field.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .field import QQ
 from .signs import parity_sign, prefix_parities
@@ -158,9 +157,9 @@ def preprojective(q: Quiver) -> PresentedAlgebra:
         for a in q.arrows:
             st = star_name(a.name)
             if a.tgt == v:
-                terms.append((Fraction(1), (a.name, st)))
+                terms.append((QQ.of_int(1), (a.name, st)))
             if a.src == v:
-                terms.append((Fraction(-1), (st, a.name)))
+                terms.append((QQ.of_int(-1), (st, a.name)))
         if terms:
             rels.append((v, tuple(terms)))
     return PresentedAlgebra(dq, tuple(rels))
@@ -210,9 +209,9 @@ def derived_preprojective(q: Quiver) -> DGQuiverAlgebra:
         for a in q.arrows:
             st = star_name(a.name)
             if a.tgt == v:
-                terms.append((Fraction(1), (a.name, st)))
+                terms.append((QQ.of_int(1), (a.name, st)))
             if a.src == v:
-                terms.append((Fraction(-1), (st, a.name)))
+                terms.append((QQ.of_int(-1), (st, a.name)))
         diff.append((uname, tuple(terms)))
     gq = Quiver(q.vertices, tuple(arrs))
     return DGQuiverAlgebra(gq, tuple(diff), tuple(weights))
@@ -243,7 +242,7 @@ def d_path(alg: DGQuiverAlgebra, path):
     """Differential of a path by the graded Leibniz rule.
 
     Replacing the arrow in slot k costs the prefix sign (signs.py) of the
-    arrow degrees left of k.  Returns a dict path -> Fraction.
+    arrow degrees left of k.  Returns a dict path -> QQ scalar.
     """
     q = alg.quiver
     out = {}
@@ -257,7 +256,7 @@ def d_path(alg: DGQuiverAlgebra, path):
         sgn = parity_sign(pre[k])
         for coeff, rep in terms:
             new = path[:k] + tuple(rep) + path[k + 1:]
-            add_into(QQ, out, new, Fraction(coeff) * sgn)
+            add_into(QQ, out, new, QQ.mul(coeff, sgn))
     return out
 
 
@@ -282,7 +281,7 @@ def check_dg(alg: DGQuiverAlgebra):
         dd = {}
         for coeff, path in terms:
             for p2, c2 in d_path(alg, tuple(path)).items():
-                add_into(QQ, dd, p2, Fraction(coeff) * c2)
+                add_into(QQ, dd, p2, QQ.mul(coeff, c2))
         if dd:
             failures.append(("d*d nonzero", name, tuple(sorted(dd))))
     return (not failures), failures
@@ -293,12 +292,12 @@ def normalized_relations(rels):
     by path, scaled to leading coefficient 1; the set is sorted."""
     out = []
     for v, terms in rels:
-        terms = [(Fraction(c), tuple(p)) for c, p in terms if Fraction(c) != 0]
+        terms = [(QQ.of_fraction(c), tuple(p)) for c, p in terms if c != 0]
         terms.sort(key=lambda t: t[1])
         if not terms:
             continue
         lead = terms[0][0]
-        terms = tuple((c / lead, p) for c, p in terms)
+        terms = tuple((QQ.div(c, lead), p) for c, p in terms)
         out.append((v, terms))
     out.sort()
     return tuple(out)
@@ -315,7 +314,7 @@ def degree_zero_truncation(alg: DGQuiverAlgebra) -> PresentedAlgebra:
     rels = []
     for a in q.arrows:
         if a.degree == -1:
-            terms = tuple((Fraction(c), tuple(p)) for c, p in alg.d_of(a.name))
+            terms = tuple((QQ.of_fraction(c), tuple(p)) for c, p in alg.d_of(a.name))
             if terms and all(all(q.arrow(n).degree == 0 for n in p) for _, p in terms):
                 if a.src != a.tgt:
                     raise ValueError("relation %r not split by a vertex" % (a.name,))

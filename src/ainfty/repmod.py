@@ -22,7 +22,7 @@ import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldCtx, QQ
+from .field import GF, FieldCtx, QQ
 from .quiver import (DGQuiverAlgebra, Quiver, degree_zero_truncation,
                      dimension_vector, star_name)
 from .ratpoly import RatPolynomial, factor_rational_poly
@@ -549,7 +549,7 @@ def good_reduction(rep: MatrixRep, p: int):
     or collapses the rank of an arrow matrix."""
     if rep.field.p != 0:
         raise RepError("reduction starts from a rational representation")
-    fp = FieldCtx(p)
+    fp = GF(p)
     mats = {}
     for a in rep.quiver.arrows:
         m = rep.mats[a.name]

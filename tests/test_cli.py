@@ -11,6 +11,7 @@ import pytest
 
 from ainfty import ainf, cli, docio, localmodel, nccalc, repmod
 from ainfty.cli import EXIT, main
+from ainfty.field import GF
 from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
                                windowed_homology)
 from ainfty.presentations import bar_ext_category, truncated_path_category
@@ -371,6 +372,63 @@ def test_stored_pairing_in_one_orientation(tmp_path):
         reports.append(out.read_text())
     assert len(doc["payload"]["pairing"]) * 2 == len(pairing.entries)
     assert reports[0] == reports[1]
+
+
+def test_pairing_document_over_another_field_is_an_input_error(tmp_path, capsys):
+    path, pairing_path = tmp_path / "min.json", tmp_path / "pairing.json"
+    path.write_text(jordan_min_text(), encoding="utf-8")
+    cat = docio.load_document(str(path))[1]
+    f5 = GF(5)
+    entries = {k: f5.of_fraction(c)
+               for k, c in nccalc.solve_cyclic_pairing(cat).entries.items()}
+    pairing_path.write_text(docio.dumps_document(docio.to_document(
+        "pairing", nccalc.CyclicPairing(f5, entries))), encoding="utf-8")
+    for argv in (["strictify"], ["formality"], ["local-model", "--dims=2"]):
+        code = main([argv[0], str(path), "--pairing", str(pairing_path)] + argv[1:])
+        out = capsys.readouterr()
+        assert code == EXIT["error"] == 2
+        assert "Traceback" not in out.out + out.err
+        assert json.loads(out.out)["payload"]["witnesses"] == [
+            {"error": "pairing document is over fp:5, the category over QQ"}]
+
+
+@pytest.mark.parametrize("where", ["stored", "document"])
+def test_local_model_fails_on_a_rejected_supplied_pairing(tmp_path, capsys, where):
+    # a supplied pairing that make_pairing rejects is a "fail" with the
+    # reason, as in formality and strictify; only a solved pairing may be
+    # missing (test_formality_path_establishes_each_fact_once runs that case)
+    doc = jordan_min_document()
+    argv = []
+    if where == "stored":
+        doc["payload"]["pairing"] = DEGENERATE_PAIRING
+    else:
+        pairing_path = tmp_path / "pairing.json"
+        pairing_path.write_text(json.dumps(docio.wrap("pairing", {
+            "field": "QQ", "entries": DEGENERATE_PAIRING})), encoding="utf-8")
+        argv = ["--pairing", str(pairing_path)]
+    path = tmp_path / "min.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["local-model", str(path), "--dims=2"] + argv) == EXIT["fail"]
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    report = json.loads(out.out)["payload"]
+    assert report["verdict"] == "fail"
+    assert report["witnesses"] == [
+        {"reason": "pairing degenerate on blocks [('1', '1', 1)]"}]
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    path = tmp_path / "min.json"
+    path.write_text(jordan_min_text(), encoding="utf-8")
+    cli._parser.cache_clear()
+    counts = count_calls(monkeypatch, (cli, "make_parser"))
+    reports = []
+    for argv in (["check-ainf"], ["check-ainf", "--order-cap", "3"], ["check-ainf"]):
+        out = tmp_path / ("r%d.json" % len(reports))
+        main(argv + [str(path), "--report", str(out)])
+        reports.append(out.read_text())
+    assert counts["make_parser"] == 1
+    assert reports[0] == reports[2] != reports[1]
 
 
 def test_hn_enum_checks_each_type_once(tmp_path, monkeypatch):

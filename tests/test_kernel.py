@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty.field import QQ, GF, FieldError
-from ainfty.ratpoly import (RatPolynomial, factor_kronecker,
-                            factor_rational_poly, poly_gcd, poly_xgcd)
+from ainfty.ratpoly import (RatPolynomial, factor_rational_poly, poly_gcd,
+                            poly_xgcd)
 from ainfty.signs import (block_sign, koszul_sign, parity_sign, prefix_parities,
                           reversal_sign, rotations)
 from ainfty.sparse import (Echelon, SparseMatrix, add_into, invert,
                            rank_kernel_image, rref, solve)
+from kronecker_oracle import factor_kronecker
 
 
 def test_field_rational_ops():
@@ -42,6 +43,75 @@ def test_scalar_json_round_trip():
 
 
 scalars = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def canonical(q: Fraction):
+    """The QQ form of a rational: an int when integral, else the Fraction."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def assert_canonical_equal(got, want: Fraction):
+    assert got == want
+    assert type(got) is type(canonical(want))  # never a float or a Fraction n/1
+
+
+@given(scalars.map(canonical), scalars.map(canonical), scalars,
+       st.integers(-9, 9), st.integers(-9, 9).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_qq_ops_are_fraction_arithmetic_in_canonical_form(a, b, q, num, den):
+    fa, fb = Fraction(a), Fraction(b)
+    assert_canonical_equal(QQ.add(a, b), fa + fb)
+    assert_canonical_equal(QQ.sub(a, b), fa - fb)
+    assert_canonical_equal(QQ.mul(a, b), fa * fb)
+    assert_canonical_equal(QQ.neg(a), -fa)
+    assert_canonical_equal(QQ.of_fraction(q), q)
+    assert_canonical_equal(QQ.of_int(num), Fraction(num))
+    assert_canonical_equal(QQ.scalar_from_str(" %d " % num), Fraction(num))
+    assert_canonical_equal(QQ.scalar_from_str("%d/%d" % (num, den)),
+                           Fraction(num, den))
+    assert_canonical_equal(QQ.scalar_from_json(str(q)), q)
+    if b != 0:
+        assert_canonical_equal(QQ.inv(b), 1 / fb)
+        assert_canonical_equal(QQ.div(a, b), fa / fb)
+    assert QQ.scalar_to_json(a) == QQ.scalar_to_json(fa)
+    assert hash(a) == hash(fa)
+    for unit in (QQ.zero(), QQ.one()):
+        assert type(unit) is int
+
+
+@given(st.sampled_from([2, 3, 7, 11]), st.integers(-30, 30),
+       st.integers(-30, 30), st.integers(-9, 9), st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_prime_field_ops_are_arithmetic_mod_p(p, a, b, num, den):
+    f = GF(p)
+    x, y = f.of_int(a), f.of_int(b)
+    assert (x, y) == (a % p, b % p)
+    assert f.add(x, y) == (a + b) % p
+    assert f.sub(x, y) == (a - b) % p
+    assert f.mul(x, y) == (a * b) % p
+    assert f.neg(x) == -a % p
+    if y:
+        assert f.mul(f.inv(y), y) == 1 and f.div(x, y) == f.mul(x, f.inv(y))
+    frac = Fraction(num, den)
+    if frac.denominator % p:
+        q = f.of_fraction(frac)
+        assert (q * frac.denominator - frac.numerator) % p == 0 and 0 <= q < p
+        assert f.scalar_from_str("%d/%d" % (num, den)) == q
+    else:
+        with pytest.raises(FieldError):
+            f.of_fraction(frac)
+    assert f.scalar_from_json(f.scalar_to_json(x)) == x
+    for val in (f.zero(), f.one(), x, y):
+        assert type(val) is int
+
+
+def test_rationals_and_prime_fields_are_distinct_contexts():
+    assert QQ.p == 0 and GF(5).p == 5
+    assert GF(5) == GF(5) and GF(5) != GF(7) and GF(5) != QQ
+    with pytest.raises(FieldError):
+        GF(0)
+    with pytest.raises(FieldError, match="modulus mismatch"):
+        GF(5).scalar_from_json({"mod": 7, "val": 2})
 
 
 @st.composite

@@ -1,12 +1,16 @@
 """Homological transfer: contractions, minimal models, induced functors."""
 
+from fractions import Fraction
+
 import pytest
 
+from ainfty import docio
 from ainfty.ainf import check_functor, check_relations, check_unitality
 from ainfty.field import GF, QQ
 from ainfty.presentations import bar_ext_category, truncated_path_category
 from ainfty.quiver import (a2_quiver, derived_preprojective, jordan_quiver,
                            two_loop_quiver)
+from ainfty.nccalc import solve_cyclic_pairing
 from ainfty.transfer import (check_contraction, cohomology_dims,
                              hom_contraction, hom_dims, minimal_model)
 
@@ -101,3 +105,42 @@ def test_rejects_nondg_input():
     from dataclasses import replace
     with pytest.raises(StructureError):
         minimal_model(replace(cat, ops=bad_ops))
+
+
+def table_scalars(tables):
+    """Every coefficient of {arity or key: {inputs: {output: coeff}}}."""
+    return [c for tab in tables.values() for vec in tab.values()
+            for c in vec.values()]
+
+
+def non_canonical(scalars):
+    """The QQ scalars not in canonical form (an int when integral, else a
+    Fraction with denominator > 1)."""
+    return [c for c in scalars if not (
+        type(c) is int or (type(c) is Fraction and c.denominator > 1))]
+
+
+@pytest.mark.parametrize("name", sorted(QUIVERS))
+def test_qq_scalars_are_canonical(name):
+    alg = derived_preprojective(QUIVERS[name])
+    assert non_canonical(c for _, terms in alg.differential for c, _ in terms) == []
+    bar = bar_ext_category(alg, 3)
+    path = truncated_path_category(alg, 3)
+    mini, functor, cons = minimal_model(bar)
+    assert non_canonical(table_scalars(bar.ops)) == []
+    assert non_canonical(table_scalars(path.ops)) == []
+    assert non_canonical(table_scalars(mini.ops)) == []
+    assert non_canonical(table_scalars(functor.components)) == []
+    for con in cons.values():
+        for linear_map in (con.inc, con.proj, con.htp):
+            assert non_canonical(c for vec in linear_map.values()
+                                 for c in vec.values()) == []
+    # a document round trip, with a stored pairing, parses to the same form
+    stored = solve_cyclic_pairing(mini).entries
+    doc = docio.to_document("ainf_category", mini)
+    doc["payload"]["pairing"] = [[x, y, docio.scalar_to_json(QQ, QQ.div(c, 2))]
+                                 for (x, y), c in sorted(stored.items())]
+    _, loaded = docio.parse_document(doc)
+    assert non_canonical(table_scalars(loaded.ops)) == []
+    assert non_canonical(loaded.pairing.values()) == []
+    assert any(type(c) is Fraction for c in loaded.pairing.values())
