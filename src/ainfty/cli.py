@@ -89,6 +89,14 @@ def _parse_zeta(text):
         raise CliError("--zeta wants comma-separated rationals, got %r" % text)
 
 
+def _require_field(args, cat):
+    """--field, when given, must name the field of the category in use."""
+    if (args.field is not None
+            and docio.field_from_json(args.field, "flags.field") != cat.field):
+        raise CliError("--field %s, but the document is over %s"
+                       % (args.field, docio.field_to_json(cat.field)))
+
+
 def _load(path, *kinds):
     kind, obj = docio.load_document(path)
     if kinds and kind not in kinds:
@@ -103,6 +111,7 @@ def _load(path, *kinds):
 
 def cmd_check_ainf(args):
     _, cat = _load(args.input, "ainf_category")
+    _require_field(args, cat)
     rel = check_relations(cat, max_arity=args.order_cap)
     witnesses = _relation_witnesses(cat.field, rel.witnesses)
     payload = {"checked_arities": list(rel.checked),
@@ -117,6 +126,7 @@ def cmd_check_ainf(args):
 
 def cmd_minimal_model(args):
     _, cat = _load(args.input, "ainf_category")
+    _require_field(args, cat)
     try:
         model, incl, _ = minimal_model(cat, arity_cap=args.order_cap)
     except StructureError as e:
@@ -192,13 +202,11 @@ def _minimal_category_from(kind, obj, args):
 
 def cmd_formality(args):
     kind, obj = _load(args.input, "quiver", "ainf_category")
-    if args.field != "QQ":
-        raise CliError("formality runs over the rationals; --field %s unsupported"
-                       % args.field)
     try:
         cat = _minimal_category_from(kind, obj, args)
     except StructureError as e:
         raise CliError(str(e))
+    _require_field(args, cat)
     if cat.field.p != 0:
         raise CliError("formality runs over the rationals; the document is over fp:%d"
                        % cat.field.p)
@@ -238,6 +246,7 @@ def cmd_hochschild(args):
         cat = truncated_path_category(obj, weight_cap=2)
     else:
         cat = obj
+    _require_field(args, cat)
     try:
         window = HochschildChainWindow(cat, args.window)
     except HochschildError as e:
@@ -275,6 +284,8 @@ def cmd_hochschild(args):
 
 
 def _reduce_if_requested(rep, args):
+    if args.field is None:
+        return rep, None
     f = docio.field_from_json(args.field, "flags.field")
     if f.p == 0 or rep.field.p == f.p:
         return rep, None
@@ -453,7 +464,9 @@ HANDLERS = {
 
 
 def _flags_of(args):
-    flags = {"order_cap": args.order_cap, "field": args.field, "seed": args.seed}
+    # an unset --field is recorded as "QQ", as reports have always read
+    flags = {"order_cap": args.order_cap, "field": args.field or "QQ",
+             "seed": args.seed}
     for extra in ("dims", "zeta", "window", "pairing"):
         if getattr(args, extra, None) is not None:
             flags[extra] = getattr(args, extra)
@@ -525,8 +538,9 @@ def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order-cap", type=int, default=6,
                         help="arity/order truncation cap (default 6)")
-    common.add_argument("--field", default="QQ",
-                        help='scalar field: "QQ" (default) or "fp:P"')
+    common.add_argument("--field", default=None,
+                        help='scalar field: "QQ" or "fp:P" (default: the '
+                             "document's)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed recorded in the report, used by randomized paths")
     common.add_argument("--output", choices=("structured", "text"),

@@ -102,6 +102,8 @@ class Rationals(FieldCtx):
         return -a
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return a
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _canon(Fraction(1) / a)

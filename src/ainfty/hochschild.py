@@ -14,16 +14,25 @@ shifted factor degrees.  b never raises length, so a window of lengths
 1..N is a subcomplex and the reported homology is exact for the window;
 the stability flag records whether growing the window moves the reported
 part.
+
+Both reports come from one elimination per total degree of the
+window-(N+1) complex.  The b-columns enter in order of chain length, and
+target chains are keyed longest first, so the pivot of a row is the
+longest chain in it: the pivots of length <= n count the boundaries of
+length <= n.  The pivot set only grows as columns are added, so the
+pivots present after the columns of length <= N are those of the
+window-N complex.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .ainf import AInfCategory, check_relations
 from .ncword import NCContext, canonical_cyclic
-from .signs import block_sign, prefix_parities, rotations
-from .sparse import SparseMatrix, add_into, rank_kernel_image, rref
+from .signs import block_sign, rotations
+from .sparse import Echelon, add_into
 
 
 class HochschildError(Exception):
@@ -55,11 +64,6 @@ class HochschildChainWindow:
                 "the windowed complex implements the dg differential; "
                 "input has operations of arity %s" % higher)
 
-    def labels(self):
-        for pair, basis in sorted(self.cat.hom.items()):
-            for lab, _ in basis:
-                yield lab
-
     def basis(self, n: int):
         """All cyclically composable chains of length n, sorted."""
         if n < 1 or n > self.max_length:
@@ -67,27 +71,16 @@ class HochschildChainWindow:
                                   % (n, self.max_length))
         if n not in self._bases:
             cat = self.cat
-            out = []
-            partial = [()]
-            for k in range(n):
-                nxt = []
-                for tup in partial:
-                    for lab in self.labels():
-                        if tup and cat.src(tup[-1]) != cat.tgt(lab):
-                            continue
-                        nxt.append(tup + (lab,))
-                partial = nxt
-            for tup in partial:
-                if cat.src(tup[-1]) == cat.tgt(tup[0]):
-                    out.append(tup)
-            self._bases[n] = sorted(out)
+            into = {}           # object -> labels with that target
+            for lab in cat.labels():
+                into.setdefault(cat.tgt(lab), []).append(lab)
+            partial = [(lab,) for lab in cat.labels()]
+            for _ in range(n - 1):
+                partial = [tup + (lab,) for tup in partial
+                           for lab in into.get(cat.src(tup[-1]), ())]
+            self._bases[n] = sorted(tup for tup in partial
+                                    if cat.src(tup[-1]) == cat.tgt(tup[0]))
         return self._bases[n]
-
-    def basis_by_degree(self, n: int):
-        by_deg = {}
-        for tup in self.basis(n):
-            by_deg.setdefault(chain_degree(self.cat, tup), []).append(tup)
-        return by_deg
 
     def check_chain(self, chain: dict) -> None:
         for tup in chain:
@@ -102,30 +95,36 @@ class HochschildChainWindow:
 def hochschild_b(window: HochschildChainWindow, chain: dict) -> dict:
     """b = b_1 + d_Hoch; lowers length by at most one."""
     window.check_chain(chain)
-    cat = window.cat
+    return _apply_b(window.cat, chain)
+
+
+def _apply_b(cat: AInfCategory, chain: dict) -> dict:
+    """b on a chain whose tuples are cyclically composable; no checks."""
     f = cat.field
     b2 = cat.op_table(2) or {}
     slots = ((1, cat.op_table(1) or {}), (2, b2))
     acc = {}
     for tup, coeff in chain.items():
         n = len(tup)
-        pre = prefix_parities([cat.deg(lab) - 1 for lab in tup])
         neg = f.neg(coeff)
-        # b_s on the factors r..r+s-1, past the prefix tup[:r]
+        # b_s on the factors r..r+s-1, past the prefix tup[:r] of shifted
+        # parity odd
         for s, bs in slots:
+            odd = 0
             for r in range(n - s + 1):
                 out = bs.get(tup[r:r + s])
                 if out:
-                    c = neg if pre[r] else coeff
+                    c = neg if odd else coeff
                     for z, cz in out.items():
                         add_into(f, acc, tup[:r] + (z,) + tup[r + s:], f.mul(c, cz))
+                odd ^= cat.sdeg(tup[r]) & 1
         if n == 1:
             continue
-        # wraparound: b_2 on the first two factors of F_n(tup)
+        # wraparound: b_2 on the first two factors of F_n(tup); the b_2
+        # pass stopped at r = n - 2, so odd is the parity of tup[:-1]
         out = b2.get((tup[-1], tup[0]))
         if out:
-            last = (pre[n] - pre[n - 1]) % 2      # parity of tup[-1]
-            c = coeff if block_sign(last, pre[n - 1]) > 0 else neg
+            c = coeff if block_sign(cat.sdeg(tup[-1]), odd) > 0 else neg
             for z, cz in out.items():
                 add_into(f, acc, (z,) + tup[1:-1], f.mul(c, cz))
     return acc
@@ -243,97 +242,87 @@ class WindowedHomology:
     cyclic: bool = False
 
 
-def _assemble_b(window, degrees=None):
-    """Block matrices of b per total degree, over all window lengths."""
-    cat = window.cat
-    f = cat.field
-    spaces = {}
-    for n in range(1, window.max_length + 1):
-        for deg, tups in window.basis_by_degree(n).items():
-            spaces.setdefault(deg, []).extend(tups)
-    index = {deg: {tup: i for i, tup in enumerate(sorted(tups, key=_len_first))}
-             for deg, tups in spaces.items()}
-    mats = {}
-    for deg, idx in index.items():
-        tgt = index.get(deg + 1, {})
-        m = SparseMatrix(len(tgt), len(idx), f)
-        for tup, col in idx.items():
-            img = hochschild_b(window, {tup: f.of_int(1)})
-            for out, c in img.items():
-                if out in tgt:
-                    m.set(tgt[out], col, c)
-                elif chain_degree(cat, out) != deg + 1:
-                    raise HochschildError("differential is not degree 1")
-        mats[deg] = m
-    return index, mats
-
-
-def _len_first(tup):
-    return (len(tup), tup)
-
-
-def windowed_homology(window: HochschildChainWindow, length_margin: int = 1,
-                      _check: bool = True) -> WindowedHomology:
+def windowed_homology(window: HochschildChainWindow,
+                      length_margin: int = 1) -> WindowedHomology:
     """Homology of the window subcomplex, refined by the length filtration.
 
-    Reported lengths stop at max_length - length_margin.  Each (length,
-    degree) entry is the graded dimension F_n H / F_{n-1} H for the
-    filtration by chain length; summing over lengths gives the homology of
-    the window complex in that degree.
+    Reported lengths stop at cap = max_length - length_margin.  Each
+    (length, degree) entry is the graded dimension F_n H / F_{n-1} H for
+    the filtration by chain length; summing over lengths gives the homology
+    of the window complex in that degree.
+
+    One elimination per degree block gives every length cap of both the
+    window and its growth by one, which the stability flag compares.  The
+    columns of b on the chains of degree d of the window-(N+1) complex
+    enter one Echelon in order of length, keyed longest chain first, so a
+    pivot is the longest chain of its row:
+      * dim Z_n in degree d is the number of columns of length <= n that
+        the echelon already spanned;
+      * the rows whose pivot has length <= n span the boundaries of
+        length <= n in degree d + 1, so dim (B ∩ F_n) counts them;
+      * pivots are never removed, so the pivots present once the columns
+        of length <= N are in are those of the window-N complex.
+    dim F_n H = dim Z_n - dim (B ∩ F_n).
     """
     if length_margin < 1:
         raise HochschildError("length_margin must be >= 1")
     cat = window.cat
-    if _check:
-        rep = check_relations(cat)
-        if not rep.ok:
-            raise HochschildError("input category fails its structure "
-                                  "relations: %s" % (rep.witnesses[:2],))
-    dims = _graded_dims(window, length_margin)
+    rep = check_relations(cat)
+    if not rep.ok:
+        raise HochschildError("input category fails its structure "
+                              "relations: %s" % (rep.witnesses[:2],))
+    top = window.max_length
+    cap = top - length_margin
+    bigger = HochschildChainWindow(cat, top + 1, window._bases)
+    blocks = {}             # degree -> chains of the window-(N+1) complex
+    for n in range(1, top + 2):
+        for tup in bigger.basis(n):
+            blocks.setdefault(chain_degree(cat, tup), []).append(tup)
+    # each block is shortest chain first; keys count down, so the least key
+    # of a row, its pivot, is its longest chain
+    keys = {deg: {tup: -i for i, tup in enumerate(tups)}
+            for deg, tups in blocks.items()}
+    f = cat.field
+    one = f.one()
+    # degree -> [dim Z_n - dim Z_{n-1} for n = 0..cap], and the same for
+    # B ∩ F_n in the window-N and the window-(N+1) complex
+    cycles, bounds = {}, ({}, {})
+    for deg, tups in blocks.items():
+        tgt, tgt_tups = keys.get(deg + 1, {}), blocks.get(deg + 1, ())
+        ech = Echelon(f)
+        z = cycles[deg] = [0] * (cap + 1)
+        split = bisect_right(tups, top, key=len)
+        for part, bound in ((tups[:split], bounds[0]), (tups[split:], bounds[1])):
+            for tup in part:
+                col = {}
+                for out, c in _apply_b(cat, {tup: one}).items():
+                    if out not in tgt:
+                        raise HochschildError("differential is not degree 1")
+                    col[tgt[out]] = c
+                if not ech.add(col) and len(tup) <= cap:
+                    z[len(tup)] += 1
+            b = bound[deg + 1] = [0] * (cap + 1)
+            for piv in ech.rows:
+                if len(tgt_tups[-piv]) <= cap:
+                    b[len(tgt_tups[-piv])] += 1
+    dims, grown = (_graded(cycles, bound, cap) for bound in bounds)
     by_degree = {}
     for (_cap, deg), d in dims.items():
         by_degree[deg] = by_degree.get(deg, 0) + d
     # the report only covers lengths <= max_length - margin, so growing the
     # window (and the margin with it) must reproduce it when the cutoff is
     # honest; a disagreement flags boundary contamination
-    bigger = HochschildChainWindow(cat, window.max_length + 1)
-    stable = _graded_dims(bigger, length_margin + 1) == dims
-    return WindowedHomology(window.max_length, length_margin, dims,
-                            by_degree, stable)
+    return WindowedHomology(top, length_margin, dims, by_degree, grown == dims)
 
 
-def _graded_dims(window, length_margin):
-    f = window.cat.field
-    index, mats = _assemble_b(window)
-    report_cap = window.max_length - length_margin
+def _graded(cycles, bounds, cap):
+    """(length, degree) -> dim F_n H - dim F_{n-1} H, where nonzero."""
     dims = {}
-    for deg, idx in sorted(index.items()):
-        m = mats[deg]
-        prev = mats.get(deg - 1)
-        boundary_cols = []
-        if prev is not None and prev.nrows:
-            boundary_cols = rank_kernel_image(prev)[2]
-        # kernel of b restricted to lengths <= n, for each cutoff n
-        last = 0
-        for cap in range(1, report_cap + 1):
-            cols = [i for tup, i in idx.items() if len(tup) <= cap]
-            if not cols:
-                continue
-            sub = m.take_columns(cols)
-            kern = rank_kernel_image(sub)[1]
-            cycle_vecs = []
-            for kv in kern:
-                vec = {}
-                for pos, c in kv.items():
-                    vec[cols[pos]] = c
-                cycle_vecs.append(vec)
-            # boundary_cols are independent image columns, so their rank is
-            # their count
-            dim_fn = (len(rref(boundary_cols + cycle_vecs, len(idx), f)[0])
-                      - len(boundary_cols))
-            if dim_fn - last:
-                dims[(cap, deg)] = dim_fn - last
-            last = dim_fn
+    for deg in sorted(cycles):
+        z, b = cycles[deg], bounds.get(deg, [0] * (cap + 1))
+        for n in range(1, cap + 1):
+            if z[n] != b[n]:
+                dims[(n, deg)] = z[n] - b[n]
     return dims
 
 

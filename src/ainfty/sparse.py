@@ -166,16 +166,6 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
-    def take_columns(self, cols) -> "SparseMatrix":
-        """Submatrix of the listed columns, reindexed in list order."""
-        pos = {c: i for i, c in enumerate(cols)}
-        m = SparseMatrix(self.nrows, len(cols), self.field)
-        for (r, c), v in self.entries.items():
-            i = pos.get(c)
-            if i is not None:
-                m.entries[(r, i)] = v
-        return m
-
     def matvec(self, v: dict) -> dict:
         """Apply to a column vector {col: scalar}."""
         f = self.field

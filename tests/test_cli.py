@@ -356,6 +356,40 @@ def test_formality_on_a_prime_field_document_is_an_input_error(tmp_path, capsys)
     assert "formality runs over the rationals" in out.out
 
 
+@pytest.mark.parametrize("subcommand, document", [
+    ("check-ainf", a2_bar_document), ("minimal-model", a2_bar_document),
+    ("hochschild", a2_quiver_document), ("formality", a2_bar_document)])
+def test_field_flag_other_than_the_documents_is_an_input_error(
+        tmp_path, capsys, subcommand, document):
+    path = tmp_path / "doc.json"
+    path.write_text(docio.dumps_document(document()), encoding="utf-8")
+    assert main([subcommand, str(path), "--field", "fp:5"]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert json.loads(out.out)["payload"]["witnesses"] == [
+        {"error": "--field fp:5, but the document is over QQ"}]
+    # naming the document's own field is the same job as leaving it unset
+    reports = []
+    for flag in ([], ["--field", "QQ"]):
+        code = main([subcommand, str(path)] + flag)
+        assert code != EXIT["error"]
+        reports.append(json.loads(capsys.readouterr().out)["payload"])
+    assert reports[0] == reports[1]
+
+
+def test_field_flag_naming_a_prime_field_document_is_accepted(tmp_path, capsys):
+    cat = truncated_path_category(DGQuiverAlgebra(a2_quiver(), (), ()),
+                                  weight_cap=2, field=GF(5))
+    path = tmp_path / "fp5.json"
+    path.write_text(docio.dumps_document(docio.to_document("ainf_category", cat)),
+                    encoding="utf-8")
+    for flag in ([], ["--field", "fp:5"]):
+        assert main(["hochschild", str(path), "--window=3"] + flag) == EXIT["pass"]
+        capsys.readouterr()
+    assert main(["hochschild", str(path), "--field", "QQ"]) == EXIT["error"]
+    assert "--field QQ, but the document is over fp:5" in capsys.readouterr().out
+
+
 def test_stored_pairing_in_one_orientation(tmp_path):
     # make_pairing fills in the graded mirror of each stored entry
     doc = jordan_min_document()

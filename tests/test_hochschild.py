@@ -7,10 +7,15 @@ rather than taken from the module under test.
 """
 
 import dataclasses
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ainfty import docio, hochschild, sparse
+from ainfty.cli import main
+from ainfty.field import GF
 from ainfty.hochschild import (HochschildChainWindow, HochschildError,
                                chain_degree, connes_B, cyclic_quotient,
                                hh0_dimension, hochschild_b, windowed_homology)
@@ -19,7 +24,8 @@ from ainfty.ainf import check_relations
 from ainfty.presentations import perturbed, truncated_path_category
 from ainfty.quiver import (DGQuiverAlgebra, Quiver, a2_quiver,
                            derived_preprojective, jordan_quiver,
-                           random_quiver)
+                           random_quiver, two_loop_quiver)
+from hochschild_oracle import windowed_homology_oracle
 
 
 def path_category(q, cap=2):
@@ -346,6 +352,90 @@ def test_graded_window_homology_is_stable():
     assert rep.stable is True
     for (length, degree), dim in rep.dims.items():
         assert 1 <= length <= 2 and dim > 0
+
+
+# every chain count below stays under this many chains in the window-(N+1)
+# complex, which keeps the cap-by-cap oracle fast
+ORACLE_CHAINS = 10000
+
+
+@pytest.mark.parametrize("quiver", [jordan_quiver, a2_quiver, two_loop_quiver])
+@pytest.mark.parametrize("kind, field", [("quiver", None), ("dg_algebra", None),
+                                         ("dg_algebra", GF(3)), ("path", None)])
+def test_one_pass_homology_matches_cap_by_cap_oracle(quiver, kind, field):
+    # quiver and dg_algebra documents are the CLI's weight-2 path
+    # categories; the benchmark's path documents have weight cap 3
+    alg = (DGQuiverAlgebra(quiver(), (), ()) if kind == "quiver"
+           else derived_preprojective(quiver()))
+    cat = truncated_path_category(alg, weight_cap=3 if kind == "path" else 2,
+                                  **({"field": field} if field else {}))
+    checked = []
+    for window in (1, 2, 3):
+        grown = HochschildChainWindow(cat, window + 1)
+        if sum(len(grown.basis(n)) for n in range(1, window + 2)) > ORACLE_CHAINS:
+            break
+        for margin in (1, 2):
+            rep = windowed_homology(HochschildChainWindow(cat, window), margin)
+            assert ((rep.dims, rep.by_degree, rep.stable)
+                    == windowed_homology_oracle(cat, window, margin)), (window, margin)
+            checked.append(rep.stable)
+    assert checked
+
+
+def wrap_everywhere(monkeypatch, module, name, around):
+    """Replace module.name by around(module.name) in every ainfty namespace
+    that binds it."""
+    original = getattr(module, name)
+    wrapped = around(original)
+    for mod in [m for key, m in sys.modules.items() if key.startswith("ainfty")]:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapped)
+
+
+@pytest.mark.parametrize("window", [2, 3])
+def test_hochschild_job_computes_each_b_column_once(tmp_path, monkeypatch, window):
+    alg = derived_preprojective(jordan_quiver())
+    path, out = tmp_path / "dga.json", tmp_path / "dga.report.json"
+    path.write_text(docio.dumps_document(docio.to_document("dg_algebra", alg)),
+                    encoding="utf-8")
+    depth, columns, eliminations = [0], Counter(), Counter()
+
+    def inside(fn):
+        def run(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return run
+
+    def logged(name):
+        def around(fn):
+            def run(*args, **kwargs):
+                if depth[0]:
+                    if name == "_apply_b":
+                        columns.update(args[1])
+                    else:
+                        eliminations[name] += 1
+                return fn(*args, **kwargs)
+            return run
+        return around
+
+    wrap_everywhere(monkeypatch, hochschild, "windowed_homology", inside)
+    wrap_everywhere(monkeypatch, hochschild, "_apply_b", logged("_apply_b"))
+    for name in ("rref", "rank_kernel_image"):
+        wrap_everywhere(monkeypatch, sparse, name, logged(name))
+    code = main(["hochschild", str(path), "--window=%d" % window,
+                 "--report", str(out)])
+    assert code in (0, 3)
+    # the b-columns of the window-(W+1) complex, each computed once, serve
+    # the report and its stability flag; no batch elimination runs
+    grown = HochschildChainWindow(truncated_path_category(alg, weight_cap=2),
+                                  window + 1)
+    chains = [tup for n in range(1, window + 2) for tup in grown.basis(n)]
+    assert columns == Counter(chains)
+    assert eliminations == Counter()
 
 
 # ---------------------------------------------------------------------------

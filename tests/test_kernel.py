@@ -77,6 +77,9 @@ def test_qq_ops_are_fraction_arithmetic_in_canonical_form(a, b, q, num, den):
     assert hash(a) == hash(fa)
     for unit in (QQ.zero(), QQ.one()):
         assert type(unit) is int
+    # the inverse of a unit pivot is the int itself, no Fraction round trip
+    for unit in (1, -1):
+        assert_canonical_equal(QQ.inv(unit), Fraction(unit))
 
 
 @given(st.sampled_from([2, 3, 7, 11]), st.integers(-30, 30),
