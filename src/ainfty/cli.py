@@ -89,12 +89,12 @@ def _parse_zeta(text):
         raise CliError("--zeta wants comma-separated rationals, got %r" % text)
 
 
-def _require_field(args, cat):
-    """--field, when given, must name the field of the category in use."""
+def _require_field(args, field):
+    """--field, when given, must name the field the job computes over."""
     if (args.field is not None
-            and docio.field_from_json(args.field, "flags.field") != cat.field):
+            and docio.field_from_json(args.field, "flags.field") != field):
         raise CliError("--field %s, but the document is over %s"
-                       % (args.field, docio.field_to_json(cat.field)))
+                       % (args.field, docio.field_to_json(field)))
 
 
 def _load(path, *kinds):
@@ -111,7 +111,7 @@ def _load(path, *kinds):
 
 def cmd_check_ainf(args):
     _, cat = _load(args.input, "ainf_category")
-    _require_field(args, cat)
+    _require_field(args, cat.field)
     rel = check_relations(cat, max_arity=args.order_cap)
     witnesses = _relation_witnesses(cat.field, rel.witnesses)
     payload = {"checked_arities": list(rel.checked),
@@ -126,7 +126,7 @@ def cmd_check_ainf(args):
 
 def cmd_minimal_model(args):
     _, cat = _load(args.input, "ainf_category")
-    _require_field(args, cat)
+    _require_field(args, cat.field)
     try:
         model, incl, _ = minimal_model(cat, arity_cap=args.order_cap)
     except StructureError as e:
@@ -163,6 +163,7 @@ def _pairing_for(args, cat):
 
 def cmd_strictify(args):
     _, cat = _load(args.input, "ainf_category")
+    _require_field(args, cat.field)
     try:
         pairing = _pairing_for(args, cat)
         if not check_relations(cat).ok:
@@ -206,7 +207,7 @@ def cmd_formality(args):
         cat = _minimal_category_from(kind, obj, args)
     except StructureError as e:
         raise CliError(str(e))
-    _require_field(args, cat)
+    _require_field(args, cat.field)
     if cat.field.p != 0:
         raise CliError("formality runs over the rationals; the document is over fp:%d"
                        % cat.field.p)
@@ -246,7 +247,7 @@ def cmd_hochschild(args):
         cat = truncated_path_category(obj, weight_cap=2)
     else:
         cat = obj
-    _require_field(args, cat)
+    _require_field(args, cat.field)
     try:
         window = HochschildChainWindow(cat, args.window)
     except HochschildError as e:
@@ -348,6 +349,7 @@ def cmd_stability(args):
 
 def cmd_moment_check(args):
     _, rep = _load(args.input, "matrix_rep")
+    _require_field(args, rep.field)
     try:
         residuals = repmod.moment_map(rep)
     except (repmod.RepError, KeyError) as e:
@@ -375,6 +377,7 @@ def _equations_payload(pres):
 
 def cmd_local_model(args):
     _, cat = _load(args.input, "ainf_category")
+    _require_field(args, cat.field)
     dims = _parse_dims(args.dims)
     cert = verify_sigma(cat)
     if not cert.verdict:
@@ -413,6 +416,7 @@ def cmd_local_model(args):
 
 def cmd_euler_compare(args):
     _, cat = _load(args.input, "ainf_category")
+    _require_field(args, cat.field)
     dims = _parse_dims(args.dims)
     cert = verify_sigma(cat)
     if not cert.verdict:
@@ -430,6 +434,8 @@ def cmd_euler_compare(args):
 
 def cmd_hn_enum(args):
     _, query = _load(args.input, "hn_query")
+    # Hilbert polynomials are rational
+    _require_field(args, QQ)
     try:
         types = hn_enumerate(query.total, query.bound,
                              bogomolov_param=query.bogomolov_param(),

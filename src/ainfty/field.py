@@ -12,6 +12,7 @@ different contexts is an error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,5 +166,8 @@ class PrimeField(FieldCtx):
 QQ = Rationals()
 
 
+@functools.cache
 def GF(p: int) -> PrimeField:
+    """The one context for GF(p) in this process: the primality test, a
+    trial division up to sqrt(p), runs on the first call for each p."""
     return PrimeField(p)

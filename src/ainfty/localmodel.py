@@ -461,6 +461,15 @@ def euler_compare(q: Quiver, d, cat: AInfCategory) -> EulerReport:
 
 # ---------------------------------------------------------------------------
 # Harder-Narasimhan types
+#
+# The enumerators work in integer lattice coordinates: coefficient k of a
+# part is n_k / lattice[k], and a part is the integer tuple of its n_k, top
+# degree first.  Each lattice[k] is a positive constant, so sums, the
+# order of coefficient tuples and the sign of a cross-multiplied slope
+# comparison are the same in n as in the coefficients; a bound c_k >= x
+# becomes n_k >= ceil(x lattice[k]).  Rationals appear only in the bound
+# q_bound, the Bogomolov callable and the polynomials of the emitted types.
+# check_hn_type re-verifies every emitted type in rational arithmetic.
 
 
 @dataclass(frozen=True)
@@ -490,17 +499,6 @@ def _lex_key(p: RatPolynomial, deg: int):
     return tuple(Fraction(p.coeff(k)) for k in range(deg, -1, -1))
 
 
-def _in_lattice(x: Fraction, den: int) -> bool:
-    return (Fraction(x) * den).denominator == 1
-
-
-def _lattice_range(lo: Fraction, hi: Fraction, den: int):
-    """Fractions k/den with lo <= k/den <= hi, ascending."""
-    start = math.ceil(Fraction(lo) * den)
-    stop = math.floor(Fraction(hi) * den)
-    return [Fraction(k, den) for k in range(start, stop + 1)]
-
-
 def _compositions(total: int, parts: int):
     """Ordered compositions of a positive integer, lex order."""
     if parts == 1:
@@ -514,10 +512,10 @@ def _compositions(total: int, parts: int):
 def check_hn_type(P: RatPolynomial, q_bound: RatPolynomial, typ: HNType,
                   bogomolov_param=None, lattice=None) -> bool:
     """Re-verify every defining inequality of an HN type independently of
-    the enumeration order: positive leading coefficients, lattice
-    membership, sum equal to P, strictly decreasing reduced polynomials,
-    reduced polynomials >= q_bound, and (degree 2) the constant-term
-    lower bounds."""
+    the enumerator, in rational arithmetic: positive leading coefficients,
+    lattice membership, sum equal to P, strictly decreasing reduced
+    polynomials, reduced polynomials >= q_bound, and (degree 2) the
+    constant-term lower bounds."""
     deg = P.degree
     lat = tuple(lattice) if lattice is not None else (1,) * (deg + 1)
     total = RatPolynomial.zero()
@@ -525,7 +523,7 @@ def check_hn_type(P: RatPolynomial, q_bound: RatPolynomial, typ: HNType,
         if p.degree != deg or p.leading() <= 0:
             return False
         for k in range(deg + 1):
-            if not _in_lattice(p.coeff(k), lat[k]):
+            if (Fraction(p.coeff(k)) * lat[k]).denominator != 1:
                 return False
         total = total + p
     if total != P:
@@ -555,7 +553,12 @@ def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
     constant term up: coefficient k of every part must lie in (1/lattice[k]) Z.
     In degree 2 a bogomolov_param callable is required; it maps the leading
     and linear coefficients of a part to a lower bound for its constant term,
-    which is what makes the enumeration finite."""
+    which is what makes the enumeration finite.
+
+    The enumerators work in integer lattice coordinates (see the comment
+    opening this section).  The types come out sorted by the coefficient
+    tuples of their parts, top degree first, and check_hn_type re-verifies
+    each one."""
     deg = P.degree
     if deg not in (0, 1, 2):
         raise LocalModelError("Hilbert polynomial degree must be 0, 1 or 2, got %d" % deg)
@@ -570,130 +573,142 @@ def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
     lat = tuple(int(x) for x in (lattice if lattice is not None else (1,) * (deg + 1)))
     if len(lat) != deg + 1 or any(x <= 0 for x in lat):
         raise LocalModelError("lattice needs %d positive denominators" % (deg + 1))
+    total = []
     for k in range(deg + 1):
-        if not _in_lattice(P.coeff(k), lat[k]):
+        n = Fraction(P.coeff(k)) * lat[k]
+        if n.denominator != 1:
             raise LocalModelError("coefficient of t^%d of P is not in the declared lattice" % k)
-
-    qkey = _lex_key(q_bound, deg)
-    out = []
+        total.append(n.numerator)
 
     if deg == 0:
-        # every reduced part equals 1, so only the singleton can be strict
-        if (Fraction(1),) >= qkey:
-            out.append(HNType(polys=(P,)))
+        # q_bound is the constant 1 and every reduced part equals 1, so
+        # the singleton is the only type
+        found = [((total[0],),)]
     elif deg == 1:
-        out.extend(_enumerate_deg1(P, qkey, lat))
+        found = _enumerate_deg1(total, Fraction(q_bound.coeff(0)), lat)
     else:
-        out.extend(_enumerate_deg2(P, qkey, lat, bogomolov_param))
-
+        found = _enumerate_deg2(total, Fraction(q_bound.coeff(1)),
+                                Fraction(q_bound.coeff(0)), lat, bogomolov_param)
+    # parts in coordinates sort as their coefficient tuples do
+    found.sort()
+    out = [HNType(polys=tuple(
+               RatPolynomial.of([Fraction(n, lat[k])
+                                 for k, n in enumerate(reversed(part))])
+               for part in parts))
+           for parts in found]
     for typ in out:
         if not check_hn_type(P, q_bound, typ, bogomolov_param=bogomolov_param, lattice=lat):
             raise LocalModelError("enumerated type fails re-verification: %r" % (typ,))
-    out.sort(key=lambda t: [_lex_key(p, deg) for p in t.polys])
     return out
 
 
-def _enumerate_deg1(P, qkey, lat):
-    a1, a0 = Fraction(P.coeff(1)), Fraction(P.coeff(0))
+def _ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for b > 0."""
+    return -(-a // b)
+
+
+def _enumerate_deg1(total, q0, lat):
+    """Degree-1 types as lists of parts (k, n), the part k/lat[1] t +
+    n/lat[0].  Its slope n lat[1] / (k lat[0]) is compared with another
+    part's by cross-multiplying n k' against n' k, and it is at least q0
+    exactly when n >= ceil(q0 k lat[0] / lat[1])."""
     den1, den0 = lat[1], lat[0]
-    q0 = qkey[1]
-    A = a1 * den1
+    K, N = total[1], total[0]
     results = []
 
-    def assign(idx, leads, rem0, prev_slope, acc):
-        b1 = leads[idx]
-        lo = q0 * b1
-        hi = rem0 - sum(q0 * leads[j] for j in range(idx + 1, len(leads)))
-        if prev_slope is not None:
-            hi = min(hi, prev_slope * b1)
-        if idx == len(leads) - 1:
-            b0 = rem0
-            if b0 < lo or not _in_lattice(b0, den0):
-                return
-            slope = b0 / b1
-            if prev_slope is not None and not slope < prev_slope:
-                return
-            results.append(HNType(polys=tuple(acc + [RatPolynomial.of([b0, b1])])))
-            return
-        for b0 in _lattice_range(lo, hi, den0):
-            slope = b0 / b1
-            if prev_slope is not None and not slope < prev_slope:
-                continue
-            assign(idx + 1, leads, rem0 - b0, slope, acc + [RatPolynomial.of([b0, b1])])
+    def least(k):
+        return _ceil_div(q0.numerator * k * den0, q0.denominator * den1)
 
-    for r in range(1, int(A) + 1):
-        for comp in _compositions(int(A), r):
-            leads = [Fraction(k, den1) for k in comp]
-            assign(0, leads, a0, None, [])
+    def assign(idx, leads, tail, rem, prev, acc):
+        k = leads[idx]
+        last = idx == len(leads) - 1
+        lo, hi = least(k), rem - tail[idx + 1]
+        if last:
+            lo = max(lo, rem)
+        if prev is not None:
+            # slope strictly below the previous part's: n pk < pn k
+            pk, pn = prev
+            hi = min(hi, _ceil_div(pn * k, pk) - 1)
+        for n in range(lo, hi + 1):
+            if last:
+                results.append(acc + [(k, n)])
+            else:
+                assign(idx + 1, leads, tail, rem - n, (k, n), acc + [(k, n)])
+
+    for r in range(1, K + 1):
+        for leads in _compositions(K, r):
+            # tail[i]: the least sum of the constant terms of parts i, i+1, ...
+            tail = [0] * (r + 1)
+            for i in range(r - 1, -1, -1):
+                tail[i] = tail[i + 1] + least(leads[i])
+            assign(0, leads, tail, N, None, [])
     return results
 
 
-def _enumerate_deg2(P, qkey, lat, bog):
-    a2, a1, a0 = Fraction(P.coeff(2)), Fraction(P.coeff(1)), Fraction(P.coeff(0))
+def _enumerate_deg2(total, q1, q0, lat, bog):
+    """Degree-2 types as lists of parts (k, n1, n0), the part k/lat[2] t^2 +
+    n1/lat[1] t + n0/lat[0].  The reduced part is t^2/2 + sigma/2 t + tau
+    with sigma = n1 lat[2] / (k lat[1]) and tau = n0 lat[2] / (2 k lat[0]);
+    parts compare by (sigma, tau), cross-multiplied.  The bound holds when
+    sigma/2 > q1, or sigma/2 = q1 and tau >= q0: so n1 >= ceil(2 q1 k
+    lat[1] / lat[2]), and n0 is at least the lattice ceiling of bog(c2, c1),
+    raised to 2 q0 c2 when sigma/2 = q1."""
     den2, den1, den0 = lat[2], lat[1], lat[0]
-    q1, q0 = qkey[1], qkey[2]
-    A = a2 * den2
+    K, N1, N0 = total[2], total[1], total[0]
+    floors = {}
     results = []
 
-    def lin_window(c2, rem1, others_min):
-        lo = 2 * q1 * c2
-        hi = rem1 - others_min
-        return lo, hi
+    def least1(k):
+        return _ceil_div(2 * q1.numerator * k * den1, q1.denominator * den2)
 
-    def const_floor(c2, c1):
-        lo = Fraction(bog(c2, c1))
-        if c1 / (2 * c2) == q1:
-            lo = max(lo, 2 * q0 * c2)
-        return lo
+    def least0(k, n1):
+        if (k, n1) not in floors:
+            c2, c1 = Fraction(k, den2), Fraction(n1, den1)
+            lo = Fraction(bog(c2, c1))
+            if n1 * den2 * q1.denominator == 2 * q1.numerator * k * den1:
+                lo = max(lo, 2 * q0 * c2)
+            floors[k, n1] = math.ceil(lo * den0)
+        return floors[k, n1]
 
-    def assign(idx, leads, rem1, rem0, prev, acc, min_lin_tail, min_const_tail):
-        c2 = leads[idx]
+    def assign(idx, leads, tail1, tail0, rem1, rem0, prev, acc):
+        k = leads[idx]
         last = idx == len(leads) - 1
-        lo1, hi1 = lin_window(c2, rem1, min_lin_tail[idx + 1])
+        lo1, hi1 = least1(k), rem1 - tail1[idx + 1]
+        if last:
+            lo1 = max(lo1, rem1)
         if prev is not None:
-            hi1 = min(hi1, prev[0] * c2)  # weakly decreasing normalized slope
-        for c1 in ([rem1] if last else _lattice_range(lo1, hi1, den1)):
-            if last and (c1 < lo1 or not _in_lattice(c1, den1)):
-                continue
-            sigma = c1 / c2
-            if prev is not None and sigma > prev[0]:
-                continue
-            lo0 = const_floor(c2, c1)
-            hi0 = rem0 - min_const_tail[idx + 1]
-            for c0 in ([rem0] if last else _lattice_range(lo0, hi0, den0)):
-                if last and (c0 < lo0 or not _in_lattice(c0, den0)):
-                    continue
-                tau = c0 / (2 * c2)
-                key = (sigma, tau)
-                if prev is not None and not key < prev:
-                    continue
-                if (Fraction(1, 2), sigma / 2, tau) < (qkey[0], qkey[1], qkey[2]):
-                    continue
-                part = RatPolynomial.of([c0, c1, c2])
+            # sigma at most the previous part's: n1 pk <= pn1 k
+            pk, pn1, pn0 = prev
+            hi1 = min(hi1, pn1 * k // pk)
+        for n1 in range(lo1, hi1 + 1):
+            lo0, hi0 = least0(k, n1), rem0 - tail0[idx + 1]
+            if last:
+                lo0 = max(lo0, rem0)
+            if prev is not None and n1 * pk == pn1 * k:
+                # equal sigma: tau strictly below the previous part's
+                hi0 = min(hi0, _ceil_div(pn0 * k, pk) - 1)
+            for n0 in range(lo0, hi0 + 1):
+                part = (k, n1, n0)
                 if last:
-                    results.append(HNType(polys=tuple(acc + [part])))
+                    results.append(acc + [part])
                 else:
-                    assign(idx + 1, leads, rem1 - c1, rem0 - c0, key,
-                           acc + [part], min_lin_tail, min_const_tail)
+                    assign(idx + 1, leads, tail1, tail0, rem1 - n1, rem0 - n0,
+                           part, acc + [part])
 
-    for r in range(1, int(A) + 1):
-        for comp in _compositions(int(A), r):
-            leads = [Fraction(k, den2) for k in comp]
-            # uniform tail bounds for window propagation
-            min_lin = [2 * q1 * c2 for c2 in leads]
-            min_const = []
-            feasible = True
-            for i, c2 in enumerate(leads):
-                lo = 2 * q1 * c2
-                hi = a1 - (sum(min_lin) - min_lin[i])
-                rng = _lattice_range(lo, hi, den1)
-                if not rng:
-                    feasible = False
+    for r in range(1, K + 1):
+        for leads in _compositions(K, r):
+            least1s = [least1(k) for k in leads]
+            # the least constant term of each part, over every linear term
+            # the other parts' least linear terms leave it
+            least0s = []
+            for i, k in enumerate(leads):
+                hi = N1 - (sum(least1s) - least1s[i])
+                if hi < least1s[i]:
                     break
-                min_const.append(min(const_floor(c2, c1) for c1 in rng))
-            if not feasible:
-                continue
-            min_lin_tail = [sum(min_lin[j:]) for j in range(len(leads) + 1)]
-            min_const_tail = [sum(min_const[j:]) for j in range(len(leads) + 1)]
-            assign(0, leads, a1, a0, None, [], min_lin_tail, min_const_tail)
+                least0s.append(min(least0(k, n1)
+                                   for n1 in range(least1s[i], hi + 1)))
+            else:
+                tail1 = [sum(least1s[j:]) for j in range(r + 1)]
+                tail0 = [sum(least0s[j:]) for j in range(r + 1)]
+                assign(0, leads, tail1, tail0, N1, N0, None, [])
     return results

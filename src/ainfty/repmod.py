@@ -233,29 +233,82 @@ class ActingAlgebra:
         return len(self.basis)
 
 
+# the prime of the fullness certificate in acting_algebra: below 2^15, so
+# a product of two residues is still a one-digit Python int
+CERTIFICATE_PRIME = 32749
+
+
+def _span_blocks(quiver: Quiver, d: dict, mats: dict, f: FieldCtx,
+                 full=()) -> dict:
+    """(v, w) -> Echelon of the block e_w A e_v, in local (row, col) keys.
+
+    Each block is spanned on its own: from the vertex identities and the
+    arrows, every element that grows its block is multiplied on the left
+    by each arrow leaving w, which reaches every path.  The blocks named
+    in `full` are known to be the whole d_w x d_v matrix space: they start
+    as its unit matrices, whose products are pushed like those of any
+    other element.  No product is pushed into a block that is already the
+    whole matrix space, since it cannot grow."""
+    one = f.one()
+
+    def units(v, w):
+        return [{(r, c): one} for r in range(d[w]) for c in range(d[v])]
+
+    blocks = {(v, w): Echelon(f, units(v, w) if (v, w) in full else ())
+              for v in quiver.vertices for w in quiver.vertices}
+    todo = []
+
+    def push(v, w, m):
+        for a in quiver.arrows_from(w):
+            if blocks[v, a.tgt].dim() < d[a.tgt] * d[v]:
+                todo.append((v, a.tgt, mats[a.name].mul(m)))
+
+    for v, w in full:
+        for u in units(v, w):
+            push(v, w, SparseMatrix(d[w], d[v], f, u))
+    todo += [(v, v, SparseMatrix.identity(d[v], f)) for v in quiver.vertices]
+    todo += [(a.src, a.tgt, mats[a.name]) for a in quiver.arrows]
+    while todo:
+        v, w, m = todo.pop()
+        if blocks[v, w].dim() < d[w] * d[v] and blocks[v, w].add(m.entries):
+            push(v, w, m)
+    return blocks
+
+
 def acting_algebra(rep: MatrixRep) -> ActingAlgebra:
     """Image of the path algebra in End of the total space.
 
     The algebra is the direct sum of its blocks e_w A e_v, each spanned by
-    the matrices of the paths from v to w, and each block is spanned on
-    its own: from the vertex identities and the arrows, every element that
-    grows its block is multiplied on the left by each arrow leaving w,
-    which reaches every path.  The basis is the reduced echelon form of
-    the whole algebra in flat (row, col) keys of the total space.
+    the matrices of the paths from v to w (see _span_blocks).  The basis is
+    the reduced echelon form of the whole algebra in flat (row, col) keys
+    of the total space.
+
+    Over the rationals the blocks that are the whole d_w x d_v matrix
+    space are first certified modulo CERTIFICATE_PRIME: the worklist runs
+    on the arrow matrices reduced entrywise mod p, and a block whose span
+    there has dimension d_w * d_v is full over the rationals too.  The
+    entries lie in Z_(p) and reduction commutes with products, so that
+    span is spanned by the reductions of d_w d_v paths; the determinant of
+    those paths' flattened matrices lies in Z_(p) and reduces to a nonzero
+    determinant mod p, so it is nonzero over the rationals and the same
+    paths span the block there.  The reduced echelon basis of a
+    full block is its unit matrices, so the rational worklist spans only
+    the other blocks.  When p divides a denominator there is no reduction,
+    and every block is spanned over the rationals.  A block that is full
+    over the rationals but not mod p is merely not certified: the rational
+    worklist spans it like any other.
     """
     f = rep.field
     off = rep.offsets()
-    # (v, w) -> the block e_w A e_v, in local (row, col) keys
-    blocks = {(v, w): Echelon(f) for v in rep.quiver.vertices
-              for w in rep.quiver.vertices}
-    todo = [(v, v, SparseMatrix.identity(rep.d[v], f))
-            for v in rep.quiver.vertices]
-    todo += [(a.src, a.tgt, rep.mats[a.name]) for a in rep.quiver.arrows]
-    while todo:
-        v, w, m = todo.pop()
-        if blocks[v, w].add(m.entries):
-            todo += [(v, a.tgt, rep.mats[a.name].mul(m))
-                     for a in rep.quiver.arrows_from(w)]
+    full = ()
+    if f.p == 0:
+        fp = GF(CERTIFICATE_PRIME)
+        reduced = {name: _reduce_matrix(m, fp) for name, m in rep.mats.items()}
+        if None not in reduced.values():
+            full = {vw for vw, ech in
+                    _span_blocks(rep.quiver, rep.d, reduced, fp).items()
+                    if ech.dim() == rep.d[vw[1]] * rep.d[vw[0]] > 0}
+    blocks = _span_blocks(rep.quiver, rep.d, rep.mats, f, full)
     basis = [{(off[w] + r, off[v] + c): x for (r, c), x in row.items()}
              for (v, w), ech in blocks.items() for row in ech.rows.values()]
     basis.sort(key=min)
@@ -544,6 +597,17 @@ def ss_bruteforce(rep: MatrixRep, bound: int = 6) -> MatrixRep:
     return direct_sum(factors, rep.quiver, rep.field)
 
 
+def _reduce_matrix(m: SparseMatrix, fp: FieldCtx):
+    """m reduced entrywise into fp, or None when fp.p divides the
+    denominator of an entry."""
+    red = SparseMatrix(m.nrows, m.ncols, fp)
+    for (r, c), v in m.entries.items():
+        if v.denominator % fp.p == 0:
+            return None
+        red.set(r, c, fp.of_fraction(v))
+    return red
+
+
 def good_reduction(rep: MatrixRep, p: int):
     """(reduced rep, "ok"), or (None, reason) when p divides a denominator
     or collapses the rank of an arrow matrix."""
@@ -553,11 +617,9 @@ def good_reduction(rep: MatrixRep, p: int):
     mats = {}
     for a in rep.quiver.arrows:
         m = rep.mats[a.name]
-        red = SparseMatrix(m.nrows, m.ncols, fp)
-        for (r, c), v in m.entries.items():
-            if v.denominator % p == 0:
-                return None, "denominator of %r entry divisible by %d" % (a.name, p)
-            red.set(r, c, fp.of_fraction(v))
+        red = _reduce_matrix(m, fp)
+        if red is None:
+            return None, "denominator of %r entry divisible by %d" % (a.name, p)
         if rank_kernel_image(red)[0] != rank_kernel_image(m)[0]:
             return None, "rank of %r collapses mod %d" % (a.name, p)
         mats[a.name] = red

@@ -356,14 +356,22 @@ def test_formality_on_a_prime_field_document_is_an_input_error(tmp_path, capsys)
     assert "formality runs over the rationals" in out.out
 
 
+# the flags a subcommand needs besides its input document
+REQUIRED_FLAGS = {"local-model": ["--dims=2"], "euler-compare": ["--dims=2"]}
+
+
 @pytest.mark.parametrize("subcommand, document", [
     ("check-ainf", a2_bar_document), ("minimal-model", a2_bar_document),
-    ("hochschild", a2_quiver_document), ("formality", a2_bar_document)])
+    ("hochschild", a2_quiver_document), ("formality", a2_bar_document),
+    ("moment-check", a2_rep_document), ("strictify", jordan_min_document),
+    ("local-model", jordan_min_document),
+    ("euler-compare", jordan_min_document), ("hn-enum", hn_query_document)])
 def test_field_flag_other_than_the_documents_is_an_input_error(
         tmp_path, capsys, subcommand, document):
     path = tmp_path / "doc.json"
     path.write_text(docio.dumps_document(document()), encoding="utf-8")
-    assert main([subcommand, str(path), "--field", "fp:5"]) == EXIT["error"] == 2
+    argv = [subcommand, str(path)] + REQUIRED_FLAGS.get(subcommand, [])
+    assert main(argv + ["--field", "fp:5"]) == EXIT["error"] == 2
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
     assert json.loads(out.out)["payload"]["witnesses"] == [
@@ -371,7 +379,7 @@ def test_field_flag_other_than_the_documents_is_an_input_error(
     # naming the document's own field is the same job as leaving it unset
     reports = []
     for flag in ([], ["--field", "QQ"]):
-        code = main([subcommand, str(path)] + flag)
+        code = main(argv + flag)
         assert code != EXIT["error"]
         reports.append(json.loads(capsys.readouterr().out)["payload"])
     assert reports[0] == reports[1]

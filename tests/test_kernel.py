@@ -117,6 +117,15 @@ def test_rationals_and_prime_fields_are_distinct_contexts():
         GF(5).scalar_from_json({"mod": 7, "val": 2})
 
 
+def test_one_prime_field_context_per_modulus():
+    # the primality test runs once per p, not once per GF(p) call
+    assert GF(2 ** 31 - 1) is GF(2 ** 31 - 1)
+    assert GF(5) is GF(5) and GF(5) is not GF(7)
+    for _ in range(2):
+        with pytest.raises(FieldError, match="must be prime"):
+            GF(4)
+
+
 @st.composite
 def sparse_matrices(draw, max_n=5):
     nr = draw(st.integers(1, max_n))

@@ -611,3 +611,75 @@ def test_random_degree_one_sets_agree_with_brute_force(a1, a0, q0):
     got = {type_key(t) for t in hn_enumerate(P, q)}
     want = brute_force_types(P, q, pad=4)
     assert got == want
+
+
+def fractional_bound(c2, c1):
+    # the docio form A c2 + B |c1| + C with fractional A, B, C
+    return Fraction(-5, 2) * c2 - Fraction(1, 2) * abs(c1) - Fraction(1, 3)
+
+
+F = Fraction
+# denominators 1 to 4 in every position, fractional and negative bounds,
+# up to three parts; degree 2 under two Bogomolov bounds
+LATTICE_SETS = [
+    (poly(F(1, 3), 1), poly(F(-2, 3), 1), (3, 1), None),
+    (poly(F(2, 3), 2), poly(F(-1, 3), 1), (3, 1), None),
+    (poly(F(-1, 2), F(3, 2)), poly(F(-3, 4), 1), (4, 2), None),
+    (poly(F(-1, 2), 1), poly(F(-5, 2), 1), (2, 3), None),
+    (poly(F(5, 4), F(3, 4)), poly(-2, 1), (4, 4), None),
+    (poly(F(-3, 2), 2), poly(F(-7, 4), 1), (4, 1), None),
+    (poly(F(1, 2), F(1, 3), 2), poly(-1, F(-1, 3), F(1, 2)), (2, 3, 1),
+     crude_bound),
+    (poly(0, F(1, 2), 2), poly(-2, F(-1, 4), F(1, 2)), (4, 2, 1),
+     crude_bound),
+    (poly(F(-1, 3), 0, 2), poly(F(-3, 2), F(-1, 2), F(1, 2)), (3, 2, 1),
+     fractional_bound),
+    (poly(F(3, 4), F(-1, 2), 2), poly(-2, F(-3, 4), F(1, 2)), (4, 4, 1),
+     fractional_bound),
+]
+
+
+def coefficient_key(typ):
+    """The parts' coefficients, top degree first."""
+    return [tuple(reversed(part)) for part in type_key(typ)]
+
+
+@pytest.mark.parametrize("P,q,lat,bog", LATTICE_SETS)
+def test_lattice_enumeration_agrees_with_brute_force(P, q, lat, bog):
+    types = hn_enumerate(P, q, bogomolov_param=bog, lattice=lat)
+    assert {type_key(t) for t in types} == brute_force_types(
+        P, q, pad=3, bogomolov_param=bog, lattice=lat)
+    keys = [coefficient_key(t) for t in types]
+    assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
+
+
+def hn(*parts):
+    return HNType(polys=tuple(poly(*p) for p in parts))
+
+
+@pytest.mark.parametrize("P,q,lat,bog,good,bad", [
+    # off the lattice: t + 1/2 and t - 1/2 in (1, 1)
+    (poly(0, 2), poly(-1, 1), (1, 1), None,
+     hn((1, 1), (-1, 1)), hn((F(1, 2), 1), (F(-1, 2), 1))),
+    # a part below the bound: slope -2 < -1
+    (poly(0, 2), poly(-1, 1), (1, 1), None,
+     hn((1, 1), (-1, 1)), hn((2, 1), (-2, 1))),
+    # equal consecutive reduced polynomials
+    (poly(2, 2), poly(-1, 1), (1, 1), None,
+     hn((2, 1), (0, 1)), hn((1, 1), (1, 1))),
+    # a constant term at the Bogomolov bound -3 c2 - |c1| = -3 holds, and
+    # fails against the bound one higher
+    (poly(-3, 0, 1), poly(-10, -1, F(1, 2)), (1, 1, 1), crude_bound,
+     hn((-3, 0, 1)), None),
+    # parts that do not add up to P
+    (poly(0, 2), poly(-1, 1), (1, 1), None,
+     hn((1, 1), (-1, 1)), hn((2, 1), (-1, 1))),
+], ids=["off-lattice", "below-bound", "equal-reduced", "bogomolov", "total"])
+def test_check_hn_type_rejects_each_broken_inequality(P, q, lat, bog, good, bad):
+    assert check_hn_type(P, q, good, bogomolov_param=bog, lattice=lat)
+    if bad is None:
+        def bad_bog(c2, c1):
+            return bog(c2, c1) + 1
+        assert not check_hn_type(P, q, good, bogomolov_param=bad_bog, lattice=lat)
+    else:
+        assert not check_hn_type(P, q, bad, bogomolov_param=bog, lattice=lat)

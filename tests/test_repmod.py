@@ -259,6 +259,56 @@ def test_acting_algebra_fixtures():
     assert R.acting_algebra(burn).dim() == 4
 
 
+P_CERT = R.CERTIFICATE_PRIME
+
+
+def certificate_cases():
+    """(name, rep, blocks certified full mod P_CERT, or None when the
+    certificate is skipped).  A block is (source vertex, target vertex)."""
+    skipped = MatrixRep(DA2, {"1": 2, "2": 1},
+                        {"a": mat([[F(1, P_CERT), 1]]), "a*": mat([[2], [3]])})
+    yield "denominator-is-the-prime", skipped, None
+    # a = [[p]] spans its 1 x 1 block over QQ but is zero mod p
+    deficient = MatrixRep(A2, {"1": 1, "2": 1}, {"a": mat([[P_CERT]])})
+    yield "full-over-QQ-only", deficient, {("1", "1"), ("2", "2")}
+    # only e_2 A e_2 is full: e_1 A e_1 = span(1, a*a) has 2 of 4
+    # dimensions, and the paths 1 -> 2 and 2 -> 1 span a and a* alone
+    mixed = MatrixRep(DA2, {"1": 2, "2": 1},
+                      {"a": mat([[1, 0]]), "a*": mat([[1], [0]])})
+    yield "full-and-not-full", mixed, {("2", "2")}
+    generic = MatrixRep(TL, {"1": 2}, {"a": mat([[0, 1], [0, 0]]),
+                                      "b": mat([[F(1, 2), 0], [3, -1]])})
+    yield "every-block-full", generic, {("1", "1")}
+    # vertex 2 is zero-dimensional, so no path joins 1 and 3
+    gap = MatrixRep(DA3, {"1": 2, "2": 0, "3": 1},
+                    {"a": SparseMatrix(0, 2), "b": SparseMatrix(1, 0)})
+    yield "zero-dimensional-vertex", gap, {("3", "3")}
+
+
+@pytest.mark.parametrize("name, rep, certified",
+                         list(certificate_cases()),
+                         ids=[c[0] for c in certificate_cases()])
+def test_acting_algebra_certificate_against_the_oracle(monkeypatch, name, rep,
+                                                        certified):
+    passes = []
+    span = R._span_blocks
+
+    def recording(quiver, d, mats, f, full=()):
+        passes.append((f.p, set(full)))
+        return span(quiver, d, mats, f, full)
+
+    monkeypatch.setattr(R, "_span_blocks", recording)
+    alg = R.acting_algebra(rep)
+    assert [sorted(b.items()) for b in alg.basis] == \
+        [sorted(b.items()) for b in acting_algebra_oracle(rep)]
+    assert all(type(x) is int for b in alg.basis for x in b.values()
+               if F(x).denominator == 1)
+    if certified is None:
+        assert passes == [(0, set())]
+    else:
+        assert passes == [(P_CERT, set()), (0, certified)]
+
+
 def test_radical_fixtures():
     # nilpotent 2x2 block: radical is the block itself
     assert len(R.radical_char0(R.acting_algebra(j2_block()))) == 1
