@@ -110,53 +110,6 @@ class AInfCategory:
                                  % (len(tup), self.arity_cap))
         return table.get(tuple(tup), {})
 
-    def composable(self, tup) -> bool:
-        return all(self.src(tup[k]) == self.tgt(tup[k + 1])
-                   for k in range(len(tup) - 1))
-
-
-def validate_category(cat: AInfCategory):
-    """Structural sanity: composability, degree +1, endpoint matching,
-    unit and pairing shapes.  Returns a list of failure descriptions."""
-    bad = []
-    for n, table in cat.ops.items():
-        for tup, out in table.items():
-            if len(tup) != n:
-                bad.append(("arity mismatch", tup))
-                continue
-            if not cat.composable(tup):
-                bad.append(("tuple not composable", tup))
-                continue
-            src, tgt = cat.src(tup[-1]), cat.tgt(tup[0])
-            want_sdeg = sum(cat.sdeg(x) for x in tup) + 1
-            for z, c in out.items():
-                if cat.field.is_zero(c):
-                    bad.append(("stored zero", tup, z))
-                if cat.pair_of(z) != (src, tgt):
-                    bad.append(("endpoint mismatch", tup, z))
-                if cat.sdeg(z) != want_sdeg:
-                    bad.append(("degree mismatch", tup, z))
-    for i, lab in cat.units.items():
-        if cat.pair_of(lab) != (i, i) or cat.deg(lab) != 0:
-            bad.append(("bad unit", i, lab))
-    if cat.weights:
-        for n, table in cat.ops.items():
-            for tup, out in table.items():
-                wsum = sum(cat.weights.get(x, 0) for x in tup)
-                for z in out:
-                    if cat.weights.get(z, 0) != wsum:
-                        bad.append(("weight mismatch", tup, z))
-                    if cat.weight_cap is not None and wsum > cat.weight_cap:
-                        bad.append(("weight above cap", tup, z))
-    for (x, y), c in cat.pairing.items():
-        if cat.field.is_zero(c):
-            bad.append(("stored zero pairing", x, y))
-        if cat.pair_of(x) != (cat.tgt(y), cat.src(y)):
-            bad.append(("pairing endpoints", x, y))
-        if cat.deg(x) + cat.deg(y) != 2:
-            bad.append(("pairing degrees", x, y))
-    return bad
-
 
 @dataclass
 class RelationReport:
@@ -308,18 +261,11 @@ def _weak_unit_check(cat: AInfCategory):
     for (i, j), basis in cat.hom.items():
         labs = [lab for lab, _ in basis]
         pos = {lab: k for k, lab in enumerate(labs)}
-        d_rows = []
-        for lab in labs:
-            row = {}
+        # dmat[z, x] = coeff of z in b_1(x): its kernel is the cycles
+        dmat = SparseMatrix(len(labs), len(labs), f)
+        for k, lab in enumerate(labs):
             for z, c in cat.b_value((lab,)).items():
-                row[pos[z]] = c
-            d_rows.append(row)
-        # columns of dmat are b_1 images; cycles = kernel of transpose action
-        dmat = SparseMatrix.from_rows(
-            [dict() for _ in labs], len(labs), f)
-        for k, row in enumerate(d_rows):
-            for c, v in row.items():
-                dmat.set(c, k, v)  # dmat[z, x] = coeff of z in b1(x)
+                dmat.set(pos[z], k, c)
         _, cycles, images, _ = rank_kernel_image(dmat)
         boundaries = Echelon(f, images)
         for cyc in cycles:
@@ -350,9 +296,7 @@ def b_from_m(cat_degrees, m_ops, field: FieldCtx):
         conv = {}
         for tup, val in table.items():
             sgn = suspension_sign([cat_degrees[x] for x in tup])
-            entry = {}
-            for z, c in val.items():
-                entry[z] = c if sgn > 0 else field.neg(c)
+            entry = {z: c if sgn > 0 else field.neg(c) for z, c in val.items()}
             if entry:
                 conv[tup] = entry
         out[n] = conv
@@ -395,20 +339,10 @@ class AInfMorphism:
 
 
 def _compositions(n: int):
-    """Ordered compositions of n into positive parts."""
+    """Ordered compositions of n into positive parts, by first part."""
     if n == 0:
         return [()]
-    out = []
-    def rec(rest, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for k in range(1, rest + 1):
-            acc.append(k)
-            rec(rest - k, acc)
-            acc.pop()
-    rec(n, [])
-    return out
+    return [(k,) + rest for k in range(1, n + 1) for rest in _compositions(n - k)]
 
 def _accumulate_composite(f, residual, outer, inners, coeff):
     """residual[(tuple, out)] += coeff * outer(inner_1 (x) ... (x) inner_l)."""

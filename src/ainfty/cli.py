@@ -153,6 +153,11 @@ def _pairing_for(args, cat):
             raise CliError("pairing document is over %s, the category over %s"
                            % (docio.field_to_json(doc.field),
                               docio.field_to_json(cat.field)))
+        unknown = sorted({x for key in doc.entries for x in key
+                          if not cat.has_label(x)})
+        if unknown:
+            raise CliError("pairing document names labels the category "
+                           "lacks: %s" % ", ".join(unknown))
         entries = doc.entries
     elif cat.pairing:
         entries = cat.pairing
@@ -238,6 +243,33 @@ def _stride(items, cap=60):
     return items[::step]
 
 
+def _identity_witnesses(window):
+    """Chains of the sample (all of length <= 2, strided above) on which
+    b^2, B^2 or bB+Bb is nonzero."""
+    f, top, witnesses = window.cat.field, window.max_length, []
+
+    def addc(a, b):
+        out = dict(a)
+        for k, c in b.items():
+            add_into(f, out, k, c)
+        return out
+
+    for n in range(1, top + 1):
+        chains = window.basis(n) if n <= 2 else _stride(window.basis(n))
+        for tup in chains:
+            c = {tup: f.of_int(1)}
+            if hochschild_b(window, hochschild_b(window, c)):
+                witnesses.append({"identity": "b^2", "chain": list(tup)})
+            if n + 2 <= top and connes_B(window, connes_B(window, c)):
+                witnesses.append({"identity": "B^2", "chain": list(tup)})
+            if n + 1 <= top:
+                anti = addc(hochschild_b(window, connes_B(window, c)),
+                            connes_B(window, hochschild_b(window, c)))
+                if anti:
+                    witnesses.append({"identity": "bB+Bb", "chain": list(tup)})
+    return witnesses
+
+
 def cmd_hochschild(args):
     kind, obj = _load(args.input, "quiver", "dg_algebra", "ainf_category")
     if kind == "quiver":
@@ -250,31 +282,10 @@ def cmd_hochschild(args):
     _require_field(args, cat.field)
     try:
         window = HochschildChainWindow(cat, args.window)
+        hom = windowed_homology(window, length_margin=1)
+        witnesses = _identity_witnesses(window)
     except HochschildError as e:
         raise CliError(str(e))
-    f = cat.field
-    witnesses = []
-
-    def addc(a, b):
-        out = dict(a)
-        for k, c in b.items():
-            add_into(f, out, k, c)
-        return out
-
-    for n in range(1, args.window + 1):
-        chains = window.basis(n) if n <= 2 else _stride(window.basis(n))
-        for tup in chains:
-            c = {tup: f.of_int(1)}
-            if hochschild_b(window, hochschild_b(window, c)):
-                witnesses.append({"identity": "b^2", "chain": list(tup)})
-            if n + 2 <= args.window and connes_B(window, connes_B(window, c)):
-                witnesses.append({"identity": "B^2", "chain": list(tup)})
-            if n + 1 <= args.window:
-                anti = addc(hochschild_b(window, connes_B(window, c)),
-                            connes_B(window, hochschild_b(window, c)))
-                if anti:
-                    witnesses.append({"identity": "bB+Bb", "chain": list(tup)})
-    hom = windowed_homology(window, length_margin=1)
     payload = {"hh0": hom.by_degree.get(0, 0),  # what hh0_dimension(window) returns
                "window": args.window,
                "homology": [[list(key), dim] for key, dim in sorted(hom.dims.items())]}

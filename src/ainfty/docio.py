@@ -7,6 +7,17 @@ fixed and checked on parse, so a document produced under a different
 composition or differential convention is refused instead of silently
 misread.  Serialization sorts every list it emits; together with sorted
 JSON keys this makes output byte-stable.
+
+Each decoder is the one structural check of its kind: it checks every entry
+as it reads it and raises DocumentError at the path of the first bad one.
+An A-infinity category is well formed when
+* hom endpoints are listed objects, and every label in ops, units, weights
+  and pairing is declared in hom;
+* each table row has arity-many composable inputs, and each output lies in
+  hom(src, tgt) with shifted degree sum(sdeg) + 1 and a nonzero coefficient;
+* weights add up along each row, within weight_cap;
+* each unit is a degree-0 element of hom(i, i).
+A pairing's shape is checked by nccalc.make_pairing alone.
 """
 
 from __future__ import annotations
@@ -66,14 +77,29 @@ def _need_int(obj, key, path):
     return _int(_need(obj, key, path, int), key, "%s.%s" % (path, key))
 
 
-def _opt_bool(obj, key, path):
-    """The boolean field key of obj, False when absent (the string "false"
-    is not a boolean)."""
-    val = obj.get(key, False)
-    if type(val) is not bool:
-        raise DocumentError("%s %r is not a boolean" % (key, val),
+def _opt(obj, key, path, default, what):
+    """The field key of obj, default when absent, of default's exact type."""
+    val = obj.get(key, default)
+    if type(val) is not type(default):
+        raise DocumentError("%s %r is not a %s" % (key, val, what),
                             "%s.%s" % (path, key))
     return val
+
+
+def _strings(names, path):
+    """names as a tuple of distinct strings (vertex or object names)."""
+    for k, name in enumerate(names):
+        if type(name) is not str or name in names[:k]:
+            raise DocumentError("%r is not a new name" % (name,),
+                                "%s[%d]" % (path, k))
+    return tuple(names)
+
+
+def _known(table, name, what, path):
+    """table[name] when name is a string key of table, else a DocumentError."""
+    if type(name) is not str or name not in table:
+        raise DocumentError("unknown %s %r" % (what, name), path)
+    return table[name]
 
 
 def field_to_json(f: FieldCtx) -> str:
@@ -98,8 +124,8 @@ def scalar_to_json(f: FieldCtx, a):
 def scalar_from_json(f: FieldCtx, obj, path):
     try:
         return f.scalar_from_json(obj)
-    except (FieldError, ValueError, ZeroDivisionError) as e:
-        raise DocumentError("bad scalar %r (%s)" % (obj, e), path)
+    except FieldError as e:
+        raise DocumentError(str(e), path)
 
 
 def wrap(kind: str, payload: dict) -> dict:
@@ -137,7 +163,7 @@ def quiver_to_payload(q: Quiver) -> dict:
 
 
 def quiver_from_payload(payload, path="payload") -> Quiver:
-    vertices = tuple(_need(payload, "vertices", path, list))
+    vertices = _strings(_need(payload, "vertices", path, list), path + ".vertices")
     arrows = []
     for k, rec in enumerate(_need(payload, "arrows", path, list)):
         apath = "%s.arrows[%d]" % (path, k)
@@ -171,21 +197,32 @@ def dg_algebra_to_payload(alg: DGQuiverAlgebra) -> dict:
 
 def dg_algebra_from_payload(payload, path="payload") -> DGQuiverAlgebra:
     q = quiver_from_payload(_need(payload, "quiver", path, dict), path + ".quiver")
+    arrows = {a.name: a for a in q.arrows}
     diff = []
     for k, rec in enumerate(_need(payload, "differential", path, list)):
         dpath = "%s.differential[%d]" % (path, k)
-        name = _need(rec, "arrow", dpath, str)
+        name = _known(arrows, _need(rec, "arrow", dpath), "arrow",
+                      dpath + ".arrow").name
         terms = []
         for m, t in enumerate(_need(rec, "value", dpath, list)):
             tpath = "%s.value[%d]" % (dpath, m)
             c = scalar_from_json(QQ, _need(t, "coeff", tpath), tpath + ".coeff")
-            terms.append((c, tuple(_need(t, "path", tpath, list))))
+            walk = _need(t, "path", tpath, list)
+            if not walk:
+                raise DocumentError("empty path", tpath + ".path")
+            for x in walk:
+                _known(arrows, x, "arrow", tpath + ".path")
+            terms.append((c, tuple(walk)))
         diff.append((name, tuple(terms)))
     weights = []
-    for k, rec in enumerate(payload.get("weights", [])):
+    for k, rec in enumerate(_opt(payload, "weights", path, [], "list")):
         wpath = "%s.weights[%d]" % (path, k)
-        weights.append((_need(rec, "arrow", wpath, str),
-                        _need_int(rec, "weight", wpath)))
+        name = _known(arrows, _need(rec, "arrow", wpath), "arrow",
+                      wpath + ".arrow").name
+        w = _need_int(rec, "weight", wpath)
+        if w < 1:
+            raise DocumentError("weight %d is not positive" % w, wpath + ".weight")
+        weights.append((name, w))
     return DGQuiverAlgebra(quiver=q, differential=tuple(diff),
                            weights=tuple(weights))
 
@@ -232,68 +269,108 @@ def category_to_payload(cat: AInfCategory) -> dict:
 
 def category_from_payload(payload, path="payload") -> AInfCategory:
     f = field_from_json(_need(payload, "field", path), path + ".field")
-    objects = tuple(_need(payload, "objects", path, list))
-    hom = {}
+    objects = _strings(_need(payload, "objects", path, list), path + ".objects")
+    hom, labels = {}, set()
     for k, rec in enumerate(_need(payload, "hom", path, list)):
         hpath = "%s.hom[%d]" % (path, k)
-        i = _need(rec, "src", hpath, str)
-        j = _need(rec, "tgt", hpath, str)
+        i, j = _need(rec, "src", hpath, str), _need(rec, "tgt", hpath, str)
+        if i not in objects or j not in objects or (i, j) in hom:
+            raise DocumentError("hom(%s, %s) is not a new pair of objects"
+                                % (i, j), hpath)
         basis = []
         for m, ent in enumerate(_need(rec, "basis", hpath, list)):
             bpath = "%s.basis[%d]" % (hpath, m)
-            if not (isinstance(ent, list) and len(ent) == 2):
-                raise DocumentError("want [label, degree]", bpath)
-            basis.append((str(ent[0]), _int(ent[1], "degree", bpath)))
+            if not (isinstance(ent, list) and len(ent) == 2
+                    and type(ent[0]) is str) or ent[0] in labels:
+                raise DocumentError("want [label, degree], a new label", bpath)
+            basis.append((ent[0], _int(ent[1], "degree", bpath)))
+            labels.add(ent[0])
         hom[(i, j)] = tuple(basis)
+    weights = {}
+    for k, ent in enumerate(_opt(payload, "weights", path, [], "list")):
+        if not (isinstance(ent, list) and len(ent) == 2 and type(ent[1]) is int
+                and type(ent[0]) is str and ent[0] in labels):
+            raise DocumentError("want [label, weight], a declared label",
+                                "%s.weights[%d]" % (path, k))
+        weights[ent[0]] = ent[1]
+    # info[label] = (src, tgt, shifted degree, weight)
+    info = {lab: (i, j, deg - 1, weights.get(lab, 0))
+            for (i, j), basis in hom.items() for lab, deg in basis}
+    cap = (None if payload.get("weight_cap") is None
+           else _need_int(payload, "weight_cap", path))
     ops = {}
     for k, rec in enumerate(_need(payload, "ops", path, list)):
         opath = "%s.ops[%d]" % (path, k)
         n = _need_int(rec, "arity", opath)
-        table = {}
-        for m, row in enumerate(_need(rec, "table", opath, list)):
-            rpath = "%s.table[%d]" % (opath, m)
-            tup = tuple(_need(row, "inputs", rpath, list))
-            out = {}
-            for w, ent in enumerate(_need(row, "output", rpath, list)):
-                epath = "%s.output[%d]" % (rpath, w)
-                if not (isinstance(ent, list) and len(ent) == 2):
-                    raise DocumentError("want [label, scalar]", epath)
-                out[str(ent[0])] = scalar_from_json(f, ent[1], epath)
-            table[tup] = out
-        ops[n] = table
+        if n < 1 or n in ops:
+            raise DocumentError("arity %d is not a new positive arity" % n,
+                                opath + ".arity")
+        ops[n] = table = {}
+        try:
+            for m, row in enumerate(_need(rec, "table", opath, list)):
+                ins, ents = row["inputs"], row["output"]
+                if type(ins) is not list or type(ents) is not list or len(ins) != n:
+                    raise ValueError("want %d inputs and an output list" % n)
+                recs = [info.get(x) for x in ins]
+                if None in recs:
+                    raise ValueError("unknown label %r"
+                                     % (ins[recs.index(None)],))
+                src, tgt, sdeg, wsum = recs[0]
+                for s, t, d, w in recs[1:]:
+                    if t != src:
+                        raise ValueError("inputs are not composable")
+                    src, sdeg, wsum = s, sdeg + d, wsum + w
+                if ents and cap is not None and wsum > cap:
+                    raise ValueError("weight %d above cap %d" % (wsum, cap))
+                # what every output must be, as in info
+                want = (src, tgt, sdeg + 1, wsum)
+                out = {}
+                for ent in ents:
+                    if type(ent) is not list or len(ent) != 2:
+                        raise TypeError
+                    lab, c = ent
+                    z = info.get(lab)
+                    if z != want:
+                        raise ValueError(
+                            "unknown label %r" % (lab,) if z is None else
+                            "output %r has (src, tgt, shifted degree, weight) "
+                            "%s, want %s" % (lab, z, want))
+                    c = f.scalar_from_json(c)
+                    if c == 0 or lab in out:
+                        raise ValueError("output %r is zero or repeated" % lab)
+                    out[lab] = c
+                tup = tuple(ins)
+                if tup in table:
+                    raise ValueError("inputs %r listed twice" % (ins,))
+                table[tup] = out
+        except (KeyError, TypeError, ValueError) as e:
+            raise DocumentError(str(e) if isinstance(e, ValueError) else
+                                'want {"inputs": [label, ...], '
+                                '"output": [[label, scalar], ...]}',
+                                "%s.table[%d]" % (opath, m))
     units = {}
-    for k, ent in enumerate(payload.get("units", [])):
+    for k, ent in enumerate(_opt(payload, "units", path, [], "list")):
         upath = "%s.units[%d]" % (path, k)
         if not (isinstance(ent, list) and len(ent) == 2):
             raise DocumentError("want [object, label]", upath)
-        units[str(ent[0])] = str(ent[1])
+        i, lab = ent
+        if _known(info, lab, "label", upath)[:3] != (i, i, -1) or i in units:
+            raise DocumentError("unit %s is not a new degree-0 element of "
+                                "hom(%s, %s)" % (lab, i, i), upath)
+        units[i] = lab
     pairing = {}
-    for k, ent in enumerate(payload.get("pairing", [])):
+    for k, ent in enumerate(_opt(payload, "pairing", path, [], "list")):
         ppath = "%s.pairing[%d]" % (path, k)
         if not (isinstance(ent, list) and len(ent) == 3):
             raise DocumentError("want [x, y, scalar]", ppath)
-        pairing[(str(ent[0]), str(ent[1]))] = scalar_from_json(f, ent[2], ppath)
-    weights = {}
-    for k, ent in enumerate(payload.get("weights", [])):
-        wpath = "%s.weights[%d]" % (path, k)
-        if not (isinstance(ent, list) and len(ent) == 2
-                and type(ent[1]) is int):
-            raise DocumentError("want [label, weight]", wpath)
-        weights[str(ent[0])] = ent[1]
-    kwargs = {}
-    if weights:
-        kwargs["weights"] = weights
-    if payload.get("weight_cap") is not None:
-        kwargs["weight_cap"] = _need_int(payload, "weight_cap", path)
-    complete = _opt_bool(payload, "complete", path)
-    try:
-        return AInfCategory(objects=objects, hom=hom, ops=ops, field=f,
-                            arity_cap=_need_int(payload, "arity_cap", path),
-                            units=units, pairing=pairing,
-                            complete=complete,
-                            **kwargs)
-    except Exception as e:
-        raise DocumentError("category rejected: %s" % e, path)
+        for lab in ent[:2]:
+            _known(info, lab, "label", ppath)
+        pairing[(ent[0], ent[1])] = scalar_from_json(f, ent[2], ppath)
+    return AInfCategory(objects=objects, hom=hom, ops=ops, field=f,
+                        arity_cap=_need_int(payload, "arity_cap", path),
+                        units=units, pairing=pairing,
+                        complete=_opt(payload, "complete", path, False, "boolean"),
+                        weights=weights, weight_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +451,7 @@ def potential_from_payload(payload, path="payload"):
         ccfg, sign = canon
         add_into(f, terms, ccfg, f.mul(f.of_int(sign), coeff))
     func = NCForm(ctx, terms, _need_int(payload, "order_cap", path),
-                  _opt_bool(payload, "truncated", path))
+                  _opt(payload, "truncated", path, False, "boolean"))
     func.source_category = cat
     return func
 
@@ -401,6 +478,7 @@ def rep_from_payload(payload, path="payload"):
     from . import repmod
     f = field_from_json(_need(payload, "field", path), path + ".field")
     q = quiver_from_payload(_need(payload, "quiver", path, dict), path + ".quiver")
+    arrows = {a.name: a for a in q.arrows}
     d = {}
     for k, ent in enumerate(_need(payload, "dims", path, list)):
         dpath = "%s.dims[%d]" % (path, k)
@@ -409,15 +487,15 @@ def rep_from_payload(payload, path="payload"):
         dim = _int(ent[1], "dim", dpath)
         if dim < 0:
             raise DocumentError("dim %d is negative" % dim, dpath)
-        d[str(ent[0])] = dim
+        if ent[0] not in q.vertices or ent[0] in d:
+            raise DocumentError("%r is not a new vertex" % (ent[0],), dpath)
+        d[ent[0]] = dim
     mats = {}
     for k, rec in enumerate(_need(payload, "mats", path, list)):
         mpath = "%s.mats[%d]" % (path, k)
-        name = _need(rec, "arrow", mpath, str)
-        try:
-            arrow = q.arrow(name)
-        except KeyError:
-            raise DocumentError("unknown arrow %r" % name, mpath + ".arrow")
+        arrow = _known(arrows, _need(rec, "arrow", mpath), "arrow", mpath + ".arrow")
+        if arrow.name in mats:
+            raise DocumentError("matrix of %r listed twice" % arrow.name, mpath)
         m = SparseMatrix(d.get(arrow.tgt, 0), d.get(arrow.src, 0), field=f)
         for w, ent in enumerate(_need(rec, "entries", mpath, list)):
             epath = "%s.entries[%d]" % (mpath, w)
@@ -428,7 +506,7 @@ def rep_from_payload(payload, path="payload"):
                 raise DocumentError("entry (%d, %d) outside a %dx%d block"
                                     % (r, c, m.nrows, m.ncols), epath)
             m.set(r, c, scalar_from_json(f, ent[2], epath))
-        mats[name] = m
+        mats[arrow.name] = m
     try:
         return repmod.MatrixRep(q, d, mats, field=f)
     except repmod.RepError as e:
@@ -470,18 +548,16 @@ def _poly_from_json(obj, path) -> RatPolynomial:
     return RatPolynomial.of(coeffs)
 
 
+BOGOMOLOV_KEYS = ("c2", "abs_c1", "constant")   # the (A, B, C) of HNQuery
+
+
 def hn_query_to_payload(query: HNQuery) -> dict:
-    payload = {"total": _poly_to_json(query.total),
-               "bound": _poly_to_json(query.bound),
-               "lattice": list(query.lattice)}
-    if query.bogomolov is None:
-        payload["bogomolov"] = None
-    else:
-        a, b, c = query.bogomolov
-        payload["bogomolov"] = {"c2": QQ.scalar_to_json(a),
-                                "abs_c1": QQ.scalar_to_json(b),
-                                "constant": QQ.scalar_to_json(c)}
-    return payload
+    bog = query.bogomolov
+    return {"total": _poly_to_json(query.total),
+            "bound": _poly_to_json(query.bound),
+            "lattice": list(query.lattice),
+            "bogomolov": None if bog is None else {
+                key: QQ.scalar_to_json(x) for key, x in zip(BOGOMOLOV_KEYS, bog)}}
 
 
 def hn_query_from_payload(payload, path="payload") -> HNQuery:
@@ -492,9 +568,8 @@ def hn_query_from_payload(payload, path="payload") -> HNQuery:
     bog = payload.get("bogomolov")
     if bog is not None:
         bpath = path + ".bogomolov"
-        bog = (scalar_from_json(QQ, _need(bog, "c2", bpath), bpath + ".c2"),
-               scalar_from_json(QQ, _need(bog, "abs_c1", bpath), bpath + ".abs_c1"),
-               scalar_from_json(QQ, _need(bog, "constant", bpath), bpath + ".constant"))
+        bog = tuple(scalar_from_json(QQ, _need(bog, key, bpath), bpath + "." + key)
+                    for key in BOGOMOLOV_KEYS)
     return HNQuery(total=total, bound=bound, lattice=lattice, bogomolov=bog)
 
 
@@ -502,31 +577,22 @@ def hn_query_from_payload(payload, path="payload") -> HNQuery:
 # top level
 
 
-_TO_PAYLOAD = {
-    "quiver": quiver_to_payload,
-    "dg_algebra": dg_algebra_to_payload,
-    "ainf_category": category_to_payload,
-    "pairing": pairing_to_payload,
-    "potential": potential_to_payload,
-    "matrix_rep": rep_to_payload,
-    "hn_query": hn_query_to_payload,
-}
-
-_FROM_PAYLOAD = {
-    "quiver": quiver_from_payload,
-    "dg_algebra": dg_algebra_from_payload,
-    "ainf_category": category_from_payload,
-    "pairing": pairing_from_payload,
-    "potential": potential_from_payload,
-    "matrix_rep": rep_from_payload,
-    "hn_query": hn_query_from_payload,
+# kind -> (serializer, validating decoder)
+_CODECS = {
+    "quiver": (quiver_to_payload, quiver_from_payload),
+    "dg_algebra": (dg_algebra_to_payload, dg_algebra_from_payload),
+    "ainf_category": (category_to_payload, category_from_payload),
+    "pairing": (pairing_to_payload, pairing_from_payload),
+    "potential": (potential_to_payload, potential_from_payload),
+    "matrix_rep": (rep_to_payload, rep_from_payload),
+    "hn_query": (hn_query_to_payload, hn_query_from_payload),
 }
 
 
 def to_document(kind: str, obj) -> dict:
-    if kind not in _TO_PAYLOAD:
+    if kind not in _CODECS:
         raise DocumentError("cannot serialize kind %r" % kind, "document.kind")
-    return wrap(kind, _TO_PAYLOAD[kind](obj))
+    return wrap(kind, _CODECS[kind][0](obj))
 
 
 def parse_document(doc):
@@ -534,7 +600,7 @@ def parse_document(doc):
     kind = _check_envelope(doc)
     if kind == "report":
         return kind, doc["payload"]
-    return kind, _FROM_PAYLOAD[kind](doc["payload"])
+    return kind, _CODECS[kind][1](doc["payload"])
 
 
 def dumps_document(doc: dict) -> str:

@@ -54,20 +54,30 @@ class FieldCtx:
 
     def scalar_from_str(self, s: str):
         """Parse "num" or "num/den"; prime-field contexts reduce mod p."""
-        s = s.strip()
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return self.of_fraction(Fraction(int(num), int(den)))
-        return self.of_int(int(s))
+        q = _rational(s)
+        return self.of_int(q) if type(q) is int else self.of_fraction(q)
 
     def scalar_from_json(self, obj):
-        if isinstance(obj, str):
-            return self.scalar_from_str(obj)
-        if isinstance(obj, int):
-            return self.of_int(int(obj))
-        if isinstance(obj, dict) and "mod" in obj:
-            return self._mod_scalar(obj)
-        raise FieldError("cannot parse scalar %r" % (obj,))
+        """The scalar a "num", "num/den", integer or {"mod": p, "val": v}
+        object stands for; a FieldError for anything else."""
+        try:
+            if isinstance(obj, str):
+                return self.scalar_from_str(obj)
+            if isinstance(obj, int):
+                return self.of_int(int(obj))
+            if isinstance(obj, dict) and "mod" in obj:
+                return self._mod_scalar(obj)
+        except (ValueError, ZeroDivisionError) as e:
+            raise FieldError("bad scalar %r (%s)" % (obj, e))
+        raise FieldError("bad scalar %r" % (obj,))
+
+
+@functools.lru_cache(maxsize=1024)
+def _rational(s: str):
+    """The rational "num" or "num/den" stands for, as an int or a Fraction;
+    cached, since tables repeat a few coefficients many times."""
+    num, slash, den = s.partition("/")
+    return Fraction(int(num), int(den)) if slash else int(num)
 
 
 def _canon(q):
@@ -158,6 +168,9 @@ class PrimeField(FieldCtx):
         return {"mod": self.p, "val": int(a)}
 
     def _mod_scalar(self, obj):
+        # integers only: JSON true and false are not residues
+        if type(obj["mod"]) is not int or type(obj.get("val")) is not int:
+            raise FieldError("want integer mod and val")
         if obj["mod"] != self.p:
             raise FieldError("modulus mismatch: %r vs p=%d" % (obj, self.p))
         return obj["val"] % self.p

@@ -144,10 +144,12 @@ class RelationReport:
 
 
 def _require_doubled(rep: MatrixRep):
-    names = {a.name for a in rep.quiver.arrows}
-    for n in names:
-        if star_name(n) not in names:
-            raise RepError("quiver is not doubled: %r has no partner" % (n,))
+    arrows = {a.name: a for a in rep.quiver.arrows}
+    for a in arrows.values():
+        partner = arrows.get(star_name(a.name))
+        if partner is None or (partner.src, partner.tgt) != (a.tgt, a.src):
+            raise RepError("quiver is not doubled: %r has no reversed partner"
+                           % (a.name,))
 
 
 def eval_relations(rep: MatrixRep, alg, q=None) -> RelationReport:

@@ -8,17 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty.ainf import (AInfCategory, b_from_m, check_functor,
                          check_relations, check_unitality,
-                         degree_support_bound, m_from_b, validate_category)
+                         degree_support_bound, m_from_b)
 from ainfty.field import GF, QQ
 from ainfty.presentations import (bar_ext_category, enumerate_paths,
                                   enumerate_words, perturbed,
                                   truncated_path_category)
 from ainfty.quiver import (a2_quiver, derived_preprojective, jordan_quiver,
-                           two_loop_quiver)
+                           random_quiver, two_loop_quiver)
 from ainfty.signs import prefix_parities, suspension_sign
 from ainfty.transfer import minimal_model
 
-from test_massey import exterior_fixture
+from test_massey import assert_well_formed, exterior_fixture
 
 
 QUIVERS = {"jordan": jordan_quiver(), "a2": a2_quiver(),
@@ -60,7 +60,7 @@ def test_path_counts_frozen():
 @pytest.mark.parametrize("name", sorted(QUIVERS))
 def test_truncated_path_category_is_dg(name):
     cat = tpc(name)
-    assert validate_category(cat) == []
+    assert_well_formed(cat)
     rep = check_relations(cat)
     assert rep.ok, rep.witnesses[:3]
     assert set(rep.checked) == set(range(1, 7))
@@ -70,7 +70,7 @@ def test_truncated_path_category_is_dg(name):
 @pytest.mark.parametrize("name", sorted(QUIVERS))
 def test_bar_category_is_dg(name):
     cat = bec(name)
-    assert validate_category(cat) == []
+    assert_well_formed(cat)
     rep = check_relations(cat, max_arity=4)
     assert rep.ok, rep.witnesses[:3]
     assert check_unitality(cat).verdict == "strict"
@@ -78,8 +78,20 @@ def test_bar_category_is_dg(name):
 
 def test_bar_category_mod_p():
     cat = bec("a2", cap=3, field=GF(7))
-    assert validate_category(cat) == []
+    assert_well_formed(cat)
     assert check_relations(cat, max_arity=3).ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), cap=st.integers(1, 3),
+       build=st.sampled_from([bar_ext_category, truncated_path_category]),
+       field=st.sampled_from([QQ, GF(3)]))
+def test_constructed_categories_pass_the_validating_decode(seed, cap, build,
+                                                           field):
+    # what the package builds, the decoder accepts, and parse then
+    # serialize gives the same payload back
+    alg = derived_preprojective(random_quiver(seed))
+    assert_well_formed(build(alg, cap, field=field))
 
 
 def test_truncation_flagged_beyond_cap():

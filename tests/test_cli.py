@@ -2,6 +2,7 @@
 
 import functools
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -77,7 +78,7 @@ def test_category_with_b1_and_b3_is_an_input_error(tmp_path, capsys, subcommand)
     # 2), not a traceback and not a "fail"
     doc = a2_bar_document()
     doc["payload"]["ops"].append({"arity": 3, "table": [
-        {"inputs": ["<a>", "<a*>", "<a>"], "output": [["<a>", "1"]]}]})
+        {"inputs": ["<a>", "<@1>", "<a*>"], "output": [["<a.a*>", "1"]]}]})
     path = tmp_path / "b1_b3.json"
     path.write_text(docio.dumps_document(doc), encoding="utf-8")
     assert main([subcommand, str(path)]) == EXIT["error"] == 2
@@ -119,6 +120,61 @@ def hn_query_document():
     return docio.to_document("hn_query", query)
 
 
+@functools.lru_cache(maxsize=None)
+def jordan_min_text():
+    cat = bar_ext_category(derived_preprojective(jordan_quiver()), weight_cap=2)
+    model, _, _ = minimal_model(cat)
+    return docio.dumps_document(docio.to_document("ainf_category", model))
+
+
+def jordan_min_document():
+    return json.loads(jordan_min_text())
+
+
+def jordan_dg_document():
+    return docio.to_document("dg_algebra", derived_preprojective(jordan_quiver()))
+
+
+def a2_path_document():
+    cat = truncated_path_category(derived_preprojective(a2_quiver()), 3)
+    return docio.to_document("ainf_category", cat)
+
+
+def gf5_path_document():
+    cat = truncated_path_category(DGQuiverAlgebra(a2_quiver(), (), ()),
+                                  weight_cap=2, field=GF(5))
+    return docio.to_document("ainf_category", cat)
+
+
+def gf3_rep_document():
+    rep = repmod.random_rep(double(a2_quiver()), 22, d={"1": 2, "2": 1},
+                            field=GF(3))
+    return docio.to_document("matrix_rep", rep)
+
+
+# the b_2 row [1>1]1.0 (x) [1>1]1.1 -> [1>1]2.0 of the jordan minimal model
+JORDAN_B2_ROW = ("ops", 0, "table", 5)
+WRONG_DEGREE_B3 = {"arity": 3, "table": [
+    {"inputs": ["[1>1]0.0", "[1>1]0.0", "[1>1]1.0"],
+     "output": [["[1>1]1.0", "1"]]}]}
+ROW_5 = "payload.ops[0].table[5]: "
+# each edit was a traceback, a "pass" or a "fail" with relation witnesses
+FINDINGS = [
+    ("b2-output-label", JORDAN_B2_ROW + ("output", 0, 0), "zz",
+     ROW_5 + "unknown label 'zz'"),
+    ("b2-input-label", JORDAN_B2_ROW + ("inputs", 1), "zz",
+     ROW_5 + "unknown label 'zz'"),
+    ("b2-output-degree", JORDAN_B2_ROW + ("output", 0, 0), "[1>1]1.0",
+     ROW_5 + "output '[1>1]1.0' has (src, tgt, shifted degree, weight) "
+     "('1', '1', 0, 1), want ('1', '1', 1, 2)"),
+    ("b3-degree", ("ops", 0), WRONG_DEGREE_B3,
+     "payload.ops[0].table[0]: output '[1>1]1.0' has (src, tgt, shifted "
+     "degree, weight) ('1', '1', 0, 1), want ('1', '1', -1, 1)"),
+]
+FINDING_SUBCOMMANDS = ("check-ainf", "minimal-model", "strictify")
+BAD_RESIDUE = "payload.mats[1].entries[0]: bad scalar %r (want integer mod and val)"
+
+
 @pytest.mark.parametrize("subcommand, document, where, value, message", [
     ("semisimplify", a2_rep_document, ("mats", 0, "arrow"), "zz",
      "payload.mats[0].arrow: unknown arrow 'zz'"),
@@ -134,8 +190,33 @@ def hn_query_document():
      "payload.hom[0].basis[0]: degree 'x' is not an integer"),
     ("hn-enum", hn_query_document, ("lattice", 1), "x",
      "payload.lattice[1]: lattice entry 'x' is not an integer"),
-], ids=["arrow", "dim", "negative-dim", "row", "column", "degree",
-        "lattice"])
+    ("hochschild", jordan_dg_document, ("differential", 0, "value", 0, "path", 0),
+     "zz", "payload.differential[0].value[0].path: unknown arrow 'zz'"),
+    ("hochschild", jordan_dg_document, ("differential", 0, "arrow"), "zz",
+     "payload.differential[0].arrow: unknown arrow 'zz'"),
+    ("hochschild --window=2", a2_path_document,
+     ("ops", 1, "table", 0, "output", 0, 1), "2",
+     "input category fails its structure relations"),
+    ("hochschild --window=2", gf5_path_document, ("units",), [],
+     "Connes operator needs designated units"),
+    ("stability --zeta=1,-1", gf3_rep_document, ("mats", 1, "entries", 0, 2),
+     {"mod": 3}, BAD_RESIDUE % {"mod": 3}),
+    ("stability --zeta=1,-1", gf3_rep_document, ("mats", 1, "entries", 0, 2),
+     {"mod": 3, "val": "x"}, BAD_RESIDUE % {"mod": 3, "val": "x"}),
+    ("semisimplify", a2_rep_document, ("dims", 0, 0), "3",
+     "payload.dims[0]: '3' is not a new vertex"),
+    ("semisimplify", a2_rep_document, ("dims", 1, 0), "1",
+     "payload.dims[1]: '1' is not a new vertex"),
+    ("semisimplify", a2_rep_document, ("mats", 1, "arrow"), "a",
+     "payload.mats[1]: matrix of 'a' listed twice"),
+] + [(sub, jordan_min_document, where, value, message)
+     for sub in FINDING_SUBCOMMANDS for _, where, value, message in FINDINGS],
+    ids=["arrow", "dim", "negative-dim", "row", "column", "degree", "lattice",
+         "dg-path", "dg-differential", "hochschild-relations", "no-units",
+         "mod-only", "mod-string-val", "unknown-vertex", "vertex-twice",
+         "arrow-twice"]
+    + ["%s-%s" % (sub, name) for sub in FINDING_SUBCOMMANDS
+       for name, _, _, _ in FINDINGS])
 def test_malformed_document_is_an_input_error(tmp_path, capsys, subcommand,
                                               document, where, value, message):
     doc = document()
@@ -145,7 +226,7 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, subcommand,
     node[where[-1]] = value
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main([subcommand, str(path)]) == EXIT["error"] == 2
+    assert main(subcommand.split() + [str(path)]) == EXIT["error"] == 2
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
     assert message in out.out
@@ -283,17 +364,6 @@ def count_calls(monkeypatch, *targets):
 FORMALITY_CALLS = ((ainf, "check_relations"), (nccalc, "check_cyclicity"),
                    (nccalc, "strictify_units"), (nccalc, "degenerate_blocks"),
                    (nccalc, "make_pairing"))
-
-
-@functools.lru_cache(maxsize=None)
-def jordan_min_text():
-    cat = bar_ext_category(derived_preprojective(jordan_quiver()), weight_cap=2)
-    model, _, _ = minimal_model(cat)
-    return docio.dumps_document(docio.to_document("ainf_category", model))
-
-
-def jordan_min_document():
-    return json.loads(jordan_min_text())
 
 
 @pytest.mark.parametrize("argv", [["formality"], ["local-model", "--dims=2"]],
@@ -491,3 +561,98 @@ def test_importing_the_cli_leaves_sympy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={"PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_pairing_document_naming_an_unknown_label_is_an_input_error(tmp_path,
+                                                                    capsys):
+    path, pairing_path = tmp_path / "min.json", tmp_path / "pairing.json"
+    path.write_text(jordan_min_text(), encoding="utf-8")
+    pairing_path.write_text(json.dumps(docio.wrap("pairing", {
+        "field": "QQ", "entries": [["zz", "[1>1]2.0", "1"]]})), encoding="utf-8")
+    for argv in (["strictify"], ["formality"], ["local-model", "--dims=2"]):
+        code = main([argv[0], str(path), "--pairing", str(pairing_path)] + argv[1:])
+        out = capsys.readouterr()
+        assert code == EXIT["error"] == 2
+        assert "Traceback" not in out.out + out.err
+        assert json.loads(out.out)["payload"]["witnesses"] == [
+            {"error": "pairing document names labels the category lacks: zz"}]
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzz: a malformed document is an input error, never a traceback
+
+
+def jordan_pairing_document():
+    cat = docio.parse_document(jordan_min_document())[1]
+    return docio.to_document("pairing", nccalc.solve_cyclic_pairing(cat))
+
+
+# argv with "{}" for the mutated document, and that document's factory;
+# every document kind appears
+FUZZ_JOBS = [
+    (["check-ainf", "{}"], a2_bar_document),
+    (["minimal-model", "{}", "--order-cap=3"], a2_bar_document),
+    (["check-ainf", "{}"], a2_potential_document),
+    (["hochschild", "{}", "--window=2"], a2_quiver_document),
+    (["hochschild", "{}", "--window=2"], jordan_dg_document),
+    (["hochschild", "{}", "--window=2"], gf5_path_document),
+    (["strictify", "{}"], jordan_min_document),
+    (["formality", "{}"], jordan_min_document),
+    (["local-model", "{}", "--dims=2"], jordan_min_document),
+    (["euler-compare", "{}", "--dims=2"], jordan_min_document),
+    (["strictify", "MIN", "--pairing", "{}"], jordan_pairing_document),
+    (["semisimplify", "{}"], a2_rep_document),
+    (["stability", "{}", "--zeta=1,-1"], gf3_rep_document),
+    (["moment-check", "{}"], a2_rep_document),
+    (["hn-enum", "{}"], hn_query_document),
+]
+# wrong types, unknown and misplaced labels, and small integers
+FUZZ_PALETTE = [None, True, 1.5, "x", "zz", "[1>1]2.0", "<a>", "a*", [], {},
+                [["zz", "1"]], {"mod": 3}, -1, 0, 1, 2, 3]
+MUTATIONS_PER_JOB = 20
+
+
+def json_slots(node, where=()):
+    """Every key path into a JSON tree, parents before children."""
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in list(keys):
+            yield where + (key,)
+            yield from json_slots(node[key], where + (key,))
+
+
+def mutate(doc, rng):
+    """Delete one key or list entry of doc, or replace its value from
+    FUZZ_PALETTE; returns what was done."""
+    where = rng.choice(list(json_slots(doc)))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    if rng.random() < 0.25:
+        del node[where[-1]]
+        return where, "deleted"
+    value = json.loads(json.dumps(rng.choice(FUZZ_PALETTE)))
+    node[where[-1]] = value
+    return where, value
+
+
+def test_mutated_documents_never_raise(tmp_path):
+    rng = random.Random(20240607)
+    min_path = tmp_path / "min.json"
+    min_path.write_text(jordan_min_text(), encoding="utf-8")
+    path, out = tmp_path / "mutant.json", tmp_path / "mutant.report.json"
+    escaped = []
+    for argv, document in FUZZ_JOBS:
+        argv = [str(path) if a == "{}" else str(min_path) if a == "MIN" else a
+                for a in argv] + ["--report", str(out)]
+        for _ in range(MUTATIONS_PER_JOB):
+            doc = document()
+            change = mutate(doc, rng)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            try:
+                code = main(argv)
+            except Exception as e:  # any escape is a finding
+                escaped.append((argv[0], document.__name__, change, repr(e)))
+                continue
+            assert code in (0, 1, 2, 3)
+    assert escaped == []

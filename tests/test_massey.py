@@ -10,10 +10,17 @@ from itertools import combinations
 
 import pytest
 
+from ainfty import docio
 from ainfty.ainf import (AInfCategory, b_from_m, check_functor,
-                         check_relations, check_unitality, validate_category)
+                         check_relations, check_unitality)
 from ainfty.field import QQ
 from ainfty.transfer import hom_dims, minimal_model
+
+
+def assert_well_formed(cat):
+    """cat passes the validating decode and comes back unchanged."""
+    payload = docio.category_to_payload(cat)
+    assert docio.category_to_payload(docio.category_from_payload(payload)) == payload
 
 
 def exterior_fixture():
@@ -56,7 +63,7 @@ def exterior_fixture():
 @pytest.fixture(scope="module")
 def transferred():
     cat = exterior_fixture()
-    assert validate_category(cat) == []
+    assert_well_formed(cat)
     assert check_relations(cat).ok
     assert check_unitality(cat).verdict == "strict"
     return cat, *minimal_model(cat, arity_cap=6)
