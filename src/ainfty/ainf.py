@@ -319,7 +319,6 @@ class AInfMorphism:
 
     source: AInfCategory
     target: AInfCategory
-    object_map: dict
     components: dict
     arity_cap: int = 6
     complete: bool = False

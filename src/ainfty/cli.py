@@ -44,15 +44,11 @@ class CliError(Exception):
     """Input-level problem that is not a schema violation."""
 
 
-def _scalar(f, a):
-    return f.scalar_to_json(a)
-
-
 def _relation_witnesses(f, witnesses):
     out = []
     for arity, tup, lab, residual in witnesses:
         out.append({"arity": arity, "inputs": list(tup), "output": lab,
-                    "residual": _scalar(f, residual)})
+                    "residual": f.scalar_to_json(residual)})
     return out
 
 
@@ -314,17 +310,22 @@ def cmd_semisimplify(args):
     _, rep = _load(args.input, "matrix_rep")
     rep, note = _reduce_if_requested(rep, args)
     try:
-        filt = repmod.radical_filtration(rep)
-        ss = filt.associated_graded()
+        if rep.field.p:
+            # the trace-form radical needs characteristic zero; the
+            # Jordan-Hoelder oracle has no radical layers to report
+            ss, layer_dims = repmod.semisimplify(rep), None
+        else:
+            filt = repmod.radical_filtration(rep)
+            ss = filt.associated_graded()
+            layer_dims = [dict(sorted(layer.items()))
+                          for layer in filt.layer_dims()]
         again = repmod.semisimplify(ss)
     except repmod.RepError as e:
         raise CliError(str(e))
     idem = all(again.mats[a].entries == ss.mats[a].entries for a in ss.mats)
     dims_ok = ss.d == rep.d
     payload = {"rep": docio.to_document("matrix_rep", ss),
-               "layer_dims": [dict(sorted(layer.items()))
-                              for layer in filt.layer_dims()],
-               "note": note}
+               "layer_dims": layer_dims, "note": note}
     witnesses = []
     if not (idem and dims_ok):
         witnesses.append({"idempotent": idem, "dims_preserved": dims_ok})
@@ -371,7 +372,7 @@ def cmd_moment_check(args):
         m = residuals.get(v)
         if m is not None and not m.is_zero():
             witnesses.append({"vertex": v,
-                              "residual": [[r, c, _scalar(f, val)]
+                              "residual": [[r, c, f.scalar_to_json(val)]
                                            for (r, c), val in sorted(m.entries.items())]})
     payload = {"vertices_checked": list(rep.quiver.vertices)}
     return ("pass" if not witnesses else "fail"), witnesses, {}, payload

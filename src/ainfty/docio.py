@@ -17,7 +17,9 @@ An A-infinity category is well formed when
   hom(src, tgt) with shifted degree sum(sdeg) + 1 and a nonzero coefficient;
 * weights add up along each row, within weight_cap;
 * each unit is a degree-0 element of hom(i, i).
-A pairing's shape is checked by nccalc.make_pairing alone.
+A dg algebra's differential must pass quiver.check_dg (endpoints, degree,
+weight homogeneity, d*d = 0).  A pairing's entries must name labels by
+strings; its shape is checked by nccalc.make_pairing alone.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from dataclasses import dataclass
 
 from .ainf import AInfCategory
 from .field import FieldCtx, FieldError, GF, QQ
-from .quiver import Arrow, DGQuiverAlgebra, Quiver
+from .quiver import Arrow, DGQuiverAlgebra, Quiver, check_dg
 from .ratpoly import RatPolynomial
-from .sparse import SparseMatrix, add_into
+from .sparse import SparseMatrix
 
 
 SCHEMA_VERSION = 1
 
-KINDS = ("quiver", "dg_algebra", "ainf_category", "pairing", "potential",
-         "matrix_rep", "hn_query", "report")
+KINDS = ("quiver", "dg_algebra", "ainf_category", "pairing", "matrix_rep",
+         "hn_query", "report")
 
 # composition: tuples and paths are written outermost-first (tuple[0] is the
 # map applied last); differential_degree: all differentials raise degree by
@@ -117,10 +119,6 @@ def field_from_json(s, path) -> FieldCtx:
     raise DocumentError("unknown field %r (want \"QQ\" or \"fp:P\")" % (s,), path)
 
 
-def scalar_to_json(f: FieldCtx, a):
-    return f.scalar_to_json(a)
-
-
 def scalar_from_json(f: FieldCtx, obj, path):
     try:
         return f.scalar_from_json(obj)
@@ -186,7 +184,7 @@ def dg_algebra_to_payload(alg: DGQuiverAlgebra) -> dict:
     diff = []
     for name, terms in sorted(alg.differential):
         diff.append({"arrow": name,
-                     "value": [{"coeff": scalar_to_json(f, c),
+                     "value": [{"coeff": f.scalar_to_json(c),
                                 "path": list(p)} for c, p in terms]})
     return {
         "quiver": quiver_to_payload(alg.quiver),
@@ -223,8 +221,15 @@ def dg_algebra_from_payload(payload, path="payload") -> DGQuiverAlgebra:
         if w < 1:
             raise DocumentError("weight %d is not positive" % w, wpath + ".weight")
         weights.append((name, w))
-    return DGQuiverAlgebra(quiver=q, differential=tuple(diff),
-                           weights=tuple(weights))
+    alg = DGQuiverAlgebra(quiver=q, differential=tuple(diff),
+                          weights=tuple(weights))
+    ok, failures = check_dg(alg)
+    if not ok:
+        reason, name, walk = failures[0]
+        k = [rec[0] for rec in diff].index(name)
+        raise DocumentError("%s in d(%s): %r" % (reason, name, walk),
+                            "%s.differential[%d]" % (path, k))
+    return alg
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +251,7 @@ def category_to_payload(cat: AInfCategory) -> dict:
         for tup in sorted(table):
             out = table[tup]
             rows.append({"inputs": list(tup),
-                         "output": [[lab, scalar_to_json(f, c)]
+                         "output": [[lab, f.scalar_to_json(c)]
                                     for lab, c in sorted(out.items())]})
         ops.append({"arity": n, "table": rows})
     payload = {
@@ -257,7 +262,7 @@ def category_to_payload(cat: AInfCategory) -> dict:
         "arity_cap": cat.arity_cap,
         "complete": bool(cat.complete),
         "units": [[obj, lab] for obj, lab in sorted(cat.units.items())],
-        "pairing": [[x, y, scalar_to_json(f, c)]
+        "pairing": [[x, y, f.scalar_to_json(c)]
                     for (x, y), c in sorted(cat.pairing.items())],
     }
     if cat.weights:
@@ -380,7 +385,7 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
 def pairing_to_payload(pairing) -> dict:
     f = pairing.field
     return {"field": field_to_json(f),
-            "entries": [[x, y, scalar_to_json(f, c)]
+            "entries": [[x, y, f.scalar_to_json(c)]
                         for (x, y), c in sorted(pairing.entries.items())]}
 
 
@@ -390,70 +395,11 @@ def pairing_from_payload(payload, path="payload"):
     entries = {}
     for k, ent in enumerate(_need(payload, "entries", path, list)):
         epath = "%s.entries[%d]" % (path, k)
-        if not (isinstance(ent, list) and len(ent) == 3):
-            raise DocumentError("want [x, y, scalar]", epath)
-        entries[(str(ent[0]), str(ent[1]))] = scalar_from_json(f, ent[2], epath)
+        if not (isinstance(ent, list) and len(ent) == 3
+                and type(ent[0]) is str and type(ent[1]) is str):
+            raise DocumentError("want [label, label, scalar]", epath)
+        entries[(ent[0], ent[1])] = scalar_from_json(f, ent[2], epath)
     return CyclicPairing(field=f, entries=entries)
-
-
-# ---------------------------------------------------------------------------
-# potentials
-
-
-def potential_to_payload(func) -> dict:
-    """Serialize a potential, a function (an nccalc.NCForm whose words
-    carry no marked letter), together with the category its alphabet came
-    from."""
-    f = func.field
-    terms = []
-    for cfg in sorted(func.terms):
-        if any(mark != 0 for _, mark in cfg):
-            raise DocumentError("potential term carries form marks",
-                                "payload.terms")
-        terms.append({"word": [lab for lab, _ in cfg],
-                      "coeff": scalar_to_json(f, func.terms[cfg])})
-    return {"field": field_to_json(f),
-            "category": category_to_payload(_category_of(func)),
-            "order_cap": func.order_cap,
-            "truncated": bool(func.truncated),
-            "terms": terms}
-
-
-def _category_of(func):
-    cat = getattr(func, "source_category", None)
-    if cat is None:
-        raise DocumentError("potential has no source_category attached; "
-                            "set one before serializing", "payload.category")
-    return cat
-
-
-def potential_from_payload(payload, path="payload"):
-    from .ncword import NCContext, canonical_cyclic
-    from .nccalc import NCForm
-    f = field_from_json(_need(payload, "field", path), path + ".field")
-    cat = category_from_payload(_need(payload, "category", path, dict),
-                                path + ".category")
-    if cat.field != f:
-        raise DocumentError("potential field differs from category field", path)
-    ctx = NCContext.from_category(cat)
-    terms = {}
-    for k, rec in enumerate(_need(payload, "terms", path, list)):
-        tpath = "%s.terms[%d]" % (path, k)
-        word = _need(rec, "word", tpath, list)
-        coeff = scalar_from_json(f, _need(rec, "coeff", tpath), tpath + ".coeff")
-        try:
-            cfg = tuple((str(lab), 0) for lab in word)
-            canon = canonical_cyclic(ctx, cfg)
-        except Exception as e:
-            raise DocumentError("bad word: %s" % e, tpath)
-        if canon is None:
-            continue
-        ccfg, sign = canon
-        add_into(f, terms, ccfg, f.mul(f.of_int(sign), coeff))
-    func = NCForm(ctx, terms, _need_int(payload, "order_cap", path),
-                  _opt(payload, "truncated", path, False, "boolean"))
-    func.source_category = cat
-    return func
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +412,7 @@ def rep_to_payload(rep) -> dict:
     for name in sorted(rep.mats):
         m = rep.mats[name]
         mats.append({"arrow": name,
-                     "entries": [[r, c, scalar_to_json(f, v)]
+                     "entries": [[r, c, f.scalar_to_json(v)]
                                  for (r, c), v in sorted(m.entries.items())]})
     return {"field": field_to_json(f),
             "quiver": quiver_to_payload(rep.quiver),
@@ -583,7 +529,6 @@ _CODECS = {
     "dg_algebra": (dg_algebra_to_payload, dg_algebra_from_payload),
     "ainf_category": (category_to_payload, category_from_payload),
     "pairing": (pairing_to_payload, pairing_from_payload),
-    "potential": (potential_to_payload, potential_from_payload),
     "matrix_rep": (rep_to_payload, rep_from_payload),
     "hn_query": (hn_query_to_payload, hn_query_from_payload),
 }

@@ -235,11 +235,9 @@ def cyclic_quotient(window: HochschildChainWindow) -> CyclicQuotient:
 @dataclass
 class WindowedHomology:
     max_length: int
-    margin: int
     dims: dict              # (length, degree) -> dim of the length-graded piece
     by_degree: dict         # degree -> total dim over reported lengths
     stable: bool            # True when window growth leaves the report fixed
-    cyclic: bool = False
 
 
 def windowed_homology(window: HochschildChainWindow,
@@ -312,7 +310,7 @@ def windowed_homology(window: HochschildChainWindow,
     # the report only covers lengths <= max_length - margin, so growing the
     # window (and the margin with it) must reproduce it when the cutoff is
     # honest; a disagreement flags boundary contamination
-    return WindowedHomology(top, length_margin, dims, by_degree, grown == dims)
+    return WindowedHomology(top, dims, by_degree, grown == dims)
 
 
 def _graded(cycles, bounds, cap):

@@ -729,7 +729,6 @@ def hamiltonian_exp(s: NCForm, omega: NCForm, order_cap: int) -> FormalAutomorph
 @dataclass
 class StrictifyReport:
     processed_orders: list
-    generator_supports: dict      # order -> number of words in S_n
     omega_preserved: bool
     identity: bool
 
@@ -742,7 +741,6 @@ def _functor_from_automorphism(auto: FormalAutomorphism, source: AInfCategory,
     return AInfMorphism(
         source=source,
         target=target,
-        object_map={o: o for o in source.objects},
         components=comps,
         arity_cap=source.arity_cap,
         complete=False,
@@ -772,7 +770,6 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
     auto = identity_automorphism(ctx, cap)
     w3 = w.order_part(3)
     processed = []
-    supports = {}
 
     for n in range(3, cap):
         bad = w.order_part(n + 1).nonreduced_part()
@@ -796,7 +793,6 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         w = auto_apply(step, w)
         auto = auto_compose(step, auto)
         processed.append(n + 1)
-        supports[n + 1] = len(s_n.terms)
 
     for n in range(4, cap + 1):
         if not w.order_part(n).nonreduced_part().is_zero():
@@ -809,7 +805,6 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
     # out of the strictified category into the input one
     iso = _functor_from_automorphism(auto, cat2, cat)
     report = StrictifyReport(processed_orders=processed,
-                             generator_supports=supports,
                              omega_preserved=omega_ok,
                              identity=auto.is_identity())
     return cat2, iso, report

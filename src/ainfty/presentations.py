@@ -1,20 +1,22 @@
 """Concrete dg categories from quiver data.
 
-Two constructions, both weight-truncated so every hom space is finite:
+Both constructions are word categories.  An alphabet is a list of letters
+(letter, src, tgt, degree, weight) with positive weights; a word is a
+composable tuple of letters in operator order (word[0] applied last), its
+degree and weight the sums over its letters.  The category has one object
+per vertex and hom(i, j) spanned by the words from i to j of weight
+<= weight_cap.  b_2 concatenates two words, times a sign each construction
+fixes; the empty words are strict units; there are no higher operations, so
+the tables are complete.  Composition adds weight and b_1 preserves it, so
+the words above the cap span a dg ideal and the truncation is an honest dg
+category; the weights are kept as a filtration for pruning.
 
-* truncated_path_category: the free dg path category of a weighted dg
-  quiver modulo paths of weight > weight_cap.  The differential preserves
-  weight and composition adds it, so the high-weight span is a dg ideal and
-  the quotient is an honest dg category.
-
-* bar_ext_category: the convolution dg category of the reduced bar
-  coalgebra with values in the vertex semisimple algebra.  Its cohomology
-  in each weight computes the corresponding weight piece of the Yoneda
-  algebra Ext(+S_i, +S_j) of the vertex simples; truncating the weight
-  keeps every piece it retains exact.
-
-Both come with strict units, a weight filtration usable for pruning, and
-complete operation tables (no hidden higher operations).
+* truncated_path_category: letters are arrows; the free dg path category of
+  a weighted dg quiver.
+* bar_ext_category: letters are positive-weight paths; the convolution dg
+  category of the reduced bar coalgebra with values in the vertex
+  semisimple algebra.  Its cohomology in each weight computes that weight
+  piece of the Yoneda algebra Ext(+S_i, +S_j) of the vertex simples.
 """
 
 from __future__ import annotations
@@ -24,6 +26,62 @@ from .field import FieldCtx, QQ
 from .quiver import DGQuiverAlgebra, d_path, path_degree
 from .signs import block_sign, parity_sign, prefix_parities
 from .sparse import add_into
+
+
+def _words(vertices, letters, weight_cap):
+    """Composable words in letters of total weight <= weight_cap, as
+    (word, src, tgt, degree, weight) tuples, the empty word at each vertex
+    first.  Deterministic order: weight, then length, then letters."""
+    by_tgt = {}
+    for item in letters:
+        by_tgt.setdefault(item[2], []).append(item)
+    frontier = [((), v, v, 0, 0) for v in vertices]
+    out = list(frontier)
+    while frontier:
+        # grow on the right: the next letter's target is the word's source
+        frontier = [(word + (letter,), ls, tgt, deg + ldeg, wt + lwt)
+                    for word, src, tgt, deg, wt in frontier
+                    for letter, ls, _, ldeg, lwt in by_tgt.get(src, ())
+                    if wt + lwt <= weight_cap]
+        out += frontier
+    out.sort(key=lambda t: (t[4], len(t[0]), t[0]))
+    return out
+
+
+def _word_category(vertices, words, label, b1, sign, field, weight_cap,
+                   arity_cap):
+    """The word category on words (from _words).  label(word, src) names a
+    basis element; b1(word, deg) lists the b_1 structure constants
+    (input word, output word, QQ scalar) the word contributes, each pair of
+    words at most once over all words;
+    sign(d1, d2) is the sign of b_2 on words of degrees d1 and d2."""
+    hom = {(i, j): [] for i in vertices for j in vertices}
+    label_of, by_tgt, weights = {}, {}, {}
+    for word, src, tgt, deg, wt in words:
+        lab = label_of[(word, src)] = label(word, src)
+        hom[(src, tgt)].append((lab, deg))
+        weights[lab] = wt
+        by_tgt.setdefault(tgt, []).append((lab, word, src, deg, wt))
+    ops1 = {}
+    for word, src, tgt, deg, wt in words:
+        for w_in, w_out, coeff in b1(word, deg):
+            c = field.of_fraction(coeff)
+            if not field.is_zero(c):
+                row = ops1.setdefault((label_of[(w_in, src)],), {})
+                row[label_of[(w_out, src)]] = c
+    ops2 = {}
+    for word1, s1, t1, d1, wt1 in words:
+        lab1 = label_of[(word1, s1)]
+        for lab2, word2, s2, d2, wt2 in by_tgt.get(s1, ()):
+            if wt1 + wt2 <= weight_cap:
+                ops2[(lab1, lab2)] = {label_of[(word1 + word2, s2)]:
+                                      field.of_int(sign(d1, d2))}
+    return AInfCategory(
+        objects=tuple(vertices), hom={k: tuple(v) for k, v in hom.items()},
+        ops={1: ops1, 2: ops2},
+        field=field, arity_cap=arity_cap,
+        units={v: label((), v) for v in vertices}, complete=True,
+        weights=weights, weight_cap=weight_cap)
 
 
 def path_label(path, vertex=None) -> str:
@@ -36,30 +94,12 @@ def enumerate_paths(alg: DGQuiverAlgebra, weight_cap: int,
                     include_trivial: bool = True):
     """All paths of weight <= weight_cap, as (path, src, tgt, degree,
     weight) tuples; paths are tuples of arrow names in operator order
-    (path[0] applied last).  Deterministic order: weight, then length,
-    then names."""
+    (path[0] applied last), ordered as _words orders them."""
     q = alg.quiver
-    out = []
-    if include_trivial:
-        for v in q.vertices:
-            out.append(((), v, v, 0, 0))
-    frontier = [((), v, v, 0, 0) for v in q.vertices]
-    while frontier:
-        nxt = []
-        for path, src, tgt, deg, wt in frontier:
-            # extend on the right: precompose with arrows into src
-            for a in sorted(q.arrows, key=lambda a: a.name):
-                if a.tgt != src:
-                    continue
-                w2 = wt + alg.weight_of(a.name)
-                if w2 > weight_cap:
-                    continue
-                item = (path + (a.name,), a.src, tgt, deg + a.degree, w2)
-                nxt.append(item)
-                out.append(item)
-        frontier = nxt
-    out.sort(key=lambda t: (t[4], len(t[0]), t[0]))
-    return out
+    paths = _words(q.vertices, [(a.name, a.src, a.tgt, a.degree,
+                                 alg.weight_of(a.name)) for a in q.arrows],
+                   weight_cap)
+    return paths if include_trivial else paths[len(q.vertices):]
 
 
 def truncated_path_category(alg: DGQuiverAlgebra, weight_cap: int,
@@ -67,44 +107,15 @@ def truncated_path_category(alg: DGQuiverAlgebra, weight_cap: int,
                             arity_cap: int = 6) -> AInfCategory:
     """Weight-truncated free dg path category of alg, in shifted form.
 
-    b_1(p) = d(p), b_2(p, q) = (-1)^deg(p) p.q, higher operations zero;
-    trivial paths are strict units.
+    Letters: the arrows, with their degrees and weights.  b_1(p) = d(p) by
+    the Leibniz rule; b_2(p, q) = (-1)^deg(p) p.q.
     """
-    q = alg.quiver
-    paths = enumerate_paths(alg, weight_cap)
-    hom = {(i, j): [] for i in q.vertices for j in q.vertices}
-    meta = {}
-    for path, src, tgt, deg, wt in paths:
-        lab = path_label(path, src)
-        hom[(src, tgt)].append((lab, deg))
-        meta[lab] = (path, src, tgt, deg, wt)
-    hom = {k: tuple(v) for k, v in hom.items()}
+    def b1(path, deg):
+        return [(path, new, c) for new, c in sorted(d_path(alg, path).items())]
 
-    ops1 = {}
-    for lab, (path, src, tgt, deg, wt) in meta.items():
-        img = {}
-        for new, coeff in sorted(d_path(alg, path).items()):
-            img[path_label(new, src)] = field.of_fraction(coeff)
-        if img:
-            ops1[(lab,)] = img
-    ops2 = {}
-    items = list(meta.items())
-    by_tgt = {}
-    for lab, m in items:
-        by_tgt.setdefault(m[2], []).append((lab, m))
-    for lab1, (p1, s1, t1, d1, w1) in items:
-        for lab2, (p2, s2, t2, d2, w2) in by_tgt.get(s1, ()):
-            if w1 + w2 > weight_cap:
-                continue
-            prod = p1 + p2
-            out = path_label(prod, s2)
-            ops2[(lab1, lab2)] = {out: field.of_int(parity_sign(d1))}
-    units = {v: path_label((), v) for v in q.vertices}
-    weights = {lab: m[4] for lab, m in meta.items()}
-    return AInfCategory(
-        objects=tuple(q.vertices), hom=hom, ops={1: ops1, 2: ops2},
-        field=field, arity_cap=arity_cap, units=units, complete=True,
-        weights=weights, weight_cap=weight_cap)
+    return _word_category(alg.quiver.vertices, enumerate_paths(alg, weight_cap),
+                          path_label, b1, lambda d1, d2: parity_sign(d1),
+                          field, weight_cap, arity_cap)
 
 
 def word_label(word, vertex=None) -> str:
@@ -114,33 +125,13 @@ def word_label(word, vertex=None) -> str:
 
 
 def enumerate_words(alg: DGQuiverAlgebra, weight_cap: int):
-    """Composable tuples of positive-weight paths (bar words), total weight
+    """Bar words: composable tuples of positive-weight paths, total weight
     <= weight_cap, in operator order, plus the empty word at each vertex.
-    Yields (word, src, tgt, dual_degree, weight)."""
-    q = alg.quiver
-    letters = [t for t in enumerate_paths(alg, weight_cap,
-                                          include_trivial=False)]
-    by_tgt = {}
-    for path, src, tgt, deg, wt in letters:
-        by_tgt.setdefault(tgt, []).append((path, src, tgt, deg, wt))
-    out = []
-    for v in q.vertices:
-        out.append(((), v, v, 0, 0))
-    frontier = [((), v, v, 0, 0) for v in q.vertices]
-    # grow on the right: next letter's target = current source
-    while frontier:
-        nxt = []
-        for word, src, tgt, ddeg, wt in frontier:
-            for path, ps, pt, pdeg, pwt in by_tgt.get(src, ()):
-                w2 = wt + pwt
-                if w2 > weight_cap:
-                    continue
-                item = (word + (path,), ps, tgt, ddeg + 1 - pdeg, w2)
-                nxt.append(item)
-                out.append(item)
-        frontier = nxt
-    out.sort(key=lambda t: (t[4], len(t[0]), t[0]))
-    return out
+    Yields (word, src, tgt, dual_degree, weight); a path of degree d
+    contributes 1 - d to the dual degree."""
+    letters = [(p, s, t, 1 - d, w) for p, s, t, d, w in
+               enumerate_paths(alg, weight_cap, include_trivial=False)]
+    return _words(alg.quiver.vertices, letters, weight_cap)
 
 
 def bar_differential(alg: DGQuiverAlgebra, word):
@@ -170,60 +161,23 @@ def bar_ext_category(alg: DGQuiverAlgebra, weight_cap: int,
                      arity_cap: int = 6) -> AInfCategory:
     """Convolution dg category of evaluation functionals on bar words.
 
-    Basis of hom(i, j): duals [w]* of bar words w from i to j of weight
-    <= weight_cap, with deg [w]* = (number of letters) - (sum of letter
-    degrees).  Structure:
+    Letters: the paths of positive weight; a path of degree d has degree
+    1 - d, so deg [w]* = (number of letters) - (sum of path degrees) for
+    the dual [w]* of a bar word w.  With deg [w']* = deg [w]* + 1,
 
         b_1([w]*) = -(-1)^deg([w]*) sum_{w in bar_differential(w')} [w']*,
-        b_2([w1]*, [w2]*) = (-1)^(deg [w1]* (deg [w2]* + 1)) [w1.w2]*,
+        b_2([w1]*, [w2]*) = (-1)^(deg [w1]* (deg [w2]* + 1)) [w1.w2]*.
 
-    empty words are strict units.  Cohomology in weight o equals the weight
-    o piece of the Yoneda algebra of the vertex simples, for every o
-    retained by the truncation.
+    Cohomology in weight o equals the weight o piece of the Yoneda algebra
+    of the vertex simples, for every o retained by the truncation.
     """
-    q = alg.quiver
-    words = enumerate_words(alg, weight_cap)
-    hom = {(i, j): [] for i in q.vertices for j in q.vertices}
-    meta = {}
-    for word, src, tgt, ddeg, wt in words:
-        lab = word_label(word, src)
-        hom[(src, tgt)].append((lab, ddeg))
-        meta[lab] = (word, src, tgt, ddeg, wt)
-    hom = {k: tuple(v) for k, v in hom.items()}
-    label_of = {}
-    for lab, (word, src, tgt, ddeg, wt) in meta.items():
-        label_of[(word, src)] = lab
+    def b1(word, deg):
+        return [(w_in, word, parity_sign(deg) * c)
+                for w_in, c in bar_differential(alg, word).items()]
 
-    ops1 = {}
-    for lab2, (w2, src, tgt, ddeg2, wt) in meta.items():
-        for w1, coeff in bar_differential(alg, w2).items():
-            lab1 = label_of[(w1, src)]
-            ddeg1 = meta[lab1][3]
-            c = field.of_fraction(-parity_sign(ddeg1) * coeff)
-            if field.is_zero(c):
-                continue
-            entry = ops1.setdefault((lab1,), {})
-            add_into(field, entry, lab2, c)
-    ops1 = {k: v for k, v in ops1.items() if v}
-
-    ops2 = {}
-    items = list(meta.items())
-    by_tgt = {}
-    for lab, m in items:
-        by_tgt.setdefault(m[2], []).append((lab, m))
-    for lab1, (w1, s1, t1, d1, wt1) in items:
-        for lab2, (w2, s2, t2, d2, wt2) in by_tgt.get(s1, ()):
-            if wt1 + wt2 > weight_cap:
-                continue
-            prod = w1 + w2
-            out = label_of[(prod, s2)]
-            ops2[(lab1, lab2)] = {out: field.of_int(block_sign(d1, d2 + 1))}
-    units = {v: word_label((), v) for v in q.vertices}
-    weights = {lab: m[4] for lab, m in meta.items()}
-    return AInfCategory(
-        objects=tuple(q.vertices), hom=hom, ops={1: ops1, 2: ops2},
-        field=field, arity_cap=arity_cap, units=units, complete=True,
-        weights=weights, weight_cap=weight_cap)
+    return _word_category(alg.quiver.vertices, enumerate_words(alg, weight_cap),
+                          word_label, b1, lambda d1, d2: block_sign(d1, d2 + 1),
+                          field, weight_cap, arity_cap)
 
 
 def perturbed(cat: AInfCategory, which: int, delta=None) -> tuple:

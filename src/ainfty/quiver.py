@@ -170,15 +170,20 @@ class DGQuiverAlgebra:
     """Free path algebra of a graded quiver with a differential on generators.
 
     differential maps arrow name -> ((coeff, path), ...); it extends to all
-    paths by the graded Leibniz rule and has degree +1.  weights, when
-    present, assign each arrow a positive integer such that both the product
-    and the differential are weight-homogeneous; weight then grades the
-    algebra with finite-dimensional pieces.
+    paths by the graded Leibniz rule and has degree +1.  weights assign
+    arrows positive integers (an arrow left out weighs 1) such that both the
+    product and the differential are weight-homogeneous; weight then grades
+    the algebra with finite-dimensional pieces.
     """
 
     quiver: Quiver
     differential: tuple  # tuple of (arrow_name, ((coeff, path), ...))
     weights: tuple = ()  # tuple of (arrow_name, weight)
+
+    def __post_init__(self):
+        for name, w in self.weights:
+            if w < 1:
+                raise ValueError("arrow %r has weight %r below 1" % (name, w))
 
     def d_of(self, name: str):
         for k, v in self.differential:
@@ -195,24 +200,19 @@ class DGQuiverAlgebra:
 
 def derived_preprojective(q: Quiver) -> DGQuiverAlgebra:
     """Degreewise-free dg algebra on the doubled quiver plus a degree -1
-    loop u_v at each vertex, with d(u_v) the vertex component of
-    sum_a [a, a*].  H^0 recovers the preprojective algebra."""
-    dq = double(q)
-    arrs = list(dq.arrows)
+    loop u_v at each vertex, with d(u_v) the relation of preprojective(q)
+    at v (empty when no arrow meets v).  H^0 recovers the preprojective
+    algebra."""
+    pre = preprojective(q)
+    rels = dict(pre.relations)
+    arrs = list(pre.quiver.arrows)
+    weights = [(a.name, 1) for a in arrs]
     diff = []
-    weights = [(a.name, 1) for a in dq.arrows]
     for v in q.vertices:
         uname = "u_" + v
         arrs.append(Arrow(uname, v, v, -1))
         weights.append((uname, 2))
-        terms = []
-        for a in q.arrows:
-            st = star_name(a.name)
-            if a.tgt == v:
-                terms.append((QQ.of_int(1), (a.name, st)))
-            if a.src == v:
-                terms.append((QQ.of_int(-1), (st, a.name)))
-        diff.append((uname, tuple(terms)))
+        diff.append((uname, rels.get(v, ())))
     gq = Quiver(q.vertices, tuple(arrs))
     return DGQuiverAlgebra(gq, tuple(diff), tuple(weights))
 
@@ -263,7 +263,8 @@ def d_path(alg: DGQuiverAlgebra, path):
 def check_dg(alg: DGQuiverAlgebra):
     """Verify the differential: endpoints preserved, degree +1, d*d = 0 on
     generators (Leibniz then gives d*d = 0 everywhere), and weight
-    homogeneity when weights are declared.  Returns (ok, failures)."""
+    homogeneity, undeclared arrows having weight 1.  Returns (ok,
+    failures), each failure (reason, arrow name, path)."""
     q = alg.quiver
     failures = []
     for name, terms in alg.differential:
@@ -276,7 +277,7 @@ def check_dg(alg: DGQuiverAlgebra):
                 failures.append(("endpoint mismatch", name, tuple(path)))
             if path_degree(q, path) != a.degree + 1:
                 failures.append(("degree mismatch", name, tuple(path)))
-            if alg.weights and path_weight(alg, path) != alg.weight_of(name):
+            if path_weight(alg, path) != alg.weight_of(name):
                 failures.append(("weight mismatch", name, tuple(path)))
         dd = {}
         for coeff, path in terms:

@@ -328,7 +328,6 @@ def minimal_model(cat: AInfCategory, arity_cap: int | None = None):
         weight_cap=wcap)
     functor = AInfMorphism(
         source=min_cat, target=cat,
-        object_map={o: o for o in cat.objects},
         components={n: t for n, t in f_comps.items() if t},
         arity_cap=cap, complete=complete)
     return min_cat, functor, cons

@@ -131,6 +131,11 @@ def jordan_min_document():
     return json.loads(jordan_min_text())
 
 
+def jordan_pairing_document():
+    cat = docio.parse_document(jordan_min_document())[1]
+    return docio.to_document("pairing", nccalc.solve_cyclic_pairing(cat))
+
+
 def jordan_dg_document():
     return docio.to_document("dg_algebra", derived_preprojective(jordan_quiver()))
 
@@ -194,6 +199,10 @@ BAD_RESIDUE = "payload.mats[1].entries[0]: bad scalar %r (want integer mod and v
      "zz", "payload.differential[0].value[0].path: unknown arrow 'zz'"),
     ("hochschild", jordan_dg_document, ("differential", 0, "arrow"), "zz",
      "payload.differential[0].arrow: unknown arrow 'zz'"),
+    # no weights: every arrow weighs 1 and d(u_1) = a.a* - a*.a is not
+    # homogeneous; the path category built from it was not closed under b
+    ("hochschild", jordan_dg_document, ("weights",), [],
+     "payload.differential[0]: weight mismatch in d(u_1)"),
     ("hochschild --window=2", a2_path_document,
      ("ops", 1, "table", 0, "output", 0, 1), "2",
      "input category fails its structure relations"),
@@ -209,12 +218,15 @@ BAD_RESIDUE = "payload.mats[1].entries[0]: bad scalar %r (want integer mod and v
      "payload.dims[1]: '1' is not a new vertex"),
     ("semisimplify", a2_rep_document, ("mats", 1, "arrow"), "a",
      "payload.mats[1]: matrix of 'a' listed twice"),
+    ("strictify MIN --pairing", jordan_pairing_document, ("entries", 0, 0), 7,
+     "payload.entries[0]: want [label, label, scalar]"),
 ] + [(sub, jordan_min_document, where, value, message)
      for sub in FINDING_SUBCOMMANDS for _, where, value, message in FINDINGS],
     ids=["arrow", "dim", "negative-dim", "row", "column", "degree", "lattice",
-         "dg-path", "dg-differential", "hochschild-relations", "no-units",
+         "dg-path", "dg-differential", "dg-no-weights", "hochschild-relations",
+         "no-units",
          "mod-only", "mod-string-val", "unknown-vertex", "vertex-twice",
-         "arrow-twice"]
+         "arrow-twice", "pairing-label"]
     + ["%s-%s" % (sub, name) for sub in FINDING_SUBCOMMANDS
        for name, _, _, _ in FINDINGS])
 def test_malformed_document_is_an_input_error(tmp_path, capsys, subcommand,
@@ -224,9 +236,11 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, subcommand,
     for key in where[:-1]:
         node = node[key]
     node[where[-1]] = value
-    path = tmp_path / "malformed.json"
+    path, min_path = tmp_path / "malformed.json", tmp_path / "min.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(subcommand.split() + [str(path)]) == EXIT["error"] == 2
+    min_path.write_text(jordan_min_text(), encoding="utf-8")
+    argv = [str(min_path) if a == "MIN" else a for a in subcommand.split()]
+    assert main(argv + [str(path)]) == EXIT["error"] == 2
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
     assert message in out.out
@@ -238,12 +252,6 @@ def a2_quiver_document():
 
 def a2_dg_algebra_document():
     return docio.to_document("dg_algebra", derived_preprojective(a2_quiver()))
-
-
-def a2_potential_document():
-    return docio.wrap("potential", {
-        "field": "QQ", "category": a2_bar_document()["payload"],
-        "order_cap": 3, "truncated": False, "terms": []})
 
 
 @pytest.mark.parametrize("subcommand, document, where, message", [
@@ -259,10 +267,7 @@ def a2_potential_document():
      "payload.weight_cap: weight_cap True is not an integer"),
     ("check-ainf", a2_bar_document, ("payload", "arity_cap"),
      "payload.arity_cap: arity_cap True is not an integer"),
-    ("check-ainf", a2_potential_document, ("payload", "order_cap"),
-     "payload.order_cap: order_cap True is not an integer"),
-], ids=["version", "degree", "weight", "arity", "weight_cap", "arity_cap",
-        "order_cap"])
+], ids=["version", "degree", "weight", "arity", "weight_cap", "arity_cap"])
 def test_boolean_integer_field_is_an_input_error(tmp_path, capsys, subcommand,
                                                  document, where, message):
     # JSON true would pass as the integer 1: "arity_cap": true checked
@@ -280,8 +285,7 @@ def test_boolean_integer_field_is_an_input_error(tmp_path, capsys, subcommand,
     assert message in out.out
 
 
-@pytest.mark.parametrize("document, key", [(a2_bar_document, "complete"),
-                                           (a2_potential_document, "truncated")])
+@pytest.mark.parametrize("document, key", [(a2_bar_document, "complete")])
 @pytest.mark.parametrize("value", ["false", "true", 0])
 def test_non_boolean_flag_is_an_input_error(tmp_path, capsys, document, key,
                                             value):
@@ -316,6 +320,28 @@ def test_relation_check_with_unchecked_arities_is_truncated(
     assert report["verdict"] == verdict
     assert report["witnesses"] == []
     assert report["truncation"] == {"arities": arities}
+
+
+@pytest.mark.parametrize("document, flags", [(gf3_rep_document, []),
+                                             (a2_rep_document, ["--field=fp:7"])],
+                         ids=["gf3", "reduced-mod-7"])
+def test_semisimplify_over_a_prime_field(tmp_path, document, flags):
+    # the trace-form radical needs characteristic zero: over GF(p) the
+    # Jordan-Hoelder oracle semisimplifies, and there are no radical layers
+    doc, out = tmp_path / "rep.json", tmp_path / "rep.report.json"
+    doc.write_text(docio.dumps_document(document()), encoding="utf-8")
+    code = main(["semisimplify", str(doc), "--report", str(out)] + flags)
+    result = json.loads(out.read_text())["payload"]["result"]
+    assert code == EXIT["pass"]
+    rep = docio.parse_document(document())[1]
+    if flags:
+        rep = repmod.good_reduction(rep, 7)[0]
+        assert result["note"] == "reduced mod 7"
+    ss = repmod.semisimplify(rep)
+    assert ss.field.p and ss.d == rep.d
+    assert result["rep"] == json.loads(docio.dumps_document(
+        docio.to_document("matrix_rep", ss)))
+    assert result["layer_dims"] is None
 
 
 def test_semisimplify_computes_the_radical_filtration_once(tmp_path, monkeypatch):
@@ -476,7 +502,7 @@ def test_stored_pairing_in_one_orientation(tmp_path):
     reports = []
     for oriented in (lambda x, y: True, lambda x, y: x < y):
         doc["payload"]["pairing"] = [
-            [x, y, docio.scalar_to_json(cat.field, c)]
+            [x, y, cat.field.scalar_to_json(c)]
             for (x, y), c in sorted(pairing.entries.items()) if oriented(x, y)]
         path, out = tmp_path / "min.json", tmp_path / "min.report.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -582,17 +608,11 @@ def test_pairing_document_naming_an_unknown_label_is_an_input_error(tmp_path,
 # mutation fuzz: a malformed document is an input error, never a traceback
 
 
-def jordan_pairing_document():
-    cat = docio.parse_document(jordan_min_document())[1]
-    return docio.to_document("pairing", nccalc.solve_cyclic_pairing(cat))
-
-
 # argv with "{}" for the mutated document, and that document's factory;
 # every document kind appears
 FUZZ_JOBS = [
     (["check-ainf", "{}"], a2_bar_document),
     (["minimal-model", "{}", "--order-cap=3"], a2_bar_document),
-    (["check-ainf", "{}"], a2_potential_document),
     (["hochschild", "{}", "--window=2"], a2_quiver_document),
     (["hochschild", "{}", "--window=2"], jordan_dg_document),
     (["hochschild", "{}", "--window=2"], gf5_path_document),

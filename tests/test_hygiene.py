@@ -167,3 +167,70 @@ def test_definition_scan_sees_names_attributes_and_strings():
     user = 'SPANS = (("lib", "traced", "lib.traced"),)\n'
     assert unreferenced({"lib.py": lib}, [lib, user]) == [
         ("lib.py", 4, "orphan_method"), ("lib.py", 10, "dead")]
+
+
+def dataclass_fields(source: str) -> list:
+    """(line, class, field) of every annotated field of a class decorated
+    with dataclass (bare, called, or as dataclasses.dataclass)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                   for d in decorators):
+            continue
+        out += [(stmt.lineno, node.name, stmt.target.id) for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)]
+    return sorted(out)
+
+
+def attribute_reads(source: str) -> set:
+    """Every attribute name the source reads (stores and keywords do not
+    count: a field only ever set is state nothing uses)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(defining: dict, reading: list) -> list:
+    """(file, line, "Class.field") of every dataclass field in defining
+    {file: source} that no source in reading reads as an attribute."""
+    reads = set().union(*(attribute_reads(text) for text in reading))
+    return sorted((path, line, "%s.%s" % (cls, name))
+                  for path, text in defining.items()
+                  for line, cls, name in dataclass_fields(text)
+                  if name not in reads)
+
+
+def test_no_unread_dataclass_fields():
+    root = SRC.parent.parent
+    files = [p for d in ("src", "tests", "perfbench")
+             for p in sorted((root / d).rglob("*.py"))]
+    reading = [p.read_text(encoding="utf-8") for p in files]
+    defining = {p.name: p.read_text(encoding="utf-8")
+                for p in sorted(SRC.glob("*.py"))}
+    assert unread_fields(defining, reading) == []
+
+
+def test_field_scan_sees_reads_not_stores_or_keywords():
+    lib = ("from dataclasses import dataclass\n"
+           "import dataclasses\n"
+           "@dataclass(frozen=True)\n"
+           "class Report:\n"
+           "    read: int\n"
+           "    stored: int\n"
+           "    passed: int = 0\n"
+           "    def total(self):\n"
+           "        return self.read\n"
+           "@dataclasses.dataclass\n"
+           "class Other:\n"
+           "    orphan: dict\n"
+           "class Plain:\n"
+           "    ignored: int\n")
+    user = ("r = Report(1, 2, passed=3)\n"
+            "r.stored = 4\n")
+    assert unread_fields({"lib.py": lib}, [lib, user]) == [
+        ("lib.py", 6, "Report.stored"), ("lib.py", 7, "Report.passed"),
+        ("lib.py", 12, "Other.orphan")]

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty.quiver import (a2_quiver, check_dg, d_path, degree_zero_truncation,
+from ainfty.quiver import (DGQuiverAlgebra, a2_quiver, check_dg, d_path,
+                           degree_zero_truncation,
                            derived_preprojective, dimension_vector, double,
                            euler_form, jordan_quiver, normalized_relations,
                            path_composable, path_degree, path_weight,
@@ -59,6 +60,14 @@ def test_derived_preprojective_is_dg(q):
         assert alg.weight_of("u_" + v) == 2
     for a in q.arrows:
         assert alg.weight_of(a.name) == 1
+
+
+def test_weight_below_one_is_refused():
+    # a weight-0 arrow made the path enumeration grow without end
+    alg = derived_preprojective(jordan_quiver())
+    weights = tuple((name, 0 if name == "a" else w) for name, w in alg.weights)
+    with pytest.raises(ValueError, match="'a' has weight 0 below 1"):
+        DGQuiverAlgebra(alg.quiver, alg.differential, weights)
 
 
 def test_d_path_leibniz_frozen():

@@ -138,7 +138,7 @@ def test_qq_scalars_are_canonical(name):
     # a document round trip, with a stored pairing, parses to the same form
     stored = solve_cyclic_pairing(mini).entries
     doc = docio.to_document("ainf_category", mini)
-    doc["payload"]["pairing"] = [[x, y, docio.scalar_to_json(QQ, QQ.div(c, 2))]
+    doc["payload"]["pairing"] = [[x, y, QQ.scalar_to_json(QQ.div(c, 2))]
                                  for (x, y), c in sorted(stored.items())]
     _, loaded = docio.parse_document(doc)
     assert non_canonical(table_scalars(loaded.ops)) == []
