@@ -292,14 +292,15 @@ def cmd_hochschild(args):
 
 
 def _reduce_if_requested(rep, args):
+    """--field, when given, names the document's field or a prime field
+    that a rational document is reduced to."""
     if args.field is None:
         return rep, None
     f = docio.field_from_json(args.field, "flags.field")
-    if f.p == 0 or rep.field.p == f.p:
+    if rep.field.p != 0 or f.p == 0:
+        # only a rational document moves, and only to a prime field
+        _require_field(args, rep.field)
         return rep, None
-    if rep.field.p != 0:
-        raise CliError("document is over fp:%d, cannot move to %s"
-                       % (rep.field.p, args.field))
     reduced, reason = repmod.good_reduction(rep, f.p)
     if reduced is None:
         raise CliError("bad reduction mod %d: %s" % (f.p, reason))

@@ -201,6 +201,8 @@ def dg_algebra_from_payload(payload, path="payload") -> DGQuiverAlgebra:
         dpath = "%s.differential[%d]" % (path, k)
         name = _known(arrows, _need(rec, "arrow", dpath), "arrow",
                       dpath + ".arrow").name
+        if any(name == seen for seen, _ in diff):
+            raise DocumentError("differential of %r listed twice" % name, dpath)
         terms = []
         for m, t in enumerate(_need(rec, "value", dpath, list)):
             tpath = "%s.value[%d]" % (dpath, m)
@@ -217,6 +219,8 @@ def dg_algebra_from_payload(payload, path="payload") -> DGQuiverAlgebra:
         wpath = "%s.weights[%d]" % (path, k)
         name = _known(arrows, _need(rec, "arrow", wpath), "arrow",
                       wpath + ".arrow").name
+        if any(name == seen for seen, _ in weights):
+            raise DocumentError("weight of %r listed twice" % name, wpath)
         w = _need_int(rec, "weight", wpath)
         if w < 1:
             raise DocumentError("weight %d is not positive" % w, wpath + ".weight")

@@ -495,10 +495,6 @@ def reduced_polynomial(p: RatPolynomial) -> RatPolynomial:
     return p * (Fraction(1, math.factorial(d)) / Fraction(lead))
 
 
-def _lex_key(p: RatPolynomial, deg: int):
-    return tuple(Fraction(p.coeff(k)) for k in range(deg, -1, -1))
-
-
 def _compositions(total: int, parts: int):
     """Ordered compositions of a positive integer, lex order."""
     if parts == 1:
@@ -512,36 +508,39 @@ def _compositions(total: int, parts: int):
 def check_hn_type(P: RatPolynomial, q_bound: RatPolynomial, typ: HNType,
                   bogomolov_param=None, lattice=None) -> bool:
     """Re-verify every defining inequality of an HN type independently of
-    the enumerator, in rational arithmetic: positive leading coefficients,
-    lattice membership, sum equal to P, strictly decreasing reduced
-    polynomials, reduced polynomials >= q_bound, and (degree 2) the
-    constant-term lower bounds."""
+    the enumerator, in rational arithmetic on each part's coefficient tuple:
+    positive leading coefficients, lattice membership, coefficient sums
+    equal to P's, strictly decreasing reduced polynomials at or above
+    q_bound, and (degree 2) the constant-term lower bounds.
+
+    A part's reduced polynomial is compared through its key c_k / lead, top
+    degree first: the reduced coefficients times d!, so q_bound's
+    coefficients are scaled by d! to match."""
     deg = P.degree
     lat = tuple(lattice) if lattice is not None else (1,) * (deg + 1)
-    total = RatPolynomial.zero()
-    for p in typ.polys:
-        if p.degree != deg or p.leading() <= 0:
-            return False
-        for k in range(deg + 1):
-            if (Fraction(p.coeff(k)) * lat[k]).denominator != 1:
-                return False
-        total = total + p
-    if total != P:
-        return False
-    qkey = _lex_key(q_bound, deg)
+    scale = math.factorial(deg)
+    qkey = tuple(Fraction(q_bound.coeff(k)) * scale for k in range(deg, -1, -1))
+    bog = bogomolov_param if deg == 2 else None
+    sums = [0] * (deg + 1)
     prev = None
     for p in typ.polys:
-        key = _lex_key(reduced_polynomial(p), deg)
-        if key < qkey:
+        c = p.coeffs
+        if len(c) != deg + 1 or c[deg] <= 0:
             return False
-        if prev is not None and not key < prev:
+        for k in range(deg + 1):
+            # c_k lies in (1/lat[k]) Z exactly when its reduced denominator
+            # divides lat[k]
+            if lat[k] % c[k].denominator:
+                return False
+            sums[k] += c[k]
+        lead = c[deg]
+        key = tuple(x / lead for x in reversed(c))
+        if key < qkey or (prev is not None and not key < prev):
             return False
         prev = key
-    if deg == 2 and bogomolov_param is not None:
-        for p in typ.polys:
-            if Fraction(p.coeff(0)) < Fraction(bogomolov_param(Fraction(p.coeff(2)), Fraction(p.coeff(1)))):
-                return False
-    return True
+        if bog is not None and c[0] < bog(c[2], c[1]):
+            return False
+    return tuple(sums) == P.coeffs
 
 
 def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
@@ -591,9 +590,10 @@ def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
                                 Fraction(q_bound.coeff(0)), lat, bogomolov_param)
     # parts in coordinates sort as their coefficient tuples do
     found.sort()
+    # every part's leading coefficient is positive, so no trimming is needed
     out = [HNType(polys=tuple(
-               RatPolynomial.of([Fraction(n, lat[k])
-                                 for k, n in enumerate(reversed(part))])
+               RatPolynomial(tuple(Fraction(n, lat[k])
+                                   for k, n in enumerate(reversed(part))))
                for part in parts))
            for parts in found]
     for typ in out:

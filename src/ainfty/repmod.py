@@ -532,22 +532,54 @@ def _space_key(rows):
 
 def invariant_subspace_tuples(rep: MatrixRep):
     """All invariant subspace tuples over a prime field, ordered by total
-    dimension then encoding; includes the zero and full tuples."""
-    p = rep.field.p
-    if p == 0:
+    dimension then encoding; includes the zero and full tuples.
+
+    A tuple (S_v) is invariant exactly when every arrow a: v -> w maps S_v
+    into S_w.  Each of those conditions depends on two chosen subspaces
+    only, so tuples grow one vertex at a time in quiver order, each arrow is
+    tested as soon as both its ends have a subspace (a loop at its own
+    vertex), and a prefix that fails a test is never extended: the pruning
+    loses no invariant tuple.  The survivors are then sorted."""
+    f = rep.field
+    if f.p == 0:
         raise RepError("subspace enumeration needs a prime field")
-    per_vertex = {v: list(subspaces_fp(rep.d[v], p))
-                  for v in rep.quiver.vertices}
     vs = list(rep.quiver.vertices)
-    combos = []
-    for tup in itertools.product(*(per_vertex[v] for v in vs)):
-        spaces = dict(zip(vs, tup))
-        total = sum(len(rows) for rows in tup)
-        combos.append((total, tuple(_space_key(t) for t in tup), spaces))
-    combos.sort(key=lambda t: (t[0], t[1]))
-    for total, _, spaces in combos:
-        if invariant(rep, spaces):
-            yield total, spaces
+    pos = {v: k for k, v in enumerate(vs)}
+    spaces = [list(subspaces_fp(rep.d[v], f.p)) for v in vs]
+    mats = [rep.mats[a.name] for a in rep.quiver.arrows]
+    # due[k]: (arrow, source position, target position) of the arrows
+    # whose later end is vertex k
+    due = [[] for _ in vs]
+    for n, a in enumerate(rep.quiver.arrows):
+        s, t = pos[a.src], pos[a.tgt]
+        due[max(s, t)].append((n, s, t))
+    echelons, images = {}, {}
+
+    def maps_into(n, s, i, t, j):
+        """Does arrow n map subspace i at vertex s into subspace j at t?
+        Images are computed as the test reaches them, and kept."""
+        if (t, j) not in echelons:
+            echelons[t, j] = Echelon(f, spaces[t][j])
+        ech = echelons[t, j]
+        imgs = images.setdefault((n, i), [])
+        for m, vec in enumerate(spaces[s][i]):
+            if m == len(imgs):
+                imgs.append(mats[n].matvec(vec))
+            if ech.reduce(imgs[m]):
+                return False
+        return True
+
+    found = [()]
+    for k in range(len(vs)):
+        found = [tup for pre in found
+                 for tup in (pre + (j,) for j in range(len(spaces[k])))
+                 if all(maps_into(n, s, tup[s], t, tup[t])
+                        for n, s, t in due[k])]
+    chosen = [[spaces[k][i] for k, i in enumerate(tup)] for tup in found]
+    chosen.sort(key=lambda rows: (sum(map(len, rows)),
+                                  tuple(map(_space_key, rows))))
+    for rows in chosen:
+        yield sum(map(len, rows)), dict(zip(vs, rows))
 
 
 def jh_bruteforce(rep: MatrixRep, bound: int = 6) -> list:

@@ -4,7 +4,8 @@ Deliberately dumb: enumerate every tuple of candidate polynomials whose
 coefficients live in boxes padded well past anything the filtration
 inequalities allow, then keep the tuples that satisfy the definition,
 checked with locally written comparisons.  Serves as the oracle for the
-windowed enumerator.
+windowed enumerator, and check_hn_type_oracle, the same inequalities
+checked on whole polynomials, for localmodel.check_hn_type.
 """
 
 from fractions import Fraction
@@ -25,6 +26,34 @@ def reduced_key(p):
     d = p.degree
     lead = Fraction(p.coeff(d)) * _factorial(d)
     return tuple(Fraction(p.coeff(k)) / lead for k in range(d, -1, -1))
+
+
+def check_hn_type_oracle(P, q_bound, typ, bogomolov_param=None, lattice=None):
+    """The verdict localmodel.check_hn_type must give, reached through a
+    RatPolynomial sum of the parts and each part's reduced polynomial."""
+    deg = P.degree
+    lat = tuple(lattice) if lattice is not None else (1,) * (deg + 1)
+    total = RatPolynomial.zero()
+    for p in typ.polys:
+        if p.degree != deg or p.leading() <= 0:
+            return False
+        if any((Fraction(p.coeff(k)) * lat[k]).denominator != 1
+               for k in range(deg + 1)):
+            return False
+        total = total + p
+    if total != P:
+        return False
+    qkey = tuple(Fraction(q_bound.coeff(k)) for k in range(deg, -1, -1))
+    keys = [reduced_key(p) for p in typ.polys]
+    if any(key < qkey for key in keys):
+        return False
+    if any(not later < earlier for earlier, later in zip(keys, keys[1:])):
+        return False
+    if deg == 2 and bogomolov_param is not None:
+        if any(Fraction(p.coeff(0)) < Fraction(bogomolov_param(
+                Fraction(p.coeff(2)), Fraction(p.coeff(1)))) for p in typ.polys):
+            return False
+    return True
 
 
 def _box(center_sum, den, pad):

@@ -203,6 +203,12 @@ BAD_RESIDUE = "payload.mats[1].entries[0]: bad scalar %r (want integer mod and v
     # homogeneous; the path category built from it was not closed under b
     ("hochschild", jordan_dg_document, ("weights",), [],
      "payload.differential[0]: weight mismatch in d(u_1)"),
+    # a second entry for an arrow was silently ignored
+    ("hochschild", jordan_dg_document, ("differential",),
+     [{"arrow": "u_1", "value": []}, {"arrow": "u_1", "value": []}],
+     "payload.differential[1]: differential of 'u_1' listed twice"),
+    ("hochschild", jordan_dg_document, ("weights", 1, "arrow"), "a",
+     "payload.weights[1]: weight of 'a' listed twice"),
     ("hochschild --window=2", a2_path_document,
      ("ops", 1, "table", 0, "output", 0, 1), "2",
      "input category fails its structure relations"),
@@ -223,7 +229,8 @@ BAD_RESIDUE = "payload.mats[1].entries[0]: bad scalar %r (want integer mod and v
 ] + [(sub, jordan_min_document, where, value, message)
      for sub in FINDING_SUBCOMMANDS for _, where, value, message in FINDINGS],
     ids=["arrow", "dim", "negative-dim", "row", "column", "degree", "lattice",
-         "dg-path", "dg-differential", "dg-no-weights", "hochschild-relations",
+         "dg-path", "dg-differential", "dg-no-weights", "dg-differential-twice",
+         "dg-weight-twice", "hochschild-relations",
          "no-units",
          "mod-only", "mod-string-val", "unknown-vertex", "vertex-twice",
          "arrow-twice", "pairing-label"]
@@ -492,6 +499,28 @@ def test_field_flag_naming_a_prime_field_document_is_accepted(tmp_path, capsys):
         capsys.readouterr()
     assert main(["hochschild", str(path), "--field", "QQ"]) == EXIT["error"]
     assert "--field QQ, but the document is over fp:5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("subcommand", ["stability --zeta=1,-1", "semisimplify"])
+@pytest.mark.parametrize("flag", ["QQ", "fp:5"])
+def test_field_flag_a_prime_field_rep_cannot_reach_is_an_input_error(
+        tmp_path, capsys, subcommand, flag):
+    # --field=QQ on a GF(3) document computed over GF(3) and recorded
+    # "field": "QQ" in the report
+    path = tmp_path / "rep.json"
+    path.write_text(docio.dumps_document(gf3_rep_document()), encoding="utf-8")
+    argv = subcommand.split() + [str(path)]
+    assert main(argv + ["--field", flag]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert json.loads(out.out)["payload"]["witnesses"] == [
+        {"error": "--field %s, but the document is over fp:3" % flag}]
+    # naming the document's own field is the same job as leaving it unset
+    reports = []
+    for extra in ([], ["--field", "fp:3"]):
+        assert main(argv + extra) != EXIT["error"]
+        reports.append(json.loads(capsys.readouterr().out)["payload"])
+    assert reports[0]["result"] == reports[1]["result"]
 
 
 def test_stored_pairing_in_one_orientation(tmp_path):

@@ -29,7 +29,7 @@ from ainfty.ratpoly import RatPolynomial
 from ainfty.sparse import SparseMatrix, invert
 from ainfty.transfer import minimal_model
 
-from hn_oracle import brute_force_types, type_key
+from hn_oracle import brute_force_types, check_hn_type_oracle, type_key
 
 F7 = GF(7)
 
@@ -683,3 +683,71 @@ def test_check_hn_type_rejects_each_broken_inequality(P, q, lat, bog, good, bad)
         assert not check_hn_type(P, q, good, bogomolov_param=bad_bog, lattice=lat)
     else:
         assert not check_hn_type(P, q, bad, bogomolov_param=bog, lattice=lat)
+
+
+def docio_bound(c2, c1):
+    # the constant-term bound c0 >= -3 c2 - |c1| in the form docio builds
+    return Fraction(-3) * c2 + Fraction(-1) * abs(c1) + Fraction(0)
+
+
+# the twelve hn-enum queries of the moduli benchmark: total, bound, lattice
+# and whether the degree-2 constant-term bound applies
+BENCHMARK_QUERIES = [
+    (poly(0, 2), poly(-1, 1), (1, 1), None),
+    (poly(1, 3), poly(-2, 1), (1, 1), None),
+    (poly(0, 4), poly(-1, 1), (1, 1), None),
+    (poly(2, 2), poly(F(3, 4), 1), (4, 1), None),
+    (poly(-1, 3), poly(-1, 1), (1, 1), None),
+    (poly(1, 0, 2), poly(-2, -1, F(1, 2)), (1, 1, 1), docio_bound),
+    (poly(2, 2, 2), poly(-1, 0, F(1, 2)), (1, 1, 1), docio_bound),
+    (poly(1, 1, 2), poly(F(-3, 2), F(-1, 2), F(1, 2)), (2, 2, 1), docio_bound),
+    (poly(0, 6), poly(-1, 1), (1, 1), None),
+    (poly(0, 6), poly(-1, 1), (2, 1), None),
+    (poly(1, 0, 3), poly(-2, -1, F(1, 2)), (1, 1, 1), docio_bound),
+    (poly(2, 2, 3), poly(-1, 0, F(1, 2)), (1, 1, 1), docio_bound),
+]
+
+
+def mutations(P, q, lat, bog, typ):
+    """(name, q, bog, type): the type with one defining inequality broken,
+    where its shape allows, each under the query's bound unless named."""
+    parts = list(typ.polys)
+    deg = P.degree
+    half = F(1, 2 * lat[0])
+    top = RatPolynomial.of([0] * deg + [1])
+    out = [
+        ("total", q, bog, (parts[0] + 1,) + tuple(parts[1:])),
+        ("leading", q, bog, (P + top, -top)),
+        ("bound", q + 1, bog, tuple(parts)),
+        ("equal", q, bog, (P * F(1, 2), P * F(1, 2))),
+    ]
+    if len(parts) > 1:
+        out.append(("lattice", q, bog,
+                    (parts[0] + half,) + tuple(parts[1:-1]) + (parts[-1] - half,)))
+        out.append(("order", q, bog, tuple(reversed(parts))))
+    else:
+        out.append(("lattice", q, bog, (parts[0] + half,)))
+    if bog is not None:
+        out.append(("bogomolov", q, lambda c2, c1: bog(c2, c1) + 1, tuple(parts)))
+    return [(name, q2, bog2, HNType(polys=polys))
+            for name, q2, bog2, polys in out]
+
+
+def test_check_hn_type_agrees_with_the_polynomial_oracle():
+    """On every type of the benchmark queries, and on each type with one
+    inequality broken, the coefficient-tuple check gives the verdict of the
+    RatPolynomial check it replaced."""
+    rejected = set()
+    for P, q, lat, bog in BENCHMARK_QUERIES:
+        for typ in hn_enumerate(P, q, bogomolov_param=bog, lattice=lat):
+            assert check_hn_type_oracle(P, q, typ, bogomolov_param=bog,
+                                        lattice=lat)
+            for name, q2, bog2, bad in mutations(P, q, lat, bog, typ):
+                verdict = check_hn_type(P, q2, bad, bogomolov_param=bog2,
+                                        lattice=lat)
+                assert verdict == check_hn_type_oracle(
+                    P, q2, bad, bogomolov_param=bog2, lattice=lat), (name, bad)
+                if not verdict:
+                    rejected.add(name)
+    assert rejected == {"total", "leading", "bound", "equal", "lattice",
+                        "order", "bogomolov"}

@@ -22,6 +22,8 @@ from ainfty.sparse import Echelon, SparseMatrix, invert
 from ainfty import repmod as R
 from ainfty.repmod import MatrixRep, RepError, StabilityParam
 
+import subspace_oracle
+
 F = Fraction
 F5 = GF(5)
 F7 = GF(7)
@@ -618,6 +620,41 @@ def test_destabilizer_reverifies():
         sd = {v: len(spaces[v]) for v in DA2.vertices}
         assert 0 < sum(sd.values()) < rep.total_dim()
         assert R.slope(sd, zeta) > report.slope
+
+
+KRONECKER = Quiver.make(("1", "2"), [("a", "1", "2"), ("b", "1", "2")])
+
+# (quiver, dimension vector, stability parameter): a single arrow, arrows
+# both ways, loops, parallel arrows, and a zero-dimensional middle vertex
+SUBSPACE_SHAPES = [
+    (A2, {"1": 2, "2": 2}, (1, -1)),
+    (DA2, {"1": 2, "2": 2}, (-1, 1)),
+    (JQ, {"1": 3}, (1,)),
+    (KRONECKER, {"1": 2, "2": 2}, (1, -1)),
+    (DA3, {"1": 2, "2": 0, "3": 2}, (1, 0, -1)),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("q,d,zeta", SUBSPACE_SHAPES,
+                         ids=["a2", "doubled-a2", "jordan", "kronecker",
+                              "zero-vertex"])
+def test_pruned_subspace_tuples_match_the_product_oracle(monkeypatch, p, q, d,
+                                                         zeta):
+    """The arrow-by-arrow enumeration yields the tuples of the full sorted
+    product in the same order, so the first Jordan-Hoelder factor and the
+    maximal destabilizer are unchanged."""
+    for seed in range(3):
+        rep = R.random_rep(q, 1000 * p + seed, d=d, field=GF(p))
+        want = subspace_oracle.invariant_subspace_tuples(rep)
+        assert list(R.invariant_subspace_tuples(rep)) == want
+        param = StabilityParam.of(q, zeta)
+        got = (R.jh_bruteforce(rep), R.semistable_bruteforce(rep, param))
+        with monkeypatch.context() as m:
+            m.setattr(R, "invariant_subspace_tuples",
+                      subspace_oracle.invariant_subspace_tuples)
+            assert got == (R.jh_bruteforce(rep),
+                           R.semistable_bruteforce(rep, param))
 
 
 def test_stability_guards():
