@@ -71,11 +71,16 @@ def _ext_dims(cat):
     return rows
 
 
-def _parse_dims(text):
+def _parse_dims(text, objects):
+    """--dims: one nonnegative integer per object, in object order."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        dims = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise CliError("--dims wants a comma-separated integer list, got %r" % text)
+    if len(dims) != len(objects) or min(dims) < 0:
+        raise CliError("--dims wants one nonnegative integer per object, "
+                       "%d in all, got %r" % (len(objects), text))
+    return dims
 
 
 def _parse_zeta(text):
@@ -391,7 +396,7 @@ def _equations_payload(pres):
 def cmd_local_model(args):
     _, cat = _load(args.input, "ainf_category")
     _require_field(args, cat.field)
-    dims = _parse_dims(args.dims)
+    dims = _parse_dims(args.dims, cat.objects)
     cert = verify_sigma(cat)
     if not cert.verdict:
         return "fail", [{"profile": msg} for msg in cert.failures], {}, {}
@@ -430,7 +435,7 @@ def cmd_local_model(args):
 def cmd_euler_compare(args):
     _, cat = _load(args.input, "ainf_category")
     _require_field(args, cat.field)
-    dims = _parse_dims(args.dims)
+    dims = _parse_dims(args.dims, cat.objects)
     cert = verify_sigma(cat)
     if not cert.verdict:
         return "fail", [{"profile": msg} for msg in cert.failures], {}, {}
@@ -529,6 +534,8 @@ def run_one(subcommand, args, input_path):
     args.input = input_path
     start = time.monotonic()
     try:
+        if args.order_cap < 1:
+            raise CliError("--order-cap must be at least 1, got %d" % args.order_cap)
         verdict, witnesses, truncation, payload = HANDLERS[subcommand](args)
     except (DocumentError, CliError, FieldError) as e:
         verdict = "error"

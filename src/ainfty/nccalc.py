@@ -12,9 +12,12 @@ pairing determines a constant symplectic 2-form omega, the potential W
 solving dW = iota_Q omega, and the Poisson bracket.  Strictification of
 units runs the order-by-order automorphism loop on W.
 
-A pairing is validated once, when make_pairing builds it (degree two,
-endpoints, graded symmetry, nondegeneracy); everything downstream takes a
-CyclicPairing as given.
+A pairing is validated and inverted once, when make_pairing builds it
+(degree two, endpoints, graded symmetry, nondegeneracy); everything
+downstream takes a CyclicPairing as given.  Its inverse bivector pi gives
+both the necklace bracket and, since omega is constant, the Hamiltonian
+field in closed form (pi contracted with the 1-form, Kontsevich), so no
+linear system is solved for either.
 
 All operations are exact.  Objects carry an order cap (maximal letter
 count); anything that could produce longer words sets a truncated flag.
@@ -137,15 +140,21 @@ def euler_field(ctx: NCContext, order_cap: int = 7) -> VectorField:
 
 @dataclass
 class CyclicPairing:
-    """Nondegenerate pairing hom(i,j)^p x hom(j,i)^{2-p} -> k.
+    """Nondegenerate pairing hom(i,j)^p x hom(j,i)^{2-p} -> k, with its
+    inverse.
 
     Stored on both orientations; make_pairing enforces the graded symmetry
     <x,y> = (-1)^{|x||y|} <y,x> in unshifted degrees, which is the unique
-    convention making the associated cyclic 2-form well defined.
+    convention making the associated cyclic 2-form well defined.  It also
+    stores the inverse bivector, inverse[y][x] = pi(y, x) with
+    sum_y <x', y> pi(y, x) = delta(x', x), which the Hamiltonian field and
+    the necklace bracket read; it is None on an unchecked pairing (a
+    decoded document) until make_pairing builds the checked one.
     """
 
     field: FieldCtx
     entries: dict = dc_field(default_factory=dict)   # (xlab, ylab) -> coeff
+    inverse: dict | None = None                      # ylab -> {xlab: coeff}
 
     def value(self, x: str, y: str):
         return self.entries.get((x, y), self.field.of_int(0))
@@ -153,7 +162,7 @@ class CyclicPairing:
 
 def make_pairing(ctx: NCContext, entries: dict) -> CyclicPairing:
     """Build a pairing from entries given in either orientation; the only
-    place a pairing is checked."""
+    place a pairing is checked and inverted."""
     f = ctx.field
     full = {}
     for (x, y), c in entries.items():
@@ -172,11 +181,7 @@ def make_pairing(ctx: NCContext, entries: dict) -> CyclicPairing:
                     raise NCError("pairing entries conflict with graded symmetry at %s" % (key,))
             else:
                 full[key] = val
-    pairing = CyclicPairing(f, full)
-    bad = degenerate_blocks(ctx, pairing)
-    if bad:
-        raise NCError("pairing degenerate on blocks %s" % (sorted(bad),))
-    return pairing
+    return CyclicPairing(f, full, invert_pairing_blocks(ctx, full))
 
 
 def _pairing_blocks(ctx: NCContext):
@@ -186,45 +191,28 @@ def _pairing_blocks(ctx: NCContext):
     return {k: sorted(v) for k, v in blocks.items()}
 
 
-def degenerate_blocks(ctx: NCContext, pairing: CyclicPairing):
-    f = ctx.field
-    blocks = _pairing_blocks(ctx)
-    bad = []
-    for (i, j, d), rows in blocks.items():
-        cols = blocks.get((j, i, 2 - d), [])
-        if len(rows) != len(cols):
-            bad.append((i, j, d))
-            continue
-        mat = SparseMatrix.from_dense(
-            [[pairing.value(x, y) for y in cols] for x in rows], f)
-        rank, _, _, _ = rank_kernel_image(mat)
-        if rank != len(rows):
-            bad.append((i, j, d))
-    return bad
-
-
-def pairing_inverse(ctx: NCContext, pairing: CyclicPairing) -> dict:
-    """Bivector coefficients pi[(x,y)], block-wise inverse matrices."""
+def invert_pairing_blocks(ctx: NCContext, entries: dict) -> dict:
+    """The inverse bivector {y: {x: pi(y, x)}} of full pairing entries, one
+    Gram block rows (i, j, d) x cols (j, i, 2 - d) at a time; raises
+    listing every block that is not square or is singular."""
     f = ctx.field
     blocks = _pairing_blocks(ctx)
     inv = {}
+    bad = []
     for (i, j, d), rows in blocks.items():
         cols = blocks.get((j, i, 2 - d), [])
-        if not cols:
-            continue
-        n = len(rows)
-        if len(cols) != n:
-            raise NCError("pairing blocks of unequal size at %s" % ((i, j, d),))
-        gram = SparseMatrix(n, n, f)
-        for r, x in enumerate(rows):
-            for c, y in enumerate(cols):
-                gram.set(r, c, pairing.value(x, y))
-        ginv = invert(gram)
+        ginv = None
+        if len(cols) == len(rows):
+            ginv = invert(SparseMatrix.from_dense(
+                [[entries.get((x, y), f.of_int(0)) for y in cols] for x in rows], f))
         if ginv is None:
-            raise NCError("pairing degenerate on block %s" % ((i, j, d),))
-        for (r, c), v in sorted(ginv.entries.items()):
-            # row r of the inverse acts on cols index: G^{-1}[y][x]
-            inv[(cols[r], rows[c])] = v
+            bad.append((i, j, d))
+            continue
+        # row r of the inverse is indexed by cols, its columns by rows
+        for (r, c), v in ginv.entries.items():
+            inv.setdefault(cols[r], {})[rows[c]] = v
+    if bad:
+        raise NCError("pairing degenerate on blocks %s" % (sorted(bad),))
     return inv
 
 
@@ -406,9 +394,14 @@ def _word_system(f: FieldCtx, columns, rhs=None):
     return mat, {rows[key]: c for key, c in rhs.items()}
 
 
-def contraction_solve(ctx: NCContext, omega: NCForm, rhs: NCForm) -> VectorField:
-    """The unique homogeneous X with iota_X omega = rhs, omega constant."""
-    f = ctx.field
+def contraction_solve(omega: NCForm, pairing: CyclicPairing,
+                      rhs: NCForm) -> VectorField:
+    """The unique homogeneous X with iota_X omega = rhs, for omega the
+    constant 2-form of pairing: each term r of rhs, rotated to u d(xi_z)
+    with sign s, adds s r pi(z, y) u to X(xi_y) (Kontsevich's inverse
+    pairing).  The forward check iota_X omega = rhs refuses a term no image
+    reaches, one with no letter before its mark or one omega's cap clips."""
+    ctx, f = omega.ctx, omega.field
     if rhs.is_zero():
         return VectorField(ctx, {}, degree=0, order_cap=rhs.order_cap)
     effs = {ctx.cfg_degree(cfg) for cfg in rhs.terms}
@@ -417,52 +410,28 @@ def contraction_solve(ctx: NCContext, omega: NCForm, rhs: NCForm) -> VectorField
         raise NCError("contraction solve needs homogeneous data")
     deg_x = effs.pop() - omega_effs.pop() + 1
 
-    partners = {}
-    for cfg in omega.terms:
-        (a, _), (b, _) = cfg
-        partners.setdefault(a, set()).add(b)
-        partners.setdefault(b, set()).add(a)
-
-    variables = []
-    seen = set()
-    for stored in rhs.terms:
-        cfg, _ = rotate_mark_last(ctx, stored)
-        u = cfg[:-1]
-        z = cfg[-1][0]
-        for y in sorted(partners.get(z, ())):
-            if ctx.cfg_degree(u) != ctx.degree(y) + deg_x:
-                continue
-            if u and (ctx.xi_tgt(u[0][0]) != ctx.xi_tgt(y)
-                      or ctx.xi_src(u[-1][0]) != ctx.xi_src(y)):
-                continue
-            if not u:
-                continue
-            key = (y, u)
-            if key not in seen:
-                seen.add(key)
-                variables.append(key)
-    if not variables:
-        raise NCError("contraction equation has no candidate images")
-
-    columns = [contraction(VectorField(ctx, {y: {u: f.of_int(1)}}, degree=deg_x,
-                                       order_cap=rhs.order_cap), omega).terms
-               for y, u in variables]
-    sol = sparse_solve(*_word_system(f, columns, rhs.terms))
-    if sol is None:
-        raise NCError("contraction equation unsolvable; omega degenerate?")
-
     images = {}
-    for cidx, c in sol.items():
-        y, u = variables[cidx]
-        vec = images.setdefault(y, {})
-        add_into(f, vec, u, c)
-    images = {k: v for k, v in images.items() if v}
-    return VectorField(ctx, images, degree=deg_x, order_cap=rhs.order_cap,
-                       truncated=rhs.truncated)
+    for stored, r in rhs.terms.items():
+        cfg, sign = rotate_mark_last(ctx, stored)
+        u = cfg[:-1]
+        if not u:
+            continue
+        c = f.mul(r, f.of_int(sign))
+        for y, piv in pairing.inverse.get(cfg[-1][0], {}).items():
+            add_into(f, images.setdefault(y, {}), u, f.mul(c, piv))
+    images = {y: vec for y, vec in images.items() if vec}
+    if not images:
+        raise NCError("contraction equation has no candidate images")
+    vf = VectorField(ctx, images, degree=deg_x, order_cap=rhs.order_cap,
+                     truncated=rhs.truncated)
+    if contraction(vf, omega).terms != rhs.terms:
+        raise NCError("contraction equation unsolvable; omega degenerate?")
+    return vf
 
 
-def hamiltonian_field(fn: NCForm, omega: NCForm) -> VectorField:
-    return contraction_solve(fn.ctx, omega, de_rham(fn))
+def hamiltonian_field(fn: NCForm, omega: NCForm,
+                      pairing: CyclicPairing) -> VectorField:
+    return contraction_solve(omega, pairing, de_rham(fn))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +468,7 @@ def category_from_potential(w: NCForm, pairing: CyclicPairing,
     caps omega and sets the arity cap order_cap - 1; it may be below W's own
     cap (strictify_units passes the caller's cap)."""
     omega = omega_from_pairing(w.ctx, pairing, order_cap=order_cap)
-    q = hamiltonian_field(w, omega)
+    q = hamiltonian_field(w, omega, pairing)
     if q.degree != 1:
         raise NCError("potential has wrong degree")
     ops = vectorfield_to_tables(q)
@@ -537,7 +506,6 @@ def poisson_bracket(f: NCForm, g: NCForm, pairing: CyclicPairing) -> NCForm:
     """Necklace bracket via the inverse pairing (cut at f, cut at g, splice)."""
     ctx = f.ctx
     k = ctx.field
-    pi = pairing_inverse(ctx, pairing)
     cap = min(f.order_cap, g.order_cap)
     rots = {w: list(rotations(w, [ctx.eff_degree(s) for s in w]))
             for w in list(f.terms) + list(g.terms)}
@@ -549,10 +517,11 @@ def poisson_bracket(f: NCForm, g: NCForm, pairing: CyclicPairing) -> NCForm:
             for rot_f, s1 in rots[wf]:
                 x = rot_f[-1][0]
                 u = rot_f[:-1]
+                pi_x = pairing.inverse.get(x, {})
                 for rot_g, s2 in rots[wg]:
                     y = rot_g[0][0]
                     z = rot_g[1:]
-                    piv = pi.get((x, y))
+                    piv = pi_x.get(y)
                     if piv is None:
                         continue
                     # contracting the adjacent pair xi_x xi_y moves past the
@@ -572,9 +541,10 @@ def poisson_bracket(f: NCForm, g: NCForm, pairing: CyclicPairing) -> NCForm:
     return NCForm(ctx, acc, cap, truncated, const)
 
 
-def bracket_via_hamiltonian(f: NCForm, g: NCForm, omega: NCForm) -> NCForm:
-    """Independent route: {f,g} = H_f(g); used to cross-check the necklace."""
-    h = hamiltonian_field(f, omega)
+def bracket_via_hamiltonian(f: NCForm, g: NCForm, omega: NCForm,
+                            pairing: CyclicPairing) -> NCForm:
+    """Second route: {f,g} = H_f(g); used to cross-check the necklace."""
+    h = hamiltonian_field(f, omega, pairing)
     return vf_apply_function(h, g)
 
 
@@ -587,7 +557,6 @@ class FormalAutomorphism:
     images: dict                         # label -> {open cfg -> coeff}
     order_cap: int = 7
     truncated: bool = False
-    inverse_images: dict | None = None
 
     def image_of(self, lab: str) -> dict:
         one = self.ctx.field.of_int(1)
@@ -602,7 +571,7 @@ class FormalAutomorphism:
 
 
 def identity_automorphism(ctx: NCContext, order_cap: int = 7) -> FormalAutomorphism:
-    return FormalAutomorphism(ctx, {}, order_cap, inverse_images={})
+    return FormalAutomorphism(ctx, {}, order_cap)
 
 
 def _subst_cfg(ctx: NCContext, cfg, images):
@@ -646,37 +615,21 @@ def auto_apply(auto: FormalAutomorphism, form: NCForm) -> NCForm:
     return NCForm(ctx, acc, form.order_cap, truncated)
 
 
-def _compose_images(ctx: NCContext, outer: dict, inner: dict, labels,
-                    order_cap: int) -> dict:
-    """Images of the substitution inner, then outer, on the given labels
-    (both as label -> {open cfg -> coeff}, the identity where absent),
-    dropping words longer than order_cap."""
-    f = ctx.field
-    one = f.of_int(1)
+def auto_compose(second: FormalAutomorphism, first: FormalAutomorphism) -> FormalAutomorphism:
+    """Substitution doing first, then second on the result; words longer
+    than second's cap are dropped."""
+    ctx, f = second.ctx, second.ctx.field
     images = {}
-    for lab in labels:
+    for lab in set(first.images) | set(second.images):
         acc = {}
-        for w, c in inner.get(lab, {((lab, 0),): one}).items():
-            for c2, new in _subst_cfg(ctx, w, outer):
-                if len(new) > order_cap:
+        for w, c in first.image_of(lab).items():
+            for c2, new in _subst_cfg(ctx, w, second.images):
+                if len(new) > second.order_cap:
                     continue
                 add_into(f, acc, new, f.mul(c, c2))
         images[lab] = acc
-    return images
-
-
-def auto_compose(second: FormalAutomorphism, first: FormalAutomorphism) -> FormalAutomorphism:
-    """Substitution doing first, then second on the result."""
-    ctx = second.ctx
-    labels = set(first.images) | set(second.images)
-    images = _compose_images(ctx, second.images, first.images, labels,
-                             second.order_cap)
-    inv = None
-    if second.inverse_images is not None and first.inverse_images is not None:
-        inv = _compose_images(ctx, first.inverse_images, second.inverse_images,
-                              labels, first.order_cap)
     return FormalAutomorphism(ctx, images, min(first.order_cap, second.order_cap),
-                              first.truncated or second.truncated, inv)
+                              first.truncated or second.truncated)
 
 
 def _exp_images(ctx: NCContext, vf: VectorField, order_cap: int) -> dict:
@@ -705,8 +658,10 @@ def _exp_images(ctx: NCContext, vf: VectorField, order_cap: int) -> dict:
     return images
 
 
-def hamiltonian_exp(s: NCForm, omega: NCForm, order_cap: int) -> FormalAutomorphism:
-    """exp({S,-}) as a substitution on generators, with exact inverse."""
+def hamiltonian_exp(s: NCForm, omega: NCForm, pairing: CyclicPairing,
+                    order_cap: int) -> FormalAutomorphism:
+    """exp({S,-}) as a substitution on generators; its inverse is the flow
+    of -S, since H_{-S} = -H_S."""
     ctx = s.ctx
     f = ctx.field
     if f.p != 0:
@@ -715,12 +670,8 @@ def hamiltonian_exp(s: NCForm, omega: NCForm, order_cap: int) -> FormalAutomorph
         return identity_automorphism(ctx, order_cap)
     if min(s.orders()) < 3:
         raise NCError("generator must have order >= 3 for formal convergence")
-    h = hamiltonian_field(s, omega)
-    minus = VectorField(ctx, {lab: {w: f.neg(c) for w, c in vec.items()}
-                              for lab, vec in h.images.items()},
-                        degree=h.degree, order_cap=h.order_cap)
-    return FormalAutomorphism(ctx, _exp_images(ctx, h, order_cap), order_cap,
-                              inverse_images=_exp_images(ctx, minus, order_cap))
+    h = hamiltonian_field(s, omega, pairing)
+    return FormalAutomorphism(ctx, _exp_images(ctx, h, order_cap), order_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +740,7 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         s_n = NCForm(ctx, {candidates[i]: c for i, c in sol.items()}, cap)
         if s_n.is_zero():
             continue
-        step = hamiltonian_exp(s_n, omega, cap)
+        step = hamiltonian_exp(s_n, omega, pairing, cap)
         w = auto_apply(step, w)
         auto = auto_compose(step, auto)
         processed.append(n + 1)
@@ -823,7 +774,7 @@ def darboux_normalize(omega: NCForm, order_cap: int):
         raise NCError("form is not closed")
     const = {cfg: c for cfg, c in omega.terms.items() if len(cfg) == 2}
     omega0 = NCForm(ctx, const, order_cap)
-    omega_to_pairing(omega0)   # raises when degenerate
+    pairing0 = omega_to_pairing(omega0)   # raises when degenerate
     effs = {ctx.cfg_degree(cfg) for cfg in omega.terms}
     if len(effs) > 1:
         raise NCError("darboux normalization needs a homogeneous form")
@@ -839,7 +790,7 @@ def darboux_normalize(omega: NCForm, order_cap: int):
         piece = NCForm(ctx, {cfg: c for cfg, c in cur.terms.items()
                              if len(cfg) == n}, order_cap)
         alpha = contraction(e, piece).scale(f.of_fraction(Fraction(1, n)))
-        x = contraction_solve(ctx, omega0, alpha.scale(f.of_int(-1)))
+        x = contraction_solve(omega0, pairing0, alpha.scale(f.of_int(-1)))
         step = FormalAutomorphism(ctx, _exp_images(ctx, x, order_cap), order_cap)
         cur = auto_apply(step, cur)
         auto = auto_compose(step, auto)

@@ -400,6 +400,7 @@ def radical_filtration(rep: MatrixRep) -> RadicalFiltration:
     f = rep.field
     off = rep.offsets()
     n = rep.total_dim()
+    owner = [v for v in rep.quiver.vertices for _ in range(rep.d[v])]
     rad = [SparseMatrix(n, n, f, j) for j in radical_char0(acting_algebra(rep))]
     layers = [{v: [{i: f.one()} for i in range(rep.d[v])]
                for v in rep.quiver.vertices}]
@@ -408,19 +409,18 @@ def radical_filtration(rep: MatrixRep) -> RadicalFiltration:
         total = sum(len(bs) for bs in cur.values())
         if total == 0:
             break
-        nxt = {}
-        for v in rep.quiver.vertices:
-            ech = Echelon(f)
-            for w in rep.quiver.vertices:
-                for vec in cur[w]:
-                    gvec = {off[w] + i: x for i, x in vec.items()}
-                    for j in rad:
-                        img = j.matvec(gvec)
-                        loc = {r - off[v]: x for r, x in img.items()
-                               if off[v] <= r < off[v] + rep.d[v]}
-                        if loc:
-                            ech.add(loc)
-            nxt[v] = ech.basis()
+        echs = {v: Echelon(f) for v in rep.quiver.vertices}
+        for w in rep.quiver.vertices:
+            for vec in cur[w]:
+                gvec = {off[w] + i: x for i, x in vec.items()}
+                for j in rad:
+                    pieces = {}
+                    for r, x in j.matvec(gvec).items():
+                        v = owner[r]
+                        pieces.setdefault(v, {})[r - off[v]] = x
+                    for v, loc in pieces.items():
+                        echs[v].add(loc)
+        nxt = {v: ech.basis() for v, ech in echs.items()}
         new_total = sum(len(bs) for bs in nxt.values())
         if new_total == 0:
             if total:

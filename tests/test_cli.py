@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ainfty import ainf, cli, docio, localmodel, nccalc, repmod
+from ainfty import ainf, cli, docio, localmodel, nccalc, repmod, sparse
 from ainfty.cli import EXIT, main
 from ainfty.field import GF
 from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
@@ -395,8 +395,9 @@ def count_calls(monkeypatch, *targets):
 
 
 FORMALITY_CALLS = ((ainf, "check_relations"), (nccalc, "check_cyclicity"),
-                   (nccalc, "strictify_units"), (nccalc, "degenerate_blocks"),
-                   (nccalc, "make_pairing"))
+                   (nccalc, "strictify_units"), (nccalc, "invert_pairing_blocks"),
+                   (nccalc, "make_pairing"), (nccalc, "contraction_solve"),
+                   (sparse, "solve"))
 
 
 @pytest.mark.parametrize("argv", [["formality"], ["local-model", "--dims=2"]],
@@ -408,11 +409,14 @@ def test_formality_path_establishes_each_fact_once(tmp_path, monkeypatch, argv):
     assert main([argv[0], str(path), "--report", str(tmp_path / "r.json")]
                 + argv[1:]) == EXIT["pass"]
     # one relation check, one cyclicity check and one strictification per
-    # job; a pairing's blocks are ranked once, when make_pairing builds it
+    # job; a pairing's blocks are inverted once, when make_pairing builds it,
+    # and the Hamiltonian fields read that inverse without a linear solve
     assert counts["check_relations"] == 1
     assert counts["check_cyclicity"] == 1
     assert counts["strictify_units"] == 1
-    assert counts["degenerate_blocks"] == counts["make_pairing"] == 1
+    assert counts["invert_pairing_blocks"] == counts["make_pairing"] == 1
+    assert counts["contraction_solve"] >= 1
+    assert counts["solve"] == 0
 
 
 def test_strictify_checks_the_pairing_once(tmp_path, monkeypatch):
@@ -422,7 +426,7 @@ def test_strictify_checks_the_pairing_once(tmp_path, monkeypatch):
     assert main(["strictify", str(path), "--report",
                  str(tmp_path / "r.json")]) == EXIT["pass"]
     assert counts["check_cyclicity"] == 0
-    assert counts["degenerate_blocks"] == 1
+    assert counts["invert_pairing_blocks"] == 1
 
 
 DEGENERATE_PAIRING = [["[1>1]0.0", "[1>1]2.0", 1], ["[1>1]2.0", "[1>1]0.0", 1]]
@@ -487,6 +491,50 @@ def test_field_flag_other_than_the_documents_is_an_input_error(
         reports.append(json.loads(capsys.readouterr().out)["payload"])
     assert reports[0] == reports[1]
 
+
+# one job per subcommand: its document and the flags it needs
+ONE_JOB_EACH = [
+    ("check-ainf", a2_bar_document, []), ("minimal-model", a2_bar_document, []),
+    ("strictify", jordan_min_document, []), ("formality", jordan_min_document, []),
+    ("hochschild", a2_quiver_document, []), ("semisimplify", a2_rep_document, []),
+    ("stability", gf3_rep_document, ["--zeta=1,-1"]),
+    ("moment-check", a2_rep_document, []),
+    ("local-model", jordan_min_document, ["--dims=2"]),
+    ("euler-compare", jordan_min_document, ["--dims=2"]),
+    ("hn-enum", hn_query_document, []),
+]
+
+
+@pytest.mark.parametrize("subcommand, document, flags", ONE_JOB_EACH,
+                         ids=[job[0] for job in ONE_JOB_EACH])
+def test_order_cap_below_one_is_an_input_error(tmp_path, capsys, subcommand,
+                                               document, flags):
+    assert sorted(job[0] for job in ONE_JOB_EACH) == sorted(cli.HANDLERS)
+    path = tmp_path / "doc.json"
+    path.write_text(docio.dumps_document(document()), encoding="utf-8")
+    for cap in (0, -1):
+        code = main([subcommand, str(path), "--order-cap=%d" % cap] + flags)
+        out = capsys.readouterr()
+        assert code == EXIT["error"] == 2
+        assert "Traceback" not in out.out + out.err
+        assert json.loads(out.out)["payload"]["witnesses"] == [
+            {"error": "--order-cap must be at least 1, got %d" % cap}]
+    assert main([subcommand, str(path), "--order-cap=1"] + flags) != EXIT["error"]
+
+
+@pytest.mark.parametrize("subcommand", ["local-model", "euler-compare"])
+@pytest.mark.parametrize("dims", ["-1", "2,1", "1,-1"])
+def test_dims_flag_wants_one_nonnegative_entry_per_object(tmp_path, capsys,
+                                                          subcommand, dims):
+    # the jordan minimal model has one object
+    path = tmp_path / "min.json"
+    path.write_text(jordan_min_text(), encoding="utf-8")
+    assert main([subcommand, str(path), "--dims=" + dims]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert json.loads(out.out)["payload"]["witnesses"] == [
+        {"error": "--dims wants one nonnegative integer per object, 1 in all, "
+                  "got %r" % dims}]
 
 def test_field_flag_naming_a_prime_field_document_is_accepted(tmp_path, capsys):
     cat = truncated_path_category(DGQuiverAlgebra(a2_quiver(), (), ()),

@@ -31,7 +31,8 @@ from test_massey import exterior_fixture
 
 
 def minimal_fixture(kind):
-    q = {"jordan": quiver.jordan_quiver, "a2": quiver.a2_quiver}[kind]()
+    q = {"jordan": quiver.jordan_quiver, "a2": quiver.a2_quiver,
+         "two_loop": quiver.two_loop_quiver}[kind]()
     dg = presentations.bar_ext_category(quiver.derived_preprojective(q),
                                         weight_cap=2, arity_cap=6)
     cat, _, _ = minimal_model(dg)
@@ -318,7 +319,15 @@ def test_massey_model_also_dualizes_square_zero():
 
 def test_solved_pairing_is_cyclic_and_nondegenerate(pack):
     _, cat, pairing, ctx = pack
-    assert not nc.degenerate_blocks(ctx, pairing)
+    f = cat.field
+    # the stored inverse is a right inverse: sum_y <x', y> pi(y, x) = delta
+    for x2 in ctx.letters:
+        for x in ctx.letters:
+            total = f.of_int(0)
+            for y, row in pairing.inverse.items():
+                if x in row:
+                    total = f.add(total, f.mul(pairing.value(x2, y), row[x]))
+            assert total == f.of_int(1 if x == x2 else 0), (x2, x)
     assert nc.check_cyclicity(cat, pairing).ok
     for (x, y), c in pairing.entries.items():
         # symmetry is graded in the unshifted degrees 1 - |xi|
@@ -407,9 +416,60 @@ def test_hamiltonian_field_of_potential_is_q(pack):
     _, cat, pairing, ctx = pack
     pot = nc.potential_from_category(cat, pairing)
     omega = nc.omega_from_pairing(ctx, pairing, pot.order_cap)
-    h = nc.hamiltonian_field(pot, omega)
+    h = nc.hamiltonian_field(pot, omega, pairing)
     q = nc.category_to_vectorfield(cat)
     assert h.images == q.images and h.degree == 1
+
+
+def random_one_forms(ctx, field, rng, orders=(2, 3, 4), per_order=4):
+    """Seeded homogeneous one-mark 1-forms: de Rham differentials of
+    functions (exact) and sums of random one-mark words (mostly not)."""
+    out = []
+    for n in orders:
+        groups = {}
+        for w in enumerate_cyclic_words(ctx, n):
+            groups.setdefault(("exact", ctx.cfg_degree(w)), []).append(w)
+        for w in enumerate_forms(ctx, n, 1):
+            groups.setdefault(("form", ctx.cfg_degree(w)), []).append(w)
+        keys = sorted(groups)
+        for _ in range(per_order):
+            kind, deg = rng.choice(keys)
+            words = rng.sample(groups[(kind, deg)], min(3, len(groups[(kind, deg)])))
+            form = NCForm(ctx, {w: field.of_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                                for w in words}, 7)
+            out.append(nc.de_rham(form) if kind == "exact" else form)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["jordan", "a2", "two_loop"])
+def test_contraction_solve_inverts_the_contraction(kind):
+    # X from the inverse pairing satisfies iota_X omega = rhs on exact and
+    # non-exact 1-forms, and is a well-formed homogeneous field
+    cat = minimal_fixture(kind)
+    pairing = nc.solve_cyclic_pairing(cat)
+    ctx = NCContext.from_category(cat)
+    omega = nc.omega_from_pairing(ctx, pairing, 7)
+    forms = random_one_forms(ctx, cat.field, random.Random(kind))
+    assert any(not nc.de_rham(rhs).is_zero() for rhs in forms)
+    for rhs in forms:
+        x = nc.contraction_solve(omega, pairing, rhs)
+        assert nc.contraction(x, omega).terms == rhs.terms
+        assert x.validate() == []
+
+
+def test_contraction_solve_refuses_a_term_without_a_letter_before_its_mark(
+        jordan_pack):
+    cat, pairing, ctx, _, omega = jordan_pack
+    f = cat.field
+    lone = nc.de_rham(NCForm(ctx, {((sorted(ctx.letters)[0], 0),): f.of_int(1)}, 7))
+    with pytest.raises(NCError, match="no candidate images"):
+        nc.contraction_solve(omega, pairing, lone)
+    # next to a solvable term of the same degree, the forward check refuses it
+    deg = ctx.cfg_degree(next(iter(lone.terms)))
+    other = next(w for w in enumerate_forms(ctx, 2, 1) if ctx.cfg_degree(w) == deg)
+    with pytest.raises(NCError, match="unsolvable"):
+        nc.contraction_solve(omega, pairing,
+                             lone.add(NCForm(ctx, {other: f.of_int(1)}, 7)))
 
 
 def test_master_equation_detects_broken_potentials(jordan_pack):
@@ -436,16 +496,16 @@ def test_master_equation_detects_broken_potentials(jordan_pack):
 def test_order_one_brackets_reproduce_the_inverse_pairing(pack):
     _, cat, pairing, ctx = pack
     f = cat.field
-    pi = nc.pairing_inverse(ctx, pairing)
     seen = 0
-    for (x, y), val in pi.items():
-        fx = NCForm(ctx, {((x, 0),): f.of_int(1)}, 7)
-        fy = NCForm(ctx, {((y, 0),): f.of_int(1)}, 7)
-        br = nc.poisson_bracket(fx, fy, pairing)
-        assert not br.terms
-        obj = ctx.xi_src(x)
-        assert br.constant == {obj: val}
-        seen += 1
+    for x, row in pairing.inverse.items():
+        for y, val in row.items():
+            fx = NCForm(ctx, {((x, 0),): f.of_int(1)}, 7)
+            fy = NCForm(ctx, {((y, 0),): f.of_int(1)}, 7)
+            br = nc.poisson_bracket(fx, fy, pairing)
+            assert not br.terms
+            obj = ctx.xi_src(x)
+            assert br.constant == {obj: val}
+            seen += 1
     assert seen
 
 
@@ -458,7 +518,7 @@ def test_bracket_routes_agree(pack):
     for _, g1 in samples:
         for _, g2 in samples:
             a = nc.poisson_bracket(g1, g2, pairing)
-            b = nc.bracket_via_hamiltonian(g1, g2, omega)
+            b = nc.bracket_via_hamiltonian(g1, g2, omega, pairing)
             assert a.terms == b.terms
 
 
@@ -496,8 +556,9 @@ def test_exposed_flow_is_invertible_and_symplectic(jordan_pack):
     cat, pairing, ctx, pot, omega = jordan_pack
     f = cat.field
     s = pick_degree_zero_cubic(ctx, f, want_unit=False)
-    flow = nc.hamiltonian_exp(s, omega, 7)
-    back = nc.FormalAutomorphism(ctx, flow.inverse_images, 7)
+    flow = nc.hamiltonian_exp(s, omega, pairing, 7)
+    # H_{-s} = -H_s, so the flow of -s is the inverse
+    back = nc.hamiltonian_exp(s.scale(f.of_int(-1)), omega, pairing, 7)
     assert nc.auto_compose(back, flow).is_identity()
     assert nc.auto_compose(flow, back).is_identity()
     pulled = nc.auto_apply(flow, omega)
@@ -506,7 +567,7 @@ def test_exposed_flow_is_invertible_and_symplectic(jordan_pack):
 
 def test_flow_of_zero_is_identity(jordan_pack):
     cat, pairing, ctx, _, omega = jordan_pack
-    flow = nc.hamiltonian_exp(NCForm(ctx, {}, 7), omega, 7)
+    flow = nc.hamiltonian_exp(NCForm(ctx, {}, 7), omega, pairing, 7)
     assert flow.is_identity()
 
 
@@ -515,7 +576,7 @@ def test_flow_rejects_low_order_and_finite_characteristic(jordan_pack):
     f = cat.field
     word = enumerate_cyclic_words(ctx, 2)[0]
     with pytest.raises(NCError):
-        nc.hamiltonian_exp(NCForm(ctx, {word: f.of_int(1)}, 7), omega, 7)
+        nc.hamiltonian_exp(NCForm(ctx, {word: f.of_int(1)}, 7), omega, pairing, 7)
 
 
 def pick_degree_zero_cubic(ctx, f, want_unit):
@@ -539,7 +600,8 @@ def planted():
     ctx = pot.ctx
     omega = nc.omega_from_pairing(ctx, pairing, pot.order_cap)
     s = pick_degree_zero_cubic(ctx, f, want_unit=True)
-    flow = nc.hamiltonian_exp(s.scale(f.of_int(-1)), omega, pot.order_cap)
+    flow = nc.hamiltonian_exp(s.scale(f.of_int(-1)), omega, pairing,
+                              pot.order_cap)
     w = nc.auto_apply(flow, pot)
     bad_cat = nc.category_from_potential(w, pairing, cat, pot.order_cap)
     return cat, bad_cat, pairing
