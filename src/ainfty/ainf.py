@@ -147,33 +147,44 @@ def _insert_into(f, residual, inner, idx):
                         add_into(f, residual, (full, w), f.mul(c, cw))
 
 
-def _check_arities(f, cap, max_witnesses, sdeg, terms_at):
+def _known_through(cap, *lookups):
+    """The largest n <= cap such that every lookup(k), k <= n, is a known
+    table (not None)."""
+    n = 0
+    while n < cap and all(look(n + 1) is not None for look in lookups):
+        n += 1
+    return n
+
+
+def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at):
     """The arity loop shared by check_relations and check_functor.
 
-    terms_at(n) returns the arity-n relation as (insertions, composites):
-    insertions (inner, outer, u) add sum_r outer(1^r (x) inner (x) 1^t) for
-    the arity-u outer table, composites (outer, inners) subtract
-    outer(inner_1 (x) ... (x) inner_l).  An arity that needs an unknown
-    table is truncated; the residual of a checked arity lists its
-    violations, sorted and cut at max_witnesses overall.
+    Truncation is decided first: arity n is checked iff n <= known, the
+    caller's bound below which every table the relations use is known, and
+    terms_at is never called for a truncated arity.  terms_at(n) returns
+    the arity-n relation as (insertions, composites): insertions (inner,
+    outer, u) add sum_r outer(1^r (x) inner (x) 1^t) for the arity-u outer
+    table, composites (trie, inners) subtract b_l(inner_1 (x) ... (x)
+    inner_l) in the form _accumulate_composite reads.  The slot index of
+    each outer table is built once per call.  The residual of a checked
+    arity lists its violations, sorted and cut at max_witnesses overall.
     """
     indexes = {}
     checked, truncated, witnesses = [], [], []
+    minus_one = f.neg(f.one())
     for n in range(1, cap + 1):
-        insertions, composites = terms_at(n)
-        needed = [t for inner, outer, _ in insertions for t in (inner, outer)]
-        needed += [t for outer, inners in composites for t in (outer, *inners)]
-        if any(t is None for t in needed):
+        if n > known:
             truncated.append(n)
             continue
+        insertions, composites = terms_at(n)
         residual = {}
         for inner, outer, u in insertions:
             if inner and outer:
                 if u not in indexes:
                     indexes[u] = _slot_index(outer, u, sdeg)
                 _insert_into(f, residual, inner, indexes[u])
-        for outer, inners in composites:
-            _accumulate_composite(f, residual, outer, inners, f.neg(f.one()))
+        for trie, inners in composites:
+            _accumulate_composite(f, residual, trie, inners, minus_one)
         checked.append(n)
         for (tup, z), c in sorted(residual.items()):
             witnesses.append((n, tup, z, c))
@@ -198,7 +209,8 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
     def terms_at(n):
         return [(cat.op_table(s), cat.op_table(n + 1 - s), n + 1 - s)
                 for s in range(1, n + 1)], []
-    return _check_arities(cat.field, cap, max_witnesses, cat.sdeg, terms_at)
+    return _check_arities(cat.field, cap, _known_through(cap, cat.op_table),
+                          max_witnesses, cat.sdeg, terms_at)
 
 
 @dataclass
@@ -337,26 +349,74 @@ class AInfMorphism:
         return table.get(tuple(tup), {})
 
 
-def _compositions(n: int):
-    """Ordered compositions of n into positive parts, by first part."""
-    if n == 0:
-        return [()]
-    return [(k,) + rest for k in range(1, n + 1) for rest in _compositions(n - k)]
-
-def _accumulate_composite(f, residual, outer, inners, coeff):
-    """residual[(tuple, out)] += coeff * outer(inner_1 (x) ... (x) inner_l)."""
-    choices = [sorted(t.items()) for t in inners]
-    if not outer or any(not c for c in choices):
+def _compositions(n: int, parts, length: int):
+    """Ordered compositions of n into exactly length parts drawn from the
+    ascending tuple parts, by first part."""
+    if length == 0:
+        if n == 0:
+            yield ()
         return
-    def rec(k, tup_acc, outs_acc, c):
-        if k == len(choices):
-            for z, cz in outer.get(tuple(outs_acc), {}).items():
-                add_into(f, residual, (tuple(tup_acc), z), f.mul(c, cz))
+    for k in parts:
+        rest = n - k
+        if rest < (length - 1) * parts[0]:
+            break
+        if rest > (length - 1) * parts[-1]:
+            continue
+        for tail in _compositions(rest, parts, length - 1):
+            yield (k,) + tail
+
+
+def _prefix_trie(table):
+    """The stored input tuples of one operation table as a trie: node[z] is
+    the node after label z, and the node after a whole tuple is its output
+    {label: coeff}.  So a node's keys are the labels that can follow its
+    prefix in a stored tuple."""
+    root = {}
+    for tup, out in table.items():
+        node = root
+        for z in tup[:-1]:
+            node = node.setdefault(z, {})
+        node[tup[-1]] = out
+    return root
+
+
+def _output_index(table):
+    """idx[z] lists (tuple, coeff of z in its value) for the entries of a
+    component table whose value holds label z."""
+    idx = {}
+    for tup, out in table.items():
+        for z, c in out.items():
+            idx.setdefault(z, []).append((tup, c))
+    return idx
+
+
+def _accumulate_composite(f, residual, trie, inners, coeff):
+    """residual[(tuple, out)] += coeff * b_l(inner_1 (x) ... (x) inner_l),
+    the target table b_l given by its _prefix_trie and each inner
+    component by its _output_index.
+
+    A join: slot k descends only through labels z that both the trie node
+    (b_l stores a tuple with this prefix) and inner_k's index (some entry
+    of inner_k has z in its value) hold, so every leaf reached is a stored
+    product of b_l.  Each step walks the smaller of the two key sets."""
+    last = len(inners)
+
+    def rec(k, node, tup_acc, c):
+        if k == last:
+            for w, cw in node.items():
+                add_into(f, residual, (tup_acc, w), f.mul(c, cw))
             return
-        for tup, out in choices[k]:
-            for z, cz in out.items():
-                rec(k + 1, tup_acc + list(tup), outs_acc + [z], f.mul(c, cz))
-    rec(0, [], [], coeff)
+        idx = inners[k]
+        if len(idx) < len(node):
+            pairs = ((z, node.get(z), entries) for z, entries in idx.items())
+        else:
+            pairs = ((z, child, idx.get(z)) for z, child in node.items())
+        for z, child, entries in pairs:
+            if child is None or entries is None:
+                continue
+            for tup, cz in entries:
+                rec(k + 1, child, tup_acc + tup, f.mul(c, cz))
+    rec(0, trie, (), coeff)
 
 
 def check_functor(fm: AInfMorphism, max_arity: int | None = None,
@@ -364,17 +424,37 @@ def check_functor(fm: AInfMorphism, max_arity: int | None = None,
     """Exact check of the A-infinity functor relations
     sum f_{r+1+t}(1^r (x) b_s (x) 1^t) = sum b_l(f_{i_1} (x) ... (x) f_{i_l})
     with the same prefix signs as the structure relations on the left and
-    no signs on the right (components have shifted degree 0)."""
+    no signs on the right (components have shifted degree 0).
+
+    Truncation first: arity n is checked iff src b_k, f_k and tgt b_k are
+    known for every k <= n.  The composite side then sums only over
+    compositions (i_1, ..., i_l) of n whose parts all have a nonempty
+    component and whose length l has a nonempty target table, and each
+    composite is a join (_accumulate_composite).  The prefix trie of each
+    nonempty target table and the output index of each nonempty component
+    are built once per call."""
     src, tgt = fm.source, fm.target
     cap = max_arity if max_arity is not None else fm.arity_cap
+    known = _known_through(cap, src.op_table, fm.component, tgt.op_table)
+    outputs = {i: _output_index(fm.component(i))
+               for i in range(1, known + 1) if fm.component(i)}
+    tries = {l: _prefix_trie(tgt.op_table(l))
+             for l in range(1, known + 1) if tgt.op_table(l)}
+    parts = tuple(outputs)
+
+    def composites(n):
+        for l, trie in tries.items():
+            if l > n:
+                break
+            for comp in _compositions(n, parts, l):
+                yield trie, [outputs[i] for i in comp]
 
     def terms_at(n):
         insertions = [(src.op_table(s), fm.component(n + 1 - s), n + 1 - s)
                       for s in range(1, n + 1)]
-        composites = [(tgt.op_table(len(parts)), [fm.component(i) for i in parts])
-                      for parts in _compositions(n)]
-        return insertions, composites
-    return _check_arities(src.field, cap, max_witnesses, src.sdeg, terms_at)
+        return insertions, composites(n)
+    return _check_arities(src.field, cap, known, max_witnesses, src.sdeg,
+                          terms_at)
 
 
 def degree_support_bound(cat: AInfCategory, arities, use_strict_units: bool = True):

@@ -400,7 +400,8 @@ def contraction_solve(omega: NCForm, pairing: CyclicPairing,
     constant 2-form of pairing: each term r of rhs, rotated to u d(xi_z)
     with sign s, adds s r pi(z, y) u to X(xi_y) (Kontsevich's inverse
     pairing).  The forward check iota_X omega = rhs refuses a term no image
-    reaches, one with no letter before its mark or one omega's cap clips."""
+    reaches, one with no letter before its mark or one omega's cap clips;
+    the last case names the cap."""
     ctx, f = omega.ctx, omega.field
     if rhs.is_zero():
         return VectorField(ctx, {}, degree=0, order_cap=rhs.order_cap)
@@ -425,6 +426,10 @@ def contraction_solve(omega: NCForm, pairing: CyclicPairing,
     vf = VectorField(ctx, images, degree=deg_x, order_cap=rhs.order_cap,
                      truncated=rhs.truncated)
     if contraction(vf, omega).terms != rhs.terms:
+        longest = max(len(cfg) for cfg in rhs.terms)
+        if longest > omega.order_cap:
+            raise NCError("contraction equation needs words of length %d, "
+                          "above the order cap %d" % (longest, omega.order_cap))
         raise NCError("contraction equation unsolvable; omega degenerate?")
     return vf
 

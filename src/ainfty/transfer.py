@@ -130,21 +130,21 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
             if cat.weights:
                 min_weights[mlab] = w
             inc[mlab] = {labs[t]: c for t, c in hreps[j2].items()}
+        # one pass over each inverse row: row j < nb gives the htp
+        # coordinate along the j-th pivot label below, row nb + j2 the proj
+        # coordinate along mlabels[j2]; keys in ascending row order and
+        # labels in ascending t order keep emitted models byte-stable
         below_labs = blocks.get(below, [])
-        for t, lab in enumerate(labs):
-            pvec, hvec = {}, {}
-            for j in range(nb):
-                c = inv_rows[j].get(t)
-                if c is not None:
-                    hvec[below_labs[piv_in[j]]] = c
-            for j2 in range(nh):
-                c = inv_rows[nb + j2].get(t)
-                if c is not None:
-                    pvec[mlabels[j2]] = c
-            if pvec:
-                proj[lab] = pvec
-            if hvec:
-                htp[lab] = hvec
+        hvecs, pvecs = {}, {}
+        for j, row in enumerate(inv_rows[:nb + nh]):
+            vecs, coord = (hvecs, below_labs[piv_in[j]]) if j < nb \
+                else (pvecs, mlabels[j - nb])
+            for t, c in row.items():
+                vecs.setdefault(t, {})[coord] = c
+        for t in sorted(pvecs):
+            proj[labs[t]] = pvecs[t]
+        for t in sorted(hvecs):
+            htp[labs[t]] = hvecs[t]
     return Contraction(pair, tuple(min_basis), inc, proj, htp, min_weights)
 
 
@@ -152,37 +152,6 @@ def _complete(field, base_rows, candidates):
     """Candidates that enlarge the span of base_rows, in input order."""
     ech = Echelon(field, base_rows)
     return [dict(c) for c in candidates if ech.add(c)]
-
-
-def check_contraction(cat: AInfCategory, con: Contraction):
-    """Exact verification of all side conditions; returns failures."""
-    f = cat.field
-    bad = []
-    labs = [lab for lab, _ in cat.hom.get(con.pair, ())]
-    d = {lab: dict(cat.b_value((lab,))) for lab in labs}
-
-    for mlab, _ in con.min_basis:
-        got = apply_linear(f, con.proj, con.inc[mlab])
-        if got != {mlab: f.one()}:
-            bad.append(("proj.inc != id", mlab))
-        if apply_linear(f, con.htp, con.inc[mlab]):
-            bad.append(("htp.inc != 0", mlab))
-    for lab in labs:
-        if apply_linear(f, con.htp, con.htp.get(lab, {})):
-            bad.append(("htp.htp != 0", lab))
-        if apply_linear(f, con.proj, con.htp.get(lab, {})):
-            bad.append(("proj.htp != 0", lab))
-        acc = {lab: f.one()}
-        for z, c in apply_linear(f, d, con.htp.get(lab, {})).items():
-            add_into(f, acc, z, f.neg(c))
-        for z, c in apply_linear(f, con.htp, d.get(lab, {})).items():
-            add_into(f, acc, z, f.neg(c))
-        ip = apply_linear(f, con.inc, con.proj.get(lab, {}))
-        for z, c in ip.items():
-            add_into(f, acc, z, f.neg(c))
-        if acc:
-            bad.append(("homotopy identity fails", lab))
-    return bad
 
 
 def minimal_model(cat: AInfCategory, arity_cap: int | None = None):
@@ -342,36 +311,3 @@ def hom_dims(cat: AInfCategory):
             dd[deg] = dd.get(deg, 0) + 1
         out[pair] = dd
     return out
-
-
-def cohomology_dims(cat: AInfCategory, pair=None):
-    """b_1-cohomology dimensions by degree, computed directly from ranks
-    (dim H^k = dim V^k - rank d^k - rank d^{k-1}); no transfer involved."""
-    pairs = [pair] if pair is not None else sorted(cat.hom)
-    f = cat.field
-    out = {}
-    for pr in pairs:
-        basis = cat.hom.get(pr, ())
-        by_deg = {}
-        for lab, deg in basis:
-            by_deg.setdefault(deg, []).append(lab)
-        pos = {}
-        for deg, labs in by_deg.items():
-            for t, lab in enumerate(labs):
-                pos[lab] = (deg, t)
-        ranks = {}
-        for deg, labs in by_deg.items():
-            up = by_deg.get(deg + 1, [])
-            m = SparseMatrix(len(up), len(labs), f)
-            for c, lab in enumerate(labs):
-                for z, cz in cat.b_value((lab,)).items():
-                    m.set(pos[z][1], c, cz)
-            r, _, _, _ = rank_kernel_image(m)
-            ranks[deg] = r
-        dims = {}
-        for deg, labs in by_deg.items():
-            h = len(labs) - ranks.get(deg, 0) - ranks.get(deg - 1, 0)
-            if h:
-                dims[deg] = h
-        out[pr] = dims
-    return out if pair is None else out[pair]

@@ -2,11 +2,13 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty.ainf import (AInfCategory, b_from_m, check_functor,
+from ainfty import ainf
+from ainfty.ainf import (AInfCategory, AInfMorphism, b_from_m, check_functor,
                          check_relations, check_unitality,
                          degree_support_bound, m_from_b)
 from ainfty.field import GF, QQ
@@ -266,6 +268,21 @@ def planted_functor(fm, which):
     return replace(fm, components=comps)
 
 
+def identity_with_component(cat, n):
+    """The identity functor of cat, complete, plus f_n sending every
+    composable n-tuple of degree-1 labels to the first degree-1 label with
+    the same ends; f_2, ..., f_{n-1} stay empty."""
+    f = cat.field
+    comps = {1: {(lab,): {lab: f.one()} for lab in cat.labels()}}
+    for tup in composable_tuples(cat, n):
+        ends = (cat.tgt(tup[0]), cat.src(tup[-1]))
+        outs = [lab for lab in cat.labels() if cat.deg(lab) == 1
+                and (cat.tgt(lab), cat.src(lab)) == ends]
+        if outs and all(cat.deg(x) == 1 for x in tup):
+            comps.setdefault(n, {})[tup] = {outs[0]: f.one()}
+    return AInfMorphism(cat, cat, comps, arity_cap=cat.arity_cap, complete=True)
+
+
 def relation_cases():
     for name in sorted(QUIVERS):
         mini, _ = minimal_pair(name)
@@ -292,6 +309,10 @@ def functor_cases():
     incl = massey_pair()[1]
     yield "massey", incl, 4
     yield "massey-planted2", planted_functor(incl, 2), 4
+    # above the arity cap of a complete functor, with f_2 and f_4.. empty:
+    # b_2(f_3 (x) f_3) fails at arity 6
+    yield ("a2-identity-f3-arity7",
+           identity_with_component(minimal_pair("a2")[0], 3), 7)
 
 
 @pytest.mark.parametrize("cat, max_arity", [pytest.param(*case[1:], id=case[0])
@@ -308,3 +329,30 @@ def test_check_functor_matches_brute_force(fm, max_arity):
     rep = check_functor(fm, max_arity=max_arity, max_witnesses=UNCAPPED)
     assert (rep.checked, rep.witnesses) == functor_oracle(fm, max_arity)
     assert rep.ok == (not rep.witnesses)
+
+
+def test_check_functor_sums_only_nonempty_compositions(monkeypatch):
+    # the jordan minimal-model inclusion at arity cap 22 is complete, with
+    # f_1, f_2 and target b_1, b_2 nonempty: of the 2^21 compositions of
+    # arity 22 none has a term, and over all arities only those with parts
+    # in {1, 2} and length in {1, 2} do
+    dg = bar_ext_category(derived_preprojective(QUIVERS["jordan"]),
+                          weight_cap=2, arity_cap=6)
+    _, incl, _ = minimal_model(dg, arity_cap=22)
+    assert incl.complete
+    parts = [i for i in range(1, 23) if incl.component(i)]
+    lengths = [l for l in range(1, 23) if incl.target.op_table(l)]
+    assert parts == lengths == [1, 2]
+    want = sum(1 for n in range(1, 23) for l in lengths
+               for comp in product(parts, repeat=l) if sum(comp) == n)
+    calls = []
+    accumulate_composite = ainf._accumulate_composite
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= want, "composite terms beyond the nonempty ones"
+        return accumulate_composite(*args)
+    monkeypatch.setattr(ainf, "_accumulate_composite", counted)
+    rep = check_functor(incl, max_arity=22)
+    assert rep.ok and rep.checked == tuple(range(1, 23))
+    assert len(calls) == want == 6

@@ -429,6 +429,28 @@ def test_strictify_checks_the_pairing_once(tmp_path, monkeypatch):
     assert counts["invert_pairing_blocks"] == 1
 
 
+@pytest.mark.parametrize("cap, code, witnesses, arities", [
+    (1, "fail", [{"reason": "contraction equation needs words of length 3, "
+                            "above the order cap 1"}], None),
+    (2, "fail", [{"reason": "contraction equation needs words of length 3, "
+                            "above the order cap 2"}], None),
+    (3, "pass", [], [3]),
+    # the strictified category knows arities up to 6 only, so 7..22 are
+    # truncated without enumerating their 2^(n-1) compositions
+    (22, "pass", [], list(range(7, 23))),
+], ids=["cap1", "cap2", "cap3", "cap22"])
+def test_strictify_order_cap(tmp_path, capsys, cap, code, witnesses, arities):
+    # a cap below the cubic potential's words is named as the reason, not
+    # blamed on omega, which is nondegenerate
+    path = tmp_path / "min.json"
+    path.write_text(jordan_min_text(), encoding="utf-8")
+    assert main(["strictify", str(path), "--order-cap", str(cap)]) == EXIT[code]
+    report = json.loads(capsys.readouterr().out)["payload"]
+    assert report["verdict"] == code
+    assert report["witnesses"] == witnesses
+    assert report["truncation"] == ({} if arities is None else {"arities": arities})
+
+
 DEGENERATE_PAIRING = [["[1>1]0.0", "[1>1]2.0", 1], ["[1>1]2.0", "[1>1]0.0", 1]]
 
 

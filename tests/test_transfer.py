@@ -11,8 +11,9 @@ from ainfty.presentations import bar_ext_category, truncated_path_category
 from ainfty.quiver import (a2_quiver, derived_preprojective, jordan_quiver,
                            two_loop_quiver)
 from ainfty.nccalc import solve_cyclic_pairing
-from ainfty.transfer import (check_contraction, cohomology_dims,
-                             hom_contraction, hom_dims, minimal_model)
+from ainfty.transfer import hom_contraction, hom_dims, minimal_model
+
+from transfer_oracle import check_contraction, cohomology_dims
 
 QUIVERS = {"jordan": jordan_quiver(), "a2": a2_quiver(),
            "two_loop": two_loop_quiver()}
@@ -28,9 +29,13 @@ EXPECTED_EXT = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(QUIVERS))
-def test_contraction_side_conditions(name):
-    cat = bar_ext_category(derived_preprojective(QUIVERS[name]), 3)
+@pytest.mark.parametrize("name,cap", [
+    *[pytest.param(name, 3, id=name) for name in sorted(QUIVERS)],
+    pytest.param("two_loop", 4, id="two_loop-c4")])
+def test_contraction_side_conditions(name, cap):
+    # two_loop at weight cap 4 has (degree, weight) blocks of 816 and 865
+    # labels, where the inverse readout of hom_contraction does most work
+    cat = bar_ext_category(derived_preprojective(QUIVERS[name]), cap)
     for pair in sorted(cat.hom):
         unit = cat.units.get(pair[0]) if pair[0] == pair[1] else None
         con = hom_contraction(cat, pair, unit_label=unit)
