@@ -15,13 +15,17 @@ shifted factor degrees.  b never raises length, so a window of lengths
 the stability flag records whether growing the window moves the reported
 part.
 
-Both reports come from one elimination per total degree of the
+Both reports come from at most one elimination per total degree of the
 window-(N+1) complex.  The b-columns enter in order of chain length, and
 target chains are keyed longest first, so the pivot of a row is the
 longest chain in it: the pivots of length <= n count the boundaries of
 length <= n.  The pivot set only grows as columns are added, so the
 pivots present after the columns of length <= N are those of the
-window-N complex.
+window-N complex.  An elimination runs only as far as the reported
+lengths <= cap = N - margin read it: the columns of length <= cap give
+the cycle counts, and the longer ones enter only when the next degree
+holds a chain of length <= cap, where a reported boundary can have its
+pivot.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .ainf import AInfCategory, check_relations
-from .ncword import NCContext, canonical_cyclic
 from .signs import block_sign, rotations
 from .sparse import Echelon, add_into
 
@@ -95,39 +98,45 @@ class HochschildChainWindow:
 def hochschild_b(window: HochschildChainWindow, chain: dict) -> dict:
     """b = b_1 + d_Hoch; lowers length by at most one."""
     window.check_chain(chain)
-    return _apply_b(window.cat, chain)
-
-
-def _apply_b(cat: AInfCategory, chain: dict) -> dict:
-    """b on a chain whose tuples are cyclically composable; no checks."""
-    f = cat.field
-    b2 = cat.op_table(2) or {}
-    slots = ((1, cat.op_table(1) or {}), (2, b2))
+    f = window.cat.field
     acc = {}
     for tup, coeff in chain.items():
-        n = len(tup)
-        neg = f.neg(coeff)
-        # b_s on the factors r..r+s-1, past the prefix tup[:r] of shifted
-        # parity odd
-        for s, bs in slots:
-            odd = 0
-            for r in range(n - s + 1):
-                out = bs.get(tup[r:r + s])
-                if out:
-                    c = neg if odd else coeff
-                    for z, cz in out.items():
-                        add_into(f, acc, tup[:r] + (z,) + tup[r + s:], f.mul(c, cz))
-                odd ^= cat.sdeg(tup[r]) & 1
-        if n == 1:
-            continue
-        # wraparound: b_2 on the first two factors of F_n(tup); the b_2
-        # pass stopped at r = n - 2, so odd is the parity of tup[:-1]
-        out = b2.get((tup[-1], tup[0]))
-        if out:
-            c = coeff if block_sign(cat.sdeg(tup[-1]), odd) > 0 else neg
-            for z, cz in out.items():
-                add_into(f, acc, (z,) + tup[1:-1], f.mul(c, cz))
+        for out, c in _b_terms(window.cat, tup, coeff):
+            add_into(f, acc, out, c)
     return acc
+
+
+def _b_terms(cat: AInfCategory, tup, coeff):
+    """The terms (chain, coefficient) of b on coeff * tup, for a cyclically
+    composable tup; no checks, and a chain may come more than once.  This
+    is the one place where the terms of b and their signs are written."""
+    f, sdeg = cat.field, cat.sdeg
+    b1, b2 = cat.op_table(1) or {}, cat.op_table(2) or {}
+    last = len(tup) - 1
+    neg = f.neg(coeff)
+    # b_1 on the factor r and b_2 on the factors r, r + 1, past the prefix
+    # tup[:r] of shifted parity odd
+    odd = 0
+    for r, x in enumerate(tup):
+        c = neg if odd else coeff
+        out = b1.get((x,)) if b1 else None
+        if out:
+            for z, cz in out.items():
+                yield tup[:r] + (z,) + tup[r + 1:], f.mul(c, cz)
+        if r < last:
+            out = b2.get(tup[r:r + 2])
+            if out:
+                for z, cz in out.items():
+                    yield tup[:r] + (z,) + tup[r + 2:], f.mul(c, cz)
+        elif r:
+            # wraparound: b_2 on the first two factors of F_n(tup), where
+            # odd is the parity of tup[:-1]
+            out = b2.get((x, tup[0]))
+            if out:
+                c = coeff if block_sign(sdeg(x), odd) > 0 else neg
+                for z, cz in out.items():
+                    yield (z,) + tup[1:-1], f.mul(c, cz)
+        odd ^= sdeg(x) & 1
 
 
 def connes_B(window: HochschildChainWindow, chain: dict) -> dict:
@@ -163,73 +172,6 @@ def connes_B(window: HochschildChainWindow, chain: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the cyclic quotient
-
-def _dual_config(tup):
-    return tuple((lab, 0) for lab in reversed(tup))
-
-
-def _config_chain(cfg):
-    return tuple(lab for lab, _ in reversed(cfg))
-
-
-@dataclass
-class CyclicQuotient:
-    """coker(1 - F) with the induced differential.
-
-    Classes are canonicalized through the shared cyclic-word machinery: a
-    chain maps to the dual configuration read backwards, whose rotation
-    signs are the F_n signs mod 2.  Chains whose orbit is sign-conflicted
-    represent zero and are dropped.
-    """
-    window: HochschildChainWindow
-    ctx: NCContext = None
-
-    def __post_init__(self):
-        if self.ctx is None:
-            self.ctx = NCContext.from_category(self.window.cat)
-
-    def push_tuple(self, tup):
-        """Canonical (tuple, sign) for one chain, or None when the class is 0."""
-        got = canonical_cyclic(self.ctx, _dual_config(tup))
-        if got is None:
-            return None
-        cfg, sign = got
-        return _config_chain(cfg), sign
-
-    def push(self, chain: dict) -> dict:
-        f = self.window.cat.field
-        acc = {}
-        for tup, coeff in chain.items():
-            got = self.push_tuple(tup)
-            if got is None:
-                continue
-            key, sign = got
-            add_into(f, acc, key, f.mul(coeff, f.of_int(sign)))
-        return acc
-
-    def basis(self, n: int):
-        reps = []
-        seen = set()
-        for tup in self.window.basis(n):
-            got = self.push_tuple(tup)
-            if got is None:
-                continue
-            key, _ = got
-            if key not in seen:
-                seen.add(key)
-                reps.append(key)
-        return sorted(reps)
-
-    def b(self, chain: dict) -> dict:
-        return self.push(hochschild_b(self.window, chain))
-
-
-def cyclic_quotient(window: HochschildChainWindow) -> CyclicQuotient:
-    return CyclicQuotient(window)
-
-
-# ---------------------------------------------------------------------------
 # windowed homology
 
 @dataclass
@@ -261,6 +203,17 @@ def windowed_homology(window: HochschildChainWindow,
       * pivots are never removed, so the pivots present once the columns
         of length <= N are in are those of the window-N complex.
     dim F_n H = dim Z_n - dim (B ∩ F_n).
+
+    Block d is eliminated only as far as the report reads it:
+      * whether a column is spanned depends only on the columns before
+        it, so the cycle counts of block d are fixed once its columns of
+        length <= cap are in;
+      * a boundary count reads a pivot of length <= cap, and such a pivot
+        is a chain of block d + 1, so when block d + 1 has no chain of
+        length <= cap (its first chain is its shortest) the longer
+        columns of block d are not needed, for the window or its growth.
+    So those blocks take only their columns of length <= cap, and a block
+    with none is skipped.
     """
     if length_margin < 1:
         raise HochschildError("length_margin must be >= 1")
@@ -269,34 +222,40 @@ def windowed_homology(window: HochschildChainWindow,
     if not rep.ok:
         raise HochschildError("input category fails its structure "
                               "relations: %s" % (rep.witnesses[:2],))
+    shifted = {lab: cat.sdeg(lab) for lab in cat.labels()}
+    _check_degrees(cat, shifted)
     top = window.max_length
     cap = top - length_margin
     bigger = HochschildChainWindow(cat, top + 1, window._bases)
     blocks = {}             # degree -> chains of the window-(N+1) complex
     for n in range(1, top + 2):
         for tup in bigger.basis(n):
-            blocks.setdefault(chain_degree(cat, tup), []).append(tup)
-    # each block is shortest chain first; keys count down, so the least key
-    # of a row, its pivot, is its longest chain
-    keys = {deg: {tup: -i for i, tup in enumerate(tups)}
-            for deg, tups in blocks.items()}
+            blocks.setdefault(sum(map(shifted.__getitem__, tup)) + 1,
+                              []).append(tup)
     f = cat.field
     one = f.one()
     # degree -> [dim Z_n - dim Z_{n-1} for n = 0..cap], and the same for
     # B ∩ F_n in the window-N and the window-(N+1) complex
     cycles, bounds = {}, ({}, {})
     for deg, tups in blocks.items():
-        tgt, tgt_tups = keys.get(deg + 1, {}), blocks.get(deg + 1, ())
+        tgt_tups = blocks.get(deg + 1, ())
+        # blocks are shortest chain first, so block deg + 1 holds a chain
+        # of length <= cap exactly when its first chain is that short
+        if not tgt_tups or len(tgt_tups[0]) > cap:
+            tups = tups[:bisect_right(tups, cap, key=len)]
+            if not tups:
+                continue
+        # keys count down, so the least key of a row, its pivot, is its
+        # longest chain
+        tgt = {tup: -i for i, tup in enumerate(tgt_tups)}
         ech = Echelon(f)
         z = cycles[deg] = [0] * (cap + 1)
         split = bisect_right(tups, top, key=len)
         for part, bound in ((tups[:split], bounds[0]), (tups[split:], bounds[1])):
             for tup in part:
                 col = {}
-                for out, c in _apply_b(cat, {tup: one}).items():
-                    if out not in tgt:
-                        raise HochschildError("differential is not degree 1")
-                    col[tgt[out]] = c
+                for out, c in _b_terms(cat, tup, one):
+                    add_into(f, col, tgt[out], c)
                 if not ech.add(col) and len(tup) <= cap:
                     z[len(tup)] += 1
             b = bound[deg + 1] = [0] * (cap + 1)
@@ -311,6 +270,21 @@ def windowed_homology(window: HochschildChainWindow,
     # window (and the margin with it) must reproduce it when the cutoff is
     # honest; a disagreement flags boundary contamination
     return WindowedHomology(top, dims, by_degree, grown == dims)
+
+
+def _check_degrees(cat: AInfCategory, shifted: dict) -> None:
+    """Every stored output of b_1 and b_2 runs from the source of its last
+    input to the target of its first, in shifted degree one above the sum
+    of theirs.  Then b maps each chain into the block of the next total
+    degree, whichever columns are computed."""
+    for s in (1, 2):
+        for ins, out in (cat.op_table(s) or {}).items():
+            want = (cat.src(ins[-1]), cat.tgt(ins[0]),
+                    sum(map(shifted.__getitem__, ins)) + 1)
+            for z in out:
+                if (z not in shifted
+                        or (cat.src(z), cat.tgt(z), shifted[z]) != want):
+                    raise HochschildError("differential is not degree 1")
 
 
 def _graded(cycles, bounds, cap):

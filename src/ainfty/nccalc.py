@@ -471,10 +471,14 @@ def category_from_potential(w: NCForm, pairing: CyclicPairing,
                             skeleton: AInfCategory, order_cap: int) -> AInfCategory:
     """Rebuild operation tables from W via its Hamiltonian field.  order_cap
     caps omega and sets the arity cap order_cap - 1; it may be below W's own
-    cap (strictify_units passes the caller's cap)."""
+    cap (strictify_units passes the caller's cap).  Below arity cap 3 the
+    potential has lost its cubic words, and the reason names the cap."""
     omega = omega_from_pairing(w.ctx, pairing, order_cap=order_cap)
     q = hamiltonian_field(w, omega, pairing)
     if q.degree != 1:
+        if skeleton.arity_cap < 3:
+            raise NCError("potential needs words of length 3, above the "
+                          "order cap %d" % skeleton.arity_cap)
         raise NCError("potential has wrong degree")
     ops = vectorfield_to_tables(q)
     return AInfCategory(

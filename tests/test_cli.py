@@ -451,6 +451,22 @@ def test_strictify_order_cap(tmp_path, capsys, cap, code, witnesses, arities):
     assert report["truncation"] == ({} if arities is None else {"arities": arities})
 
 
+@pytest.mark.parametrize("cap, code", [(1, "fail"), (2, "fail"), (3, "pass")],
+                         ids=["cap1", "cap2", "cap3"])
+def test_formality_order_cap_on_a_quiver(tmp_path, capsys, cap, code):
+    # below cap 3 the minimal model's potential has no cubic words; the
+    # reason names the cap instead of a wrong degree
+    path = tmp_path / "jordan.json"
+    path.write_text(docio.dumps_document(docio.to_document("quiver", jordan_quiver())),
+                    encoding="utf-8")
+    assert main(["formality", str(path), "--order-cap", str(cap)]) == EXIT[code]
+    report = json.loads(capsys.readouterr().out)["payload"]
+    assert report["verdict"] == code
+    assert report["witnesses"] == ([] if code == "pass" else [
+        {"reason": "potential needs words of length 3, above the order cap %d"
+                   % cap}])
+
+
 DEGENERATE_PAIRING = [["[1>1]0.0", "[1>1]2.0", 1], ["[1>1]2.0", "[1>1]0.0", 1]]
 
 

@@ -17,14 +17,16 @@ from ainfty import docio, hochschild, sparse
 from ainfty.cli import main
 from ainfty.field import GF
 from ainfty.hochschild import (HochschildChainWindow, HochschildError,
-                               chain_degree, connes_B, cyclic_quotient,
-                               hh0_dimension, hochschild_b, windowed_homology)
+                               chain_degree, connes_B, hh0_dimension,
+                               hochschild_b, windowed_homology)
 from ainfty.signs import rotations
 from ainfty.ainf import check_relations
-from ainfty.presentations import perturbed, truncated_path_category
+from ainfty.presentations import (bar_ext_category, perturbed,
+                                  truncated_path_category)
 from ainfty.quiver import (DGQuiverAlgebra, Quiver, a2_quiver,
                            derived_preprojective, jordan_quiver,
                            random_quiver, two_loop_quiver)
+from cyclic_quotient import cyclic_quotient
 from hochschild_oracle import windowed_homology_oracle
 
 
@@ -337,6 +339,28 @@ def test_homology_propagates_validity_failure(wjordan):
         windowed_homology(HochschildChainWindow(bad, 3))
 
 
+def test_wrong_degree_b2_entry_in_a_skipped_block_is_refused():
+    # one loop x of degree 3 with x.x stored in degree 10, not 6: the only
+    # b_2 entry of the wrong degree is b_2(x, x), and the relations still
+    # hold (units only; x.x has the parity of the right degree)
+    cat = path_category(Quiver.make(("1",), [("x", "1", "1", 3)]))
+    hom = {pair: tuple((lab, 10 if lab == "x.x" else d) for lab, d in basis)
+           for pair, basis in cat.hom.items()}
+    bad = dataclasses.replace(cat, hom=hom)
+    assert check_relations(bad).ok
+    # window 2 reports length 1 only.  Every chain in which x meets x
+    # cyclically has a degree d where no label has degree d + 1, so its
+    # block takes only its columns of length 1, none of which meets b_2(x, x)
+    label_degrees = {d for basis in hom.values() for _, d in basis}
+    grown = HochschildChainWindow(bad, 3)
+    fed = [tup for tup in every_chain(grown) if len(tup) > 1
+           and any(tup[k - 1] == tup[k] == "x" for k in range(len(tup)))]
+    assert fed and all(chain_degree(bad, tup) + 1 not in label_degrees
+                       for tup in fed)
+    with pytest.raises(HochschildError, match="differential is not degree 1"):
+        windowed_homology(HochschildChainWindow(bad, 2))
+
+
 def test_stability_flag_means_window_growth_is_silent(wjordan):
     rep = windowed_homology(wjordan, length_margin=2)
     assert isinstance(rep.stable, bool)
@@ -361,20 +385,26 @@ ORACLE_CHAINS = 10000
 
 @pytest.mark.parametrize("quiver", [jordan_quiver, a2_quiver, two_loop_quiver])
 @pytest.mark.parametrize("kind, field", [("quiver", None), ("dg_algebra", None),
-                                         ("dg_algebra", GF(3)), ("path", None)])
+                                         ("dg_algebra", GF(3)), ("path", None),
+                                         ("bar", None)])
 def test_one_pass_homology_matches_cap_by_cap_oracle(quiver, kind, field):
     # quiver and dg_algebra documents are the CLI's weight-2 path
-    # categories; the benchmark's path documents have weight cap 3
-    alg = (DGQuiverAlgebra(quiver(), (), ()) if kind == "quiver"
-           else derived_preprojective(quiver()))
-    cat = truncated_path_category(alg, weight_cap=3 if kind == "path" else 2,
-                                  **({"field": field} if field else {}))
+    # categories; the benchmark's path documents have weight cap 3; the
+    # bar categories carry a nonzero b_1
+    if kind == "bar":
+        cat = bar_ext_category(derived_preprojective(quiver()), weight_cap=2)
+        assert cat.op_table(1)
+    else:
+        alg = (DGQuiverAlgebra(quiver(), (), ()) if kind == "quiver"
+               else derived_preprojective(quiver()))
+        cat = truncated_path_category(alg, weight_cap=3 if kind == "path" else 2,
+                                      **({"field": field} if field else {}))
     checked = []
-    for window in (1, 2, 3):
+    for window in (1, 2, 3, 4):
         grown = HochschildChainWindow(cat, window + 1)
         if sum(len(grown.basis(n)) for n in range(1, window + 2)) > ORACLE_CHAINS:
             break
-        for margin in (1, 2):
+        for margin in ((1, 2, 3) if window == 4 else (1, 2)):
             rep = windowed_homology(HochschildChainWindow(cat, window), margin)
             assert ((rep.dims, rep.by_degree, rep.stable)
                     == windowed_homology_oracle(cat, window, margin)), (window, margin)
@@ -394,7 +424,8 @@ def wrap_everywhere(monkeypatch, module, name, around):
 
 
 @pytest.mark.parametrize("window", [2, 3])
-def test_hochschild_job_computes_each_b_column_once(tmp_path, monkeypatch, window):
+def test_hochschild_job_computes_only_the_b_columns_its_report_reads(
+        tmp_path, monkeypatch, window):
     alg = derived_preprojective(jordan_quiver())
     path, out = tmp_path / "dga.json", tmp_path / "dga.report.json"
     path.write_text(docio.dumps_document(docio.to_document("dg_algebra", alg)),
@@ -414,8 +445,8 @@ def test_hochschild_job_computes_each_b_column_once(tmp_path, monkeypatch, windo
         def around(fn):
             def run(*args, **kwargs):
                 if depth[0]:
-                    if name == "_apply_b":
-                        columns.update(args[1])
+                    if name == "_b_terms":
+                        columns[args[1]] += 1
                     else:
                         eliminations[name] += 1
                 return fn(*args, **kwargs)
@@ -423,18 +454,26 @@ def test_hochschild_job_computes_each_b_column_once(tmp_path, monkeypatch, windo
         return around
 
     wrap_everywhere(monkeypatch, hochschild, "windowed_homology", inside)
-    wrap_everywhere(monkeypatch, hochschild, "_apply_b", logged("_apply_b"))
+    wrap_everywhere(monkeypatch, hochschild, "_b_terms", logged("_b_terms"))
     for name in ("rref", "rank_kernel_image"):
         wrap_everywhere(monkeypatch, sparse, name, logged(name))
     code = main(["hochschild", str(path), "--window=%d" % window,
                  "--report", str(out)])
     assert code in (0, 3)
-    # the b-columns of the window-(W+1) complex, each computed once, serve
-    # the report and its stability flag; no batch elimination runs
-    grown = HochschildChainWindow(truncated_path_category(alg, weight_cap=2),
-                                  window + 1)
+    # the job reports lengths <= cap = window - 1.  A column of length
+    # <= cap gives a cycle count; a block's longer columns are read only
+    # when the next degree holds a chain of length <= cap, where a
+    # reported boundary can have its pivot.  Each is computed once, and
+    # no batch elimination runs.
+    cat = truncated_path_category(alg, weight_cap=2)
+    grown = HochschildChainWindow(cat, window + 1)
     chains = [tup for n in range(1, window + 2) for tup in grown.basis(n)]
-    assert columns == Counter(chains)
+    cap = window - 1
+    short = {chain_degree(cat, tup) for tup in chains if len(tup) <= cap}
+    read = [tup for tup in chains
+            if len(tup) <= cap or chain_degree(cat, tup) + 1 in short]
+    assert len(read) < len(chains)
+    assert columns == Counter(read)
     assert eliminations == Counter()
 
 
