@@ -15,7 +15,7 @@ shifted factor degrees.  b never raises length, so a window of lengths
 the stability flag records whether growing the window moves the reported
 part.
 
-Both reports come from at most one elimination per total degree of the
+Both reports come from at most one elimination per block of the
 window-(N+1) complex.  The b-columns enter in order of chain length, and
 target chains are keyed longest first, so the pivot of a row is the
 longest chain in it: the pivots of length <= n count the boundaries of
@@ -23,9 +23,15 @@ length <= n.  The pivot set only grows as columns are added, so the
 pivots present after the columns of length <= N are those of the
 window-N complex.  An elimination runs only as far as the reported
 lengths <= cap = N - margin read it: the columns of length <= cap give
-the cycle counts, and the longer ones enter only when the next degree
-holds a chain of length <= cap, where a reported boundary can have its
-pivot.
+the cycle counts, and the longer ones enter only where a reported
+boundary can have its pivot.  The stored b_1 and b_2 of path and bar
+categories keep total weight (a chain weighs the sum of its labels'
+weights), so b splits by (degree, weight): a longer column enters only
+when the block of the next degree and its own weight holds a chain of
+length <= cap.  Weights are >= 0, so a chain heavier than every chain of
+length <= cap is read by no report and is never built.  Where the weights
+are absent, negative or not kept by b, every chain weighs 0 and the
+blocks are the degrees alone.
 """
 
 from __future__ import annotations
@@ -73,16 +79,7 @@ class HochschildChainWindow:
             raise HochschildError("length %d outside window 1..%d"
                                   % (n, self.max_length))
         if n not in self._bases:
-            cat = self.cat
-            into = {}           # object -> labels with that target
-            for lab in cat.labels():
-                into.setdefault(cat.tgt(lab), []).append(lab)
-            partial = [(lab,) for lab in cat.labels()]
-            for _ in range(n - 1):
-                partial = [tup + (lab,) for tup in partial
-                           for lab in into.get(cat.src(tup[-1]), ())]
-            self._bases[n] = sorted(tup for tup in partial
-                                    if cat.src(tup[-1]) == cat.tgt(tup[0]))
+            self._bases[n] = _chains(self.cat, n)
         return self._bases[n]
 
     def check_chain(self, chain: dict) -> None:
@@ -93,6 +90,37 @@ class HochschildChainWindow:
             if not chain_composable(self.cat, tup):
                 raise HochschildError("chain %s not cyclically composable"
                                       % (tup,))
+
+
+def _chains(cat: AInfCategory, n: int, weight=None, budget=None):
+    """The cyclically composable chains of length n, sorted.  Given a map
+    weight from labels to weights >= 0 and a budget, only those whose
+    weight, the sum over their factors, is at most budget: a partial chain
+    is dropped as soon as it is heavier."""
+    if budget is None:
+        weight, budget = dict.fromkeys(cat.labels(), 0), 0
+    labels = sorted(cat.labels())
+    # (target of the first factor, source of the last, weight) -> chains,
+    # sorted: chains grow at the front, label by label in order
+    groups = {}
+    for lab in labels:
+        if weight[lab] <= budget:
+            groups.setdefault((cat.tgt(lab), cat.src(lab), weight[lab]),
+                              []).append((lab,))
+    for _ in range(n - 1):
+        after = {}          # object -> groups whose first factor ends there
+        for (first, last, w), tups in groups.items():
+            after.setdefault(first, []).append((last, w, tups))
+        groups = {}
+        for lab in labels:
+            v = weight[lab]
+            for last, w, tups in after.get(cat.src(lab), ()):
+                if v + w <= budget:
+                    groups.setdefault((cat.tgt(lab), last, v + w), []).extend(
+                        [(lab,) + tup for tup in tups])
+    # a few sorted runs, which sorted merges
+    return sorted(tup for (first, last, _w), tups in groups.items()
+                  if first == last for tup in tups)
 
 
 def hochschild_b(window: HochschildChainWindow, chain: dict) -> dict:
@@ -191,11 +219,12 @@ def windowed_homology(window: HochschildChainWindow,
     the filtration by chain length; summing over lengths gives the homology
     of the window complex in that degree.
 
-    One elimination per degree block gives every length cap of both the
-    window and its growth by one, which the stability flag compares.  The
-    columns of b on the chains of degree d of the window-(N+1) complex
-    enter one Echelon in order of length, keyed longest chain first, so a
-    pivot is the longest chain of its row:
+    One elimination per block gives every length cap of both the window
+    and its growth by one, which the stability flag compares.  The
+    columns of b on the chains of a block of degree d of the window-(N+1)
+    complex enter one Echelon in order of length, keyed longest chain
+    first, so a pivot is the longest chain of its row; summed over the
+    blocks of degree d:
       * dim Z_n in degree d is the number of columns of length <= n that
         the echelon already spanned;
       * the rows whose pivot has length <= n span the boundaries of
@@ -204,16 +233,27 @@ def windowed_homology(window: HochschildChainWindow,
         of length <= N are in are those of the window-N complex.
     dim F_n H = dim Z_n - dim (B ∩ F_n).
 
-    Block d is eliminated only as far as the report reads it:
+    When every stored entry of b_1 and b_2 weighs what its inputs weigh
+    together, b keeps the total weight of a chain, and the elimination of
+    degree d is the direct sum of one per weight w: a column of weight w
+    reduces only against rows of weight w, and its pivot has weight w.
+    So blocks are (degree, weight) pairs, eliminated apart, and block
+    (d, w) is eliminated only as far as the report reads it:
       * whether a column is spanned depends only on the columns before
-        it, so the cycle counts of block d are fixed once its columns of
-        length <= cap are in;
+        it, so the cycle counts of block (d, w) are fixed once its
+        columns of length <= cap are in;
       * a boundary count reads a pivot of length <= cap, and such a pivot
-        is a chain of block d + 1, so when block d + 1 has no chain of
-        length <= cap (its first chain is its shortest) the longer
-        columns of block d are not needed, for the window or its growth.
+        is a chain of block (d + 1, w), so when that block has no chain
+        of length <= cap (its first chain is its shortest) the longer
+        columns of block (d, w) are not needed, for the window or its
+        growth.
     So those blocks take only their columns of length <= cap, and a block
-    with none is skipped.
+    with none is skipped.  Weights are >= 0, so a chain longer than cap
+    and heavier than every chain of length <= cap lies in a block that
+    takes no long column: the enumeration drops it while it grows.  When
+    cat.weights is empty, has a negative value, or some stored entry is
+    not weight-homogeneous, every chain weighs 0 and the blocks are the
+    degrees alone, in the same code.
     """
     if length_margin < 1:
         raise HochschildError("length_margin must be >= 1")
@@ -223,24 +263,30 @@ def windowed_homology(window: HochschildChainWindow,
         raise HochschildError("input category fails its structure "
                               "relations: %s" % (rep.witnesses[:2],))
     shifted = {lab: cat.sdeg(lab) for lab in cat.labels()}
-    _check_degrees(cat, shifted)
+    weight = _check_gradings(cat, shifted)
     top = window.max_length
     cap = top - length_margin
-    bigger = HochschildChainWindow(cat, top + 1, window._bases)
-    blocks = {}             # degree -> chains of the window-(N+1) complex
+    # (degree, weight) -> chains of the window-(N+1) complex, shortest
+    # first: every chain of length <= cap, and the longer ones no heavier
+    # than the heaviest of those
+    blocks, budget = {}, None
     for n in range(1, top + 2):
-        for tup in bigger.basis(n):
-            blocks.setdefault(sum(map(shifted.__getitem__, tup)) + 1,
+        if n > cap and budget is None:
+            budget = max((w for _deg, w in blocks), default=-1)
+        for tup in (window.basis(n) if n <= cap
+                    else _chains(cat, n, weight, budget)):
+            blocks.setdefault((sum(map(shifted.__getitem__, tup)) + 1,
+                               sum(map(weight.__getitem__, tup))),
                               []).append(tup)
     f = cat.field
     one = f.one()
     # degree -> [dim Z_n - dim Z_{n-1} for n = 0..cap], and the same for
     # B ∩ F_n in the window-N and the window-(N+1) complex
     cycles, bounds = {}, ({}, {})
-    for deg, tups in blocks.items():
-        tgt_tups = blocks.get(deg + 1, ())
-        # blocks are shortest chain first, so block deg + 1 holds a chain
-        # of length <= cap exactly when its first chain is that short
+    for (deg, w), tups in blocks.items():
+        tgt_tups = blocks.get((deg + 1, w), ())
+        # blocks are shortest chain first, so block (deg + 1, w) holds a
+        # chain of length <= cap exactly when its first chain is that short
         if not tgt_tups or len(tgt_tups[0]) > cap:
             tups = tups[:bisect_right(tups, cap, key=len)]
             if not tups:
@@ -249,16 +295,17 @@ def windowed_homology(window: HochschildChainWindow,
         # longest chain
         tgt = {tup: -i for i, tup in enumerate(tgt_tups)}
         ech = Echelon(f)
-        z = cycles[deg] = [0] * (cap + 1)
+        z = cycles.setdefault(deg, [0] * (cap + 1))
         split = bisect_right(tups, top, key=len)
         for part, bound in ((tups[:split], bounds[0]), (tups[split:], bounds[1])):
             for tup in part:
                 col = {}
                 for out, c in _b_terms(cat, tup, one):
                     add_into(f, col, tgt[out], c)
-                if not ech.add(col) and len(tup) <= cap:
+                # a zero column is a cycle without an elimination step
+                if not (col and ech.add(col)) and len(tup) <= cap:
                     z[len(tup)] += 1
-            b = bound[deg + 1] = [0] * (cap + 1)
+            b = bound.setdefault(deg + 1, [0] * (cap + 1))
             for piv in ech.rows:
                 if len(tgt_tups[-piv]) <= cap:
                     b[len(tgt_tups[-piv])] += 1
@@ -272,19 +319,28 @@ def windowed_homology(window: HochschildChainWindow,
     return WindowedHomology(top, dims, by_degree, grown == dims)
 
 
-def _check_degrees(cat: AInfCategory, shifted: dict) -> None:
+def _check_gradings(cat: AInfCategory, shifted: dict) -> dict:
     """Every stored output of b_1 and b_2 runs from the source of its last
     input to the target of its first, in shifted degree one above the sum
     of theirs.  Then b maps each chain into the block of the next total
-    degree, whichever columns are computed."""
+    degree, whichever columns are computed.
+
+    Returns a label -> weight map that b keeps: cat.weights (0 where
+    missing) when they are all >= 0 and every stored output weighs what
+    its inputs weigh together, and weight 0 for every label otherwise."""
+    weight = {lab: cat.weights.get(lab, 0) for lab in shifted}
+    kept = bool(cat.weights) and min(weight.values(), default=0) >= 0
     for s in (1, 2):
         for ins, out in (cat.op_table(s) or {}).items():
             want = (cat.src(ins[-1]), cat.tgt(ins[0]),
                     sum(map(shifted.__getitem__, ins)) + 1)
+            w = sum(map(weight.__getitem__, ins))
             for z in out:
                 if (z not in shifted
                         or (cat.src(z), cat.tgt(z), shifted[z]) != want):
                     raise HochschildError("differential is not degree 1")
+                kept = kept and weight[z] == w
+    return weight if kept else dict.fromkeys(weight, 0)
 
 
 def _graded(cycles, bounds, cap):

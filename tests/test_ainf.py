@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import ainf
 from ainfty.ainf import (AInfCategory, AInfMorphism, b_from_m, check_functor,
-                         check_relations, check_unitality,
-                         degree_support_bound, m_from_b)
+                         check_relations, check_unitality)
 from ainfty.field import GF, QQ
 from ainfty.presentations import (bar_ext_category, enumerate_paths,
                                   enumerate_words, perturbed,
@@ -20,6 +19,7 @@ from ainfty.quiver import (a2_quiver, derived_preprojective, jordan_quiver,
 from ainfty.signs import prefix_parities, suspension_sign
 from ainfty.transfer import minimal_model
 
+from ainf_oracle import degree_support_bound, m_from_b
 from test_massey import assert_well_formed, exterior_fixture
 
 

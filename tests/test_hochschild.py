@@ -383,6 +383,26 @@ def test_graded_window_homology_is_stable():
 ORACLE_CHAINS = 10000
 
 
+def cyclic_chain_count(cat, max_length):
+    """The number of chains of lengths 1..max_length, without building
+    them: trace(A^n) counts the cyclically composable chains of length n,
+    where A[i][j] is the number of basis labels in hom(j, i)."""
+    objs = list(cat.objects)
+    a = [[len(cat.hom.get((j, i), ())) for j in objs] for i in objs]
+    power, total = a, 0
+    for _ in range(max_length):
+        total += sum(power[i][i] for i in range(len(objs)))
+        power = [[sum(p * q for p, q in zip(row, col)) for col in zip(*a)]
+                 for row in power]
+    return total
+
+
+def test_cyclic_chain_count_is_the_size_of_the_bases(wk, wa2, wjordan, wdpp):
+    for w in (wk, wa2, wjordan, wdpp):
+        assert cyclic_chain_count(w.cat, w.max_length) == sum(
+            len(w.basis(n)) for n in range(1, w.max_length + 1))
+
+
 @pytest.mark.parametrize("quiver", [jordan_quiver, a2_quiver, two_loop_quiver])
 @pytest.mark.parametrize("kind, field", [("quiver", None), ("dg_algebra", None),
                                          ("dg_algebra", GF(3)), ("path", None),
@@ -401,8 +421,7 @@ def test_one_pass_homology_matches_cap_by_cap_oracle(quiver, kind, field):
                                       **({"field": field} if field else {}))
     checked = []
     for window in (1, 2, 3, 4):
-        grown = HochschildChainWindow(cat, window + 1)
-        if sum(len(grown.basis(n)) for n in range(1, window + 2)) > ORACLE_CHAINS:
+        if cyclic_chain_count(cat, window + 1) > ORACLE_CHAINS:
             break
         for margin in ((1, 2, 3) if window == 4 else (1, 2)):
             rep = windowed_homology(HochschildChainWindow(cat, window), margin)
@@ -423,8 +442,32 @@ def wrap_everywhere(monkeypatch, module, name, around):
                 monkeypatch.setattr(mod, attr, wrapped)
 
 
+def read_columns(cat, chains, cap, weigh):
+    """The chains whose b-column a report of lengths <= cap reads, graded
+    by weigh: those of length <= cap, and the longer ones whose (degree +
+    1, weight) holds a chain of length <= cap, where a reported boundary
+    can have its pivot."""
+    grading = {tup: (chain_degree(cat, tup), sum(map(weigh, tup)))
+               for tup in chains}
+    short = {grading[tup] for tup in chains if len(tup) <= cap}
+    return [tup for tup in chains if len(tup) <= cap
+            or (grading[tup][0] + 1, grading[tup][1]) in short]
+
+
+def grown_chains(cat, window):
+    """Every chain of the window-(window + 1) complex, shortest first."""
+    grown = HochschildChainWindow(cat, window + 1)
+    return [tup for n in range(1, window + 2) for tup in grown.basis(n)]
+
+
+def degree_rule_columns(cat, window):
+    """read_columns with every chain of weight 0: the rule by degree alone."""
+    return read_columns(cat, grown_chains(cat, window), window - 1,
+                        lambda lab: 0)
+
+
 @pytest.mark.parametrize("window", [2, 3])
-def test_hochschild_job_computes_only_the_b_columns_its_report_reads(
+def test_hochschild_job_computes_only_the_b_columns_of_read_weights(
         tmp_path, monkeypatch, window):
     alg = derived_preprojective(jordan_quiver())
     path, out = tmp_path / "dga.json", tmp_path / "dga.report.json"
@@ -460,21 +503,76 @@ def test_hochschild_job_computes_only_the_b_columns_its_report_reads(
     code = main(["hochschild", str(path), "--window=%d" % window,
                  "--report", str(out)])
     assert code in (0, 3)
-    # the job reports lengths <= cap = window - 1.  A column of length
-    # <= cap gives a cycle count; a block's longer columns are read only
-    # when the next degree holds a chain of length <= cap, where a
-    # reported boundary can have its pivot.  Each is computed once, and
-    # no batch elimination runs.
+    # the job reports lengths <= cap = window - 1.  b keeps weight, so a
+    # column's pivot has its weight: a column of length <= cap gives a
+    # cycle count, and a longer one is read only when its (degree + 1,
+    # weight) holds a chain of length <= cap.  Each is computed once, no
+    # batch elimination runs, and fewer columns are computed than the
+    # rule by degree alone reads.
     cat = truncated_path_category(alg, weight_cap=2)
-    grown = HochschildChainWindow(cat, window + 1)
-    chains = [tup for n in range(1, window + 2) for tup in grown.basis(n)]
-    cap = window - 1
-    short = {chain_degree(cat, tup) for tup in chains if len(tup) <= cap}
-    read = [tup for tup in chains
-            if len(tup) <= cap or chain_degree(cat, tup) + 1 in short]
-    assert len(read) < len(chains)
+    read = read_columns(cat, grown_chains(cat, window), window - 1,
+                        cat.weights.__getitem__)
+    assert set(read) < set(degree_rule_columns(cat, window))
     assert columns == Counter(read)
     assert eliminations == Counter()
+
+
+def computed_columns(monkeypatch, window, margin=1):
+    """windowed_homology(window, margin) and the chains whose b-column it
+    computed, counted."""
+    columns, original = Counter(), hochschild._b_terms
+
+    def counted(cat, tup, coeff):
+        columns[tup] += 1
+        return original(cat, tup, coeff)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hochschild, "_b_terms", counted)
+        rep = windowed_homology(window, margin)
+    return rep, columns
+
+
+def test_heavy_chains_of_the_two_loop_path_category_are_never_built(
+        monkeypatch):
+    # 94 labels: the window-3 complex holds 94^3 = 830,584 chains of
+    # length 3, but window 2 reports length 1 only, whose chains weigh at
+    # most 3
+    cat = truncated_path_category(derived_preprojective(two_loop_quiver()),
+                                  weight_cap=3)
+    rep, columns = computed_columns(
+        monkeypatch, HochschildChainWindow(cat, 2))
+    assert rep.dims == {(1, 0): 35} and rep.by_degree == {0: 35}
+    assert rep.stable is True
+    assert sum(columns.values()) < 2000
+    assert set(columns.values()) == {1}
+
+
+def stripped(cat):
+    return dataclasses.replace(cat, weights={})
+
+
+def inhomogeneous(cat):
+    # b_2(a, a*) = a.a* now weighs 2 against inputs of weight 3
+    return dataclasses.replace(cat, weights={**cat.weights, "a": 2})
+
+
+def negated(cat):
+    # b keeps these weights, but a partial chain can get lighter as it grows
+    return dataclasses.replace(
+        cat, weights={lab: -w for lab, w in cat.weights.items()})
+
+
+@pytest.mark.parametrize("regrade", [stripped, inhomogeneous, negated])
+@pytest.mark.parametrize("window", [2, 3])
+def test_weights_b_does_not_keep_fall_back_to_the_rule_by_degree(
+        monkeypatch, regrade, window):
+    cat = regrade(truncated_path_category(derived_preprojective(jordan_quiver()),
+                                          weight_cap=2))
+    rep, columns = computed_columns(
+        monkeypatch, HochschildChainWindow(cat, window))
+    assert ((rep.dims, rep.by_degree, rep.stable)
+            == windowed_homology_oracle(cat, window))
+    assert columns == Counter(degree_rule_columns(cat, window))
 
 
 # ---------------------------------------------------------------------------
