@@ -202,15 +202,20 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
 
     The relation of total arity n needs every b_s, b_u with s + u = n + 1;
     arities where some required operation is unknown are reported as
-    truncated, not checked.
+    truncated, not checked.  So are the arities above cap that the stored
+    tables can break: with a nonempty table of arity k and none above, the
+    relations of every arity up to 2k - 1 can be nonzero.
     """
     cap = max_arity if max_arity is not None else cat.arity_cap
 
     def terms_at(n):
         return [(cat.op_table(s), cat.op_table(n + 1 - s), n + 1 - s)
                 for s in range(1, n + 1)], []
-    return _check_arities(cat.field, cap, _known_through(cap, cat.op_table),
-                          max_witnesses, cat.sdeg, terms_at)
+    rep = _check_arities(cat.field, cap, _known_through(cap, cat.op_table),
+                         max_witnesses, cat.sdeg, terms_at)
+    k = max(cat.known_arities(), default=0)
+    rep.truncated += tuple(range(cap + 1, 2 * k))
+    return rep
 
 
 @dataclass

@@ -246,26 +246,27 @@ def _stride(items, cap=60):
 
 def _identity_witnesses(window):
     """Chains of the sample (all of length <= 2, strided above) on which
-    b^2, B^2 or bB+Bb is nonzero."""
+    b^2, B^2 or bB+Bb is nonzero.  b and B of a sample chain are taken
+    once each; hochschild_b and connes_B apply b and B to them as sums of
+    the columns the window keeps."""
     f, top, witnesses = window.cat.field, window.max_length, []
-
-    def addc(a, b):
-        out = dict(a)
-        for k, c in b.items():
-            add_into(f, out, k, c)
-        return out
-
+    one = f.one()
     for n in range(1, top + 1):
         chains = window.basis(n) if n <= 2 else _stride(window.basis(n))
         for tup in chains:
-            c = {tup: f.of_int(1)}
-            if hochschild_b(window, hochschild_b(window, c)):
+            c = {tup: one}
+            b = hochschild_b(window, c)
+            # b and B vanish on 0: applied only to nonzero chains
+            if b and hochschild_b(window, b):
                 witnesses.append({"identity": "b^2", "chain": list(tup)})
-            if n + 2 <= top and connes_B(window, connes_B(window, c)):
-                witnesses.append({"identity": "B^2", "chain": list(tup)})
             if n + 1 <= top:
-                anti = addc(hochschild_b(window, connes_B(window, c)),
-                            connes_B(window, hochschild_b(window, c)))
+                B = connes_B(window, c)
+                if n + 2 <= top and B and connes_B(window, B):
+                    witnesses.append({"identity": "B^2", "chain": list(tup)})
+                anti = hochschild_b(window, B) if B else {}
+                if b:
+                    for k, v in connes_B(window, b).items():
+                        add_into(f, anti, k, v)
                 if anti:
                     witnesses.append({"identity": "bB+Bb", "chain": list(tup)})
     return witnesses

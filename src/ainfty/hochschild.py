@@ -15,6 +15,14 @@ shifted factor degrees.  b never raises length, so a window of lengths
 the stability flag records whether growing the window moves the reported
 part.
 
+Each column of b and of B is computed once per window.  The window keeps
+the column of a chain (b or B of it with coefficient one) from the first
+time the chain is used: windowed_homology eliminates these columns, and
+hochschild_b and connes_B return sums of them, so the CLI's identity
+checks reread what the homology computed.  check_chain runs only on
+chains that the window has neither enumerated nor kept a column of, and
+the units are checked once per window.
+
 Both reports come from at most one elimination per block of the
 window-(N+1) complex.  The b-columns enter in order of chain length, and
 target chains are keyed longest first, so the pivot of a row is the
@@ -59,6 +67,15 @@ def chain_composable(cat: AInfCategory, tup) -> bool:
 
 @dataclass
 class HochschildChainWindow:
+    """The chains of lengths 1..max_length of cat, with their b- and
+    B-columns.
+
+    The column of b (of B) on a chain is b (B) of that chain with
+    coefficient one, {chain: coefficient}; _b (_B) keeps it from the first
+    time the chain is used.  _known holds the chains that basis() built
+    and those with a kept column, which need no check_chain.  The b_1 and
+    b_2 tables, the shifted parity of every label and whether every
+    object has a unit are read once, here."""
     cat: AInfCategory
     max_length: int
     _bases: dict = dc_field(default_factory=dict)
@@ -66,12 +83,18 @@ class HochschildChainWindow:
     def __post_init__(self):
         if self.max_length < 1:
             raise HochschildError("window needs max_length >= 1")
-        higher = [n for n in self.cat.known_arities()
-                  if n >= 3 and self.cat.op_table(n)]
+        cat = self.cat
+        higher = [n for n in cat.known_arities()
+                  if n >= 3 and cat.op_table(n)]
         if higher:
             raise HochschildError(
                 "the windowed complex implements the dg differential; "
                 "input has operations of arity %s" % higher)
+        self._b1, self._b2 = cat.op_table(1) or {}, cat.op_table(2) or {}
+        self._parity = {lab: cat.sdeg(lab) & 1 for lab in cat.labels()}
+        self._units = set(cat.units) == set(cat.objects)
+        self._one = cat.field.one()
+        self._b, self._B, self._known = {}, {}, set()
 
     def basis(self, n: int):
         """All cyclically composable chains of length n, sorted."""
@@ -80,9 +103,10 @@ class HochschildChainWindow:
                                   % (n, self.max_length))
         if n not in self._bases:
             self._bases[n] = _chains(self.cat, n)
+            self._known.update(self._bases[n])
         return self._bases[n]
 
-    def check_chain(self, chain: dict) -> None:
+    def check_chain(self, chain) -> None:
         for tup in chain:
             if not 1 <= len(tup) <= self.max_length:
                 raise HochschildError("chain length %d outside window"
@@ -90,6 +114,25 @@ class HochschildChainWindow:
             if not chain_composable(self.cat, tup):
                 raise HochschildError("chain %s not cyclically composable"
                                       % (tup,))
+
+    def _admit(self, chain) -> None:
+        """check_chain on the chains the window has not built or kept."""
+        known = self._known
+        self.check_chain([tup for tup in chain if tup not in known])
+
+    def _column(self, memo: dict, terms, tup) -> dict:
+        """memo[tup], the column of terms (_b_terms or _B_terms) on a
+        cyclically composable tup, computed if missing and kept when tup
+        is a chain of the window.  Not to be mutated."""
+        col = memo.get(tup)
+        if col is None:
+            f, col = self.cat.field, {}
+            for out, c in terms(self, tup, self._one):
+                add_into(f, col, out, c)
+            if len(tup) <= self.max_length:
+                memo[tup] = col
+                self._known.add(tup)
+        return col
 
 
 def _chains(cat: AInfCategory, n: int, weight=None, budget=None):
@@ -124,22 +167,35 @@ def _chains(cat: AInfCategory, n: int, weight=None, budget=None):
 
 
 def hochschild_b(window: HochschildChainWindow, chain: dict) -> dict:
-    """b = b_1 + d_Hoch; lowers length by at most one."""
-    window.check_chain(chain)
-    f = window.cat.field
-    acc = {}
-    for tup, coeff in chain.items():
-        for out, c in _b_terms(window.cat, tup, coeff):
-            add_into(f, acc, out, c)
+    """b = b_1 + d_Hoch; lowers length by at most one.  A new dict: the sum
+    of the kept b-columns of the chain's chains."""
+    cols = window._b
+    if not chain.keys() <= cols.keys():
+        window._admit(chain)
+        for tup in chain:
+            window._column(cols, _b_terms, tup)
+    return _image(window, cols, chain)
+
+
+def _image(window: HochschildChainWindow, cols: dict, chain: dict) -> dict:
+    """sum c * cols[tup] over the chain, as a new dict."""
+    if len(chain) == 1:
+        [(tup, c)] = chain.items()
+        if c == window._one:
+            return dict(cols[tup])
+    f, acc = window.cat.field, {}
+    for tup, c in chain.items():
+        for out, v in cols[tup].items():
+            add_into(f, acc, out, f.mul(c, v))
     return acc
 
 
-def _b_terms(cat: AInfCategory, tup, coeff):
+def _b_terms(window: HochschildChainWindow, tup, coeff):
     """The terms (chain, coefficient) of b on coeff * tup, for a cyclically
     composable tup; no checks, and a chain may come more than once.  This
     is the one place where the terms of b and their signs are written."""
-    f, sdeg = cat.field, cat.sdeg
-    b1, b2 = cat.op_table(1) or {}, cat.op_table(2) or {}
+    f, parity = window.cat.field, window._parity
+    b1, b2 = window._b1, window._b2
     last = len(tup) - 1
     neg = f.neg(coeff)
     # b_1 on the factor r and b_2 on the factors r, r + 1, past the prefix
@@ -161,42 +217,49 @@ def _b_terms(cat: AInfCategory, tup, coeff):
             # odd is the parity of tup[:-1]
             out = b2.get((x, tup[0]))
             if out:
-                c = coeff if block_sign(sdeg(x), odd) > 0 else neg
+                c = coeff if block_sign(parity[x], odd) > 0 else neg
                 for z, cz in out.items():
                     yield (z,) + tup[1:-1], f.mul(c, cz)
-        odd ^= sdeg(x) & 1
+        odd ^= parity[x]
 
 
 def connes_B(window: HochschildChainWindow, chain: dict) -> dict:
-    """Connes operator B = (1 - F)(eta (x) -)N; raises length by 1.
+    """Connes operator B = (1 - F)(eta (x) -)N; raises length by 1.  A new
+    dict: the sum of the kept B-columns of the chain's chains."""
+    cols = window._B
+    # an empty memo has not seen the units checked yet
+    if not (cols and chain.keys() <= cols.keys()):
+        window._admit(chain)
+        if not window._units:
+            raise HochschildError("Connes operator needs designated units")
+        for tup in chain:
+            if len(tup) + 1 > window.max_length:
+                raise HochschildError(
+                    "insufficient window: length %d chain needs max_length"
+                    " >= %d" % (len(tup), len(tup) + 1))
+            window._column(cols, _B_terms, tup)
+    return _image(window, cols, chain)
+
+
+def _B_terms(window: HochschildChainWindow, tup, coeff):
+    """The terms of B on coeff * tup, for a cyclically composable tup; the
+    one place where the terms of B and their signs are written.
 
     N averages over all rotations of the chain, eta inserts the unit of the
     matching object in front, and the extra rotation of the widened chain
     enters with a minus sign; B^2 = bB + Bb = 0 pins the sign.
     """
-    window.check_chain(chain)
-    cat = window.cat
-    f = cat.field
-    if set(cat.units) != set(cat.objects):
-        raise HochschildError("Connes operator needs designated units")
-    acc = {}
-    for tup, coeff in chain.items():
-        n = len(tup)
-        if n + 1 > window.max_length:
-            raise HochschildError(
-                "insufficient window: length %d chain needs max_length >= %d"
-                % (n, n + 1))
-        degs = [cat.deg(lab) - 1 for lab in tup]
-        total = sum(degs)
-        for rot, rsign in rotations(tup, degs):
-            unit = cat.units[cat.tgt(rot[0])]
-            add_into(f, acc, (unit,) + rot, f.mul(coeff, f.of_int(rsign)))
-            # F on (unit,) + rot moves rot's last factor past the rest
-            last = cat.deg(rot[-1]) - 1
-            s2 = block_sign(last, total - last + cat.deg(unit) - 1)
-            add_into(f, acc, (rot[-1], unit) + rot[:-1],
-                     f.mul(coeff, f.of_int(-rsign * s2)))
-    return acc
+    cat, parity = window.cat, window._parity
+    neg = cat.field.neg(coeff)
+    degs = [parity[lab] for lab in tup]
+    total = sum(degs)
+    for rot, rsign in rotations(tup, degs):
+        unit = cat.units[cat.tgt(rot[0])]
+        yield (unit,) + rot, coeff if rsign > 0 else neg
+        # F on (unit,) + rot moves rot's last factor past the rest
+        last = parity[rot[-1]]
+        s2 = block_sign(last, total - last + parity[unit])
+        yield (rot[-1], unit) + rot[:-1], neg if rsign * s2 > 0 else coeff
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +342,6 @@ def windowed_homology(window: HochschildChainWindow,
                                sum(map(weight.__getitem__, tup))),
                               []).append(tup)
     f = cat.field
-    one = f.one()
     # degree -> [dim Z_n - dim Z_{n-1} for n = 0..cap], and the same for
     # B ∩ F_n in the window-N and the window-(N+1) complex
     cycles, bounds = {}, ({}, {})
@@ -299,9 +361,8 @@ def windowed_homology(window: HochschildChainWindow,
         split = bisect_right(tups, top, key=len)
         for part, bound in ((tups[:split], bounds[0]), (tups[split:], bounds[1])):
             for tup in part:
-                col = {}
-                for out, c in _b_terms(cat, tup, one):
-                    add_into(f, col, tgt[out], c)
+                col = {tgt[out]: c for out, c in
+                       window._column(window._b, _b_terms, tup).items()}
                 # a zero column is a cycle without an elimination step
                 if not (col and ech.add(col)) and len(tup) <= cap:
                     z[len(tup)] += 1

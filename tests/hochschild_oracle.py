@@ -7,10 +7,16 @@ is the rank they add to the boundaries, and the stability flag rebuilds the
 window-(N+1) complex from scratch.  It shares only `hochschild_b`,
 `HochschildChainWindow.basis` and the batch `sparse` routines with the
 module under test, none of the one-pass filtration bookkeeping.
+
+`identity_witnesses_oracle` is the oracle for the CLI's identity checks:
+b^2, B^2 and bB + Bb applied to each sample chain by composing
+`hochschild_b` and `connes_B` call on call, with no b or B of a sample
+chain reused.
 """
 
-from ainfty.hochschild import HochschildChainWindow, chain_degree, hochschild_b
-from ainfty.sparse import SparseMatrix, rank_kernel_image, rref
+from ainfty.hochschild import (HochschildChainWindow, chain_degree, connes_B,
+                               hochschild_b)
+from ainfty.sparse import SparseMatrix, add_into, rank_kernel_image, rref
 
 
 def _assemble_b(window):
@@ -81,3 +87,32 @@ def windowed_homology_oracle(cat, max_length, length_margin=1):
     grown = graded_dims(HochschildChainWindow(cat, max_length + 1),
                         length_margin + 1)
     return dims, by_degree, grown == dims
+
+
+def identity_witnesses_oracle(window):
+    """Chains of the sample (all of length <= 2, strided above) on which
+    b^2, B^2 or bB+Bb is nonzero, in the CLI's order."""
+    f, top, witnesses = window.cat.field, window.max_length, []
+
+    def addc(a, b):
+        out = dict(a)
+        for k, c in b.items():
+            add_into(f, out, k, c)
+        return out
+
+    for n in range(1, top + 1):
+        chains = window.basis(n)
+        if n > 2:
+            chains = chains[::max(1, len(chains) // 60)]
+        for tup in chains:
+            c = {tup: f.of_int(1)}
+            if hochschild_b(window, hochschild_b(window, c)):
+                witnesses.append({"identity": "b^2", "chain": list(tup)})
+            if n + 2 <= top and connes_B(window, connes_B(window, c)):
+                witnesses.append({"identity": "B^2", "chain": list(tup)})
+            if n + 1 <= top:
+                anti = addc(hochschild_b(window, connes_B(window, c)),
+                            connes_B(window, hochschild_b(window, c)))
+                if anti:
+                    witnesses.append({"identity": "bB+Bb", "chain": list(tup)})
+    return witnesses

@@ -15,7 +15,8 @@ from ainfty.cli import EXIT, main
 from ainfty.field import GF
 from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
                                windowed_homology)
-from ainfty.presentations import bar_ext_category, truncated_path_category
+from ainfty.presentations import (bar_ext_category, perturbed,
+                                  truncated_path_category)
 from ainfty.quiver import (DGQuiverAlgebra, a2_quiver, derived_preprojective,
                            double, jordan_quiver)
 from ainfty.ratpoly import RatPolynomial
@@ -327,6 +328,28 @@ def test_relation_check_with_unchecked_arities_is_truncated(
     assert report["verdict"] == verdict
     assert report["witnesses"] == []
     assert report["truncation"] == {"arities": arities}
+
+
+@pytest.mark.parametrize("cap, verdict, arities", [
+    (1, "truncated", [2, 3]), (2, "truncated", [3]), (3, "fail", [])])
+def test_check_ainf_lists_the_arities_the_stored_tables_reach_above_the_cap(
+        tmp_path, cap, verdict, arities):
+    # b_2(<@1>, <@1>) doubled breaks the arity-3 relation b_2 b_2; tables
+    # stored up to arity 2 reach relations of arity <= 3, so a cap below 3
+    # cannot say pass
+    cat = bar_ext_category(derived_preprojective(a2_quiver()), weight_cap=2,
+                           arity_cap=4)
+    bad, change = perturbed(cat, 4)
+    assert change["inputs"] == ("<@1>", "<@1>") and change["new"] == 2
+    path, out = tmp_path / "cat.json", tmp_path / "cat.report.json"
+    path.write_text(docio.dumps_document(docio.to_document("ainf_category", bad)),
+                    encoding="utf-8")
+    code = main(["check-ainf", str(path), "--order-cap=%d" % cap,
+                 "--report", str(out)])
+    report = json.loads(out.read_text())["payload"]
+    assert (code, report["verdict"]) == (EXIT[verdict], verdict)
+    assert report["truncation"] == {"arities": arities}
+    assert bool(report["witnesses"]) == (verdict == "fail")
 
 
 @pytest.mark.parametrize("document, flags", [(gf3_rep_document, []),

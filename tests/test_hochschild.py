@@ -9,12 +9,13 @@ rather than taken from the module under test.
 import dataclasses
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty import docio, hochschild, sparse
-from ainfty.cli import main
+from ainfty.cli import _identity_witnesses, main
 from ainfty.field import GF
 from ainfty.hochschild import (HochschildChainWindow, HochschildError,
                                chain_degree, connes_B, hh0_dimension,
@@ -27,7 +28,7 @@ from ainfty.quiver import (DGQuiverAlgebra, Quiver, a2_quiver,
                            derived_preprojective, jordan_quiver,
                            random_quiver, two_loop_quiver)
 from cyclic_quotient import cyclic_quotient
-from hochschild_oracle import windowed_homology_oracle
+from hochschild_oracle import identity_witnesses_oracle, windowed_homology_oracle
 
 
 def path_category(q, cap=2):
@@ -573,6 +574,126 @@ def test_weights_b_does_not_keep_fall_back_to_the_rule_by_degree(
     assert ((rep.dims, rep.by_degree, rep.stable)
             == windowed_homology_oracle(cat, window))
     assert columns == Counter(degree_rule_columns(cat, window))
+
+
+# ---------------------------------------------------------------------------
+# the column memo and the CLI's identity checks
+
+# the category of every input shape of the benchmark's hochschild jobs
+BENCHMARK_SHAPES = {
+    "quiver-jordan": lambda: path_category(jordan_quiver()),
+    "quiver-a2": lambda: path_category(a2_quiver()),
+    "quiver-two_loop": lambda: path_category(two_loop_quiver()),
+    "dga-jordan": lambda: truncated_path_category(
+        derived_preprojective(jordan_quiver()), weight_cap=2),
+    "dga-a2": lambda: truncated_path_category(
+        derived_preprojective(a2_quiver()), weight_cap=2),
+    "dga-two_loop": lambda: truncated_path_category(
+        derived_preprojective(two_loop_quiver()), weight_cap=2),
+    "path-jordan-c3": lambda: truncated_path_category(
+        derived_preprojective(jordan_quiver()), weight_cap=3),
+    "path-a2-c3": lambda: truncated_path_category(
+        derived_preprojective(a2_quiver()), weight_cap=3),
+}
+
+
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
+def test_identity_witnesses_match_the_oracle_on_benchmark_shapes(shape, window):
+    cat = BENCHMARK_SHAPES[shape]()
+    # as in the CLI, the homology fills the memo first
+    w = HochschildChainWindow(cat, window)
+    windowed_homology(w)
+    assert (_identity_witnesses(w)
+            == identity_witnesses_oracle(HochschildChainWindow(cat, window))
+            == [])
+
+
+def flipped(cat, k):
+    """cat with the first output of its k-th b_2 entry (sorted) negated."""
+    b2 = {tup: dict(out) for tup, out in cat.ops[2].items()}
+    tup = sorted(b2)[k]
+    z = min(b2[tup])
+    b2[tup][z] = cat.field.neg(b2[tup][z])
+    return dataclasses.replace(cat, ops={**cat.ops, 2: b2})
+
+
+@pytest.mark.parametrize("k, window, identities", [
+    (6, 2, {"b^2"}), (10, 3, {"b^2", "bB+Bb"}), (18, 3, {"b^2"})])
+def test_identity_witnesses_match_the_oracle_where_b_squared_is_not_zero(
+        k, window, identities):
+    # the Jordan dg category with one b_2 sign flipped fails its relations,
+    # so the homology refuses it: the checks run on the window directly
+    bad = flipped(truncated_path_category(derived_preprojective(jordan_quiver()),
+                                          weight_cap=2), k)
+    got = _identity_witnesses(HochschildChainWindow(bad, window))
+    assert got == identity_witnesses_oracle(HochschildChainWindow(bad, window))
+    assert {wit["identity"] for wit in got} == identities
+
+
+@pytest.mark.parametrize("units", [{}, {"1": "e@1"}], ids=["none", "one"])
+def test_identity_checks_without_units_raise_as_the_oracle_does(units):
+    cat = dataclasses.replace(path_category(a2_quiver()), units=units)
+    errors = []
+    for check in (_identity_witnesses, identity_witnesses_oracle):
+        with pytest.raises(HochschildError) as err:
+            check(HochschildChainWindow(cat, 3))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == "Connes operator needs designated units"
+
+
+def fresh(window, terms, chain):
+    """sum c * terms(window, tup, 1) over the chain, from the term
+    generator itself: no memo is read or written."""
+    f, acc = window.cat.field, {}
+    for tup, c in chain.items():
+        for out, v in terms(window, tup, f.one()):
+            acc = addc(f, acc, {out: f.mul(c, v)})
+    return acc
+
+
+def test_b_and_B_are_sums_of_freshly_computed_columns(wjordan, wdpp):
+    for w in (wjordan, wdpp):
+        f = w.cat.field
+        tups = [t for n in range(1, w.max_length) for t in w.basis(n)]
+        coeffs = [f.of_int(1), f.of_int(-3), f.of_fraction(Fraction(1, 2))]
+        vectors = [{tup: coeffs[i % 3]} for i, tup in enumerate(tups)]
+        vectors += [dict(zip(tups[i::7], coeffs)) for i in range(7)]
+        for v in vectors:
+            # twice: once filling the memo, once reading it
+            for _ in range(2):
+                assert hochschild_b(w, v) == fresh(w, hochschild._b_terms, v)
+                assert connes_B(w, v) == fresh(w, hochschild._B_terms, v)
+
+
+def test_bad_chains_still_raise_once_the_memo_is_full():
+    w = HochschildChainWindow(path_category(a2_quiver()), 3)
+    windowed_homology(w)
+    _identity_witnesses(w)
+    f = w.cat.field
+    good = w.basis(1)[0]
+    for chain in ({("a", "e@1"): f.one()},
+                  {good: f.one(), ("a", "e@1"): f.one()},
+                  {("e@1",) * 4: f.one()}):
+        with pytest.raises(HochschildError):
+            hochschild_b(w, chain)
+        with pytest.raises(HochschildError):
+            connes_B(w, chain)
+    with pytest.raises(HochschildError, match="insufficient window"):
+        connes_B(w, {("e@1",) * 3: f.one()})
+
+
+def test_mutating_a_returned_chain_changes_no_later_result(wdpp):
+    f = wdpp.cat.field
+    for tup in every_chain(wdpp, wdpp.max_length - 1):
+        for chain in ({tup: f.one()}, {tup: f.of_int(2)}):
+            for op in (hochschild_b, connes_B):
+                want = dict(op(wdpp, chain))
+                got = op(wdpp, chain)
+                got[("x",)] = f.one()
+                for out in want:
+                    got[out] = f.of_int(7)
+                assert op(wdpp, chain) == want
 
 
 # ---------------------------------------------------------------------------
