@@ -227,7 +227,7 @@ def connes_B(window: HochschildChainWindow, chain: dict) -> dict:
     """Connes operator B = (1 - F)(eta (x) -)N; raises length by 1.  A new
     dict: the sum of the kept B-columns of the chain's chains."""
     cols = window._B
-    # an empty memo has not seen the units checked yet
+    # while the memo is empty the units are not yet checked
     if not (cols and chain.keys() <= cols.keys()):
         window._admit(chain)
         if not window._units:
