@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .field import FieldCtx, QQ
-from .signs import parity_sign, prefix_parities, suspension_sign
-from .sparse import add_into
+from .signs import parity_sign, prefix_parities
+from .sparse import add_into, reduce_sums
 
 
 class StructureError(ValueError):
@@ -124,27 +124,30 @@ class RelationReport:
 
 def _slot_index(table, u: int, sdeg):
     """Index the arity-u table by slot: idx[r][label at slot r] lists
-    (tuple, output, prefix parity of tuple[:r]) for each entry."""
+    (tuple[:r], tuple[r+1:], output items, prefix parity of tuple[:r]) for
+    each entry."""
     idx = [dict() for _ in range(u)]
     for tup, out in table.items():
         pre = prefix_parities([sdeg(x) for x in tup])
+        items = tuple(out.items())
         for r in range(u):
-            idx[r].setdefault(tup[r], []).append((tup, out, pre[r]))
+            idx[r].setdefault(tup[r], []).append(
+                (tup[:r], tup[r + 1:], items, pre[r]))
     return idx
 
 
-def _insert_into(f, residual, inner, idx):
+def _insert_into(residual, inner, idx):
     """residual[(tuple, out)] += sum_r outer(1^r (x) inner (x) 1^t), the
-    outer table given by its _slot_index."""
+    outer table given by its _slot_index, as raw sums of products."""
     for tup_s, out_s in inner.items():
         for z, cz in out_s.items():
-            neg_z = f.neg(cz)
             for r, slot in enumerate(idx):
-                for tup_u, out_u, odd in slot.get(z, ()):
-                    full = tup_u[:r] + tup_s + tup_u[r + 1:]
-                    c = neg_z if odd else cz
-                    for w, cw in out_u.items():
-                        add_into(f, residual, (full, w), f.mul(c, cw))
+                for pre, suf, items, odd in slot.get(z, ()):
+                    full = pre + tup_s + suf
+                    c = -cz if odd else cz
+                    for w, cw in items:
+                        key = (full, w)
+                        residual[key] = residual.get(key, 0) + c * cw
 
 
 def _known_through(cap, *lookups):
@@ -171,7 +174,6 @@ def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at):
     """
     indexes = {}
     checked, truncated, witnesses = [], [], []
-    minus_one = f.neg(f.one())
     for n in range(1, cap + 1):
         if n > known:
             truncated.append(n)
@@ -182,11 +184,11 @@ def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at):
             if inner and outer:
                 if u not in indexes:
                     indexes[u] = _slot_index(outer, u, sdeg)
-                _insert_into(f, residual, inner, indexes[u])
+                _insert_into(residual, inner, indexes[u])
         for trie, inners in composites:
-            _accumulate_composite(f, residual, trie, inners, minus_one)
+            _accumulate_composite(residual, trie, inners, -1)
         checked.append(n)
-        for (tup, z), c in sorted(residual.items()):
+        for (tup, z), c in sorted(reduce_sums(f, residual).items()):
             witnesses.append((n, tup, z, c))
             if len(witnesses) >= max_witnesses:
                 break
@@ -305,21 +307,6 @@ def _weak_unit_check(cat: AInfCategory):
     return fails
 
 
-def b_from_m(cat_degrees, m_ops, field: FieldCtx):
-    """Convert unshifted m-tables to shifted b-tables.  cat_degrees maps
-    label -> unshifted degree."""
-    out = {}
-    for n, table in m_ops.items():
-        conv = {}
-        for tup, val in table.items():
-            sgn = suspension_sign([cat_degrees[x] for x in tup])
-            entry = {z: c if sgn > 0 else field.neg(c) for z, c in val.items()}
-            if entry:
-                conv[tup] = entry
-        out[n] = conv
-    return out
-
-
 @dataclass
 class AInfMorphism:
     """A-infinity functor given by sparse component tables.
@@ -390,10 +377,10 @@ def _output_index(table):
     return idx
 
 
-def _accumulate_composite(f, residual, trie, inners, coeff):
+def _accumulate_composite(residual, trie, inners, coeff):
     """residual[(tuple, out)] += coeff * b_l(inner_1 (x) ... (x) inner_l),
     the target table b_l given by its _prefix_trie and each inner
-    component by its _output_index.
+    component by its _output_index, as raw sums of products.
 
     A join: slot k descends only through labels z that both the trie node
     (b_l stores a tuple with this prefix) and inner_k's index (some entry
@@ -404,7 +391,8 @@ def _accumulate_composite(f, residual, trie, inners, coeff):
     def rec(k, node, tup_acc, c):
         if k == last:
             for w, cw in node.items():
-                add_into(f, residual, (tup_acc, w), f.mul(c, cw))
+                key = (tup_acc, w)
+                residual[key] = residual.get(key, 0) + c * cw
             return
         idx = inners[k]
         if len(idx) < len(node):
@@ -415,7 +403,7 @@ def _accumulate_composite(f, residual, trie, inners, coeff):
             if child is None or entries is None:
                 continue
             for tup, cz in entries:
-                rec(k + 1, child, tup_acc + tup, f.mul(c, cz))
+                rec(k + 1, child, tup_acc + tup, c * cz)
     rec(0, trie, (), coeff)
 
 

@@ -5,6 +5,10 @@ any sortable label) to a nonzero scalar: no zero value is stored, and a
 key whose value cancels is removed.  `add_into` (acc[key] += c) is the
 only code in the package that accumulates into such a dict; the one
 other writer is `Echelon`'s elimination loop, which keeps the same rule.
+The one exception is the relation residual of `ainf._check_arities`:
+its kernels add raw products of scalars (ints and Fractions, exact under
++ and *) term by term, and `reduce_sums` turns the sums into field
+scalars and drops the zeros once per arity.
 
 Every rank, kernel, span test and inverse in the package is computed by
 `Echelon`, which holds the reduced row echelon form of the span of the
@@ -32,6 +36,18 @@ def add_into(field: FieldCtx, acc: dict, key, c) -> None:
         acc.pop(key, None)
     else:
         acc[key] = s
+
+
+def reduce_sums(field: FieldCtx, acc: dict) -> dict:
+    """The sparse dict of field scalars that acc's raw sums of products
+    of scalars stand for: canonical over QQ, reduced mod p over GF(p)."""
+    out = {}
+    for key, v in acc.items():
+        if v:  # a raw sum that is 0 is 0 in every field
+            c = field.of_fraction(v)
+            if not field.is_zero(c):
+                out[key] = c
+    return out
 
 
 class Echelon:

@@ -7,8 +7,23 @@ The contraction data per hom space is a triple (proj, inc, htp) with
 
 built degreewise from the splitting V = B (+) H (+) L where B = im(b_1),
 L is spanned by the pivot coordinates of b_1 (so b_1|_L is injective onto
-the next B, in matching order), and H completes B to ker(b_1).  With these
-side conditions the transferred operations are given by planar trees:
+the next B, in matching order), and H completes B to ker(b_1).
+
+The splitting of a (degree, weight) block is read from one elimination.
+`rank_kernel_image` of b_1 on the block gives L, on which proj and htp
+vanish, and one kernel vector k_t per free column t; a cycle is determined
+by its entries on the free columns.  The boundaries, the image columns of
+the block below, are restricted to the free columns and added to one
+`Echelon`, keyed so that a row's pivot is its free column latest in the
+order "the unit (when it is a cycle), then ascending", and extended by one
+entry recording the boundary's index.  The free columns no row pivots on
+are H, represented by their k_t: the greedy choice of each candidate in
+that order that the boundaries and the earlier choices do not span.  The
+row of any other free column t expresses k_t through B and H: its index
+entries give htp(e_t) and its negated H entries give proj(e_t).
+
+With these side conditions the transferred operations are given by planar
+trees:
 
     theta_1 = inc,
     theta_n = htp . sum_{j=1}^{n-1} b_2(theta_j (x) theta_{n-j}),
@@ -28,8 +43,7 @@ from dataclasses import dataclass
 
 from .ainf import AInfCategory, AInfMorphism, StructureError
 from .field import FieldCtx
-from .sparse import (Echelon, SparseMatrix, add_into, invert,
-                     rank_kernel_image)
+from .sparse import Echelon, SparseMatrix, add_into, rank_kernel_image
 
 
 @dataclass
@@ -54,14 +68,17 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
                     name_prefix=None) -> Contraction:
     """Deterministic contraction of one hom space onto its b_1-cohomology.
 
-    If unit_label is given (a cycle), it is preferred as the first
+    If unit_label is given and is a cycle, it is preferred as the first
     representative in its block, so proj(unit) is a basis vector and
-    inc(its class) is the unit itself.
+    inc(its class) is the unit itself; a unit that is not a cycle is
+    treated like any other label.
     """
     f = cat.field
     basis = cat.hom.get(pair, ())
     if name_prefix is None:
         name_prefix = "[%s>%s]" % pair
+    if unit_label is not None and cat.b_value((unit_label,)):
+        unit_label = None
     blocks = {}
     for lab, deg in basis:
         w = cat.weights.get(lab, 0) if cat.weights else 0
@@ -94,64 +111,62 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
         deg, w = key
         labs = blocks[key]
         n = len(labs)
-        if n == 0:
-            continue
         below = (deg - 1, w)
+        below_labs = blocks.get(below, [])
         piv_in = pivots.get(below, [])
-        bvecs = images.get(below, [])
-        lvecs_cols = list(pivots[key])
-
-        candidates = list(kern[key])
+        # the free columns of b_1 in the order the complement is chosen:
+        # the unit first, then ascending; order[i] has Echelon key nf-1-i,
+        # so a row's pivot is its column latest in that order
+        pivset = set(pivots[key])
+        free = [t for t in range(n) if t not in pivset]
+        kvec = dict(zip(free, kern[key]))
+        order = free
         if unit_label is not None and pos.get(unit_label, (None,))[0] == key:
-            candidates = [{pos[unit_label][1]: f.one()}] + candidates
-        hreps = _complete(f, bvecs, candidates)
-
-        cols = bvecs + hreps + [{c: f.one()} for c in lvecs_cols]
-        if len(cols) != n:
+            u = pos[unit_label][1]
+            order = [u] + [t for t in free if t != u]
+        nf = len(order)
+        okey = {t: nf - 1 - i for i, t in enumerate(order)}
+        # the boundaries, each restricted to the free columns (a cycle is
+        # determined there) with key nf + j recording its index j
+        ech = Echelon(f)
+        for j, bvec in enumerate(images.get(below, [])):
+            row = {okey[t]: c for t, c in bvec.items() if t in okey}
+            row[nf + j] = f.one()
+            ech.add(row)
+        if any(p >= nf for p in ech.rows):
             raise StructureError("splitting dimension mismatch at %r" % (key,))
-        basis = SparseMatrix(n, n, f)
-        for j, v in enumerate(cols):
-            for t, c in v.items():
-                basis.set(t, j, c)
-        inv = invert(basis)
-        if inv is None:
-            raise StructureError("basis matrix is singular at %r" % (key,))
-        inv_rows = inv.rows()
-
-        nb = len(bvecs)
-        nh = len(hreps)
-        mlabels = []
-        for j2 in range(nh):
+        # the free columns no boundary row pivots on are the complement H,
+        # represented by their kernel vectors
+        mlab_of = {}
+        for t in order:
+            if okey[t] in ech.rows:
+                continue
             idx = counters.get(deg, 0)
             counters[deg] = idx + 1
-            mlab = "%s%d.%d" % (name_prefix, deg, idx)
-            mlabels.append(mlab)
+            mlab = mlab_of[okey[t]] = "%s%d.%d" % (name_prefix, deg, idx)
             min_basis.append((mlab, deg))
             if cat.weights:
                 min_weights[mlab] = w
-            inc[mlab] = {labs[t]: c for t, c in hreps[j2].items()}
-        # one pass over each inverse row: row j < nb gives the htp
-        # coordinate along the j-th pivot label below, row nb + j2 the proj
-        # coordinate along mlabels[j2]; keys in ascending row order and
-        # labels in ascending t order keep emitted models byte-stable
-        below_labs = blocks.get(below, [])
-        hvecs, pvecs = {}, {}
-        for j, row in enumerate(inv_rows[:nb + nh]):
-            vecs, coord = (hvecs, below_labs[piv_in[j]]) if j < nb \
-                else (pvecs, mlabels[j - nb])
-            for t, c in row.items():
-                vecs.setdefault(t, {})[coord] = c
-        for t in sorted(pvecs):
-            proj[labs[t]] = pvecs[t]
-        for t in sorted(hvecs):
-            htp[labs[t]] = hvecs[t]
+            inc[mlab] = {labs[s]: c for s, c in kvec[t].items()}
+        # proj and htp vanish on the pivot columns; s in H has proj(e_s) =
+        # [s] and htp(e_s) = 0; the row of any other free column t reads
+        # k_t = sum_j c_j bvec_j - sum_s a_s k_s (s in H), so htp(e_t) =
+        # sum_j c_j e_j below and proj(e_t) = -sum_s a_s [s]; ascending t,
+        # H in choice order and j ascending keep emitted models byte-stable
+        for t in free:
+            row = ech.rows.get(okey[t])
+            if row is None:
+                proj[labs[t]] = {mlab_of[okey[t]]: f.one()}
+                continue
+            keys = sorted(row)
+            pvec = {mlab_of[k]: f.neg(row[k]) for k in reversed(keys)
+                    if k in mlab_of}
+            if pvec:
+                proj[labs[t]] = pvec
+            hvec = {below_labs[piv_in[k - nf]]: row[k] for k in keys if k >= nf}
+            if hvec:
+                htp[labs[t]] = hvec
     return Contraction(pair, tuple(min_basis), inc, proj, htp, min_weights)
-
-
-def _complete(field, base_rows, candidates):
-    """Candidates that enlarge the span of base_rows, in input order."""
-    ech = Echelon(field, base_rows)
-    return [dict(c) for c in candidates if ech.add(c)]
 
 
 def minimal_model(cat: AInfCategory, arity_cap: int | None = None):

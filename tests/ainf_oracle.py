@@ -1,10 +1,31 @@
-"""Degree and sign helpers of A-infinity tables that only the tests read.
+"""Degree and sign helpers of A-infinity tables that only the tests read,
+and the per-term residual kernels of the relation checks.
 
-m_from_b undoes the suspension of b_from_m, and degree_support_bound lists
-the input degrees that degree arithmetic alone leaves open for b_n.
+b_from_m suspends unshifted m-tables to shifted b-tables, m_from_b undoes
+it, and degree_support_bound lists the input degrees that degree arithmetic
+alone leaves open for b_n.  per_term_kernels reduces every term of a
+relation residual as it is added, where ainf sums raw products and reduces
+once per arity.
 """
 
-from ainfty.ainf import AInfCategory, b_from_m
+from ainfty.ainf import AInfCategory
+from ainfty.signs import prefix_parities, suspension_sign
+from ainfty.sparse import add_into
+
+
+def b_from_m(cat_degrees, m_ops, field):
+    """Convert unshifted m-tables to shifted b-tables.  cat_degrees maps
+    label -> unshifted degree."""
+    out = {}
+    for n, table in m_ops.items():
+        conv = {}
+        for tup, val in table.items():
+            sgn = suspension_sign([cat_degrees[x] for x in tup])
+            entry = {z: c if sgn > 0 else field.neg(c) for z, c in val.items()}
+            if entry:
+                conv[tup] = entry
+        out[n] = conv
+    return out
 
 
 def m_from_b(cat_degrees, b_ops, field):
@@ -50,3 +71,45 @@ def degree_support_bound(cat: AInfCategory, arities, use_strict_units: bool = Tr
         rec(0, [], 0)
         out[n] = tuple(tuples)
     return out
+
+
+def per_term_kernels(f):
+    """The relation-residual kernels of ainf as they were before the raw
+    sums, bound to the field f: every term goes through add_into with field
+    arithmetic, so the residual stays reduced and zero-free at every step.
+    Returns replacements for ainf._slot_index, ainf._insert_into and
+    ainf._accumulate_composite."""
+
+    def slot_index(table, u, sdeg):
+        idx = [dict() for _ in range(u)]
+        for tup, out in table.items():
+            pre = prefix_parities([sdeg(x) for x in tup])
+            for r in range(u):
+                idx[r].setdefault(tup[r], []).append((tup, out, pre[r]))
+        return idx
+
+    def insert_into(residual, inner, idx):
+        for tup_s, out_s in inner.items():
+            for z, cz in out_s.items():
+                neg_z = f.neg(cz)
+                for r, slot in enumerate(idx):
+                    for tup_u, out_u, odd in slot.get(z, ()):
+                        full = tup_u[:r] + tup_s + tup_u[r + 1:]
+                        c = neg_z if odd else cz
+                        for w, cw in out_u.items():
+                            add_into(f, residual, (full, w), f.mul(c, cw))
+
+    def accumulate_composite(residual, trie, inners, coeff):
+        def rec(k, node, tup_acc, c):
+            if k == len(inners):
+                for w, cw in node.items():
+                    add_into(f, residual, (tup_acc, w), f.mul(c, cw))
+                return
+            for z, entries in inners[k].items():
+                child = node.get(z)
+                if child is not None:
+                    for tup, cz in entries:
+                        rec(k + 1, child, tup_acc + tup, f.mul(c, cz))
+        rec(0, trie, (), f.of_int(coeff))
+
+    return slot_index, insert_into, accumulate_composite

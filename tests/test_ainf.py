@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty import ainf
-from ainfty.ainf import (AInfCategory, AInfMorphism, b_from_m, check_functor,
+from ainfty.ainf import (AInfCategory, AInfMorphism, check_functor,
                          check_relations, check_unitality)
 from ainfty.field import GF, QQ
 from ainfty.presentations import (bar_ext_category, enumerate_paths,
@@ -19,7 +19,8 @@ from ainfty.quiver import (a2_quiver, derived_preprojective, jordan_quiver,
 from ainfty.signs import prefix_parities, suspension_sign
 from ainfty.transfer import minimal_model
 
-from ainf_oracle import degree_support_bound, m_from_b
+from ainf_oracle import (b_from_m, degree_support_bound, m_from_b,
+                         per_term_kernels)
 from test_massey import assert_well_formed, exterior_fixture
 
 
@@ -356,3 +357,90 @@ def test_check_functor_sums_only_nonempty_compositions(monkeypatch):
     rep = check_functor(incl, max_arity=22)
     assert rep.ok and rep.checked == tuple(range(1, 23))
     assert len(calls) == want == 6
+
+
+# ---------------------------------------------------------------------------
+# the residual kernels sum raw products and reduce once per arity; the
+# per-term kernels of ainf_oracle reduce every term as it is added
+
+def residual_cases():
+    thirds = Fraction(1, 3)
+    for which, delta in ((0, thirds), (13, Fraction(-2, 5)), (31, thirds)):
+        yield ("jordan-QQ-%d" % which,
+               perturbed(tpc("jordan", cap=3), which, delta)[0])
+    # two halves: witnesses -1 (an int), 1/2 and 3/4
+    half = perturbed(tpc("a2", cap=2), 6, Fraction(1, 2))[0]
+    yield "a2-QQ-6-16", perturbed(half, 16, Fraction(1, 2))[0]
+    mini, _ = minimal_pair("a2")
+    yield "minimal-a2-QQ", perturbed(mini, 8, Fraction(3, 2))[0]
+    for p in (3, 7):
+        field = GF(p)
+        yield "a2-GF%d" % p, bec("a2", cap=3, field=field)
+        for which in (4, 7):
+            yield ("a2-GF%d-%d" % (p, which),
+                   perturbed(tpc("a2", cap=3, field=field), which, p - 1)[0])
+        yield ("two_loop-GF%d" % p,
+               perturbed(bec("two_loop", cap=2, field=field), 20, 2)[0])
+
+
+def functor_residual_cases():
+    for p in (None, 3, 7):
+        field = QQ if p is None else GF(p)
+        dg = bec("a2", cap=3, field=field)
+        _, incl, _ = minimal_model(dg, arity_cap=5)
+        yield "a2-%s" % (p or "QQ"), incl, True
+        entries = [(n, tup, z) for n in sorted(incl.components)
+                   for tup in sorted(incl.components[n])
+                   for z in sorted(incl.components[n][tup])]
+        n, tup, z = entries[len(entries) // 2]
+        comps = {m: {t: dict(v) for t, v in tab.items()}
+                 for m, tab in incl.components.items()}
+        delta = Fraction(1, 3) if p is None else field.of_int(2)
+        comps[n][tup][z] = field.add(comps[n][tup][z], delta)
+        comps[n][tup] = {w: c for w, c in comps[n][tup].items() if c != 0}
+        yield ("a2-%s-planted" % (p or "QQ"),
+               replace(incl, components=comps), False)
+
+
+def per_term_witnesses(monkeypatch, field, check, *args):
+    with monkeypatch.context() as m:
+        for name, kernel in zip(("_slot_index", "_insert_into",
+                                 "_accumulate_composite"),
+                                per_term_kernels(field)):
+            m.setattr(ainf, name, kernel)
+        return check(*args, max_witnesses=UNCAPPED).witnesses
+
+
+def canonical(field, c):
+    if field.p:
+        return type(c) is int and 0 < c < field.p
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@pytest.mark.parametrize("cat", [pytest.param(c, id=i)
+                                 for i, c in residual_cases()])
+def test_relation_residual_matches_per_term_kernels(monkeypatch, cat):
+    raw = []
+    reduce_sums = ainf.reduce_sums
+
+    def recorded(field, acc):
+        raw.extend(acc.values())
+        return reduce_sums(field, acc)
+    monkeypatch.setattr(ainf, "reduce_sums", recorded)
+    rep = check_relations(cat, max_arity=4, max_witnesses=UNCAPPED)
+    assert rep.witnesses == per_term_witnesses(
+        monkeypatch, cat.field, check_relations, cat, 4)
+    assert all(canonical(cat.field, w[3]) for w in rep.witnesses)
+    if cat.field.p:
+        # some raw sum is a nonzero integer that vanishes mod p
+        assert any(v and v % cat.field.p == 0 for v in raw)
+
+
+@pytest.mark.parametrize("fm, ok", [pytest.param(*case[1:], id=case[0])
+                                    for case in functor_residual_cases()])
+def test_functor_residual_matches_per_term_kernels(monkeypatch, fm, ok):
+    rep = check_functor(fm, max_arity=4, max_witnesses=UNCAPPED)
+    assert rep.ok == ok
+    assert rep.witnesses == per_term_witnesses(
+        monkeypatch, fm.source.field, check_functor, fm, 4)
+    assert all(canonical(fm.source.field, w[3]) for w in rep.witnesses)

@@ -20,7 +20,9 @@ from ainfty.presentations import (bar_ext_category, perturbed,
 from ainfty.quiver import (DGQuiverAlgebra, a2_quiver, derived_preprojective,
                            double, jordan_quiver)
 from ainfty.ratpoly import RatPolynomial
-from ainfty.transfer import minimal_model
+from ainfty.transfer import hom_contraction, minimal_model
+
+from transfer_oracle import check_contraction
 
 
 def write_quiver(path, q):
@@ -86,6 +88,34 @@ def test_category_with_b1_and_b3_is_an_input_error(tmp_path, capsys, subcommand)
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
     assert "transfer input must be a dg category" in out.out
+
+
+@pytest.mark.parametrize("cycles, ext_dims", [
+    ((), []), ((("y", 0),), [[0, 1]])], ids=["acyclic", "one-class"])
+def test_unit_that_is_not_a_cycle_is_transferred_without_a_unit(
+        tmp_path, cycles, ext_dims):
+    # b_1(e) = x for the designated unit e: check-ainf passes with units
+    # "none", and minimal-model transfers with no induced unit, where it
+    # used to exit 2 with "splitting dimension mismatch at (0, 0)"
+    cat = ainf.AInfCategory(
+        objects=("1",), hom={("1", "1"): (("e", 0), ("x", 1)) + cycles},
+        ops={1: {("e",): {"x": 1}}}, arity_cap=2, units={"1": "e"},
+        complete=True)
+    path, out = tmp_path / "cat.json", tmp_path / "cat.report.json"
+    path.write_text(docio.dumps_document(docio.to_document("ainf_category", cat)),
+                    encoding="utf-8")
+    assert main(["check-ainf", str(path), "--report", str(out)]) == EXIT["pass"]
+    report = json.loads(out.read_text())["payload"]
+    assert (report["verdict"], report["result"]["units"]) == ("pass", "none")
+    assert main(["minimal-model", str(path), "--report", str(out)]) == EXIT["pass"]
+    report = json.loads(out.read_text())["payload"]
+    assert report["verdict"] == "pass"
+    assert report["result"]["ext_dims"] == [
+        {"src": "1", "tgt": "1", "dims": ext_dims}]
+    assert report["result"]["model"]["payload"]["units"] == []
+    con = hom_contraction(cat, ("1", "1"), unit_label="e")
+    assert len(con.min_basis) == len(cycles)
+    assert check_contraction(cat, con) == []
 
 
 WEIGHT_ERROR = "payload.weights[0]: want [label, weight]"

@@ -2,12 +2,85 @@
 
 check_contraction verifies every side condition of a contraction by applying
 its maps to basis vectors, and cohomology_dims reads b_1-cohomology off ranks
-alone.  Neither shares the splitting or the inverse readout of
-hom_contraction.
+alone.  Neither shares the splitting of hom_contraction.
+hom_contraction_oracle builds the same contraction the older way: it
+completes the boundaries to the cycles greedily with a second `Echelon`, and
+reads proj and htp off the inverse of the whole change-of-basis matrix.
 """
 
-from ainfty.sparse import SparseMatrix, add_into, rank_kernel_image
-from ainfty.transfer import apply_linear
+from ainfty.ainf import StructureError
+from ainfty.sparse import (Echelon, SparseMatrix, add_into, invert,
+                           rank_kernel_image)
+from ainfty.transfer import Contraction, apply_linear
+
+
+def hom_contraction_oracle(cat, pair, unit_label=None):
+    """transfer.hom_contraction by greedy completion and one n x n inverse
+    per (degree, weight) block.  The unit, when given, must be a cycle."""
+    f = cat.field
+    name_prefix = "[%s>%s]" % pair
+    blocks = {}
+    for lab, deg in cat.hom.get(pair, ()):
+        w = cat.weights.get(lab, 0) if cat.weights else 0
+        blocks.setdefault((deg, w), []).append(lab)
+    pos = {lab: (key, t) for key, labs in blocks.items()
+           for t, lab in enumerate(labs)}
+    kern, images, pivots = {}, {}, {}
+    for (deg, w), labs in blocks.items():
+        m = SparseMatrix(len(blocks.get((deg + 1, w), [])), len(labs), f)
+        for c, lab in enumerate(labs):
+            for z, cz in cat.b_value((lab,)).items():
+                m.set(pos[z][1], c, cz)
+        _, kern[(deg, w)], images[(deg, w)], pivots[(deg, w)] = \
+            rank_kernel_image(m)
+
+    inc, proj, htp = {}, {}, {}
+    min_basis, min_weights, counters = [], {}, {}
+    for key in sorted(blocks):
+        deg, w = key
+        labs = blocks[key]
+        n = len(labs)
+        below = (deg - 1, w)
+        bvecs = images.get(below, [])
+        candidates = list(kern[key])
+        if unit_label is not None and pos.get(unit_label, (None,))[0] == key:
+            candidates = [{pos[unit_label][1]: f.one()}] + candidates
+        ech = Echelon(f, bvecs)
+        hreps = [dict(c) for c in candidates if ech.add(c)]
+        cols = bvecs + hreps + [{c: f.one()} for c in pivots[key]]
+        if len(cols) != n:
+            raise StructureError("splitting dimension mismatch at %r" % (key,))
+        basis = SparseMatrix(n, n, f)
+        for j, v in enumerate(cols):
+            for t, c in v.items():
+                basis.set(t, j, c)
+        inv_rows = invert(basis).rows()
+        nb, nh = len(bvecs), len(hreps)
+        mlabels = []
+        for rep in hreps:
+            idx = counters.get(deg, 0)
+            counters[deg] = idx + 1
+            mlab = "%s%d.%d" % (name_prefix, deg, idx)
+            mlabels.append(mlab)
+            min_basis.append((mlab, deg))
+            if cat.weights:
+                min_weights[mlab] = w
+            inc[mlab] = {labs[t]: c for t, c in rep.items()}
+        # row j < nb of the inverse is the htp coordinate along the j-th
+        # pivot label below, row nb + j2 the proj coordinate along
+        # mlabels[j2]
+        below_labs, piv_in = blocks.get(below, []), pivots.get(below, [])
+        hvecs, pvecs = {}, {}
+        for j, row in enumerate(inv_rows[:nb + nh]):
+            vecs, coord = (hvecs, below_labs[piv_in[j]]) if j < nb \
+                else (pvecs, mlabels[j - nb])
+            for t, c in row.items():
+                vecs.setdefault(t, {})[coord] = c
+        for t in sorted(pvecs):
+            proj[labs[t]] = pvecs[t]
+        for t in sorted(hvecs):
+            htp[labs[t]] = hvecs[t]
+    return Contraction(pair, tuple(min_basis), inc, proj, htp, min_weights)
 
 
 def check_contraction(cat, con):
