@@ -127,14 +127,21 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
         nf = len(order)
         okey = {t: nf - 1 - i for i, t in enumerate(order)}
         # the boundaries, each restricted to the free columns (a cycle is
-        # determined there) with key nf + j recording its index j
+        # determined there) with key nf + j recording its index j; that
+        # needs each boundary to be a cycle, so b_1 b_1 = 0 is checked on
+        # the pivot columns below, which span the boundaries
         ech = Echelon(f)
         for j, bvec in enumerate(images.get(below, [])):
+            dd = {}
+            for t, c in bvec.items():
+                for z, cz in cat.b_value((labs[t],)).items():
+                    add_into(f, dd, z, f.mul(c, cz))
+            if dd:
+                raise StructureError("b_1 does not square to zero at %r"
+                                     % (below_labs[piv_in[j]],))
             row = {okey[t]: c for t, c in bvec.items() if t in okey}
             row[nf + j] = f.one()
             ech.add(row)
-        if any(p >= nf for p in ech.rows):
-            raise StructureError("splitting dimension mismatch at %r" % (key,))
         # the free columns no boundary row pivots on are the complement H,
         # represented by their kernel vectors
         mlab_of = {}

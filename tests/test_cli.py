@@ -95,8 +95,9 @@ def test_category_with_b1_and_b3_is_an_input_error(tmp_path, capsys, subcommand)
 def test_unit_that_is_not_a_cycle_is_transferred_without_a_unit(
         tmp_path, cycles, ext_dims):
     # b_1(e) = x for the designated unit e: check-ainf passes with units
-    # "none", and minimal-model transfers with no induced unit, where it
-    # used to exit 2 with "splitting dimension mismatch at (0, 0)"
+    # "none"; minimal-model must not seed e as a cohomology representative
+    # (that failed with "splitting dimension mismatch at (0, 0)") and
+    # transfers with no induced unit
     cat = ainf.AInfCategory(
         objects=("1",), hom={("1", "1"): (("e", 0), ("x", 1)) + cycles},
         ops={1: {("e",): {"x": 1}}}, arity_cap=2, units={"1": "e"},
@@ -116,6 +117,27 @@ def test_unit_that_is_not_a_cycle_is_transferred_without_a_unit(
     con = hom_contraction(cat, ("1", "1"), unit_label="e")
     assert len(con.min_basis) == len(cycles)
     assert check_contraction(cat, con) == []
+
+
+def test_differential_that_does_not_square_to_zero_is_an_input_error(
+        tmp_path, capsys):
+    # b_1(e) = x + z and b_1(x) = y: the boundary x + z is not a cycle, so
+    # there is no cohomology to transfer onto (exit 2), where reading the
+    # splitting off the free column z alone would find none and pass
+    cat = ainf.AInfCategory(
+        objects=("1",),
+        hom={("1", "1"): (("e", 0), ("x", 1), ("z", 1), ("y", 2))},
+        ops={1: {("e",): {"x": 1, "z": 1}, ("x",): {"y": 1}}}, arity_cap=2,
+        complete=True)
+    path = tmp_path / "cat.json"
+    path.write_text(docio.dumps_document(docio.to_document("ainf_category", cat)),
+                    encoding="utf-8")
+    assert main(["check-ainf", str(path)]) == EXIT["fail"]
+    capsys.readouterr()
+    assert main(["minimal-model", str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "b_1 does not square to zero at 'e'" in out.out
 
 
 WEIGHT_ERROR = "payload.weights[0]: want [label, weight]"

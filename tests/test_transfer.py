@@ -80,9 +80,10 @@ def test_contraction_matches_inverse_oracle(name, build):
 
 
 def test_minimal_model_makes_one_elimination_per_block(monkeypatch):
-    # at the parent, the complement of the boundaries was chosen with a
-    # second Echelon per block and proj and htp read off an n x n inverse:
-    # 7,316 Echelon.add calls on this category; now 3,484
+    # choosing the complement of the boundaries with a second Echelon per
+    # block and reading proj and htp off an n x n inverse made 7,316
+    # Echelon.add calls on this category; one elimination per block makes
+    # 3,484
     cat = bar_ext_category(derived_preprojective(QUIVERS["two_loop"]), 4)
     calls = []
     add = sparse.Echelon.add
