@@ -278,21 +278,24 @@ def minimal_model(cat: AInfCategory, arity_cap: int | None = None):
 
     def extend(tup, wsum, n):
         """Depth-first enumeration of composable tuples in operator order,
-        growing to the right (next element's target = current source)."""
+        growing to the right (next element's target = current source).
+        With strict units, b_n and theta_n (n >= 3) vanish on every tuple
+        that holds a unit, so no such tuple is visited."""
         if len(tup) >= 2:
-            skip = units_strict and len(tup) > 2 and \
-                any(x in unit_set for x in tup)
-            if not skip:
-                bt = apply_linear(f, proj_all, tree_sum(tup))
-                if bt:
-                    min_ops.setdefault(len(tup), {})[tup] = bt
-                th = theta(tup)
-                if th:
-                    f_comps.setdefault(len(tup), {})[tup] = th
+            bt = apply_linear(f, proj_all, tree_sum(tup))
+            if bt:
+                min_ops.setdefault(len(tup), {})[tup] = bt
+            th = theta(tup)
+            if th:
+                f_comps.setdefault(len(tup), {})[tup] = th
         if len(tup) == n:
             return
-        src_obj = info[tup[-1]][0]
-        for nxt in by_tgt.get(src_obj, ()):
+        nexts = by_tgt.get(info[tup[-1]][0], ())
+        if units_strict and len(tup) >= 2:
+            if any(x in unit_set for x in tup):
+                return
+            nexts = [x for x in nexts if x not in unit_set]
+        for nxt in nexts:
             w2 = wsum + min_weights.get(nxt, 0)
             if wcap is not None and w2 > wcap:
                 continue
