@@ -14,7 +14,9 @@ Conventions, fixed once for the whole package:
   differ by the suspension sign of signs.py, so m_1 = b_1.
 * A strict unit 1_i has degree 0 and satisfies b_1(1_i) = 0,
   b_2(x, 1_i) = (-1)^deg(x) x, b_2(1_j, x) = x, and b_n vanishes on every
-  tuple containing a unit for n >= 3.
+  tuple containing a unit for n >= 3.  These laws make the terms of every
+  relation on a composable tuple holding a unit cancel in pairs, so
+  check_relations leaves such tuples out when the units are strict.
 
 Operations with arity beyond a category's arity_cap are unknown, not zero,
 unless the category is flagged complete; checkers report such arities as
@@ -122,24 +124,33 @@ class RelationReport:
         return self.witnesses[0] if self.witnesses else None
 
 
-def _slot_index(table, u: int, sdeg):
+def _slot_index(table, u: int, sdeg, units):
     """Index the arity-u table by slot: idx[r][label at slot r] lists
     (tuple[:r], tuple[r+1:], output items, prefix parity of tuple[:r]) for
-    each entry."""
+    each entry.  An entry holding a label of units in a slot other than r
+    is left out of idx[r], since every tuple it makes holds that label; a
+    label of units at slot r itself stays, because the inner product put
+    there may output a unit."""
     idx = [dict() for _ in range(u)]
     for tup, out in table.items():
+        held = [r for r, x in enumerate(tup) if x in units]
+        if len(held) > 1:
+            continue
         pre = prefix_parities([sdeg(x) for x in tup])
         items = tuple(out.items())
-        for r in range(u):
+        for r in held or range(u):
             idx[r].setdefault(tup[r], []).append(
                 (tup[:r], tup[r + 1:], items, pre[r]))
     return idx
 
 
-def _insert_into(residual, inner, idx):
+def _insert_into(residual, inner, idx, units):
     """residual[(tuple, out)] += sum_r outer(1^r (x) inner (x) 1^t), the
-    outer table given by its _slot_index, as raw sums of products."""
+    outer table given by its _slot_index, as raw sums of products.  Inner
+    tuples holding a label of units are left out."""
     for tup_s, out_s in inner.items():
+        if not units.isdisjoint(tup_s):
+            continue
         for z, cz in out_s.items():
             for r, slot in enumerate(idx):
                 for pre, suf, items, odd in slot.get(z, ()):
@@ -159,7 +170,8 @@ def _known_through(cap, *lookups):
     return n
 
 
-def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at):
+def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at,
+                   units=frozenset()):
     """The arity loop shared by check_relations and check_functor.
 
     Truncation is decided first: arity n is checked iff n <= known, the
@@ -171,6 +183,13 @@ def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at):
     inner_l) in the form _accumulate_composite reads.  The slot index of
     each outer table is built once per call.  The residual of a checked
     arity lists its violations, sorted and cut at max_witnesses overall.
+
+    units is a set of labels whose tuples the insertions skip: an inner
+    tuple holding one, and an outer entry holding one in a slot other than
+    the insertion slot.  A unit at the insertion slot stays, because a
+    product of two non-units can output a unit; so every tuple free of
+    units gets all of its terms, and only those tuples are summed.  The
+    composites are not filtered.
     """
     indexes = {}
     checked, truncated, witnesses = [], [], []
@@ -183,8 +202,8 @@ def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at):
         for inner, outer, u in insertions:
             if inner and outer:
                 if u not in indexes:
-                    indexes[u] = _slot_index(outer, u, sdeg)
-                _insert_into(residual, inner, indexes[u])
+                    indexes[u] = _slot_index(outer, u, sdeg, units)
+                _insert_into(residual, inner, indexes[u], units)
         for trie, inners in composites:
             _accumulate_composite(residual, trie, inners, -1)
         checked.append(n)
@@ -207,14 +226,20 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
     truncated, not checked.  So are the arities above cap that the stored
     tables can break: with a nonempty table of arity k and none above, the
     relations of every arity up to 2k - 1 can be nonzero.
+
+    When the designated units are strict (_strict_unit_failures), tuples
+    holding a unit are not summed: their residual is zero, so the report
+    is the full sum's.
     """
     cap = max_arity if max_arity is not None else cat.arity_cap
+    fails = _strict_unit_failures(cat)
+    units = frozenset(cat.units.values()) if fails == [] else frozenset()
 
     def terms_at(n):
         return [(cat.op_table(s), cat.op_table(n + 1 - s), n + 1 - s)
                 for s in range(1, n + 1)], []
     rep = _check_arities(cat.field, cap, _known_through(cap, cat.op_table),
-                         max_witnesses, cat.sdeg, terms_at)
+                         max_witnesses, cat.sdeg, terms_at, units)
     k = max(cat.known_arities(), default=0)
     rep.truncated += tuple(range(cap + 1, 2 * k))
     return rep
@@ -226,6 +251,38 @@ class UnitReport:
     witnesses: tuple
 
 
+def _strict_unit_failures(cat: AInfCategory):
+    """The strict unit laws that the designated units break, as
+    check_unitality lists them; [] when the units are strict.  None when
+    the laws cannot decide: an object has no designated unit, or b_1 or
+    b_2 is unknown."""
+    if not cat.units or any(i not in cat.units for i in cat.objects):
+        return None
+    b1, b2 = cat.op_table(1), cat.op_table(2)
+    if b1 is None or b2 is None:
+        return None
+    f = cat.field
+    unit_labels = set(cat.units.values())
+    fails = []
+    for e in cat.units.values():
+        if b1.get((e,)):
+            fails.append(("b1 of unit nonzero", e))
+    for (i, j), basis in cat.hom.items():
+        ej, ei = cat.units[j], cat.units[i]
+        for lab, deg in basis:
+            if b2.get((lab, ei), {}) != {lab: f.of_int(parity_sign(deg))}:
+                fails.append(("right unit law", lab, ei))
+            if b2.get((ej, lab), {}) != {lab: f.one()}:
+                fails.append(("left unit law", lab, ej))
+    for n, table in cat.ops.items():
+        if n < 3:
+            continue
+        for tup, out in table.items():
+            if out and any(x in unit_labels for x in tup):
+                fails.append(("higher operation on unit tuple", n, tup))
+    return fails
+
+
 def check_unitality(cat: AInfCategory) -> UnitReport:
     """Classify designated units as strict, weak, or neither.
 
@@ -233,33 +290,16 @@ def check_unitality(cat: AInfCategory) -> UnitReport:
     stored b_n (n >= 3) kills tuples containing a unit.  Weak: the unit is a
     cycle acting as the identity up to im(b_1) on cycles.
     """
-    f = cat.field
     if not cat.units:
         return UnitReport("none", (("no designated units",),))
     missing = [i for i in cat.objects if i not in cat.units]
     if missing:
         return UnitReport("none", tuple(("object without unit", i) for i in missing))
-    unit_labels = set(cat.units.values())
-    strict_fail = []
-    for i, e in cat.units.items():
-        if cat.b_value((e,)):
-            strict_fail.append(("b1 of unit nonzero", e))
-    for (i, j), basis in cat.hom.items():
-        ej, ei = cat.units[j], cat.units[i]
-        for lab, deg in basis:
-            want = f.of_int(parity_sign(deg))
-            got = cat.b_value((lab, ei))
-            if got != {lab: want}:
-                strict_fail.append(("right unit law", lab, ei))
-            got = cat.b_value((ej, lab))
-            if got != {lab: f.one()}:
-                strict_fail.append(("left unit law", lab, ej))
-    for n, table in cat.ops.items():
-        if n < 3:
-            continue
-        for tup, out in table.items():
-            if out and any(x in unit_labels for x in tup):
-                strict_fail.append(("higher operation on unit tuple", n, tup))
+    strict_fail = _strict_unit_failures(cat)
+    if strict_fail is None:
+        n = 1 if cat.op_table(1) is None else 2
+        raise StructureError("b_%d is unknown at arity cap %d"
+                             % (n, cat.arity_cap))
     if not strict_fail:
         return UnitReport("strict", ())
 

@@ -33,7 +33,7 @@ from .ncword import NCContext
 from .presentations import bar_ext_category, truncated_path_category
 from .quiver import DGQuiverAlgebra, derived_preprojective
 from .sparse import add_into
-from .transfer import minimal_model
+from .transfer import hom_dims, minimal_model
 
 EXIT = {"pass": 0, "fail": 1, "error": 2, "truncated": 3}
 # batch exits with the gravest per-file code: error > fail > truncated > pass
@@ -61,14 +61,9 @@ def _relation_verdict(ok, truncated_arities):
 
 
 def _ext_dims(cat):
-    rows = []
-    for (i, j) in sorted(cat.hom):
-        dims = {}
-        for _, deg in cat.hom[(i, j)]:
-            dims[deg] = dims.get(deg, 0) + 1
-        rows.append({"src": i, "tgt": j,
-                     "dims": [[deg, dims[deg]] for deg in sorted(dims)]})
-    return rows
+    return [{"src": i, "tgt": j,
+             "dims": [list(d) for d in sorted(dims.items())]}
+            for (i, j), dims in sorted(hom_dims(cat).items())]
 
 
 def _parse_dims(text, objects):

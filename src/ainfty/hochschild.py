@@ -56,10 +56,6 @@ class HochschildError(Exception):
     pass
 
 
-def chain_degree(cat: AInfCategory, tup) -> int:
-    return sum(cat.deg(lab) for lab in tup) - len(tup) + 1
-
-
 def chain_composable(cat: AInfCategory, tup) -> bool:
     n = len(tup)
     return all(cat.src(tup[k]) == cat.tgt(tup[(k + 1) % n]) for k in range(n))

@@ -77,10 +77,11 @@ def per_term_kernels(f):
     """The relation-residual kernels of ainf as they were before the raw
     sums, bound to the field f: every term goes through add_into with field
     arithmetic, so the residual stays reduced and zero-free at every step.
-    Returns replacements for ainf._slot_index, ainf._insert_into and
-    ainf._accumulate_composite."""
+    They take the set of unit labels that ainf's kernels skip and ignore
+    it: every tuple is summed, units or not.  Returns replacements for
+    ainf._slot_index, ainf._insert_into and ainf._accumulate_composite."""
 
-    def slot_index(table, u, sdeg):
+    def slot_index(table, u, sdeg, units):
         idx = [dict() for _ in range(u)]
         for tup, out in table.items():
             pre = prefix_parities([sdeg(x) for x in tup])
@@ -88,7 +89,7 @@ def per_term_kernels(f):
                 idx[r].setdefault(tup[r], []).append((tup, out, pre[r]))
         return idx
 
-    def insert_into(residual, inner, idx):
+    def insert_into(residual, inner, idx, units):
         for tup_s, out_s in inner.items():
             for z, cz in out_s.items():
                 neg_z = f.neg(cz)

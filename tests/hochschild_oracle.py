@@ -14,9 +14,14 @@ b^2, B^2 and bB + Bb applied to each sample chain by composing
 chain reused.
 """
 
-from ainfty.hochschild import (HochschildChainWindow, chain_degree, connes_B,
-                               hochschild_b)
+from ainfty.hochschild import HochschildChainWindow, connes_B, hochschild_b
 from ainfty.sparse import SparseMatrix, add_into, rank_kernel_image, rref
+
+
+def chain_degree(cat, tup) -> int:
+    """Total degree of a Hochschild chain: the label degrees less one per
+    tensor sign."""
+    return sum(cat.deg(lab) for lab in tup) - len(tup) + 1
 
 
 def _assemble_b(window):

@@ -444,3 +444,157 @@ def test_functor_residual_matches_per_term_kernels(monkeypatch, fm, ok):
     assert rep.witnesses == per_term_witnesses(
         monkeypatch, fm.source.field, check_functor, fm, 4)
     assert all(canonical(fm.source.field, w[3]) for w in rep.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# strict units: check_relations leaves out tuples holding a unit, whose
+# residual the unit laws make zero; the per-term kernels still sum every
+# tuple, so they are the full sum these tests compare against
+
+def unit_filter_cases():
+    """(id, category, whether a perturbation that keeps the units strict
+    breaks a relation): at weight cap 2 the products of two non-units
+    reach the cap, so none does."""
+    for build in (bec, tpc):
+        for name in sorted(QUIVERS):
+            for cap in (2, 3):
+                for field in (QQ, GF(3)):
+                    yield ("%s-%s-%d-%s" % (build.__name__, name, cap,
+                                            field.p or "QQ"),
+                           build(name, cap=cap, field=field), cap == 3)
+    # stores b_3 on tuples free of units
+    yield "minimal-tpc-a2-4", minimal_model(tpc("a2", cap=4))[0], True
+
+
+def stored_entries(cat):
+    return [(n, tup) for n in sorted(cat.ops) for tup in sorted(cat.ops[n])
+            for _ in cat.ops[n][tup]]
+
+
+def holds_unit(cat, tup):
+    return any(x in cat.units.values() for x in tup)
+
+
+@pytest.mark.parametrize("cat, breaks", [pytest.param(*case[1:], id=case[0])
+                                         for case in unit_filter_cases()])
+def test_strict_unit_filter_matches_full_sum(monkeypatch, cat, breaks):
+    entries = stored_entries(cat)
+    strict, strict_failing = 0, 0
+    for which in range(0, len(entries), max(1, len(entries) // 24)):
+        bad = perturbed(cat, which)[0]
+        rep = check_relations(bad, max_arity=4, max_witnesses=UNCAPPED)
+        assert rep.witnesses == per_term_witnesses(
+            monkeypatch, bad.field, check_relations, bad, 4)
+        if ainf._strict_unit_failures(bad) == []:
+            strict += 1
+            strict_failing += bool(rep.witnesses)
+            assert not any(holds_unit(bad, w[1]) for w in rep.witnesses)
+    assert strict
+    assert bool(strict_failing) == breaks
+
+
+def inverse_pair():
+    """Objects 1 and 2 with f: 1 -> 2 and g: 2 -> 1 inverse to each other,
+    all in degree 0, and strict units: b_2(f, g) and b_2(g, f) are units."""
+    hom = {("1", "1"): (("e1", 0),), ("2", "2"): (("e2", 0),),
+           ("1", "2"): (("f", 0),), ("2", "1"): (("g", 0),)}
+    units = {"1": "e1", "2": "e2"}
+    one = QQ.one()
+    b2 = {("f", "g"): {"e2": one}, ("g", "f"): {"e1": one}}
+    for (i, j), basis in hom.items():
+        for lab, _ in basis:
+            b2[(lab, units[i])] = {lab: one}
+            b2[(units[j], lab)] = {lab: one}
+    return AInfCategory(objects=("1", "2"), hom=hom, ops={1: {}, 2: b2},
+                        units=units, complete=True)
+
+
+def test_strict_unit_filter_keeps_units_output_by_non_units(monkeypatch):
+    cat = inverse_pair()
+    assert check_unitality(cat).verdict == "strict"
+    assert check_relations(cat, max_arity=4).ok
+    entries = stored_entries(cat)
+    for which, (n, tup) in enumerate(entries):
+        if holds_unit(cat, tup):
+            continue
+        for delta in (1, -1, Fraction(1, 2)):
+            bad = perturbed(cat, which, delta)[0]
+            assert ainf._strict_unit_failures(bad) == []
+            rep = check_relations(bad, max_arity=4, max_witnesses=UNCAPPED)
+            # (f, g, f) and (g, f, g) read b_2 at a unit that b_2(f, g)
+            # or b_2(g, f) outputs
+            assert rep.witnesses
+            assert rep.witnesses == per_term_witnesses(
+                monkeypatch, bad.field, check_relations, bad, 4)
+
+
+def residual_sizes(monkeypatch, cat, full):
+    """len of the raw residual of each checked arity; full makes the units
+    count as not strict, so every tuple is summed."""
+    sizes = []
+    reduce_sums = ainf.reduce_sums
+
+    def recorded(field, acc):
+        sizes.append(len(acc))
+        return reduce_sums(field, acc)
+    with monkeypatch.context() as m:
+        m.setattr(ainf, "reduce_sums", recorded)
+        if full:
+            m.setattr(ainf, "_strict_unit_failures", lambda cat: None)
+        rep = check_relations(cat, max_arity=4, max_witnesses=UNCAPPED)
+    return sizes, rep.witnesses
+
+
+def non_strict_cases():
+    for name in sorted(QUIVERS):
+        cat = bec(name, cap=3)
+        entries = stored_entries(cat)
+        law = next(k for k, (n, tup) in enumerate(entries)
+                   if n == 2 and holds_unit(cat, tup))
+        yield "%s-unit-law-perturbed" % name, perturbed(cat, law)[0]
+        yield "%s-no-units" % name, replace(cat, units={})
+    a2 = bec("a2", cap=3)
+    first = a2.objects[0]
+    yield "a2-one-unit", replace(a2, units={first: a2.units[first]})
+    mini = minimal_model(tpc("a2", cap=4))[0]
+    e = next(iter(mini.units.values()))
+    ops = dict(mini.ops)
+    ops[3] = dict(ops[3])
+    ops[3][(e, e, e)] = {e: QQ.one()}
+    yield "minimal-tpc-a2-b3-on-units", replace(mini, ops=ops)
+
+
+@pytest.mark.parametrize("cat", [pytest.param(c, id=i)
+                                 for i, c in non_strict_cases()])
+def test_units_not_strict_sum_every_tuple(monkeypatch, cat):
+    assert ainf._strict_unit_failures(cat) != []
+    assert (residual_sizes(monkeypatch, cat, False)
+            == residual_sizes(monkeypatch, cat, True))
+
+
+def test_relation_check_without_b2_sums_every_tuple(monkeypatch):
+    # units, arity cap 1 and no stored b_2: strictness is undecided, so the
+    # check sums every tuple instead of raising as check_unitality does
+    cat = tpc("jordan", cap=3)
+    low = replace(cat, ops={1: cat.ops[1]}, arity_cap=1, complete=False)
+    unit_sets = []
+    insert_into = ainf._insert_into
+
+    def recorded(residual, inner, idx, units):
+        unit_sets.append(units)
+        return insert_into(residual, inner, idx, units)
+    monkeypatch.setattr(ainf, "_insert_into", recorded)
+    rep = check_relations(low)
+    assert rep.ok and rep.checked == (1,) and rep.truncated == ()
+    assert unit_sets and not any(unit_sets)
+    with pytest.raises(ainf.StructureError, match="b_2 is unknown"):
+        check_unitality(low)
+
+
+def test_relation_check_skips_strict_unit_tuples(monkeypatch):
+    # summing every tuple puts 2,784 keys in the raw residuals of this
+    # category; leaving out the tuples that hold a unit leaves 320
+    cat = bec("two_loop", cap=3)
+    sizes, witnesses = residual_sizes(monkeypatch, cat, False)
+    assert not witnesses
+    assert 0 < sum(sizes) < 1000

@@ -18,8 +18,8 @@ from ainfty import docio, hochschild, sparse
 from ainfty.cli import _identity_witnesses, main
 from ainfty.field import GF
 from ainfty.hochschild import (HochschildChainWindow, HochschildError,
-                               chain_degree, connes_B, hh0_dimension,
-                               hochschild_b, windowed_homology)
+                               connes_B, hh0_dimension, hochschild_b,
+                               windowed_homology)
 from ainfty.signs import rotations
 from ainfty.ainf import check_relations
 from ainfty.presentations import (bar_ext_category, perturbed,
@@ -28,7 +28,8 @@ from ainfty.quiver import (DGQuiverAlgebra, Quiver, a2_quiver,
                            derived_preprojective, jordan_quiver,
                            random_quiver, two_loop_quiver)
 from cyclic_quotient import cyclic_quotient
-from hochschild_oracle import identity_witnesses_oracle, windowed_homology_oracle
+from hochschild_oracle import (chain_degree, identity_witnesses_oracle,
+                               windowed_homology_oracle)
 
 
 def path_category(q, cap=2):
