@@ -133,7 +133,7 @@ def _slot_index(table, u: int, sdeg, units):
     there may output a unit."""
     idx = [dict() for _ in range(u)]
     for tup, out in table.items():
-        held = [r for r, x in enumerate(tup) if x in units]
+        held = [r for r, x in enumerate(tup) if x in units] if units else ()
         if len(held) > 1:
             continue
         pre = prefix_parities([sdeg(x) for x in tup])

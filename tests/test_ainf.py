@@ -467,8 +467,9 @@ def unit_filter_cases():
 
 
 def stored_entries(cat):
-    return [(n, tup) for n in sorted(cat.ops) for tup in sorted(cat.ops[n])
-            for _ in cat.ops[n][tup]]
+    """The (arity, tuple, out_label) entries in the order of perturbed."""
+    return [(n, tup, z) for n in sorted(cat.ops) for tup in sorted(cat.ops[n])
+            for z in sorted(cat.ops[n][tup])]
 
 
 def holds_unit(cat, tup):
@@ -478,9 +479,9 @@ def holds_unit(cat, tup):
 @pytest.mark.parametrize("cat, breaks", [pytest.param(*case[1:], id=case[0])
                                          for case in unit_filter_cases()])
 def test_strict_unit_filter_matches_full_sum(monkeypatch, cat, breaks):
-    entries = stored_entries(cat)
+    size = len(stored_entries(cat))
     strict, strict_failing = 0, 0
-    for which in range(0, len(entries), max(1, len(entries) // 24)):
+    for which in range(0, size, max(1, size // 24)):
         bad = perturbed(cat, which)[0]
         rep = check_relations(bad, max_arity=4, max_witnesses=UNCAPPED)
         assert rep.witnesses == per_term_witnesses(
@@ -513,8 +514,7 @@ def test_strict_unit_filter_keeps_units_output_by_non_units(monkeypatch):
     cat = inverse_pair()
     assert check_unitality(cat).verdict == "strict"
     assert check_relations(cat, max_arity=4).ok
-    entries = stored_entries(cat)
-    for which, (n, tup) in enumerate(entries):
+    for which, (_, tup, _) in enumerate(stored_entries(cat)):
         if holds_unit(cat, tup):
             continue
         for delta in (1, -1, Fraction(1, 2)):
@@ -548,8 +548,7 @@ def residual_sizes(monkeypatch, cat, full):
 def non_strict_cases():
     for name in sorted(QUIVERS):
         cat = bec(name, cap=3)
-        entries = stored_entries(cat)
-        law = next(k for k, (n, tup) in enumerate(entries)
+        law = next(k for k, (n, tup, _) in enumerate(stored_entries(cat))
                    if n == 2 and holds_unit(cat, tup))
         yield "%s-unit-law-perturbed" % name, perturbed(cat, law)[0]
         yield "%s-no-units" % name, replace(cat, units={})
