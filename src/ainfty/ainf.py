@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .field import FieldCtx, QQ
-from .signs import parity_sign, prefix_parities
+from .signs import parity_sign
 from .sparse import add_into, reduce_sums
 
 
@@ -124,41 +124,32 @@ class RelationReport:
         return self.witnesses[0] if self.witnesses else None
 
 
-def _slot_index(table, u: int, sdeg, units):
-    """Index the arity-u table by slot: idx[r][label at slot r] lists
-    (tuple[:r], tuple[r+1:], output items, prefix parity of tuple[:r]) for
-    each entry.  An entry holding a label of units in a slot other than r
-    is left out of idx[r], since every tuple it makes holds that label; a
-    label of units at slot r itself stays, because the inner product put
-    there may output a unit."""
-    idx = [dict() for _ in range(u)]
-    for tup, out in table.items():
-        held = [r for r, x in enumerate(tup) if x in units] if units else ()
-        if len(held) > 1:
-            continue
-        pre = prefix_parities([sdeg(x) for x in tup])
-        items = tuple(out.items())
-        for r in held or range(u):
-            idx[r].setdefault(tup[r], []).append(
-                (tup[:r], tup[r + 1:], items, pre[r]))
-    return idx
-
-
-def _insert_into(residual, inner, idx, units):
+def _insert_into(residual, outputs, outer, u, parity, units):
     """residual[(tuple, out)] += sum_r outer(1^r (x) inner (x) 1^t), the
-    outer table given by its _slot_index, as raw sums of products.  Inner
-    tuples holding a label of units are left out."""
-    for tup_s, out_s in inner.items():
-        if not units.isdisjoint(tup_s):
-            continue
-        for z, cz in out_s.items():
-            for r, slot in enumerate(idx):
-                for pre, suf, items, odd in slot.get(z, ()):
+    inner table given by its _output_index, as raw sums of products.  Each
+    entry of the arity-u outer table is walked once, its prefix parity
+    kept from parity; slot r looks up the inner products that output its
+    label, unless a label of units sits in another slot."""
+    unit_out = units.intersection(outputs)  # else unit slots read nothing
+    for tup, out in outer.items():
+        slots = range(u)
+        if units and not units.isdisjoint(tup):
+            if unit_out:
+                slots = [r for r, x in enumerate(tup) if x in units]
+            if not unit_out or len(slots) > 1:
+                continue
+        odd = 0
+        for r, x in enumerate(tup):
+            entries = outputs.get(x) if r in slots else None
+            if entries:
+                pre, suf, items = tup[:r], tup[r + 1:], out.items()
+                for tup_s, cz in entries:
                     full = pre + tup_s + suf
                     c = -cz if odd else cz
                     for w, cw in items:
                         key = (full, w)
                         residual[key] = residual.get(key, 0) + c * cw
+            odd ^= parity[x]
 
 
 def _known_through(cap, *lookups):
@@ -170,9 +161,10 @@ def _known_through(cap, *lookups):
     return n
 
 
-def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at,
+def _check_arities(cat, cap, known, max_witnesses, terms_at,
                    units=frozenset()):
-    """The arity loop shared by check_relations and check_functor.
+    """The arity loop shared by check_relations and check_functor, over
+    the field of cat, whose labels the insertions read.
 
     Truncation is decided first: arity n is checked iff n <= known, the
     caller's bound below which every table the relations use is known, and
@@ -180,18 +172,21 @@ def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at,
     the arity-n relation as (insertions, composites): insertions (inner,
     outer, u) add sum_r outer(1^r (x) inner (x) 1^t) for the arity-u outer
     table, composites (trie, inners) subtract b_l(inner_1 (x) ... (x)
-    inner_l) in the form _accumulate_composite reads.  The slot index of
-    each outer table is built once per call.  The residual of a checked
-    arity lists its violations, sorted and cut at max_witnesses overall.
+    inner_l) in the form _accumulate_composite reads.  The _output_index
+    of each inner table is built once per call, and _insert_into walks
+    the outer table against it, with signs from parity (label -> shifted
+    degree mod 2 in cat).  The residual of a checked arity lists its
+    violations, sorted and cut at max_witnesses overall.
 
-    units is a set of labels whose tuples the insertions skip: an inner
-    tuple holding one, and an outer entry holding one in a slot other than
-    the insertion slot.  A unit at the insertion slot stays, because a
-    product of two non-units can output a unit; so every tuple free of
-    units gets all of its terms, and only those tuples are summed.  The
-    composites are not filtered.
+    units is a set of labels whose tuples the insertions skip: the output
+    index leaves out inner tuples holding one, and _insert_into skips an
+    outer entry at slot r when one sits in a slot other than r.  A unit
+    at slot r stays, because a product of two non-units can output a
+    unit; so exactly the tuples free of units are summed, each with all
+    of its terms.  The composites are not filtered.
     """
-    indexes = {}
+    parity = {lab: cat.sdeg(lab) & 1 for lab in cat.labels()}
+    outputs = {}
     checked, truncated, witnesses = [], [], []
     for n in range(1, cap + 1):
         if n > known:
@@ -201,13 +196,14 @@ def _check_arities(f, cap, known, max_witnesses, sdeg, terms_at,
         residual = {}
         for inner, outer, u in insertions:
             if inner and outer:
-                if u not in indexes:
-                    indexes[u] = _slot_index(outer, u, sdeg, units)
-                _insert_into(residual, inner, indexes[u], units)
+                idx = outputs.get(n + 1 - u)
+                if idx is None:
+                    idx = outputs[n + 1 - u] = _output_index(inner, units)
+                _insert_into(residual, idx, outer, u, parity, units)
         for trie, inners in composites:
             _accumulate_composite(residual, trie, inners, -1)
         checked.append(n)
-        for (tup, z), c in sorted(reduce_sums(f, residual).items()):
+        for (tup, z), c in sorted(reduce_sums(cat.field, residual).items()):
             witnesses.append((n, tup, z, c))
             if len(witnesses) >= max_witnesses:
                 break
@@ -232,14 +228,17 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
     is the full sum's.
     """
     cap = max_arity if max_arity is not None else cat.arity_cap
-    fails = _strict_unit_failures(cat)
-    units = frozenset(cat.units.values()) if fails == [] else frozenset()
+    try:
+        strict = _strict_unit_failures(cat) == []
+    except StructureError:  # b_1 or b_2 unknown: strictness undecided
+        strict = False
+    units = frozenset(cat.units.values()) if strict else frozenset()
 
     def terms_at(n):
         return [(cat.op_table(s), cat.op_table(n + 1 - s), n + 1 - s)
                 for s in range(1, n + 1)], []
-    rep = _check_arities(cat.field, cap, _known_through(cap, cat.op_table),
-                         max_witnesses, cat.sdeg, terms_at, units)
+    rep = _check_arities(cat, cap, _known_through(cap, cat.op_table),
+                         max_witnesses, terms_at, units)
     k = max(cat.known_arities(), default=0)
     rep.truncated += tuple(range(cap + 1, 2 * k))
     return rep
@@ -254,13 +253,14 @@ class UnitReport:
 def _strict_unit_failures(cat: AInfCategory):
     """The strict unit laws that the designated units break, as
     check_unitality lists them; [] when the units are strict.  None when
-    the laws cannot decide: an object has no designated unit, or b_1 or
-    b_2 is unknown."""
+    an object has no designated unit, and a StructureError when b_1 or b_2
+    is unknown."""
     if not cat.units or any(i not in cat.units for i in cat.objects):
         return None
     b1, b2 = cat.op_table(1), cat.op_table(2)
     if b1 is None or b2 is None:
-        return None
+        raise StructureError("b_%d is unknown at arity cap %d"
+                             % (1 if b1 is None else 2, cat.arity_cap))
     f = cat.field
     unit_labels = set(cat.units.values())
     fails = []
@@ -296,10 +296,6 @@ def check_unitality(cat: AInfCategory) -> UnitReport:
     if missing:
         return UnitReport("none", tuple(("object without unit", i) for i in missing))
     strict_fail = _strict_unit_failures(cat)
-    if strict_fail is None:
-        n = 1 if cat.op_table(1) is None else 2
-        raise StructureError("b_%d is unknown at arity cap %d"
-                             % (n, cat.arity_cap))
     if not strict_fail:
         return UnitReport("strict", ())
 
@@ -407,11 +403,14 @@ def _prefix_trie(table):
     return root
 
 
-def _output_index(table):
-    """idx[z] lists (tuple, coeff of z in its value) for the entries of a
-    component table whose value holds label z."""
+def _output_index(table, units=frozenset()):
+    """idx[z] lists (tuple, coeff of z in its value) for the entries of an
+    operation or component table whose value holds label z, leaving out
+    the tuples that hold a label of units."""
     idx = {}
     for tup, out in table.items():
+        if units and not units.isdisjoint(tup):
+            continue
         for z, c in out.items():
             idx.setdefault(z, []).append((tup, c))
     return idx
@@ -481,5 +480,4 @@ def check_functor(fm: AInfMorphism, max_arity: int | None = None,
         insertions = [(src.op_table(s), fm.component(n + 1 - s), n + 1 - s)
                       for s in range(1, n + 1)]
         return insertions, composites(n)
-    return _check_arities(src.field, cap, known, max_witnesses, src.sdeg,
-                          terms_at)
+    return _check_arities(src, cap, known, max_witnesses, terms_at)

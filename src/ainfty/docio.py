@@ -307,7 +307,7 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
             for (i, j), basis in hom.items() for lab, deg in basis}
     cap = (None if payload.get("weight_cap") is None
            else _need_int(payload, "weight_cap", path))
-    ops = {}
+    ops, scalars = {}, {}   # scalars: scalar string -> field value
     for k, rec in enumerate(_need(payload, "ops", path, list)):
         opath = "%s.ops[%d]" % (path, k)
         n = _need_int(rec, "arity", opath)
@@ -320,15 +320,19 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
                 ins, ents = row["inputs"], row["output"]
                 if type(ins) is not list or type(ents) is not list or len(ins) != n:
                     raise ValueError("want %d inputs and an output list" % n)
-                recs = [info.get(x) for x in ins]
-                if None in recs:
-                    raise ValueError("unknown label %r"
-                                     % (ins[recs.index(None)],))
-                src, tgt, sdeg, wsum = recs[0]
-                for s, t, d, w in recs[1:]:
-                    if t != src:
-                        raise ValueError("inputs are not composable")
-                    src, sdeg, wsum = s, sdeg + d, wsum + w
+                # an unknown label is reported before a break in the chain
+                tgt, sdeg, wsum, chain = None, 0, 0, True
+                for x in ins:
+                    z = info.get(x)
+                    if z is None:
+                        raise ValueError("unknown label %r" % (x,))
+                    if tgt is None:
+                        tgt = z[1]
+                    elif z[1] != src:
+                        chain = False
+                    src, sdeg, wsum = z[0], sdeg + z[2], wsum + z[3]
+                if not chain:
+                    raise ValueError("inputs are not composable")
                 if ents and cap is not None and wsum > cap:
                     raise ValueError("weight %d above cap %d" % (wsum, cap))
                 # what every output must be, as in info
@@ -344,7 +348,12 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
                             "unknown label %r" % (lab,) if z is None else
                             "output %r has (src, tgt, shifted degree, weight) "
                             "%s, want %s" % (lab, z, want))
-                    c = f.scalar_from_json(c)
+                    if type(c) is str:
+                        if c not in scalars:
+                            scalars[c] = f.scalar_from_json(c)
+                        c = scalars[c]
+                    else:
+                        c = f.scalar_from_json(c)
                     if c == 0 or lab in out:
                         raise ValueError("output %r is zero or repeated" % lab)
                     out[lab] = c

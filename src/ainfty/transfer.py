@@ -41,7 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ainf import AInfCategory, AInfMorphism, StructureError
+from .ainf import (AInfCategory, AInfMorphism, StructureError,
+                   _strict_unit_failures)
 from .field import FieldCtx
 from .sparse import Echelon, SparseMatrix, add_into, rank_kernel_image
 
@@ -189,9 +190,7 @@ def minimal_model(cat: AInfCategory, arity_cap: int | None = None):
     cap = arity_cap if arity_cap is not None else cat.arity_cap
     f = cat.field
 
-    from .ainf import check_unitality
-    units_strict = bool(cat.units) and \
-        check_unitality(cat).verdict == "strict"
+    units_strict = _strict_unit_failures(cat) == []
 
     cons = {}
     min_hom = {}

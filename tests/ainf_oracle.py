@@ -77,23 +77,29 @@ def per_term_kernels(f):
     """The relation-residual kernels of ainf as they were before the raw
     sums, bound to the field f: every term goes through add_into with field
     arithmetic, so the residual stays reduced and zero-free at every step.
-    They take the set of unit labels that ainf's kernels skip and ignore
-    it: every tuple is summed, units or not.  Returns replacements for
-    ainf._slot_index, ainf._insert_into and ainf._accumulate_composite."""
+    They take ainf's kernel arguments, unit set included, and ignore the
+    units: every tuple is summed, units or not.  The insertion keeps the
+    older direction: it indexes the outer table by slot and walks the
+    inner table's products.  Returns replacements for ainf._output_index,
+    ainf._insert_into and ainf._accumulate_composite."""
 
-    def slot_index(table, u, sdeg, units):
-        idx = [dict() for _ in range(u)]
+    def output_index(table, units=frozenset()):
+        idx = {}
         for tup, out in table.items():
-            pre = prefix_parities([sdeg(x) for x in tup])
-            for r in range(u):
-                idx[r].setdefault(tup[r], []).append((tup, out, pre[r]))
+            for z, c in out.items():
+                idx.setdefault(z, []).append((tup, c))
         return idx
 
-    def insert_into(residual, inner, idx, units):
-        for tup_s, out_s in inner.items():
-            for z, cz in out_s.items():
+    def insert_into(residual, outputs, outer, u, parity, units):
+        slots = [dict() for _ in range(u)]
+        for tup, out in outer.items():
+            pre = prefix_parities([parity[x] for x in tup])
+            for r in range(u):
+                slots[r].setdefault(tup[r], []).append((tup, out, pre[r]))
+        for z, entries in outputs.items():
+            for tup_s, cz in entries:
                 neg_z = f.neg(cz)
-                for r, slot in enumerate(idx):
+                for r, slot in enumerate(slots):
                     for tup_u, out_u, odd in slot.get(z, ()):
                         full = tup_u[:r] + tup_s + tup_u[r + 1:]
                         c = neg_z if odd else cz
@@ -113,4 +119,4 @@ def per_term_kernels(f):
                         rec(k + 1, child, tup_acc + tup, f.mul(c, cz))
         rec(0, trie, (), f.of_int(coeff))
 
-    return slot_index, insert_into, accumulate_composite
+    return output_index, insert_into, accumulate_composite

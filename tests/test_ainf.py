@@ -404,7 +404,7 @@ def functor_residual_cases():
 
 def per_term_witnesses(monkeypatch, field, check, *args):
     with monkeypatch.context() as m:
-        for name, kernel in zip(("_slot_index", "_insert_into",
+        for name, kernel in zip(("_output_index", "_insert_into",
                                  "_accumulate_composite"),
                                 per_term_kernels(field)):
             m.setattr(ainf, name, kernel)
@@ -579,15 +579,40 @@ def test_relation_check_without_b2_sums_every_tuple(monkeypatch):
     unit_sets = []
     insert_into = ainf._insert_into
 
-    def recorded(residual, inner, idx, units):
+    def recorded(residual, outputs, outer, u, parity, units):
         unit_sets.append(units)
-        return insert_into(residual, inner, idx, units)
+        return insert_into(residual, outputs, outer, u, parity, units)
     monkeypatch.setattr(ainf, "_insert_into", recorded)
     rep = check_relations(low)
     assert rep.ok and rep.checked == (1,) and rep.truncated == ()
     assert unit_sets and not any(unit_sets)
     with pytest.raises(ainf.StructureError, match="b_2 is unknown"):
         check_unitality(low)
+
+
+def test_relation_check_indexes_each_inner_table_once_without_units(
+        monkeypatch):
+    # the insertions read each nonempty inner table (b_1 and b_2) through
+    # one output index per call, built without the tuples that hold a
+    # strict unit; no index of the outer tables is built
+    cat = bec("two_loop", cap=3)
+    units = set(cat.units.values())
+    built = []
+    output_index = ainf._output_index
+
+    def recorded(table, units=frozenset()):
+        idx = output_index(table, units)
+        built.append((id(table), idx))
+        return idx
+    monkeypatch.setattr(ainf, "_output_index", recorded)
+    for _ in range(2):
+        assert check_relations(cat).ok
+    inner = sorted(id(t) for t in cat.ops.values() if t)
+    assert len(inner) == 2
+    assert sorted(i for i, _ in built) == sorted(inner * 2)
+    assert not any(units.intersection(tup) for _, idx in built
+                   for entries in idx.values() for tup, _ in entries)
+    assert not hasattr(ainf, "_slot_index")
 
 
 def test_relation_check_skips_strict_unit_tuples(monkeypatch):

@@ -173,6 +173,36 @@ def test_rejects_nondg_input():
         minimal_model(replace(cat, ops=bad_ops))
 
 
+@pytest.mark.parametrize("arity_cap", [None, 1, 3])
+def test_units_without_b2_are_a_structure_error(arity_cap):
+    # units and no known b_2: the strict unit laws cannot be read, and the
+    # transfer says so at every cap rather than going on without units
+    from ainfty.ainf import StructureError
+    cat = truncated_path_category(derived_preprojective(QUIVERS["jordan"]), 3)
+    low = replace(cat, ops={1: cat.ops[1]}, arity_cap=1, complete=False)
+    with pytest.raises(StructureError,
+                       match=r"^b_2 is unknown at arity cap 1$"):
+        minimal_model(low, arity_cap)
+
+
+def test_units_that_are_not_strict_skip_the_weak_unit_check(monkeypatch):
+    # only strictness decides how the transfer treats units, so the weak
+    # fallback (a rank per hom space) never runs
+    from ainfty import ainf
+    from ainfty.presentations import perturbed
+    from test_ainf import stored_entries
+    cat = bar_ext_category(derived_preprojective(QUIVERS["a2"]), 3)
+    law = next(k for k, (n, tup, _) in enumerate(stored_entries(cat))
+               if n == 2 and cat.units["1"] in tup)
+    bad = perturbed(cat, law)[0]
+    assert ainf._strict_unit_failures(bad)
+
+    def refused(cat):
+        raise AssertionError("weak unit check ran")
+    monkeypatch.setattr(ainf, "_weak_unit_check", refused)
+    minimal_model(bad)
+
+
 def table_scalars(tables):
     """Every coefficient of {arity or key: {inputs: {output: coeff}}}."""
     return [c for tab in tables.values() for vec in tab.values()
