@@ -130,7 +130,8 @@ def _insert_into(residual, outputs, outer, u, parity, units):
     entry of the arity-u outer table is walked once, its prefix parity
     kept from parity; slot r looks up the inner products that output its
     label, unless a label of units sits in another slot."""
-    unit_out = units.intersection(outputs)  # else unit slots read nothing
+    # a unit's slot reads only a unit that some inner product outputs
+    unit_out = units.intersection(outputs)
     for tup, out in outer.items():
         slots = range(u)
         if units and not units.isdisjoint(tup):

@@ -78,10 +78,11 @@ def per_term_kernels(f):
     sums, bound to the field f: every term goes through add_into with field
     arithmetic, so the residual stays reduced and zero-free at every step.
     They take ainf's kernel arguments, unit set included, and ignore the
-    units: every tuple is summed, units or not.  The insertion keeps the
-    older direction: it indexes the outer table by slot and walks the
-    inner table's products.  Returns replacements for ainf._output_index,
-    ainf._insert_into and ainf._accumulate_composite."""
+    units: every tuple is summed, units or not.  The insertion runs the
+    other way round from ainf's, so the two share no loop: it indexes the
+    outer table by slot and walks the inner table's products.  Returns
+    replacements for ainf._output_index, ainf._insert_into and
+    ainf._accumulate_composite."""
 
     def output_index(table, units=frozenset()):
         idx = {}

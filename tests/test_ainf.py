@@ -596,7 +596,7 @@ def test_relation_check_indexes_each_inner_table_once_without_units(
     # one output index per call, built without the tuples that hold a
     # strict unit; no index of the outer tables is built
     cat = bec("two_loop", cap=3)
-    units = set(cat.units.values())
+    unit_labels = set(cat.units.values())
     built = []
     output_index = ainf._output_index
 
@@ -610,7 +610,7 @@ def test_relation_check_indexes_each_inner_table_once_without_units(
     inner = sorted(id(t) for t in cat.ops.values() if t)
     assert len(inner) == 2
     assert sorted(i for i, _ in built) == sorted(inner * 2)
-    assert not any(units.intersection(tup) for _, idx in built
+    assert not any(unit_labels.intersection(tup) for _, idx in built
                    for entries in idx.values() for tup, _ in entries)
     assert not hasattr(ainf, "_slot_index")
 

@@ -6,15 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from ainfty import docio, sparse
-from ainfty.ainf import check_functor, check_relations, check_unitality
+from ainfty import ainf, docio, sparse
+from ainfty.ainf import (StructureError, check_functor, check_relations,
+                         check_unitality)
 from ainfty.field import GF, QQ
-from ainfty.presentations import bar_ext_category, truncated_path_category
+from ainfty.presentations import (bar_ext_category, perturbed,
+                                  truncated_path_category)
 from ainfty.quiver import (a2_quiver, derived_preprojective, jordan_quiver,
                            random_quiver, two_loop_quiver)
 from ainfty.nccalc import solve_cyclic_pairing
 from ainfty.transfer import hom_contraction, hom_dims, minimal_model
 
+from test_ainf import stored_entries
 from transfer_oracle import (check_contraction, cohomology_dims,
                              hom_contraction_oracle)
 
@@ -177,7 +180,6 @@ def test_rejects_nondg_input():
 def test_units_without_b2_are_a_structure_error(arity_cap):
     # units and no known b_2: the strict unit laws cannot be read, and the
     # transfer says so at every cap rather than going on without units
-    from ainfty.ainf import StructureError
     cat = truncated_path_category(derived_preprojective(QUIVERS["jordan"]), 3)
     low = replace(cat, ops={1: cat.ops[1]}, arity_cap=1, complete=False)
     with pytest.raises(StructureError,
@@ -188,9 +190,6 @@ def test_units_without_b2_are_a_structure_error(arity_cap):
 def test_units_that_are_not_strict_skip_the_weak_unit_check(monkeypatch):
     # only strictness decides how the transfer treats units, so the weak
     # fallback (a rank per hom space) never runs
-    from ainfty import ainf
-    from ainfty.presentations import perturbed
-    from test_ainf import stored_entries
     cat = bar_ext_category(derived_preprojective(QUIVERS["a2"]), 3)
     law = next(k for k, (n, tup, _) in enumerate(stored_entries(cat))
                if n == 2 and cat.units["1"] in tup)
