@@ -10,8 +10,8 @@ Conventions, fixed once for the whole package:
       sum_{r+s+t=n} b_{r+1+t} (1^r (x) b_s (x) 1^t) = 0,
   where evaluating 1^r (x) b_s (x) 1^t on (x_1,...,x_n) carries the prefix
   sign of signs.py on the shifted degrees of x_1, ..., x_r.
-* Unshifted operations m_n exist only at the API boundary; b_n and m_n
-  differ by the suspension sign of signs.py, so m_1 = b_1.
+* The package stores only the b_n.  The unshifted m_n differ from them
+  by a suspension sign (the tests convert between the two), so m_1 = b_1.
 * A strict unit 1_i has degree 0 and satisfies b_1(1_i) = 0,
   b_2(x, 1_i) = (-1)^deg(x) x, b_2(1_j, x) = x, and b_n vanishes on every
   tuple containing a unit for n >= 3.  These laws make the terms of every
@@ -119,9 +119,9 @@ class RelationReport:
     checked: tuple
     truncated: tuple
     witnesses: tuple  # (arity, tuple, out_label, residual) of violations
-
-    def first_witness(self):
-        return self.witnesses[0] if self.witnesses else None
+    # the designated units satisfy the strict unit laws, so the tuples
+    # holding one were left out (check_relations only)
+    units_strict: bool = False
 
 
 def _insert_into(residual, outputs, outer, u, parity, units):
@@ -226,7 +226,8 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
 
     When the designated units are strict (_strict_unit_failures), tuples
     holding a unit are not summed: their residual is zero, so the report
-    is the full sum's.
+    is the full sum's.  The report says so in units_strict, which is then
+    check_unitality's verdict "strict".
     """
     cap = max_arity if max_arity is not None else cat.arity_cap
     try:
@@ -242,6 +243,7 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
                          max_witnesses, terms_at, units)
     k = max(cat.known_arities(), default=0)
     rep.truncated += tuple(range(cap + 1, 2 * k))
+    rep.units_strict = strict
     return rep
 
 
@@ -366,12 +368,6 @@ class AInfMorphism:
             return {}
         return None
 
-    def f_value(self, tup):
-        table = self.component(len(tup))
-        if table is None:
-            raise StructureError("f_%d unknown at cap %d" % (len(tup), self.arity_cap))
-        return table.get(tuple(tup), {})
-
 
 def _compositions(n: int, parts, length: int):
     """Ordered compositions of n into exactly length parts drawn from the
@@ -425,15 +421,18 @@ def _accumulate_composite(residual, trie, inners, coeff):
     A join: slot k descends only through labels z that both the trie node
     (b_l stores a tuple with this prefix) and inner_k's index (some entry
     of inner_k has z in its value) hold, so every leaf reached is a stored
-    product of b_l.  Each step walks the smaller of the two key sets."""
+    product of b_l.  Each step walks the smaller of the two key sets.  The
+    walk keeps its own stack of (slot, node, inputs so far, coefficient),
+    so no closure refers to itself."""
     last = len(inners)
-
-    def rec(k, node, tup_acc, c):
+    stack = [(0, trie, (), coeff)]
+    while stack:
+        k, node, tup_acc, c = stack.pop()
         if k == last:
             for w, cw in node.items():
                 key = (tup_acc, w)
                 residual[key] = residual.get(key, 0) + c * cw
-            return
+            continue
         idx = inners[k]
         if len(idx) < len(node):
             pairs = ((z, node.get(z), entries) for z, entries in idx.items())
@@ -443,8 +442,7 @@ def _accumulate_composite(residual, trie, inners, coeff):
             if child is None or entries is None:
                 continue
             for tup, cz in entries:
-                rec(k + 1, child, tup_acc + tup, c * cz)
-    rec(0, trie, (), coeff)
+                stack.append((k + 1, child, tup_acc + tup, c * cz))
 
 
 def check_functor(fm: AInfMorphism, max_arity: int | None = None,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldCtx, QQ
-from .sparse import SparseMatrix, add_into
+from .sparse import add_into
 from .quiver import Quiver, Arrow, euler_form
 from .ratpoly import RatPolynomial
 from .ainf import AInfCategory
@@ -168,20 +168,6 @@ def poly_mul(a, b, f: FieldCtx):
         for m2, c2 in b.items():
             add_into(f, out, tuple(sorted(m1 + m2)), f.mul(c1, c2))
     return out
-
-
-def poly_eval(a, values, f: FieldCtx, coeff_field: FieldCtx = QQ):
-    """Evaluate at a point.  Coefficients living in a characteristic-zero
-    field are pushed into f via of_fraction before combining."""
-    total = f.zero()
-    for mono, c in a.items():
-        if coeff_field.p == 0 and f.p != 0:
-            c = f.of_fraction(c)
-        term = c
-        for var in mono:
-            term = f.mul(term, values[var])
-        total = f.add(total, term)
-    return total
 
 
 def _poly_sort_key(mono):
@@ -387,39 +373,6 @@ def monic_equations(pres: MCPresentation):
     return tuple(out)
 
 
-def mc_point(pres: MCPresentation, mats: dict, f: FieldCtx) -> dict:
-    """Flatten a dict {degree-1 label: SparseMatrix} into coordinate values."""
-    values = {}
-    for lab, pair, deg in pres.generators:
-        if deg != 1:
-            continue
-        nrows, ncols = pres.block_sizes[pair[1]], pres.block_sizes[pair[0]]
-        m = mats.get(lab)
-        for r in range(nrows):
-            for c in range(ncols):
-                values[(lab, r, c)] = f.zero() if m is None else m.get(r, c)
-    return values
-
-
-def mc_residuals(pres: MCPresentation, values: dict, f: FieldCtx):
-    """Evaluate every classical equation block at a point; returns
-    {degree-2 label: SparseMatrix residual}."""
-    out = {}
-    for eq in pres.classical_equations:
-        nrows = len(eq.matrix)
-        ncols = len(eq.matrix[0]) if nrows else 0
-        res = SparseMatrix(nrows, ncols, field=f)
-        for r in range(nrows):
-            for c in range(ncols):
-                res.set(r, c, poly_eval(eq.matrix[r][c], values, f, coeff_field=pres.field))
-        out[eq.label] = res
-    return out
-
-
-def mc_vanishes(pres: MCPresentation, values: dict, f: FieldCtx) -> bool:
-    return all(m.is_zero() for m in mc_residuals(pres, values, f).values())
-
-
 # ---------------------------------------------------------------------------
 # Euler-form comparison
 
@@ -479,20 +432,8 @@ class HNType:
 
     polys: tuple
 
-    def reduced_polys(self):
-        return tuple(reduced_polynomial(p) for p in self.polys)
-
     def __len__(self):
         return len(self.polys)
-
-
-def reduced_polynomial(p: RatPolynomial) -> RatPolynomial:
-    """Scale so the leading term is t^d / d!."""
-    d = p.degree
-    if d < 0:
-        raise LocalModelError("cannot reduce the zero polynomial")
-    lead = p.leading()
-    return p * (Fraction(1, math.factorial(d)) / Fraction(lead))
 
 
 def _compositions(total: int, parts: int):

@@ -5,12 +5,12 @@ words in the dual generators xi_y, where a letter may carry a d-mark.  A
 function is a form with no marked letter (as in Kontsevich's formal
 symplectic geometry, a function is a 0-form), so d, the contraction iota_X
 and the action of a vector field X on functions are one derivation loop
-with three slot actions, and one substitution pulls back functions and
-forms alike.  A capped category determines a degree one vector
-field Q with [Q,Q] = 0 iff the arity relations hold; a nondegenerate
-pairing determines a constant symplectic 2-form omega, the potential W
-solving dW = iota_Q omega, and the Poisson bracket.  Strictification of
-units runs the order-by-order automorphism loop on W.
+with three slot actions (the tests build the third), and one substitution
+pulls back functions and forms alike.  A capped category determines a
+degree one vector field Q with [Q,Q] = 0 iff the arity relations hold; a
+nondegenerate pairing determines a constant symplectic 2-form omega, the
+potential W solving dW = iota_Q omega, and the Poisson bracket.
+Strictification of units runs the order-by-order automorphism loop on W.
 
 A pairing is validated and inverted once, when make_pairing builds it
 (degree two, endpoints, graded symmetry, nondegeneracy); everything
@@ -264,19 +264,6 @@ def contraction(vf: VectorField, form: NCForm) -> NCForm:
     return _derive(form, vf.image_of, 1, vf.degree + 1, vf)
 
 
-def lie_derivative(vf: VectorField, form: NCForm) -> NCForm:
-    """L_vf = [d, iota_vf] as a graded commutator in total degree."""
-    first = de_rham(contraction(vf, form))
-    second = contraction(vf, de_rham(form))
-    # [d, iota] = d iota - (-1)^{|iota|} iota d, |iota| = |vf| - 1
-    return first.add(second.scale(form.field.of_int(parity_sign(vf.degree))))
-
-
-def vf_apply_function(vf: VectorField, fn: NCForm) -> NCForm:
-    """Derivation action on cyclic functions."""
-    return _derive(fn, vf.image_of, 0, vf.degree, vf)
-
-
 def vf_apply_open(vf: VectorField, cfg, field: FieldCtx, ctx: NCContext):
     """Derivation action on one open word; returns {cfg: coeff}."""
     acc = {}
@@ -284,25 +271,6 @@ def vf_apply_open(vf: VectorField, cfg, field: FieldCtx, ctx: NCContext):
                                     vf.degree):
         add_into(field, acc, new, c2)
     return acc
-
-
-def vf_compose_on_letters(outer: VectorField, inner: VectorField) -> dict:
-    """Images of the composite derivation outer . inner on generators."""
-    ctx, f = outer.ctx, outer.ctx.field
-    out = {}
-    for lab, vec in inner.images.items():
-        acc = {}
-        for cfg, c in vec.items():
-            for new, c2 in vf_apply_open(outer, cfg, f, ctx).items():
-                add_into(f, acc, new, f.mul(c, c2))
-        if acc:
-            out[lab] = acc
-    return out
-
-
-def vf_square_obstruction(q: VectorField) -> dict:
-    """Images of Q.Q; zero iff [Q,Q] = 0 for odd Q."""
-    return vf_compose_on_letters(q, q)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +516,6 @@ def poisson_bracket(f: NCForm, g: NCForm, pairing: CyclicPairing) -> NCForm:
     truncated = f.truncated or g.truncated or any(
         len(wf) + len(wg) - 2 > cap for wf in f.terms for wg in g.terms)
     return NCForm(ctx, acc, cap, truncated, const)
-
-
-def bracket_via_hamiltonian(f: NCForm, g: NCForm, omega: NCForm,
-                            pairing: CyclicPairing) -> NCForm:
-    """Second route: {f,g} = H_f(g); used to cross-check the necklace."""
-    h = hamiltonian_field(f, omega, pairing)
-    return vf_apply_function(h, g)
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +782,8 @@ class FormalityCertificate:
     category: AInfCategory | None = None   # the strictified category
 
 
-def certify_sigma_formality(cat: AInfCategory, pairing: CyclicPairing,
-                            g_profile=None) -> FormalityCertificate:
+def certify_sigma_formality(cat: AInfCategory,
+                            pairing: CyclicPairing) -> FormalityCertificate:
     """Strictify, then certify m_n = 0 for all n >= 3 by the degree argument.
 
     The argument is arity-uniform: once units are strict and the potential
@@ -834,10 +795,6 @@ def certify_sigma_formality(cat: AInfCategory, pairing: CyclicPairing,
     sigma = verify_sigma(cat)
     checks.append(("sigma_profile", sigma.verdict, "; ".join(sigma.failures[:4])))
     profile = sigma.genus
-    if g_profile is not None:
-        match = dict(g_profile) == profile
-        checks.append(("declared_genus", match,
-                       "" if match else "expected %s got %s" % (g_profile, profile)))
     minimal = not cat.op_table(1)
     checks.append(("minimal", minimal, "" if minimal else "b_1 nonzero"))
     rel = check_relations(cat)

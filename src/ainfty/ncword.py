@@ -160,13 +160,13 @@ def rotate_mark_last(ctx: NCContext, cfg):
     return tail + head, block_sign(ctx.cfg_degree(head), ctx.cfg_degree(tail))
 
 
-def enumerate_cyclic_words(ctx: NCContext, order: int, degree=None, avoid=()):
+def enumerate_cyclic_words(ctx: NCContext, order: int, degree=None):
     """Canonical cyclic configurations (no marks) of a given length.
 
-    Optional filters: total letter degree, and a set of excluded labels.
-    Output sorted; used for linear solves over word spaces.
+    Optional filter: total letter degree.  Output sorted; used for linear
+    solves over word spaces.
     """
-    labels = sorted(set(ctx.letters) - set(avoid))
+    labels = sorted(ctx.letters)
     found = set()
 
     def extend(word):
@@ -186,31 +186,4 @@ def enumerate_cyclic_words(ctx: NCContext, order: int, degree=None, avoid=()):
             extend(word + (lab,))
 
     extend(())
-    return sorted(found)
-
-
-def enumerate_forms(ctx: NCContext, order: int, form_degree: int):
-    """Canonical configurations with the given letter count and mark count."""
-    labels = sorted(ctx.letters)
-    found = set()
-
-    def extend(cfg, marks_left):
-        if len(cfg) == order:
-            if marks_left:
-                return
-            if ctx.xi_src(cfg[-1][0]) != ctx.xi_tgt(cfg[0][0]):
-                return
-            canon = canonical_cyclic(ctx, cfg)
-            if canon is not None:
-                found.add(canon[0])
-            return
-        for lab in labels:
-            if cfg and ctx.xi_src(cfg[-1][0]) != ctx.xi_tgt(lab):
-                continue
-            for mark in (0, 1):
-                if mark and not marks_left:
-                    continue
-                extend(cfg + ((lab, mark),), marks_left - mark)
-
-    extend((), form_degree)
     return sorted(found)

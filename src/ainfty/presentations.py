@@ -178,30 +178,3 @@ def bar_ext_category(alg: DGQuiverAlgebra, weight_cap: int,
     return _word_category(alg.quiver.vertices, enumerate_words(alg, weight_cap),
                           word_label, b1, lambda d1, d2: block_sign(d1, d2 + 1),
                           field, weight_cap, arity_cap)
-
-
-def perturbed(cat: AInfCategory, which: int, delta=None) -> tuple:
-    """Copy of cat with one structure constant shifted by delta (default 1).
-
-    which indexes the deterministic enumeration of stored (arity, tuple,
-    out_label) entries.  Returns (new_cat, description)."""
-    from dataclasses import replace
-    f = cat.field
-    if delta is None:
-        delta = f.one()
-    entries = []
-    for n in sorted(cat.ops):
-        for tup in sorted(cat.ops[n]):
-            for z in sorted(cat.ops[n][tup]):
-                entries.append((n, tup, z))
-    n, tup, z = entries[which % len(entries)]
-    ops = {m: {t: dict(v) for t, v in tab.items()}
-           for m, tab in cat.ops.items()}
-    old = ops[n][tup][z]
-    add_into(f, ops[n][tup], z, delta)
-    new = ops[n][tup].get(z, f.zero())
-    if not ops[n][tup]:
-        ops[n].pop(tup)
-    return (replace(cat, ops=ops),
-            {"arity": n, "inputs": tup, "output": z,
-             "old": old, "new": new})

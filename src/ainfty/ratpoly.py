@@ -129,12 +129,6 @@ class RatPolynomial:
         lead = self.leading()
         return RatPolynomial.of([c / lead for c in self.coeffs])
 
-    def eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def sort_key(self):
         return (self.degree, tuple((c.numerator, c.denominator) for c in self.coeffs))
 

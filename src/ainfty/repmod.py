@@ -1,10 +1,9 @@
 """Matrix representations of quiver algebras.
 
 A representation assigns to each arrow an exact matrix over a FieldCtx;
-everything downstream is exact linear algebra.  The module evaluates
-presented relations (additive preprojective relations, and the ordered
-multiplicative relation when q-data is supplied), computes moment maps for
-doubled quivers, and realizes semisimplification as the associated graded
+everything downstream is exact linear algebra.  The module computes
+moment maps for doubled quivers, whose zero fibre the preprojective
+relations cut out, and realizes semisimplification as the associated graded
 of the radical filtration of the acting algebra A, the image of the path
 algebra.  A path from v to w maps V_v to V_w and is zero elsewhere, so A
 is the direct sum of its blocks e_w A e_v and is spanned block by block.
@@ -23,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import GF, FieldCtx, QQ
-from .quiver import (DGQuiverAlgebra, Quiver, degree_zero_truncation,
-                     dimension_vector, star_name)
+from .quiver import Quiver, dimension_vector, star_name
 from .ratpoly import RatPolynomial, factor_rational_poly
 from .sparse import (Echelon, SparseMatrix, add_into, invert, rank_kernel_image,
                      solve)
@@ -103,45 +101,8 @@ def random_rep(q: Quiver, seed: int, d=None, field: FieldCtx = QQ,
     return MatrixRep(q, d, mats, field)
 
 
-def path_matrix(rep: MatrixRep, path, vertex=None) -> SparseMatrix:
-    """Matrix of a path (operator order: path[0] applied last)."""
-    if not path:
-        if vertex is None:
-            raise RepError("trivial path needs a vertex")
-        return SparseMatrix.identity(rep.d[vertex], rep.field)
-    out = rep.mats[path[0]]
-    for name in path[1:]:
-        out = out.mul(rep.mats[name])
-    return out
-
-
-def conjugate(rep: MatrixRep, g: dict) -> MatrixRep:
-    """Change of basis by invertible per-vertex matrices g."""
-    gmap, ginv = {}, {}
-    for v in rep.quiver.vertices:
-        gv = g.get(v)
-        if gv is None:
-            gv = SparseMatrix.identity(rep.d[v], rep.field)
-        inv = invert(gv)
-        if inv is None:
-            raise RepError("change of basis at %r is singular" % (v,))
-        gmap[v] = gv
-        ginv[v] = inv
-    mats = {}
-    for a in rep.quiver.arrows:
-        mats[a.name] = gmap[a.tgt].mul(rep.mats[a.name]).mul(ginv[a.src])
-    return MatrixRep(rep.quiver, dict(rep.d), mats, rep.field)
-
-
 # ---------------------------------------------------------------------------
-# relations and moment maps
-
-@dataclass
-class RelationReport:
-    ok: bool
-    mode: str                # "additive" | "multiplicative"
-    residuals: tuple         # ((vertex, SparseMatrix), ...)
-
+# moment maps
 
 def _require_doubled(rep: MatrixRep):
     arrows = {a.name: a for a in rep.quiver.arrows}
@@ -150,54 +111,6 @@ def _require_doubled(rep: MatrixRep):
         if partner is None or (partner.src, partner.tgt) != (a.tgt, a.src):
             raise RepError("quiver is not doubled: %r has no reversed partner"
                            % (a.name,))
-
-
-def eval_relations(rep: MatrixRep, alg, q=None) -> RelationReport:
-    """Residuals of the algebra relations at the representation.
-
-    alg is a PresentedAlgebra (or a nonpositively graded DGQuiverAlgebra,
-    which contributes its degree-0 presentation).  When q is given (a
-    vertex -> scalar map), the multiplicative relation is evaluated
-    instead: the ordered product of (1 + A A*)^{+-1} per vertex must equal
-    q_v; every factor must be invertible.
-    """
-    if q is not None:
-        return _eval_multiplicative(rep, q)
-    if isinstance(alg, DGQuiverAlgebra):
-        alg = degree_zero_truncation(alg)
-    f = rep.field
-    residuals = []
-    for v, terms in alg.relations:
-        acc = SparseMatrix(rep.d[v], rep.d[v], f)
-        for coeff, path in terms:
-            acc = acc.add(path_matrix(rep, path, v).scale(f.of_fraction(coeff)))
-        residuals.append((v, acc))
-    ok = all(m.is_zero() for _, m in residuals)
-    return RelationReport(ok, "additive", tuple(residuals))
-
-
-def _eval_multiplicative(rep: MatrixRep, q) -> RelationReport:
-    # fixed total order on the doubled arrows: lexicographic by name
-    _require_doubled(rep)
-    f = rep.field
-    qmap = {v: f.of_fraction(Fraction(q.get(v, 1)))
-            for v in rep.quiver.vertices}
-    residuals = []
-    for v in rep.quiver.vertices:
-        eye = SparseMatrix.identity(rep.d[v], f)
-        prod = eye
-        for a in sorted(rep.quiver.arrows, key=lambda a: a.name):
-            if a.tgt != v:
-                continue
-            factor = eye.add(
-                rep.mats[a.name].mul(rep.mats[star_name(a.name)]))
-            inv = invert(factor)
-            if inv is None:
-                raise RepError("1 + A A* is singular at arrow %r" % (a.name,))
-            prod = prod.mul(factor if not a.name.endswith("*") else inv)
-        residuals.append((v, prod.add(eye.scale(qmap[v]).neg())))
-    ok = all(m.is_zero() for _, m in residuals)
-    return RelationReport(ok, "multiplicative", tuple(residuals))
 
 
 def moment_map(rep: MatrixRep) -> dict:
@@ -494,17 +407,6 @@ def quotient_rep(rep: MatrixRep, spaces: dict) -> MatrixRep:
                 m.set(pos[r], col, val)
         mats[a.name] = m
     return MatrixRep(rep.quiver, d, mats, f)
-
-
-def invariant(rep: MatrixRep, spaces: dict) -> bool:
-    f = rep.field
-    echs = {v: Echelon(f, spaces.get(v, [])) for v in rep.quiver.vertices}
-    for a in rep.quiver.arrows:
-        for vec in spaces.get(a.src, []):
-            img = rep.mats[a.name].matvec(vec)
-            if echs[a.tgt].reduce(img):
-                return False
-    return True
 
 
 def subspaces_fp(dim: int, p: int):

@@ -7,8 +7,9 @@ more for a marked letter d(xi_y).  Only parities matter.  Every rule takes
 degrees or running parities, never the elements, so a caller reads each
 factor's degree once.
 
-Moving a graded element a past b costs (-1)^(|a| |b|); koszul_sign applies
-this to any permutation and is the reference for the rules below:
+Moving a graded element a past b costs (-1)^(|a| |b|); applied to any
+permutation, this is the reference for the rules below (the tests check
+each rule against koszul_sign in tests/signs_oracle.py):
 
 * prefix: an odd operator applied at slot r of (x_0, ..., x_{n-1}) moves
   past x_0 ... x_{r-1} and costs (-1)^(|x_0| + ... + |x_{r-1}|);
@@ -20,8 +21,6 @@ this to any permutation and is the reference for the rules below:
   rotations iterates it around a cyclic word.
 * reversal: reading x_0 ... x_{n-1} backwards costs
   (-1)^(sum_{k<l} |x_k| |x_l|) (reversal_sign).
-* suspension: b_n = (-1)^(sum_i (n - i) deg x_i) m_n on (x_1, ..., x_n), in
-  unshifted degrees (suspension_sign).
 """
 
 from __future__ import annotations
@@ -30,28 +29,6 @@ from __future__ import annotations
 def parity_sign(parity: int) -> int:
     """(-1)^parity."""
     return -1 if parity % 2 else 1
-
-
-def koszul_sign(degrees, perm) -> int:
-    """Sign of rearranging graded elements x_0,...,x_{n-1} into the order
-    x_perm[0], x_perm[1], ...
-
-    The sign is the product of (-1)^(d_i * d_j) over every pair transposed
-    past each other, i.e. every inversion of perm.  degrees[i] is the degree
-    of x_i; only parity matters.
-    """
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation: %r" % (perm,))
-    if len(degrees) != n:
-        raise ValueError("degree/permutation length mismatch")
-    sign = 1
-    for a in range(n):
-        for b in range(a + 1, n):
-            if perm[a] > perm[b]:
-                if (degrees[perm[a]] % 2) and (degrees[perm[b]] % 2):
-                    sign = -sign
-    return sign
 
 
 def prefix_parities(degrees) -> list:
@@ -88,10 +65,3 @@ def reversal_sign(degrees) -> int:
     pair of odd elements."""
     odd = sum(d % 2 for d in degrees)
     return parity_sign(odd * (odd - 1) // 2)
-
-
-def suspension_sign(degrees) -> int:
-    """(-1)^(sum_i (n-i) deg_i) relating m_n and b_n on a tuple with the
-    given unshifted degrees (1-based slots, leftmost is outermost)."""
-    n = len(degrees)
-    return parity_sign(sum((n - i) * d for i, d in enumerate(degrees, start=1)))

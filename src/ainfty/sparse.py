@@ -229,9 +229,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def to_dense(self):
-        return [[self.get(r, c) for c in range(self.ncols)] for r in range(self.nrows)]
-
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.entries == other.entries)

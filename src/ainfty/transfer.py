@@ -65,8 +65,7 @@ def apply_linear(field: FieldCtx, mapping: dict, vec: dict) -> dict:
     return out
 
 
-def hom_contraction(cat: AInfCategory, pair, unit_label=None,
-                    name_prefix=None) -> Contraction:
+def hom_contraction(cat: AInfCategory, pair, unit_label=None) -> Contraction:
     """Deterministic contraction of one hom space onto its b_1-cohomology.
 
     If unit_label is given and is a cycle, it is preferred as the first
@@ -76,8 +75,7 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
     """
     f = cat.field
     basis = cat.hom.get(pair, ())
-    if name_prefix is None:
-        name_prefix = "[%s>%s]" % pair
+    name_prefix = "[%s>%s]" % pair
     if unit_label is not None and cat.b_value((unit_label,)):
         unit_label = None
     blocks = {}
@@ -177,6 +175,63 @@ def hom_contraction(cat: AInfCategory, pair, unit_label=None,
     return Contraction(pair, tuple(min_basis), inc, proj, htp, min_weights)
 
 
+class _Trees:
+    """theta_n and the planar tree sums of minimal_model, memoized per
+    tuple of cohomology labels.  theta and tree_sum call each other through
+    the instance, so the recursion holds no reference to itself and the
+    memos are freed with the instance, without a cyclic collection."""
+
+    def __init__(self, cat, inc, htp, units, weights, wcap):
+        self.cat, self.f = cat, cat.field
+        self.inc, self.htp = inc, htp
+        self.units = units        # tuples holding one have theta = 0
+        self.weights, self.wcap = weights, wcap
+        self.tree_memo, self.theta_memo = {}, {}
+
+    def tree_sum(self, tup):
+        """sum_j b_2(theta(tup[:j]) (x) theta(tup[j:])), as a big vector."""
+        acc = self.tree_memo.get(tup)
+        if acc is not None:
+            return acc
+        f, b_value, theta = self.f, self.cat.b_value, self.theta
+        acc = {}
+        for split in range(1, len(tup)):
+            v = theta(tup[:split])
+            w = theta(tup[split:])
+            if not v or not w:
+                continue
+            for x, cx in v.items():
+                for y, cy in w.items():
+                    val = b_value((x, y))
+                    if not val:
+                        continue
+                    c = f.mul(cx, cy)
+                    for z, cz in val.items():
+                        add_into(f, acc, z, f.mul(c, cz))
+        self.tree_memo[tup] = acc
+        return acc
+
+    def theta(self, tup):
+        # theta_n = -htp . tree_sum; the sign makes the collection (theta_n)
+        # an A-infinity functor from the transferred structure (the n = 2
+        # axiom forces it: inc(btilde_2) = b_2(inc (x) inc) - b_1(htp b_2))
+        if len(tup) == 1:
+            return self.inc[tup[0]]
+        res = self.theta_memo.get(tup)
+        if res is not None:
+            return res
+        f = self.f
+        if ((self.units and any(x in self.units for x in tup))
+                or (self.wcap is not None
+                    and sum(self.weights.get(x, 0) for x in tup) > self.wcap)):
+            res = {}
+        else:
+            res = {z: f.neg(c) for z, c in
+                   apply_linear(f, self.htp, self.tree_sum(tup)).items()}
+        self.theta_memo[tup] = res
+        return res
+
+
 def minimal_model(cat: AInfCategory, arity_cap: int | None = None):
     """Transfer a dg category onto its cohomology.
 
@@ -220,49 +275,8 @@ def minimal_model(cat: AInfCategory, arity_cap: int | None = None):
     if wcap is not None and any(w < 0 for w in cat.weights.values()):
         wcap = None  # pruning assumes nonnegative weights
 
-    tree_memo = {}
-
-    def tree_sum(tup):
-        """sum_j b_2(theta(tup[:j]) (x) theta(tup[j:])), as a big vector."""
-        if tup in tree_memo:
-            return tree_memo[tup]
-        acc = {}
-        for split in range(1, len(tup)):
-            v = theta(tup[:split])
-            w = theta(tup[split:])
-            if not v or not w:
-                continue
-            for x, cx in v.items():
-                for y, cy in w.items():
-                    val = cat.b_value((x, y))
-                    if not val:
-                        continue
-                    c = f.mul(cx, cy)
-                    for z, cz in val.items():
-                        add_into(f, acc, z, f.mul(c, cz))
-        tree_memo[tup] = acc
-        return acc
-
-    theta_memo = {}
-
-    def theta(tup):
-        # theta_n = -htp . tree_sum; the sign makes the collection (theta_n)
-        # an A-infinity functor from the transferred structure (the n = 2
-        # axiom forces it: inc(btilde_2) = b_2(inc (x) inc) - b_1(htp b_2))
-        if len(tup) == 1:
-            return inc_all[tup[0]]
-        if tup in theta_memo:
-            return theta_memo[tup]
-        if units_strict and any(x in unit_set for x in tup):
-            theta_memo[tup] = {}
-            return {}
-        if wcap is not None and sum(min_weights.get(x, 0) for x in tup) > wcap:
-            theta_memo[tup] = {}
-            return {}
-        res = {z: f.neg(c)
-               for z, c in apply_linear(f, htp_all, tree_sum(tup)).items()}
-        theta_memo[tup] = res
-        return res
+    trees = _Trees(cat, inc_all, htp_all, unit_set if units_strict else (),
+                   min_weights, wcap)
 
     # composability fan-out: labels whose target is a given object
     by_tgt = {}
@@ -275,33 +289,36 @@ def minimal_model(cat: AInfCategory, arity_cap: int | None = None):
     min_ops = {1: {}}
     f_comps = {1: {(mlab,): dict(inc_all[mlab]) for mlab in info}}
 
-    def extend(tup, wsum, n):
-        """Depth-first enumeration of composable tuples in operator order,
-        growing to the right (next element's target = current source).
-        With strict units, b_n and theta_n (n >= 3) vanish on every tuple
-        that holds a unit, so no such tuple is visited."""
+    # depth-first enumeration of composable tuples in operator order, each
+    # grown to the right (next element's target = current source) and
+    # visited before its extensions.  With strict units, b_n and theta_n
+    # (n >= 3) vanish on every tuple that holds a unit, so no such tuple is
+    # visited.
+    stack = [((start,), min_weights.get(start, 0))
+             for start in sorted(info, reverse=True)]
+    while stack:
+        tup, wsum = stack.pop()
         if len(tup) >= 2:
-            bt = apply_linear(f, proj_all, tree_sum(tup))
+            bt = apply_linear(f, proj_all, trees.tree_sum(tup))
             if bt:
                 min_ops.setdefault(len(tup), {})[tup] = bt
-            th = theta(tup)
+            th = trees.theta(tup)
             if th:
                 f_comps.setdefault(len(tup), {})[tup] = th
-        if len(tup) == n:
-            return
+        if len(tup) == cap:
+            continue
         nexts = by_tgt.get(info[tup[-1]][0], ())
         if units_strict and len(tup) >= 2:
             if any(x in unit_set for x in tup):
-                return
+                continue
             nexts = [x for x in nexts if x not in unit_set]
+        grown = []
         for nxt in nexts:
             w2 = wsum + min_weights.get(nxt, 0)
             if wcap is not None and w2 > wcap:
                 continue
-            extend(tup + (nxt,), w2, n)
-
-    for start in sorted(info):
-        extend((start,), min_weights.get(start, 0), cap)
+            grown.append((tup + (nxt,), w2))
+        stack.extend(reversed(grown))
 
     # drop exactly-zero tables, keep structure of knowns
     min_ops = {n: t for n, t in min_ops.items() if n == 1 or t}

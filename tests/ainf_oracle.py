@@ -1,16 +1,48 @@
 """Degree and sign helpers of A-infinity tables that only the tests read,
-and the per-term residual kernels of the relation checks.
+a fixture that plants one error in a table, and the per-term residual
+kernels of the relation checks.
 
 b_from_m suspends unshifted m-tables to shifted b-tables, m_from_b undoes
 it, and degree_support_bound lists the input degrees that degree arithmetic
-alone leaves open for b_n.  per_term_kernels reduces every term of a
+alone leaves open for b_n.  perturbed shifts one stored structure constant,
+so a test can check that the relation checks see it.  per_term_kernels reduces every term of a
 relation residual as it is added, where ainf sums raw products and reduces
 once per arity.
 """
 
+from dataclasses import replace
+
 from ainfty.ainf import AInfCategory
-from ainfty.signs import prefix_parities, suspension_sign
+from ainfty.signs import prefix_parities
 from ainfty.sparse import add_into
+
+from signs_oracle import suspension_sign
+
+
+def perturbed(cat: AInfCategory, which: int, delta=None) -> tuple:
+    """Copy of cat with one structure constant shifted by delta (default 1).
+
+    which indexes the deterministic enumeration of stored (arity, tuple,
+    out_label) entries.  Returns (new_cat, description)."""
+    f = cat.field
+    if delta is None:
+        delta = f.one()
+    entries = []
+    for n in sorted(cat.ops):
+        for tup in sorted(cat.ops[n]):
+            for z in sorted(cat.ops[n][tup]):
+                entries.append((n, tup, z))
+    n, tup, z = entries[which % len(entries)]
+    ops = {m: {t: dict(v) for t, v in tab.items()}
+           for m, tab in cat.ops.items()}
+    old = ops[n][tup][z]
+    add_into(f, ops[n][tup], z, delta)
+    new = ops[n][tup].get(z, f.zero())
+    if not ops[n][tup]:
+        ops[n].pop(tup)
+    return (replace(cat, ops=ops),
+            {"arity": n, "inputs": tup, "output": z,
+             "old": old, "new": new})
 
 
 def b_from_m(cat_degrees, m_ops, field):

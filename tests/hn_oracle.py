@@ -6,11 +6,14 @@ inequalities allow, then keep the tuples that satisfy the definition,
 checked with locally written comparisons.  Serves as the oracle for the
 windowed enumerator, and check_hn_type_oracle, the same inequalities
 checked on whole polynomials, for localmodel.check_hn_type.
+reduced_polynomial is the calibration of the reduced polynomial, which
+the tests pin on worked examples.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from ainfty.localmodel import LocalModelError
 from ainfty.ratpoly import RatPolynomial
 
 
@@ -19,6 +22,15 @@ def _factorial(n):
     for k in range(2, n + 1):
         out *= k
     return out
+
+
+def reduced_polynomial(p: RatPolynomial) -> RatPolynomial:
+    """Scale so the leading term is t^d / d!."""
+    d = p.degree
+    if d < 0:
+        raise LocalModelError("cannot reduce the zero polynomial")
+    lead = p.leading()
+    return p * (Fraction(1, _factorial(d)) / Fraction(lead))
 
 
 def reduced_key(p):

@@ -23,6 +23,14 @@ def _int_divisors(n: int):
     return sorted(set(out), key=lambda v: (abs(v), v < 0))
 
 
+def poly_value(p: RatPolynomial, x: Fraction) -> Fraction:
+    """p(x), by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _interp(points):
     """Lagrange interpolation through (x, y) pairs, exact."""
     acc = RatPolynomial.zero()
@@ -46,7 +54,7 @@ def _kronecker_split(p: RatPolynomial):
     pts = [0, 1, -1, 2, -2, 3, -3, 4, -4]
     for d in range(1, n // 2 + 1):
         xs = pts[: d + 1]
-        vals = [p.eval(Fraction(x)) for x in xs]
+        vals = [poly_value(p, Fraction(x)) for x in xs]
         for x, v in zip(xs, vals):
             if v == 0:
                 return RatPolynomial.of([Fraction(-x), Fraction(1)])

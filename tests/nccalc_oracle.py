@@ -1,0 +1,81 @@
+"""Derived operators of the noncommutative calculus, for the tests.
+
+The package needs d, the contraction iota_X and the Hamiltonian field; the
+tests check identities that tie these together through operators built on
+top of them: the Lie derivative [d, iota_X], X acting on functions, the
+bracket {f, g} = H_f(g) as a second route to the necklace bracket, and Q.Q
+on generators, which vanishes exactly when the category's relations hold.
+enumerate_forms lists the canonical configurations the identities run over.
+"""
+
+from ainfty.nccalc import (NCForm, VectorField, _derive, contraction, de_rham,
+                           hamiltonian_field, vf_apply_open)
+from ainfty.ncword import NCContext, canonical_cyclic
+from ainfty.signs import parity_sign
+from ainfty.sparse import add_into
+
+
+def lie_derivative(vf: VectorField, form: NCForm) -> NCForm:
+    """L_vf = [d, iota_vf] as a graded commutator in total degree."""
+    first = de_rham(contraction(vf, form))
+    second = contraction(vf, de_rham(form))
+    # [d, iota] = d iota - (-1)^{|iota|} iota d, |iota| = |vf| - 1
+    return first.add(second.scale(form.field.of_int(parity_sign(vf.degree))))
+
+
+def vf_apply_function(vf: VectorField, fn: NCForm) -> NCForm:
+    """Derivation action on cyclic functions."""
+    return _derive(fn, vf.image_of, 0, vf.degree, vf)
+
+
+def bracket_via_hamiltonian(f: NCForm, g: NCForm, omega: NCForm,
+                            pairing) -> NCForm:
+    """Second route: {f,g} = H_f(g); used to cross-check the necklace."""
+    h = hamiltonian_field(f, omega, pairing)
+    return vf_apply_function(h, g)
+
+
+def vf_compose_on_letters(outer: VectorField, inner: VectorField) -> dict:
+    """Images of the composite derivation outer . inner on generators."""
+    ctx, f = outer.ctx, outer.ctx.field
+    out = {}
+    for lab, vec in inner.images.items():
+        acc = {}
+        for cfg, c in vec.items():
+            for new, c2 in vf_apply_open(outer, cfg, f, ctx).items():
+                add_into(f, acc, new, f.mul(c, c2))
+        if acc:
+            out[lab] = acc
+    return out
+
+
+def vf_square_obstruction(q: VectorField) -> dict:
+    """Images of Q.Q; zero iff [Q,Q] = 0 for odd Q."""
+    return vf_compose_on_letters(q, q)
+
+
+def enumerate_forms(ctx: NCContext, order: int, form_degree: int):
+    """Canonical configurations with the given letter count and mark count."""
+    labels = sorted(ctx.letters)
+    found = set()
+
+    def extend(cfg, marks_left):
+        if len(cfg) == order:
+            if marks_left:
+                return
+            if ctx.xi_src(cfg[-1][0]) != ctx.xi_tgt(cfg[0][0]):
+                return
+            canon = canonical_cyclic(ctx, cfg)
+            if canon is not None:
+                found.add(canon[0])
+            return
+        for lab in labels:
+            if cfg and ctx.xi_src(cfg[-1][0]) != ctx.xi_tgt(lab):
+                continue
+            for mark in (0, 1):
+                if mark and not marks_left:
+                    continue
+                extend(cfg + ((lab, mark),), marks_left - mark)
+
+    extend((), form_degree)
+    return sorted(found)

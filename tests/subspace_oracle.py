@@ -2,13 +2,15 @@
 
 Deliberately dumb: build every tuple of per-vertex subspaces, sort the
 whole product by total dimension then encoding, and keep the tuples that
-repmod.invariant accepts.  Serves as the oracle for the pruned enumerator
-in repmod.invariant_subspace_tuples.
+repmod_oracle.invariant accepts.  Serves as the oracle for the pruned
+enumerator in repmod.invariant_subspace_tuples.
 """
 
 import itertools
 
 from ainfty import repmod as R
+
+from repmod_oracle import invariant
 
 
 def invariant_subspace_tuples(rep):
@@ -24,4 +26,4 @@ def invariant_subspace_tuples(rep):
         combos.append((total, tuple(R._space_key(t) for t in tup), spaces))
     combos.sort(key=lambda t: (t[0], t[1]))
     return [(total, spaces) for total, _, spaces in combos
-            if R.invariant(rep, spaces)]
+            if invariant(rep, spaces)]

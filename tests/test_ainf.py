@@ -12,15 +12,15 @@ from ainfty.ainf import (AInfCategory, AInfMorphism, check_functor,
                          check_relations, check_unitality)
 from ainfty.field import GF, QQ
 from ainfty.presentations import (bar_ext_category, enumerate_paths,
-                                  enumerate_words, perturbed,
-                                  truncated_path_category)
+                                  enumerate_words, truncated_path_category)
 from ainfty.quiver import (a2_quiver, derived_preprojective, jordan_quiver,
                            random_quiver, two_loop_quiver)
-from ainfty.signs import prefix_parities, suspension_sign
+from ainfty.signs import prefix_parities
 from ainfty.transfer import minimal_model
 
 from ainf_oracle import (b_from_m, degree_support_bound, m_from_b,
-                         per_term_kernels)
+                         per_term_kernels, perturbed)
+from signs_oracle import suspension_sign
 from test_massey import assert_well_formed, exterior_fixture
 
 
@@ -143,7 +143,7 @@ def test_perturbation_witness_names_instance():
     bad, info = perturbed(cat, 7)
     rep = check_relations(bad, max_arity=4)
     assert not rep.ok
-    n, tup, out, resid = rep.first_witness()
+    n, tup, out, resid = rep.witnesses[0]
     assert isinstance(tup, tuple) and all(bad.has_label(x) for x in tup)
     assert bad.has_label(out)
     assert not bad.field.is_zero(resid)
@@ -161,7 +161,7 @@ def test_degree_support_bound_excludes_units():
 
 # ---------------------------------------------------------------------------
 # brute-force oracle for the relation and functor checks: every composable
-# tuple is evaluated on its own through b_value / f_value
+# tuple is evaluated on its own through b_value and the functor's components
 
 UNCAPPED = 10 ** 9
 
@@ -224,12 +224,15 @@ def functor_oracle(fm, max_arity):
     src, tgt = fm.source, fm.target
     f = src.field
 
+    def f_value(tup):
+        return fm.component(len(tup)).get(tup, {})
+
     def residual_of(tup):
-        acc = insertions(src, fm.f_value, tup)
+        acc = insertions(src, f_value, tup)
         for parts in compositions(len(tup)):
             terms, k = [((), f.one())], 0
             for i in parts:
-                block = fm.f_value(tup[k:k + i])
+                block = f_value(tup[k:k + i])
                 terms = [(zs + (z,), f.mul(c, cz))
                          for zs, c in terms for z, cz in block.items()]
                 k += i
@@ -571,6 +574,14 @@ def test_units_not_strict_sum_every_tuple(monkeypatch, cat):
             == residual_sizes(monkeypatch, cat, True))
 
 
+@pytest.mark.parametrize("cat", [pytest.param(c, id=i) for i, c in
+                                 [("a2-strict", bec("a2", cap=3))]
+                                 + list(non_strict_cases())])
+def test_units_strict_is_the_strict_verdict_of_check_unitality(cat):
+    assert (check_relations(cat, max_arity=4).units_strict
+            == (check_unitality(cat).verdict == "strict"))
+
+
 def test_relation_check_without_b2_sums_every_tuple(monkeypatch):
     # units, arity cap 1 and no stored b_2: strictness is undecided, so the
     # check sums every tuple instead of raising as check_unitality does
@@ -585,7 +596,7 @@ def test_relation_check_without_b2_sums_every_tuple(monkeypatch):
     monkeypatch.setattr(ainf, "_insert_into", recorded)
     rep = check_relations(low)
     assert rep.ok and rep.checked == (1,) and rep.truncated == ()
-    assert unit_sets and not any(unit_sets)
+    assert unit_sets and not any(unit_sets) and not rep.units_strict
     with pytest.raises(ainf.StructureError, match="b_2 is unknown"):
         check_unitality(low)
 

@@ -15,13 +15,13 @@ from ainfty.cli import EXIT, main
 from ainfty.field import GF
 from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
                                windowed_homology)
-from ainfty.presentations import (bar_ext_category, perturbed,
-                                  truncated_path_category)
+from ainfty.presentations import bar_ext_category, truncated_path_category
 from ainfty.quiver import (DGQuiverAlgebra, a2_quiver, derived_preprojective,
                            double, jordan_quiver)
 from ainfty.ratpoly import RatPolynomial
 from ainfty.transfer import hom_contraction, minimal_model
 
+from ainf_oracle import perturbed
 from transfer_oracle import check_contraction
 
 
@@ -117,6 +117,23 @@ def test_unit_that_is_not_a_cycle_is_transferred_without_a_unit(
     con = hom_contraction(cat, ("1", "1"), unit_label="e")
     assert len(con.min_basis) == len(cycles)
     assert check_contraction(cat, con) == []
+
+
+def test_check_ainf_decides_the_strict_unit_laws_once(tmp_path, monkeypatch):
+    # check_relations lists the strict unit laws to pick its unit filter,
+    # and the units verdict reads that decision instead of listing them again
+    path, out = tmp_path / "bar.json", tmp_path / "bar.report.json"
+    path.write_text(docio.dumps_document(a2_bar_document()), encoding="utf-8")
+    calls = []
+    laws = ainf._strict_unit_failures
+
+    def counted(cat):
+        calls.append(cat)
+        return laws(cat)
+    monkeypatch.setattr(ainf, "_strict_unit_failures", counted)
+    assert main(["check-ainf", str(path), "--report", str(out)]) == EXIT["pass"]
+    assert json.loads(out.read_text())["payload"]["result"]["units"] == "strict"
+    assert len(calls) == 1
 
 
 def test_differential_that_does_not_square_to_zero_is_an_input_error(

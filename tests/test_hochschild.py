@@ -22,11 +22,11 @@ from ainfty.hochschild import (HochschildChainWindow, HochschildError,
                                windowed_homology)
 from ainfty.signs import rotations
 from ainfty.ainf import check_relations
-from ainfty.presentations import (bar_ext_category, perturbed,
-                                  truncated_path_category)
+from ainfty.presentations import bar_ext_category, truncated_path_category
 from ainfty.quiver import (DGQuiverAlgebra, Quiver, a2_quiver,
                            derived_preprojective, jordan_quiver,
                            random_quiver, two_loop_quiver)
+from ainf_oracle import perturbed
 from cyclic_quotient import cyclic_quotient
 from hochschild_oracle import (chain_degree, identity_witnesses_oracle,
                                windowed_homology_oracle)
@@ -608,6 +608,30 @@ def test_identity_witnesses_match_the_oracle_on_benchmark_shapes(shape, window):
     assert (_identity_witnesses(w)
             == identity_witnesses_oracle(HochschildChainWindow(cat, window))
             == [])
+
+
+@pytest.mark.parametrize("shape", ["quiver-two_loop", "dga-jordan", "path-a2-c3"])
+def test_identity_checks_read_every_chain_of_the_window(monkeypatch, shape):
+    # every chain of length 3 is passed to b on its own, not a sample of
+    # them; a B-image that happens to be one chain does not count
+    from ainfty import cli
+    w = HochschildChainWindow(BENCHMARK_SHAPES[shape](), 3)
+    one, seen, images = w.cat.field.one(), set(), []
+
+    def recording_B(window, chain):
+        images.append(connes_B(window, chain))  # kept alive: ids stay unique
+        return images[-1]
+
+    def recording_b(window, chain):
+        if (len(chain) == 1 and one in chain.values()
+                and id(chain) not in {id(image) for image in images}):
+            seen.update(chain)
+        return hochschild_b(window, chain)
+    monkeypatch.setattr(cli, "connes_B", recording_B)
+    monkeypatch.setattr(cli, "hochschild_b", recording_b)
+    assert _identity_witnesses(w) == []
+    assert len(w.basis(3)) >= 120  # a sample of every k-th chain, k >= 2, misses some
+    assert set(w.basis(3)) <= seen
 
 
 def flipped(cat, k):

