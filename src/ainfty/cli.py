@@ -115,8 +115,11 @@ def cmd_check_ainf(args):
     if cat.units:
         # check_relations has decided the strict unit laws: only units
         # that break them need check_unitality's other verdicts
-        payload["units"] = ("strict" if rel.units_strict
-                            else check_unitality(cat).verdict)
+        try:
+            payload["units"] = ("strict" if rel.units_strict
+                                else check_unitality(cat).verdict)
+        except StructureError as e:
+            raise CliError(str(e))
     truncation = {"arities": list(rel.truncated)}
     return (_relation_verdict(rel.ok, truncation["arities"]), witnesses,
             truncation, payload)

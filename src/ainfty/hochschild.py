@@ -20,8 +20,8 @@ the column of a chain (b or B of it with coefficient one) from the first
 time the chain is used: windowed_homology eliminates these columns, and
 hochschild_b and connes_B return sums of them, so the CLI's identity
 checks reread what the homology computed.  check_chain runs only on
-chains that the window has neither enumerated nor kept a column of, and
-the units are checked once per window.
+chains that have no kept column in the memo being read, and the units are
+checked once per window.
 
 Both reports come from at most one elimination per block of the
 window-(N+1) complex.  The b-columns enter in order of chain length, and
@@ -56,11 +56,6 @@ class HochschildError(Exception):
     pass
 
 
-def chain_composable(cat: AInfCategory, tup) -> bool:
-    n = len(tup)
-    return all(cat.src(tup[k]) == cat.tgt(tup[(k + 1) % n]) for k in range(n))
-
-
 @dataclass
 class HochschildChainWindow:
     """The chains of lengths 1..max_length of cat, with their b- and
@@ -68,10 +63,10 @@ class HochschildChainWindow:
 
     The column of b (of B) on a chain is b (B) of that chain with
     coefficient one, {chain: coefficient}; _b (_B) keeps it from the first
-    time the chain is used.  _known holds the chains that basis() built
-    and those with a kept column, which need no check_chain.  The b_1 and
-    b_2 tables, the shifted parity of every label and whether every
-    object has a unit are read once, here."""
+    time the chain is used, and a chain with a kept column needs no
+    check_chain.  The b_1 and b_2 tables, the shifted parity and the
+    (source, target) of every label and whether every object has a unit
+    are read once, here."""
     cat: AInfCategory
     max_length: int
     _bases: dict = dc_field(default_factory=dict)
@@ -88,9 +83,11 @@ class HochschildChainWindow:
                 "input has operations of arity %s" % higher)
         self._b1, self._b2 = cat.op_table(1) or {}, cat.op_table(2) or {}
         self._parity = {lab: cat.sdeg(lab) & 1 for lab in cat.labels()}
+        self._ends = {lab: ends for ends, basis in cat.hom.items()
+                      for lab, _ in basis}
         self._units = set(cat.units) == set(cat.objects)
         self._one = cat.field.one()
-        self._b, self._B, self._known = {}, {}, set()
+        self._b, self._B = {}, {}
 
     def basis(self, n: int):
         """All cyclically composable chains of length n, sorted."""
@@ -99,22 +96,26 @@ class HochschildChainWindow:
                                   % (n, self.max_length))
         if n not in self._bases:
             self._bases[n] = _chains(self.cat, n)
-            self._known.update(self._bases[n])
         return self._bases[n]
 
     def check_chain(self, chain) -> None:
+        ends = self._ends
         for tup in chain:
             if not 1 <= len(tup) <= self.max_length:
                 raise HochschildError("chain length %d outside window"
                                       % len(tup))
-            if not chain_composable(self.cat, tup):
-                raise HochschildError("chain %s not cyclically composable"
-                                      % (tup,))
+            # src(a_k) = tgt(a_{k+1}), and src(a_n) = tgt(a_1)
+            src = ends[tup[-1]][0]
+            for lab in tup:
+                nxt, tgt = ends[lab]
+                if tgt != src:
+                    raise HochschildError("chain %s not cyclically composable"
+                                          % (tup,))
+                src = nxt
 
-    def _admit(self, chain) -> None:
-        """check_chain on the chains the window has not built or kept."""
-        known = self._known
-        self.check_chain([tup for tup in chain if tup not in known])
+    def _admit(self, chain, cols: dict) -> None:
+        """check_chain on the chains without a kept column in cols."""
+        self.check_chain([tup for tup in chain if tup not in cols])
 
     def _column(self, memo: dict, terms, tup) -> dict:
         """memo[tup], the column of terms (_b_terms or _B_terms) on a
@@ -127,7 +128,6 @@ class HochschildChainWindow:
                 add_into(f, col, out, c)
             if len(tup) <= self.max_length:
                 memo[tup] = col
-                self._known.add(tup)
         return col
 
 
@@ -167,7 +167,7 @@ def hochschild_b(window: HochschildChainWindow, chain: dict) -> dict:
     of the kept b-columns of the chain's chains."""
     cols = window._b
     if not chain.keys() <= cols.keys():
-        window._admit(chain)
+        window._admit(chain, cols)
         for tup in chain:
             window._column(cols, _b_terms, tup)
     return _image(window, cols, chain)
@@ -225,7 +225,7 @@ def connes_B(window: HochschildChainWindow, chain: dict) -> dict:
     cols = window._B
     # while the memo is empty the units are not yet checked
     if not (cols and chain.keys() <= cols.keys()):
-        window._admit(chain)
+        window._admit(chain, cols)
         if not window._units:
             raise HochschildError("Connes operator needs designated units")
         for tup in chain:

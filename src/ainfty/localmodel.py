@@ -30,6 +30,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .field import FieldCtx, QQ
 from .sparse import add_into
@@ -415,14 +416,18 @@ def euler_compare(q: Quiver, d, cat: AInfCategory) -> EulerReport:
 # ---------------------------------------------------------------------------
 # Harder-Narasimhan types
 #
-# The enumerators work in integer lattice coordinates: coefficient k of a
-# part is n_k / lattice[k], and a part is the integer tuple of its n_k, top
-# degree first.  Each lattice[k] is a positive constant, so sums, the
-# order of coefficient tuples and the sign of a cross-multiplied slope
-# comparison are the same in n as in the coefficients; a bound c_k >= x
-# becomes n_k >= ceil(x lattice[k]).  Rationals appear only in the bound
-# q_bound, the Bogomolov callable and the polynomials of the emitted types.
-# check_hn_type re-verifies every emitted type in rational arithmetic.
+# One enumerator, _hn_parts, serves every degree D.  It works in integer
+# lattice coordinates: coefficient j of a part is n_j / lattice[j], and a
+# part is the tuple (k, m_1, .., m_D) = (n_D, n_{D-1}, .., n_0), top degree
+# first.  Each lattice[j] is a positive constant, so sums, the order of
+# coefficient tuples and the sign of a cross-multiplied slope comparison
+# are the same in n as in the coefficients; a bound c_j >= x becomes
+# n_j >= ceil(x lattice[j]).  Degree enters only as the length of a part
+# and through the Bogomolov floor of the constant term in degree 2.
+# Rationals appear only in q_bound, the Bogomolov callable and the
+# polynomials of the emitted types.  The walk keeps an explicit stack, so
+# it leaves no reference cycle, and check_hn_type re-verifies every
+# emitted type in rational arithmetic.
 
 
 @dataclass(frozen=True)
@@ -434,16 +439,6 @@ class HNType:
 
     def __len__(self):
         return len(self.polys)
-
-
-def _compositions(total: int, parts: int):
-    """Ordered compositions of a positive integer, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def check_hn_type(P: RatPolynomial, q_bound: RatPolynomial, typ: HNType,
@@ -495,7 +490,7 @@ def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
     and linear coefficients of a part to a lower bound for its constant term,
     which is what makes the enumeration finite.
 
-    The enumerators work in integer lattice coordinates (see the comment
+    The enumerator works in integer lattice coordinates (see the comment
     opening this section).  The types come out sorted by the coefficient
     tuples of their parts, top degree first, and check_hn_type re-verifies
     each one."""
@@ -520,15 +515,7 @@ def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
             raise LocalModelError("coefficient of t^%d of P is not in the declared lattice" % k)
         total.append(n.numerator)
 
-    if deg == 0:
-        # q_bound is the constant 1 and every reduced part equals 1, so
-        # the singleton is the only type
-        found = [((total[0],),)]
-    elif deg == 1:
-        found = _enumerate_deg1(total, Fraction(q_bound.coeff(0)), lat)
-    else:
-        found = _enumerate_deg2(total, Fraction(q_bound.coeff(1)),
-                                Fraction(q_bound.coeff(0)), lat, bogomolov_param)
+    found = _hn_parts(tuple(reversed(total)), q_bound, lat, bogomolov_param)
     # parts in coordinates sort as their coefficient tuples do
     found.sort()
     # every part's leading coefficient is positive, so no trimming is needed
@@ -543,113 +530,87 @@ def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
     return out
 
 
-def _ceil_div(a: int, b: int) -> int:
-    """ceil(a / b) for b > 0."""
-    return -(-a // b)
+def _hn_parts(total, q_bound, lat, bog):
+    """Every HN type with coordinate totals `total`, as a tuple of parts
+    (k, m_1, .., m_D); a part's key (m_1/k, .., m_D/k) orders its reduced
+    polynomial.
 
+    A stack entry is a type begun and the totals `left` that its parts
+    leave.  The candidates for its next part grow one coordinate per pass,
+    m_i bounded by the inequalities check_hn_type tests and one they imply:
+    * the key is at least the bound's: m_i >= Q_i k while m_1 .. m_{i-1}
+      equal the bound's; for D = 2 the constant term is also at least the
+      Bogomolov floor of (k, m_1).  low[i][part] is the larger floor;
+    * the key is below the previous part's: m_i / k <= m'_i / k' while
+      m_1 .. m_{i-1} tie with it, and a part with its key is dropped;
+    * the later keys are lower, so the key is at least that of all that is
+      left: m_i / k >= left_i / left_0 while m_1 .. m_{i-1} tie with it, and
+      the last part (k = left_0) takes all that is left;
+    * m_i <= left_i - least[i][T], the least sum of m_i over later parts
+      whose first i coordinates sum to T."""
+    D, K = len(total) - 1, total[0]
+    qn, qd = [0], [1]
+    for i in range(1, D + 1):
+        c = Fraction(q_bound.coeff(D - i)) * math.factorial(D)
+        qn.append(c.numerator * lat[D - i])
+        qd.append(c.denominator * lat[D])
+    # low[i][p]: the least m_i of a part beginning p = (k, .., m_{i-1});
+    # it and least[i][T] are filled for every p and T the walk reaches
+    low, least = [None], [None]
+    heads = [(k,) for k in range(1, K + 1)]
+    for i in range(1, D + 1):
+        if i > 1:
+            # every m_{i-1} the other parts leave room for
+            heads = [p + (m,) for p in heads for m in range(
+                low[i - 1][p], total[i - 1] - least[i - 1][tuple(map(sub, total, p))] + 1)]
+        low_i = {}
+        for p in heads:
+            k = p[0]
+            floors = ([-(-qn[i] * k // qd[i])]
+                      if all(p[j] * qd[j] == qn[j] * k for j in range(1, i)) else [])
+            if i == 2:  # the constant term in degree 2
+                floors.append(math.ceil(Fraction(bog(Fraction(k, lat[2]),
+                                                     Fraction(p[1], lat[1]))) * lat[0]))
+            low_i[p] = max(floors)
+        least_i = {(0,) * i: 0}
+        for R in range(K - 1):
+            for T in [T for T in least_i if T[0] == R]:
+                for p, f in low_i.items():
+                    if R + p[0] < K:
+                        U, f = tuple(map(add, T, p)), f + least_i[T]
+                        if least_i.get(U, f) >= f:
+                            least_i[U] = f
+        low.append(low_i)
+        least.append(least_i)
 
-def _enumerate_deg1(total, q0, lat):
-    """Degree-1 types as lists of parts (k, n), the part k/lat[1] t +
-    n/lat[0].  Its slope n lat[1] / (k lat[0]) is compared with another
-    part's by cross-multiplying n k' against n' k, and it is at least q0
-    exactly when n >= ceil(q0 k lat[0] / lat[1])."""
-    den1, den0 = lat[1], lat[0]
-    K, N = total[1], total[0]
-    results = []
-
-    def least(k):
-        return _ceil_div(q0.numerator * k * den0, q0.denominator * den1)
-
-    def assign(idx, leads, tail, rem, prev, acc):
-        k = leads[idx]
-        last = idx == len(leads) - 1
-        lo, hi = least(k), rem - tail[idx + 1]
-        if last:
-            lo = max(lo, rem)
-        if prev is not None:
-            # slope strictly below the previous part's: n pk < pn k
-            pk, pn = prev
-            hi = min(hi, _ceil_div(pn * k, pk) - 1)
-        for n in range(lo, hi + 1):
-            if last:
-                results.append(acc + [(k, n)])
+    found = []
+    stack = [((), total)]
+    while stack:
+        parts, left = stack.pop()
+        prev = parts[-1] if parts else None
+        # (part, what the later parts get, key ties prev, key ties left)
+        grow = [((k,), (left[0] - k,), prev is not None, True) for k in range(1, left[0] + 1)]
+        for i in range(1, D + 1):
+            low_i, least_i, whole, li = low[i], least[i], left[0], left[i]
+            if prev is not None:
+                pk, pm = prev[0], prev[i]
+            nxt = []
+            for part, rest, tp, tl in grow:
+                k = part[0]
+                lo, hi = low_i[part], li - least_i[rest]
+                if tl and -(-li * k // whole) > lo:
+                    lo = -(-li * k // whole)
+                if tp and pm * k // pk < hi:
+                    hi = pm * k // pk
+                for m in range(lo, hi + 1):
+                    nxt.append((part + (m,), rest + (li - m,), tp and m * pk == pm * k,
+                                tl and m * whole == li * k))
+            grow = nxt
+        for part, rest, tp, _ in grow:
+            if tp:
+                continue
+            if rest[0]:
+                stack.append((parts + (part,), rest))
             else:
-                assign(idx + 1, leads, tail, rem - n, (k, n), acc + [(k, n)])
-
-    for r in range(1, K + 1):
-        for leads in _compositions(K, r):
-            # tail[i]: the least sum of the constant terms of parts i, i+1, ...
-            tail = [0] * (r + 1)
-            for i in range(r - 1, -1, -1):
-                tail[i] = tail[i + 1] + least(leads[i])
-            assign(0, leads, tail, N, None, [])
-    return results
-
-
-def _enumerate_deg2(total, q1, q0, lat, bog):
-    """Degree-2 types as lists of parts (k, n1, n0), the part k/lat[2] t^2 +
-    n1/lat[1] t + n0/lat[0].  The reduced part is t^2/2 + sigma/2 t + tau
-    with sigma = n1 lat[2] / (k lat[1]) and tau = n0 lat[2] / (2 k lat[0]);
-    parts compare by (sigma, tau), cross-multiplied.  The bound holds when
-    sigma/2 > q1, or sigma/2 = q1 and tau >= q0: so n1 >= ceil(2 q1 k
-    lat[1] / lat[2]), and n0 is at least the lattice ceiling of bog(c2, c1),
-    raised to 2 q0 c2 when sigma/2 = q1."""
-    den2, den1, den0 = lat[2], lat[1], lat[0]
-    K, N1, N0 = total[2], total[1], total[0]
-    floors = {}
-    results = []
-
-    def least1(k):
-        return _ceil_div(2 * q1.numerator * k * den1, q1.denominator * den2)
-
-    def least0(k, n1):
-        if (k, n1) not in floors:
-            c2, c1 = Fraction(k, den2), Fraction(n1, den1)
-            lo = Fraction(bog(c2, c1))
-            if n1 * den2 * q1.denominator == 2 * q1.numerator * k * den1:
-                lo = max(lo, 2 * q0 * c2)
-            floors[k, n1] = math.ceil(lo * den0)
-        return floors[k, n1]
-
-    def assign(idx, leads, tail1, tail0, rem1, rem0, prev, acc):
-        k = leads[idx]
-        last = idx == len(leads) - 1
-        lo1, hi1 = least1(k), rem1 - tail1[idx + 1]
-        if last:
-            lo1 = max(lo1, rem1)
-        if prev is not None:
-            # sigma at most the previous part's: n1 pk <= pn1 k
-            pk, pn1, pn0 = prev
-            hi1 = min(hi1, pn1 * k // pk)
-        for n1 in range(lo1, hi1 + 1):
-            lo0, hi0 = least0(k, n1), rem0 - tail0[idx + 1]
-            if last:
-                lo0 = max(lo0, rem0)
-            if prev is not None and n1 * pk == pn1 * k:
-                # equal sigma: tau strictly below the previous part's
-                hi0 = min(hi0, _ceil_div(pn0 * k, pk) - 1)
-            for n0 in range(lo0, hi0 + 1):
-                part = (k, n1, n0)
-                if last:
-                    results.append(acc + [part])
-                else:
-                    assign(idx + 1, leads, tail1, tail0, rem1 - n1, rem0 - n0,
-                           part, acc + [part])
-
-    for r in range(1, K + 1):
-        for leads in _compositions(K, r):
-            least1s = [least1(k) for k in leads]
-            # the least constant term of each part, over every linear term
-            # the other parts' least linear terms leave it
-            least0s = []
-            for i, k in enumerate(leads):
-                hi = N1 - (sum(least1s) - least1s[i])
-                if hi < least1s[i]:
-                    break
-                least0s.append(min(least0(k, n1)
-                                   for n1 in range(least1s[i], hi + 1)))
-            else:
-                tail1 = [sum(least1s[j:]) for j in range(r + 1)]
-                tail0 = [sum(least0s[j:]) for j in range(r + 1)]
-                assign(0, leads, tail1, tail0, N1, N0, None, [])
-    return results
+                found.append(parts + (part,))
+    return found

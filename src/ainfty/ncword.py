@@ -168,22 +168,19 @@ def enumerate_cyclic_words(ctx: NCContext, order: int, degree=None):
     """
     labels = sorted(ctx.letters)
     found = set()
-
-    def extend(word):
-        if len(word) == order:
-            if ctx.xi_src(word[-1]) != ctx.xi_tgt(word[0]):
-                return
-            cfg = tuple((lab, 0) for lab in word)
-            if degree is not None and ctx.cfg_degree(cfg) != degree:
-                return
-            canon = canonical_cyclic(ctx, cfg)
-            if canon is not None:
-                found.add(canon[0])
-            return
-        for lab in labels:
-            if word and ctx.xi_src(word[-1]) != ctx.xi_tgt(lab):
-                continue
-            extend(word + (lab,))
-
-    extend(())
+    stack = [()]
+    while stack:
+        word = stack.pop()
+        if len(word) < order:
+            stack.extend(word + (lab,) for lab in labels
+                         if not word or ctx.xi_src(word[-1]) == ctx.xi_tgt(lab))
+            continue
+        if ctx.xi_src(word[-1]) != ctx.xi_tgt(word[0]):
+            continue
+        cfg = tuple((lab, 0) for lab in word)
+        if degree is not None and ctx.cfg_degree(cfg) != degree:
+            continue
+        canon = canonical_cyclic(ctx, cfg)
+        if canon is not None:
+            found.add(canon[0])
     return sorted(found)

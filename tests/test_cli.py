@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,21 @@ def test_unit_that_is_not_a_cycle_is_transferred_without_a_unit(
     con = hom_contraction(cat, ("1", "1"), unit_label="e")
     assert len(con.min_basis) == len(cycles)
     assert check_contraction(cat, con) == []
+
+
+@pytest.mark.parametrize("subcommand", ["check-ainf", "minimal-model"])
+def test_units_without_b2_are_an_input_error(tmp_path, capsys, subcommand):
+    # designated units and no b_2 at arity cap 1: the unit laws cannot be
+    # read, which both subcommands report as an input error, not a traceback
+    cat = truncated_path_category(derived_preprojective(jordan_quiver()), 3)
+    low = replace(cat, ops={1: cat.ops[1]}, arity_cap=1, complete=False)
+    path = tmp_path / "b1_only.json"
+    path.write_text(docio.dumps_document(docio.to_document("ainf_category", low)),
+                    encoding="utf-8")
+    assert main([subcommand, str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "b_2 is unknown at arity cap 1" in out.out
 
 
 def test_check_ainf_decides_the_strict_unit_laws_once(tmp_path, monkeypatch):

@@ -287,3 +287,53 @@ def test_field_scan_sees_reads_not_stores_or_keywords():
     assert unread_fields({"lib.py": lib}, [lib, user]) == [
         ("lib.py", 6, "Report.stored"), ("lib.py", 7, "Report.passed"),
         ("lib.py", 12, "Other.orphan")]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def self_referencing_closures(source: str) -> list:
+    """outer.inner for every function defined inside a function whose body
+    names itself: its closure cell holds the function, so each call of the
+    outer function leaves a reference cycle for the collector."""
+    found = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, FUNCTIONS):
+            continue
+        # the functions nested directly in outer, not inside a nested one
+        todo, inner = list(ast.iter_child_nodes(outer)), []
+        while todo:
+            node = todo.pop()
+            if isinstance(node, FUNCTIONS):
+                inner.append(node)
+            else:
+                todo.extend(ast.iter_child_nodes(node))
+        for fn in inner:
+            if any(isinstance(n, ast.Name) and n.id == fn.name
+                   for n in ast.walk(fn)):
+                found.append((fn.lineno, "%s.%s" % (outer.name, fn.name)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_self_referencing_closures(path):
+    assert self_referencing_closures(path.read_text(encoding="utf-8")) == []
+
+
+def test_closure_scan_sees_nested_self_reference_only():
+    source = ("def walk(n):\n"
+              "    def step(k):\n"
+              "        return step(k - 1) if k else 0\n"
+              "    def leaf(k):\n"
+              "        return k\n"
+              "    return step(n) + leaf(n)\n"
+              "def top(n):\n"
+              "    return top(n - 1) if n else 0\n"
+              "class C:\n"
+              "    def method(self):\n"
+              "        def visit(x):\n"
+              "            for y in x:\n"
+              "                visit(y)\n"
+              "        return self.method\n")
+    assert self_referencing_closures(source) == [(2, "walk.step"),
+                                                 (11, "method.visit")]

@@ -9,6 +9,7 @@ brute-force oracle that re-derives every inequality from scratch.
 """
 
 import functools
+import gc
 import random
 from fractions import Fraction
 
@@ -509,6 +510,11 @@ def test_bound_above_the_total_slope_leaves_nothing():
 def test_degree_zero_is_trivial():
     types = hn_enumerate(poly(5), poly(1))
     assert [type_key(t) for t in types] == [((Fraction(5),),)]
+    # every reduced part of degree 0 is 1, so no two parts decrease: a
+    # total of 40 has its one type at once, with no walk over the 2^39
+    # compositions of 40
+    types = hn_enumerate(poly(40), poly(1))
+    assert [type_key(t) for t in types] == [((Fraction(40),),)]
 
 
 def test_finer_lattice_admits_new_splits():
@@ -613,6 +619,35 @@ def test_random_degree_one_sets_agree_with_brute_force(a1, a0, q0):
     got = {type_key(t) for t in hn_enumerate(P, q)}
     want = brute_force_types(P, q, pad=4)
     assert got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(a2=st.integers(min_value=1, max_value=2),
+       a1=st.integers(min_value=-2, max_value=2),
+       a0=st.integers(min_value=-2, max_value=2),
+       q1=st.integers(min_value=-1, max_value=0),
+       q0=st.integers(min_value=-2, max_value=0))
+def test_random_degree_two_sets_agree_with_brute_force(a2, a1, a0, q1, q0):
+    # a part's t-coefficient is at least -2 per unit of lead, so with
+    # |a1|, |a0| <= 2 every type lies inside the oracle's box at pad 4
+    P, q = poly(a0, a1, a2), poly(q0, q1, Fraction(1, 2))
+    got = {type_key(t) for t in hn_enumerate(P, q, bogomolov_param=crude_bound)}
+    want = brute_force_types(P, q, pad=4, bogomolov_param=crude_bound)
+    assert got == want
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # the walk keeps an explicit stack, so a call leaves nothing for the
+    # cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert hn_enumerate(poly(0, 6), poly(-1, 1))
+        assert hn_enumerate(poly(1, 0, 3), poly(-2, -1, Fraction(1, 2)),
+                            bogomolov_param=crude_bound)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def fractional_bound(c2, c1):

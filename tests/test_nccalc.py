@@ -9,6 +9,7 @@ potential against the structure tables it came from, and the strictifier
 against direct unitality checks on its output.
 """
 
+import gc
 import random
 from dataclasses import replace
 
@@ -58,6 +59,19 @@ def jordan_pack():
     pot = nc.potential_from_category(cat, pairing)
     omega = nc.omega_from_pairing(ctx, pairing, pot.order_cap)
     return cat, pairing, ctx, pot, omega
+
+
+def test_cyclic_word_enumeration_leaves_no_reference_cycle():
+    # the word walk keeps an explicit stack, so a call leaves nothing for
+    # the cyclic collector
+    ctx = NCContext.from_category(minimal_fixture("a2"))
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_cyclic_words(ctx, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def homogeneous_samples(ctx, field, orders=(3, 4), per_degree=2):
