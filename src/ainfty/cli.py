@@ -455,7 +455,8 @@ def cmd_hn_enum(args):
                              lattice=query.lattice)
     except LocalModelError as e:
         raise CliError(str(e))
-    # hn_enumerate has run check_hn_type on every type and raises on a failure
+    # hn_enumerate has re-verified every type (first_failing_hn_type) and
+    # raises on a failure
     payload = {"count": len(types),
                "types": [[docio._poly_to_json(p) for p in t.polys]
                          for t in types],

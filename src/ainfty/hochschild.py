@@ -104,14 +104,18 @@ class HochschildChainWindow:
             if not 1 <= len(tup) <= self.max_length:
                 raise HochschildError("chain length %d outside window"
                                       % len(tup))
-            # src(a_k) = tgt(a_{k+1}), and src(a_n) = tgt(a_1)
-            src = ends[tup[-1]][0]
-            for lab in tup:
-                nxt, tgt = ends[lab]
-                if tgt != src:
-                    raise HochschildError("chain %s not cyclically composable"
-                                          % (tup,))
-                src = nxt
+            try:
+                # src(a_k) = tgt(a_{k+1}), and src(a_n) = tgt(a_1)
+                src = ends[tup[-1]][0]
+                for lab in tup:
+                    nxt, tgt = ends[lab]
+                    if tgt != src:
+                        raise HochschildError(
+                            "chain %s not cyclically composable" % (tup,))
+                    src = nxt
+            except KeyError as e:
+                raise HochschildError("chain %s names label %r the category"
+                                      " lacks" % (tup, e.args[0])) from None
 
     def _admit(self, chain, cols: dict) -> None:
         """check_chain on the chains without a kept column in cols."""

@@ -426,8 +426,13 @@ def euler_compare(q: Quiver, d, cat: AInfCategory) -> EulerReport:
 # and through the Bogomolov floor of the constant term in degree 2.
 # Rationals appear only in q_bound, the Bogomolov callable and the
 # polynomials of the emitted types.  The walk keeps an explicit stack, so
-# it leaves no reference cycle, and check_hn_type re-verifies every
-# emitted type in rational arithmetic.
+# it leaves no reference cycle.
+#
+# first_failing_hn_type re-verifies the emitted types from their
+# coefficients, sharing no code with the walk; check_hn_type is the same
+# check on one type.  The types of one query share their part objects, and
+# the checks of a part alone run once per part object; only the order of
+# the keys and the sums are checked per type.
 
 
 @dataclass(frozen=True)
@@ -444,39 +449,69 @@ class HNType:
 def check_hn_type(P: RatPolynomial, q_bound: RatPolynomial, typ: HNType,
                   bogomolov_param=None, lattice=None) -> bool:
     """Re-verify every defining inequality of an HN type independently of
-    the enumerator, in rational arithmetic on each part's coefficient tuple:
-    positive leading coefficients, lattice membership, coefficient sums
-    equal to P's, strictly decreasing reduced polynomials at or above
-    q_bound, and (degree 2) the constant-term lower bounds.
+    the enumerator: first_failing_hn_type on the one type."""
+    return first_failing_hn_type(P, q_bound, (typ,), bogomolov_param, lattice) is None
+
+
+def first_failing_hn_type(P: RatPolynomial, q_bound: RatPolynomial, types,
+                          bogomolov_param=None, lattice=None):
+    """The first of types, a list or tuple of HNType, that is not an HN type
+    of P at or above q_bound, or None.  Checked on each part's coefficient tuple: positive leading
+    coefficient, lattice membership, a reduced polynomial at or above
+    q_bound and (degree 2) the constant-term lower bound; and on each
+    type: strictly decreasing reduced polynomials and coefficient sums
+    equal to P's.
 
     A part's reduced polynomial is compared through its key c_k / lead, top
     degree first: the reduced coefficients times d!, so q_bound's
-    coefficients are scaled by d! to match."""
+    coefficients are scaled by d! to match.  lattice holds positive
+    integers, as in hn_enumerate.  A part's own checks, its key and its
+    lattice coordinates c_k lattice[k] are worked out once per part object,
+    however many types hold it, and the sums are taken in those integer
+    coordinates."""
     deg = P.degree
     lat = tuple(lattice) if lattice is not None else (1,) * (deg + 1)
     scale = math.factorial(deg)
     qkey = tuple(Fraction(q_bound.coeff(k)) * scale for k in range(deg, -1, -1))
     bog = bogomolov_param if deg == 2 else None
-    sums = [0] * (deg + 1)
-    prev = None
-    for p in typ.polys:
-        c = p.coeffs
-        if len(c) != deg + 1 or c[deg] <= 0:
-            return False
-        for k in range(deg + 1):
-            # c_k lies in (1/lat[k]) Z exactly when its reduced denominator
-            # divides lat[k]
-            if lat[k] % c[k].denominator:
-                return False
-            sums[k] += c[k]
-        lead = c[deg]
-        key = tuple(x / lead for x in reversed(c))
-        if key < qkey or (prev is not None and not key < prev):
-            return False
-        prev = key
-        if bog is not None and c[0] < bog(c[2], c[1]):
-            return False
-    return tuple(sums) == P.coeffs
+    # P off the lattice has a non-integer coordinate, which no sum of
+    # lattice parts equals
+    total = tuple(Fraction(c) * lat[k] for k, c in enumerate(P.coeffs))
+    # id(part) -> (key, coordinates), or None for a part that fails alone;
+    # types holds every part for the whole call, so no id is reused
+    parts = {}
+    for typ in types:
+        sums, prev = (0,) * (deg + 1), None
+        for p in typ.polys:
+            if id(p) not in parts:
+                parts[id(p)] = _hn_part(p.coeffs, deg, lat, qkey, bog)
+            got = parts[id(p)]
+            if got is None or (prev is not None and not got[0] < prev):
+                return typ
+            prev = got[0]
+            sums = tuple(map(add, sums, got[1]))
+        if sums != total:
+            return typ
+    return None
+
+
+def _hn_part(c, deg, lat, qkey, bog):
+    """(key, lattice coordinates) of a part with coefficients c, or None
+    if it fails a check that involves no other part."""
+    if len(c) != deg + 1 or c[deg] <= 0:
+        return None
+    coords = []
+    for k in range(deg + 1):
+        # c_k lies in (1/lat[k]) Z exactly when its reduced denominator
+        # divides lat[k]
+        if lat[k] % c[k].denominator:
+            return None
+        coords.append(c[k].numerator * (lat[k] // c[k].denominator))
+    lead = c[deg]
+    key = tuple(x / lead for x in reversed(c))
+    if key < qkey or (bog is not None and c[0] < bog(c[2], c[1])):
+        return None
+    return key, coords
 
 
 def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
@@ -492,8 +527,9 @@ def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
 
     The enumerator works in integer lattice coordinates (see the comment
     opening this section).  The types come out sorted by the coefficient
-    tuples of their parts, top degree first, and check_hn_type re-verifies
-    each one."""
+    tuples of their parts, top degree first; types holding the same part
+    hold the same RatPolynomial object.  One first_failing_hn_type call
+    re-verifies them all, and a type that fails raises LocalModelError."""
     deg = P.degree
     if deg not in (0, 1, 2):
         raise LocalModelError("Hilbert polynomial degree must be 0, 1 or 2, got %d" % deg)
@@ -518,15 +554,16 @@ def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
     found = _hn_parts(tuple(reversed(total)), q_bound, lat, bogomolov_param)
     # parts in coordinates sort as their coefficient tuples do
     found.sort()
+    # one polynomial per distinct part, shared by the types that hold it;
     # every part's leading coefficient is positive, so no trimming is needed
-    out = [HNType(polys=tuple(
-               RatPolynomial(tuple(Fraction(n, lat[k])
-                                   for k, n in enumerate(reversed(part))))
-               for part in parts))
-           for parts in found]
-    for typ in out:
-        if not check_hn_type(P, q_bound, typ, bogomolov_param=bogomolov_param, lattice=lat):
-            raise LocalModelError("enumerated type fails re-verification: %r" % (typ,))
+    polys = dict.fromkeys(part for parts in found for part in parts)
+    for part in polys:
+        polys[part] = RatPolynomial(tuple(Fraction(n, lat[k])
+                                          for k, n in enumerate(reversed(part))))
+    out = [HNType(polys=tuple(map(polys.__getitem__, parts))) for parts in found]
+    bad = first_failing_hn_type(P, q_bound, out, bogomolov_param, lat)
+    if bad is not None:
+        raise LocalModelError("enumerated type fails re-verification: %r" % (bad,))
     return out
 
 

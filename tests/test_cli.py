@@ -792,14 +792,21 @@ def test_main_builds_the_parser_once(tmp_path, monkeypatch):
     assert reports[0] == reports[2] != reports[1]
 
 
-def test_hn_enum_checks_each_type_once(tmp_path, monkeypatch):
+def test_hn_enum_verifies_every_type_in_one_call(tmp_path, monkeypatch):
     path, out = tmp_path / "hn.json", tmp_path / "hn.report.json"
     path.write_text(docio.dumps_document(hn_query_document()), encoding="utf-8")
-    counts = count_calls(monkeypatch, (localmodel, "check_hn_type"))
+    verified = []
+    verify = localmodel.first_failing_hn_type
+
+    def counted(P, q_bound, types, *args):
+        verified.append(len(types))
+        return verify(P, q_bound, types, *args)
+
+    monkeypatch.setattr(localmodel, "first_failing_hn_type", counted)
     assert main(["hn-enum", str(path), "--report", str(out)]) == EXIT["pass"]
     result = json.loads(out.read_text())["payload"]["result"]
     assert result["count"] > 0 and result["reverified"] is True
-    assert counts["check_hn_type"] == result["count"]
+    assert verified == [result["count"]]
 
 
 def test_importing_the_cli_leaves_sympy_unloaded():

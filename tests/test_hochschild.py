@@ -123,6 +123,15 @@ def test_check_chain_rejects_bad_input(wa2):
         hochschild_b(wa2, {("e@1",) * (wa2.max_length + 1): f.of_int(1)})
 
 
+def test_check_chain_names_a_label_the_category_lacks(wa2):
+    one = wa2.cat.field.of_int(1)
+    for op in (hochschild_b, connes_B):
+        with pytest.raises(HochschildError, match="names label 'zz'"):
+            op(wa2, {("zz",): one})
+        with pytest.raises(HochschildError, match="names label 'zz'"):
+            op(wa2, {("e@1", "zz"): one})
+
+
 def test_window_rejects_higher_operations():
     cat = point_category()
     f = cat.field

@@ -16,20 +16,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ainfty import localmodel, presentations, quiver, repmod
 from ainfty import nccalc as nc
-from ainfty import presentations, quiver, repmod
 from ainfty.ainf import AInfCategory
 from ainfty.field import GF, QQ
 from ainfty.localmodel import (HNType, LocalModelError, SigmaCertificate,
                                check_hn_type, euler_compare, ext_quiver_halve,
-                               hn_enumerate, mc_presentation, monic_equations,
-                               poly_str, verify_sigma)
+                               first_failing_hn_type, hn_enumerate,
+                               mc_presentation, monic_equations, poly_str,
+                               verify_sigma)
 from ainfty.quiver import double, star_name
 from ainfty.ratpoly import RatPolynomial
 from ainfty.sparse import SparseMatrix, invert
 from ainfty.transfer import minimal_model
 
-from hn_oracle import (brute_force_types, check_hn_type_oracle,
+from hn_oracle import (_box, brute_force_types, check_hn_type_oracle,
                        reduced_polynomial, type_key)
 from localmodel_oracle import mc_point, mc_residuals, mc_vanishes
 from repmod_oracle import conjugate, eval_relations
@@ -788,3 +789,96 @@ def test_check_hn_type_agrees_with_the_polynomial_oracle():
                     rejected.add(name)
     assert rejected == {"total", "leading", "bound", "equal", "lattice",
                         "order", "bogomolov"}
+
+
+# (name, P, q, lattice, Bogomolov bound, a valid type and a bad one in
+# lattice coordinates (k, m_1, .., m_D)), each bad type breaking one
+# inequality
+BAD_ENUMERATIONS = [
+    # the same part object twice: its checks are memoized, and the keys
+    # still do not decrease
+    ("repeated-part", poly(2, 2), poly(-1, 1), (1, 1), None,
+     ((1, 2), (1, 0)), ((1, 1), (1, 1))),
+    # valid parts in decreasing order that add up to 2t - 1
+    ("total", poly(0, 2), poly(-1, 1), (1, 1), None,
+     ((1, 1), (1, -1)), ((1, 0), (1, -1))),
+    # the constant term -4 of t^2 - 4 is below -3 c2 - |c1| = -3
+    ("bogomolov", poly(1, 0, 2), poly(-2, -1, F(1, 2)), (1, 1, 1), crude_bound,
+     ((1, 0, 2), (1, 0, -1)), ((1, 0, 5), (1, 0, -4))),
+    # t + 1/2 and t - 1/2 off the lattice (1, 1)
+    ("lattice", poly(0, 2), poly(-1, 1), (1, 1), None,
+     ((1, 1), (1, -1)), ((1, F(1, 2)), (1, F(-1, 2)))),
+]
+
+
+@pytest.mark.parametrize("name,P,q,lat,bog,good,bad", BAD_ENUMERATIONS,
+                         ids=[case[0] for case in BAD_ENUMERATIONS])
+def test_reverification_names_a_bad_enumerated_type(monkeypatch, name, P, q,
+                                                    lat, bog, good, bad):
+    def polys(parts):
+        return tuple(RatPolynomial.of([Fraction(n, lat[k])
+                                       for k, n in enumerate(reversed(part))])
+                     for part in parts)
+
+    assert check_hn_type(P, q, HNType(polys=polys(good)), bogomolov_param=bog,
+                         lattice=lat)
+    monkeypatch.setattr(localmodel, "_hn_parts",
+                        lambda total, q_bound, lat, bog: [good, bad])
+    with pytest.raises(LocalModelError) as err:
+        hn_enumerate(P, q, bogomolov_param=bog, lattice=lat)
+    assert str(err.value) == ("enumerated type fails re-verification: %r"
+                              % (HNType(polys=polys(bad)),))
+
+
+def test_enumerated_types_share_their_part_objects():
+    types = hn_enumerate(*BENCHMARK_QUERIES[2][:2])
+    objects = {}
+    for typ in types:
+        for p in typ.polys:
+            assert objects.setdefault(p, p) is p
+    assert sum(map(len, types)) > len(objects)
+
+
+# small queries for the oracle: every one enumerates in milliseconds
+ORACLE_QUERIES = ([(P, q, lat, None) for P, q, lat in DEG1_SETS]
+                  + [(P, q, lat, crude_bound) for P, q, lat in DEG2_SETS]
+                  + LATTICE_SETS)
+
+
+@st.composite
+def candidate_types(draw):
+    """A query and a list of types: enumerated ones, which share their
+    parts, and types built from a pool of parts drawn from the oracle's
+    boxes, some on a lattice twice as fine as the query's, some of them
+    completed by the remainder of P.  A pool part may stand in several
+    types and twice in one."""
+    P, q, lat, bog = draw(st.sampled_from(ORACLE_QUERIES))
+    deg = P.degree
+    enumerated = hn_enumerate(P, q, bogomolov_param=bog, lattice=lat)
+    pool = [RatPolynomial.of([draw(st.sampled_from(_box(
+                P.coeff(k), lat[k] * draw(st.sampled_from((1, 2))), 1)))
+                              for k in range(deg + 1)])
+            for _ in range(draw(st.integers(1, 4)))]
+    types = []
+    for _ in range(draw(st.integers(1, 6))):
+        if enumerated and draw(st.booleans()):
+            types.append(draw(st.sampled_from(enumerated)))
+            continue
+        parts = [pool[i] for i in draw(st.lists(
+            st.integers(0, len(pool) - 1), min_size=1, max_size=3))]
+        if draw(st.booleans()):
+            parts.append(P - sum(parts, RatPolynomial.zero()))
+        types.append(HNType(polys=tuple(parts)))
+    return P, q, lat, bog, types
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=candidate_types())
+def test_verifier_returns_the_first_type_the_oracle_rejects(case):
+    P, q, lat, bog, types = case
+    verdicts = [check_hn_type_oracle(P, q, t, bogomolov_param=bog, lattice=lat)
+                for t in types]
+    want = next((t for t, ok in zip(types, verdicts) if not ok), None)
+    assert first_failing_hn_type(P, q, types, bog, lat) is want
+    for t, ok in zip(types, verdicts):
+        assert check_hn_type(P, q, t, bogomolov_param=bog, lattice=lat) == ok
