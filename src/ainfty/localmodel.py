@@ -464,13 +464,15 @@ def first_failing_hn_type(P: RatPolynomial, q_bound: RatPolynomial, types,
 
     A part's reduced polynomial is compared through its key c_k / lead, top
     degree first: the reduced coefficients times d!, so q_bound's
-    coefficients are scaled by d! to match.  lattice holds positive
-    integers, as in hn_enumerate.  A part's own checks, its key and its
-    lattice coordinates c_k lattice[k] are worked out once per part object,
-    however many types hold it, and the sums are taken in those integer
-    coordinates."""
+    coefficients are scaled by d! to match.  A part's own checks, its key
+    and its lattice coordinates c_k lattice[k] are worked out once per part
+    object, however many types hold it, and the sums are taken in those
+    integer coordinates."""
     deg = P.degree
     lat = tuple(lattice) if lattice is not None else (1,) * (deg + 1)
+    # a zero entry would admit every coefficient and make its coordinate 0
+    if any(x <= 0 for x in lat):
+        raise LocalModelError("lattice needs positive denominators")
     scale = math.factorial(deg)
     qkey = tuple(Fraction(q_bound.coeff(k)) * scale for k in range(deg, -1, -1))
     bog = bogomolov_param if deg == 2 else None

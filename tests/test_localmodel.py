@@ -723,6 +723,13 @@ def test_check_hn_type_rejects_each_broken_inequality(P, q, lat, bog, good, bad)
         assert not check_hn_type(P, q, bad, bogomolov_param=bog, lattice=lat)
 
 
+def test_check_hn_type_refuses_a_lattice_that_is_not_positive():
+    good = hn((1, 1), (-1, 1))
+    for lat in ((0, 1), (1, -1)):
+        with pytest.raises(LocalModelError, match="positive denominators"):
+            check_hn_type(poly(0, 2), poly(-1, 1), good, lattice=lat)
+
+
 def docio_bound(c2, c1):
     # the constant-term bound c0 >= -3 c2 - |c1| in the form docio builds
     return Fraction(-3) * c2 + Fraction(-1) * abs(c1) + Fraction(0)
