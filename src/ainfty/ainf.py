@@ -74,10 +74,6 @@ class AInfCategory:
     def labels(self):
         return tuple(self._info)
 
-    def pair_of(self, lab: str):
-        i, j, _ = self._info[lab]
-        return (i, j)
-
     def src(self, lab: str) -> str:
         return self._info[lab][0]
 

@@ -267,7 +267,6 @@ def _B_terms(window: HochschildChainWindow, tup, coeff):
 
 @dataclass
 class WindowedHomology:
-    max_length: int
     dims: dict              # (length, degree) -> dim of the length-graded piece
     by_degree: dict         # degree -> total dim over reported lengths
     stable: bool            # True when window growth leaves the report fixed
@@ -377,7 +376,7 @@ def windowed_homology(window: HochschildChainWindow,
     # the report only covers lengths <= max_length - margin, so growing the
     # window (and the margin with it) must reproduce it when the cutoff is
     # honest; a disagreement flags boundary contamination
-    return WindowedHomology(top, dims, by_degree, grown == dims)
+    return WindowedHomology(dims, by_degree, grown == dims)
 
 
 def _check_gradings(cat: AInfCategory, shifted: dict) -> dict:

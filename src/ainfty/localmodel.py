@@ -15,10 +15,13 @@ Conventions:
   commutative monomials stored as sorted tuples of variable ids.  In the
   degree >= 1 model all coordinates are even (symmetric-algebra degree 0),
   so no Koszul signs enter monomial reordering.
-* The differential sends the dual of a degree-2 basis element z to the sum
-  over stored operations of coeff(tuple -> z) times the product, in operator
+* The classical equation of a degree-2 basis element z is the sum over
+  stored operations of coeff(tuple -> z) times the product, in operator
   order, of the variable matrices of the inputs.  Only all-degree-1 input
-  tuples contribute by degree count.  Duals of degree-1 elements map to zero.
+  tuples contribute by degree count.  Entry (r, c) of a product
+  M_{x_1} ... M_{x_n} is expanded directly, as the sum over index paths
+  r = k_0, k_1, .., k_n = c of the monomial of the variables
+  (x_t, k_{t-1}, k_t); no polynomial matrix product is formed.
 * Hilbert polynomials use the calibration where the reduced polynomial of
   P has leading term t^d / d!.  Reduced polynomials are compared
   lexicographically from the top coefficient down.
@@ -26,6 +29,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from operator import add, sub
 
 from .field import FieldCtx, QQ
 from .sparse import add_into
-from .quiver import Quiver, Arrow, euler_form
+from .quiver import Quiver, Arrow, dimension_vector, euler_form
 from .ratpoly import RatPolynomial
 from .ainf import AInfCategory
 
@@ -150,25 +154,10 @@ def ext_quiver_halve(cert: SigmaCertificate) -> Quiver:
 # polynomial scraps: dict {sorted tuple of variable ids: coefficient}
 
 
-def poly_add(a, b, f: FieldCtx):
-    out = dict(a)
-    for mono, c in b.items():
-        add_into(f, out, mono, c)
-    return out
-
-
 def poly_scale(a, c, f: FieldCtx):
     if f.is_zero(c):
         return {}
     return {mono: f.mul(c, v) for mono, v in a.items()}
-
-
-def poly_mul(a, b, f: FieldCtx):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            add_into(f, out, tuple(sorted(m1 + m2)), f.mul(c1, c2))
-    return out
 
 
 def _poly_sort_key(mono):
@@ -214,32 +203,9 @@ class MCPresentation:
     objects: tuple
     block_sizes: dict
     coordinates: tuple        # variable ids (label, row, col) of degree-1 duals
-    generators: tuple         # (label, pair, degree) for every basis label of degree >= 1
-    differential: dict        # label -> MCEquation (degree-1 labels map to zero matrices)
     classical_equations: tuple  # MCEquation per degree-2 label
     exactness: str            # "exact" or "truncated:cap=N"
-    arity_cap: int
     field: FieldCtx = QQ
-
-
-def _zero_matrix_of_polys(nrows, ncols):
-    return tuple(tuple({} for _ in range(ncols)) for _ in range(nrows))
-
-
-def _symbolic_matrix(label, nrows, ncols, f):
-    return [[{((label, r, c),): f.one()} for c in range(ncols)] for r in range(nrows)]
-
-
-def _matmul_polys(a, b, f):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[{} for _ in range(m)] for _ in range(n)]
-    for r in range(n):
-        for c in range(m):
-            acc = {}
-            for t in range(k):
-                acc = poly_add(acc, poly_mul(a[r][t], b[t][c], f), f)
-            out[r][c] = acc
-    return out
 
 
 def mc_presentation(cat: AInfCategory, d, certificate=None,
@@ -250,11 +216,14 @@ def mc_presentation(cat: AInfCategory, d, certificate=None,
     Each degree-1 label x: i -> j carries a d_j x d_i variable block; the
     equation attached to a degree-2 label z: i -> j is
     sum_n sum_tuples coeff(tuple -> z) M_{x_1} ... M_{x_n} = 0
-    over all stored all-degree-1 input tuples.  When the category is
-    complete, or a passing formality certificate (an object whose ok
-    attribute is true) guarantees vanishing higher operations, the
-    presentation is tagged exact; otherwise it is a truncation at the
-    arity cap."""
+    over all stored all-degree-1 input tuples.  Each tuple adds
+    coeff * monomial at entry (r, c) for every index path
+    r = k_0, k_1, .., k_n = c, the monomial being the sorted variables
+    (x_t, k_{t-1}, k_t).  When the category is complete, or a passing
+    formality certificate (an object whose ok attribute is true)
+    guarantees vanishing higher operations, the presentation is tagged
+    exact; so is a category with no degree-1 label, whatever d is.
+    Otherwise it is a truncation at the arity cap."""
     f = cat.field
     if cat.op_table(1):
         raise LocalModelError("category is not minimal: nonzero arity-1 operations")
@@ -262,37 +231,24 @@ def mc_presentation(cat: AInfCategory, d, certificate=None,
         for lab, deg in basis:
             if deg > 2:
                 raise LocalModelError("degree-%d morphism %r: the degree >= 1 model is implemented for hom degrees <= 2" % (deg, lab))
-
-    if isinstance(d, dict):
-        sizes = {obj: int(d.get(obj, 0)) for obj in cat.objects}
-    else:
-        if len(d) != len(cat.objects):
-            raise LocalModelError("multiplicity vector has length %d, want %d" % (len(d), len(cat.objects)))
-        sizes = {obj: int(m) for obj, m in zip(cat.objects, d)}
-    if any(m < 0 for m in sizes.values()):
-        raise LocalModelError("negative multiplicity")
-
+    try:
+        sizes = dimension_vector(cat.objects, d)
+    except ValueError as e:
+        raise LocalModelError(str(e))
     cap = arity_cap if arity_cap is not None else cat.arity_cap
 
-    coords = []
-    generators = []
-    deg1 = []
-    deg2 = []
+    coords, deg2, has_deg1 = [], [], False
     for (i, j) in sorted(cat.hom):
         for lab, deg in cat.hom[(i, j)]:
-            if deg < 1:
-                continue
-            generators.append((lab, (i, j), deg))
             if deg == 1:
-                deg1.append((lab, (i, j)))
-                for r in range(sizes[j]):
-                    for c in range(sizes[i]):
-                        coords.append((lab, r, c))
-            else:
+                has_deg1 = True
+                coords.extend((lab, r, c) for r in range(sizes[j])
+                              for c in range(sizes[i]))
+            elif deg == 2:
                 deg2.append((lab, (i, j)))
 
-    # accumulate the degree-2 images arity by arity
-    eqs = {lab: _zero_matrix_of_polys(sizes[pair[1]], sizes[pair[0]]) for lab, pair in deg2}
+    # degree-2 label -> {(row, col): poly}, frozen into a matrix at the end
+    eqs = {lab: {} for lab, _ in deg2}
     saw_higher = False
     for n in range(2, cap + 1):
         table = cat.op_table(n)
@@ -307,46 +263,31 @@ def mc_presentation(cat: AInfCategory, d, certificate=None,
             if n >= 3:
                 saw_higher = True
             # operator order: tup[0] is applied last, so the matrix product
-            # follows the tuple left to right
-            prod = None
-            ok = True
-            for x in tup:
-                i, j = cat.pair_of(x)
-                if sizes[i] == 0 or sizes[j] == 0:
-                    ok = False
-                    break
-                mx = _symbolic_matrix(x, sizes[j], sizes[i], f)
-                prod = mx if prod is None else _matmul_polys(prod, mx, f)
-            if not ok:
-                continue
-            for z, c in relevant.items():
-                mat = [list(row) for row in eqs[z]]
-                for r in range(len(prod)):
-                    for col in range(len(prod[0])):
-                        mat[r][col] = poly_add(mat[r][col], poly_scale(prod[r][col], c, f), f)
-                eqs[z] = tuple(tuple(row) for row in mat)
+            # follows the tuple left to right; k_0 runs over the target of
+            # x_1 and k_t over the source of x_t
+            ranges = [range(sizes[cat.tgt(tup[0])])]
+            ranges.extend(range(sizes[cat.src(x)]) for x in tup)
+            for ks in itertools.product(*ranges):
+                mono = tuple(sorted((x, ks[t], ks[t + 1]) for t, x in enumerate(tup)))
+                for z, c in relevant.items():
+                    add_into(f, eqs[z].setdefault((ks[0], ks[-1]), {}), mono, c)
 
     certified = bool(getattr(certificate, "ok", False))
     if certified and saw_higher:
         raise LocalModelError("certificate claims vanishing higher operations but stored tables contradict it")
-    if cat.complete or certified or not deg1:
+    if cat.complete or certified or not has_deg1:
         exactness = "exact"
     else:
         exactness = "truncated:cap=%d" % cap
 
-    differential = {}
-    for lab, pair, deg in generators:
-        if deg == 1:
-            differential[lab] = MCEquation(label=lab, pair=pair,
-                                           matrix=_zero_matrix_of_polys(sizes[pair[1]], sizes[pair[0]]))
-        else:
-            differential[lab] = MCEquation(label=lab, pair=pair, matrix=eqs[lab])
-
-    classical = tuple(MCEquation(label=lab, pair=pair, matrix=eqs[lab]) for lab, pair in deg2)
+    classical = tuple(
+        MCEquation(label=lab, pair=(i, j),
+                   matrix=tuple(tuple(eqs[lab].get((r, c), {}) for c in range(sizes[i]))
+                                for r in range(sizes[j])))
+        for lab, (i, j) in deg2)
     return MCPresentation(objects=tuple(cat.objects), block_sizes=sizes,
-                          coordinates=tuple(coords), generators=tuple(generators),
-                          differential=differential, classical_equations=classical,
-                          exactness=exactness, arity_cap=cap, field=f)
+                          coordinates=tuple(coords), classical_equations=classical,
+                          exactness=exactness, field=f)
 
 
 def monic_equations(pres: MCPresentation):
@@ -383,7 +324,6 @@ class EulerReport:
     lhs: int                  # 2 * chi_Q(d, d)
     rhs: int                  # alternating sum of weighted Ext dims
     by_degree: tuple          # (n, total dim Ext^n weighted by d_i d_j)
-    ok: bool
 
 
 def euler_compare(q: Quiver, d, cat: AInfCategory) -> EulerReport:
@@ -391,12 +331,10 @@ def euler_compare(q: Quiver, d, cat: AInfCategory) -> EulerReport:
 
     A mismatch is a hard failure: the category cannot be the local model of
     the quiver at that dimension vector."""
-    if isinstance(d, dict):
-        dvec = {v: int(d.get(v, 0)) for v in q.vertices}
-    else:
-        if len(d) != len(q.vertices):
-            raise LocalModelError("dimension vector has length %d, want %d" % (len(d), len(q.vertices)))
-        dvec = {v: int(m) for v, m in zip(q.vertices, d)}
+    try:
+        dvec = dimension_vector(q.vertices, d)
+    except ValueError as e:
+        raise LocalModelError(str(e))
     if set(str(o) for o in cat.objects) != set(q.vertices):
         raise LocalModelError("quiver vertices %r do not match category objects %r" % (q.vertices, tuple(cat.objects)))
 
@@ -410,7 +348,7 @@ def euler_compare(q: Quiver, d, cat: AInfCategory) -> EulerReport:
     by_degree = tuple(sorted(weighted.items()))
     if lhs != rhs:
         raise LocalModelError("Euler form mismatch: 2*chi = %d but alternating Ext sum = %d (by degree %r)" % (lhs, rhs, by_degree))
-    return EulerReport(lhs=lhs, rhs=rhs, by_degree=by_degree, ok=True)
+    return EulerReport(lhs=lhs, rhs=rhs, by_degree=by_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -332,18 +332,6 @@ def omega_from_pairing(ctx: NCContext, pairing: CyclicPairing, order_cap: int = 
     return NCForm(ctx, acc, order_cap)
 
 
-def omega_to_pairing(omega: NCForm) -> CyclicPairing:
-    """Read the pairing off a constant 2-form."""
-    ctx, f = omega.ctx, omega.field
-    entries = {}
-    for cfg, c in omega.terms.items():
-        if len(cfg) != 2 or any(m == 0 for _, m in cfg):
-            raise NCError("form is not constant")
-        (x, _), (y, _) = cfg
-        entries[(x, y)] = c
-    return make_pairing(ctx, entries)
-
-
 def _word_system(f: FieldCtx, columns, rhs=None):
     """Matrix with one column per {word: coeff} dict and one row per word,
     rows numbered in order of first appearance in the columns, then in
@@ -732,45 +720,6 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
 
 
 # ---------------------------------------------------------------------------
-# Darboux normalization
-
-def darboux_normalize(omega: NCForm, order_cap: int):
-    """Change of variables making a closed nondegenerate 2-form constant."""
-    ctx = omega.ctx
-    f = ctx.field
-    if f.p != 0:
-        raise NCError("darboux normalization needs characteristic zero")
-    if not de_rham(omega).is_zero():
-        raise NCError("form is not closed")
-    const = {cfg: c for cfg, c in omega.terms.items() if len(cfg) == 2}
-    omega0 = NCForm(ctx, const, order_cap)
-    pairing0 = omega_to_pairing(omega0)   # raises when degenerate
-    effs = {ctx.cfg_degree(cfg) for cfg in omega.terms}
-    if len(effs) > 1:
-        raise NCError("darboux normalization needs a homogeneous form")
-
-    cur = NCForm(ctx, dict(omega.terms), order_cap, omega.truncated)
-    auto = identity_automorphism(ctx, order_cap)
-    e = euler_field(ctx, order_cap)
-    while True:
-        higher = sorted(n for n in {len(cfg) for cfg in cur.terms} if n > 2)
-        if not higher:
-            break
-        n = higher[0]
-        piece = NCForm(ctx, {cfg: c for cfg, c in cur.terms.items()
-                             if len(cfg) == n}, order_cap)
-        alpha = contraction(e, piece).scale(f.of_fraction(Fraction(1, n)))
-        x = contraction_solve(omega0, pairing0, alpha.scale(f.of_int(-1)))
-        step = FormalAutomorphism(ctx, _exp_images(ctx, x, order_cap), order_cap)
-        cur = auto_apply(step, cur)
-        auto = auto_compose(step, auto)
-        still = [m for m in {len(cfg) for cfg in cur.terms} if 2 < m <= n]
-        if still:
-            raise NCError("darboux step failed to clear order %d" % n)
-    return auto, cur
-
-
-# ---------------------------------------------------------------------------
 # formality certificates
 
 @dataclass
@@ -826,7 +775,11 @@ def certify_sigma_formality(cat: AInfCategory,
 # ---------------------------------------------------------------------------
 # pairing search
 
-def solve_cyclic_pairing(cat: AInfCategory, max_combinations: int = 256) -> CyclicPairing:
+# sums of kernel vectors solve_cyclic_pairing tries, in bit-mask order
+PAIRING_COMBINATIONS = 256
+
+
+def solve_cyclic_pairing(cat: AInfCategory) -> CyclicPairing:
     """Find a nondegenerate pairing making the category cyclic.
 
     The constraints (graded symmetry plus d iota_Q omega = 0) are linear in
@@ -862,7 +815,7 @@ def solve_cyclic_pairing(cat: AInfCategory, max_combinations: int = 256) -> Cycl
 
     # try the sums of kernel vectors in the order of their bit masks
     n = len(kernel)
-    for mask in range(1, min(2 ** n, max_combinations)):
+    for mask in range(1, min(2 ** n, PAIRING_COMBINATIONS)):
         combo = {}
         for bit in range(n):
             if mask >> bit & 1:

@@ -25,7 +25,6 @@ class NCError(Exception):
 
 @dataclass(frozen=True)
 class Letter:
-    label: str
     src: str          # source object of the underlying morphism y
     tgt: str
     primal_degree: int
@@ -52,7 +51,7 @@ class NCContext:
             for lab, deg in basis:
                 if lab in letters:
                     raise NCError("duplicate letter label %r" % (lab,))
-                letters[lab] = Letter(lab, i, j, deg, lab in unit_labels)
+                letters[lab] = Letter(i, j, deg, lab in unit_labels)
         return cls(field=cat.field, letters=letters)
 
     def letter(self, lab: str) -> Letter:

@@ -112,8 +112,8 @@ def double(q: Quiver) -> Quiver:
 
 def euler_form(q: Quiver, d, e) -> int:
     """Euler pairing: sum_i d_i e_i - sum_{a} d_src(a) e_tgt(a)."""
-    d = dimension_vector(q, d)
-    e = dimension_vector(q, e)
+    d = dimension_vector(q.vertices, d)
+    e = dimension_vector(q.vertices, e)
     total = sum(d[v] * e[v] for v in q.vertices)
     for a in q.arrows:
         total -= d[a.src] * e[a.tgt]
@@ -124,18 +124,20 @@ def symmetrized_euler_form(q: Quiver, d, e) -> int:
     return euler_form(q, d, e) + euler_form(q, e, d)
 
 
-def dimension_vector(q: Quiver, d) -> dict:
-    """Normalize a dimension vector given as dict or sequence (vertex order)."""
+def dimension_vector(names, d) -> dict:
+    """Normalize a dimension vector over the vertex (or object) names,
+    given as a dict or as a sequence in the order of names."""
     if isinstance(d, dict):
-        out = {v: int(d.get(v, 0)) for v in q.vertices}
+        out = {v: int(d.get(v, 0)) for v in names}
     else:
         vals = list(d)
-        if len(vals) != len(q.vertices):
-            raise ValueError("dimension vector length mismatch")
-        out = {v: int(x) for v, x in zip(q.vertices, vals)}
+        if len(vals) != len(names):
+            raise ValueError("dimension vector has length %d, want %d"
+                             % (len(vals), len(names)))
+        out = {v: int(x) for v, x in zip(names, vals)}
     for v, x in out.items():
         if x < 0:
-            raise ValueError("negative dimension at vertex %r" % (v,))
+            raise ValueError("negative dimension at %r" % (v,))
     return out
 
 

@@ -32,6 +32,10 @@ class RepError(Exception):
     pass
 
 
+# largest total dimension the exhaustive prime-field searches accept
+BRUTEFORCE_BOUND = 6
+
+
 # ---------------------------------------------------------------------------
 # representations
 
@@ -43,7 +47,7 @@ class MatrixRep:
     field: FieldCtx = QQ
 
     def __post_init__(self):
-        self.d = dimension_vector(self.quiver, self.d)
+        self.d = dimension_vector(self.quiver.vertices, self.d)
         names = {a.name for a in self.quiver.arrows}
         extra = set(self.mats) - names
         if extra:
@@ -83,7 +87,7 @@ def random_rep(q: Quiver, seed: int, d=None, field: FieldCtx = QQ,
             d = {v: rng.randint(0, 2) for v in q.vertices}
             if 0 < sum(d.values()) <= max_total:
                 break
-    d = dimension_vector(q, d)
+    d = dimension_vector(q.vertices, d)
     mats = {}
     for a in q.arrows:
         m = SparseMatrix(d[a.tgt], d[a.src], field)
@@ -484,13 +488,13 @@ def invariant_subspace_tuples(rep: MatrixRep):
         yield sum(map(len, rows)), dict(zip(vs, rows))
 
 
-def jh_bruteforce(rep: MatrixRep, bound: int = 6) -> list:
+def jh_bruteforce(rep: MatrixRep) -> list:
     """Jordan-Hoelder factors by exhaustive minimal-submodule search."""
     if rep.field.p == 0:
         raise RepError("the exhaustive oracle needs a prime field")
-    if rep.total_dim() > bound:
+    if rep.total_dim() > BRUTEFORCE_BOUND:
         raise RepError("total dimension %d exceeds bound %d"
-                       % (rep.total_dim(), bound))
+                       % (rep.total_dim(), BRUTEFORCE_BOUND))
     if rep.total_dim() == 0:
         return []
     for total, spaces in invariant_subspace_tuples(rep):
@@ -499,7 +503,7 @@ def jh_bruteforce(rep: MatrixRep, bound: int = 6) -> list:
         sub = restrict_rep(rep, spaces)
         if total == rep.total_dim():
             return [sub]
-        return [sub] + jh_bruteforce(quotient_rep(rep, spaces), bound)
+        return [sub] + jh_bruteforce(quotient_rep(rep, spaces))
     raise RepError("no invariant subspace found")
 
 
@@ -526,9 +530,9 @@ def direct_sum(reps, quiver: Quiver, field: FieldCtx) -> MatrixRep:
     return MatrixRep(quiver, d, mats, field)
 
 
-def ss_bruteforce(rep: MatrixRep, bound: int = 6) -> MatrixRep:
+def ss_bruteforce(rep: MatrixRep) -> MatrixRep:
     """Direct sum of the Jordan-Hoelder factors in canonical order."""
-    factors = jh_bruteforce(rep, bound)
+    factors = jh_bruteforce(rep)
     factors.sort(key=_rep_sort_key)
     return direct_sum(factors, rep.quiver, rep.field)
 
@@ -814,16 +818,15 @@ class StabilityReport:
     destabilizer_dims: dict = None
 
 
-def semistable_bruteforce(rep: MatrixRep, zeta,
-                          bound: int = 6) -> StabilityReport:
+def semistable_bruteforce(rep: MatrixRep, zeta) -> StabilityReport:
     """Exact King (semi)stability over a prime field by enumerating every
     invariant subspace tuple; unstable verdicts carry a maximal-slope
     destabilizer."""
     if rep.field.p == 0:
         raise RepError("the brute-force stability check needs a prime field")
-    if rep.total_dim() > bound:
+    if rep.total_dim() > BRUTEFORCE_BOUND:
         raise RepError("total dimension %d exceeds bound %d"
-                       % (rep.total_dim(), bound))
+                       % (rep.total_dim(), BRUTEFORCE_BOUND))
     mu = slope(rep.d, zeta)
     tight = False
     worst = None

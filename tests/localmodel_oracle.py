@@ -29,14 +29,9 @@ def poly_eval(a, values, f: FieldCtx, coeff_field: FieldCtx = QQ):
 def mc_point(pres, mats: dict, f: FieldCtx) -> dict:
     """Flatten a dict {degree-1 label: SparseMatrix} into coordinate values."""
     values = {}
-    for lab, pair, deg in pres.generators:
-        if deg != 1:
-            continue
-        nrows, ncols = pres.block_sizes[pair[1]], pres.block_sizes[pair[0]]
+    for lab, r, c in pres.coordinates:
         m = mats.get(lab)
-        for r in range(nrows):
-            for c in range(ncols):
-                values[(lab, r, c)] = f.zero() if m is None else m.get(r, c)
+        values[(lab, r, c)] = f.zero() if m is None else m.get(r, c)
     return values
 
 

@@ -148,7 +148,6 @@ def unreferenced(defining: dict, reading: list, kept=()) -> list:
 # for the constructors the tests build their inputs with.  Everything else
 # that no code in src/ or perfbench/ names moves to tests/ or goes.
 KEPT = {
-    ("nccalc.py", "darboux_normalize"): "item 7",
     ("quiver.py", "symmetrized_euler_form"): "item 4",
     ("repmod.py", "isotypic_decompose"): "item 4",
     ("ratpoly.py", "poly_gcd"): "item 5",
@@ -249,7 +248,11 @@ def attribute_reads(source: str) -> set:
 
 def unread_fields(defining: dict, reading: list) -> list:
     """(file, line, "Class.field") of every dataclass field in defining
-    {file: source} that no source in reading reads as an attribute."""
+    {file: source} that no source in reading reads as an attribute.
+
+    Reads are matched by attribute name alone, whatever the object: a
+    field escapes when any object anywhere has an attribute of that name
+    that is read, such as a report's ok or a window's max_length."""
     reads = set().union(*(attribute_reads(text) for text in reading))
     return sorted((path, line, "%s.%s" % (cls, name))
                   for path, text in defining.items()

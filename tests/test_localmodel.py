@@ -10,7 +10,9 @@ brute-force oracle that re-derives every inequality from scratch.
 
 import functools
 import gc
+import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from ainfty.localmodel import (HNType, LocalModelError, SigmaCertificate,
                                verify_sigma)
 from ainfty.quiver import double, star_name
 from ainfty.ratpoly import RatPolynomial
-from ainfty.sparse import SparseMatrix, invert
+from ainfty.sparse import SparseMatrix, add_into, invert
 from ainfty.transfer import minimal_model
 
 from hn_oracle import (_box, brute_force_types, check_hn_type_oracle,
@@ -208,8 +210,9 @@ def test_loop_block_equation_is_the_commutator():
         ((x, 1, 0), (y, 0, 1)): Fraction(-1),
     }
     # trace of the equation matrix vanishes identically
-    from ainfty.localmodel import poly_add
-    trace = poly_add(eq.matrix[0][0], eq.matrix[1][1], pres.field)
+    trace = dict(eq.matrix[0][0])
+    for mono, c in eq.matrix[1][1].items():
+        add_into(pres.field, trace, mono, c)
     assert trace == {}
 
 
@@ -241,8 +244,11 @@ def test_two_vertex_rank_two_equation_is_the_outer_product():
 
 def test_presentation_without_certificate_is_truncated():
     _, cat, _ = strict_fixture("jordan")
-    pres = mc_presentation(cat, (2,))
-    assert pres.exactness.startswith("truncated:cap=")
+    # the rule reads whether a degree-1 label exists, not the multiplicities
+    for d in ((2,), (0,)):
+        assert mc_presentation(cat, d).exactness.startswith("truncated:cap=")
+    no_deg1 = synthetic_cat({("X", "X"): (("e", 0), ("z", 2))})
+    assert mc_presentation(no_deg1, (2,)).exactness == "exact"
 
 
 def test_presentation_rejects_nonminimal_input():
@@ -432,6 +438,88 @@ def test_mc_point_fills_missing_blocks_with_zero():
 
 
 # ---------------------------------------------------------------------------
+# The index-path expansion against matrix products
+
+
+@functools.lru_cache(maxsize=None)
+def bar_minimal(kind, p):
+    """Minimal model of the weight-2 bar category of the derived
+    preprojective algebra of a quiver, over QQ (p = 0) or GF(p)."""
+    q = getattr(quiver, kind + "_quiver")()
+    dg = presentations.bar_ext_category(quiver.derived_preprojective(q),
+                                        weight_cap=2, field=GF(p) if p else QQ)
+    return minimal_model(dg)[0]
+
+
+def b3_cat(f, b3=5):
+    """Objects A, B with degree-1 morphisms x: A -> B, y: B -> A and a loop
+    l at A, a degree-2 class at each object, b_2 on three composable pairs
+    and b_3(l, y, x) = b3 zA.  No A-infinity relation is claimed; only the
+    presentation reads the tables."""
+    hom = {("A", "A"): (("eA", 0), ("l", 1), ("zA", 2)),
+           ("B", "B"): (("eB", 0), ("zB", 2)),
+           ("A", "B"): (("x", 1),), ("B", "A"): (("y", 1),)}
+    ops = {2: {("y", "x"): {"zA": f.one()}, ("x", "y"): {"zB": f.of_int(-1)},
+               ("l", "l"): {"zA": f.of_int(2)}},
+           3: {("l", "y", "x"): {"zA": f.of_int(b3)}}}
+    return AInfCategory(objects=("A", "B"), hom=hom, ops=ops, field=f,
+                        arity_cap=3)
+
+
+def product_sums(cat, mats):
+    """{z: entries of sum c M_{x_1} ... M_{x_n}} over the stored
+    all-degree-1 tuples with output c z, z of degree 2, by SparseMatrix.mul."""
+    f = cat.field
+    out = {}
+    for n in range(2, cat.arity_cap + 1):
+        for tup, outs in cat.ops.get(n, {}).items():
+            if any(cat.deg(x) != 1 for x in tup):
+                continue
+            prod = mats[tup[0]]
+            for x in tup[1:]:
+                prod = prod.mul(mats[x])
+            for z, c in outs.items():
+                if cat.deg(z) == 2:
+                    acc = out.setdefault(z, {})
+                    for key, v in prod.scale(c).entries.items():
+                        add_into(f, acc, key, v)
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("kind", ["jordan", "a2", "two_loop", "b3"])
+def test_equations_are_the_matrix_products(kind, p):
+    f = GF(p) if p else QQ
+    cat = b3_cat(f) if kind == "b3" else bar_minimal(kind, p)
+    deg1 = [(lab, i, j) for (i, j), basis in sorted(cat.hom.items())
+            for lab, deg in basis if deg == 1]
+    rng = random.Random(26 + p)
+    for d in itertools.product(range(4), repeat=len(cat.objects)):
+        pres = mc_presentation(cat, d)
+        sizes = pres.block_sizes
+        for _ in range(3):
+            mats = {}
+            for lab, i, j in deg1:
+                mats[lab] = SparseMatrix(sizes[j], sizes[i], field=f)
+                for r in range(sizes[j]):
+                    for c in range(sizes[i]):
+                        mats[lab].set(r, c, f.of_int(rng.randint(-4, 4)))
+            got = mc_residuals(pres, mc_point(pres, mats, f), f)
+            assert {z: m.entries for z, m in got.items() if m.entries} \
+                == {z: e for z, e in product_sums(cat, mats).items() if e}, d
+
+
+def test_b3_entry_contradicts_a_passing_certificate():
+    passing = types.SimpleNamespace(ok=True)
+    with pytest.raises(LocalModelError,
+                       match="certificate claims vanishing higher operations"):
+        mc_presentation(b3_cat(QQ), (1, 1), certificate=passing)
+    # a zero coefficient is no higher operation
+    zero = mc_presentation(b3_cat(QQ, b3=0), (1, 1), certificate=passing)
+    assert zero.exactness == "exact"
+
+
+# ---------------------------------------------------------------------------
 # Euler-form comparison
 
 
@@ -447,7 +535,8 @@ def test_euler_identity_for_two_vertices():
     rep = euler_compare(q, (1, 1), cat)
     assert rep.lhs == rep.rhs == 2
     assert euler_compare(q, (1, 2), cat).lhs == 6
-    assert euler_compare(q, (3, 1), cat).ok
+    rep = euler_compare(q, (3, 1), cat)
+    assert rep.lhs == rep.rhs
 
 
 def test_euler_identity_scales_with_genus():

@@ -46,7 +46,7 @@ def test_euler_form_frozen():
     qj = jordan_quiver()
     assert euler_form(qj, (3,), (5,)) == 0
     with pytest.raises(ValueError):
-        dimension_vector(qj, (-1,))
+        dimension_vector(qj.vertices, (-1,))
 
 
 @pytest.mark.parametrize("q", [jordan_quiver(), a2_quiver(), two_loop_quiver()])
