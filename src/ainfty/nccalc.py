@@ -5,12 +5,13 @@ words in the dual generators xi_y, where a letter may carry a d-mark.  A
 function is a form with no marked letter (as in Kontsevich's formal
 symplectic geometry, a function is a 0-form), so d, the contraction iota_X
 and the action of a vector field X on functions are one derivation loop
-with three slot actions (the tests build the third), and one substitution
-pulls back functions and forms alike.  A capped category determines a
-degree one vector field Q with [Q,Q] = 0 iff the arity relations hold; a
-nondegenerate pairing determines a constant symplectic 2-form omega, the
-potential W solving dW = iota_Q omega, and the Poisson bracket.
-Strictification of units runs the order-by-order automorphism loop on W.
+with three slot actions (the tests build the third).  A capped category
+determines a degree one vector field Q with [Q,Q] = 0 iff the arity
+relations hold; a nondegenerate pairing determines a constant symplectic
+2-form omega, the potential W solving dW = iota_Q omega, and the Poisson
+bracket.  Strictification of units runs an order-by-order loop on W whose
+steps are flows exp(L_h) of Hamiltonian fields h, L_h = d iota_h + iota_h d,
+on the same derivation loop.
 
 A pairing is validated and inverted once, when make_pairing builds it
 (degree two, endpoints, graded symmetry, nondegeneracy); everything
@@ -19,13 +20,14 @@ both the necklace bracket and, since omega is constant, the Hamiltonian
 field in closed form (pi contracted with the 1-form, Kontsevich), so no
 linear system is solved for either.
 
-All operations are exact.  Objects carry an order cap (maximal letter
-count); anything that could produce longer words sets a truncated flag.
+All operations are exact up to one truncation rule: a form carries an
+order cap (maximal letter count), and the derivation loop drops every new
+word longer than the cap of the form it acts on, so its result keeps that
+cap.  Vector fields carry no cap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -35,8 +37,7 @@ from .sparse import (SparseMatrix, add_into, invert, rank_kernel_image,
 from .ainf import (AInfCategory, AInfMorphism, RelationReport, check_relations,
                    check_unitality)
 from .localmodel import verify_sigma
-from .signs import (block_sign, parity_sign, prefix_parities, reversal_sign,
-                    rotations)
+from .signs import block_sign, parity_sign, reversal_sign, rotations
 from .ncword import (
     NCContext,
     NCError,
@@ -66,39 +67,34 @@ class NCForm:
     ctx: NCContext
     terms: dict = dc_field(default_factory=dict)   # cfg -> coeff
     order_cap: int = 7
-    truncated: bool = False
     constant: dict = dc_field(default_factory=dict)  # object -> coeff, bracket output only
 
     @property
     def field(self) -> FieldCtx:
         return self.ctx.field
 
-    def orders(self):
-        return sorted({len(cfg) for cfg in self.terms})
-
     def order_part(self, n: int) -> "NCForm":
         t = {cfg: c for cfg, c in self.terms.items() if len(cfg) == n}
-        return NCForm(self.ctx, t, self.order_cap, self.truncated)
+        return NCForm(self.ctx, t, self.order_cap)
 
     def nonreduced_part(self) -> "NCForm":
         units = self.ctx.unit_labels()
         t = {cfg: c for cfg, c in self.terms.items()
              if any(lab in units for lab, _ in cfg)}
-        return NCForm(self.ctx, t, self.order_cap, self.truncated)
+        return NCForm(self.ctx, t, self.order_cap)
 
     def scale(self, c) -> "NCForm":
         f = self.field
         if f.is_zero(c):
-            return NCForm(self.ctx, {}, self.order_cap, self.truncated)
+            return NCForm(self.ctx, {}, self.order_cap)
         return NCForm(self.ctx, {k: f.mul(v, c) for k, v in self.terms.items()},
-                      self.order_cap, self.truncated)
+                      self.order_cap)
 
     def add(self, other: "NCForm") -> "NCForm":
         t = dict(self.terms)
         for k, v in other.terms.items():
             add_into(self.field, t, k, v)
-        return NCForm(self.ctx, t, min(self.order_cap, other.order_cap),
-                      self.truncated or other.truncated)
+        return NCForm(self.ctx, t, min(self.order_cap, other.order_cap))
 
     def is_zero(self) -> bool:
         return not self.terms and not self.constant
@@ -111,8 +107,6 @@ class VectorField:
     ctx: NCContext
     images: dict = dc_field(default_factory=dict)  # label -> {open cfg -> coeff}
     degree: int = 0
-    order_cap: int = 7
-    truncated: bool = False
 
     def validate(self):
         errs = []
@@ -132,10 +126,10 @@ class VectorField:
         return self.images.get(lab, {})
 
 
-def euler_field(ctx: NCContext, order_cap: int = 7) -> VectorField:
+def euler_field(ctx: NCContext) -> VectorField:
     one = ctx.field.of_int(1)
     return VectorField(ctx, {lab: {((lab, 0),): one} for lab in ctx.letters},
-                       degree=0, order_cap=order_cap)
+                       degree=0)
 
 
 @dataclass
@@ -155,9 +149,6 @@ class CyclicPairing:
     field: FieldCtx
     entries: dict = dc_field(default_factory=dict)   # (xlab, ylab) -> coeff
     inverse: dict | None = None                      # ylab -> {xlab: coeff}
-
-    def value(self, x: str, y: str):
-        return self.entries.get((x, y), self.field.of_int(0))
 
 
 def make_pairing(ctx: NCContext, entries: dict) -> CyclicPairing:
@@ -217,7 +208,7 @@ def invert_pairing_blocks(ctx: NCContext, entries: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# derivation engines
+# the derivation loop
 
 def _slot_action(image_of, mark: int):
     """A derivation on one slot: a letter carrying `mark` goes to its image
@@ -232,24 +223,20 @@ def _slot_action(image_of, mark: int):
     return action
 
 
-def _derive(form: NCForm, image_of, mark: int, parity: int, vf=None) -> NCForm:
+def _derive(form: NCForm, image_of, mark: int, parity: int) -> NCForm:
     """The derivation loop behind d, iota_X and X acting on functions: the
     slot action at every slot of every term, with its Koszul prefix sign,
-    accumulated onto canonical words.  Through a vector field vf words can
-    grow, so the result is clipped at the smaller cap and flagged truncated
-    when a word is dropped; d keeps word lengths and is never clipped."""
-    ctx, f = form.ctx, form.field
+    accumulated onto canonical words.  A new word longer than the form's
+    order cap is dropped, so the result is exact up to that cap and keeps
+    it; d keeps word lengths."""
+    ctx, f, cap = form.ctx, form.field, form.order_cap
     action = _slot_action(image_of, mark)
     acc = {}
     for cfg, coeff in form.terms.items():
         for c2, new in apply_letterwise(ctx, cfg, action, parity):
-            add_cyclic_term(ctx, f, acc, new, f.mul(coeff, c2))
-    if vf is None:
-        return NCForm(ctx, acc, form.order_cap, form.truncated)
-    cap = min(form.order_cap, vf.order_cap)
-    kept = {cfg: c for cfg, c in acc.items() if len(cfg) <= cap}
-    return NCForm(ctx, kept, cap,
-                  form.truncated or vf.truncated or len(kept) < len(acc))
+            if len(new) <= cap:
+                add_cyclic_term(ctx, f, acc, new, f.mul(coeff, c2))
+    return NCForm(ctx, acc, cap)
 
 
 def de_rham(form: NCForm) -> NCForm:
@@ -261,7 +248,7 @@ def de_rham(form: NCForm) -> NCForm:
 
 def contraction(vf: VectorField, form: NCForm) -> NCForm:
     """iota_vf: marked letters map to vf images, unmarked to zero."""
-    return _derive(form, vf.image_of, 1, vf.degree + 1, vf)
+    return _derive(form, vf.image_of, 1, vf.degree + 1)
 
 
 def vf_apply_open(vf: VectorField, cfg, field: FieldCtx, ctx: NCContext):
@@ -290,8 +277,7 @@ def category_to_vectorfield(cat: AInfCategory) -> VectorField:
                 coeff = f.mul(c, f.of_int(sgn))
                 vec = images.setdefault(z, {})
                 add_into(f, vec, word, coeff)
-    vf = VectorField(ctx, {k: v for k, v in images.items() if v},
-                     degree=1, order_cap=cat.arity_cap)
+    vf = VectorField(ctx, {k: v for k, v in images.items() if v}, degree=1)
     errs = vf.validate()
     if errs:
         raise NCError("dualized field inconsistent: %s" % (errs[:3],))
@@ -312,11 +298,6 @@ def _dual_tables(ctx: NCContext, images) -> dict:
             add_into(f, table.setdefault(tup, {}), z, f.mul(c, f.of_int(sgn)))
     ops = {n: {t: o for t, o in tab.items() if o} for n, tab in ops.items()}
     return {n: tab for n, tab in ops.items() if tab}
-
-
-def vectorfield_to_tables(vf: VectorField) -> dict:
-    """Inverse of category_to_vectorfield; returns {n: op table}."""
-    return _dual_tables(vf.ctx, vf.images)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +341,7 @@ def contraction_solve(omega: NCForm, pairing: CyclicPairing,
     the last case names the cap."""
     ctx, f = omega.ctx, omega.field
     if rhs.is_zero():
-        return VectorField(ctx, {}, degree=0, order_cap=rhs.order_cap)
+        return VectorField(ctx, {}, degree=0)
     effs = {ctx.cfg_degree(cfg) for cfg in rhs.terms}
     omega_effs = {ctx.cfg_degree(cfg) for cfg in omega.terms}
     if len(effs) != 1 or len(omega_effs) != 1:
@@ -379,8 +360,7 @@ def contraction_solve(omega: NCForm, pairing: CyclicPairing,
     images = {y: vec for y, vec in images.items() if vec}
     if not images:
         raise NCError("contraction equation has no candidate images")
-    vf = VectorField(ctx, images, degree=deg_x, order_cap=rhs.order_cap,
-                     truncated=rhs.truncated)
+    vf = VectorField(ctx, images, degree=deg_x)
     if contraction(vf, omega).terms != rhs.terms:
         longest = max(len(cfg) for cfg in rhs.terms)
         if longest > omega.order_cap:
@@ -400,7 +380,8 @@ def hamiltonian_field(fn: NCForm, omega: NCForm,
 
 def potential_from_category(cat: AInfCategory, pairing: CyclicPairing) -> NCForm:
     """Solve dW = iota_Q omega for the function W, with order cap one more
-    than the arity cap; error with witnesses when not cyclic."""
+    than the arity cap, so that b_n of every arity up to the cap reaches W;
+    error with witnesses when not cyclic."""
     q = category_to_vectorfield(cat)
     ctx = q.ctx
     f = ctx.field
@@ -412,11 +393,11 @@ def potential_from_category(cat: AInfCategory, pairing: CyclicPairing) -> NCForm
         witnesses = sorted(closed.terms.items())[:10]
         raise NotCyclicError(witnesses)
     # Euler homotopy: the order-n part of W is iota_E(alpha_n)/n
-    e = euler_field(ctx, order_cap=cap)
+    e = euler_field(ctx)
     closed_up = contraction(e, alpha)
     terms = {cfg: f.div(c, f.of_int(len(cfg)))
              for cfg, c in closed_up.terms.items()}
-    w = NCForm(ctx, terms, order_cap=cap, truncated=alpha.truncated)
+    w = NCForm(ctx, terms, order_cap=cap)
     check = de_rham(w).add(alpha.scale(f.of_int(-1)))
     if not check.is_zero():
         raise NCError("internal: dW does not reproduce iota_Q omega")
@@ -427,16 +408,17 @@ def category_from_potential(w: NCForm, pairing: CyclicPairing,
                             skeleton: AInfCategory, order_cap: int) -> AInfCategory:
     """Rebuild operation tables from W via its Hamiltonian field.  order_cap
     caps omega and sets the arity cap order_cap - 1; it may be below W's own
-    cap (strictify_units passes the caller's cap).  Below arity cap 3 the
-    potential has lost its cubic words, and the reason names the cap."""
+    cap (strictify_units passes the caller's cap).  At arity cap 1 the
+    category has no b_2, so the potential has no cubic words, and the
+    reason names the cap."""
     omega = omega_from_pairing(w.ctx, pairing, order_cap=order_cap)
     q = hamiltonian_field(w, omega, pairing)
     if q.degree != 1:
-        if skeleton.arity_cap < 3:
+        if skeleton.arity_cap < 2:
             raise NCError("potential needs words of length 3, above the "
                           "order cap %d" % skeleton.arity_cap)
         raise NCError("potential has wrong degree")
-    ops = vectorfield_to_tables(q)
+    ops = _dual_tables(q.ctx, q.images)
     return AInfCategory(
         objects=skeleton.objects,
         hom=skeleton.hom,
@@ -501,135 +483,51 @@ def poisson_bracket(f: NCForm, g: NCForm, pairing: CyclicPairing) -> NCForm:
                     if len(word) > cap:
                         continue
                     add_cyclic_term(ctx, k, acc, word, coeff)
-    truncated = f.truncated or g.truncated or any(
-        len(wf) + len(wg) - 2 > cap for wf in f.terms for wg in g.terms)
-    return NCForm(ctx, acc, cap, truncated, const)
+    return NCForm(ctx, acc, cap, const)
 
 
 # ---------------------------------------------------------------------------
-# formal automorphisms
+# Hamiltonian flows
 
-@dataclass
-class FormalAutomorphism:
-    ctx: NCContext
-    images: dict                         # label -> {open cfg -> coeff}
-    order_cap: int = 7
-    truncated: bool = False
-
-    def image_of(self, lab: str) -> dict:
-        one = self.ctx.field.of_int(1)
-        return self.images.get(lab, {((lab, 0),): one})
-
-    def is_identity(self) -> bool:
-        one = self.ctx.field.of_int(1)
-        for lab, vec in self.images.items():
-            if vec != {((lab, 0),): one}:
-                return False
-        return True
-
-
-def identity_automorphism(ctx: NCContext, order_cap: int = 7) -> FormalAutomorphism:
-    return FormalAutomorphism(ctx, {}, order_cap)
-
-
-def _subst_cfg(ctx: NCContext, cfg, images):
-    """Expand one configuration under a substitution; marked letters expand
-    by the Leibniz rule.  Returns list of (coeff, cfg)."""
-    f = ctx.field
-    one = f.of_int(1)
-    partial = [(one, ())]
-    for lab, mark in cfg:
-        vec = images.get(lab, {((lab, 0),): one})
-        choices = []
-        if mark:
-            for w, c in sorted(vec.items()):
-                # d on the replacement word: mark each slot with prefix signs
-                pre = prefix_parities([ctx.degree(l2) for l2, _ in w])
-                for i, (l2, _) in enumerate(w):
-                    choices.append((f.neg(c) if pre[i] else c,
-                                    w[:i] + ((l2, 1),) + w[i + 1:]))
-        else:
-            choices = [(c, w) for w, c in sorted(vec.items())]
-        nxt = []
-        for c0, acc in partial:
-            for c1, w in choices:
-                nxt.append((f.mul(c0, c1), acc + w))
-        partial = nxt
-    return partial
-
-
-def auto_apply(auto: FormalAutomorphism, form: NCForm) -> NCForm:
-    """Substitute the images of auto into a form (a function included);
-    words beyond the form's cap are dropped and flag truncation."""
-    ctx, f = form.ctx, form.field
-    acc = {}
-    truncated = form.truncated or auto.truncated
-    for cfg, coeff in form.terms.items():
-        for c, new in _subst_cfg(ctx, cfg, auto.images):
-            if len(new) > form.order_cap:
-                truncated = True
-                continue
-            add_cyclic_term(ctx, f, acc, new, f.mul(coeff, c))
-    return NCForm(ctx, acc, form.order_cap, truncated)
-
-
-def auto_compose(second: FormalAutomorphism, first: FormalAutomorphism) -> FormalAutomorphism:
-    """Substitution doing first, then second on the result; words longer
-    than second's cap are dropped."""
-    ctx, f = second.ctx, second.ctx.field
-    images = {}
-    for lab in set(first.images) | set(second.images):
-        acc = {}
-        for w, c in first.image_of(lab).items():
-            for c2, new in _subst_cfg(ctx, w, second.images):
-                if len(new) > second.order_cap:
-                    continue
-                add_into(f, acc, new, f.mul(c, c2))
-        images[lab] = acc
-    return FormalAutomorphism(ctx, images, min(first.order_cap, second.order_cap),
-                              first.truncated or second.truncated)
-
-
-def _exp_images(ctx: NCContext, vf: VectorField, order_cap: int) -> dict:
-    """exp(X) on generators: lab -> sum_k X^k(lab) / k!, dropping words
-    longer than order_cap; the sum stops at the first X^k(lab) with no
-    word left."""
-    f = ctx.field
-    images = {}
-    for lab in ctx.letters:
-        acc = {((lab, 0),): f.of_int(1)}
-        cur = {((lab, 0),): f.of_int(1)}
-        k = 0
-        while cur:
-            k += 1
-            nxt = {}
-            for cfg, c in cur.items():
-                for new, c2 in vf_apply_open(vf, cfg, f, ctx).items():
-                    if len(new) > order_cap:
-                        continue
-                    add_into(f, nxt, new, f.mul(c, c2))
-            cur = nxt
-            fact = f.of_fraction(Fraction(1, math.factorial(k)))
-            for cfg, c in cur.items():
-                add_into(f, acc, cfg, f.mul(c, fact))
-        images[lab] = acc
-    return images
-
-
-def hamiltonian_exp(s: NCForm, omega: NCForm, pairing: CyclicPairing,
-                    order_cap: int) -> FormalAutomorphism:
-    """exp({S,-}) as a substitution on generators; its inverse is the flow
-    of -S, since H_{-S} = -H_S."""
-    ctx = s.ctx
-    f = ctx.field
+def flow(h: VectorField, form: NCForm) -> NCForm:
+    """exp(L_h) form = sum_k L_h^k form / k! for a degree-zero field h, with
+    L_h = d iota_h + iota_h d: the pullback of form along the automorphism
+    exp(h).  Every image word of h has at least two letters, so L_h
+    lengthens each word and the sum stops once the form's cap has clipped
+    every term; it is exact up to that cap."""
+    f = form.field
     if f.p != 0:
-        raise NCError("hamiltonian_exp needs characteristic zero")
-    if s.is_zero():
-        return identity_automorphism(ctx, order_cap)
-    if min(s.orders()) < 3:
-        raise NCError("generator must have order >= 3 for formal convergence")
-    h = hamiltonian_field(s, omega, pairing)
-    return FormalAutomorphism(ctx, _exp_images(ctx, h, order_cap), order_cap)
+        raise NCError("flows need characteristic zero")
+    if any(len(w) < 2 for vec in h.images.values() for w in vec):
+        raise NCError("flow field has an image word of fewer than 2 letters; "
+                      "its series does not converge formally")
+    total, term, k = form, form, 0
+    while not term.is_zero():
+        k += 1
+        term = de_rham(contraction(h, term)).add(contraction(h, de_rham(term)))
+        term = term.scale(f.of_fraction(Fraction(1, k)))
+        total = total.add(term)
+    return total
+
+
+def _exp_open(h: VectorField, vec: dict, cap: int) -> dict:
+    """exp(h) on a combination of open words {cfg: coeff}: sum_k h^k(vec) / k!,
+    dropping words longer than cap; the sum stops at the first h^k(vec)
+    with no word left."""
+    ctx, f = h.ctx, h.ctx.field
+    acc, term, k = dict(vec), vec, 0
+    while term:
+        k += 1
+        inv_k = f.of_fraction(Fraction(1, k))
+        nxt = {}
+        for cfg, c in term.items():
+            for new, c2 in vf_apply_open(h, cfg, f, ctx).items():
+                if len(new) <= cap:
+                    add_into(f, nxt, new, f.mul(f.mul(c, c2), inv_k))
+        term = nxt
+        for cfg, c in term.items():
+            add_into(f, acc, cfg, c)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -642,22 +540,15 @@ class StrictifyReport:
     identity: bool
 
 
-def _functor_from_automorphism(auto: FormalAutomorphism, source: AInfCategory,
-                               target: AInfCategory) -> AInfMorphism:
-    """Dualize a substitution into functor components."""
-    comps = _dual_tables(auto.ctx, {lab: auto.image_of(lab)
-                                    for lab in auto.ctx.letters})
-    return AInfMorphism(
-        source=source,
-        target=target,
-        components=comps,
-        arity_cap=source.arity_cap,
-        complete=False,
-    )
-
-
 def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
-    """Make W_{>=4} reduced by the order-by-order automorphism loop.
+    """Make W_{>=4} reduced by an order-by-order loop of Hamiltonian flows.
+
+    At order n + 1 the loop solves {s_n, W_3} = -(nonreduced part of W_{n+1})
+    for a degree-zero function s_n of order n and moves W by the flow of its
+    Hamiltonian field h; omega is pulled along the same flows, and the
+    images of the letters under exp(h) compose into the coordinate change.
+    Orders run up to order_cap (default W's own cap, the arity cap plus
+    one); W keeps its cap, and the letter images are cut at order_cap.
 
     Returns (cat2, iso, report).  Requires characteristic zero, minimality,
     designated units and a cyclic pairing; potential_from_category raises
@@ -675,8 +566,10 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
     cap = order_cap if order_cap is not None else w.order_cap
     ctx = w.ctx
     f = ctx.field
+    one = f.of_int(1)
     omega = omega_from_pairing(ctx, pairing, order_cap=cap)
-    auto = identity_automorphism(ctx, cap)
+    pulled = omega
+    images = {lab: {((lab, 0),): one} for lab in ctx.letters}
     w3 = w.order_part(3)
     processed = []
 
@@ -687,7 +580,7 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         candidates = enumerate_cyclic_words(ctx, n, degree=0)
         if not candidates:
             raise NCError("strictification obstructed at order %d" % (n + 1))
-        columns = [poisson_bracket(NCForm(ctx, {cfg: f.of_int(1)}, cap), w3,
+        columns = [poisson_bracket(NCForm(ctx, {cfg: one}, cap), w3,
                                    pairing).nonreduced_part().terms
                    for cfg in candidates]
         sol = sparse_solve(*_word_system(
@@ -698,24 +591,26 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         s_n = NCForm(ctx, {candidates[i]: c for i, c in sol.items()}, cap)
         if s_n.is_zero():
             continue
-        step = hamiltonian_exp(s_n, omega, pairing, cap)
-        w = auto_apply(step, w)
-        auto = auto_compose(step, auto)
+        h = hamiltonian_field(s_n, omega, pairing)
+        w = flow(h, w)
+        pulled = flow(h, pulled)
+        images = {lab: _exp_open(h, vec, cap) for lab, vec in images.items()}
         processed.append(n + 1)
 
     for n in range(4, cap + 1):
         if not w.order_part(n).nonreduced_part().is_zero():
             raise NCError("internal: order %d still nonreduced" % n)
 
-    omega_back = auto_apply(auto, omega)
-    omega_ok = omega_back.add(omega.scale(f.of_int(-1))).is_zero()
     cat2 = category_from_potential(w, pairing, cat, cap)
-    # the coordinate substitution w_new = auto(w_old) dualizes to a functor
-    # out of the strictified category into the input one
-    iso = _functor_from_automorphism(auto, cat2, cat)
-    report = StrictifyReport(processed_orders=processed,
-                             omega_preserved=omega_ok,
-                             identity=auto.is_identity())
+    # the coordinate change w_new = exp(h_k) ... exp(h_1) w_old dualizes to
+    # a functor out of the strictified category into the input one
+    iso = AInfMorphism(source=cat2, target=cat,
+                       components=_dual_tables(ctx, images),
+                       arity_cap=cat2.arity_cap, complete=False)
+    report = StrictifyReport(
+        processed_orders=processed,
+        omega_preserved=pulled.add(omega.scale(f.of_int(-1))).is_zero(),
+        identity=all(vec == {((lab, 0),): one} for lab, vec in images.items()))
     return cat2, iso, report
 
 

@@ -34,10 +34,6 @@ class RatPolynomial:
     def one(cls) -> "RatPolynomial":
         return cls((Fraction(1),))
 
-    @classmethod
-    def x(cls) -> "RatPolynomial":
-        return cls((Fraction(0), Fraction(1)))
-
     @property
     def degree(self) -> int:
         """Degree, with deg(0) = -1."""

@@ -148,9 +148,6 @@ class ActingAlgebra:
     rep: MatrixRep
     basis: tuple             # flat {(row, col): scalar} dicts, echelon order
 
-    def dim(self) -> int:
-        return len(self.basis)
-
 
 # the prime of the fullness certificate in acting_algebra: below 2^15, so
 # a product of two residues is still a one-digit Python int

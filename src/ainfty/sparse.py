@@ -148,9 +148,6 @@ class SparseMatrix:
         else:
             self.entries[(r, c)] = v
 
-    def get(self, r: int, c: int):
-        return self.entries.get((r, c), self.field.zero())
-
     @classmethod
     def from_rows(cls, rows, ncols: int, field: FieldCtx = QQ) -> "SparseMatrix":
         m = cls(len(rows), ncols, field)

@@ -31,7 +31,7 @@ def mc_point(pres, mats: dict, f: FieldCtx) -> dict:
     values = {}
     for lab, r, c in pres.coordinates:
         m = mats.get(lab)
-        values[(lab, r, c)] = f.zero() if m is None else m.get(r, c)
+        values[(lab, r, c)] = f.zero() if m is None else m.entries.get((r, c), 0)
     return values
 
 

@@ -3,14 +3,15 @@
 The package needs d, the contraction iota_X and the Hamiltonian field; the
 tests check identities that tie these together through operators built on
 top of them: the Lie derivative [d, iota_X], X acting on functions, the
-bracket {f, g} = H_f(g) as a second route to the necklace bracket, and Q.Q
-on generators, which vanishes exactly when the category's relations hold.
+bracket {f, g} = H_f(g) as a second route to the necklace bracket, Q.Q on
+generators, which vanishes exactly when the category's relations hold, and
+substitution of letter images as a second route to Hamiltonian flows.
 enumerate_forms lists the canonical configurations the identities run over.
 """
 
 from ainfty.nccalc import (NCForm, VectorField, _derive, contraction, de_rham,
                            hamiltonian_field, vf_apply_open)
-from ainfty.ncword import NCContext, canonical_cyclic
+from ainfty.ncword import NCContext, add_cyclic_term, canonical_cyclic
 from ainfty.signs import parity_sign
 from ainfty.sparse import add_into
 
@@ -25,7 +26,7 @@ def lie_derivative(vf: VectorField, form: NCForm) -> NCForm:
 
 def vf_apply_function(vf: VectorField, fn: NCForm) -> NCForm:
     """Derivation action on cyclic functions."""
-    return _derive(fn, vf.image_of, 0, vf.degree, vf)
+    return _derive(fn, vf.image_of, 0, vf.degree)
 
 
 def bracket_via_hamiltonian(f: NCForm, g: NCForm, omega: NCForm,
@@ -33,6 +34,24 @@ def bracket_via_hamiltonian(f: NCForm, g: NCForm, omega: NCForm,
     """Second route: {f,g} = H_f(g); used to cross-check the necklace."""
     h = hamiltonian_field(f, omega, pairing)
     return vf_apply_function(h, g)
+
+
+def substitute(fn: NCForm, images: dict) -> NCForm:
+    """Replace each letter of a cyclic function by its image {open word:
+    coeff} and multiply out, dropping words longer than the function's cap.
+    For the images of a degree-zero automorphism no sign arises: every
+    letter keeps its place and its degree."""
+    ctx, f, cap = fn.ctx, fn.field, fn.order_cap
+    acc = {}
+    for cfg, coeff in fn.terms.items():
+        partial = [(coeff, ())]
+        for lab, _ in cfg:
+            partial = [(f.mul(c0, c1), w0 + w1) for c0, w0 in partial
+                       for w1, c1 in images[lab].items()
+                       if len(w0) + len(w1) <= cap]
+        for c, word in partial:
+            add_cyclic_term(ctx, f, acc, word, c)
+    return NCForm(ctx, acc, cap)
 
 
 def vf_compose_on_letters(outer: VectorField, inner: VectorField) -> dict:

@@ -559,11 +559,34 @@ def test_strictify_order_cap(tmp_path, capsys, cap, code, witnesses, arities):
     assert report["truncation"] == ({} if arities is None else {"arities": arities})
 
 
-@pytest.mark.parametrize("cap, code", [(1, "fail"), (2, "fail"), (3, "pass")],
+def test_text_output_lists_witnesses_truncation_and_scalar_results(tmp_path,
+                                                                  capsys):
+    # one line per witness and for a nonempty truncation; of the result only
+    # the scalars, so the category and processed_orders are left out
+    path = tmp_path / "min.json"
+    path.write_text(jordan_min_text(), encoding="utf-8")
+    assert main(["strictify", str(path), "--order-cap", "1",
+                 "--output", "text"]) == EXIT["fail"]
+    assert capsys.readouterr().out == (
+        "strictify: fail\n"
+        'witness: {"reason": "contraction equation needs words of length 3, '
+        'above the order cap 1"}\n')
+    assert main(["strictify", str(path), "--order-cap", "3",
+                 "--output", "text"]) == EXIT["pass"]
+    assert capsys.readouterr().out == (
+        "strictify: pass\n"
+        'truncation: {"arities": [3]}\n'
+        "identity: True\n"
+        "omega_preserved: True\n"
+        "units: strict\n")
+
+
+@pytest.mark.parametrize("cap, code", [(1, "fail"), (2, "pass"), (3, "pass")],
                          ids=["cap1", "cap2", "cap3"])
 def test_formality_order_cap_on_a_quiver(tmp_path, capsys, cap, code):
-    # below cap 3 the minimal model's potential has no cubic words; the
-    # reason names the cap instead of a wrong degree
+    # from cap 2 on the minimal model has b_2, so its potential has cubic
+    # words; at cap 1 it has none, and the reason names the cap instead of
+    # a wrong degree
     path = tmp_path / "jordan.json"
     path.write_text(docio.dumps_document(docio.to_document("quiver", jordan_quiver())),
                     encoding="utf-8")

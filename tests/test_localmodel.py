@@ -290,7 +290,7 @@ def test_commutator_equation_detects_commuting_matrices():
     assert not mc_vanishes(pres, noncommuting, QQ)
     res = mc_residuals(pres, noncommuting, QQ)
     (zlab,) = res
-    assert res[zlab].get(0, 0) != 0
+    assert res[zlab].entries.get((0, 0), 0) != 0
 
 
 # ---------------------------------------------------------------------------

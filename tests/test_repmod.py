@@ -38,7 +38,8 @@ def mat(rows, field=QQ):
 
 
 def dense(m):
-    return [[m.get(r, c) for c in range(m.ncols)] for r in range(m.nrows)]
+    return [[m.entries.get((r, c), 0) for c in range(m.ncols)]
+            for r in range(m.nrows)]
 
 
 JQ = jordan_quiver()
@@ -228,15 +229,15 @@ def test_acting_algebra_closed_and_bounded():
         for b1 in alg.basis:
             for b2 in alg.basis:
                 assert not ech.reduce(flat_mul(rep, b1, b2))
-        assert alg.dim() <= rep.total_dim() ** 2
+        assert len(alg.basis) <= rep.total_dim() ** 2
 
 
 def test_acting_algebra_fixtures():
-    assert R.acting_algebra(R.zero_rep(A2, {"1": 1, "2": 1})).dim() == 2
-    assert R.acting_algebra(j2_block()).dim() == 2
+    assert len(R.acting_algebra(R.zero_rep(A2, {"1": 1, "2": 1})).basis) == 2
+    assert len(R.acting_algebra(j2_block()).basis) == 2
     burn = MatrixRep(TL, {"1": 2},
                      {"a": mat([[0, 1], [0, 0]]), "b": mat([[0, 0], [1, 0]])})
-    assert R.acting_algebra(burn).dim() == 4
+    assert len(R.acting_algebra(burn).basis) == 4
 
 
 P_CERT = R.CERTIFICATE_PRIME
@@ -515,7 +516,7 @@ def test_isotypic_undecided_quaternion():
     # End is a rational quaternion algebra: same dimension data as a split
     # matrix algebra, so the decomposition declines rather than guessing
     quat = quaternion_rep()
-    assert R.acting_algebra(quat).dim() == 4
+    assert len(R.acting_algebra(quat).basis) == 4
     blocks = R.isotypic_decompose(quat)
     assert [(b.multiplicity, b.endo_dim, b.status)
             for b in blocks] == [(1, 4, "undecided")]
