@@ -5,7 +5,10 @@ single report document {verdict, witnesses, truncation, timings, payload}.
 Exit codes: 0 the checked property holds, 1 it fails (witnesses included),
 2 the input is invalid, 3 the truncation window cannot certify the request.
 Timings are null unless --timings is given, so reports are byte-stable for
-fixed inputs and flags.
+fixed inputs and flags.  `batch` runs one subcommand on every document of a
+directory; the report it writes for a file equals the single run's report
+on that file with the same flags.  Each subcommand is declared once, in
+HANDLERS; run_one does what they all share.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import functools
 import json
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,11 +31,11 @@ from .hochschild import (HochschildChainWindow, HochschildError, connes_B,
 from .localmodel import (LocalModelError, euler_compare, ext_quiver_halve,
                          hn_enumerate, mc_presentation, monic_equations,
                          poly_str, verify_sigma)
-from .nccalc import (NCError, certify_sigma_formality, make_pairing,
-                     solve_cyclic_pairing, strictify_units)
+from .nccalc import (NCError, OrderCapError, certify_sigma_formality,
+                     make_pairing, solve_cyclic_pairing, strictify_units)
 from .ncword import NCContext
 from .presentations import bar_ext_category, truncated_path_category
-from .quiver import DGQuiverAlgebra, derived_preprojective
+from .quiver import DGQuiverAlgebra, Quiver, derived_preprojective
 from .sparse import add_into
 from .transfer import hom_dims, minimal_model
 
@@ -93,21 +97,44 @@ def _require_field(args, field):
                        % (args.field, docio.field_to_json(field)))
 
 
+def _reduce_if_requested(rep, args):
+    """--field, when given, names the document's field or a prime field
+    that a rational document is reduced to."""
+    if args.field is None:
+        return rep, None
+    f = docio.field_from_json(args.field, "flags.field")
+    if rep.field.p != 0 or f.p == 0:
+        # only a rational document moves, and only to a prime field
+        _require_field(args, rep.field)
+        return rep, None
+    reduced, reason = repmod.good_reduction(rep, f.p)
+    if reduced is None:
+        raise CliError("bad reduction mod %d: %s" % (f.p, reason))
+    return reduced, "reduced mod %d" % f.p
+
+
 def _load(path, *kinds):
     kind, obj = docio.load_document(path)
-    if kinds and kind not in kinds:
+    if kind not in kinds:
         raise CliError("%s: got a %r document, want %s"
                        % (path, kind, " or ".join(repr(k) for k in kinds)))
-    return kind, obj
+    return obj
+
+
+def _nc_verdict(e):
+    """An NCError of strictification or formality: a cap too small for the
+    potential is truncated (the truncation names the cap), any other fails."""
+    if isinstance(e, OrderCapError):
+        return "truncated", [{"reason": str(e)}], {"order_cap": e.order_cap}, {}
+    return "fail", [{"reason": str(e)}], {}, {}
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (verdict, witnesses, truncation, payload)
+# subcommand bodies: each takes the flags and the loaded document and
+# returns (verdict, witnesses, truncation, payload)
 
 
-def cmd_check_ainf(args):
-    _, cat = _load(args.input, "ainf_category")
-    _require_field(args, cat.field)
+def cmd_check_ainf(args, cat):
     rel = check_relations(cat, max_arity=args.order_cap)
     witnesses = _relation_witnesses(cat.field, rel.witnesses)
     payload = {"checked_arities": list(rel.checked),
@@ -115,29 +142,21 @@ def cmd_check_ainf(args):
     if cat.units:
         # check_relations has decided the strict unit laws: only units
         # that break them need check_unitality's other verdicts
-        try:
-            payload["units"] = ("strict" if rel.units_strict
-                                else check_unitality(cat).verdict)
-        except StructureError as e:
-            raise CliError(str(e))
+        payload["units"] = ("strict" if rel.units_strict
+                            else check_unitality(cat).verdict)
     truncation = {"arities": list(rel.truncated)}
     return (_relation_verdict(rel.ok, truncation["arities"]), witnesses,
             truncation, payload)
 
 
-def cmd_minimal_model(args):
-    _, cat = _load(args.input, "ainf_category")
-    _require_field(args, cat.field)
-    try:
-        model, incl, _ = minimal_model(cat, arity_cap=args.order_cap)
-    except StructureError as e:
-        raise CliError(str(e))
+def cmd_minimal_model(args, cat):
+    model, incl, _ = minimal_model(cat, arity_cap=args.order_cap)
     rel = check_relations(model, max_arity=args.order_cap)
     fun = check_functor(incl, max_arity=args.order_cap)
     witnesses = _relation_witnesses(model.field, rel.witnesses)
     if not fun.ok:
-        witnesses.append({"functor": [list(w) if isinstance(w, tuple) else str(w)
-                                      for w in fun.witnesses[:4]]})
+        witnesses.append({"functor": _relation_witnesses(model.field,
+                                                         fun.witnesses[:4])})
     payload = {"model": docio.to_document("ainf_category", model),
                "ext_dims": _ext_dims(model)}
     truncation = {"arities": sorted(set(rel.truncated) | set(fun.truncated))}
@@ -148,8 +167,8 @@ def cmd_minimal_model(args):
 def _pairing_for(args, cat):
     """The --pairing document, else the category's stored pairing, each
     checked by make_pairing; else a solved one."""
-    if getattr(args, "pairing", None):
-        doc = _load(args.pairing, "pairing")[1]
+    if args.pairing:
+        doc = _load(args.pairing, "pairing")
         if doc.field != cat.field:
             raise CliError("pairing document is over %s, the category over %s"
                            % (docio.field_to_json(doc.field),
@@ -167,16 +186,14 @@ def _pairing_for(args, cat):
     return make_pairing(NCContext.from_category(cat), entries)
 
 
-def cmd_strictify(args):
-    _, cat = _load(args.input, "ainf_category")
-    _require_field(args, cat.field)
+def cmd_strictify(args, cat):
     try:
         pairing = _pairing_for(args, cat)
         if not check_relations(cat).ok:
             raise NCError("input fails check_relations")
         strict, iso, rep = strictify_units(cat, pairing, order_cap=args.order_cap)
     except NCError as e:
-        return "fail", [{"reason": str(e)}], {}, {}
+        return _nc_verdict(e)
     fun = check_functor(iso, max_arity=args.order_cap)
     unit_rep = check_unitality(strict)
     payload = {"category": docio.to_document("ainf_category", strict),
@@ -192,28 +209,19 @@ def cmd_strictify(args):
     return ("pass" if ok else "fail"), witnesses, {"arities": list(fun.truncated)}, payload
 
 
-def _minimal_category_from(kind, obj, args):
+def _minimal_category_from(obj, args):
     """quiver documents run the bar pipeline; category documents are used
     as given (minimized first when they carry a differential)."""
-    if kind == "quiver":
-        alg = derived_preprojective(obj)
-        cat = bar_ext_category(alg, weight_cap=2, arity_cap=args.order_cap)
-        model, _, _ = minimal_model(cat, arity_cap=args.order_cap)
-        return model
-    cat = obj
-    if cat.op_table(1):
-        model, _, _ = minimal_model(cat, arity_cap=args.order_cap)
-        return model
-    return cat
+    if isinstance(obj, Quiver):
+        obj = bar_ext_category(derived_preprojective(obj), weight_cap=2,
+                               arity_cap=args.order_cap)
+    elif not obj.op_table(1):
+        return obj
+    return minimal_model(obj, arity_cap=args.order_cap)[0]
 
 
-def cmd_formality(args):
-    kind, obj = _load(args.input, "quiver", "ainf_category")
-    try:
-        cat = _minimal_category_from(kind, obj, args)
-    except StructureError as e:
-        raise CliError(str(e))
-    _require_field(args, cat.field)
+def cmd_formality(args, obj):
+    cat = _minimal_category_from(obj, args)
     if cat.field.p != 0:
         raise CliError("formality runs over the rationals; the document is over fp:%d"
                        % cat.field.p)
@@ -224,7 +232,7 @@ def cmd_formality(args):
     try:
         cert = certify_sigma_formality(cat, pairing)
     except NCError as e:
-        return "fail", [{"reason": str(e)}], {}, {}
+        return _nc_verdict(e)
     payload = {"certificate": {
         "ok": cert.ok,
         "profile": [[obj_, g] for obj_, g in sorted(cert.profile.items())],
@@ -266,22 +274,14 @@ def _identity_witnesses(window):
     return witnesses
 
 
-def cmd_hochschild(args):
-    kind, obj = _load(args.input, "quiver", "dg_algebra", "ainf_category")
-    if kind == "quiver":
-        alg = DGQuiverAlgebra(obj, (), ())
-        cat = truncated_path_category(alg, weight_cap=2)
-    elif kind == "dg_algebra":
-        cat = truncated_path_category(obj, weight_cap=2)
-    else:
-        cat = obj
-    _require_field(args, cat.field)
-    try:
-        window = HochschildChainWindow(cat, args.window)
-        hom = windowed_homology(window, length_margin=1)
-        witnesses = _identity_witnesses(window)
-    except HochschildError as e:
-        raise CliError(str(e))
+def cmd_hochschild(args, obj):
+    if isinstance(obj, Quiver):
+        obj = DGQuiverAlgebra(obj, (), ())
+    cat = (truncated_path_category(obj, weight_cap=2)
+           if isinstance(obj, DGQuiverAlgebra) else obj)
+    window = HochschildChainWindow(cat, args.window)
+    hom = windowed_homology(window, length_margin=1)
+    witnesses = _identity_witnesses(window)
     payload = {"hh0": hom.by_degree.get(0, 0),  # what hh0_dimension(window) returns
                "window": args.window,
                "homology": [[list(key), dim] for key, dim in sorted(hom.dims.items())]}
@@ -291,60 +291,32 @@ def cmd_hochschild(args):
     return ("pass" if not witnesses else "fail"), witnesses, truncation, payload
 
 
-def _reduce_if_requested(rep, args):
-    """--field, when given, names the document's field or a prime field
-    that a rational document is reduced to."""
-    if args.field is None:
-        return rep, None
-    f = docio.field_from_json(args.field, "flags.field")
-    if rep.field.p != 0 or f.p == 0:
-        # only a rational document moves, and only to a prime field
-        _require_field(args, rep.field)
-        return rep, None
-    reduced, reason = repmod.good_reduction(rep, f.p)
-    if reduced is None:
-        raise CliError("bad reduction mod %d: %s" % (f.p, reason))
-    return reduced, "reduced mod %d" % f.p
-
-
-def cmd_semisimplify(args):
-    _, rep = _load(args.input, "matrix_rep")
-    rep, note = _reduce_if_requested(rep, args)
-    try:
-        if rep.field.p:
-            # the trace-form radical needs characteristic zero; the
-            # Jordan-Hoelder oracle has no radical layers to report
-            ss, layer_dims = repmod.semisimplify(rep), None
-        else:
-            filt = repmod.radical_filtration(rep)
-            ss = filt.associated_graded()
-            layer_dims = [dict(sorted(layer.items()))
-                          for layer in filt.layer_dims()]
-        again = repmod.semisimplify(ss)
-    except repmod.RepError as e:
-        raise CliError(str(e))
+def cmd_semisimplify(args, rep):
+    if rep.field.p:
+        # the trace-form radical needs characteristic zero; the
+        # Jordan-Hoelder oracle has no radical layers to report
+        ss, layer_dims = repmod.semisimplify(rep), None
+    else:
+        filt = repmod.radical_filtration(rep)
+        ss = filt.associated_graded()
+        layer_dims = [dict(sorted(layer.items()))
+                      for layer in filt.layer_dims()]
+    again = repmod.semisimplify(ss)
     idem = all(again.mats[a].entries == ss.mats[a].entries for a in ss.mats)
     dims_ok = ss.d == rep.d
     payload = {"rep": docio.to_document("matrix_rep", ss),
-               "layer_dims": layer_dims, "note": note}
+               "layer_dims": layer_dims}
     witnesses = []
     if not (idem and dims_ok):
         witnesses.append({"idempotent": idem, "dims_preserved": dims_ok})
     return ("pass" if not witnesses else "fail"), witnesses, {}, payload
 
 
-def cmd_stability(args):
-    _, rep = _load(args.input, "matrix_rep")
-    rep, note = _reduce_if_requested(rep, args)
-    values = _parse_zeta(args.zeta)
-    try:
-        zeta = repmod.StabilityParam.of(rep.quiver, values)
-        report = repmod.semistable_bruteforce(rep, zeta)
-    except repmod.RepError as e:
-        raise CliError(str(e))
+def cmd_stability(args, rep):
+    zeta = repmod.StabilityParam.of(rep.quiver, _parse_zeta(args.zeta))
+    report = repmod.semistable_bruteforce(rep, zeta)
     payload = {"stability": report.verdict,
-               "slope": QQ.scalar_to_json(report.slope),
-               "note": note}
+               "slope": QQ.scalar_to_json(report.slope)}
     witnesses = []
     if report.verdict == "unstable":
         payload["destabilizer_dims"] = dict(sorted(report.destabilizer_dims.items()))
@@ -360,13 +332,8 @@ def cmd_stability(args):
     return verdict, witnesses, {}, payload
 
 
-def cmd_moment_check(args):
-    _, rep = _load(args.input, "matrix_rep")
-    _require_field(args, rep.field)
-    try:
-        residuals = repmod.moment_map(rep)
-    except (repmod.RepError, KeyError) as e:
-        raise CliError("moment map needs a doubled-quiver representation: %s" % e)
+def cmd_moment_check(args, rep):
+    residuals = repmod.moment_map(rep)
     f = rep.field
     witnesses = []
     for v in rep.quiver.vertices:
@@ -388,19 +355,27 @@ def _equations_payload(pres):
     return eqs
 
 
-def cmd_local_model(args):
-    _, cat = _load(args.input, "ainf_category")
-    _require_field(args, cat.field)
+def _sigma_start(args, cat):
+    """The start local-model and euler-compare share: --dims, the sigma
+    certificate and its halved Ext quiver, and the fail result (profile
+    witnesses, no quiver) when the certificate fails, else None."""
     dims = _parse_dims(args.dims, cat.objects)
     cert = verify_sigma(cat)
     if not cert.verdict:
-        return "fail", [{"profile": msg} for msg in cert.failures], {}, {}
-    q = ext_quiver_halve(cert)
+        return dims, cert, None, (
+            "fail", [{"profile": msg} for msg in cert.failures], {}, {})
+    return dims, cert, ext_quiver_halve(cert), None
+
+
+def cmd_local_model(args, cat):
+    dims, cert, q, failed = _sigma_start(args, cat)
+    if failed:
+        return failed
     try:
         fcert = certify_sigma_formality(cat, _pairing_for(args, cat))
     except NCError as e:
         # only a solved pairing may be missing; a supplied one must hold
-        if getattr(args, "pairing", None) or cat.pairing:
+        if args.pairing or cat.pairing:
             return "fail", [{"reason": str(e)}], {}, {}
         fcert = None
     if fcert is not None and not fcert.ok:
@@ -427,14 +402,10 @@ def cmd_local_model(args):
     return "pass", [], truncation, payload
 
 
-def cmd_euler_compare(args):
-    _, cat = _load(args.input, "ainf_category")
-    _require_field(args, cat.field)
-    dims = _parse_dims(args.dims, cat.objects)
-    cert = verify_sigma(cat)
-    if not cert.verdict:
-        return "fail", [{"profile": msg} for msg in cert.failures], {}, {}
-    q = ext_quiver_halve(cert)
+def cmd_euler_compare(args, cat):
+    dims, _, q, failed = _sigma_start(args, cat)
+    if failed:
+        return failed
     try:
         rep = euler_compare(q, dims, cat)
     except LocalModelError as e:
@@ -445,10 +416,7 @@ def cmd_euler_compare(args):
     return "pass", [], {}, payload
 
 
-def cmd_hn_enum(args):
-    _, query = _load(args.input, "hn_query")
-    # Hilbert polynomials are rational
-    _require_field(args, QQ)
+def cmd_hn_enum(args, query):
     try:
         types = hn_enumerate(query.total, query.bound,
                              bogomolov_param=query.bogomolov_param(),
@@ -464,18 +432,42 @@ def cmd_hn_enum(args):
     return "pass", [], {}, payload
 
 
+@dataclass(frozen=True)
+class Subcommand:
+    handler: object       # (args, document object) -> report parts
+    kinds: tuple          # the document kinds it reads
+    flags: tuple = ()     # its extra flags, keys of FLAGS
+    reduces: bool = False  # --field may reduce a rational representation
+
+
+# the extra flags, each with its argparse keywords
+FLAGS = {
+    "dims": {"required": True,
+             "help": "comma-separated multiplicities, object order"},
+    "zeta": {"required": True,
+             "help": "comma-separated rationals, vertex order"},
+    "window": {"type": int, "default": 3,
+               "help": "chain length window (default 3)"},
+    "pairing": {"default": None, "help": "pairing document path"},
+}
+
+CATEGORY = ("ainf_category",)
+REP = ("matrix_rep",)
 HANDLERS = {
-    "check-ainf": cmd_check_ainf,
-    "minimal-model": cmd_minimal_model,
-    "strictify": cmd_strictify,
-    "formality": cmd_formality,
-    "hochschild": cmd_hochschild,
-    "semisimplify": cmd_semisimplify,
-    "stability": cmd_stability,
-    "moment-check": cmd_moment_check,
-    "local-model": cmd_local_model,
-    "euler-compare": cmd_euler_compare,
-    "hn-enum": cmd_hn_enum,
+    "check-ainf": Subcommand(cmd_check_ainf, CATEGORY),
+    "minimal-model": Subcommand(cmd_minimal_model, CATEGORY),
+    "strictify": Subcommand(cmd_strictify, CATEGORY, ("pairing",)),
+    "formality": Subcommand(cmd_formality, ("quiver", "ainf_category"),
+                            ("pairing",)),
+    "hochschild": Subcommand(cmd_hochschild,
+                             ("quiver", "dg_algebra", "ainf_category"),
+                             ("window",)),
+    "semisimplify": Subcommand(cmd_semisimplify, REP, reduces=True),
+    "stability": Subcommand(cmd_stability, REP, ("zeta",), reduces=True),
+    "moment-check": Subcommand(cmd_moment_check, REP),
+    "local-model": Subcommand(cmd_local_model, CATEGORY, ("dims", "pairing")),
+    "euler-compare": Subcommand(cmd_euler_compare, CATEGORY, ("dims",)),
+    "hn-enum": Subcommand(cmd_hn_enum, ("hn_query",)),
 }
 
 
@@ -483,33 +475,30 @@ HANDLERS = {
 # report assembly
 
 
-def _flags_of(args):
+def _flags_of(args, extra):
+    """The common flags and those of extra that are set: a batch report
+    records the flags its target takes, as the single run does."""
     # an unset --field is recorded as "QQ", as reports have always read
     flags = {"order_cap": args.order_cap, "field": args.field or "QQ",
              "seed": args.seed}
-    for extra in ("dims", "zeta", "window", "pairing"):
-        if getattr(args, extra, None) is not None:
-            flags[extra] = getattr(args, extra)
+    for name in extra:
+        if getattr(args, name) is not None:
+            flags[name] = getattr(args, name)
     return flags
 
 
 def build_report(subcommand, args, verdict, witnesses, truncation, payload,
                  wall_s=None):
-    return {
-        "kind": "report",
-        "version": docio.SCHEMA_VERSION,
-        "conventions": dict(docio.CONVENTIONS),
-        "payload": {
-            "subcommand": subcommand,
-            "flags": _flags_of(args),
-            "verdict": verdict,
-            "witnesses": witnesses,
-            "truncation": truncation,
-            "timings": ({"wall_s": round(wall_s, 6)}
-                        if args.timings and wall_s is not None else None),
-            "result": payload,
-        },
-    }
+    return docio.wrap("report", {
+        "subcommand": subcommand,
+        "flags": _flags_of(args, HANDLERS[subcommand].flags),
+        "verdict": verdict,
+        "witnesses": witnesses,
+        "truncation": truncation,
+        "timings": ({"wall_s": round(wall_s, 6)}
+                    if args.timings and wall_s is not None else None),
+        "result": payload,
+    })
 
 
 def render_text(report):
@@ -527,13 +516,29 @@ def render_text(report):
 
 
 def run_one(subcommand, args, input_path):
-    args.input = input_path
+    """What every subcommand does around its body: the --order-cap bound,
+    the required flags (batch declares none required), loading the
+    document, the field rule, and input errors of the CLI and of the
+    library as exit 2."""
+    spec = HANDLERS[subcommand]
     start = time.monotonic()
     try:
         if args.order_cap < 1:
             raise CliError("--order-cap must be at least 1, got %d" % args.order_cap)
-        verdict, witnesses, truncation, payload = HANDLERS[subcommand](args)
-    except (DocumentError, CliError, FieldError) as e:
+        for name in spec.flags:
+            if getattr(args, name) is None and FLAGS[name].get("required"):
+                raise CliError("%s needs --%s" % (subcommand, name))
+        obj = _load(input_path, *spec.kinds)
+        if spec.reduces:
+            obj, note = _reduce_if_requested(obj, args)
+        else:
+            # quivers, dg algebras and HN queries are over the rationals
+            _require_field(args, getattr(obj, "field", QQ))
+        verdict, witnesses, truncation, payload = spec.handler(args, obj)
+        if spec.reduces:
+            payload["note"] = note
+    except (DocumentError, CliError, FieldError, StructureError,
+            HochschildError, repmod.RepError) as e:
         verdict = "error"
         witnesses = [{"error": str(e)}]
         truncation, payload = {}, {}
@@ -564,7 +569,7 @@ def make_parser():
                         help='scalar field: "QQ" or "fp:P" (default: the '
                              "document's)")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the report, used by randomized paths")
+                        help="seed, only recorded in the report")
     common.add_argument("--output", choices=("structured", "text"),
                         default="structured")
     common.add_argument("--report", default=None,
@@ -578,29 +583,11 @@ def make_parser():
                     "potentials, quiver moment maps and HN types")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, extra=()):
+    for name, spec in HANDLERS.items():
         p = sub.add_parser(name, parents=[common])
         p.add_argument("input", help="input document (JSON)")
-        for flag, kwargs in extra:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add("check-ainf")
-    add("minimal-model")
-    add("strictify", [("--pairing", {"default": None,
-                                     "help": "pairing document path"})])
-    add("formality", [("--pairing", {"default": None})])
-    add("hochschild", [("--window", {"type": int, "default": 3,
-                                     "help": "chain length window (default 3)"})])
-    add("semisimplify")
-    add("stability", [("--zeta", {"required": True,
-                                  "help": "comma-separated rationals, vertex order"})])
-    add("moment-check")
-    add("local-model", [("--dims", {"required": True,
-                                    "help": "comma-separated multiplicities, object order"}),
-                        ("--pairing", {"default": None})])
-    add("euler-compare", [("--dims", {"required": True})])
-    add("hn-enum")
+        for flag in spec.flags:
+            p.add_argument("--" + flag, **FLAGS[flag])
 
     batch = sub.add_parser("batch", parents=[common])
     batch.add_argument("target", choices=sorted(HANDLERS),
@@ -608,10 +595,9 @@ def make_parser():
     batch.add_argument("directory", help="directory of input documents")
     batch.add_argument("--report-dir", default=None,
                        help="where to write per-file reports (default: alongside inputs)")
-    batch.add_argument("--dims", default=None)
-    batch.add_argument("--zeta", default=None)
-    batch.add_argument("--window", type=int, default=3)
-    batch.add_argument("--pairing", default=None)
+    # every flag once; run_one asks each target for the ones it requires
+    for flag, kwargs in FLAGS.items():
+        batch.add_argument("--" + flag, **dict(kwargs, required=False))
     return parser
 
 

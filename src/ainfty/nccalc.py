@@ -49,6 +49,15 @@ from .ncword import (
 )
 
 
+class OrderCapError(NCError):
+    """A cap below the words a step needs: the window cannot decide it."""
+
+    def __init__(self, what, length, order_cap):
+        self.order_cap = order_cap
+        super().__init__("%s needs words of length %d, above the order cap %d"
+                         % (what, length, order_cap))
+
+
 class NotCyclicError(NCError):
     def __init__(self, witnesses):
         self.witnesses = witnesses
@@ -364,8 +373,7 @@ def contraction_solve(omega: NCForm, pairing: CyclicPairing,
     if contraction(vf, omega).terms != rhs.terms:
         longest = max(len(cfg) for cfg in rhs.terms)
         if longest > omega.order_cap:
-            raise NCError("contraction equation needs words of length %d, "
-                          "above the order cap %d" % (longest, omega.order_cap))
+            raise OrderCapError("contraction equation", longest, omega.order_cap)
         raise NCError("contraction equation unsolvable; omega degenerate?")
     return vf
 
@@ -415,8 +423,7 @@ def category_from_potential(w: NCForm, pairing: CyclicPairing,
     q = hamiltonian_field(w, omega, pairing)
     if q.degree != 1:
         if skeleton.arity_cap < 2:
-            raise NCError("potential needs words of length 3, above the "
-                          "order cap %d" % skeleton.arity_cap)
+            raise OrderCapError("potential", 3, skeleton.arity_cap)
         raise NCError("potential has wrong degree")
     ops = _dual_tables(q.ctx, q.images)
     return AInfCategory(

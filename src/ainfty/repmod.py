@@ -113,7 +113,8 @@ def _require_doubled(rep: MatrixRep):
     for a in arrows.values():
         partner = arrows.get(star_name(a.name))
         if partner is None or (partner.src, partner.tgt) != (a.tgt, a.src):
-            raise RepError("quiver is not doubled: %r has no reversed partner"
+            raise RepError("moment map needs a doubled-quiver representation: "
+                           "quiver is not doubled: %r has no reversed partner"
                            % (a.name,))
 
 

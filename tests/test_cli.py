@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -54,8 +55,9 @@ def test_batch_exit_code_ranks_fail_above_truncated(tmp_path, monkeypatch):
     write_quiver(tmp_path / "a.json", a2_quiver())
     write_quiver(tmp_path / "b.json", a2_quiver())
     verdicts = iter(["fail", "truncated"])
-    monkeypatch.setitem(cli.HANDLERS, "hochschild",
-                        lambda args: (next(verdicts), [], {}, {}))
+    monkeypatch.setitem(cli.HANDLERS, "hochschild", replace(
+        cli.HANDLERS["hochschild"],
+        handler=lambda args, obj: (next(verdicts), [], {}, {})))
     assert main(["batch", "hochschild", str(tmp_path)]) == EXIT["fail"]
 
 
@@ -537,26 +539,27 @@ def test_strictify_checks_the_pairing_once(tmp_path, monkeypatch):
     assert counts["invert_pairing_blocks"] == 1
 
 
-@pytest.mark.parametrize("cap, code, witnesses, arities", [
-    (1, "fail", [{"reason": "contraction equation needs words of length 3, "
-                            "above the order cap 1"}], None),
-    (2, "fail", [{"reason": "contraction equation needs words of length 3, "
-                            "above the order cap 2"}], None),
-    (3, "pass", [], [3]),
+@pytest.mark.parametrize("cap, code, witnesses, truncation", [
+    (1, "truncated", [{"reason": "contraction equation needs words of length "
+                                 "3, above the order cap 1"}], {"order_cap": 1}),
+    (2, "truncated", [{"reason": "contraction equation needs words of length "
+                                 "3, above the order cap 2"}], {"order_cap": 2}),
+    (3, "pass", [], {"arities": [3]}),
     # the strictified category knows arities up to 6 only, so 7..22 are
     # truncated without enumerating their 2^(n-1) compositions
-    (22, "pass", [], list(range(7, 23))),
+    (22, "pass", [], {"arities": list(range(7, 23))}),
 ], ids=["cap1", "cap2", "cap3", "cap22"])
-def test_strictify_order_cap(tmp_path, capsys, cap, code, witnesses, arities):
+def test_strictify_order_cap(tmp_path, capsys, cap, code, witnesses, truncation):
     # a cap below the cubic potential's words is named as the reason, not
-    # blamed on omega, which is nondegenerate
+    # blamed on omega, which is nondegenerate; the window cannot decide the
+    # job, so it is truncated (exit 3), not a fail
     path = tmp_path / "min.json"
     path.write_text(jordan_min_text(), encoding="utf-8")
     assert main(["strictify", str(path), "--order-cap", str(cap)]) == EXIT[code]
     report = json.loads(capsys.readouterr().out)["payload"]
     assert report["verdict"] == code
     assert report["witnesses"] == witnesses
-    assert report["truncation"] == ({} if arities is None else {"arities": arities})
+    assert report["truncation"] == truncation
 
 
 def test_text_output_lists_witnesses_truncation_and_scalar_results(tmp_path,
@@ -566,11 +569,12 @@ def test_text_output_lists_witnesses_truncation_and_scalar_results(tmp_path,
     path = tmp_path / "min.json"
     path.write_text(jordan_min_text(), encoding="utf-8")
     assert main(["strictify", str(path), "--order-cap", "1",
-                 "--output", "text"]) == EXIT["fail"]
+                 "--output", "text"]) == EXIT["truncated"]
     assert capsys.readouterr().out == (
-        "strictify: fail\n"
+        "strictify: truncated\n"
         'witness: {"reason": "contraction equation needs words of length 3, '
-        'above the order cap 1"}\n')
+        'above the order cap 1"}\n'
+        'truncation: {"order_cap": 1}\n')
     assert main(["strictify", str(path), "--order-cap", "3",
                  "--output", "text"]) == EXIT["pass"]
     assert capsys.readouterr().out == (
@@ -581,12 +585,13 @@ def test_text_output_lists_witnesses_truncation_and_scalar_results(tmp_path,
         "units: strict\n")
 
 
-@pytest.mark.parametrize("cap, code", [(1, "fail"), (2, "pass"), (3, "pass")],
+@pytest.mark.parametrize("cap, code", [(1, "truncated"), (2, "pass"),
+                                       (3, "pass")],
                          ids=["cap1", "cap2", "cap3"])
 def test_formality_order_cap_on_a_quiver(tmp_path, capsys, cap, code):
     # from cap 2 on the minimal model has b_2, so its potential has cubic
     # words; at cap 1 it has none, and the reason names the cap instead of
-    # a wrong degree
+    # a wrong degree (truncated, exit 3: the window cannot decide it)
     path = tmp_path / "jordan.json"
     path.write_text(docio.dumps_document(docio.to_document("quiver", jordan_quiver())),
                     encoding="utf-8")
@@ -596,6 +601,8 @@ def test_formality_order_cap_on_a_quiver(tmp_path, capsys, cap, code):
     assert report["witnesses"] == ([] if code == "pass" else [
         {"reason": "potential needs words of length 3, above the order cap %d"
                    % cap}])
+    assert report["truncation"] == ({} if code == "pass"
+                                    else {"order_cap": cap})
 
 
 DEGENERATE_PAIRING = [["[1>1]0.0", "[1>1]2.0", 1], ["[1>1]2.0", "[1>1]0.0", 1]]
@@ -689,6 +696,77 @@ def test_order_cap_below_one_is_an_input_error(tmp_path, capsys, subcommand,
         assert json.loads(out.out)["payload"]["witnesses"] == [
             {"error": "--order-cap must be at least 1, got %d" % cap}]
     assert main([subcommand, str(path), "--order-cap=1"] + flags) != EXIT["error"]
+
+
+@pytest.mark.parametrize("subcommand, document, flags", ONE_JOB_EACH,
+                         ids=[job[0] for job in ONE_JOB_EACH])
+def test_batch_report_equals_the_single_runs(tmp_path, subcommand, document,
+                                             flags):
+    # a batch report recorded "window": 3 for every target, so it differed
+    # from the single run's report on the same file
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    path, single = docs / "doc.json", tmp_path / "single.json"
+    path.write_text(docio.dumps_document(document()), encoding="utf-8")
+    code = main([subcommand, str(path), "--report", str(single)] + flags)
+    assert main(["batch", subcommand, str(docs), "--report-dir",
+                 str(tmp_path / "out")] + flags) == code
+    assert (tmp_path / "out" / "doc.report.json").read_text() == single.read_text()
+
+
+@pytest.mark.parametrize("subcommand, document, flag", [
+    ("stability", gf3_rep_document, "zeta"),
+    ("local-model", jordan_min_document, "dims"),
+    ("euler-compare", jordan_min_document, "dims")])
+def test_batch_without_a_required_flag_is_an_input_error(tmp_path, capsys,
+                                                         subcommand, document,
+                                                         flag):
+    # batch declares its flags unrequired; a target that needs one raised
+    # AttributeError on None.split instead of reporting
+    (tmp_path / "doc.json").write_text(docio.dumps_document(document()),
+                                       encoding="utf-8")
+    assert main(["batch", subcommand, str(tmp_path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    report = json.loads((tmp_path / "doc.report.json").read_text())["payload"]
+    assert report["verdict"] == "error"
+    assert report["witnesses"] == [
+        {"error": "%s needs --%s" % (subcommand, flag)}]
+
+
+def test_moment_check_on_a_quiver_that_is_not_doubled_is_an_input_error(
+        tmp_path, capsys):
+    rep = repmod.random_rep(a2_quiver(), 22, d={"1": 1, "2": 1})
+    path = tmp_path / "rep.json"
+    path.write_text(docio.dumps_document(docio.to_document("matrix_rep", rep)),
+                    encoding="utf-8")
+    assert main(["moment-check", str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert json.loads(out.out)["payload"]["witnesses"] == [
+        {"error": "moment map needs a doubled-quiver representation: quiver "
+                  "is not doubled: 'a' has no reversed partner"}]
+
+
+def test_every_flag_is_taken_by_a_subcommand():
+    assert {flag for spec in cli.HANDLERS.values()
+            for flag in spec.flags} == set(cli.FLAGS)
+
+
+def test_minimal_model_functor_witnesses_are_relation_witnesses(tmp_path,
+                                                                monkeypatch):
+    # the functor witnesses were written as raw tuples, and a Fraction
+    # residual made json.dumps raise
+    path, out = tmp_path / "cat.json", tmp_path / "cat.report.json"
+    path.write_text(docio.dumps_document(a2_bar_document()), encoding="utf-8")
+    broken = ainf.RelationReport(
+        ok=False, checked=(1, 2), truncated=(),
+        witnesses=((2, ("<a>", "<a*>"), "<a.a*>", Fraction(1, 2)),))
+    monkeypatch.setattr(cli, "check_functor", lambda incl, max_arity: broken)
+    assert main(["minimal-model", str(path), "--report", str(out)]) == EXIT["fail"]
+    assert json.loads(out.read_text())["payload"]["witnesses"] == [
+        {"functor": [{"arity": 2, "inputs": ["<a>", "<a*>"],
+                      "output": "<a.a*>", "residual": "1/2"}]}]
 
 
 @pytest.mark.parametrize("subcommand", ["local-model", "euler-compare"])
@@ -861,8 +939,8 @@ def test_pairing_document_naming_an_unknown_label_is_an_input_error(tmp_path,
 # mutation fuzz: a malformed document is an input error, never a traceback
 
 
-# argv with "{}" for the mutated document, and that document's factory;
-# every document kind appears
+# argv with "{}" for the mutated document ("DIR" for the directory that
+# holds it alone), and that document's factory; every document kind appears
 FUZZ_JOBS = [
     (["check-ainf", "{}"], a2_bar_document),
     (["minimal-model", "{}", "--order-cap=3"], a2_bar_document),
@@ -878,6 +956,7 @@ FUZZ_JOBS = [
     (["stability", "{}", "--zeta=1,-1"], gf3_rep_document),
     (["moment-check", "{}"], a2_rep_document),
     (["hn-enum", "{}"], hn_query_document),
+    (["batch", "check-ainf", "DIR"], a2_bar_document),
 ]
 # wrong types, unknown and misplaced labels, and small integers
 FUZZ_PALETTE = [None, True, 1.5, "x", "zz", "[1>1]2.0", "<a>", "a*", [], {},
@@ -913,11 +992,13 @@ def test_mutated_documents_never_raise(tmp_path):
     rng = random.Random(20240607)
     min_path = tmp_path / "min.json"
     min_path.write_text(jordan_min_text(), encoding="utf-8")
-    path, out = tmp_path / "mutant.json", tmp_path / "mutant.report.json"
+    (tmp_path / "docs").mkdir()
+    path = tmp_path / "docs" / "mutant.json"
+    out = tmp_path / "mutant.report.json"
+    where = {"{}": str(path), "MIN": str(min_path), "DIR": str(path.parent)}
     escaped = []
     for argv, document in FUZZ_JOBS:
-        argv = [str(path) if a == "{}" else str(min_path) if a == "MIN" else a
-                for a in argv] + ["--report", str(out)]
+        argv = [where.get(a, a) for a in argv] + ["--report", str(out)]
         for _ in range(MUTATIONS_PER_JOB):
             doc = document()
             change = mutate(doc, rng)

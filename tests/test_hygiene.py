@@ -348,3 +348,51 @@ def test_closure_scan_sees_nested_self_reference_only():
               "        return self.method\n")
     assert self_referencing_closures(source) == [(2, "walk.step"),
                                                  (11, "method.visit")]
+
+
+INPUT_ERRORS = {"StructureError", "HochschildError", "RepError"}
+
+
+def input_error_catchers(source: str) -> list:
+    """(line, function) of every except clause that names StructureError,
+    HochschildError or RepError, bare or as a module attribute; function is
+    the innermost def around the clause, or None at module level."""
+    found, stack = [], [(ast.parse(source), None)]
+    while stack:
+        node, fn = stack.pop()
+        if isinstance(node, FUNCTIONS):
+            fn = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.type)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & INPUT_ERRORS:
+                found.append((node.lineno, fn))
+        stack.extend((child, fn) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_only_run_one_maps_library_input_errors():
+    # the CLI reports a library's input errors as exit 2 in one place
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert {fn for _, fn in input_error_catchers(source)} == {"run_one"}
+
+
+def test_input_error_scan_sees_bare_attribute_and_tuple_names():
+    source = ("def a():\n"
+              "    try:\n"
+              "        pass\n"
+              "    except StructureError:\n"
+              "        pass\n"
+              "def b():\n"
+              "    try:\n"
+              "        pass\n"
+              "    except (KeyError, repmod.RepError) as e:\n"
+              "        pass\n"
+              "    except ValueError:\n"
+              "        pass\n"
+              "try:\n"
+              "    pass\n"
+              "except HochschildError:\n"
+              "    pass\n")
+    assert input_error_catchers(source) == [(4, "a"), (9, "b"), (15, None)]
