@@ -6,9 +6,11 @@ Exit codes: 0 the checked property holds, 1 it fails (witnesses included),
 2 the input is invalid, 3 the truncation window cannot certify the request.
 Timings are null unless --timings is given, so reports are byte-stable for
 fixed inputs and flags.  `batch` runs one subcommand on every document of a
-directory; the report it writes for a file equals the single run's report
-on that file with the same flags.  Each subcommand is declared once, in
-HANDLERS; run_one does what they all share.
+directory and writes one structured report per document, <stem>.report.json;
+it takes neither --report nor --output, and the report it writes for a file
+equals the single run's structured report on that file with the same
+flags.  Each subcommand is declared once, in HANDLERS; run_one does what
+they all share.
 """
 
 from __future__ import annotations
@@ -82,11 +84,15 @@ def _parse_dims(text, objects):
     return dims
 
 
-def _parse_zeta(text):
+def _parse_zeta(text, vertices):
+    """--zeta: one rational per vertex, in vertex order, as {vertex: value}."""
     try:
-        return [Fraction(x) for x in text.split(",")]
+        values = [Fraction(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise CliError("--zeta wants comma-separated rationals, got %r" % text)
+    if len(values) != len(vertices):
+        raise repmod.RepError("stability parameter length mismatch")
+    return dict(zip(vertices, values))
 
 
 def _require_field(args, field):
@@ -313,7 +319,7 @@ def cmd_semisimplify(args, rep):
 
 
 def cmd_stability(args, rep):
-    zeta = repmod.StabilityParam.of(rep.quiver, _parse_zeta(args.zeta))
+    zeta = _parse_zeta(args.zeta, rep.quiver.vertices)
     report = repmod.semistable_bruteforce(rep, zeta)
     payload = {"stability": report.verdict,
                "slope": QQ.scalar_to_json(report.slope)}
@@ -548,11 +554,12 @@ def run_one(subcommand, args, input_path):
     return EXIT[verdict], report
 
 
-def emit(report, args, out_path=None):
+def emit(report, args):
+    """A single run's report in the --output form, to --report or stdout."""
     text = (docio.dumps_document(report) if args.output == "structured"
             else render_text(report))
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+    if args.report:
+        Path(args.report).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -570,12 +577,15 @@ def make_parser():
                              "document's)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed, only recorded in the report")
-    common.add_argument("--output", choices=("structured", "text"),
-                        default="structured")
-    common.add_argument("--report", default=None,
-                        help="write the report here instead of stdout")
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock timings (breaks byte-stability)")
+    # a single run writes one report; batch writes one structured report
+    # per input and takes neither flag
+    single = argparse.ArgumentParser(add_help=False, parents=[common])
+    single.add_argument("--output", choices=("structured", "text"),
+                        default="structured")
+    single.add_argument("--report", default=None,
+                        help="write the report here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="ainfty",
@@ -584,12 +594,13 @@ def make_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     for name, spec in HANDLERS.items():
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[single])
         p.add_argument("input", help="input document (JSON)")
         for flag in spec.flags:
             p.add_argument("--" + flag, **FLAGS[flag])
 
-    batch = sub.add_parser("batch", parents=[common])
+    # no abbreviations: --report would otherwise be read as --report-dir
+    batch = sub.add_parser("batch", parents=[common], allow_abbrev=False)
     batch.add_argument("target", choices=sorted(HANDLERS),
                        help="subcommand to run on every file")
     batch.add_argument("directory", help="directory of input documents")
@@ -613,7 +624,8 @@ def run_batch(args):
         if path.name.endswith(".report.json"):
             continue
         code, report = run_one(args.target, args, str(path))
-        emit(report, args, out_path=out_dir / (path.stem + ".report.json"))
+        (out_dir / (path.stem + ".report.json")).write_text(
+            docio.dumps_document(report), encoding="utf-8")
         worst = max(worst, code, key=SEVERITY.__getitem__)
     return worst
 
@@ -630,7 +642,7 @@ def main(argv=None) -> int:
     if args.subcommand == "batch":
         return run_batch(args)
     code, report = run_one(args.subcommand, args, args.input)
-    emit(report, args, out_path=args.report)
+    emit(report, args)
     return code
 
 

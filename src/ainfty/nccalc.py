@@ -4,21 +4,23 @@ One container, NCForm, holds every element: a linear combination of cyclic
 words in the dual generators xi_y, where a letter may carry a d-mark.  A
 function is a form with no marked letter (as in Kontsevich's formal
 symplectic geometry, a function is a 0-form), so d, the contraction iota_X
-and the action of a vector field X on functions are one derivation loop
-with three slot actions (the tests build the third).  A capped category
-determines a degree one vector field Q with [Q,Q] = 0 iff the arity
-relations hold; a nondegenerate pairing determines a constant symplectic
-2-form omega, the potential W solving dW = iota_Q omega, and the Poisson
-bracket.  Strictification of units runs an order-by-order loop on W whose
-steps are flows exp(L_h) of Hamiltonian fields h, L_h = d iota_h + iota_h d,
-on the same derivation loop.
+and the action of a vector field X on functions are one derivation loop,
+which ncword.apply_letterwise runs on each word; the same loop applies a
+field to open words.  A capped category determines a degree one vector
+field Q with [Q,Q] = 0 iff the arity relations hold; a nondegenerate
+pairing determines a constant symplectic 2-form omega and the potential W
+solving dW = iota_Q omega.  Strictification of units runs an
+order-by-order loop on W whose steps are flows exp(L_h) of Hamiltonian
+fields h, L_h = d iota_h + iota_h d, and whose linear system reads the
+Poisson bracket {s, W_3} as the Hamiltonian field of W_3 acting on s: every
+step is the same derivation loop.
 
 A pairing is validated and inverted once, when make_pairing builds it
 (degree two, endpoints, graded symmetry, nondegeneracy); everything
-downstream takes a CyclicPairing as given.  Its inverse bivector pi gives
-both the necklace bracket and, since omega is constant, the Hamiltonian
-field in closed form (pi contracted with the 1-form, Kontsevich), so no
-linear system is solved for either.
+downstream takes a CyclicPairing as given.  Since omega is constant, its
+inverse bivector pi gives the Hamiltonian field in closed form (pi
+contracted with the 1-form, Kontsevich), so no linear system is solved
+for it.
 
 All operations are exact up to one truncation rule: a form carries an
 order cap (maximal letter count), and the derivation loop drops every new
@@ -37,7 +39,7 @@ from .sparse import (SparseMatrix, add_into, invert, rank_kernel_image,
 from .ainf import (AInfCategory, AInfMorphism, RelationReport, check_relations,
                    check_unitality)
 from .localmodel import verify_sigma
-from .signs import block_sign, parity_sign, reversal_sign, rotations
+from .signs import block_sign, reversal_sign
 from .ncword import (
     NCContext,
     NCError,
@@ -74,9 +76,8 @@ class NCForm:
     words; a function is a form with no marked letter."""
 
     ctx: NCContext
-    terms: dict = dc_field(default_factory=dict)   # cfg -> coeff
-    order_cap: int = 7
-    constant: dict = dc_field(default_factory=dict)  # object -> coeff, bracket output only
+    terms: dict                  # cfg -> coeff
+    order_cap: int
 
     @property
     def field(self) -> FieldCtx:
@@ -106,7 +107,7 @@ class NCForm:
         return NCForm(self.ctx, t, min(self.order_cap, other.order_cap))
 
     def is_zero(self) -> bool:
-        return not self.terms and not self.constant
+        return not self.terms
 
 
 @dataclass
@@ -150,9 +151,9 @@ class CyclicPairing:
     <x,y> = (-1)^{|x||y|} <y,x> in unshifted degrees, which is the unique
     convention making the associated cyclic 2-form well defined.  It also
     stores the inverse bivector, inverse[y][x] = pi(y, x) with
-    sum_y <x', y> pi(y, x) = delta(x', x), which the Hamiltonian field and
-    the necklace bracket read; it is None on an unchecked pairing (a
-    decoded document) until make_pairing builds the checked one.
+    sum_y <x', y> pi(y, x) = delta(x', x), which the Hamiltonian field
+    reads; it is None on an unchecked pairing (a decoded document) until
+    make_pairing builds the checked one.
     """
 
     field: FieldCtx
@@ -219,30 +220,16 @@ def invert_pairing_blocks(ctx: NCContext, entries: dict) -> dict:
 # ---------------------------------------------------------------------------
 # the derivation loop
 
-def _slot_action(image_of, mark: int):
-    """A derivation on one slot: a letter carrying `mark` goes to its image
-    {word: coeff}, read in sorted order; every other letter goes to zero."""
-
-    def action(slot):
-        lab, m = slot
-        if m != mark:
-            return []
-        return [(c, w) for w, c in sorted(image_of(lab).items())]
-
-    return action
-
-
 def _derive(form: NCForm, image_of, mark: int, parity: int) -> NCForm:
-    """The derivation loop behind d, iota_X and X acting on functions: the
-    slot action at every slot of every term, with its Koszul prefix sign,
-    accumulated onto canonical words.  A new word longer than the form's
-    order cap is dropped, so the result is exact up to that cap and keeps
-    it; d keeps word lengths."""
+    """The derivation loop behind d, iota_X and X acting on functions:
+    apply_letterwise on every term (letters carrying `mark` go to their
+    images), accumulated onto canonical words.  A new word longer than the
+    form's order cap is dropped, so the result is exact up to that cap and
+    keeps it; d keeps word lengths."""
     ctx, f, cap = form.ctx, form.field, form.order_cap
-    action = _slot_action(image_of, mark)
     acc = {}
     for cfg, coeff in form.terms.items():
-        for c2, new in apply_letterwise(ctx, cfg, action, parity):
+        for c2, new in apply_letterwise(ctx, cfg, image_of, mark, parity):
             if len(new) <= cap:
                 add_cyclic_term(ctx, f, acc, new, f.mul(coeff, c2))
     return NCForm(ctx, acc, cap)
@@ -263,8 +250,7 @@ def contraction(vf: VectorField, form: NCForm) -> NCForm:
 def vf_apply_open(vf: VectorField, cfg, field: FieldCtx, ctx: NCContext):
     """Derivation action on one open word; returns {cfg: coeff}."""
     acc = {}
-    for c2, new in apply_letterwise(ctx, cfg, _slot_action(vf.image_of, 0),
-                                    vf.degree):
+    for c2, new in apply_letterwise(ctx, cfg, vf.image_of, 0, vf.degree):
         add_into(field, acc, new, c2)
     return acc
 
@@ -312,7 +298,7 @@ def _dual_tables(ctx: NCContext, images) -> dict:
 # ---------------------------------------------------------------------------
 # symplectic structure
 
-def omega_from_pairing(ctx: NCContext, pairing: CyclicPairing, order_cap: int = 7) -> NCForm:
+def omega_from_pairing(ctx: NCContext, pairing: CyclicPairing, order_cap: int) -> NCForm:
     """Constant cyclic 2-form of a pairing, one term per unordered pair."""
     f = ctx.field
     acc = {}
@@ -454,46 +440,6 @@ def check_cyclicity(cat: AInfCategory, pairing: CyclicPairing):
 
 
 # ---------------------------------------------------------------------------
-# Poisson bracket
-
-def poisson_bracket(f: NCForm, g: NCForm, pairing: CyclicPairing) -> NCForm:
-    """Necklace bracket via the inverse pairing (cut at f, cut at g, splice)."""
-    ctx = f.ctx
-    k = ctx.field
-    cap = min(f.order_cap, g.order_cap)
-    rots = {w: list(rotations(w, [ctx.eff_degree(s) for s in w]))
-            for w in list(f.terms) + list(g.terms)}
-    acc = {}
-    const = {}
-    for wf, cf in f.terms.items():
-        for wg, cg in g.terms.items():
-            base = k.mul(cf, cg)
-            for rot_f, s1 in rots[wf]:
-                x = rot_f[-1][0]
-                u = rot_f[:-1]
-                pi_x = pairing.inverse.get(x, {})
-                for rot_g, s2 in rots[wg]:
-                    y = rot_g[0][0]
-                    z = rot_g[1:]
-                    piv = pi_x.get(y)
-                    if piv is None:
-                        continue
-                    # contracting the adjacent pair xi_x xi_y moves past the
-                    # strand U; pinned against the iota/omega route (letters
-                    # coupled by the pairing have equal degree parity)
-                    s3 = parity_sign(ctx.cfg_degree(u))
-                    coeff = k.mul(base, k.mul(piv, k.of_int(s1 * s2 * s3)))
-                    word = u + z
-                    if not word:
-                        add_into(k, const, ctx.xi_src(x), coeff)
-                        continue
-                    if len(word) > cap:
-                        continue
-                    add_cyclic_term(ctx, k, acc, word, coeff)
-    return NCForm(ctx, acc, cap, const)
-
-
-# ---------------------------------------------------------------------------
 # Hamiltonian flows
 
 def flow(h: VectorField, form: NCForm) -> NCForm:
@@ -554,8 +500,11 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
     for a degree-zero function s_n of order n and moves W by the flow of its
     Hamiltonian field h; omega is pulled along the same flows, and the
     images of the letters under exp(h) compose into the coordinate change.
-    Orders run up to order_cap (default W's own cap, the arity cap plus
-    one); W keeps its cap, and the letter images are cut at order_cap.
+    The bracket {s, W_3} is H_{W_3} acting on s, one pass of the derivation
+    loop; flows never change W_3, so its field is taken once, at the first
+    order with a nonreduced part.  Orders run up to order_cap (default W's
+    own cap, the arity cap plus one); W keeps its cap, and the letter images
+    are cut at order_cap.
 
     Returns (cat2, iso, report).  Requires characteristic zero, minimality,
     designated units and a cyclic pairing; potential_from_category raises
@@ -577,7 +526,7 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
     omega = omega_from_pairing(ctx, pairing, order_cap=cap)
     pulled = omega
     images = {lab: {((lab, 0),): one} for lab in ctx.letters}
-    w3 = w.order_part(3)
+    h3 = None
     processed = []
 
     for n in range(3, cap):
@@ -587,8 +536,10 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         candidates = enumerate_cyclic_words(ctx, n, degree=0)
         if not candidates:
             raise NCError("strictification obstructed at order %d" % (n + 1))
-        columns = [poisson_bracket(NCForm(ctx, {cfg: one}, cap), w3,
-                                   pairing).nonreduced_part().terms
+        if h3 is None:
+            h3 = hamiltonian_field(w.order_part(3), omega, pairing)
+        columns = [_derive(NCForm(ctx, {cfg: one}, cap), h3.image_of, 0,
+                           h3.degree).nonreduced_part().terms
                    for cfg in candidates]
         sol = sparse_solve(*_word_system(
             f, columns, {key: f.neg(c) for key, c in bad.terms.items()}))

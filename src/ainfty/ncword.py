@@ -124,20 +124,23 @@ def add_cyclic_term(ctx: NCContext, field: FieldCtx, acc: dict, cfg, coeff) -> N
     add_into(field, acc, key, field.mul(coeff, field.of_int(sign)))
 
 
-def apply_letterwise(ctx: NCContext, cfg, action, parity: int):
-    """Generic graded derivation step on one configuration.
+def apply_letterwise(ctx: NCContext, cfg, image_of, mark: int, parity: int):
+    """The one splice loop of a graded derivation on one configuration.
 
-    action(slot) returns a list of (coeff, replacement_cfg) pairs; the
-    replacement splices into the slot position.  parity is the degree
-    parity of the derivation, used in the Koszul prefix sign.  Returns a
-    list of (coeff, new_cfg); the caller canonicalizes.
+    Each letter carrying `mark` goes to image_of(label), a dict
+    {replacement cfg: coeff} read in sorted order, spliced into its slot
+    with the Koszul prefix sign of the derivation's degree parity; every
+    other letter goes to zero.  Returns a list of (coeff, new_cfg); the
+    caller canonicalizes.
     """
     out = []
     pre = prefix_parities([ctx.eff_degree(slot) for slot in cfg])
-    for k, slot in enumerate(cfg):
-        for coeff, repl in action(slot):
-            s = block_sign(parity, pre[k])
-            out.append((coeff if s == 1 else -coeff, cfg[:k] + tuple(repl) + cfg[k + 1:]))
+    for k, (lab, m) in enumerate(cfg):
+        if m != mark:
+            continue
+        s = block_sign(parity, pre[k])
+        for repl, coeff in sorted(image_of(lab).items()):
+            out.append((coeff if s == 1 else -coeff, cfg[:k] + repl + cfg[k + 1:]))
     return out
 
 

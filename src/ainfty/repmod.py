@@ -783,29 +783,13 @@ def isotypic_decompose(rep: MatrixRep) -> list:
 # ---------------------------------------------------------------------------
 # stability
 
-@dataclass
-class StabilityParam:
-    zeta: dict               # vertex -> Fraction
-
-    @classmethod
-    def of(cls, q: Quiver, values) -> "StabilityParam":
-        if isinstance(values, dict):
-            z = {v: Fraction(values.get(v, 0)) for v in q.vertices}
-        else:
-            vals = list(values)
-            if len(vals) != len(q.vertices):
-                raise RepError("stability parameter length mismatch")
-            z = {v: Fraction(x) for v, x in zip(q.vertices, vals)}
-        return cls(z)
-
-
-def slope(d: dict, zeta) -> Fraction:
-    zmap = zeta.zeta if isinstance(zeta, StabilityParam) else zeta
+def slope(d: dict, zeta: dict) -> Fraction:
+    """The King slope sum zeta_v d_v / sum d_v of a dimension vector, for
+    zeta a {vertex: Fraction} map; a vertex zeta leaves out weighs 0."""
     total = sum(d.values())
     if total == 0:
         raise RepError("slope of the zero dimension vector")
-    num = sum(Fraction(zmap.get(v, 0)) * n for v, n in d.items())
-    return Fraction(num, total)
+    return Fraction(sum(zeta.get(v, 0) * n for v, n in d.items()), total)
 
 
 @dataclass
@@ -816,7 +800,7 @@ class StabilityReport:
     destabilizer_dims: dict = None
 
 
-def semistable_bruteforce(rep: MatrixRep, zeta) -> StabilityReport:
+def semistable_bruteforce(rep: MatrixRep, zeta: dict) -> StabilityReport:
     """Exact King (semi)stability over a prime field by enumerating every
     invariant subspace tuple; unstable verdicts carry a maximal-slope
     destabilizer."""

@@ -231,15 +231,13 @@ class SparseMatrix:
                 and self.ncols == other.ncols and self.entries == other.entries)
 
 
-def rref(rows, ncols: int, field: FieldCtx):
+def rref(rows, field: FieldCtx):
     """Reduced row echelon form of a list of sparse rows.
 
     Returns (pivot_cols, reduced_rows), sorted by pivot; reduced_rows[i]
     has its 1 at pivot_cols[i], its least key, and is zero at every other
     pivot.  The form is unique for the row space, so it does not depend
     on the order of the rows.  The caller's row dicts are not modified.
-    The elimination does not need ncols; callers pass it as the width of
-    the rows.
 
     Cost: the rows are added to one `Echelon` in input order, so the work
     is the size of the row updates it performs.
@@ -260,7 +258,7 @@ def rank_kernel_image(mat: SparseMatrix):
     deterministic.
     """
     field = mat.field
-    pivots, reduced = rref(mat.rows(), mat.ncols, field)
+    pivots, reduced = rref(mat.rows(), field)
     pivset = set(pivots)
     one = field.one()
     by_free = {free: {free: one} for free in range(mat.ncols) if free not in pivset}
@@ -286,7 +284,7 @@ def solve(mat: SparseMatrix, rhs: dict):
         v = rhs.get(i)
         if v is not None and not field.is_zero(v):
             aug[i][bcol] = v
-    pivots, reduced = rref(aug, mat.ncols + 1, field)
+    pivots, reduced = rref(aug, field)
     if bcol in pivots:
         return None
     x = {}
@@ -307,7 +305,7 @@ def invert(mat: SparseMatrix):
     aug = mat.rows()
     for i, row in enumerate(aug):
         row[n + i] = f.one()
-    pivots, reduced = rref(aug, 2 * n, f)
+    pivots, reduced = rref(aug, f)
     if pivots != list(range(n)):
         return None
     out = SparseMatrix(n, n, f)

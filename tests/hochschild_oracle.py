@@ -76,7 +76,7 @@ def graded_dims(window, length_margin):
             kernel = rank_kernel_image(_columns(mats[deg], cols))[1]
             cycles = [{cols[pos]: c for pos, c in kv.items()} for kv in kernel]
             # the boundary columns are independent, so their rank is their count
-            dim = len(rref(boundary + cycles, len(idx), f)[0]) - len(boundary)
+            dim = len(rref(boundary + cycles, f)[0]) - len(boundary)
             if dim - last:
                 dims[(cap, deg)] = dim - last
             last = dim

@@ -1,18 +1,24 @@
-"""Derived operators of the noncommutative calculus, for the tests.
+"""Derived operators of the noncommutative calculus, and the necklace
+bracket, for the tests.
 
 The package needs d, the contraction iota_X and the Hamiltonian field; the
 tests check identities that tie these together through operators built on
-top of them: the Lie derivative [d, iota_X], X acting on functions, the
-bracket {f, g} = H_f(g) as a second route to the necklace bracket, Q.Q on
+top of them: the Lie derivative [d, iota_X], X acting on functions, Q.Q on
 generators, which vanishes exactly when the category's relations hold, and
 substitution of letter images as a second route to Hamiltonian flows.
+
+The necklace bracket is the independent route to {f, g}: it cuts f and g
+at one letter each and splices the rest through the inverse pairing, with
+its own sign rule and no derivation loop.  The tests check it against
+{f, g} = H_f(g) (bracket_via_hamiltonian), which is how strictify_units
+reads {s, W_3}, and use it for the master equation {W, W} = 0.
 enumerate_forms lists the canonical configurations the identities run over.
 """
 
 from ainfty.nccalc import (NCForm, VectorField, _derive, contraction, de_rham,
                            hamiltonian_field, vf_apply_open)
 from ainfty.ncword import NCContext, add_cyclic_term, canonical_cyclic
-from ainfty.signs import parity_sign
+from ainfty.signs import parity_sign, rotations
 from ainfty.sparse import add_into
 
 
@@ -31,9 +37,50 @@ def vf_apply_function(vf: VectorField, fn: NCForm) -> NCForm:
 
 def bracket_via_hamiltonian(f: NCForm, g: NCForm, omega: NCForm,
                             pairing) -> NCForm:
-    """Second route: {f,g} = H_f(g); used to cross-check the necklace."""
+    """{f,g} = H_f(g), the derivation route to the necklace bracket."""
     h = hamiltonian_field(f, omega, pairing)
     return vf_apply_function(h, g)
+
+
+def necklace_bracket(f: NCForm, g: NCForm, pairing):
+    """{f, g} by the necklace rule: for every rotation of each word of f
+    ending in xi_x and every rotation of each word of g starting in xi_y,
+    splice the two strands through pi(x, y).  Returns (form, constant):
+    the words up to the smaller cap, and {object: coeff} for the empty
+    words (brackets of two letters)."""
+    ctx = f.ctx
+    k = ctx.field
+    cap = min(f.order_cap, g.order_cap)
+    rots = {w: list(rotations(w, [ctx.eff_degree(s) for s in w]))
+            for w in list(f.terms) + list(g.terms)}
+    acc = {}
+    const = {}
+    for wf, cf in f.terms.items():
+        for wg, cg in g.terms.items():
+            base = k.mul(cf, cg)
+            for rot_f, s1 in rots[wf]:
+                x = rot_f[-1][0]
+                u = rot_f[:-1]
+                pi_x = pairing.inverse.get(x, {})
+                for rot_g, s2 in rots[wg]:
+                    y = rot_g[0][0]
+                    z = rot_g[1:]
+                    piv = pi_x.get(y)
+                    if piv is None:
+                        continue
+                    # contracting the adjacent pair xi_x xi_y moves past the
+                    # strand U; pinned against the iota/omega route (letters
+                    # coupled by the pairing have equal degree parity)
+                    s3 = parity_sign(ctx.cfg_degree(u))
+                    coeff = k.mul(base, k.mul(piv, k.of_int(s1 * s2 * s3)))
+                    word = u + z
+                    if not word:
+                        add_into(k, const, ctx.xi_src(x), coeff)
+                        continue
+                    if len(word) > cap:
+                        continue
+                    add_cyclic_term(ctx, k, acc, word, coeff)
+    return NCForm(ctx, acc, cap), const
 
 
 def substitute(fn: NCForm, images: dict) -> NCForm:

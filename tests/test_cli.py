@@ -714,6 +714,37 @@ def test_batch_report_equals_the_single_runs(tmp_path, subcommand, document,
     assert (tmp_path / "out" / "doc.report.json").read_text() == single.read_text()
 
 
+@pytest.mark.parametrize("flag", [["--report", "out.json"],
+                                  ["--report=out.json"],
+                                  ["--output", "structured"]],
+                         ids=["report", "report-equals", "output"])
+def test_batch_refuses_the_single_run_flags(tmp_path, capsys, flag):
+    # batch writes one report per input: it took --report and wrote
+    # nothing there, exit 0; it is a usage error now, and --report is no
+    # abbreviation of --report-dir
+    write_quiver(tmp_path / "a.json", a2_quiver())
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "check-ainf", str(tmp_path)] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+def test_batch_writes_structured_reports(tmp_path):
+    # batch --output text wrote text into <stem>.report.json; batch takes
+    # no --output, and every report it writes is the structured document
+    write_quiver(tmp_path / "a.json", a2_quiver())
+    write_quiver(tmp_path / "j.json", jordan_quiver())
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "hochschild", str(tmp_path), "--output", "text"])
+    assert exc.value.code == 2
+    assert main(["batch", "hochschild", str(tmp_path)]) == EXIT["pass"]
+    reports = sorted(tmp_path.glob("*.report.json"))
+    assert [p.name for p in reports] == ["a.report.json", "j.report.json"]
+    for path in reports:
+        assert json.loads(path.read_text())["kind"] == "report"
+
+
 @pytest.mark.parametrize("subcommand, document, flag", [
     ("stability", gf3_rep_document, "zeta"),
     ("local-model", jordan_min_document, "dims"),
@@ -794,6 +825,15 @@ def test_field_flag_naming_a_prime_field_document_is_accepted(tmp_path, capsys):
         capsys.readouterr()
     assert main(["hochschild", str(path), "--field", "QQ"]) == EXIT["error"]
     assert "--field QQ, but the document is over fp:5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("zeta", ["1", "1,-1,0"])
+def test_zeta_of_the_wrong_length_is_an_input_error(tmp_path, capsys, zeta):
+    path = tmp_path / "rep.json"
+    path.write_text(docio.dumps_document(gf3_rep_document()), encoding="utf-8")
+    assert main(["stability", str(path), "--zeta=" + zeta]) == EXIT["error"]
+    assert json.loads(capsys.readouterr().out)["payload"]["witnesses"] == [
+        {"error": "stability parameter length mismatch"}]
 
 
 @pytest.mark.parametrize("subcommand", ["stability --zeta=1,-1", "semisimplify"])
@@ -998,7 +1038,10 @@ def test_mutated_documents_never_raise(tmp_path):
     where = {"{}": str(path), "MIN": str(min_path), "DIR": str(path.parent)}
     escaped = []
     for argv, document in FUZZ_JOBS:
-        argv = [where.get(a, a) for a in argv] + ["--report", str(out)]
+        argv = [where.get(a, a) for a in argv]
+        if argv[0] != "batch":
+            # batch writes its reports next to the inputs
+            argv += ["--report", str(out)]
         for _ in range(MUTATIONS_PER_JOB):
             doc = document()
             change = mutate(doc, rng)

@@ -238,7 +238,7 @@ def row_lists(draw, max_n=12):
 def test_rref_kernel_image_match_dense_oracle(case):
     f, rows, ncols = case
     before = [list(r.items()) for r in rows]
-    pivots, reduced = rref(rows, ncols, f)
+    pivots, reduced = rref(rows, f)
     assert (pivots, reduced) == dense_rref(rows, ncols, f)  # RREF is unique
     assert [list(r.items()) for r in rows] == before
 
@@ -355,8 +355,8 @@ def test_solve_inconsistent():
 
 def test_rref_idempotent_pivots():
     rows = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 2: Fraction(3)}]
-    piv, red = rref(rows, 3, QQ)
-    piv2, red2 = rref([dict(r) for r in red], 3, QQ)
+    piv, red = rref(rows, QQ)
+    piv2, red2 = rref([dict(r) for r in red], QQ)
     assert piv == piv2 and red == red2
     for r, p in zip(red, piv):
         assert r[p] == Fraction(1)

@@ -31,8 +31,8 @@ from ainfty.nccalc import NCError, NCForm, NotCyclicError
 
 from ainf_oracle import perturbed
 from nccalc_oracle import (bracket_via_hamiltonian, enumerate_forms,
-                           lie_derivative, substitute, vf_apply_function,
-                           vf_square_obstruction)
+                           lie_derivative, necklace_bracket, substitute,
+                           vf_apply_function, vf_square_obstruction)
 from signs_oracle import koszul_sign
 from test_massey import exterior_fixture
 
@@ -435,8 +435,8 @@ def test_potential_requires_cyclic_input(jordan_pack):
 def test_master_equation_on_the_nose(pack):
     _, cat, pairing, _ = pack
     pot = nc.potential_from_category(cat, pairing)
-    br = nc.poisson_bracket(pot, pot, pairing)
-    assert br.is_zero() and not br.constant
+    br, const = necklace_bracket(pot, pot, pairing)
+    assert br.is_zero() and not const
 
 
 def test_hamiltonian_field_of_potential_is_q(pack):
@@ -508,10 +508,10 @@ def test_master_equation_detects_broken_potentials(jordan_pack):
     for word in enumerate_cyclic_words(ctx, 5, degree=1)[:8]:
         bump = NCForm(ctx, {word: f.of_int(1)}, pot.order_cap)
         w2 = pot.add(bump)
-        br = nc.poisson_bracket(w2, w2, pairing)
+        br, const = necklace_bracket(w2, w2, pairing)
         cat_bad = nc.category_from_potential(w2, pairing, cat, pot.order_cap)
         rel = check_relations(cat_bad)
-        assert rel.ok == (br.is_zero() and not br.constant), word
+        assert rel.ok == (br.is_zero() and not const), word
         if not rel.ok:
             nonzero_failures += 1
     assert nonzero_failures
@@ -528,10 +528,10 @@ def test_order_one_brackets_reproduce_the_inverse_pairing(pack):
         for y, val in row.items():
             fx = NCForm(ctx, {((x, 0),): f.of_int(1)}, 7)
             fy = NCForm(ctx, {((y, 0),): f.of_int(1)}, 7)
-            br = nc.poisson_bracket(fx, fy, pairing)
+            br, const = necklace_bracket(fx, fy, pairing)
             assert not br.terms
             obj = ctx.xi_src(x)
-            assert br.constant == {obj: val}
+            assert const == {obj: val}
             seen += 1
     assert seen
 
@@ -544,7 +544,7 @@ def test_bracket_routes_agree(pack):
     assert samples
     for _, g1 in samples:
         for _, g2 in samples:
-            a = nc.poisson_bracket(g1, g2, pairing)
+            a, _ = necklace_bracket(g1, g2, pairing)
             b = bracket_via_hamiltonian(g1, g2, omega, pairing)
             assert a.terms == b.terms
 
@@ -557,13 +557,13 @@ def test_bracket_symmetry_law(pack):
     samples = homogeneous_samples(ctx, f)
     for d1, g1 in samples:
         for d2, g2 in samples:
-            a = nc.poisson_bracket(g1, g2, pairing)
-            b = nc.poisson_bracket(g2, g1, pairing)
+            a, a_const = necklace_bracket(g1, g2, pairing)
+            b, b_const = necklace_bracket(g2, g1, pairing)
             s = 1 if ((d1 + 1) * (d2 + 1)) % 2 == 0 else -1
             flip = b.scale(f.of_int(s))
             assert a.terms == flip.terms
-            assert a.constant == {k: f.mul(v, f.of_int(s))
-                                  for k, v in b.constant.items()}
+            assert a_const == {k: f.mul(v, f.of_int(s))
+                               for k, v in b_const.items()}
 
 
 def test_bracket_adds_orders_minus_two(jordan_pack):
@@ -572,7 +572,7 @@ def test_bracket_adds_orders_minus_two(jordan_pack):
     samples = homogeneous_samples(ctx, f, orders=(3,), per_degree=1)
     for _, g1 in samples:
         for _, g2 in samples:
-            br = nc.poisson_bracket(g1, g2, pairing)
+            br, _ = necklace_bracket(g1, g2, pairing)
             assert {len(cfg) for cfg in br.terms} <= {4}
 
 
@@ -767,6 +767,32 @@ def test_cli_strictify_clears_planted_documents(tmp_path, capsys, kind,
     assert report["result"]["processed_orders"]
 
 
+@pytest.mark.parametrize("kind, arity_cap, coeff, columns",
+                         [("jordan", 6, -1, 240), ("jordan", 6, 3, 240),
+                          ("two_loop", 4, 2, 152), ("two_loop", 5, -1, 640)])
+def test_strictify_columns_are_necklace_brackets(kind, arity_cap, coeff,
+                                                 columns):
+    # strictify_units reads the column {s, W_3} of each degree-zero word s
+    # as H_{W_3}(s), one pass of the derivation loop; the necklace cuts and
+    # splices through the inverse pairing instead, and the two agree
+    # without a sign on every order the loop can reach
+    bad_cat, pairing = plant(minimal_fixture(kind, arity_cap), coeff)
+    pot = nc.potential_from_category(bad_cat, pairing)
+    ctx, cap, one = pot.ctx, pot.order_cap, bad_cat.field.of_int(1)
+    w3 = pot.order_part(3)
+    h3 = nc.hamiltonian_field(w3, nc.omega_from_pairing(ctx, pairing, cap),
+                              pairing)
+    seen = 0
+    for n in range(3, cap):
+        for cfg in enumerate_cyclic_words(ctx, n, degree=0):
+            s = NCForm(ctx, {cfg: one}, cap)
+            br, const = necklace_bracket(s, w3, pairing)
+            assert vf_apply_function(h3, s).terms == br.terms, cfg
+            assert not const
+            seen += 1
+    assert seen == columns
+
+
 def test_formality_flags_a_non_cyclic_top_arity(tmp_path, capsys, planted):
     # tripling the first arity-6 coefficient leaves the relations checked
     # up to the cap intact (b_1 = 0) and breaks only cyclicity at arity 6
@@ -860,10 +886,10 @@ def test_bracket_is_biadditive(data):
     samples = _CACHE.setdefault(
         "samples", [s for _, s in homogeneous_samples(ctx, f, per_degree=3)])
     g1, g2, g3 = (data.draw(st.sampled_from(samples)) for _ in range(3))
-    lhs = nc.poisson_bracket(g1, g2.add(g3), pairing)
-    rhs = nc.poisson_bracket(g1, g2, pairing).add(
-        nc.poisson_bracket(g1, g3, pairing))
-    assert lhs.terms == rhs.terms
+    lhs, _ = necklace_bracket(g1, g2.add(g3), pairing)
+    b12, _ = necklace_bracket(g1, g2, pairing)
+    b13, _ = necklace_bracket(g1, g3, pairing)
+    assert lhs.terms == b12.add(b13).terms
 
 
 _CACHE = {}

@@ -20,7 +20,7 @@ from ainfty.quiver import (Quiver, a2_quiver, double, jordan_quiver,
                            random_quiver, two_loop_quiver)
 from ainfty.sparse import Echelon, SparseMatrix, invert
 from ainfty import repmod as R
-from ainfty.repmod import MatrixRep, RepError, StabilityParam
+from ainfty.repmod import MatrixRep, RepError
 
 import subspace_oracle
 from repmod_oracle import conjugate, eval_relations, invariant, path_matrix
@@ -549,19 +549,23 @@ def test_isotypic_prime_field():
 # ---------------------------------------------------------------------------
 # stability
 
+def zeta_map(q, values):
+    """The stability parameter {vertex: Fraction}, one value per vertex in
+    vertex order."""
+    return {v: F(x) for v, x in zip(q.vertices, values, strict=True)}
+
+
 def test_slope_values():
-    z = StabilityParam.of(A2, (1, 0))
+    z = zeta_map(A2, (1, 0))
     assert R.slope({"1": 1, "2": 2}, z) == F(1, 3)
-    assert R.slope({"1": 1, "2": 2}, StabilityParam.of(A2, (1, 1))) == 1
+    assert R.slope({"1": 1, "2": 2}, zeta_map(A2, (1, 1))) == 1
     assert R.slope({"1": 2, "2": 4}, z) == F(1, 3)
     with pytest.raises(RepError, match="zero"):
         R.slope({"1": 0, "2": 0}, z)
-    with pytest.raises(RepError, match="mismatch"):
-        StabilityParam.of(A2, (1,))
 
 
 def test_slope_of_sum_is_between_summands():
-    z = StabilityParam.of(A2, (3, -1))
+    z = zeta_map(A2, (3, -1))
     for d1, d2 in [({"1": 1, "2": 0}, {"1": 1, "2": 2}),
                    ({"1": 2, "2": 1}, {"1": 0, "2": 3})]:
         dsum = {v: d1[v] + d2[v] for v in d1}
@@ -571,23 +575,23 @@ def test_slope_of_sum_is_between_summands():
 
 def test_stability_fixtures():
     r11 = MatrixRep(A2, {"1": 1, "2": 1}, {"a": mat([[1]], F5)}, F5)
-    rep = R.semistable_bruteforce(r11, StabilityParam.of(A2, (1, -1)))
+    rep = R.semistable_bruteforce(r11, zeta_map(A2, (1, -1)))
     assert rep.verdict == "stable" and rep.slope == 0
-    rep = R.semistable_bruteforce(r11, StabilityParam.of(A2, (-1, 1)))
+    rep = R.semistable_bruteforce(r11, zeta_map(A2, (-1, 1)))
     assert rep.verdict == "unstable"
     assert rep.destabilizer_dims == {"1": 0, "2": 1}
     s1s2 = R.zero_rep(A2, {"1": 1, "2": 1}, F5)
-    rep = R.semistable_bruteforce(s1s2, StabilityParam.of(A2, (1, 0)))
+    rep = R.semistable_bruteforce(s1s2, zeta_map(A2, (1, 0)))
     assert rep.verdict == "unstable"
     assert rep.destabilizer_dims == {"1": 1, "2": 0}
-    rep = R.semistable_bruteforce(s1s2, StabilityParam.of(A2, (0, 0)))
+    rep = R.semistable_bruteforce(s1s2, zeta_map(A2, (0, 0)))
     assert rep.verdict == "semistable" and rep.destabilizer is None
 
 
 def test_destabilizer_reverifies():
     for seed in range(12):
         rep = R.random_rep(DA2, 200 + seed, field=F7, max_total=4)
-        zeta = StabilityParam.of(DA2, (1, -1))
+        zeta = zeta_map(DA2, (1, -1))
         try:
             report = R.semistable_bruteforce(rep, zeta)
         except RepError:
@@ -627,7 +631,7 @@ def test_pruned_subspace_tuples_match_the_product_oracle(monkeypatch, p, q, d,
         rep = R.random_rep(q, 1000 * p + seed, d=d, field=GF(p))
         want = subspace_oracle.invariant_subspace_tuples(rep)
         assert list(R.invariant_subspace_tuples(rep)) == want
-        param = StabilityParam.of(q, zeta)
+        param = zeta_map(q, zeta)
         got = (R.jh_bruteforce(rep), R.semistable_bruteforce(rep, param))
         with monkeypatch.context() as m:
             m.setattr(R, "invariant_subspace_tuples",
@@ -639,10 +643,10 @@ def test_pruned_subspace_tuples_match_the_product_oracle(monkeypatch, p, q, d,
 def test_stability_guards():
     with pytest.raises(RepError, match="prime"):
         R.semistable_bruteforce(R.zero_rep(A2, {"1": 1, "2": 1}),
-                                StabilityParam.of(A2, (0, 0)))
+                                zeta_map(A2, (0, 0)))
     with pytest.raises(RepError, match="bound"):
         R.semistable_bruteforce(R.zero_rep(A2, {"1": 4, "2": 4}, F5),
-                                StabilityParam.of(A2, (0, 0)))
+                                zeta_map(A2, (0, 0)))
 
 
 # ---------------------------------------------------------------------------
