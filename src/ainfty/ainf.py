@@ -29,7 +29,8 @@ from dataclasses import dataclass, field as dfield
 
 from .field import FieldCtx, QQ
 from .signs import parity_sign
-from .sparse import add_into, reduce_sums
+from .sparse import (Echelon, SparseMatrix, add_into, rank_kernel_image,
+                     reduce_sums)
 
 
 class StructureError(ValueError):
@@ -305,7 +306,6 @@ def check_unitality(cat: AInfCategory) -> UnitReport:
 
 
 def _weak_unit_check(cat: AInfCategory):
-    from .sparse import Echelon, SparseMatrix, rank_kernel_image
     f = cat.field
     fails = []
     for i, e in cat.units.items():

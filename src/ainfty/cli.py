@@ -228,9 +228,6 @@ def _minimal_category_from(obj, args):
 
 def cmd_formality(args, obj):
     cat = _minimal_category_from(obj, args)
-    if cat.field.p != 0:
-        raise CliError("formality runs over the rationals; the document is over fp:%d"
-                       % cat.field.p)
     try:
         pairing = _pairing_for(args, cat)
     except NCError as e:
@@ -444,6 +441,7 @@ class Subcommand:
     kinds: tuple          # the document kinds it reads
     flags: tuple = ()     # its extra flags, keys of FLAGS
     reduces: bool = False  # --field may reduce a rational representation
+    rational: bool = False  # it computes over the rationals only
 
 
 # the extra flags, each with its argparse keywords
@@ -462,9 +460,10 @@ REP = ("matrix_rep",)
 HANDLERS = {
     "check-ainf": Subcommand(cmd_check_ainf, CATEGORY),
     "minimal-model": Subcommand(cmd_minimal_model, CATEGORY),
-    "strictify": Subcommand(cmd_strictify, CATEGORY, ("pairing",)),
+    "strictify": Subcommand(cmd_strictify, CATEGORY, ("pairing",),
+                            rational=True),
     "formality": Subcommand(cmd_formality, ("quiver", "ainf_category"),
-                            ("pairing",)),
+                            ("pairing",), rational=True),
     "hochschild": Subcommand(cmd_hochschild,
                              ("quiver", "dg_algebra", "ainf_category"),
                              ("window",)),
@@ -539,7 +538,12 @@ def run_one(subcommand, args, input_path):
             obj, note = _reduce_if_requested(obj, args)
         else:
             # quivers, dg algebras and HN queries are over the rationals
-            _require_field(args, getattr(obj, "field", QQ))
+            field = getattr(obj, "field", QQ)
+            _require_field(args, field)
+            if spec.rational and field.p:
+                raise CliError("%s runs over the rationals; the document is "
+                               "over %s" % (subcommand,
+                                            docio.field_to_json(field)))
         verdict, witnesses, truncation, payload = spec.handler(args, obj)
         if spec.reduces:
             payload["note"] = note
@@ -554,14 +558,27 @@ def run_one(subcommand, args, input_path):
     return EXIT[verdict], report
 
 
+def _write_report(path, text):
+    """Write a report file; False, with the reason on stderr, when the
+    operating system refuses."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        sys.stderr.write("ainfty: cannot write report %s: %s\n"
+                         % (path, e.strerror or e))
+        return False
+    return True
+
+
 def emit(report, args):
-    """A single run's report in the --output form, to --report or stdout."""
+    """A single run's report in the --output form, to --report or stdout;
+    False when the --report file cannot be written."""
     text = (docio.dumps_document(report) if args.output == "structured"
             else render_text(report))
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        return _write_report(args.report, text)
+    sys.stdout.write(text)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +635,20 @@ def run_batch(args):
         sys.stderr.write("ainfty: %s is not a directory\n" % directory)
         return 2
     out_dir = Path(args.report_dir) if args.report_dir else directory
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        sys.stderr.write("ainfty: cannot write reports to %s: %s\n"
+                         % (out_dir, e.strerror or e))
+        return EXIT["error"]
     worst = 0
     for path in sorted(directory.glob("*.json")):
         if path.name.endswith(".report.json"):
             continue
         code, report = run_one(args.target, args, str(path))
-        (out_dir / (path.stem + ".report.json")).write_text(
-            docio.dumps_document(report), encoding="utf-8")
+        if not _write_report(out_dir / (path.stem + ".report.json"),
+                             docio.dumps_document(report)):
+            return EXIT["error"]
         worst = max(worst, code, key=SEVERITY.__getitem__)
     return worst
 
@@ -642,8 +665,7 @@ def main(argv=None) -> int:
     if args.subcommand == "batch":
         return run_batch(args)
     code, report = run_one(args.subcommand, args, args.input)
-    emit(report, args)
-    return code
+    return code if emit(report, args) else EXIT["error"]
 
 
 if __name__ == "__main__":

@@ -27,8 +27,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import repmod
 from .ainf import AInfCategory
 from .field import FieldCtx, FieldError, GF, QQ
+from .nccalc import CyclicPairing
 from .quiver import Arrow, DGQuiverAlgebra, Quiver, check_dg
 from .ratpoly import RatPolynomial
 from .sparse import SparseMatrix
@@ -403,7 +405,6 @@ def pairing_to_payload(pairing) -> dict:
 
 
 def pairing_from_payload(payload, path="payload"):
-    from .nccalc import CyclicPairing
     f = field_from_json(_need(payload, "field", path), path + ".field")
     entries = {}
     for k, ent in enumerate(_need(payload, "entries", path, list)):
@@ -434,7 +435,6 @@ def rep_to_payload(rep) -> dict:
 
 
 def rep_from_payload(payload, path="payload"):
-    from . import repmod
     f = field_from_json(_need(payload, "field", path), path + ".field")
     q = quiver_from_payload(_need(payload, "quiver", path, dict), path + ".quiver")
     arrows = {a.name: a for a in q.arrows}

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .ainf import AInfCategory, check_relations
 from .signs import block_sign, rotations
-from .sparse import Echelon, add_into
+from .sparse import Echelon, add_into, apply_linear
 
 
 class HochschildError(Exception):
@@ -183,11 +183,7 @@ def _image(window: HochschildChainWindow, cols: dict, chain: dict) -> dict:
         [(tup, c)] = chain.items()
         if c == window._one:
             return dict(cols[tup])
-    f, acc = window.cat.field, {}
-    for tup, c in chain.items():
-        for out, v in cols[tup].items():
-            add_into(f, acc, out, f.mul(c, v))
-    return acc
+    return apply_linear(window.cat.field, cols, chain)
 
 
 def _b_terms(window: HochschildChainWindow, tup, coeff):

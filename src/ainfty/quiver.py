@@ -8,6 +8,7 @@ linear combinations [(coeff, path), ...] with QQ scalar coeffs (field.py).
 
 from __future__ import annotations
 
+import random as _random
 from dataclasses import dataclass
 
 from .field import QQ
@@ -80,7 +81,6 @@ def two_loop_quiver() -> Quiver:
 
 def random_quiver(seed: int, max_vertices: int = 3, max_arrows: int = 3) -> Quiver:
     """Small random quiver, deterministic in the seed."""
-    import random as _random
     rng = _random.Random(seed)
     nv = rng.randint(1, max_vertices)
     vertices = tuple(str(i + 1) for i in range(nv))

@@ -6,12 +6,14 @@ moment maps for doubled quivers, whose zero fibre the preprojective
 relations cut out, and realizes semisimplification as the associated graded
 of the radical filtration of the acting algebra A, the image of the path
 algebra.  A path from v to w maps V_v to V_w and is zero elsewhere, so A
-is the direct sum of its blocks e_w A e_v and is spanned block by block.
-Over the rationals the radical comes from the trace form of the defining
-module; over a prime field the same endpoint is reached by an exhaustive
-Jordan-Hoelder computation, which doubles as an independent oracle for
-the characteristic-zero path.  King (semi)stability is decided exactly over
-prime fields by enumerating all invariant subspace tuples.
+is the direct sum of its blocks e_w A e_v, and A, its radical J and the
+filtration are computed block by block, in each vertex's own coordinates.
+Over the rationals J comes from the trace form of the defining module,
+which pairs e_w A e_v only with e_v A e_w; over a prime field the same
+endpoint is reached by an exhaustive Jordan-Hoelder computation, which
+doubles as an independent oracle for the characteristic-zero path.  King
+(semi)stability is decided exactly over prime fields by enumerating all
+invariant subspace tuples.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from fractions import Fraction
 from .field import GF, FieldCtx, QQ
 from .quiver import Quiver, dimension_vector, star_name
 from .ratpoly import RatPolynomial, factor_rational_poly
-from .sparse import (Echelon, SparseMatrix, add_into, invert, rank_kernel_image,
-                     solve)
+from .sparse import (Echelon, SparseMatrix, add_into, apply_linear, invert,
+                     rank_kernel_image, solve)
 
 
 class RepError(Exception):
@@ -132,23 +134,8 @@ def moment_map(rep: MatrixRep) -> dict:
     return out
 
 
-def _flat_trace_product(f: FieldCtx, a: dict, b: dict):
-    tot = f.zero()
-    for (r, c), v in a.items():
-        w = b.get((c, r))
-        if w is not None:
-            tot = f.add(tot, f.mul(v, w))
-    return tot
-
-
 # ---------------------------------------------------------------------------
 # the acting algebra and its radical
-
-@dataclass
-class ActingAlgebra:
-    rep: MatrixRep
-    basis: tuple             # flat {(row, col): scalar} dicts, echelon order
-
 
 # the prime of the fullness certificate in acting_algebra: below 2^15, so
 # a product of two residues is still a one-digit Python int
@@ -192,13 +179,13 @@ def _span_blocks(quiver: Quiver, d: dict, mats: dict, f: FieldCtx,
     return blocks
 
 
-def acting_algebra(rep: MatrixRep) -> ActingAlgebra:
-    """Image of the path algebra in End of the total space.
+def acting_algebra(rep: MatrixRep) -> dict:
+    """Image A of the path algebra in End of the total space, block by block.
 
-    The algebra is the direct sum of its blocks e_w A e_v, each spanned by
-    the matrices of the paths from v to w (see _span_blocks).  The basis is
-    the reduced echelon form of the whole algebra in flat (row, col) keys
-    of the total space.
+    A is the direct sum of its blocks e_w A e_v, each spanned by the
+    matrices of the paths from v to w (see _span_blocks).  The result maps
+    every pair (v, w) of vertices to the reduced echelon basis of e_w A e_v,
+    as d_w x d_v matrices in local {(row, col): scalar} keys.
 
     Over the rationals the blocks that are the whole d_w x d_v matrix
     space are first certified modulo CERTIFICATE_PRIME: the worklist runs
@@ -216,7 +203,6 @@ def acting_algebra(rep: MatrixRep) -> ActingAlgebra:
     worklist spans it like any other.
     """
     f = rep.field
-    off = rep.offsets()
     full = ()
     if f.p == 0:
         fp = GF(CERTIFICATE_PRIME)
@@ -226,39 +212,40 @@ def acting_algebra(rep: MatrixRep) -> ActingAlgebra:
                     _span_blocks(rep.quiver, rep.d, reduced, fp).items()
                     if ech.dim() == rep.d[vw[1]] * rep.d[vw[0]] > 0}
     blocks = _span_blocks(rep.quiver, rep.d, rep.mats, f, full)
-    basis = [{(off[w] + r, off[v] + c): x for (r, c), x in row.items()}
-             for (v, w), ech in blocks.items() for row in ech.rows.values()]
-    basis.sort(key=min)
-    return ActingAlgebra(rep, tuple(basis))
+    return {vw: ech.basis() for vw, ech in blocks.items()}
 
 
-def radical_char0(acting: ActingAlgebra) -> tuple:
-    """Echelon basis of the Jacobson radical via the trace form of the
-    defining module; exact and complete in characteristic zero."""
-    f = acting.rep.field
+def radical_char0(rep: MatrixRep) -> dict:
+    """(v, w) -> echelon basis of e_w J e_v, for the blocks where the
+    Jacobson radical J of the acting algebra is nonzero.
+
+    J is the kernel of the trace form of the defining module; exact and
+    complete in characteristic zero.  tr(ab) vanishes unless a lies in
+    e_w A e_v and b in e_v A e_w, so e_w J e_v is the kernel of the
+    pairing of e_w A e_v with its opposite block.  When both blocks are
+    whole matrix spaces that pairing is perfect and the part is zero."""
+    f = rep.field
     if f.p != 0:
         raise RepError("trace-form radical needs characteristic zero; "
                        "use the brute-force path over prime fields")
-    basis = acting.basis
-    n = len(basis)
-    rows = []
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            t = _flat_trace_product(f, basis[i], basis[j])
-            if not f.is_zero(t):
-                row[j] = t
-        rows.append(row)
-    gram = SparseMatrix.from_rows(rows, n, f)
-    kern = rank_kernel_image(gram)[1]
-    ech = Echelon(f)
-    for kv in kern:
-        vec = {}
-        for j, c in kv.items():
-            for key, v in basis[j].items():
-                add_into(f, vec, key, f.mul(c, v))
-        ech.add(vec)
-    return tuple(ech.basis())
+    alg = acting_algebra(rep)
+    out = {}
+    for (v, w), basis in alg.items():
+        opposite = alg[w, v]
+        if not basis or len(basis) == len(opposite) == rep.d[v] * rep.d[w]:
+            continue
+        # row j: tr(a_i b_j) = sum of a_i[r, c] b_j[c, r], column i
+        gram = SparseMatrix.from_rows(
+            [{i: f.of_fraction(sum(x * b.get((c, r), 0)
+                                   for (r, c), x in a.items()))
+              for i, a in enumerate(basis)} for b in opposite],
+            len(basis), f)
+        kern = rank_kernel_image(gram)[1]
+        if kern:
+            span = dict(enumerate(basis))
+            out[v, w] = Echelon(f, [apply_linear(f, span, x)
+                                    for x in kern]).basis()
+    return out
 
 
 @dataclass
@@ -311,41 +298,25 @@ class RadicalFiltration:
 
 
 def radical_filtration(rep: MatrixRep) -> RadicalFiltration:
-    """M >= JM >= J^2 M >= ... for J the radical of the acting algebra."""
+    """M >= JM >= J^2 M >= ... for J the radical of the acting algebra.
+
+    Each layer is a subspace at every vertex; an element of e_w J e_v
+    carries the layer's vectors at v into the next layer at w."""
     f = rep.field
-    off = rep.offsets()
-    n = rep.total_dim()
-    owner = [v for v in rep.quiver.vertices for _ in range(rep.d[v])]
-    rad = [SparseMatrix(n, n, f, j) for j in radical_char0(acting_algebra(rep))]
+    rad = [(v, w, SparseMatrix(rep.d[w], rep.d[v], f, j))
+           for (v, w), part in radical_char0(rep).items() for j in part]
     layers = [{v: [{i: f.one()} for i in range(rep.d[v])]
                for v in rep.quiver.vertices}]
-    while True:
+    while any(layers[-1].values()):
         cur = layers[-1]
-        total = sum(len(bs) for bs in cur.values())
-        if total == 0:
-            break
         echs = {v: Echelon(f) for v in rep.quiver.vertices}
-        for w in rep.quiver.vertices:
-            for vec in cur[w]:
-                gvec = {off[w] + i: x for i, x in vec.items()}
-                for j in rad:
-                    pieces = {}
-                    for r, x in j.matvec(gvec).items():
-                        v = owner[r]
-                        pieces.setdefault(v, {})[r - off[v]] = x
-                    for v, loc in pieces.items():
-                        echs[v].add(loc)
+        for v, w, j in rad:
+            for vec in cur[v]:
+                echs[w].add(j.matvec(vec))
         nxt = {v: ech.basis() for v, ech in echs.items()}
-        new_total = sum(len(bs) for bs in nxt.values())
-        if new_total == 0:
-            if total:
-                layers.append(nxt)
-            break
-        if new_total >= total:
+        if sum(map(len, nxt.values())) >= sum(map(len, cur.values())):
             raise RepError("radical filtration failed to decrease")
         layers.append(nxt)
-    if sum(len(bs) for bs in layers[-1].values()) != 0:
-        layers.append({v: [] for v in rep.quiver.vertices})
     return RadicalFiltration(rep, tuple(layers))
 
 
@@ -756,7 +727,7 @@ def isotypic_decompose(rep: MatrixRep) -> list:
             raise RepError("isotypic decomposition needs zero radical")
         pieces = [(s, "split", None, None) for s in jh_bruteforce(rep)]
     else:
-        if radical_char0(acting_algebra(rep)):
+        if radical_char0(rep):
             raise RepError("isotypic decomposition needs zero radical")
         pieces = _decompose_semisimple(rep)
     blocks = []

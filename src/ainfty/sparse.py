@@ -3,8 +3,10 @@
 Rows and vectors are dicts mapping an orderable key (a column index, or
 any sortable label) to a nonzero scalar: no zero value is stored, and a
 key whose value cancels is removed.  `add_into` (acc[key] += c) is the
-only code in the package that accumulates into such a dict; the one
-other writer is `Echelon`'s elimination loop, which keeps the same rule.
+only code in the package that accumulates into such a dict, and
+`apply_linear` (the image of a vector under a map given by its columns)
+is built on it; the one other writer is `Echelon`'s elimination loop,
+which keeps the same rule.
 The one exception is the relation residual of `ainf._check_arities`:
 its kernels add raw products of scalars (ints and Fractions, exact under
 + and *) term by term, and `reduce_sums` turns the sums into field
@@ -36,6 +38,16 @@ def add_into(field: FieldCtx, acc: dict, key, c) -> None:
         acc.pop(key, None)
     else:
         acc[key] = s
+
+
+def apply_linear(field: FieldCtx, mapping: dict, vec: dict) -> dict:
+    """sum of c * mapping[x] over the terms c * x of vec, as a new dict; a
+    key mapping lacks maps to zero."""
+    out = {}
+    for x, c in vec.items():
+        for y, cy in mapping.get(x, {}).items():
+            add_into(field, out, y, field.mul(c, cy))
+    return out
 
 
 def reduce_sums(field: FieldCtx, acc: dict) -> dict:

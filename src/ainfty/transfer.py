@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 from .ainf import (AInfCategory, AInfMorphism, StructureError,
                    _strict_unit_failures)
-from .field import FieldCtx
-from .sparse import Echelon, SparseMatrix, add_into, rank_kernel_image
+from .sparse import (Echelon, SparseMatrix, add_into, apply_linear,
+                     rank_kernel_image)
 
 
 @dataclass
@@ -55,14 +55,6 @@ class Contraction:
     proj: dict         # big_label -> {min_label: coeff}
     htp: dict          # big_label -> {big_label: coeff}, degree -1
     weights: dict      # min_label -> weight (empty when unweighted)
-
-
-def apply_linear(field: FieldCtx, mapping: dict, vec: dict) -> dict:
-    out = {}
-    for x, c in vec.items():
-        for y, cy in mapping.get(x, {}).items():
-            add_into(field, out, y, field.mul(c, cy))
-    return out
 
 
 def hom_contraction(cat: AInfCategory, pair, unit_label=None) -> Contraction:

@@ -7,14 +7,17 @@ through repmod.moment_map instead, and the tests check that the two agree.
 conjugate changes basis by per-vertex invertible matrices, which the
 equivariance tests need, and invariant reduces each arrow's image of the
 given subspaces against their echelon form, which the subspace
-enumeration and the radical layers are checked against.
+enumeration and the radical layers are checked against.  radical_oracle
+takes the Jacobson radical from one trace form over a basis of the whole
+acting algebra, where the package pairs it block by block.
 """
 
 from dataclasses import dataclass
 
 from ainfty.quiver import DGQuiverAlgebra
 from ainfty.repmod import MatrixRep, RepError
-from ainfty.sparse import Echelon, SparseMatrix, invert
+from ainfty.sparse import (Echelon, SparseMatrix, add_into, invert,
+                           rank_kernel_image)
 
 from quiver_oracle import degree_zero_truncation
 
@@ -84,3 +87,31 @@ def invariant(rep: MatrixRep, spaces: dict) -> bool:
             if echs[a.tgt].reduce(img):
                 return False
     return True
+
+
+def radical_oracle(rep: MatrixRep, basis) -> list:
+    """Reduced echelon basis of the Jacobson radical of the algebra that
+    basis spans ({(row, col): scalar} matrices of the total space), over
+    the rationals: the kernel of the Gram matrix tr(ab) of the trace form
+    of the defining module on the whole basis."""
+    f = rep.field
+
+    def trace(a, b):
+        tot = f.zero()
+        for (r, c), v in a.items():
+            w = b.get((c, r))
+            if w is not None:
+                tot = f.add(tot, f.mul(v, w))
+        return tot
+
+    n = len(basis)
+    gram = SparseMatrix.from_rows([{j: trace(a, b) for j, b in enumerate(basis)}
+                                   for a in basis], n, f)
+    ech = Echelon(f)
+    for kv in rank_kernel_image(gram)[1]:
+        vec = {}
+        for j, c in kv.items():
+            for key, v in basis[j].items():
+                add_into(f, vec, key, f.mul(c, v))
+        ech.add(vec)
+    return ech.basis()

@@ -629,14 +629,19 @@ def test_formality_failure_is_a_verdict(tmp_path, capsys, key, value, reason):
 
 
 def test_formality_on_a_prime_field_document_is_an_input_error(tmp_path, capsys):
+    # strictify, too, solves over the rationals only: it reported a "fail"
+    # (exit 1) with "strictification needs characteristic zero"
     doc = jordan_min_document()
     doc["payload"]["field"] = "fp:7"
     path = tmp_path / "fp7.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["formality", str(path)]) == EXIT["error"] == 2
-    out = capsys.readouterr()
-    assert "Traceback" not in out.out + out.err
-    assert "formality runs over the rationals" in out.out
+    for subcommand in ("formality", "strictify"):
+        assert main([subcommand, str(path)]) == EXIT["error"] == 2
+        out = capsys.readouterr()
+        assert "Traceback" not in out.out + out.err
+        assert json.loads(out.out)["payload"]["witnesses"] == [
+            {"error": "%s runs over the rationals; the document is over fp:7"
+                      % subcommand}]
 
 
 # the flags a subcommand needs besides its input document
@@ -728,6 +733,31 @@ def test_batch_refuses_the_single_run_flags(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+def test_a_report_that_cannot_be_written_is_an_input_error(tmp_path, capsys):
+    # a --report in a missing directory, a --report-dir that is a file and
+    # a report path that is a directory ended in a traceback with exit 1
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    doc = docs / "doc.json"
+    doc.write_text(docio.dumps_document(a2_bar_document()), encoding="utf-8")
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    (tmp_path / "out" / "doc.report.json").mkdir(parents=True)
+    for argv, path in [
+            (["check-ainf", str(doc), "--report", str(tmp_path / "no" / "x.json")],
+             tmp_path / "no" / "x.json"),
+            (["batch", "check-ainf", str(docs), "--report-dir", str(afile)],
+             afile),
+            (["batch", "check-ainf", str(docs), "--report-dir",
+              str(tmp_path / "out")], tmp_path / "out" / "doc.report.json")]:
+        assert main(argv) == EXIT["error"] == 2
+        out = capsys.readouterr()
+        assert "Traceback" not in out.out + out.err
+        assert out.err.startswith("ainfty: cannot write report")
+        assert str(path) in out.err
+    assert not (tmp_path / "no").exists()
 
 
 def test_batch_writes_structured_reports(tmp_path):

@@ -1,7 +1,10 @@
 """Source hygiene of the package, checked with the standard library only."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -348,6 +351,57 @@ def test_closure_scan_sees_nested_self_reference_only():
               "        return self.method\n")
     assert self_referencing_closures(source) == [(2, "walk.step"),
                                                  (11, "method.visit")]
+
+
+def local_imports(source: str, package: str) -> list:
+    """(line, module) of every import inside a function, relative names
+    resolved against package: `from .x import y` names package.x and
+    `from . import y` names package.y."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                found |= {(node.lineno, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((node.lineno, node.module))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                found.add((node.lineno, package + "." + node.module))
+            elif isinstance(node, ast.ImportFrom):
+                found |= {(node.lineno, package + "." + alias.name)
+                          for alias in node.names}
+    return sorted(found)
+
+
+def test_local_imports_name_only_modules_the_cli_does_not_load():
+    # deferring an import pays only for a module that `import ainfty.cli`
+    # leaves unloaded; any other one belongs at the top of its module
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    loaded = set(subprocess.run(
+        [sys.executable, "-c", "import sys, ainfty.cli; print(*sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path)).stdout.split())
+    assert "ainfty.cli" in loaded
+    assert [(p.name, line, module) for p in sorted(SRC.glob("*.py"))
+            for line, module in local_imports(p.read_text(encoding="utf-8"),
+                                              "ainfty")
+            if module in loaded] == []
+
+
+def test_local_import_scan_resolves_relative_names():
+    source = ("import json\n"
+              "def f():\n"
+              "    import random as r, os.path\n"
+              "    from .sparse import Echelon\n"
+              "    from . import repmod, signs\n"
+              "    def g():\n"
+              "        from fractions import Fraction\n"
+              "    return r\n")
+    assert local_imports(source, "pkg") == [
+        (3, "os.path"), (3, "random"), (4, "pkg.sparse"), (5, "pkg.repmod"),
+        (5, "pkg.signs"), (7, "fractions")]
 
 
 INPUT_ERRORS = {"StructureError", "HochschildError", "RepError"}

@@ -23,7 +23,8 @@ from ainfty import repmod as R
 from ainfty.repmod import MatrixRep, RepError
 
 import subspace_oracle
-from repmod_oracle import conjugate, eval_relations, invariant, path_matrix
+from repmod_oracle import (conjugate, eval_relations, invariant, path_matrix,
+                           radical_oracle)
 
 F = Fraction
 F5 = GF(5)
@@ -179,6 +180,20 @@ def flat_mul(rep, a, b):
         SparseMatrix(n, n, rep.field, b)).entries
 
 
+def flatten(rep, blocks):
+    """The local matrices of {(v, w): [d_w x d_v matrices]} as
+    {(row, col): scalar} dicts on the total space, by least key.  The
+    reduced echelon bases of the blocks, so placed, are the reduced
+    echelon basis of the space they span."""
+    off = rep.offsets()
+    return sorted(({(off[w] + r, off[v] + c): x for (r, c), x in m.items()}
+                   for (v, w), part in blocks.items() for m in part), key=min)
+
+
+def items(basis):
+    return [sorted(b.items()) for b in basis]
+
+
 def acting_algebra_oracle(rep):
     """Echelon basis of the span of the vertex idempotents and the arrows,
     closed under products by them on both sides, round after round, until
@@ -216,28 +231,33 @@ def oracle_reps():
 def test_acting_algebra_matches_two_sided_closure():
     zero_dim = 0
     for rep in oracle_reps():
-        got = [sorted(b.items()) for b in R.acting_algebra(rep).basis]
-        assert got == [sorted(b.items()) for b in acting_algebra_oracle(rep)]
+        got = items(flatten(rep, R.acting_algebra(rep)))
+        assert got == items(acting_algebra_oracle(rep))
         zero_dim += 0 in rep.d.values()
     assert zero_dim >= 5
 
 
 def test_acting_algebra_closed_and_bounded():
     for rep in oracle_reps():
-        alg = R.acting_algebra(rep)
-        ech = Echelon(rep.field, alg.basis)
-        for b1 in alg.basis:
-            for b2 in alg.basis:
+        basis = flatten(rep, R.acting_algebra(rep))
+        ech = Echelon(rep.field, basis)
+        for b1 in basis:
+            for b2 in basis:
                 assert not ech.reduce(flat_mul(rep, b1, b2))
-        assert len(alg.basis) <= rep.total_dim() ** 2
+        assert len(basis) <= rep.total_dim() ** 2
+
+
+def dims(blocks):
+    return {vw: len(part) for vw, part in blocks.items()}
 
 
 def test_acting_algebra_fixtures():
-    assert len(R.acting_algebra(R.zero_rep(A2, {"1": 1, "2": 1})).basis) == 2
-    assert len(R.acting_algebra(j2_block()).basis) == 2
+    assert dims(R.acting_algebra(R.zero_rep(A2, {"1": 1, "2": 1}))) == {
+        ("1", "1"): 1, ("1", "2"): 0, ("2", "1"): 0, ("2", "2"): 1}
+    assert dims(R.acting_algebra(j2_block())) == {("1", "1"): 2}
     burn = MatrixRep(TL, {"1": 2},
                      {"a": mat([[0, 1], [0, 0]]), "b": mat([[0, 0], [1, 0]])})
-    assert len(R.acting_algebra(burn).basis) == 4
+    assert dims(R.acting_algebra(burn)) == {("1", "1"): 4}
 
 
 P_CERT = R.CERTIFICATE_PRIME
@@ -279,10 +299,9 @@ def test_acting_algebra_certificate_against_the_oracle(monkeypatch, name, rep,
         return span(quiver, d, mats, f, full)
 
     monkeypatch.setattr(R, "_span_blocks", recording)
-    alg = R.acting_algebra(rep)
-    assert [sorted(b.items()) for b in alg.basis] == \
-        [sorted(b.items()) for b in acting_algebra_oracle(rep)]
-    assert all(type(x) is int for b in alg.basis for x in b.values()
+    basis = flatten(rep, R.acting_algebra(rep))
+    assert items(basis) == items(acting_algebra_oracle(rep))
+    assert all(type(x) is int for b in basis for x in b.values()
                if F(x).denominator == 1)
     if certified is None:
         assert passes == [(0, set())]
@@ -292,30 +311,45 @@ def test_acting_algebra_certificate_against_the_oracle(monkeypatch, name, rep,
 
 def test_radical_fixtures():
     # nilpotent 2x2 block: radical is the block itself
-    assert len(R.radical_char0(R.acting_algebra(j2_block()))) == 1
+    assert dims(R.radical_char0(j2_block())) == {("1", "1"): 1}
     # upper triangular algebra: radical is strictly upper
     ut = MatrixRep(TL, {"1": 2},
                    {"a": mat([[1, 0], [0, 2]]), "b": mat([[0, 1], [0, 0]])})
-    rad = R.radical_char0(R.acting_algebra(ut))
-    assert rad == ({(0, 1): F(1)},)
+    rad = R.radical_char0(ut)
+    assert rad == {("1", "1"): [{(0, 1): F(1)}]}
     # full matrix algebra and a split torus are semisimple
     burn = MatrixRep(TL, {"1": 2},
                      {"a": mat([[0, 1], [0, 0]]), "b": mat([[0, 0], [1, 0]])})
-    assert R.radical_char0(R.acting_algebra(burn)) == ()
+    assert R.radical_char0(burn) == {}
     kk = MatrixRep(JQ, {"1": 2}, {"a": mat([[1, 0], [0, 2]])})
-    assert R.radical_char0(R.acting_algebra(kk)) == ()
+    assert R.radical_char0(kk) == {}
+    # A2 with a nonzero arrow: e_2 A e_1 is all radical, as nothing pairs
+    # with it from e_1 A e_2
+    r11 = MatrixRep(A2, {"1": 1, "2": 1}, {"a": mat([[3]])})
+    assert R.radical_char0(r11) == {("1", "2"): [{(0, 0): 1}]}
+
+
+def test_block_radical_matches_the_whole_space_trace_form():
+    # on the seeded rational representations and the certificate fixtures,
+    # which hold a zero-dimensional vertex and blocks that are all full
+    reps = [rep for rep in oracle_reps() if rep.field.p == 0]
+    reps += [case[1] for case in certificate_cases()]
+    radicals = 0
+    for rep in reps:
+        want = radical_oracle(rep, acting_algebra_oracle(rep))
+        assert items(flatten(rep, R.radical_char0(rep))) == items(want)
+        radicals += bool(want)
+    assert 0 < radicals < len(reps)
 
 
 def test_radical_is_nilpotent_two_sided_ideal():
     for seed in range(10):
         rep = R.random_rep(DA2, 100 + seed, max_total=4)
-        alg = R.acting_algebra(rep)
-        rad = R.radical_char0(alg)
-        span = Echelon(rep.field)
+        basis = flatten(rep, R.acting_algebra(rep))
+        rad = flatten(rep, R.radical_char0(rep))
+        span = Echelon(rep.field, rad)
         for j in rad:
-            span.add(dict(j))
-        for j in rad:
-            for b in alg.basis:
+            for b in basis:
                 assert not span.reduce(flat_mul(rep, j, b))
                 assert not span.reduce(flat_mul(rep, b, j))
             power = dict(j)
@@ -323,7 +357,7 @@ def test_radical_is_nilpotent_two_sided_ideal():
                 power = flat_mul(rep, power, j)
             assert not power
     with pytest.raises(RepError, match="brute-force"):
-        R.radical_char0(R.acting_algebra(j2_block(F5)))
+        R.radical_char0(j2_block(F5))
 
 
 def test_radical_filtration_layers():
@@ -357,7 +391,7 @@ def test_semisimplify_invariants():
             rep = R.random_rep(q, 1000 * qi + seed, max_total=4)
             ss = R.semisimplify(rep)
             assert ss.d == rep.d
-            assert R.radical_char0(R.acting_algebra(ss)) == ()
+            assert R.radical_char0(ss) == {}
             again = R.semisimplify(ss)
             for a in q.arrows:
                 assert dense(again.mats[a.name]) == dense(ss.mats[a.name])
@@ -516,7 +550,7 @@ def test_isotypic_undecided_quaternion():
     # End is a rational quaternion algebra: same dimension data as a split
     # matrix algebra, so the decomposition declines rather than guessing
     quat = quaternion_rep()
-    assert len(R.acting_algebra(quat).basis) == 4
+    assert dims(R.acting_algebra(quat)) == {("1", "1"): 4}
     blocks = R.isotypic_decompose(quat)
     assert [(b.multiplicity, b.endo_dim, b.status)
             for b in blocks] == [(1, 4, "undecided")]
@@ -654,7 +688,7 @@ def test_stability_guards():
 
 def test_deterministic_outputs():
     rep = R.random_rep(DA2, 23, max_total=4)
-    assert R.acting_algebra(rep).basis == R.acting_algebra(rep).basis
+    assert R.acting_algebra(rep) == R.acting_algebra(rep)
     s1 = R.semisimplify(rep)
     s2 = R.semisimplify(rep)
     for a in DA2.arrows:
@@ -671,7 +705,7 @@ def test_semisimplify_properties(seed):
     rep = R.random_rep(q, seed, max_total=4)
     ss = R.semisimplify(rep)
     assert ss.d == rep.d
-    assert R.radical_char0(R.acting_algebra(ss)) == ()
+    assert R.radical_char0(ss) == {}
     total = sum(b.multiplicity * b.simple.total_dim()
                 for b in R.isotypic_decompose(ss))
     assert total == ss.total_dim()

@@ -9,9 +9,9 @@ reads proj and htp off the inverse of the whole change-of-basis matrix.
 """
 
 from ainfty.ainf import StructureError
-from ainfty.sparse import (Echelon, SparseMatrix, add_into, invert,
-                           rank_kernel_image)
-from ainfty.transfer import Contraction, apply_linear
+from ainfty.sparse import (Echelon, SparseMatrix, add_into, apply_linear,
+                           invert, rank_kernel_image)
+from ainfty.transfer import Contraction
 
 
 def hom_contraction_oracle(cat, pair, unit_label=None):
