@@ -35,7 +35,6 @@ from .localmodel import (LocalModelError, euler_compare, ext_quiver_halve,
                          poly_str, verify_sigma)
 from .nccalc import (NCError, OrderCapError, certify_sigma_formality,
                      make_pairing, solve_cyclic_pairing, strictify_units)
-from .ncword import NCContext
 from .presentations import bar_ext_category, truncated_path_category
 from .quiver import DGQuiverAlgebra, Quiver, derived_preprojective
 from .sparse import add_into
@@ -189,7 +188,7 @@ def _pairing_for(args, cat):
         entries = cat.pairing
     else:
         return solve_cyclic_pairing(cat)
-    return make_pairing(NCContext.from_category(cat), entries)
+    return make_pairing(cat, entries)
 
 
 def cmd_strictify(args, cat):

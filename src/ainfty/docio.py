@@ -386,9 +386,12 @@ def category_from_payload(payload, path="payload") -> AInfCategory:
         for lab in ent[:2]:
             _known(info, lab, "label", ppath)
         pairing[(ent[0], ent[1])] = scalar_from_json(f, ent[2], ppath)
+    arity_cap = _need_int(payload, "arity_cap", path)
+    if arity_cap < 1:
+        raise DocumentError("arity cap %d is not positive" % arity_cap,
+                            path + ".arity_cap")
     return AInfCategory(objects=objects, hom=hom, ops=ops, field=f,
-                        arity_cap=_need_int(payload, "arity_cap", path),
-                        units=units, pairing=pairing,
+                        arity_cap=arity_cap, units=units, pairing=pairing,
                         complete=_opt(payload, "complete", path, False, "boolean"),
                         weights=weights, weight_cap=cap)
 

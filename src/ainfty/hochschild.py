@@ -95,7 +95,7 @@ class HochschildChainWindow:
             raise HochschildError("length %d outside window 1..%d"
                                   % (n, self.max_length))
         if n not in self._bases:
-            self._bases[n] = _chains(self.cat, n)
+            self._bases[n] = cyclic_chains(self.cat, n)
         return self._bases[n]
 
     def check_chain(self, chain) -> None:
@@ -135,7 +135,7 @@ class HochschildChainWindow:
         return col
 
 
-def _chains(cat: AInfCategory, n: int, weight=None, budget=None):
+def cyclic_chains(cat: AInfCategory, n: int, weight=None, budget=None):
     """The cyclically composable chains of length n, sorted.  Given a map
     weight from labels to weights >= 0 and a budget, only those whose
     weight, the sum over their factors, is at most budget: a partial chain
@@ -332,7 +332,7 @@ def windowed_homology(window: HochschildChainWindow,
         if n > cap and budget is None:
             budget = max((w for _deg, w in blocks), default=-1)
         for tup in (window.basis(n) if n <= cap
-                    else _chains(cat, n, weight, budget)):
+                    else cyclic_chains(cat, n, weight, budget)):
             blocks.setdefault((sum(map(shifted.__getitem__, tup)) + 1,
                                sum(map(weight.__getitem__, tup))),
                               []).append(tup)

@@ -1,15 +1,17 @@
 """Noncommutative differential calculus on the formal neighbourhood.
 
 One container, NCForm, holds every element: a linear combination of cyclic
-words in the dual generators xi_y, where a letter may carry a d-mark.  A
-function is a form with no marked letter (as in Kontsevich's formal
-symplectic geometry, a function is a 0-form), so d, the contraction iota_X
-and the action of a vector field X on functions are one derivation loop,
-which ncword.apply_letterwise runs on each word; the same loop applies a
-field to open words.  A capped category determines a degree one vector
-field Q with [Q,Q] = 0 iff the arity relations hold; a nondegenerate
-pairing determines a constant symplectic 2-form omega and the potential W
-solving dW = iota_Q omega.  Strictification of units runs an
+words in the dual generators xi_y, where a letter may carry a d-mark.  The
+alphabet is the A-infinity category itself: every form and vector field
+holds the category whose basis labels are its letters and reads degrees and
+endpoints from it (ncword).  A function is a form with no marked letter (as
+in Kontsevich's formal symplectic geometry, a function is a 0-form), so d,
+the contraction iota_X and the action of a vector field X on functions are
+one derivation loop, which ncword.apply_letterwise runs on each word; the
+same loop applies a field to open words.  A capped category determines a
+degree one vector field Q with [Q,Q] = 0 iff the arity relations hold; a
+nondegenerate pairing determines a constant symplectic 2-form omega and the
+potential W solving dW = iota_Q omega.  Strictification of units runs an
 order-by-order loop on W whose steps are flows exp(L_h) of Hamiltonian
 fields h, L_h = d iota_h + iota_h d, and whose linear system reads the
 Poisson bracket {s, W_3} as the Hamiltonian field of W_3 acting on s: every
@@ -39,15 +41,9 @@ from .sparse import (SparseMatrix, add_into, apply_linear, invert,
 from .ainf import AInfCategory, AInfMorphism, check_relations, check_unitality
 from .localmodel import verify_sigma
 from .signs import block_sign, reversal_sign
-from .ncword import (
-    NCContext,
-    NCError,
-    add_cyclic_term,
-    apply_letterwise,
-    enumerate_cyclic_words,
-    rotate_mark_last,
-    word_composable,
-)
+from .ncword import (NCError, add_cyclic_term, apply_letterwise, cfg_degree,
+                     enumerate_cyclic_words, rotate_mark_last, xi_degree,
+                     xi_src, xi_tgt, word_composable)
 
 
 class OrderCapError(NCError):
@@ -74,7 +70,7 @@ class NCForm:
     """Linear combination of cyclic configurations, keyed by canonical
     words; a function is a form with no marked letter."""
 
-    ctx: NCContext
+    ctx: AInfCategory            # the alphabet
     terms: dict                  # cfg -> coeff
     order_cap: int
 
@@ -87,7 +83,7 @@ class NCForm:
         return NCForm(self.ctx, t, self.order_cap)
 
     def nonreduced_part(self) -> "NCForm":
-        units = self.ctx.unit_labels()
+        units = set(self.ctx.units.values())
         t = {cfg: c for cfg, c in self.terms.items()
              if any(lab in units for lab, _ in cfg)}
         return NCForm(self.ctx, t, self.order_cap)
@@ -113,21 +109,21 @@ class NCForm:
 class VectorField:
     """Degree-homogeneous continuous derivation, stored on generators."""
 
-    ctx: NCContext
+    ctx: AInfCategory            # the alphabet
     images: dict = dc_field(default_factory=dict)  # label -> {open cfg -> coeff}
     degree: int = 0
 
     def validate(self):
-        errs = []
+        cat, errs = self.ctx, []
         for lab, vec in self.images.items():
-            xi = self.ctx.degree(lab)
+            xi = xi_degree(cat, lab)
             for cfg in vec:
-                if self.ctx.cfg_degree(cfg) != xi + self.degree:
+                if cfg_degree(cat, cfg) != xi + self.degree:
                     errs.append(("degree", lab, cfg))
-                if not word_composable(self.ctx, tuple(l for l, _ in cfg), closed=False):
+                if not word_composable(cat, tuple(l for l, _ in cfg)):
                     errs.append(("composability", lab, cfg))
-                if (self.ctx.xi_src(cfg[-1][0]) != self.ctx.xi_src(lab)
-                        or self.ctx.xi_tgt(cfg[0][0]) != self.ctx.xi_tgt(lab)):
+                if (xi_src(cat, cfg[-1][0]) != xi_src(cat, lab)
+                        or xi_tgt(cat, cfg[0][0]) != xi_tgt(cat, lab)):
                     errs.append(("endpoints", lab, cfg))
         return errs
 
@@ -135,9 +131,9 @@ class VectorField:
         return self.images.get(lab, {})
 
 
-def euler_field(ctx: NCContext) -> VectorField:
-    one = ctx.field.of_int(1)
-    return VectorField(ctx, {lab: {((lab, 0),): one} for lab in ctx.letters},
+def euler_field(cat: AInfCategory) -> VectorField:
+    one = cat.field.of_int(1)
+    return VectorField(cat, {lab: {((lab, 0),): one} for lab in cat.labels()},
                        degree=0)
 
 
@@ -160,20 +156,22 @@ class CyclicPairing:
     inverse: dict | None = None                      # ylab -> {xlab: coeff}
 
 
-def make_pairing(ctx: NCContext, entries: dict) -> CyclicPairing:
+def make_pairing(cat: AInfCategory, entries: dict) -> CyclicPairing:
     """Build a pairing from entries given in either orientation; the only
     place a pairing is checked and inverted."""
-    f = ctx.field
+    f = cat.field
     full = {}
     for (x, y), c in entries.items():
         if f.is_zero(c):
             continue
-        lx, ly = ctx.letter(x), ctx.letter(y)
-        if lx.primal_degree + ly.primal_degree != 2:
+        for lab in (x, y):
+            if not cat.has_label(lab):
+                raise NCError("unknown letter %r" % (lab,))
+        if cat.deg(x) + cat.deg(y) != 2:
             raise NCError("pairing entry (%s,%s) violates degree two" % (x, y))
-        if lx.src != ly.tgt or lx.tgt != ly.src:
+        if cat.src(x) != cat.tgt(y) or cat.tgt(x) != cat.src(y):
             raise NCError("pairing entry (%s,%s) violates endpoints" % (x, y))
-        sym = block_sign(lx.primal_degree, ly.primal_degree)
+        sym = block_sign(cat.deg(x), cat.deg(y))
         mirror = f.mul(c, f.of_int(sym))
         for key, val in (((x, y), c), ((y, x), mirror)):
             if key in full:
@@ -181,22 +179,23 @@ def make_pairing(ctx: NCContext, entries: dict) -> CyclicPairing:
                     raise NCError("pairing entries conflict with graded symmetry at %s" % (key,))
             else:
                 full[key] = val
-    return CyclicPairing(f, full, invert_pairing_blocks(ctx, full))
+    return CyclicPairing(f, full, invert_pairing_blocks(cat, full))
 
 
-def _pairing_blocks(ctx: NCContext):
+def _pairing_blocks(cat: AInfCategory):
     blocks = {}
-    for lab, l in ctx.letters.items():
-        blocks.setdefault((l.src, l.tgt, l.primal_degree), []).append(lab)
+    for (i, j), basis in cat.hom.items():
+        for lab, deg in basis:
+            blocks.setdefault((i, j, deg), []).append(lab)
     return {k: sorted(v) for k, v in blocks.items()}
 
 
-def invert_pairing_blocks(ctx: NCContext, entries: dict) -> dict:
+def invert_pairing_blocks(cat: AInfCategory, entries: dict) -> dict:
     """The inverse bivector {y: {x: pi(y, x)}} of full pairing entries, one
     Gram block rows (i, j, d) x cols (j, i, 2 - d) at a time; raises
     listing every block that is not square or is singular."""
-    f = ctx.field
-    blocks = _pairing_blocks(ctx)
+    f = cat.field
+    blocks = _pairing_blocks(cat)
     inv = {}
     bad = []
     for (i, j, d), rows in blocks.items():
@@ -225,13 +224,13 @@ def _derive(form: NCForm, image_of, mark: int, parity: int) -> NCForm:
     images), accumulated onto canonical words.  A new word longer than the
     form's order cap is dropped, so the result is exact up to that cap and
     keeps it; d keeps word lengths."""
-    ctx, f, cap = form.ctx, form.field, form.order_cap
+    cat, f, cap = form.ctx, form.field, form.order_cap
     acc = {}
     for cfg, coeff in form.terms.items():
-        for c2, new in apply_letterwise(ctx, cfg, image_of, mark, parity):
+        for c2, new in apply_letterwise(cat, cfg, image_of, mark, parity):
             if len(new) <= cap:
-                add_cyclic_term(ctx, f, acc, new, f.mul(coeff, c2))
-    return NCForm(ctx, acc, cap)
+                add_cyclic_term(cat, f, acc, new, f.mul(coeff, c2))
+    return NCForm(cat, acc, cap)
 
 
 def de_rham(form: NCForm) -> NCForm:
@@ -246,11 +245,11 @@ def contraction(vf: VectorField, form: NCForm) -> NCForm:
     return _derive(form, vf.image_of, 1, vf.degree + 1)
 
 
-def vf_apply_open(vf: VectorField, cfg, field: FieldCtx, ctx: NCContext):
+def vf_apply_open(vf: VectorField, cfg):
     """Derivation action on one open word; returns {cfg: coeff}."""
     acc = {}
-    for c2, new in apply_letterwise(ctx, cfg, vf.image_of, 0, vf.degree):
-        add_into(field, acc, new, c2)
+    for c2, new in apply_letterwise(vf.ctx, cfg, vf.image_of, 0, vf.degree):
+        add_into(vf.ctx.field, acc, new, c2)
     return acc
 
 
@@ -259,7 +258,6 @@ def vf_apply_open(vf: VectorField, cfg, field: FieldCtx, ctx: NCContext):
 
 def category_to_vectorfield(cat: AInfCategory) -> VectorField:
     """The derivation Q with Q(xi_z) the dual of the operations hitting z."""
-    ctx = NCContext.from_category(cat)
     f = cat.field
     images = {}
     for n in cat.known_arities():
@@ -271,23 +269,23 @@ def category_to_vectorfield(cat: AInfCategory) -> VectorField:
                 coeff = f.mul(c, f.of_int(sgn))
                 vec = images.setdefault(z, {})
                 add_into(f, vec, word, coeff)
-    vf = VectorField(ctx, {k: v for k, v in images.items() if v}, degree=1)
+    vf = VectorField(cat, {k: v for k, v in images.items() if v}, degree=1)
     errs = vf.validate()
     if errs:
         raise NCError("dualized field inconsistent: %s" % (errs[:3],))
     return vf
 
 
-def _dual_tables(ctx: NCContext, images) -> dict:
+def _dual_tables(cat: AInfCategory, images) -> dict:
     """{n: table} dual to generator images {z: {word: c}}: the word
     xi_{x_n} ... xi_{x_1} in the image of xi_z is the entry z of the tuple
     (x_1, ..., x_n), with the reversal sign of the shifted degrees."""
-    f = ctx.field
+    f = cat.field
     ops = {}
     for z, vec in images.items():
         for cfg, c in vec.items():
             tup = tuple(lab for lab, _ in reversed(cfg))
-            sgn = reversal_sign([-ctx.degree(lab) for lab in tup])
+            sgn = reversal_sign([cat.sdeg(lab) for lab in tup])
             table = ops.setdefault(len(tup), {})
             add_into(f, table.setdefault(tup, {}), z, f.mul(c, f.of_int(sgn)))
     ops = {n: {t: o for t, o in tab.items() if o} for n, tab in ops.items()}
@@ -297,14 +295,15 @@ def _dual_tables(ctx: NCContext, images) -> dict:
 # ---------------------------------------------------------------------------
 # symplectic structure
 
-def omega_from_pairing(ctx: NCContext, pairing: CyclicPairing, order_cap: int) -> NCForm:
+def omega_from_pairing(cat: AInfCategory, pairing: CyclicPairing,
+                       order_cap: int) -> NCForm:
     """Constant cyclic 2-form of a pairing, one term per unordered pair."""
-    f = ctx.field
+    f = cat.field
     acc = {}
     for (x, y), c in pairing.entries.items():
         if x < y:
-            add_cyclic_term(ctx, f, acc, ((x, 1), (y, 1)), c)
-    return NCForm(ctx, acc, order_cap)
+            add_cyclic_term(cat, f, acc, ((x, 1), (y, 1)), c)
+    return NCForm(cat, acc, order_cap)
 
 
 def _word_system(f: FieldCtx, columns, rhs=None):
@@ -333,18 +332,18 @@ def contraction_solve(omega: NCForm, pairing: CyclicPairing,
     pairing).  The forward check iota_X omega = rhs refuses a term no image
     reaches, one with no letter before its mark or one omega's cap clips;
     the last case names the cap."""
-    ctx, f = omega.ctx, omega.field
+    cat, f = omega.ctx, omega.field
     if rhs.is_zero():
-        return VectorField(ctx, {}, degree=0)
-    effs = {ctx.cfg_degree(cfg) for cfg in rhs.terms}
-    omega_effs = {ctx.cfg_degree(cfg) for cfg in omega.terms}
+        return VectorField(cat, {}, degree=0)
+    effs = {cfg_degree(cat, cfg) for cfg in rhs.terms}
+    omega_effs = {cfg_degree(cat, cfg) for cfg in omega.terms}
     if len(effs) != 1 or len(omega_effs) != 1:
         raise NCError("contraction solve needs homogeneous data")
     deg_x = effs.pop() - omega_effs.pop() + 1
 
     images = {}
     for stored, r in rhs.terms.items():
-        cfg, sign = rotate_mark_last(ctx, stored)
+        cfg, sign = rotate_mark_last(cat, stored)
         u = cfg[:-1]
         if not u:
             continue
@@ -354,7 +353,7 @@ def contraction_solve(omega: NCForm, pairing: CyclicPairing,
     images = {y: vec for y, vec in images.items() if vec}
     if not images:
         raise NCError("contraction equation has no candidate images")
-    vf = VectorField(ctx, images, degree=deg_x)
+    vf = VectorField(cat, images, degree=deg_x)
     if contraction(vf, omega).terms != rhs.terms:
         longest = max(len(cfg) for cfg in rhs.terms)
         if longest > omega.order_cap:
@@ -376,21 +375,20 @@ def potential_from_category(cat: AInfCategory, pairing: CyclicPairing) -> NCForm
     than the arity cap, so that b_n of every arity up to the cap reaches W;
     error with witnesses when not cyclic."""
     q = category_to_vectorfield(cat)
-    ctx = q.ctx
-    f = ctx.field
+    f = cat.field
     cap = cat.arity_cap + 1
-    omega = omega_from_pairing(ctx, pairing, order_cap=cap)
+    omega = omega_from_pairing(cat, pairing, order_cap=cap)
     alpha = contraction(q, omega)
     closed = de_rham(alpha)
     if not closed.is_zero():
         witnesses = sorted(closed.terms.items())[:10]
         raise NotCyclicError(witnesses)
     # Euler homotopy: the order-n part of W is iota_E(alpha_n)/n
-    e = euler_field(ctx)
+    e = euler_field(cat)
     closed_up = contraction(e, alpha)
     terms = {cfg: f.div(c, f.of_int(len(cfg)))
              for cfg, c in closed_up.terms.items()}
-    w = NCForm(ctx, terms, order_cap=cap)
+    w = NCForm(cat, terms, order_cap=cap)
     check = de_rham(w).add(alpha.scale(f.of_int(-1)))
     if not check.is_zero():
         raise NCError("internal: dW does not reproduce iota_Q omega")
@@ -398,19 +396,20 @@ def potential_from_category(cat: AInfCategory, pairing: CyclicPairing) -> NCForm
 
 
 def category_from_potential(w: NCForm, pairing: CyclicPairing,
-                            skeleton: AInfCategory, order_cap: int) -> AInfCategory:
-    """Rebuild operation tables from W via its Hamiltonian field.  order_cap
-    caps omega and sets the arity cap order_cap - 1; it may be below W's own
-    cap (strictify_units passes the caller's cap).  At arity cap 1 the
-    category has no b_2, so the potential has no cubic words, and the
-    reason names the cap."""
-    omega = omega_from_pairing(w.ctx, pairing, order_cap=order_cap)
+                            order_cap: int) -> AInfCategory:
+    """Rebuild operation tables on the objects and hom spaces of W's
+    category via its Hamiltonian field.  order_cap caps omega and sets the
+    arity cap order_cap - 1; it may be below W's own cap (strictify_units
+    passes the caller's cap).  At arity cap 1 the category has no b_2, so
+    the potential has no cubic words, and the reason names the cap."""
+    skeleton = w.ctx
+    omega = omega_from_pairing(skeleton, pairing, order_cap=order_cap)
     q = hamiltonian_field(w, omega, pairing)
     if q.degree != 1:
         if skeleton.arity_cap < 2:
             raise OrderCapError("potential", 3, skeleton.arity_cap)
         raise NCError("potential has wrong degree")
-    ops = _dual_tables(q.ctx, q.images)
+    ops = _dual_tables(skeleton, q.images)
     return AInfCategory(
         objects=skeleton.objects,
         hom=skeleton.hom,
@@ -430,7 +429,7 @@ def check_cyclicity(cat: AInfCategory, pairing: CyclicPairing) -> list:
     d(iota_Q omega), in word order; the category is cyclic exactly when
     there are none."""
     q = category_to_vectorfield(cat)
-    omega = omega_from_pairing(q.ctx, pairing, order_cap=cat.arity_cap + 1)
+    omega = omega_from_pairing(cat, pairing, order_cap=cat.arity_cap + 1)
     closed = de_rham(contraction(q, omega))
     return [(len(cfg) - 1, cfg, "", c) for cfg, c in sorted(closed.terms.items())]
 
@@ -463,14 +462,14 @@ def _exp_open(h: VectorField, vec: dict, cap: int) -> dict:
     """exp(h) on a combination of open words {cfg: coeff}: sum_k h^k(vec) / k!,
     dropping words longer than cap; the sum stops at the first h^k(vec)
     with no word left."""
-    ctx, f = h.ctx, h.ctx.field
+    f = h.ctx.field
     acc, term, k = dict(vec), vec, 0
     while term:
         k += 1
         inv_k = f.of_fraction(Fraction(1, k))
         nxt = {}
         for cfg, c in term.items():
-            for new, c2 in vf_apply_open(h, cfg, f, ctx).items():
+            for new, c2 in vf_apply_open(h, cfg).items():
                 if len(new) <= cap:
                     add_into(f, nxt, new, f.mul(f.mul(c, c2), inv_k))
         term = nxt
@@ -516,12 +515,11 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
 
     w = potential_from_category(cat, pairing)
     cap = order_cap if order_cap is not None else w.order_cap
-    ctx = w.ctx
-    f = ctx.field
+    f = cat.field
     one = f.of_int(1)
-    omega = omega_from_pairing(ctx, pairing, order_cap=cap)
+    omega = omega_from_pairing(cat, pairing, order_cap=cap)
     pulled = omega
-    images = {lab: {((lab, 0),): one} for lab in ctx.letters}
+    images = {lab: {((lab, 0),): one} for lab in cat.labels()}
     h3 = None
     processed = []
 
@@ -529,12 +527,12 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         bad = w.order_part(n + 1).nonreduced_part()
         if bad.is_zero():
             continue
-        candidates = enumerate_cyclic_words(ctx, n, degree=0)
+        candidates = enumerate_cyclic_words(cat, n, degree=0)
         if not candidates:
             raise NCError("strictification obstructed at order %d" % (n + 1))
         if h3 is None:
             h3 = hamiltonian_field(w.order_part(3), omega, pairing)
-        columns = [_derive(NCForm(ctx, {cfg: one}, cap), h3.image_of, 0,
+        columns = [_derive(NCForm(cat, {cfg: one}, cap), h3.image_of, 0,
                            h3.degree).nonreduced_part().terms
                    for cfg in candidates]
         sol = sparse_solve(*_word_system(
@@ -542,7 +540,7 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         if sol is None:
             raise NCError("strictification obstructed at order %d "
                           "(input not cyclic/minimal as claimed)" % (n + 1))
-        s_n = NCForm(ctx, {candidates[i]: c for i, c in sol.items()}, cap)
+        s_n = NCForm(cat, {candidates[i]: c for i, c in sol.items()}, cap)
         if s_n.is_zero():
             continue
         h = hamiltonian_field(s_n, omega, pairing)
@@ -555,11 +553,11 @@ def strictify_units(cat: AInfCategory, pairing: CyclicPairing, order_cap=None):
         if not w.order_part(n).nonreduced_part().is_zero():
             raise NCError("internal: order %d still nonreduced" % n)
 
-    cat2 = category_from_potential(w, pairing, cat, cap)
+    cat2 = category_from_potential(w, pairing, cap)
     # the coordinate change w_new = exp(h_k) ... exp(h_1) w_old dualizes to
     # a functor out of the strictified category into the input one
     iso = AInfMorphism(source=cat2, target=cat,
-                       components=_dual_tables(ctx, images),
+                       components=_dual_tables(cat, images),
                        arity_cap=cat2.arity_cap, complete=False)
     report = StrictifyReport(
         processed_orders=processed,
@@ -634,9 +632,8 @@ def solve_cyclic_pairing(cat: AInfCategory) -> CyclicPairing:
     the pairing entries; search the solution space for a nondegenerate
     point, deterministically.
     """
-    ctx = NCContext.from_category(cat)
     f = cat.field
-    blocks = _pairing_blocks(ctx)
+    blocks = _pairing_blocks(cat)
     unknowns = []
     for (i, j, d), rows in sorted(blocks.items()):
         for x in rows:
@@ -654,8 +651,8 @@ def solve_cyclic_pairing(cat: AInfCategory) -> CyclicPairing:
     for (x, y) in unknowns:
         # omega of the pairing with <x, y> = 1, its graded mirror and nothing else
         probe = {}
-        add_cyclic_term(ctx, f, probe, ((x, 1), (y, 1)), f.of_int(1))
-        omega = NCForm(ctx, probe, cat.arity_cap + 1)
+        add_cyclic_term(cat, f, probe, ((x, 1), (y, 1)), f.of_int(1))
+        omega = NCForm(cat, probe, cat.arity_cap + 1)
         columns.append(de_rham(contraction(q, omega)).terms)
     _, kernel, _, _ = rank_kernel_image(_word_system(f, columns)[0])
     if not kernel:
@@ -669,7 +666,7 @@ def solve_cyclic_pairing(cat: AInfCategory) -> CyclicPairing:
                                          if mask >> bit & 1})
         entries = {unknowns[cidx]: c for cidx, c in combo.items()}
         try:
-            return make_pairing(ctx, entries)
+            return make_pairing(cat, entries)
         except NCError:
             continue
     raise NCError("no nondegenerate cyclic pairing found")

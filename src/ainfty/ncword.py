@@ -1,10 +1,12 @@
 """Cyclic words in dual generators, with sign-tracked canonicalization.
 
-Functions and differential forms on the formal neighbourhood live in the
-tensor category generated by letters xi_y (one per basis morphism y, degree
-1 - |y|) and their marked variants d(xi_y) (degree 2 - |y|).  A term is a
-configuration: a tuple of (label, mark) pairs, mark 1 meaning the letter
-carries a d.  Cyclic classes are stored via a canonical representative, the
+The alphabet is an A-infinity category: each basis label y of its hom
+spaces, a morphism from src(y) to tgt(y), names a letter xi_y of degree
+1 - deg(y), running from tgt(y) to src(y), and its marked variant d(xi_y)
+of degree 2 - deg(y).  Functions and differential forms on the formal
+neighbourhood are words in these letters.  A term is a configuration: a
+tuple of (label, mark) pairs, mark 1 meaning the letter carries a d.
+Cyclic classes are stored via a canonical representative, the
 lexicographically minimal rotation, with the Koszul sign of the rotation
 multiplied into the coefficient.  Configurations fixed by a rotation of
 sign -1 are zero and are never stored.
@@ -12,9 +14,9 @@ sign -1 are zero and are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-from .field import FieldCtx, QQ
+from .ainf import AInfCategory
+from .field import FieldCtx
+from .hochschild import cyclic_chains
 from .signs import block_sign, prefix_parities, rotations
 from .sparse import add_into
 
@@ -23,77 +25,37 @@ class NCError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Letter:
-    src: str          # source object of the underlying morphism y
-    tgt: str
-    primal_degree: int
-    is_unit: bool = False
-
-    @property
-    def degree(self) -> int:
-        # xi_y is dual to the shift of y
-        return 1 - self.primal_degree
+def xi_degree(cat: AInfCategory, lab: str) -> int:
+    # xi_y is dual to the shift of y
+    return 1 - cat.deg(lab)
 
 
-@dataclass
-class NCContext:
-    """Letter alphabet extracted from a category's hom bases."""
-
-    field: FieldCtx = QQ
-    letters: dict = dc_field(default_factory=dict)   # label -> Letter
-
-    @classmethod
-    def from_category(cls, cat) -> "NCContext":
-        unit_labels = set(cat.units.values())
-        letters = {}
-        for (i, j), basis in sorted(cat.hom.items()):
-            for lab, deg in basis:
-                if lab in letters:
-                    raise NCError("duplicate letter label %r" % (lab,))
-                letters[lab] = Letter(i, j, deg, lab in unit_labels)
-        return cls(field=cat.field, letters=letters)
-
-    def letter(self, lab: str) -> Letter:
-        try:
-            return self.letters[lab]
-        except KeyError:
-            raise NCError("unknown letter %r" % (lab,))
-
-    def degree(self, lab: str) -> int:
-        return self.letter(lab).degree
-
-    def eff_degree(self, slot) -> int:
-        lab, mark = slot
-        return self.letter(lab).degree + mark
-
-    def cfg_degree(self, cfg) -> int:
-        return sum(self.eff_degree(s) for s in cfg)
-
-    def unit_labels(self):
-        return {lab for lab, l in self.letters.items() if l.is_unit}
-
-    # xi_y runs against the morphism direction
-    def xi_src(self, lab: str) -> str:
-        return self.letter(lab).tgt
-
-    def xi_tgt(self, lab: str) -> str:
-        return self.letter(lab).src
+def slot_degree(cat: AInfCategory, slot) -> int:
+    """Degree of a slot (label, mark): a mark adds one."""
+    lab, mark = slot
+    return 1 - cat.deg(lab) + mark
 
 
-def word_composable(ctx: NCContext, labels, closed: bool) -> bool:
+def cfg_degree(cat: AInfCategory, cfg) -> int:
+    return sum(slot_degree(cat, s) for s in cfg)
+
+
+# xi_y runs against the morphism direction
+def xi_src(cat: AInfCategory, lab: str) -> str:
+    return cat.tgt(lab)
+
+
+def xi_tgt(cat: AInfCategory, lab: str) -> str:
+    return cat.src(lab)
+
+
+def word_composable(cat: AInfCategory, labels) -> bool:
     """Operator-order composability: src of each letter = tgt of the next."""
-    if not labels:
-        return True
-    for k in range(len(labels) - 1):
-        if ctx.xi_src(labels[k]) != ctx.xi_tgt(labels[k + 1]):
-            return False
-    if closed:
-        return ctx.xi_src(labels[-1]) == ctx.xi_tgt(labels[0])
-    return True
+    return all(xi_src(cat, a) == xi_tgt(cat, b)
+               for a, b in zip(labels, labels[1:]))
 
 
-def canonical_cyclic(ctx: NCContext, cfg):
+def canonical_cyclic(cat: AInfCategory, cfg):
     """Canonical representative of a cyclic configuration.
 
     Returns (canonical_cfg, sign) with cfg == sign * canonical_cfg in the
@@ -104,7 +66,7 @@ def canonical_cyclic(ctx: NCContext, cfg):
     if not cfg:
         raise NCError("empty configuration")
     seen = {}
-    for cur, sign in rotations(cfg, [ctx.eff_degree(s) for s in cfg]):
+    for cur, sign in rotations(cfg, [slot_degree(cat, s) for s in cfg]):
         if seen.setdefault(cur, sign) != sign:
             return None
     best = min(seen)
@@ -113,18 +75,20 @@ def canonical_cyclic(ctx: NCContext, cfg):
     return best, seen[best]
 
 
-def add_cyclic_term(ctx: NCContext, field: FieldCtx, acc: dict, cfg, coeff) -> None:
+def add_cyclic_term(cat: AInfCategory, field: FieldCtx, acc: dict, cfg,
+                    coeff) -> None:
     """Accumulate coeff * [cfg] into acc keyed by canonical representatives."""
     if field.is_zero(coeff):
         return
-    canon = canonical_cyclic(ctx, cfg)
+    canon = canonical_cyclic(cat, cfg)
     if canon is None:
         return
     key, sign = canon
     add_into(field, acc, key, field.mul(coeff, field.of_int(sign)))
 
 
-def apply_letterwise(ctx: NCContext, cfg, image_of, mark: int, parity: int):
+def apply_letterwise(cat: AInfCategory, cfg, image_of, mark: int,
+                     parity: int):
     """The one splice loop of a graded derivation on one configuration.
 
     Each letter carrying `mark` goes to image_of(label), a dict
@@ -134,7 +98,7 @@ def apply_letterwise(ctx: NCContext, cfg, image_of, mark: int, parity: int):
     caller canonicalizes.
     """
     out = []
-    pre = prefix_parities([ctx.eff_degree(slot) for slot in cfg])
+    pre = prefix_parities([slot_degree(cat, slot) for slot in cfg])
     for k, (lab, m) in enumerate(cfg):
         if m != mark:
             continue
@@ -144,7 +108,7 @@ def apply_letterwise(ctx: NCContext, cfg, image_of, mark: int, parity: int):
     return out
 
 
-def rotate_mark_last(ctx: NCContext, cfg):
+def rotate_mark_last(cat: AInfCategory, cfg):
     """Rotate a 1-mark configuration so the marked slot is last.
 
     Returns (labels_prefix_cfg, sign) where the marked slot sits at the
@@ -159,30 +123,22 @@ def rotate_mark_last(ctx: NCContext, cfg):
         return cfg, 1
     # rotate left by j+1: the block cfg[:j+1] moves behind cfg[j+1:]
     head, tail = cfg[: j + 1], cfg[j + 1:]
-    return tail + head, block_sign(ctx.cfg_degree(head), ctx.cfg_degree(tail))
+    return tail + head, block_sign(cfg_degree(cat, head), cfg_degree(cat, tail))
 
 
-def enumerate_cyclic_words(ctx: NCContext, order: int, degree=None):
+def enumerate_cyclic_words(cat: AInfCategory, order: int, degree=None):
     """Canonical cyclic configurations (no marks) of a given length.
 
+    A word is a cyclically composable Hochschild chain read backwards.
     Optional filter: total letter degree.  Output sorted; used for linear
     solves over word spaces.
     """
-    labels = sorted(ctx.letters)
     found = set()
-    stack = [()]
-    while stack:
-        word = stack.pop()
-        if len(word) < order:
-            stack.extend(word + (lab,) for lab in labels
-                         if not word or ctx.xi_src(word[-1]) == ctx.xi_tgt(lab))
+    for chain in cyclic_chains(cat, order):
+        cfg = tuple((lab, 0) for lab in reversed(chain))
+        if degree is not None and cfg_degree(cat, cfg) != degree:
             continue
-        if ctx.xi_src(word[-1]) != ctx.xi_tgt(word[0]):
-            continue
-        cfg = tuple((lab, 0) for lab in word)
-        if degree is not None and ctx.cfg_degree(cfg) != degree:
-            continue
-        canon = canonical_cyclic(ctx, cfg)
+        canon = canonical_cyclic(cat, cfg)
         if canon is not None:
             found.add(canon[0])
     return sorted(found)

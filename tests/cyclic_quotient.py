@@ -8,7 +8,7 @@ dimensions on small windows.
 from dataclasses import dataclass
 
 from ainfty.hochschild import HochschildChainWindow, hochschild_b
-from ainfty.ncword import NCContext, canonical_cyclic
+from ainfty.ncword import canonical_cyclic
 from ainfty.sparse import add_into
 
 
@@ -30,15 +30,10 @@ class CyclicQuotient:
     represent zero and are dropped.
     """
     window: HochschildChainWindow
-    ctx: NCContext = None
-
-    def __post_init__(self):
-        if self.ctx is None:
-            self.ctx = NCContext.from_category(self.window.cat)
 
     def push_tuple(self, tup):
         """Canonical (tuple, sign) for one chain, or None when the class is 0."""
-        got = canonical_cyclic(self.ctx, _dual_config(tup))
+        got = canonical_cyclic(self.window.cat, _dual_config(tup))
         if got is None:
             return None
         cfg, sign = got

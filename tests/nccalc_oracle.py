@@ -17,7 +17,8 @@ enumerate_forms lists the canonical configurations the identities run over.
 
 from ainfty.nccalc import (NCForm, VectorField, _derive, contraction, de_rham,
                            hamiltonian_field, vf_apply_open)
-from ainfty.ncword import NCContext, add_cyclic_term, canonical_cyclic
+from ainfty.ncword import (add_cyclic_term, canonical_cyclic, cfg_degree,
+                           slot_degree, xi_src, xi_tgt)
 from ainfty.signs import parity_sign, rotations
 from ainfty.sparse import add_into
 
@@ -51,7 +52,7 @@ def necklace_bracket(f: NCForm, g: NCForm, pairing):
     ctx = f.ctx
     k = ctx.field
     cap = min(f.order_cap, g.order_cap)
-    rots = {w: list(rotations(w, [ctx.eff_degree(s) for s in w]))
+    rots = {w: list(rotations(w, [slot_degree(ctx, s) for s in w]))
             for w in list(f.terms) + list(g.terms)}
     acc = {}
     const = {}
@@ -71,11 +72,11 @@ def necklace_bracket(f: NCForm, g: NCForm, pairing):
                     # contracting the adjacent pair xi_x xi_y moves past the
                     # strand U; pinned against the iota/omega route (letters
                     # coupled by the pairing have equal degree parity)
-                    s3 = parity_sign(ctx.cfg_degree(u))
+                    s3 = parity_sign(cfg_degree(ctx, u))
                     coeff = k.mul(base, k.mul(piv, k.of_int(s1 * s2 * s3)))
                     word = u + z
                     if not word:
-                        add_into(k, const, ctx.xi_src(x), coeff)
+                        add_into(k, const, xi_src(ctx, x), coeff)
                         continue
                     if len(word) > cap:
                         continue
@@ -103,12 +104,12 @@ def substitute(fn: NCForm, images: dict) -> NCForm:
 
 def vf_compose_on_letters(outer: VectorField, inner: VectorField) -> dict:
     """Images of the composite derivation outer . inner on generators."""
-    ctx, f = outer.ctx, outer.ctx.field
+    f = outer.ctx.field
     out = {}
     for lab, vec in inner.images.items():
         acc = {}
         for cfg, c in vec.items():
-            for new, c2 in vf_apply_open(outer, cfg, f, ctx).items():
+            for new, c2 in vf_apply_open(outer, cfg).items():
                 add_into(f, acc, new, f.mul(c, c2))
         if acc:
             out[lab] = acc
@@ -120,23 +121,23 @@ def vf_square_obstruction(q: VectorField) -> dict:
     return vf_compose_on_letters(q, q)
 
 
-def enumerate_forms(ctx: NCContext, order: int, form_degree: int):
+def enumerate_forms(cat, order: int, form_degree: int):
     """Canonical configurations with the given letter count and mark count."""
-    labels = sorted(ctx.letters)
+    labels = sorted(cat.labels())
     found = set()
 
     def extend(cfg, marks_left):
         if len(cfg) == order:
             if marks_left:
                 return
-            if ctx.xi_src(cfg[-1][0]) != ctx.xi_tgt(cfg[0][0]):
+            if xi_src(cat, cfg[-1][0]) != xi_tgt(cat, cfg[0][0]):
                 return
-            canon = canonical_cyclic(ctx, cfg)
+            canon = canonical_cyclic(cat, cfg)
             if canon is not None:
                 found.add(canon[0])
             return
         for lab in labels:
-            if cfg and ctx.xi_src(cfg[-1][0]) != ctx.xi_tgt(lab):
+            if cfg and xi_src(cat, cfg[-1][0]) != xi_tgt(cat, lab):
                 continue
             for mark in (0, 1):
                 if mark and not marks_left:

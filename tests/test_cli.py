@@ -380,6 +380,24 @@ def test_boolean_integer_field_is_an_input_error(tmp_path, capsys, subcommand,
     assert message in out.out
 
 
+@pytest.mark.parametrize("subcommand", ["formality", "strictify"])
+@pytest.mark.parametrize("arity_cap", [0, -3])
+def test_an_arity_cap_below_one_is_an_input_error(tmp_path, capsys, subcommand,
+                                                  arity_cap):
+    # a document's cap of -3 reached the potential, which exited 3 with
+    # "potential needs words of length 3, above the order cap -3"; the
+    # same cap given as --order-cap is a usage error
+    doc = a2_bar_document()
+    doc["payload"]["arity_cap"] = arity_cap
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([subcommand, str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert ("payload.arity_cap: arity cap %d is not positive" % arity_cap
+            in out.out)
+
+
 @pytest.mark.parametrize("document, key", [(a2_bar_document, "complete")])
 @pytest.mark.parametrize("value", ["false", "true", 0])
 def test_non_boolean_flag_is_an_input_error(tmp_path, capsys, document, key,

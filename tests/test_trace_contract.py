@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+from ainfty import cli
 from ainfty.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,22 +39,46 @@ def test_every_traced_name_resolves_to_a_callable():
         assert callable(value), "ainfty.%s.%s" % (mod, attr)
 
 
-def test_a_traced_hochschild_pass_makes_fewer_b_calls(tmp_path, capsys):
-    # 3,184 calls of hochschild_b per pass (seed 11) while the CLI applied
-    # b twice on every sample chain; b and B of each sample chain are now
-    # taken once, and b is not applied to a zero chain
+def traced_pass(tmp_path, jobs, codes):
+    """The tracer of one traced pass of the CLI jobs, each of which exits
+    with one of codes."""
     gen, tracer = load("gen"), load("tracer")
-    jobs = [job for job in gen.select("hochschild", 11)
-            if job.argv[0] == "hochschild"]
     gen.write_documents(jobs, tmp_path)
     trace = tracer.Tracer(time.process_time)
     trace.install()
     try:
         for job in jobs:
             with trace.job(job.key):
-                assert main(job.cli_args(tmp_path)) in (0, 3)
+                assert main(job.cli_args(tmp_path)) in codes
     finally:
         trace.remove()
+    return trace
+
+
+def test_a_traced_hochschild_pass_makes_fewer_b_calls(tmp_path, capsys):
+    # 3,184 calls of hochschild_b per pass (seed 11) while the CLI applied
+    # b twice on every sample chain; b and B of each sample chain are now
+    # taken once, and b is not applied to a zero chain
+    jobs = [job for job in load("gen").select("hochschild", 11)
+            if job.argv[0] == "hochschild"]
+    trace = traced_pass(tmp_path, jobs, (0, 3))
     capsys.readouterr()
     assert 0 < trace.counts["hochschild.b_calls"] < 3184
     assert trace.counts["hochschild.identity_checks.calls"] > 0
+
+
+# the layers no job of the benchmark reaches: their metrics read zero
+NEVER_ENTERED = {"sparse.solve", "hochschild.hh0_dimension",
+                 "localmodel.check_hn_type"}
+
+
+def test_a_traced_moduli_pass_enters_every_other_span(tmp_path, capsys):
+    # a layer that stops being called by its traced name (say, a pairing
+    # solve reached through a renamed helper) leaves its metric at zero
+    cli._parser.cache_clear()
+    # every verdict (pass, fail, truncated), never an input error
+    trace = traced_pass(tmp_path, load("gen").select("moduli", 11), (0, 1, 3))
+    capsys.readouterr()
+    names = {name for _, _, name, _ in load("tracer").SPANS}
+    entered = {span[0] for span in trace.spans}
+    assert names - entered == NEVER_ENTERED
