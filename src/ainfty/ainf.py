@@ -228,7 +228,7 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
     """
     cap = max_arity if max_arity is not None else cat.arity_cap
     try:
-        strict = _strict_unit_failures(cat) == []
+        strict = not _strict_unit_failures(cat)
     except StructureError:  # b_1 or b_2 unknown: strictness undecided
         strict = False
     units = frozenset(cat.units.values()) if strict else frozenset()
@@ -244,74 +244,53 @@ def check_relations(cat: AInfCategory, max_arity: int | None = None,
     return rep
 
 
-@dataclass
-class UnitReport:
-    verdict: str  # "strict" | "weak" | "none"
-    witnesses: tuple
-
-
-def _strict_unit_failures(cat: AInfCategory):
-    """The strict unit laws that the designated units break, as
-    check_unitality lists them; [] when the units are strict.  None when
-    an object has no designated unit, and a StructureError when b_1 or b_2
-    is unknown."""
+def _strict_unit_failures(cat: AInfCategory) -> bool:
+    """Whether the designated units break a strict unit law of
+    check_unitality, or some object has no designated unit; False when the
+    units are strict.  Stops at the first broken law.  A StructureError
+    when b_1 or b_2 is unknown."""
     if not cat.units or any(i not in cat.units for i in cat.objects):
-        return None
+        return True
     b1, b2 = cat.op_table(1), cat.op_table(2)
     if b1 is None or b2 is None:
         raise StructureError("b_%d is unknown at arity cap %d"
                              % (1 if b1 is None else 2, cat.arity_cap))
     f = cat.field
     unit_labels = set(cat.units.values())
-    fails = []
-    for e in cat.units.values():
-        if b1.get((e,)):
-            fails.append(("b1 of unit nonzero", e))
+    if any(b1.get((e,)) for e in cat.units.values()):
+        return True
     for (i, j), basis in cat.hom.items():
         ej, ei = cat.units[j], cat.units[i]
         for lab, deg in basis:
-            if b2.get((lab, ei), {}) != {lab: f.of_int(parity_sign(deg))}:
-                fails.append(("right unit law", lab, ei))
-            if b2.get((ej, lab), {}) != {lab: f.one()}:
-                fails.append(("left unit law", lab, ej))
-    for n, table in cat.ops.items():
-        if n < 3:
-            continue
-        for tup, out in table.items():
-            if out and any(x in unit_labels for x in tup):
-                fails.append(("higher operation on unit tuple", n, tup))
-    return fails
+            if (b2.get((lab, ei), {}) != {lab: f.of_int(parity_sign(deg))}
+                    or b2.get((ej, lab), {}) != {lab: f.one()}):
+                return True
+    return any(out and any(x in unit_labels for x in tup)
+               for n, table in cat.ops.items() if n >= 3
+               for tup, out in table.items())
 
 
-def check_unitality(cat: AInfCategory) -> UnitReport:
-    """Classify designated units as strict, weak, or neither.
+def check_unitality(cat: AInfCategory) -> str:
+    """Classify designated units as "strict", "weak" or "none".
 
     Strict: b_1(1) = 0, b_2(x, 1) = (-1)^deg(x) x, b_2(1, x) = x, and every
     stored b_n (n >= 3) kills tuples containing a unit.  Weak: the unit is a
-    cycle acting as the identity up to im(b_1) on cycles.
+    cycle acting as the identity up to im(b_1) on cycles.  "none" also when
+    some object has no designated unit.
     """
-    if not cat.units:
-        return UnitReport("none", (("no designated units",),))
-    missing = [i for i in cat.objects if i not in cat.units]
-    if missing:
-        return UnitReport("none", tuple(("object without unit", i) for i in missing))
-    strict_fail = _strict_unit_failures(cat)
-    if not strict_fail:
-        return UnitReport("strict", ())
-
-    weak_fail = _weak_unit_check(cat)
-    if not weak_fail:
-        return UnitReport("weak", tuple(strict_fail))
-    return UnitReport("none", tuple(strict_fail) + tuple(weak_fail))
+    if not cat.units or any(i not in cat.units for i in cat.objects):
+        return "none"
+    if not _strict_unit_failures(cat):
+        return "strict"
+    return "weak" if _weak_unit_check(cat) else "none"
 
 
-def _weak_unit_check(cat: AInfCategory):
+def _weak_unit_check(cat: AInfCategory) -> bool:
+    """Whether every designated unit is a weak unit; stops at the first
+    unit or cohomology class that fails."""
     f = cat.field
-    fails = []
-    for i, e in cat.units.items():
-        if cat.b_value((e,)):
-            fails.append(("unit not closed", e))
-            return fails
+    if any(cat.b_value((e,)) for e in cat.units.values()):
+        return False
     for (i, j), basis in cat.hom.items():
         labs = [lab for lab, _ in basis]
         pos = {lab: k for k, lab in enumerate(labs)}
@@ -338,8 +317,8 @@ def _weak_unit_check(cat: AInfCategory):
                     unit_part = f.mul(c, f.of_int(sgn))
                     add_into(f, acc, lab_idx, f.neg(unit_part))
                 if boundaries.reduce(acc):
-                    fails.append(("unit fails on cohomology", (i, j), side))
-    return fails
+                    return False
+    return True
 
 
 @dataclass

@@ -148,7 +148,7 @@ def cmd_check_ainf(args, cat):
         # check_relations has decided the strict unit laws: only units
         # that break them need check_unitality's other verdicts
         payload["units"] = ("strict" if rel.units_strict
-                            else check_unitality(cat).verdict)
+                            else check_unitality(cat))
     truncation = {"arities": list(rel.truncated)}
     return (_relation_verdict(rel.ok, truncation["arities"]), witnesses,
             truncation, payload)
@@ -200,16 +200,16 @@ def cmd_strictify(args, cat):
     except NCError as e:
         return _nc_verdict(e)
     fun = check_functor(iso, max_arity=args.order_cap)
-    unit_rep = check_unitality(strict)
+    units = check_unitality(strict)
     payload = {"category": docio.to_document("ainf_category", strict),
                "processed_orders": list(rep.processed_orders),
                "omega_preserved": bool(rep.omega_preserved),
                "identity": bool(rep.identity),
-               "units": unit_rep.verdict}
+               "units": units}
     witnesses = []
-    ok = rep.omega_preserved and fun.ok and unit_rep.verdict == "strict"
+    ok = rep.omega_preserved and fun.ok and units == "strict"
     if not ok:
-        witnesses.append({"functor_ok": fun.ok, "units": unit_rep.verdict,
+        witnesses.append({"functor_ok": fun.ok, "units": units,
                           "omega_preserved": rep.omega_preserved})
     return ("pass" if ok else "fail"), witnesses, {"arities": list(fun.truncated)}, payload
 
@@ -294,16 +294,8 @@ def cmd_hochschild(args, obj):
 
 
 def cmd_semisimplify(args, rep):
-    if rep.field.p:
-        # the trace-form radical needs characteristic zero; the
-        # Jordan-Hoelder oracle has no radical layers to report
-        ss, layer_dims = repmod.semisimplify(rep), None
-    else:
-        filt = repmod.radical_filtration(rep)
-        ss = filt.associated_graded()
-        layer_dims = [dict(sorted(layer.items()))
-                      for layer in filt.layer_dims()]
-    again = repmod.semisimplify(ss)
+    ss, layer_dims = repmod.semisimplify(rep)
+    again, _ = repmod.semisimplify(ss)
     idem = all(again.mats[a].entries == ss.mats[a].entries for a in ss.mats)
     dims_ok = ss.d == rep.d
     payload = {"rep": docio.to_document("matrix_rep", ss),
@@ -374,7 +366,10 @@ def cmd_local_model(args, cat):
     if failed:
         return failed
     try:
-        fcert = certify_sigma_formality(cat, _pairing_for(args, cat))
+        pairing = _pairing_for(args, cat)
+        # strictification needs characteristic zero: over GF(p) the
+        # pairing is only checked
+        fcert = None if cat.field.p else certify_sigma_formality(cat, pairing)
     except NCError as e:
         # only a solved pairing may be missing; a supplied one must hold
         if args.pairing or cat.pairing:
@@ -428,7 +423,7 @@ def cmd_hn_enum(args, query):
     # hn_enumerate has re-verified every type (first_failing_hn_type) and
     # raises on a failure
     payload = {"count": len(types),
-               "types": [[docio._poly_to_json(p) for p in t.polys]
+               "types": [[docio._poly_to_json(p) for p in t]
                          for t in types],
                "reverified": True}
     return "pass", [], {}, payload

@@ -354,6 +354,9 @@ def euler_compare(q: Quiver, d, cat: AInfCategory) -> EulerReport:
 # ---------------------------------------------------------------------------
 # Harder-Narasimhan types
 #
+# An HN type is the tuple of its parts: Hilbert polynomials, in order, with
+# strictly decreasing reduced polynomials summing to the total.
+#
 # One enumerator, _hn_parts, serves every degree D.  It works in integer
 # lattice coordinates: coefficient j of a part is n_j / lattice[j], and a
 # part is the tuple (k, m_1, .., m_D) = (n_D, n_{D-1}, .., n_0), top degree
@@ -373,18 +376,7 @@ def euler_compare(q: Quiver, d, cat: AInfCategory) -> EulerReport:
 # the keys and the sums are checked per type.
 
 
-@dataclass(frozen=True)
-class HNType:
-    """An ordered tuple of Hilbert polynomials with strictly decreasing
-    reduced polynomials summing to the total."""
-
-    polys: tuple
-
-    def __len__(self):
-        return len(self.polys)
-
-
-def check_hn_type(P: RatPolynomial, q_bound: RatPolynomial, typ: HNType,
+def check_hn_type(P: RatPolynomial, q_bound: RatPolynomial, typ: tuple,
                   bogomolov_param=None, lattice=None) -> bool:
     """Re-verify every defining inequality of an HN type independently of
     the enumerator: first_failing_hn_type on the one type."""
@@ -393,7 +385,7 @@ def check_hn_type(P: RatPolynomial, q_bound: RatPolynomial, typ: HNType,
 
 def first_failing_hn_type(P: RatPolynomial, q_bound: RatPolynomial, types,
                           bogomolov_param=None, lattice=None):
-    """The first of types, a list or tuple of HNType, that is not an HN type
+    """The first of types, a list or tuple of HN types, that is not an HN type
     of P at or above q_bound, or None.  Checked on each part's coefficient tuple: positive leading
     coefficient, lattice membership, a reduced polynomial at or above
     q_bound and (degree 2) the constant-term lower bound; and on each
@@ -422,7 +414,7 @@ def first_failing_hn_type(P: RatPolynomial, q_bound: RatPolynomial, types,
     parts = {}
     for typ in types:
         sums, prev = (0,) * (deg + 1), None
-        for p in typ.polys:
+        for p in typ:
             if id(p) not in parts:
                 parts[id(p)] = _hn_part(p.coeffs, deg, lat, qkey, bog)
             got = parts[id(p)]
@@ -500,7 +492,7 @@ def hn_enumerate(P: RatPolynomial, q_bound: RatPolynomial, bogomolov_param=None,
     for part in polys:
         polys[part] = RatPolynomial(tuple(Fraction(n, lat[k])
                                           for k, n in enumerate(reversed(part))))
-    out = [HNType(polys=tuple(map(polys.__getitem__, parts))) for parts in found]
+    out = [tuple(map(polys.__getitem__, parts)) for parts in found]
     bad = first_failing_hn_type(P, q_bound, out, bogomolov_param, lat)
     if bad is not None:
         raise LocalModelError("enumerated type fails re-verification: %r" % (bad,))

@@ -229,7 +229,7 @@ def _derive(form: NCForm, image_of, mark: int, parity: int) -> NCForm:
     for cfg, coeff in form.terms.items():
         for c2, new in apply_letterwise(cat, cfg, image_of, mark, parity):
             if len(new) <= cap:
-                add_cyclic_term(cat, f, acc, new, f.mul(coeff, c2))
+                add_cyclic_term(cat, acc, new, f.mul(coeff, c2))
     return NCForm(cat, acc, cap)
 
 
@@ -298,11 +298,10 @@ def _dual_tables(cat: AInfCategory, images) -> dict:
 def omega_from_pairing(cat: AInfCategory, pairing: CyclicPairing,
                        order_cap: int) -> NCForm:
     """Constant cyclic 2-form of a pairing, one term per unordered pair."""
-    f = cat.field
     acc = {}
     for (x, y), c in pairing.entries.items():
         if x < y:
-            add_cyclic_term(cat, f, acc, ((x, 1), (y, 1)), c)
+            add_cyclic_term(cat, acc, ((x, 1), (y, 1)), c)
     return NCForm(cat, acc, order_cap)
 
 
@@ -604,9 +603,8 @@ def certify_sigma_formality(cat: AInfCategory,
 
     cat2, _, report = strictify_units(cat, pairing)
     checks.append(("strictify_omega", report.omega_preserved, ""))
-    unit_rep = check_unitality(cat2)
-    checks.append(("strict_units", unit_rep.verdict == "strict",
-                   unit_rep.verdict))
+    units = check_unitality(cat2)
+    checks.append(("strict_units", units == "strict", units))
     higher = [n for n in cat2.known_arities() if n >= 3 and cat2.op_table(n)]
     checks.append(("stored_higher_operations_vanish", not higher,
                    "" if not higher else "nonzero arities %s" % higher))
@@ -651,7 +649,7 @@ def solve_cyclic_pairing(cat: AInfCategory) -> CyclicPairing:
     for (x, y) in unknowns:
         # omega of the pairing with <x, y> = 1, its graded mirror and nothing else
         probe = {}
-        add_cyclic_term(cat, f, probe, ((x, 1), (y, 1)), f.of_int(1))
+        add_cyclic_term(cat, probe, ((x, 1), (y, 1)), f.of_int(1))
         omega = NCForm(cat, probe, cat.arity_cap + 1)
         columns.append(de_rham(contraction(q, omega)).terms)
     _, kernel, _, _ = rank_kernel_image(_word_system(f, columns)[0])

@@ -15,7 +15,6 @@ sign -1 are zero and are never stored.
 from __future__ import annotations
 
 from .ainf import AInfCategory
-from .field import FieldCtx
 from .hochschild import cyclic_chains
 from .signs import block_sign, prefix_parities, rotations
 from .sparse import add_into
@@ -75,9 +74,10 @@ def canonical_cyclic(cat: AInfCategory, cfg):
     return best, seen[best]
 
 
-def add_cyclic_term(cat: AInfCategory, field: FieldCtx, acc: dict, cfg,
-                    coeff) -> None:
-    """Accumulate coeff * [cfg] into acc keyed by canonical representatives."""
+def add_cyclic_term(cat: AInfCategory, acc: dict, cfg, coeff) -> None:
+    """Accumulate coeff * [cfg] into acc keyed by canonical representatives,
+    over the category's field."""
+    field = cat.field
     if field.is_zero(coeff):
         return
     canon = canonical_cyclic(cat, cfg)

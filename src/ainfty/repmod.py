@@ -248,60 +248,12 @@ def radical_char0(rep: MatrixRep) -> dict:
     return out
 
 
-@dataclass
-class RadicalFiltration:
-    rep: MatrixRep
-    layers: tuple            # layers[k] = {vertex: [local echelon vectors]}
-
-    def layer_dims(self):
-        return tuple({v: len(bs) for v, bs in layer.items()}
-                     for layer in self.layers)
-
-    def associated_graded(self) -> MatrixRep:
-        """The associated graded representation, in a deterministic adapted
-        basis (layer by layer, echelon order inside each layer)."""
-        rep = self.rep
-        f = rep.field
-        gmats = {}
-        depth = {}               # vertex -> layer of each adapted basis vector
-        for v in rep.quiver.vertices:
-            chosen = []
-            depth[v] = []
-            for k in range(len(self.layers) - 1):
-                # reduce layer k only against layer k+1 (and residuals already
-                # taken in this layer): each residual then still lies in F_k,
-                # and vectors from distinct layers are independent anyway
-                below = Echelon(f, self.layers[k + 1][v])
-                for vec in self.layers[k][v]:
-                    red = below.reduce(vec)
-                    if red:
-                        below.add(red)
-                        chosen.append(red)
-                        depth[v].append(k)
-            if len(chosen) != rep.d[v]:
-                raise RepError("adapted basis does not span vertex %r" % (v,))
-            g = SparseMatrix(rep.d[v], rep.d[v], f)
-            for col, vec in enumerate(chosen):
-                for r, x in vec.items():
-                    g.set(r, col, x)
-            gmats[v] = g
-        ginv = {v: invert(gmats[v]) for v in rep.quiver.vertices}
-        mats = {}
-        for a in rep.quiver.arrows:
-            m = ginv[a.tgt].mul(rep.mats[a.name]).mul(gmats[a.src])
-            keep = SparseMatrix(m.nrows, m.ncols, f)
-            for (r, c), val in m.entries.items():
-                if depth[a.tgt][r] == depth[a.src][c]:
-                    keep.set(r, c, val)
-            mats[a.name] = keep
-        return MatrixRep(rep.quiver, dict(rep.d), mats, f)
-
-
-def radical_filtration(rep: MatrixRep) -> RadicalFiltration:
+def radical_filtration(rep: MatrixRep) -> tuple:
     """M >= JM >= J^2 M >= ... for J the radical of the acting algebra.
 
-    Each layer is a subspace at every vertex; an element of e_w J e_v
-    carries the layer's vectors at v into the next layer at w."""
+    layers[k] maps each vertex to the local echelon basis of J^k M there;
+    an element of e_w J e_v carries the layer's vectors at v into the next
+    layer at w.  The last layer is zero."""
     f = rep.field
     rad = [(v, w, SparseMatrix(rep.d[w], rep.d[v], f, j))
            for (v, w), part in radical_char0(rep).items() for j in part]
@@ -317,23 +269,62 @@ def radical_filtration(rep: MatrixRep) -> RadicalFiltration:
         if sum(map(len, nxt.values())) >= sum(map(len, cur.values())):
             raise RepError("radical filtration failed to decrease")
         layers.append(nxt)
-    return RadicalFiltration(rep, tuple(layers))
+    return tuple(layers)
 
 
 # ---------------------------------------------------------------------------
 # semisimplification
 
-def semisimplify(rep: MatrixRep) -> MatrixRep:
-    """Associated graded of the radical filtration.
+def semisimplify(rep: MatrixRep) -> tuple:
+    """(ss, layer_dims): the semisimplification and its radical layers.
 
-    Preserves the dimension vector and the Jordan-Hoelder multiset; the
-    output's acting algebra has zero radical and a second run returns the
-    identical matrices.  Over a prime field the same endpoint is computed
-    from the exhaustive Jordan-Hoelder oracle.
+    Over the rationals ss is the associated graded of radical_filtration,
+    in a deterministic adapted basis (layer by layer, echelon order inside
+    each layer), and layer_dims lists {vertex: dim} for each layer.  Over
+    a prime field ss is the exhaustive Jordan-Hoelder oracle's endpoint and
+    layer_dims is None.  ss has the dimension vector and Jordan-Hoelder
+    multiset of rep, its acting algebra has zero radical, and a second run
+    returns the identical matrices.
     """
     if rep.field.p != 0:
-        return ss_bruteforce(rep)
-    return radical_filtration(rep).associated_graded()
+        return ss_bruteforce(rep), None
+    layers = radical_filtration(rep)
+    f = rep.field
+    gmats = {}
+    depth = {}               # vertex -> layer of each adapted basis vector
+    for v in rep.quiver.vertices:
+        chosen = []
+        depth[v] = []
+        for k in range(len(layers) - 1):
+            # reduce layer k only against layer k+1 (and residuals already
+            # taken in this layer): each residual then still lies in F_k,
+            # and vectors from distinct layers are independent anyway
+            below = Echelon(f, layers[k + 1][v])
+            for vec in layers[k][v]:
+                red = below.reduce(vec)
+                if red:
+                    below.add(red)
+                    chosen.append(red)
+                    depth[v].append(k)
+        if len(chosen) != rep.d[v]:
+            raise RepError("adapted basis does not span vertex %r" % (v,))
+        g = SparseMatrix(rep.d[v], rep.d[v], f)
+        for col, vec in enumerate(chosen):
+            for r, x in vec.items():
+                g.set(r, col, x)
+        gmats[v] = g
+    ginv = {v: invert(gmats[v]) for v in rep.quiver.vertices}
+    mats = {}
+    for a in rep.quiver.arrows:
+        m = ginv[a.tgt].mul(rep.mats[a.name]).mul(gmats[a.src])
+        keep = SparseMatrix(m.nrows, m.ncols, f)
+        for (r, c), val in m.entries.items():
+            if depth[a.tgt][r] == depth[a.src][c]:
+                keep.set(r, c, val)
+        mats[a.name] = keep
+    layer_dims = tuple({v: len(bs) for v, bs in layer.items()}
+                       for layer in layers)
+    return MatrixRep(rep.quiver, dict(rep.d), mats, f), layer_dims
 
 
 # ---------------------------------------------------------------------------

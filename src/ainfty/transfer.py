@@ -237,7 +237,7 @@ def minimal_model(cat: AInfCategory, arity_cap: int | None = None):
     cap = arity_cap if arity_cap is not None else cat.arity_cap
     f = cat.field
 
-    units_strict = _strict_unit_failures(cat) == []
+    units_strict = not _strict_unit_failures(cat)
 
     cons = {}
     min_hom = {}

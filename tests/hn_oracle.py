@@ -46,7 +46,7 @@ def check_hn_type_oracle(P, q_bound, typ, bogomolov_param=None, lattice=None):
     deg = P.degree
     lat = tuple(lattice) if lattice is not None else (1,) * (deg + 1)
     total = RatPolynomial.zero()
-    for p in typ.polys:
+    for p in typ:
         if p.degree != deg or p.leading() <= 0:
             return False
         if any((Fraction(p.coeff(k)) * lat[k]).denominator != 1
@@ -56,14 +56,14 @@ def check_hn_type_oracle(P, q_bound, typ, bogomolov_param=None, lattice=None):
     if total != P:
         return False
     qkey = tuple(Fraction(q_bound.coeff(k)) for k in range(deg, -1, -1))
-    keys = [reduced_key(p) for p in typ.polys]
+    keys = [reduced_key(p) for p in typ]
     if any(key < qkey for key in keys):
         return False
     if any(not later < earlier for earlier, later in zip(keys, keys[1:])):
         return False
     if deg == 2 and bogomolov_param is not None:
         if any(Fraction(p.coeff(0)) < Fraction(bogomolov_param(
-                Fraction(p.coeff(2)), Fraction(p.coeff(1)))) for p in typ.polys):
+                Fraction(p.coeff(2)), Fraction(p.coeff(1)))) for p in typ):
             return False
     return True
 
@@ -129,6 +129,7 @@ def brute_force_types(P, q_bound, pad=4, bogomolov_param=None, lattice=None):
 
 
 def type_key(typ):
-    """Canonical form of an HNType for set comparison with the oracle."""
+    """Canonical form of an HN type, the tuple of its parts, for set
+    comparison with the oracle."""
     return tuple(tuple(Fraction(p.coeff(k)) for k in range(p.degree + 1))
-                 for p in typ.polys)
+                 for p in typ)

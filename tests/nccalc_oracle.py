@@ -80,7 +80,7 @@ def necklace_bracket(f: NCForm, g: NCForm, pairing):
                         continue
                     if len(word) > cap:
                         continue
-                    add_cyclic_term(ctx, k, acc, word, coeff)
+                    add_cyclic_term(ctx, acc, word, coeff)
     return NCForm(ctx, acc, cap), const
 
 
@@ -98,7 +98,7 @@ def substitute(fn: NCForm, images: dict) -> NCForm:
                        for w1, c1 in images[lab].items()
                        if len(w0) + len(w1) <= cap]
         for c, word in partial:
-            add_cyclic_term(ctx, f, acc, word, c)
+            add_cyclic_term(ctx, acc, word, c)
     return NCForm(ctx, acc, cap)
 
 

@@ -472,7 +472,7 @@ def test_semisimplify_over_a_prime_field(tmp_path, document, flags):
     if flags:
         rep = repmod.good_reduction(rep, 7)[0]
         assert result["note"] == "reduced mod 7"
-    ss = repmod.semisimplify(rep)
+    ss, _ = repmod.semisimplify(rep)
     assert ss.field.p and ss.d == rep.d
     assert result["rep"] == json.loads(docio.dumps_document(
         docio.to_document("matrix_rep", ss)))
@@ -484,19 +484,21 @@ def test_semisimplify_computes_the_radical_filtration_once(tmp_path, monkeypatch
     doc, out = tmp_path / "rep.json", tmp_path / "rep.report.json"
     doc.write_text(docio.dumps_document(docio.to_document("matrix_rep", rep)),
                    encoding="utf-8")
-    acting, calls = repmod.acting_algebra, []
-    monkeypatch.setattr(repmod, "acting_algebra",
-                        lambda r: calls.append(r) or acting(r))
+    counts = count_calls(monkeypatch, (repmod, "semisimplify"),
+                         (repmod, "radical_filtration"),
+                         (repmod, "acting_algebra"))
     code = main(["semisimplify", str(doc), "--report", str(out)])
-    # once for the input, once for the idempotence recheck of its output
-    assert len(calls) == 2
+    # one semisimplify for the input and one for the idempotence recheck of
+    # its output, each running the one filtration: none runs outside them
+    assert counts == {"semisimplify": 2, "radical_filtration": 2,
+                      "acting_algebra": 2}
     monkeypatch.undo()
     result = json.loads(out.read_text())["payload"]["result"]
     assert code == EXIT["pass"]
-    ss = docio.to_document("matrix_rep", repmod.semisimplify(rep))
-    assert result["rep"] == json.loads(docio.dumps_document(ss))
-    dims = repmod.radical_filtration(rep).layer_dims()
-    assert result["layer_dims"] == [dict(sorted(layer.items())) for layer in dims]
+    ss, dims = repmod.semisimplify(rep)
+    assert result["rep"] == json.loads(docio.dumps_document(
+        docio.to_document("matrix_rep", ss)))
+    assert result["layer_dims"] == list(dims)
     assert len(dims) == 4
 
 
@@ -964,6 +966,33 @@ def test_local_model_fails_on_a_rejected_supplied_pairing(tmp_path, capsys, wher
     report = json.loads(out.out)["payload"]
     assert report["verdict"] == "fail"
     assert report["witnesses"] == [
+        {"reason": "pairing degenerate on blocks [('1', '1', 1)]"}]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_local_model_over_a_prime_field_checks_a_stored_pairing(tmp_path, capsys,
+                                                                p):
+    # strictification needs characteristic zero, so over GF(p) a stored
+    # pairing is checked and no formality certificate is sought: a valid
+    # one gives the report of the document without it (it failed with
+    # "strictification needs characteristic zero"), a degenerate one fails
+    fp = GF(p)
+    cat = docio.parse_document(jordan_min_document())[1]
+    cat = replace(cat, field=fp, ops={
+        n: {tup: {lab: fp.of_fraction(c) for lab, c in out.items()}
+            for tup, out in table.items()} for n, table in cat.ops.items()})
+    solved = dict(nccalc.solve_cyclic_pairing(cat).entries)
+    degenerate = {(x, y): fp.one() for x, y, _ in DEGENERATE_PAIRING}
+    reports = []
+    for pairing in ({}, solved, degenerate):
+        path = tmp_path / "min.json"
+        path.write_text(docio.dumps_document(docio.to_document(
+            "ainf_category", replace(cat, pairing=pairing))), encoding="utf-8")
+        code = main(["local-model", str(path), "--dims=2"])
+        reports.append((code, json.loads(capsys.readouterr().out)["payload"]))
+    assert reports[0][0] == EXIT["pass"] and reports[1] == reports[0]
+    assert reports[2][0] == EXIT["fail"]
+    assert reports[2][1]["witnesses"] == [
         {"reason": "pairing degenerate on blocks [('1', '1', 1)]"}]
 
 

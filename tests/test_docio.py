@@ -1,5 +1,6 @@
-"""The validating decode of A-infinity category documents: which error a
-table row with several faults reports, and the per-call scalar memo."""
+"""The validating decode of documents: which error a table row of an
+A-infinity category with several faults reports, the per-call scalar memo,
+and the path and message of each decoder error."""
 
 import copy
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 
 from ainfty import docio
 
-from test_cli import a2_bar_document
+from test_cli import (a2_bar_document, a2_quiver_document, a2_rep_document,
+                      hn_query_document, jordan_dg_document)
 
 
 def decode_error(edit):
@@ -90,3 +92,106 @@ def test_scalar_memo_lasts_one_decode():
         b2 = docio.category_from_payload(pl).ops[2]
         assert ([b2[tuple(row["inputs"])] for row in rows]
                 == [{row["output"][0][0]: want} for row in rows])
+
+
+def edited(make, edit):
+    def document():
+        doc = make()
+        edit(doc)
+        return doc
+    return document
+
+
+def set_at(where, value):
+    """Edit setting doc[where[0]][where[1]]... to value."""
+    def edit(doc):
+        for key in where[:-1]:
+            doc = doc[key]
+        doc[where[-1]] = value
+    return edit
+
+
+def append_at(where, value):
+    def edit(doc):
+        for key in where:
+            doc = doc[key]
+        doc.append(value)
+    return edit
+
+
+def d_squared_nonzero():
+    # d(x) = y and d(y) = z on one vertex, so d(d(x)) = z
+    return docio.wrap("dg_algebra", {
+        "quiver": {"vertices": ["1"], "arrows": [
+            {"name": "x", "src": "1", "tgt": "1", "degree": -2},
+            {"name": "y", "src": "1", "tgt": "1", "degree": -1},
+            {"name": "z", "src": "1", "tgt": "1", "degree": 0}]},
+        "differential": [
+            {"arrow": "x", "value": [{"coeff": "1", "path": ["y"]}]},
+            {"arrow": "y", "value": [{"coeff": "1", "path": ["z"]}]}]})
+
+
+HOM_0 = copy.deepcopy(a2_bar_document()["payload"]["hom"][0])
+
+
+# one document per decoder error, each error as `path: message`
+@pytest.mark.parametrize("document, message", [
+    (edited(a2_bar_document, set_at(["kind"], "bogus")),
+     "document.kind: unknown kind 'bogus'"),
+    (edited(a2_bar_document, set_at(["version"], 2)),
+     "document.version: unsupported version 2"),
+    (edited(a2_bar_document, set_at(["conventions", "composition"],
+                                    "diagrammatic")),
+     "document.conventions.composition: convention 'composition' is "
+     "'diagrammatic', this build uses 'operator_order'"),
+    (edited(a2_bar_document, append_at(["payload", "hom"], HOM_0)),
+     "payload.hom[4]: hom(1, 1) is not a new pair of objects"),
+    (edited(a2_bar_document, append_at(["payload", "hom", 0, "basis"],
+                                       ["<@1>", 0])),
+     "payload.hom[0].basis[4]: want [label, degree], a new label"),
+    (edited(a2_bar_document, set_at(["payload", "ops", 0, "arity"], 0)),
+     "payload.ops[0].arity: arity 0 is not a new positive arity"),
+    (edited(a2_bar_document, set_at(["payload", "ops", 1, "arity"], 1)),
+     "payload.ops[1].arity: arity 1 is not a new positive arity"),
+    (edited(a2_bar_document, set_at(["payload", "units", 0], ["1"])),
+     "payload.units[0]: want [object, label]"),
+    (edited(a2_bar_document, set_at(["payload", "units", 0], ["1", "<a*.a>"])),
+     "payload.units[0]: unit <a*.a> is not a new degree-0 element of "
+     "hom(1, 1)"),
+    (edited(a2_bar_document, set_at(["payload", "units", 1], ["1", "<@1>"])),
+     "payload.units[1]: unit <@1> is not a new degree-0 element of "
+     "hom(1, 1)"),
+    (edited(a2_bar_document, set_at(["payload", "pairing"], [["<@1>", "<@2>"]])),
+     "payload.pairing[0]: want [x, y, scalar]"),
+    (edited(a2_quiver_document, set_at(["payload", "vertices"], ["1", "1"])),
+     "payload.vertices[1]: '1' is not a new name"),
+    (edited(jordan_dg_document,
+            set_at(["payload", "differential", 0, "value", 0, "path"], [])),
+     "payload.differential[0].value[0].path: empty path"),
+    (d_squared_nonzero,
+     "payload.differential[0]: d*d nonzero in d(x): (('z',),)"),
+    (edited(a2_rep_document, set_at(["payload", "mats", 0, "entries", 0],
+                                    [5, 0, "1"])),
+     "payload.mats[0].entries[0]: entry (5, 0) outside a 1x2 block"),
+    (edited(a2_rep_document, set_at(["payload", "mats", 0, "entries", 0],
+                                    [0, 1])),
+     "payload.mats[0].entries[0]: want [row, col, scalar]"),
+    (edited(hn_query_document, set_at(["payload", "total"], [])),
+     "payload.total: want a nonempty coefficient list, constant first"),
+], ids=["kind", "version", "convention", "hom-pair", "basis-label", "arity-0",
+        "arity-repeated", "unit-shape", "unit-degree", "unit-repeated",
+        "pairing-shape", "quiver-name", "empty-path", "d-squared",
+        "entry-outside", "entry-shape", "hn-total"])
+def test_decoder_errors_name_their_path(document, message):
+    with pytest.raises(docio.DocumentError) as err:
+        docio.parse_document(document())
+    assert str(err.value) == message
+
+
+def test_a_file_that_is_not_json_is_a_document_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": ', encoding="utf-8")
+    with pytest.raises(docio.DocumentError) as err:
+        docio.load_document(path)
+    assert str(err.value) == ("%s: invalid JSON: Expecting value: line 1 "
+                              "column 10 (char 9)" % path)

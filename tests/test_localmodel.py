@@ -22,7 +22,7 @@ from ainfty import localmodel, presentations, quiver, repmod
 from ainfty import nccalc as nc
 from ainfty.ainf import AInfCategory
 from ainfty.field import GF, QQ
-from ainfty.localmodel import (HNType, LocalModelError, SigmaCertificate,
+from ainfty.localmodel import (LocalModelError, SigmaCertificate,
                                check_hn_type, euler_compare, ext_quiver_halve,
                                first_failing_hn_type, hn_enumerate,
                                mc_presentation, monic_equations, poly_str,
@@ -663,15 +663,15 @@ def test_types_are_closed_under_the_defining_inequalities():
     types = hn_enumerate(P, q)
     assert types
     for t in types:
-        assert sum(t.polys, RatPolynomial.zero()) == P
-        reduced = [reduced_polynomial(p) for p in t.polys]
+        assert sum(t, RatPolynomial.zero()) == P
+        reduced = [reduced_polynomial(p) for p in t]
         for a, b in zip(reduced, reduced[1:]):
             assert tuple(a.coeffs) != tuple(b.coeffs)
         # perturbed variants must fail re-verification
-        if len(t.polys) > 1:
-            swapped = HNType(polys=tuple(reversed(t.polys)))
+        if len(t) > 1:
+            swapped = tuple(reversed(t))
             assert not check_hn_type(P, q, swapped)
-        bumped = HNType(polys=(t.polys[0] + 1,) + t.polys[1:])
+        bumped = (t[0] + 1,) + t[1:]
         assert not check_hn_type(P, q, bumped)
 
 
@@ -781,7 +781,7 @@ def test_lattice_enumeration_agrees_with_brute_force(P, q, lat, bog):
 
 
 def hn(*parts):
-    return HNType(polys=tuple(poly(*p) for p in parts))
+    return tuple(poly(*p) for p in parts)
 
 
 @pytest.mark.parametrize("P,q,lat,bog,good,bad", [
@@ -845,7 +845,7 @@ BENCHMARK_QUERIES = [
 def mutations(P, q, lat, bog, typ):
     """(name, q, bog, type): the type with one defining inequality broken,
     where its shape allows, each under the query's bound unless named."""
-    parts = list(typ.polys)
+    parts = list(typ)
     deg = P.degree
     half = F(1, 2 * lat[0])
     top = RatPolynomial.of([0] * deg + [1])
@@ -863,8 +863,7 @@ def mutations(P, q, lat, bog, typ):
         out.append(("lattice", q, bog, (parts[0] + half,)))
     if bog is not None:
         out.append(("bogomolov", q, lambda c2, c1: bog(c2, c1) + 1, tuple(parts)))
-    return [(name, q2, bog2, HNType(polys=polys))
-            for name, q2, bog2, polys in out]
+    return out
 
 
 def test_check_hn_type_agrees_with_the_polynomial_oracle():
@@ -916,21 +915,20 @@ def test_reverification_names_a_bad_enumerated_type(monkeypatch, name, P, q,
                                        for k, n in enumerate(reversed(part))])
                      for part in parts)
 
-    assert check_hn_type(P, q, HNType(polys=polys(good)), bogomolov_param=bog,
-                         lattice=lat)
+    assert check_hn_type(P, q, polys(good), bogomolov_param=bog, lattice=lat)
     monkeypatch.setattr(localmodel, "_hn_parts",
                         lambda total, q_bound, lat, bog: [good, bad])
     with pytest.raises(LocalModelError) as err:
         hn_enumerate(P, q, bogomolov_param=bog, lattice=lat)
     assert str(err.value) == ("enumerated type fails re-verification: %r"
-                              % (HNType(polys=polys(bad)),))
+                              % (polys(bad),))
 
 
 def test_enumerated_types_share_their_part_objects():
     types = hn_enumerate(*BENCHMARK_QUERIES[2][:2])
     objects = {}
     for typ in types:
-        for p in typ.polys:
+        for p in typ:
             assert objects.setdefault(p, p) is p
     assert sum(map(len, types)) > len(objects)
 
@@ -964,7 +962,7 @@ def candidate_types(draw):
             st.integers(0, len(pool) - 1), min_size=1, max_size=3))]
         if draw(st.booleans()):
             parts.append(P - sum(parts, RatPolynomial.zero()))
-        types.append(HNType(polys=tuple(parts)))
+        types.append(tuple(parts))
     return P, q, lat, bog, types
 
 

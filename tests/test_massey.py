@@ -67,7 +67,7 @@ def transferred():
     cat = exterior_fixture()
     assert_well_formed(cat)
     assert check_relations(cat).ok
-    assert check_unitality(cat).verdict == "strict"
+    assert check_unitality(cat) == "strict"
     return cat, *minimal_model(cat, arity_cap=6)
 
 
@@ -109,4 +109,4 @@ def test_transfer_functor_axioms_all_arities(transferred):
 
 def test_transferred_units_strict(transferred):
     _, mini, _, _ = transferred
-    assert check_unitality(mini).verdict == "strict"
+    assert check_unitality(mini) == "strict"

@@ -361,14 +361,13 @@ def test_radical_is_nilpotent_two_sided_ideal():
 
 
 def test_radical_filtration_layers():
-    filt = R.radical_filtration(j2_block())
-    assert filt.layer_dims() == ({"1": 2}, {"1": 1}, {"1": 0})
+    assert R.semisimplify(j2_block())[1] == ({"1": 2}, {"1": 1}, {"1": 0})
     # each layer is a subrepresentation
     rep = R.random_rep(DA2, 11, max_total=4)
-    filt = R.radical_filtration(rep)
-    for layer in filt.layers:
+    layers = R.radical_filtration(rep)
+    for layer in layers:
         assert invariant(rep, layer)
-    dims = [sum(len(b) for b in layer.values()) for layer in filt.layers]
+    dims = [sum(len(b) for b in layer.values()) for layer in layers]
     assert dims == sorted(dims, reverse=True)
     assert len(set(dims)) == len(dims)
 
@@ -377,11 +376,11 @@ def test_radical_filtration_layers():
 # semisimplification
 
 def test_semisimplify_fixtures():
-    assert R.semisimplify(j2_block()).mats["a"].is_zero()
+    assert R.semisimplify(j2_block())[0].mats["a"].is_zero()
     r11 = MatrixRep(A2, {"1": 1, "2": 1}, {"a": mat([[1]])})
-    assert R.semisimplify(r11).mats["a"].is_zero()
+    assert R.semisimplify(r11)[0].mats["a"].is_zero()
     kk = MatrixRep(JQ, {"1": 2}, {"a": mat([[1, 0], [0, 2]])})
-    assert dense(R.semisimplify(kk).mats["a"]) == dense(kk.mats["a"])
+    assert dense(R.semisimplify(kk)[0].mats["a"]) == dense(kk.mats["a"])
 
 
 def test_semisimplify_invariants():
@@ -389,10 +388,10 @@ def test_semisimplify_invariants():
     for qi, q in enumerate(quivers):
         for seed in range(12):
             rep = R.random_rep(q, 1000 * qi + seed, max_total=4)
-            ss = R.semisimplify(rep)
+            ss = R.semisimplify(rep)[0]
             assert ss.d == rep.d
             assert R.radical_char0(ss) == {}
-            again = R.semisimplify(ss)
+            again = R.semisimplify(ss)[0]
             for a in q.arrows:
                 assert dense(again.mats[a.name]) == dense(ss.mats[a.name])
 
@@ -404,18 +403,38 @@ def test_semisimplify_preserves_relation_status():
         rep = R.random_rep(DA2, seed, max_total=4)
         if not eval_relations(rep, PI_A2).ok:
             continue
-        assert eval_relations(R.semisimplify(rep), PI_A2).ok
+        assert eval_relations(R.semisimplify(rep)[0], PI_A2).ok
         count += 1
     assert count >= 5
 
 
 def test_semisimplify_prime_field_route():
     rep = j2_block(F5)
-    ss = R.semisimplify(rep)
+    ss = R.semisimplify(rep)[0]
     assert ss.field.p == 5 and ss.d == {"1": 2}
     assert ss.mats["a"].is_zero()
-    again = R.semisimplify(ss)
+    again = R.semisimplify(ss)[0]
     assert dense(again.mats["a"]) == dense(ss.mats["a"])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_semisimplify_reports_layers_exactly_over_the_rationals(field):
+    # the radical layers exist only on the trace-form route; over GF(p) the
+    # Jordan-Hoelder oracle semisimplifies and reports none
+    fixtures = [j2_block(field)] + [R.random_rep(q, seed, field=field)
+                                    for q in (JQ, DA2, TL) for seed in range(4)]
+    for rep in fixtures:
+        ss, layer_dims = R.semisimplify(rep)
+        assert ss.field == field and ss.d == rep.d
+        if field.p:
+            assert layer_dims is None
+            brute = R.ss_bruteforce(rep)
+            assert all(dense(m) == dense(brute.mats[a])
+                       for a, m in ss.mats.items())
+        else:
+            assert layer_dims == tuple(
+                {v: len(basis) for v, basis in layer.items()}
+                for layer in R.radical_filtration(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +509,7 @@ def test_jh_agreement_under_reduction():
     for qi, q in enumerate(quivers):
         for seed in range(20):
             rep = R.random_rep(q, 1000 * qi + seed, max_total=4)
-            ss = R.semisimplify(rep)
+            ss = R.semisimplify(rep)[0]
             for p in (5, 7):
                 red, _ = R.good_reduction(rep, p)
                 red_ss, _ = R.good_reduction(ss, p)
@@ -689,8 +708,8 @@ def test_stability_guards():
 def test_deterministic_outputs():
     rep = R.random_rep(DA2, 23, max_total=4)
     assert R.acting_algebra(rep) == R.acting_algebra(rep)
-    s1 = R.semisimplify(rep)
-    s2 = R.semisimplify(rep)
+    s1 = R.semisimplify(rep)[0]
+    s2 = R.semisimplify(rep)[0]
     for a in DA2.arrows:
         assert dense(s1.mats[a.name]) == dense(s2.mats[a.name])
     r1 = R.random_rep(DA2, 23, max_total=4)
@@ -703,7 +722,7 @@ def test_deterministic_outputs():
 def test_semisimplify_properties(seed):
     q = random_quiver(seed % 7)
     rep = R.random_rep(q, seed, max_total=4)
-    ss = R.semisimplify(rep)
+    ss = R.semisimplify(rep)[0]
     assert ss.d == rep.d
     assert R.radical_char0(ss) == {}
     total = sum(b.multiplicity * b.simple.total_dim()

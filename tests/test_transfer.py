@@ -128,7 +128,7 @@ def test_minimal_model_of_bar_category(name, cap):
     assert not mini.ops.get(1)
     rep = check_relations(mini)
     assert rep.ok, rep.witnesses[:3]
-    assert check_unitality(mini).verdict == "strict"
+    assert check_unitality(mini) == "strict"
     frep = check_functor(functor)
     assert frep.ok, frep.witnesses[:3]
     for pair, con in cons.items():
