@@ -365,16 +365,19 @@ def cmd_local_model(args, cat):
     dims, cert, q, failed = _sigma_start(args, cat)
     if failed:
         return failed
-    try:
-        pairing = _pairing_for(args, cat)
-        # strictification needs characteristic zero: over GF(p) the
-        # pairing is only checked
-        fcert = None if cat.field.p else certify_sigma_formality(cat, pairing)
-    except NCError as e:
-        # only a solved pairing may be missing; a supplied one must hold
-        if args.pairing or cat.pairing:
-            return "fail", [{"reason": str(e)}], {}, {}
-        fcert = None
+    supplied = args.pairing or cat.pairing
+    fcert = None
+    # strictification needs characteristic zero: over GF(p) a stored or
+    # supplied pairing is only checked, and none is solved
+    if supplied or not cat.field.p:
+        try:
+            pairing = _pairing_for(args, cat)
+            if not cat.field.p:
+                fcert = certify_sigma_formality(cat, pairing)
+        except NCError as e:
+            # only a solved pairing may be missing; a supplied one must hold
+            if supplied:
+                return "fail", [{"reason": str(e)}], {}, {}
     if fcert is not None and not fcert.ok:
         fcert = None
     work = fcert.category if fcert else cat

@@ -63,8 +63,9 @@ class FieldCtx:
         try:
             if isinstance(obj, str):
                 return self.scalar_from_str(obj)
-            if isinstance(obj, int):
-                return self.of_int(int(obj))
+            # JSON true and false are not scalars, though Python's bool is an int
+            if type(obj) is int:
+                return self.of_int(obj)
             if isinstance(obj, dict) and "mod" in obj:
                 return self._mod_scalar(obj)
         except (ValueError, ZeroDivisionError) as e:
@@ -95,7 +96,8 @@ class Rationals(FieldCtx):
         return n
 
     def of_fraction(self, q):
-        return q if type(q) is int else _canon(Fraction(q))
+        """The canonical form of an exact int or Fraction."""
+        return q if type(q) is int else _canon(q)
 
     def add(self, a, b):
         c = a + b
@@ -141,7 +143,11 @@ class PrimeField(FieldCtx):
     def of_int(self, n: int):
         return n % self.p
 
-    def of_fraction(self, q: Fraction):
+    def of_fraction(self, q):
+        """The residue of an exact int or Fraction; a FieldError when p
+        divides the denominator."""
+        if type(q) is int:
+            return q % self.p
         den = q.denominator % self.p
         if den == 0:
             raise FieldError("denominator %d not invertible mod %d" % (q.denominator, self.p))

@@ -151,8 +151,11 @@ def _span_blocks(quiver: Quiver, d: dict, mats: dict, f: FieldCtx,
     by each arrow leaving w, which reaches every path.  The blocks named
     in `full` are known to be the whole d_w x d_v matrix space: they start
     as its unit matrices, whose products are pushed like those of any
-    other element.  No product is pushed into a block that is already the
-    whole matrix space, since it cannot grow."""
+    other element.  A todo entry (v, w, arrow, m) stands for the product
+    of the arrow's matrix (none: the identity) with m, in block (v, w).
+    It is pushed only while that block can grow, and the product is
+    formed when it is popped, only if the block still can: a block that
+    is the whole matrix space cannot grow."""
     one = f.one()
 
     def units(v, w):
@@ -165,17 +168,21 @@ def _span_blocks(quiver: Quiver, d: dict, mats: dict, f: FieldCtx,
     def push(v, w, m):
         for a in quiver.arrows_from(w):
             if blocks[v, a.tgt].dim() < d[a.tgt] * d[v]:
-                todo.append((v, a.tgt, mats[a.name].mul(m)))
+                todo.append((v, a.tgt, a.name, m))
 
     for v, w in full:
         for u in units(v, w):
             push(v, w, SparseMatrix(d[w], d[v], f, u))
-    todo += [(v, v, SparseMatrix.identity(d[v], f)) for v in quiver.vertices]
-    todo += [(a.src, a.tgt, mats[a.name]) for a in quiver.arrows]
+    todo += [(v, v, None, SparseMatrix.identity(d[v], f))
+             for v in quiver.vertices]
+    todo += [(a.src, a.tgt, None, mats[a.name]) for a in quiver.arrows]
     while todo:
-        v, w, m = todo.pop()
-        if blocks[v, w].dim() < d[w] * d[v] and blocks[v, w].add(m.entries):
-            push(v, w, m)
+        v, w, arrow, m = todo.pop()
+        if blocks[v, w].dim() < d[w] * d[v]:
+            if arrow is not None:
+                m = mats[arrow].mul(m)
+            if blocks[v, w].add(m.entries):
+                push(v, w, m)
     return blocks
 
 

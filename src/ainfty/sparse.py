@@ -2,15 +2,17 @@
 
 Rows and vectors are dicts mapping an orderable key (a column index, or
 any sortable label) to a nonzero scalar: no zero value is stored, and a
-key whose value cancels is removed.  `add_into` (acc[key] += c) is the
-only code in the package that accumulates into such a dict, and
-`apply_linear` (the image of a vector under a map given by its columns)
-is built on it; the one other writer is `Echelon`'s elimination loop,
-which keeps the same rule.
-The one exception is the relation residual of `ainf._check_arities`:
-its kernels add raw products of scalars (ints and Fractions, exact under
-+ and *) term by term, and `reduce_sums` turns the sums into field
-scalars and drops the zeros once per arity.
+key whose value cancels is removed.  Scalars are Python ints and
+Fractions, so a value is zero exactly when it is falsy, and + and * on
+them are exact in every field: a residue mod p and a rational alike.
+That is the kernel's rule: it adds raw products, with no field call per
+term, and turns each entry it touches into a field scalar once, through
+the field's `of_fraction`.  `reduce_sums` is the one finisher of a dict
+of raw sums: it normalizes each value and drops the zeros.  `add_into`
+(acc[key] += c) is the one incremental accumulator.  `SparseMatrix.mul`,
+`matvec` and `apply_linear` (the image of a vector under a map given by
+its columns) build raw sums and end with `reduce_sums`, and so does the
+relation residual of `ainf._check_arities`, once per arity.
 
 Every rank, kernel, span test and inverse in the package is computed by
 `Echelon`, which holds the reduced row echelon form of the span of the
@@ -30,34 +32,36 @@ from .field import FieldCtx, QQ
 
 
 def add_into(field: FieldCtx, acc: dict, key, c) -> None:
-    """acc[key] += c, keeping no zero value in acc."""
-    if field.is_zero(c):
+    """acc[key] += c for an exact int or Fraction c, keeping every value
+    of acc a nonzero field scalar: one `of_fraction` call per update."""
+    if not c:
         return
-    s = field.add(acc.get(key, field.zero()), c)
-    if field.is_zero(s):
-        acc.pop(key, None)
-    else:
+    s = field.of_fraction(acc.get(key, 0) + c)
+    if s:
         acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 def apply_linear(field: FieldCtx, mapping: dict, vec: dict) -> dict:
     """sum of c * mapping[x] over the terms c * x of vec, as a new dict; a
     key mapping lacks maps to zero."""
-    out = {}
+    raw = {}
     for x, c in vec.items():
         for y, cy in mapping.get(x, {}).items():
-            add_into(field, out, y, field.mul(c, cy))
-    return out
+            raw[y] = raw.get(y, 0) + c * cy
+    return reduce_sums(field, raw)
 
 
 def reduce_sums(field: FieldCtx, acc: dict) -> dict:
-    """The sparse dict of field scalars that acc's raw sums of products
-    of scalars stand for: canonical over QQ, reduced mod p over GF(p)."""
+    """The sparse dict of field scalars that acc's raw sums (exact ints
+    and Fractions) stand for: canonical over QQ, reduced mod p over
+    GF(p), with the zeros dropped; one `of_fraction` call per nonzero sum."""
     out = {}
     for key, v in acc.items():
         if v:  # a raw sum that is 0 is 0 in every field
             c = field.of_fraction(v)
-            if not field.is_zero(c):
+            if c:
                 out[key] = c
     return out
 
@@ -79,23 +83,19 @@ class Echelon:
     def _reduce(self, vec, record=None):
         """A new dict: vec minus its part in the span.  With record, the
         coefficient of each pivot row subtracted is stored under its pivot."""
-        f = self.field
-        out = {k: v for k, v in vec.items() if not f.is_zero(v)}
+        out = dict(vec)
         rows = self.rows
         # a stored row is zero at every pivot but its own, so subtracting it
         # leaves vec's other pivot entries alone: the pivots to clear are
-        # exactly those present in vec now
-        for piv in [k for k in out if k in rows]:
+        # exactly those present in vec now, their coefficients are vec's own
+        # scalars, and each clears to an exact raw 0
+        for piv in [k for k in out if k in rows and out[k]]:
             c = out[piv]
             if record is not None:
                 record[piv] = c
             for k, v in rows[piv].items():
-                s = f.sub(out.get(k, f.zero()), f.mul(c, v))
-                if f.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return out
+                out[k] = out.get(k, 0) - c * v
+        return reduce_sums(self.field, out)
 
     def reduce(self, vec) -> dict:
         """vec modulo the span; empty exactly when vec lies in it."""
@@ -114,7 +114,8 @@ class Echelon:
             return False
         piv = min(red)
         inv = f.inv(red[piv])
-        red = {k: f.mul(inv, v) for k, v in red.items()}
+        if inv != 1:
+            red = {k: f.mul(inv, v) for k, v in red.items()}
         holders = self._holders
         # red is zero at every old pivot, so clearing column piv from the
         # rows that hold it adds no entry at any pivot
@@ -124,8 +125,8 @@ class Echelon:
             for k, v in red.items():
                 if k == piv:
                     continue
-                s = f.sub(row.get(k, f.zero()), f.mul(c, v))
-                if not f.is_zero(s):
+                s = f.of_fraction(row.get(k, 0) - c * v)
+                if s:
                     if k not in row:
                         holders.setdefault(k, set()).add(p)
                     row[k] = s
@@ -193,13 +194,12 @@ class SparseMatrix:
 
     def matvec(self, v: dict) -> dict:
         """Apply to a column vector {col: scalar}."""
-        f = self.field
-        out = {}
+        raw = {}
         for (r, c), a in self.entries.items():
             x = v.get(c)
             if x is not None:
-                add_into(f, out, r, f.mul(a, x))
-        return out
+                raw[r] = raw.get(r, 0) + a * x
+        return reduce_sums(self.field, raw)
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -209,11 +209,11 @@ class SparseMatrix:
         by_row = {}
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
-        acc = {}
+        raw = {}
         for (r, k), a in self.entries.items():
             for c, b in by_row.get(k, ()):
-                add_into(f, acc, (r, c), f.mul(a, b))
-        out.entries = acc
+                raw[r, c] = raw.get((r, c), 0) + a * b
+        out.entries = reduce_sums(f, raw)
         return out
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":

@@ -1,6 +1,7 @@
 """CLI reports and exit codes, checked against the library calls they wrap."""
 
 import functools
+import hashlib
 import json
 import random
 import subprocess
@@ -994,6 +995,25 @@ def test_local_model_over_a_prime_field_checks_a_stored_pairing(tmp_path, capsys
     assert reports[2][0] == EXIT["fail"]
     assert reports[2][1]["witnesses"] == [
         {"reason": "pairing degenerate on blocks [('1', '1', 1)]"}]
+
+
+def test_local_model_over_a_prime_field_solves_no_pairing(tmp_path, monkeypatch):
+    # over GF(p) no formality certificate is sought, so with neither a
+    # stored nor a supplied pairing none is solved; the report is the one
+    # the solve-and-discard path wrote, byte for byte
+    fp = GF(3)
+    cat = docio.parse_document(jordan_min_document())[1]
+    cat = replace(cat, field=fp, ops={
+        n: {tup: {lab: fp.of_fraction(c) for lab, c in out.items()}
+            for tup, out in table.items()} for n, table in cat.ops.items()})
+    path, out = tmp_path / "min.json", tmp_path / "min.report.json"
+    path.write_text(docio.dumps_document(docio.to_document("ainf_category", cat)),
+                    encoding="utf-8")
+    counts = count_calls(monkeypatch, (cli, "solve_cyclic_pairing"))
+    code = main(["local-model", str(path), "--dims=2", "--report", str(out)])
+    assert code == EXIT["pass"] and counts["solve_cyclic_pairing"] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4aca6d2f7d79ca9057c4d1b432c7f583d689c565eafa92f8feb683efd80a577d")
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):

@@ -178,10 +178,21 @@ HOM_0 = copy.deepcopy(a2_bar_document()["payload"]["hom"][0])
      "payload.mats[0].entries[0]: want [row, col, scalar]"),
     (edited(hn_query_document, set_at(["payload", "total"], [])),
      "payload.total: want a nonempty coefficient list, constant first"),
+    # JSON true and false are not scalars, though Python's bool is an int
+    (edited(a2_bar_document, set_at(["payload", "ops", 0, "table", 0,
+                                     "output", 0], ["<a*|a>", True])),
+     "payload.ops[0].table[0]: bad scalar True"),
+    (edited(a2_rep_document, set_at(["payload", "mats", 0, "entries", 0],
+                                    [0, 1, False])),
+     "payload.mats[0].entries[0]: bad scalar False"),
+    (edited(a2_bar_document, set_at(["payload", "pairing"],
+                                    [["<@1>", "<u_1>", True]])),
+     "payload.pairing[0]: bad scalar True"),
 ], ids=["kind", "version", "convention", "hom-pair", "basis-label", "arity-0",
         "arity-repeated", "unit-shape", "unit-degree", "unit-repeated",
         "pairing-shape", "quiver-name", "empty-path", "d-squared",
-        "entry-outside", "entry-shape", "hn-total"])
+        "entry-outside", "entry-shape", "hn-total", "output-bool",
+        "entry-bool", "pairing-bool"])
 def test_decoder_errors_name_their_path(document, message):
     with pytest.raises(docio.DocumentError) as err:
         docio.parse_document(document())

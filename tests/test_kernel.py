@@ -10,6 +10,7 @@ from ainfty.ratpoly import (RatPolynomial, factor_rational_poly, poly_gcd,
                             poly_xgcd)
 from ainfty.signs import (block_sign, parity_sign, prefix_parities,
                           reversal_sign, rotations)
+from ainfty import sparse
 from ainfty.sparse import (Echelon, SparseMatrix, add_into, invert,
                            rank_kernel_image, rref, solve)
 from kronecker_oracle import factor_kronecker, poly_value
@@ -462,3 +463,134 @@ def test_factor_matches_exhaustive(coeffs):
         for _ in range(m):
             prod = prod * f
     assert prod == p
+
+
+# the kernel adds raw exact products and normalizes each touched entry once:
+# its results must equal the dense products of the field operations, keep
+# no zero and hold every value in the field's canonical form
+FIELDS = [QQ, GF(2), GF(3), GF(32749)]
+
+
+def field_values(f):
+    return scalars.map(canonical) if f.p == 0 else st.integers(0, f.p - 1)
+
+
+def assert_stored_scalars(f, values):
+    for v in values:
+        assert v, "a zero value is stored"
+        if f.p:
+            assert type(v) is int and 0 <= v < f.p
+        else:
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+def sparse_vector(dense_vec):
+    return {i: x for i, x in enumerate(dense_vec) if x}
+
+
+@st.composite
+def planted_products(draw):
+    """A field and matrices a (n x (k + 1)) and b ((k + 1) x m) over it in
+    which column k of a repeats column j and row k of b is minus row j, so
+    every term through j cancels exactly against one through k."""
+    f = draw(st.sampled_from(FIELDS))
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    values = field_values(f)
+
+    def entries(nr, nc):
+        ents = draw(st.dictionaries(
+            st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)),
+            values, max_size=nr * nc))
+        return {key: v for key, v in ents.items() if v}
+
+    a, b = entries(n, k), entries(k, m)
+    j = draw(st.integers(0, k - 1))
+    a.update({(r, k): v for (r, c), v in list(a.items()) if c == j})
+    b.update({(k, c): f.neg(v) for (r, c), v in list(b.items()) if r == j})
+    return f, SparseMatrix(n, k + 1, f, a), SparseMatrix(k + 1, m, f, b)
+
+
+@given(planted_products(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_products_match_the_dense_oracle(case, data):
+    f, a, b = case
+    want = dense_product(dense(a), dense(b), f)
+    prod = a.mul(b)
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    assert dense(prod) == want
+    assert_stored_scalars(f, prod.entries.values())
+    columns_of_a = {}
+    for (r, c), v in a.entries.items():
+        columns_of_a.setdefault(c, {})[r] = v
+    for col in range(b.ncols):
+        vec = {r: v for (r, c), v in b.entries.items() if c == col}
+        expect = sparse_vector(row[col] for row in want)
+        for got in (a.matvec(vec), sparse.apply_linear(f, columns_of_a, vec)):
+            assert got == expect
+            assert_stored_scalars(f, got.values())
+    # a + c where c cancels a on a drawn part of its entries
+    keys = sorted(a.entries)
+    cancel = data.draw(st.sets(st.sampled_from(keys))) if keys else set()
+    c = SparseMatrix(a.nrows, a.ncols, f,
+                     {key: f.neg(a.entries[key]) for key in cancel})
+    for key, v in data.draw(st.dictionaries(
+            st.sampled_from([(r, col) for r in range(a.nrows)
+                             for col in range(a.ncols)]),
+            field_values(f), max_size=3)).items():
+        if v and key not in cancel:
+            c.entries[key] = v
+    total = a.add(c)
+    assert dense(total) == [[f.add(x, y) for x, y in zip(r1, r2)]
+                            for r1, r2 in zip(dense(a), dense(c))]
+    assert_stored_scalars(f, total.entries.values())
+
+
+@st.composite
+def cancelling_rows(draw):
+    """Rows over FIELDS: drawn rows, and combinations of two earlier rows,
+    some plus a unit vector, so that reduction and the updates of the rows
+    holding a new pivot cancel entries."""
+    f = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 7))
+    values = field_values(f)
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        if rows and draw(st.booleans()):
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(values)
+            row = dict(r1)
+            for key, v in r2.items():
+                row[key] = f.add(row.get(key, 0), f.mul(c, v))
+            if draw(st.booleans()):
+                key = draw(st.integers(0, ncols - 1))
+                row[key] = f.add(row.get(key, 0), f.one())
+        else:
+            row = draw(st.dictionaries(st.integers(0, ncols - 1), values))
+        rows.append({key: v for key, v in row.items() if v})
+    return f, rows, ncols
+
+
+@given(cancelling_rows())
+@settings(max_examples=200, deadline=None)
+def test_echelon_rows_stay_canonical_through_cancelling_adds(case):
+    f, rows, ncols = case
+    ech = Echelon(f)
+    for row in rows:
+        ech.add(row)
+        for piv, r in ech.rows.items():
+            assert r[piv] == 1 and min(r) == piv
+            assert not set(r) & set(ech.rows) - {piv}
+            assert_stored_scalars(f, r.values())
+        # the key -> rows index names exactly the rows holding each key
+        held = {}
+        for piv, r in ech.rows.items():
+            for key in r:
+                if key != piv:
+                    held.setdefault(key, set()).add(piv)
+        assert {k: ps for k, ps in ech._holders.items() if ps} == held
+    assert ech.basis() == dense_rref(rows, ncols, f)[1]
+    for row in rows:
+        assert not ech.reduce(row)
+        coeffs = ech.coefficients(row)
+        assert coeffs is not None
+        assert_stored_scalars(f, coeffs.values())

@@ -260,6 +260,35 @@ def test_acting_algebra_fixtures():
     assert dims(R.acting_algebra(burn)) == {("1", "1"): 4}
 
 
+def test_closure_forms_products_only_for_blocks_that_can_grow(monkeypatch):
+    # a and b generate the whole 2 x 2 matrix algebra, so the one block
+    # fills while products are still waiting: every product the closure
+    # forms must be offered to the block while it is not yet full
+    products, offered = [], []
+    mul, add = SparseMatrix.mul, Echelon.add
+
+    def recording_mul(self, other):
+        out = mul(self, other)
+        products.append(out.entries)
+        return out
+
+    def recording_add(self, vec):
+        offered.append((vec, self.dim()))
+        return add(self, vec)
+
+    monkeypatch.setattr(SparseMatrix, "mul", recording_mul)
+    monkeypatch.setattr(Echelon, "add", recording_add)
+    for f in (QQ, F5, GF(R.CERTIFICATE_PRIME)):
+        del products[:], offered[:]
+        burn = MatrixRep(TL, {"1": 2}, {"a": mat([[0, 1], [0, 0]], f),
+                                        "b": mat([[0, 0], [1, 0]], f)}, f)
+        blocks = R._span_blocks(burn.quiver, burn.d, burn.mats, f)
+        assert blocks["1", "1"].dim() == 4 and products
+        for prod in products:
+            dims = [dim for vec, dim in offered if vec is prod]
+            assert dims and all(dim < 4 for dim in dims)
+
+
 P_CERT = R.CERTIFICATE_PRIME
 
 
