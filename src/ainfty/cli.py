@@ -218,8 +218,13 @@ def _minimal_category_from(obj, args):
     """quiver documents run the bar pipeline; category documents are used
     as given (minimized first when they carry a differential)."""
     if isinstance(obj, Quiver):
-        obj = bar_ext_category(derived_preprojective(obj), weight_cap=2,
-                               arity_cap=args.order_cap)
+        try:
+            dg = derived_preprojective(obj)
+        except ValueError as e:
+            # a quiver that cannot be doubled: an arrow of nonzero degree,
+            # or a name that ends in the star
+            raise CliError(str(e))
+        obj = bar_ext_category(dg, weight_cap=2, arity_cap=args.order_cap)
     elif not obj.op_table(1):
         return obj
     return minimal_model(obj, arity_cap=args.order_cap)[0]
@@ -294,9 +299,7 @@ def cmd_hochschild(args, obj):
 
 
 def cmd_semisimplify(args, rep):
-    ss, layer_dims = repmod.semisimplify(rep)
-    again, _ = repmod.semisimplify(ss)
-    idem = all(again.mats[a].entries == ss.mats[a].entries for a in ss.mats)
+    ss, layer_dims, idem = repmod.semisimplify(rep)
     dims_ok = ss.d == rep.d
     payload = {"rep": docio.to_document("matrix_rep", ss),
                "layer_dims": layer_dims}

@@ -222,8 +222,9 @@ def mc_presentation(cat: AInfCategory, d, certificate=None,
     (x_t, k_{t-1}, k_t).  When the category is complete, or a passing
     formality certificate (an object whose ok attribute is true)
     guarantees vanishing higher operations, the presentation is tagged
-    exact; so is a category with no degree-1 label, whatever d is.
-    Otherwise it is a truncation at the arity cap."""
+    exact; so is a category with no degree-1 label, whatever d is.  Only
+    arities 2..cap are read, so a nonempty stored table above the cap
+    makes it a truncation at the cap in every case, as it is otherwise."""
     f = cat.field
     if cat.op_table(1):
         raise LocalModelError("category is not minimal: nonzero arity-1 operations")
@@ -275,7 +276,9 @@ def mc_presentation(cat: AInfCategory, d, certificate=None,
     certified = bool(getattr(certificate, "ok", False))
     if certified and saw_higher:
         raise LocalModelError("certificate claims vanishing higher operations but stored tables contradict it")
-    if cat.complete or certified or not has_deg1:
+    # a stored operation above the cap is one the equations did not read
+    beyond = any(table for n, table in cat.ops.items() if n > cap)
+    if (cat.complete or certified or not has_deg1) and not beyond:
         exactness = "exact"
     else:
         exactness = "truncated:cap=%d" % cap

@@ -222,24 +222,24 @@ def acting_algebra(rep: MatrixRep) -> dict:
     return {vw: ech.basis() for vw, ech in blocks.items()}
 
 
-def radical_char0(rep: MatrixRep) -> dict:
-    """(v, w) -> echelon basis of e_w J e_v, for the blocks where the
-    Jacobson radical J of the acting algebra is nonzero.
+def _trace_kernel(alg: dict, dims: dict, f: FieldCtx) -> dict:
+    """(v, w) -> echelon basis of the kernel of the trace form on e_w B e_v,
+    for B a subalgebra of End of the total space given by its blocks as
+    acting_algebra gives them, over a field of characteristic zero; the
+    blocks where the kernel is zero are left out.  The kernel is the
+    Jacobson radical of B (Dickson's criterion).
 
-    J is the kernel of the trace form of the defining module; exact and
-    complete in characteristic zero.  tr(ab) vanishes unless a lies in
-    e_w A e_v and b in e_v A e_w, so e_w J e_v is the kernel of the
-    pairing of e_w A e_v with its opposite block.  When both blocks are
-    whole matrix spaces that pairing is perfect and the part is zero."""
-    f = rep.field
+    tr(ab) vanishes unless a lies in e_w B e_v and b in e_v B e_w, so the
+    kernel in e_w B e_v is that of the pairing of the block with its
+    opposite.  When both blocks are whole matrix spaces that pairing is
+    perfect and the part is zero."""
     if f.p != 0:
         raise RepError("trace-form radical needs characteristic zero; "
                        "use the brute-force path over prime fields")
-    alg = acting_algebra(rep)
     out = {}
     for (v, w), basis in alg.items():
         opposite = alg[w, v]
-        if not basis or len(basis) == len(opposite) == rep.d[v] * rep.d[w]:
+        if not basis or len(basis) == len(opposite) == dims[v] * dims[w]:
             continue
         # row j: tr(a_i b_j) = sum of a_i[r, c] b_j[c, r], column i
         gram = SparseMatrix.from_rows(
@@ -255,15 +255,25 @@ def radical_char0(rep: MatrixRep) -> dict:
     return out
 
 
-def radical_filtration(rep: MatrixRep) -> tuple:
+def radical_char0(rep: MatrixRep) -> dict:
+    """(v, w) -> echelon basis of e_w J e_v, for the blocks where the
+    Jacobson radical J of the acting algebra is nonzero: the kernel of
+    the trace form of the defining module (_trace_kernel), exact and
+    complete in characteristic zero."""
+    return _trace_kernel(acting_algebra(rep), rep.d, rep.field)
+
+
+def radical_filtration(rep: MatrixRep, alg: dict) -> tuple:
     """M >= JM >= J^2 M >= ... for J the radical of the acting algebra.
 
-    layers[k] maps each vertex to the local echelon basis of J^k M there;
-    an element of e_w J e_v carries the layer's vectors at v into the next
-    layer at w.  The last layer is zero."""
+    alg is acting_algebra(rep), which the caller computes once and may
+    read again.  layers[k] maps each vertex to the local echelon basis of
+    J^k M there; an element of e_w J e_v carries the layer's vectors at v
+    into the next layer at w.  The last layer is zero."""
     f = rep.field
     rad = [(v, w, SparseMatrix(rep.d[w], rep.d[v], f, j))
-           for (v, w), part in radical_char0(rep).items() for j in part]
+           for (v, w), part in _trace_kernel(alg, rep.d, f).items()
+           for j in part]
     layers = [{v: [{i: f.one()} for i in range(rep.d[v])]
                for v in rep.quiver.vertices}]
     while any(layers[-1].values()):
@@ -282,23 +292,13 @@ def radical_filtration(rep: MatrixRep) -> tuple:
 # ---------------------------------------------------------------------------
 # semisimplification
 
-def semisimplify(rep: MatrixRep) -> tuple:
-    """(ss, layer_dims): the semisimplification and its radical layers.
-
-    Over the rationals ss is the associated graded of radical_filtration,
-    in a deterministic adapted basis (layer by layer, echelon order inside
-    each layer), and layer_dims lists {vertex: dim} for each layer.  Over
-    a prime field ss is the exhaustive Jordan-Hoelder oracle's endpoint and
-    layer_dims is None.  ss has the dimension vector and Jordan-Hoelder
-    multiset of rep, its acting algebra has zero radical, and a second run
-    returns the identical matrices.
-    """
-    if rep.field.p != 0:
-        return ss_bruteforce(rep), None
-    layers = radical_filtration(rep)
+def _adapted_basis(rep: MatrixRep, layers: tuple) -> tuple:
+    """(g, depth): per vertex, the matrix whose columns are a basis adapted
+    to the filtration (layer by layer, echelon order inside each layer),
+    and the layer of each column."""
     f = rep.field
     gmats = {}
-    depth = {}               # vertex -> layer of each adapted basis vector
+    depth = {}
     for v in rep.quiver.vertices:
         chosen = []
         depth[v] = []
@@ -320,18 +320,76 @@ def semisimplify(rep: MatrixRep) -> tuple:
             for r, x in vec.items():
                 g.set(r, col, x)
         gmats[v] = g
+    return gmats, depth
+
+
+def _graded(m: SparseMatrix, rows: list, cols: list) -> tuple:
+    """(part, stable): the entries of m between basis vectors of equal
+    depth (rows and cols list the depths), and whether m maps no basis
+    vector into a shallower one."""
+    part = SparseMatrix(m.nrows, m.ncols, m.field)
+    stable = True
+    for (r, c), val in m.entries.items():
+        if rows[r] == cols[c]:
+            part.entries[r, c] = val
+        elif rows[r] < cols[c]:
+            stable = False
+    return part, stable
+
+
+def semisimplify(rep: MatrixRep) -> tuple:
+    """(ss, layer_dims, semisimple): the semisimplification, its radical
+    layers, and whether ss is certified semisimple.
+
+    Over the rationals ss is the associated graded of radical_filtration,
+    in a deterministic adapted basis g (layer by layer, echelon order
+    inside each layer), and layer_dims lists {vertex: dim} for each layer.
+    ss has the dimension vector and Jordan-Hoelder multiset of rep.
+
+    semisimple is read off the acting algebra A of rep, computed once.
+    When every arrow keeps the layers F_k = J^k M (no entry of g^-1 M_a g
+    maps a vector of depth k into a shallower one), so does A, and taking
+    the depth-diagonal part of g^-1 x g is an algebra map gr from A to
+    End(ss).  Its image holds the images of the vertex identities and the
+    arrows, so it is the acting algebra of ss, spanned block by block by
+    gr of A's basis.  In characteristic zero ss is semisimple exactly when
+    the trace form on that image has zero kernel, and a representation
+    with zero radical semisimplifies to itself: semisimple is true exactly
+    when a second run would return the identical matrices.
+
+    Over a prime field ss is the exhaustive Jordan-Hoelder oracle's
+    endpoint, layer_dims is None, and semisimple says that the oracle
+    returns ss unchanged on ss.
+    """
+    f = rep.field
+    if f.p != 0:
+        ss = ss_bruteforce(rep)
+        again = ss_bruteforce(ss)
+        return ss, None, all(again.mats[a].entries == m.entries
+                             for a, m in ss.mats.items())
+    alg = acting_algebra(rep)
+    layers = radical_filtration(rep, alg)
+    gmats, depth = _adapted_basis(rep, layers)
     ginv = {v: invert(gmats[v]) for v in rep.quiver.vertices}
     mats = {}
+    stable = True
     for a in rep.quiver.arrows:
         m = ginv[a.tgt].mul(rep.mats[a.name]).mul(gmats[a.src])
-        keep = SparseMatrix(m.nrows, m.ncols, f)
-        for (r, c), val in m.entries.items():
-            if depth[a.tgt][r] == depth[a.src][c]:
-                keep.set(r, c, val)
-        mats[a.name] = keep
+        mats[a.name], keeps = _graded(m, depth[a.tgt], depth[a.src])
+        stable = stable and keeps
+    image = {}
+    for (v, w), basis in alg.items():
+        ech = Echelon(f)
+        for x in basis:
+            m = ginv[w].mul(SparseMatrix(rep.d[w], rep.d[v], f, x))
+            m = m.mul(gmats[v])
+            ech.add(_graded(m, depth[w], depth[v])[0].entries)
+        image[v, w] = ech.basis()
+    semisimple = stable and not _trace_kernel(image, rep.d, f)
     layer_dims = tuple({v: len(bs) for v, bs in layer.items()}
                        for layer in layers)
-    return MatrixRep(rep.quiver, dict(rep.d), mats, f), layer_dims
+    return (MatrixRep(rep.quiver, dict(rep.d), mats, f), layer_dims,
+            semisimple)
 
 
 # ---------------------------------------------------------------------------

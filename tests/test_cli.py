@@ -19,8 +19,8 @@ from ainfty.field import GF
 from ainfty.hochschild import (HochschildChainWindow, hh0_dimension,
                                windowed_homology)
 from ainfty.presentations import bar_ext_category, truncated_path_category
-from ainfty.quiver import (DGQuiverAlgebra, a2_quiver, derived_preprojective,
-                           double, jordan_quiver)
+from ainfty.quiver import (DGQuiverAlgebra, Quiver, a2_quiver,
+                           derived_preprojective, double, jordan_quiver)
 from ainfty.ratpoly import RatPolynomial
 from ainfty.transfer import hom_contraction, minimal_model
 
@@ -473,7 +473,7 @@ def test_semisimplify_over_a_prime_field(tmp_path, document, flags):
     if flags:
         rep = repmod.good_reduction(rep, 7)[0]
         assert result["note"] == "reduced mod 7"
-    ss, _ = repmod.semisimplify(rep)
+    ss, _, _ = repmod.semisimplify(rep)
     assert ss.field.p and ss.d == rep.d
     assert result["rep"] == json.loads(docio.dumps_document(
         docio.to_document("matrix_rep", ss)))
@@ -489,14 +489,14 @@ def test_semisimplify_computes_the_radical_filtration_once(tmp_path, monkeypatch
                          (repmod, "radical_filtration"),
                          (repmod, "acting_algebra"))
     code = main(["semisimplify", str(doc), "--report", str(out)])
-    # one semisimplify for the input and one for the idempotence recheck of
-    # its output, each running the one filtration: none runs outside them
-    assert counts == {"semisimplify": 2, "radical_filtration": 2,
-                      "acting_algebra": 2}
+    # one semisimplify for the input, running the one filtration on the
+    # one acting algebra: none runs outside it
+    assert counts == {"semisimplify": 1, "radical_filtration": 1,
+                      "acting_algebra": 1}
     monkeypatch.undo()
     result = json.loads(out.read_text())["payload"]["result"]
     assert code == EXIT["pass"]
-    ss, dims = repmod.semisimplify(rep)
+    ss, dims, _ = repmod.semisimplify(rep)
     assert result["rep"] == json.loads(docio.dumps_document(
         docio.to_document("matrix_rep", ss)))
     assert result["layer_dims"] == list(dims)
@@ -624,6 +624,43 @@ def test_formality_order_cap_on_a_quiver(tmp_path, capsys, cap, code):
                    % cap}])
     assert report["truncation"] == ({} if code == "pass"
                                     else {"order_cap": cap})
+
+
+@pytest.mark.parametrize("arrow, message", [
+    (("a", "1", "1", 1), "doubling is defined for degree-0 quivers"),
+    (("a*", "1", "1"), "arrow name 'a*' collides with the star convention"),
+], ids=["degree-1-arrow", "starred-name"])
+def test_formality_on_a_quiver_that_cannot_be_doubled(tmp_path, capsys, arrow,
+                                                      message):
+    # derived_preprojective's ValueError ended in a traceback with exit 1
+    path = tmp_path / "q.json"
+    path.write_text(docio.dumps_document(docio.to_document(
+        "quiver", Quiver.make(("1",), [arrow]))), encoding="utf-8")
+    assert main(["formality", str(path)]) == EXIT["error"] == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert json.loads(out.out)["payload"]["witnesses"] == [{"error": message}]
+
+
+def test_local_model_below_the_stored_products_is_truncated(tmp_path, capsys):
+    # at --order-cap 1 the equations read no product, and b_2 is stored:
+    # the all-zero equation is a truncation at the cap, not an exact
+    # presentation
+    path = tmp_path / "jordan-min.json"
+    path.write_text(jordan_min_text(), encoding="utf-8")
+    assert main(["local-model", str(path), "--dims=2",
+                 "--order-cap=1"]) == EXIT["truncated"]
+    report = json.loads(capsys.readouterr().out)["payload"]
+    assert report["truncation"] == {"exact": False}
+    assert report["result"]["exactness"] == "truncated:cap=1"
+    assert [eq["matrix"] for eq in report["result"]["equations"]] == [
+        [["0", "0"], ["0", "0"]]]
+    for cap in (2, 6):
+        assert main(["local-model", str(path), "--dims=2",
+                     "--order-cap=%d" % cap]) == EXIT["pass"]
+        result = json.loads(capsys.readouterr().out)["payload"]["result"]
+        assert result["exactness"] == "exact"
+        assert result["equations"][0]["matrix"][0][0] != "0"
 
 
 DEGENERATE_PAIRING = [["[1>1]0.0", "[1>1]2.0", 1], ["[1>1]2.0", "[1>1]0.0", 1]]

@@ -393,7 +393,7 @@ def test_radical_filtration_layers():
     assert R.semisimplify(j2_block())[1] == ({"1": 2}, {"1": 1}, {"1": 0})
     # each layer is a subrepresentation
     rep = R.random_rep(DA2, 11, max_total=4)
-    layers = R.radical_filtration(rep)
+    layers = R.radical_filtration(rep, R.acting_algebra(rep))
     for layer in layers:
         assert invariant(rep, layer)
     dims = [sum(len(b) for b in layer.values()) for layer in layers]
@@ -453,17 +453,123 @@ def test_semisimplify_reports_layers_exactly_over_the_rationals(field):
     fixtures = [j2_block(field)] + [R.random_rep(q, seed, field=field)
                                     for q in (JQ, DA2, TL) for seed in range(4)]
     for rep in fixtures:
-        ss, layer_dims = R.semisimplify(rep)
+        ss, layer_dims, semisimple = R.semisimplify(rep)
         assert ss.field == field and ss.d == rep.d
         if field.p:
             assert layer_dims is None
             brute = R.ss_bruteforce(rep)
             assert all(dense(m) == dense(brute.mats[a])
                        for a, m in ss.mats.items())
+            # semisimple is the oracle rerun on ss that the CLI made
+            again = R.ss_bruteforce(ss)
+            assert semisimple and all(dense(m) == dense(again.mats[a])
+                                      for a, m in ss.mats.items())
         else:
             assert layer_dims == tuple(
                 {v: len(basis) for v, basis in layer.items()}
-                for layer in R.radical_filtration(rep))
+                for layer in R.radical_filtration(rep, R.acting_algebra(rep)))
+
+
+def qq_fixtures():
+    """The rational representations of this module: the hand-made ones,
+    the certificate cases, the seeded oracle representations and those
+    of test_semisimplify_invariants."""
+    yield j2_block()
+    yield MatrixRep(TL, {"1": 2},
+                    {"a": mat([[1, 0], [0, 2]]), "b": mat([[0, 1], [0, 0]])})
+    yield MatrixRep(TL, {"1": 2},
+                    {"a": mat([[0, 1], [0, 0]]), "b": mat([[0, 0], [1, 0]])})
+    yield MatrixRep(JQ, {"1": 2}, {"a": mat([[1, 0], [0, 2]])})
+    yield MatrixRep(A2, {"1": 1, "2": 1}, {"a": mat([[3]])})
+    yield quaternion_rep()
+    yield from (case[1] for case in certificate_cases())
+    yield from (rep for rep in oracle_reps() if rep.field.p == 0)
+    for qi, q in enumerate((JQ, A2, TL, DA2)):
+        for seed in range(12):
+            yield R.random_rep(q, 1000 * qi + seed, max_total=4)
+
+
+def recheck(ss):
+    """The certificate semisimplify replaced: a second run returns ss
+    unchanged, and the trace form finds no radical in ss."""
+    again = R.semisimplify(ss)[0]
+    return (all(dense(again.mats[a]) == dense(m) for a, m in ss.mats.items())
+            and R.radical_char0(ss) == {})
+
+
+def test_semisimple_certificate_agrees_with_the_recheck():
+    radicals = 0
+    for rep in qq_fixtures():
+        ss, _, semisimple = R.semisimplify(rep)
+        assert semisimple and recheck(ss)
+        radicals += bool(R.radical_char0(rep))
+    # the certificate is tested on inputs that have a radical to remove
+    assert radicals >= 10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([DA2, JQ, TL]), st.integers(0, 10 ** 6))
+def test_semisimple_certificate_on_random_representations(q, seed):
+    rep = R.random_rep(q, seed, max_total=4)
+    ss, _, semisimple = R.semisimplify(rep)
+    assert semisimple and recheck(ss)
+
+
+def test_certificate_sees_a_radical_the_graded_keeps(monkeypatch):
+    # a graded that keeps the entries between layers leaves ss = rep in
+    # the adapted basis, with its nonzero radical
+    def keep_all(m, rows, cols):
+        return SparseMatrix(m.nrows, m.ncols, m.field, dict(m.entries)), True
+    monkeypatch.setattr(R, "_graded", keep_all)
+    reps = [rep for rep in qq_fixtures() if R.radical_char0(rep)]
+    assert len(reps) >= 10
+    for rep in reps:
+        ss, _, semisimple = R.semisimplify(rep)
+        assert not semisimple
+        assert R.radical_char0(ss)
+
+
+def has_depths_0_and_1_at_a_vertex(rep):
+    layers = R.radical_filtration(rep, R.acting_algebra(rep))
+    return any(0 in ds and 1 in ds
+               for ds in R._adapted_basis(rep, layers)[1].values())
+
+
+def test_certificate_refuses_a_filtration_that_is_not_stable(monkeypatch):
+    # the first depth-0 and depth-1 vectors at a vertex swap their labels.
+    # On j2 the arrow maps the depth-0 vector onto the depth-1 one, and
+    # after the swap a deeper vector into a shallower one; no entry of the
+    # swapped graded is then off its diagonal, so the trace form alone
+    # would pass it, and only the stability check refuses
+    reps = [rep for rep in qq_fixtures()
+            if has_depths_0_and_1_at_a_vertex(rep)]
+    assert len(reps) >= 3
+    adapted = R._adapted_basis
+
+    def swapped(rep, layers):
+        g, depth = adapted(rep, layers)
+        ds = next(ds for ds in depth.values() if 0 in ds and 1 in ds)
+        i, j = ds.index(0), ds.index(1)
+        ds[i], ds[j] = ds[j], ds[i]
+        return g, depth
+    monkeypatch.setattr(R, "_adapted_basis", swapped)
+    ss, _, semisimple = R.semisimplify(j2_block())
+    assert ss.mats["a"].is_zero() and not semisimple
+    for rep in reps:
+        assert not R.semisimplify(rep)[2]
+
+
+def test_semisimple_over_a_prime_field_sees_an_unchanged_input(monkeypatch):
+    # an oracle whose first run returns its input: the rerun changes it
+    brute = R.ss_bruteforce
+    calls = []
+
+    def first_unchanged(rep):
+        calls.append(rep)
+        return rep if len(calls) == 1 else brute(rep)
+    monkeypatch.setattr(R, "ss_bruteforce", first_unchanged)
+    ss, _, semisimple = R.semisimplify(j2_block(F5))
+    assert not ss.mats["a"].is_zero() and not semisimple
 
 
 # ---------------------------------------------------------------------------
