@@ -223,8 +223,10 @@ def mc_presentation(cat: AInfCategory, d, certificate=None,
     formality certificate (an object whose ok attribute is true)
     guarantees vanishing higher operations, the presentation is tagged
     exact; so is a category with no degree-1 label, whatever d is.  Only
-    arities 2..cap are read, so a nonempty stored table above the cap
-    makes it a truncation at the cap in every case, as it is otherwise."""
+    arities 2..cap are read, so a stored entry above the cap that would
+    have added to the equations (all inputs of degree 1, a nonzero
+    degree-2 output) makes it a truncation at the cap in every case, as
+    it is otherwise."""
     f = cat.field
     if cat.op_table(1):
         raise LocalModelError("category is not minimal: nonzero arity-1 operations")
@@ -250,8 +252,10 @@ def mc_presentation(cat: AInfCategory, d, certificate=None,
 
     # degree-2 label -> {(row, col): poly}, frozen into a matrix at the end
     eqs = {lab: {} for lab, _ in deg2}
-    saw_higher = False
-    for n in range(2, cap + 1):
+    saw_higher = beyond = False
+    # tables above the cap are scanned only to learn whether they would have
+    # added to the equations; their entries are not read into them
+    for n in range(2, max([cap] + cat.known_arities()) + 1):
         table = cat.op_table(n)
         if table is None:
             continue
@@ -261,6 +265,9 @@ def mc_presentation(cat: AInfCategory, d, certificate=None,
             relevant = {z: c for z, c in out.items() if cat.deg(z) == 2 and not f.is_zero(c)}
             if not relevant:
                 continue
+            if n > cap:
+                beyond = True
+                break
             if n >= 3:
                 saw_higher = True
             # operator order: tup[0] is applied last, so the matrix product
@@ -272,12 +279,12 @@ def mc_presentation(cat: AInfCategory, d, certificate=None,
                 mono = tuple(sorted((x, ks[t], ks[t + 1]) for t, x in enumerate(tup)))
                 for z, c in relevant.items():
                     add_into(f, eqs[z].setdefault((ks[0], ks[-1]), {}), mono, c)
+        if beyond:
+            break
 
     certified = bool(getattr(certificate, "ok", False))
     if certified and saw_higher:
         raise LocalModelError("certificate claims vanishing higher operations but stored tables contradict it")
-    # a stored operation above the cap is one the equations did not read
-    beyond = any(table for n, table in cat.ops.items() if n > cap)
     if (cat.complete or certified or not has_deg1) and not beyond:
         exactness = "exact"
     else:

@@ -251,6 +251,27 @@ def test_presentation_without_certificate_is_truncated():
     assert mc_presentation(no_deg1, (2,)).exactness == "exact"
 
 
+def test_stored_products_above_the_cap_truncate_only_when_they_count():
+    # a category with no degree-1 label has no variables: a stored b_3 above
+    # the cap cannot add to the equations, so the presentation stays exact
+    no_deg1 = AInfCategory(objects=("X",), hom={("X", "X"): (("e", 0), ("z", 2))},
+                           ops={3: {("e", "e", "z"): {"z": Fraction(1)}}},
+                           arity_cap=3, complete=True)
+    assert mc_presentation(no_deg1, (2,), arity_cap=2).exactness == "exact"
+    # with degree-1 labels, an entry above the cap counts only when all its
+    # inputs have degree 1 and it has a nonzero degree-2 output
+    hom = {("X", "X"): (("e", 0), ("x", 1), ("y", 1), ("z", 2))}
+    for b3, exactness in [
+            ({("x", "x", "e"): {"z": Fraction(1)}}, "exact"),
+            ({("x", "x", "y"): {"x": Fraction(1)}}, "exact"),
+            ({("x", "x", "y"): {"z": Fraction(0)}}, "exact"),
+            ({("x", "x", "y"): {"z": Fraction(2)}}, "truncated:cap=2")]:
+        cat = AInfCategory(objects=("X",), hom=hom, ops={3: b3},
+                           arity_cap=3, complete=True)
+        assert mc_presentation(cat, (1,), arity_cap=2).exactness == exactness
+        assert mc_presentation(cat, (1,)).exactness == "exact"
+
+
 def test_presentation_rejects_nonminimal_input():
     q = quiver.jordan_quiver()
     dg = presentations.bar_ext_category(quiver.derived_preprojective(q),
